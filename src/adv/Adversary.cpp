@@ -9,6 +9,7 @@
 
 #include "obs/Json.h"
 #include "obs/LeakAudit.h"
+#include "sem/CompiledProgram.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -27,6 +28,8 @@ size_t zam::streamObservations(
   }
   const size_t K = Classes.size();
   const size_t Total = Opts.Samples;
+  // Compiled once and shared, read-only, by every sample on every thread.
+  const CompiledProgram Compiled(P, IOpts);
   for (size_t Base = 0; Base < Total; Base += kObservationChunk) {
     const size_t ChunkLen = std::min(kObservationChunk, Total - Base);
     std::vector<Observation> Chunk =
@@ -37,18 +40,15 @@ size_t zam::streamObservations(
           std::unique_ptr<MachineEnv> Env = EnvTemplate.clone();
           // No hooks: the audit replays the finished trace, which onWindow
           // matches bit-for-bit (LeakAudit's documented equivalence).
-          InterpreterOptions RunOpts = IOpts;
-          RunResult RR = runFull(
-              P, *Env,
-              [&](Memory &M) {
-                for (const auto &[Var, Value] : Spec.Fixed)
-                  M.store(Var, Value);
-                for (const SecretClassSpec::Range &Rg : Spec.Ranges)
-                  M.store(Rg.Var, R.nextInRange(Rg.Lo, Rg.Hi));
-                if (Spec.Prepare)
-                  Spec.Prepare(M, R);
-              },
-              RunOpts);
+          FullInterpreter Interp(Compiled, *Env, IOpts);
+          Memory &M = Interp.memory();
+          for (const auto &[Var, Value] : Spec.Fixed)
+            M.store(Var, Value);
+          for (const SecretClassSpec::Range &Rg : Spec.Ranges)
+            M.store(Rg.Var, R.nextInRange(Rg.Lo, Rg.Hi));
+          if (Spec.Prepare)
+            Spec.Prepare(M, R);
+          RunResult RR = Interp.run();
           LeakAudit Audit(P.lattice(), Opts.Adversary, IOpts.Mitigation);
           Audit.ingest(RR.T);
           Observation O;

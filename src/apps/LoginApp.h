@@ -52,6 +52,7 @@
 
 #include "hw/MachineEnv.h"
 #include "lang/Ast.h"
+#include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
 #include "support/Rng.h"
 
@@ -127,6 +128,7 @@ public:
 
 private:
   Program P;
+  CompiledProgram Compiled; ///< P, compiled once for every attempt.
   MachineEnv &Env;
   InterpreterOptions Opts;
   MitigationState MitState;

@@ -103,13 +103,13 @@ void zam::setRsaMessage(Memory &M, const std::vector<uint64_t> &CipherBlocks) {
 RsaSession::RsaSession(const SecurityLattice &Lat, const RsaKey &Key,
                        const RsaProgramConfig &Config, MachineEnv &Env,
                        InterpreterOptions Opts)
-    : P(buildRsaProgram(Lat, Key, Config)), Env(Env), Opts(Opts),
-      MitState(Lat, Opts.Mitigation.base(), Opts.Penalty) {
+    : P(buildRsaProgram(Lat, Key, Config)), Compiled(P, Opts), Env(Env),
+      Opts(Opts), MitState(Lat, Opts.Mitigation.base(), Opts.Penalty) {
   this->Opts.SharedMitState = &MitState;
 }
 
 RsaDecryptResult RsaSession::decrypt(const std::vector<uint64_t> &CipherBlocks) {
-  FullInterpreter Interp(P, Env, Opts);
+  FullInterpreter Interp(Compiled, Env, Opts);
   setRsaMessage(Interp.memory(), CipherBlocks);
   RunResult R = Interp.run();
 

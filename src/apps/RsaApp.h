@@ -52,6 +52,7 @@
 #include "crypto/ToyRsa.h"
 #include "hw/MachineEnv.h"
 #include "lang/Ast.h"
+#include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
 
 #include <vector>
@@ -94,6 +95,7 @@ public:
 
 private:
   Program P;
+  CompiledProgram Compiled; ///< P, compiled once for every decryption.
   MachineEnv &Env;
   InterpreterOptions Opts;
   MitigationState MitState;

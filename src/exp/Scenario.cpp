@@ -23,15 +23,20 @@ void RunSpec::applyTo(Memory &M) const {
 Scenario::Scenario(const Program &P, HwKind Hw, MachineEnvConfig Config,
                    InterpreterOptions Opts)
     : P(&P), Opts(Opts),
+      Compiled(std::make_unique<const CompiledProgram>(P, Opts)),
       EnvTemplate(createMachineEnv(Hw, P.lattice(), Config)) {}
 
 Scenario::Scenario(const Program &P, const MachineEnv &EnvTemplate,
                    InterpreterOptions Opts)
-    : P(&P), Opts(Opts), EnvTemplate(EnvTemplate.clone()) {}
+    : P(&P), Opts(Opts),
+      Compiled(std::make_unique<const CompiledProgram>(P, Opts)),
+      EnvTemplate(EnvTemplate.clone()) {}
 
 RunResult Scenario::run(const RunSpec &Spec) const {
   std::unique_ptr<MachineEnv> Env = EnvTemplate->clone();
-  return runFull(*P, *Env, [&](Memory &M) { Spec.applyTo(M); }, Opts);
+  FullInterpreter Interp(*Compiled, *Env, Opts);
+  Spec.applyTo(Interp.memory());
+  return Interp.run();
 }
 
 std::vector<RunResult> Scenario::runAll(const std::vector<RunSpec> &Specs,

@@ -26,6 +26,7 @@
 #include "exp/Report.h"
 #include "hw/MachineEnv.h"
 #include "lang/Ast.h"
+#include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
 
 #include <functional>
@@ -77,6 +78,7 @@ public:
 private:
   const Program *P;
   InterpreterOptions Opts;
+  std::unique_ptr<const CompiledProgram> Compiled; ///< Shared by every run.
   std::unique_ptr<MachineEnv> EnvTemplate;
 };
 

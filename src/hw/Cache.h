@@ -20,6 +20,12 @@
 /// equivalences of Sec. 3.3 — and the noninterference properties built on
 /// them — see exactly the (tag, LRU-order) state they always did.
 ///
+/// Storage: a Cache is a header over line and occupancy storage. A
+/// standalone Cache owns its storage; the caches of a machine environment
+/// live in one CacheArena, whose single allocation holds every header,
+/// every occupancy word and every line, so cloning an environment is one
+/// allocation plus a copy of the resident lines only.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ZAM_HW_CACHE_H
@@ -47,9 +53,18 @@ struct CacheEvents {
 
 /// One cache-like structure. State per set is the list of resident lines in
 /// LRU order (front = most recently used). Replacement is strict LRU.
-class Cache {
+///
+/// Aligned to a 64-byte host line: everything the access paths read — the
+/// storage pointers, shift/mask geometry, associativity, latency and the
+/// event counters — sits in the first host line, so the headers of
+/// adjacent partitions never share or straddle one.
+class alignas(64) Cache {
 public:
+  /// A standalone cache owning its storage (tests, micro-benchmarks).
   explicit Cache(const CacheConfig &Config);
+  Cache(const Cache &) = delete;
+  Cache &operator=(const Cache &) = delete;
+  ~Cache();
 
   const CacheConfig &config() const { return Config; }
   uint64_t latency() const { return Latency; }
@@ -91,11 +106,21 @@ public:
   bool operator==(const Cache &Other) const;
 
 private:
-  /// One resident line. Only Tag is machine state; Dirty is telemetry.
-  struct Line {
-    uint64_t Tag = 0;
-    bool Dirty = false;
-  };
+  friend class CacheArena;
+
+  /// One resident line: the tag in the low 63 bits, the dirty bit
+  /// (telemetry only) in the top bit. Tags are addresses shifted right by
+  /// at least the block offset, so the top bit is always free for
+  /// simulated addresses below 2^63.
+  using Line = uint64_t;
+  static constexpr Line kDirty = Line(1) << 63;
+  static Line tagBits(Line L) { return L & ~kDirty; }
+
+  /// A header over storage the arena owns.
+  Cache(const CacheConfig &Config, Line *Lines, uint32_t *Occupancy);
+  /// A copy of \p Other's header (geometry and event counters) over new
+  /// storage; the arena copies the lines.
+  Cache(const Cache &Other, Line *Lines, uint32_t *Occupancy);
 
   uint64_t tagOf(Addr A) const {
     if (TagShift)
@@ -107,34 +132,64 @@ private:
       return static_cast<unsigned>((A >> BlockShift) & SetMask);
     return static_cast<unsigned>((A / Config.BlockBytes) % Config.NumSets);
   }
-  Line *setLines(unsigned S) {
-    return Lines.data() + static_cast<size_t>(S) * Assoc;
-  }
+  Line *setLines(unsigned S) { return Lines + static_cast<size_t>(S) * Assoc; }
   const Line *setLines(unsigned S) const {
-    return Lines.data() + static_cast<size_t>(S) * Assoc;
+    return Lines + static_cast<size_t>(S) * Assoc;
   }
 
-  // Everything lookup() touches sits in the leading fields: the shift/mask
-  // geometry, the set stride and latency (copied out of Config so the hit
-  // path reads one region), and the two storage vectors.
+  // The hot header: the first 64-byte host line (checked in Cache.cpp).
 
+  /// Line storage, NumSets × Assoc: set S occupies [S*Assoc, S*Assoc +
+  /// Occupancy[S]) in MRU-to-LRU order. Ways at or beyond the occupancy are
+  /// never read, so they need not be initialized or copied.
+  Line *Lines;
+  uint32_t *Occupancy; ///< Resident lines per set.
+  uint64_t Latency;    ///< Copy of Config.Latency.
   /// Shift/mask fast path for power-of-two geometry (all Table 1 shapes).
   /// TagShift == 0 falls back to division — partitioned designs divide sets
   /// among lattice levels, which need not leave a power of two.
-  unsigned BlockShift = 0, TagShift = 0;
-  uint64_t SetMask = 0;
-  unsigned Assoc = 1;   ///< Copy of Config.Assoc (set stride).
-  uint64_t Latency = 1; ///< Copy of Config.Latency.
-  /// Flat line storage, NumSets × Assoc: set S occupies
-  /// [S*Assoc, S*Assoc + Occupancy[S]) in MRU-to-LRU order. One
-  /// allocation instead of a vector per set keeps the lookup fast path —
-  /// the single hottest loop in the simulator — on one cache line, and a
-  /// hit at way 0 (the common case for looping programs) touches nothing
-  /// but the dirty bit.
-  std::vector<Line> Lines;
-  std::vector<uint32_t> Occupancy; ///< Resident lines per set.
-  CacheConfig Config;
+  uint32_t SetMask = 0;
+  uint32_t Assoc;        ///< Copy of Config.Assoc (set stride).
+  uint32_t Resident = 0; ///< Σ Occupancy: lets a copy skip a cold cache.
+  uint8_t BlockShift = 0, TagShift = 0;
   CacheEvents Events;
+
+  // Cold: the full configuration and, for a standalone cache, its storage.
+  CacheConfig Config;
+  void *Owned = nullptr;
+};
+
+/// The caches of one machine environment in one allocation: the Cache
+/// headers first (one 64-byte-aligned header each), then every cache's
+/// occupancy words, then every cache's lines. Copying an arena allocates
+/// once, copies the occupancy words, and copies only the resident ways of
+/// each set — a cold environment copies no lines at all.
+class CacheArena {
+public:
+  explicit CacheArena(const std::vector<CacheConfig> &Configs);
+  CacheArena(const CacheArena &Other);
+  CacheArena &operator=(const CacheArena &) = delete;
+  ~CacheArena();
+
+  size_t size() const { return Count; }
+  Cache *data() { return Caches; }
+  const Cache *data() const { return Caches; }
+  Cache &operator[](size_t I) { return Caches[I]; }
+  const Cache &operator[](size_t I) const { return Caches[I]; }
+  Cache *begin() { return Caches; }
+  Cache *end() { return Caches + Count; }
+  const Cache *begin() const { return Caches; }
+  const Cache *end() const { return Caches + Count; }
+
+private:
+  /// Allocates the block for \p N caches whose configurations \p ConfigOf
+  /// yields, and places each header (built by \p Make over its storage).
+  template <typename ConfigFn, typename MakeFn>
+  void place(size_t N, ConfigFn ConfigOf, MakeFn Make);
+
+  void *Mem = nullptr;
+  Cache *Caches = nullptr;
+  size_t Count = 0;
 };
 
 inline bool Cache::lookup(Addr A, bool MarkDirty) {
@@ -143,18 +198,17 @@ inline bool Cache::lookup(Addr A, bool MarkDirty) {
   Line *Set = setLines(S);
   const uint32_t N = Occupancy[S];
   for (uint32_t W = 0; W != N; ++W) {
-    if (Set[W].Tag != Tag)
+    if (tagBits(Set[W]) != Tag)
       continue;
     if (W == 0) {
       // Already MRU: nothing moves (the hot path for looping programs).
       // The dirty bit is written only when it changes, so repeat loads
       // leave the line untouched.
-      if (MarkDirty && !Set[0].Dirty)
-        Set[0].Dirty = true;
+      if (MarkDirty && !(Set[0] & kDirty))
+        Set[0] |= kDirty;
     } else {
       // Promote to MRU: rotate the ways above the hit down one.
-      Line L = Set[W];
-      L.Dirty = L.Dirty || MarkDirty;
+      const Line L = Set[W] | (MarkDirty ? kDirty : 0);
       for (uint32_t I = W; I != 0; --I)
         Set[I] = Set[I - 1];
       Set[0] = L;
@@ -170,7 +224,7 @@ inline bool Cache::probe(Addr A) const {
   const Line *Set = setLines(S);
   const uint32_t N = Occupancy[S];
   for (uint32_t W = 0; W != N; ++W)
-    if (Set[W].Tag == Tag)
+    if (tagBits(Set[W]) == Tag)
       return true;
   return false;
 }

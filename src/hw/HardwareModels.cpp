@@ -53,17 +53,26 @@ zam::createMachineEnv(HwKind Kind, const SecurityLattice &Lat,
   reportFatalError("unknown hardware kind");
 }
 
-//===----------------------------------------------------------------------===//
-// UnifiedHwBase
-//===----------------------------------------------------------------------===//
-
-UnifiedHwBase::UnifiedHwBase(HwKind Kind, const SecurityLattice &Lat,
-                             const MachineEnvConfig &Config, bool NoFillMode)
-    : MachineEnv(Kind, Lat, Config), L1D(Config.L1D), L2D(Config.L2D),
-      L1I(Config.L1I), L2I(Config.L2I), DTlb(Config.DTlb), ITlb(Config.ITlb),
-      NoFillMode(NoFillMode), Bottom(Lat.bottom()) {}
-
 namespace {
+/// The configurations of the six structures, in HwStructure order.
+std::vector<CacheConfig> structureConfigs(const MachineEnvConfig &C) {
+  return {C.L1D, C.L2D, C.L1I, C.L2I, C.DTlb, C.ITlb};
+}
+
+/// The merged-stats slot of each structure, in HwStructure order.
+CacheLevelStats &statsOf(HwStats &S, unsigned Structure) {
+  CacheLevelStats *Levels[] = {&S.L1D, &S.L2D, &S.L1I, &S.L2I, &S.DTlb,
+                               &S.ITlb};
+  return *Levels[Structure];
+}
+
+/// Folds one cache's event counters into the merged per-structure view.
+void mergeEvents(CacheLevelStats &S, const CacheEvents &E) {
+  S.Evictions += E.Evictions;
+  S.Writebacks += E.Writebacks;
+  S.LineFills += E.LineFills;
+}
+
 /// The delta between two event snapshots of one structure.
 HwEventDelta eventDelta(const CacheEvents &Before, const CacheEvents &After) {
   HwEventDelta D;
@@ -72,7 +81,18 @@ HwEventDelta eventDelta(const CacheEvents &Before, const CacheEvents &After) {
   D.LineFills = static_cast<uint32_t>(After.LineFills - Before.LineFills);
   return D;
 }
+} // namespace
 
+//===----------------------------------------------------------------------===//
+// UnifiedHwBase
+//===----------------------------------------------------------------------===//
+
+UnifiedHwBase::UnifiedHwBase(HwKind Kind, const SecurityLattice &Lat,
+                             const MachineEnvConfig &Config, bool NoFillMode)
+    : MachineEnv(Kind, Lat, Config), Caches(structureConfigs(Config)),
+      NoFillMode(NoFillMode), Bottom(Lat.bottom()) {}
+
+namespace {
 /// Walks one TLB + two-level cache path. \p Fill selects between normal
 /// operation and no-fill probing (no installs, no LRU updates). \p IsStore
 /// marks the L1 line dirty (telemetry only; writebacks add no latency).
@@ -130,23 +150,24 @@ uint64_t UnifiedHwBase::dataAccess(Addr A, bool IsStore, Label Read,
                                    Label Write) {
   assert(lattice().contains(Read) && lattice().contains(Write) &&
          "labels from another lattice");
+  Cache &Tlb = Caches[kDTlb], &L1 = Caches[kL1D], &L2 = Caches[kL2D];
   if (observer() == nullptr)
-    return unifiedPath<false>(DTlb, L1D, L2D, A, mayFill(Write), IsStore,
+    return unifiedPath<false>(Tlb, L1, L2, A, mayFill(Write), IsStore,
                               Config.MemLatency, Stats.DTlb, Stats.L1D,
                               Stats.L2D, nullptr);
   HwAccess Acc;
   Acc.A = A;
   Acc.IsData = true;
   Acc.IsStore = IsStore;
-  CacheEvents TlbBefore = DTlb.events();
-  CacheEvents L1Before = L1D.events();
-  CacheEvents L2Before = L2D.events();
-  Acc.Cycles = unifiedPath<true>(DTlb, L1D, L2D, A, mayFill(Write), IsStore,
+  CacheEvents TlbBefore = Tlb.events();
+  CacheEvents L1Before = L1.events();
+  CacheEvents L2Before = L2.events();
+  Acc.Cycles = unifiedPath<true>(Tlb, L1, L2, A, mayFill(Write), IsStore,
                                  Config.MemLatency, Stats.DTlb, Stats.L1D,
                                  Stats.L2D, &Acc);
-  Acc.TlbEvents = eventDelta(TlbBefore, DTlb.events());
-  Acc.L1Events = eventDelta(L1Before, L1D.events());
-  Acc.L2Events = eventDelta(L2Before, L2D.events());
+  Acc.TlbEvents = eventDelta(TlbBefore, Tlb.events());
+  Acc.L1Events = eventDelta(L1Before, L1.events());
+  Acc.L2Events = eventDelta(L2Before, L2.events());
   notifyAccess(Acc);
   return Acc.Cycles;
 }
@@ -154,47 +175,37 @@ uint64_t UnifiedHwBase::dataAccess(Addr A, bool IsStore, Label Read,
 uint64_t UnifiedHwBase::fetch(Addr A, Label Read, Label Write) {
   assert(lattice().contains(Read) && lattice().contains(Write) &&
          "labels from another lattice");
+  Cache &Tlb = Caches[kITlb], &L1 = Caches[kL1I], &L2 = Caches[kL2I];
   if (observer() == nullptr)
-    return unifiedPath<false>(ITlb, L1I, L2I, A, mayFill(Write),
+    return unifiedPath<false>(Tlb, L1, L2, A, mayFill(Write),
                               /*IsStore=*/false, Config.MemLatency, Stats.ITlb,
                               Stats.L1I, Stats.L2I, nullptr);
   HwAccess Acc;
   Acc.A = A;
-  CacheEvents TlbBefore = ITlb.events();
-  CacheEvents L1Before = L1I.events();
-  CacheEvents L2Before = L2I.events();
-  Acc.Cycles = unifiedPath<true>(ITlb, L1I, L2I, A, mayFill(Write),
+  CacheEvents TlbBefore = Tlb.events();
+  CacheEvents L1Before = L1.events();
+  CacheEvents L2Before = L2.events();
+  Acc.Cycles = unifiedPath<true>(Tlb, L1, L2, A, mayFill(Write),
                                  /*IsStore=*/false, Config.MemLatency,
                                  Stats.ITlb, Stats.L1I, Stats.L2I, &Acc);
-  Acc.TlbEvents = eventDelta(TlbBefore, ITlb.events());
-  Acc.L1Events = eventDelta(L1Before, L1I.events());
-  Acc.L2Events = eventDelta(L2Before, L2I.events());
+  Acc.TlbEvents = eventDelta(TlbBefore, Tlb.events());
+  Acc.L1Events = eventDelta(L1Before, L1.events());
+  Acc.L2Events = eventDelta(L2Before, L2.events());
   notifyAccess(Acc);
   return Acc.Cycles;
 }
 
-/// Folds one cache's event counters into the merged per-structure view.
-static void mergeEvents(CacheLevelStats &S, const CacheEvents &E) {
-  S.Evictions += E.Evictions;
-  S.Writebacks += E.Writebacks;
-  S.LineFills += E.LineFills;
-}
-
 HwStats UnifiedHwBase::stats() const {
   HwStats S = Stats;
-  mergeEvents(S.L1D, L1D.events());
-  mergeEvents(S.L2D, L2D.events());
-  mergeEvents(S.L1I, L1I.events());
-  mergeEvents(S.L2I, L2I.events());
-  mergeEvents(S.DTlb, DTlb.events());
-  mergeEvents(S.ITlb, ITlb.events());
+  for (unsigned I = 0; I != kNumStructures; ++I)
+    mergeEvents(statsOf(S, I), Caches[I].events());
   return S;
 }
 
 void UnifiedHwBase::resetStats() {
   Stats.reset();
-  for (Cache *C : {&L1D, &L2D, &L1I, &L2I, &DTlb, &ITlb})
-    C->resetEvents();
+  for (Cache &C : Caches)
+    C.resetEvents();
 }
 
 bool UnifiedHwBase::projectionEquals(const MachineEnv &Other, Label L) const {
@@ -203,26 +214,20 @@ bool UnifiedHwBase::projectionEquals(const MachineEnv &Other, Label L) const {
   if (L != lattice().bottom())
     return true;
   const auto &O = static_cast<const UnifiedHwBase &>(Other);
-  return L1D == O.L1D && L2D == O.L2D && L1I == O.L1I && L2I == O.L2I &&
-         DTlb == O.DTlb && ITlb == O.ITlb;
+  for (unsigned I = 0; I != kNumStructures; ++I)
+    if (!(Caches[I] == O.Caches[I]))
+      return false;
+  return true;
 }
 
 void UnifiedHwBase::reset() {
-  L1D.reset();
-  L2D.reset();
-  L1I.reset();
-  L2I.reset();
-  DTlb.reset();
-  ITlb.reset();
+  for (Cache &C : Caches)
+    C.reset();
 }
 
 void UnifiedHwBase::randomize(Rng &R) {
-  L1D.randomize(R);
-  L2D.randomize(R);
-  L1I.randomize(R);
-  L2I.randomize(R);
-  DTlb.randomize(R);
-  ITlb.randomize(R);
+  for (Cache &C : Caches)
+    C.randomize(R);
 }
 
 void UnifiedHwBase::perturbAbove(Label L, Rng &R) {
@@ -247,55 +252,61 @@ CacheConfig PartitionedHw::partitionConfig(const CacheConfig &Full) const {
   return Part;
 }
 
-PartitionedHw::Partitioned
-PartitionedHw::makePartitions(const CacheConfig &Full) const {
-  Partitioned P;
-  CacheConfig Part = partitionConfig(Full);
-  for (unsigned I = 0, E = lattice().size(); I != E; ++I)
-    P.emplace_back(Part);
-  return P;
+namespace {
+/// Builds the (er, ew) lookup walks and the per-ew victim sweeps of
+/// PartitionedHw::Walks from the lattice order.
+std::shared_ptr<const PartitionedHw::Walks>
+buildWalks(const SecurityLattice &Lat) {
+  const unsigned Levels = Lat.size();
+  auto Flows = [&](unsigned I, unsigned J) {
+    return Lat.flowsTo(Label::fromIndex(I), Label::fromIndex(J));
+  };
+  auto W = std::make_shared<PartitionedHw::Walks>();
+  W->LookupOff.resize(static_cast<size_t>(Levels) * Levels + 1);
+  for (unsigned R = 0; R != Levels; ++R)
+    for (unsigned Wr = 0; Wr != Levels; ++Wr) {
+      W->LookupOff[R * Levels + Wr] = static_cast<uint16_t>(W->Lookup.size());
+      for (unsigned I = 0; I != Levels; ++I)
+        if (Flows(I, R))
+          W->Lookup.push_back(static_cast<uint8_t>(
+              I | (Flows(Wr, I) ? 0 : PartitionedHw::kProbeOnly)));
+    }
+  W->LookupOff.back() = static_cast<uint16_t>(W->Lookup.size());
+  W->VictimOff.resize(Levels + 1);
+  for (unsigned Wr = 0; Wr != Levels; ++Wr) {
+    W->VictimOff[Wr] = static_cast<uint16_t>(W->Victims.size());
+    for (unsigned I = 0; I != Levels; ++I)
+      if (I != Wr && Flows(Wr, I))
+        W->Victims.push_back(static_cast<uint8_t>(I));
+  }
+  W->VictimOff.back() = static_cast<uint16_t>(W->Victims.size());
+  return W;
 }
+
+/// Every structure's partition configuration, Levels per structure.
+std::vector<CacheConfig> partitionConfigs(const PartitionedHw &Env,
+                                          const MachineEnvConfig &C,
+                                          unsigned Levels) {
+  std::vector<CacheConfig> Out;
+  for (const CacheConfig &Full : structureConfigs(C))
+    Out.insert(Out.end(), Levels, Env.partitionConfig(Full));
+  return Out;
+}
+} // namespace
 
 PartitionedHw::PartitionedHw(const SecurityLattice &Lat,
                              const MachineEnvConfig &Config)
-    : MachineEnv(HwKind::Partitioned, Lat, Config) {
-  Levels = Lat.size();
-  Flows.resize(static_cast<size_t>(Levels) * Levels);
-  for (unsigned I = 0; I != Levels; ++I)
-    for (unsigned J = 0; J != Levels; ++J)
-      Flows[I * Levels + J] =
-          Lat.flowsTo(Label::fromIndex(I), Label::fromIndex(J));
-  LookupOff.resize(static_cast<size_t>(Levels) * Levels + 1);
-  for (unsigned R = 0; R != Levels; ++R)
-    for (unsigned W = 0; W != Levels; ++W) {
-      LookupOff[R * Levels + W] = static_cast<uint16_t>(LookupPlan.size());
-      for (unsigned I = 0; I != Levels; ++I)
-        if (flows(I, R))
-          LookupPlan.push_back(
-              static_cast<uint8_t>(I | (flows(W, I) ? 0 : kProbeOnly)));
-    }
-  LookupOff.back() = static_cast<uint16_t>(LookupPlan.size());
-  VictimOff.resize(Levels + 1);
-  for (unsigned W = 0; W != Levels; ++W) {
-    VictimOff[W] = static_cast<uint16_t>(InstallVictims.size());
-    for (unsigned I = 0; I != Levels; ++I)
-      if (I != W && flows(W, I))
-        InstallVictims.push_back(static_cast<uint8_t>(I));
-  }
-  VictimOff.back() = static_cast<uint16_t>(InstallVictims.size());
-  L1D = makePartitions(Config.L1D);
-  L2D = makePartitions(Config.L2D);
-  L1I = makePartitions(Config.L1I);
-  L2I = makePartitions(Config.L2I);
-  DTlb = makePartitions(Config.DTlb);
-  ITlb = makePartitions(Config.ITlb);
-}
+    : MachineEnv(HwKind::Partitioned, Lat, Config), Levels(Lat.size()),
+      Plan(buildWalks(Lat)), Lookup(Plan->Lookup.data()),
+      LookupOff(Plan->LookupOff.data()), Victims(Plan->Victims.data()),
+      VictimOff(Plan->VictimOff.data()),
+      Caches(partitionConfigs(*this, Config, Levels)) {}
 
 namespace {
-/// Walks one precomputed lookup plan over \p P. Split from partLookup so
-/// accessHierarchy can resolve the (er, ew) plan range once per access and
-/// reuse it for the TLB, L1 and L2 walks.
-inline bool walkPlan(std::vector<Cache> &P, Addr A, const uint8_t *E,
+/// Walks one precomputed lookup plan over the partitions \p P. The (er, ew)
+/// plan range is resolved once per access and reused for the TLB, L1 and
+/// L2 walks.
+inline bool walkPlan(Cache *P, Addr A, const uint8_t *E,
                      const uint8_t *const End, bool MarkDirty) {
   for (; E != End; ++E) {
     if (*E & PartitionedHw::kProbeOnly) {
@@ -307,80 +318,75 @@ inline bool walkPlan(std::vector<Cache> &P, Addr A, const uint8_t *E,
   }
   return false;
 }
+
+/// Sums one partitioned structure's event counters over its \p Levels
+/// partitions (an install may displace stale copies from several of them).
+CacheEvents sumPartEvents(const Cache *P, unsigned Levels) {
+  CacheEvents E;
+  for (unsigned I = 0; I != Levels; ++I) {
+    E.Evictions += P[I].events().Evictions;
+    E.Writebacks += P[I].events().Writebacks;
+    E.LineFills += P[I].events().LineFills;
+  }
+  return E;
+}
 } // namespace
 
-bool PartitionedHw::partLookup(Partitioned &P, Addr A, Label Read, Label Write,
-                               bool MarkDirty) {
-  // The plan enumerates the partitions at levels ⊑ er (Property 6); the
-  // probe-only bit marks those the access may not modify (Property 5).
-  const unsigned PI = Read.index() * Levels + Write.index();
-  return walkPlan(P, A, LookupPlan.data() + LookupOff[PI],
-                  LookupPlan.data() + LookupOff[PI + 1], MarkDirty);
-}
-
-void PartitionedHw::partInstall(Partitioned &P, Addr A, Label Write,
-                                bool Dirty) {
+void PartitionedHw::partInstall(Cache *P, Addr A, Label Write, bool Dirty) {
   const unsigned W = Write.index();
   // Consistency: keep a single copy. A stale copy may only be removed from
   // levels the write label permits modifying (ew ⊑ level) — the
   // precomputed victim sweep for ew.
-  const uint8_t *V = InstallVictims.data() + VictimOff[W];
-  const uint8_t *const End = InstallVictims.data() + VictimOff[W + 1];
-  for (; V != End; ++V)
+  const uint8_t *const End = Victims + VictimOff[W + 1];
+  for (const uint8_t *V = Victims + VictimOff[W]; V != End; ++V)
     P[*V].remove(A);
   P[W].install(A, Dirty);
 }
 
-/// Sums one partitioned structure's event counters over all partitions
-/// (an install may displace stale copies from several of them).
-static CacheEvents sumPartEvents(const std::vector<Cache> &P) {
-  CacheEvents E;
-  for (const Cache &C : P) {
-    E.Evictions += C.events().Evictions;
-    E.Writebacks += C.events().Writebacks;
-    E.LineFills += C.events().LineFills;
-  }
-  return E;
-}
-
-uint64_t PartitionedHw::accessHierarchy(Partitioned &Tlb, Partitioned &L1,
-                                        Partitioned &L2, Addr A, Label Read,
-                                        Label Write, bool IsData,
-                                        bool IsStore) {
-  if (observer() != nullptr)
-    return accessObserved(Tlb, L1, L2, A, Read, Write, IsData, IsStore);
-
-  // Unobserved walk: identical lookups, installs and charges to
-  // accessObserved below, with no HwAccess bookkeeping at all. The (er,ew)
-  // lookup plan is shared by all three structures, so it is resolved once.
-  uint64_t Cycles = 0;
+template <bool Observed>
+uint64_t PartitionedHw::accessHierarchy(bool IsData, Addr A, Label Read,
+                                        Label Write, bool IsStore,
+                                        HwAccess *Acc) {
+  Cache *const Tlb = parts(IsData ? kDTlb : kITlb);
+  Cache *const L1 = parts(IsData ? kL1D : kL1I);
+  Cache *const L2 = parts(IsData ? kL2D : kL2I);
   CacheLevelStats &TlbStats = IsData ? Stats.DTlb : Stats.ITlb;
   CacheLevelStats &L1Stats = IsData ? Stats.L1D : Stats.L1I;
   CacheLevelStats &L2Stats = IsData ? Stats.L2D : Stats.L2I;
+  // The plan enumerates the partitions at levels ⊑ er (Property 6); the
+  // probe-only bit marks those the access may not modify (Property 5). It
+  // is shared by all three structures, so it is resolved once.
   const unsigned PI = Read.index() * Levels + Write.index();
-  const uint8_t *const Plan = LookupPlan.data() + LookupOff[PI];
-  const uint8_t *const PlanEnd = LookupPlan.data() + LookupOff[PI + 1];
+  const uint8_t *const Walk = Lookup + LookupOff[PI];
+  const uint8_t *const WalkEnd = Lookup + LookupOff[PI + 1];
+  uint64_t Cycles = 0;
 
-  if (walkPlan(Tlb, A, Plan, PlanEnd, false)) {
+  if (walkPlan(Tlb, A, Walk, WalkEnd, false)) {
     ++TlbStats.Hits;
   } else {
     ++TlbStats.Misses;
+    if constexpr (Observed)
+      Acc->TlbMiss = true;
     Cycles += Tlb[0].latency();
     partInstall(Tlb, A, Write);
   }
 
   Cycles += L1[0].latency();
-  if (walkPlan(L1, A, Plan, PlanEnd, IsStore)) {
+  if (walkPlan(L1, A, Walk, WalkEnd, IsStore)) {
     ++L1Stats.Hits;
     return Cycles;
   }
   ++L1Stats.Misses;
+  if constexpr (Observed)
+    Acc->L1Miss = true;
 
   Cycles += L2[0].latency();
-  if (walkPlan(L2, A, Plan, PlanEnd, false)) {
+  if (walkPlan(L2, A, Walk, WalkEnd, false)) {
     ++L2Stats.Hits;
   } else {
     ++L2Stats.Misses;
+    if constexpr (Observed)
+      Acc->L2Miss = true;
     Cycles += Config.MemLatency;
     partInstall(L2, A, Write);
   }
@@ -388,78 +394,43 @@ uint64_t PartitionedHw::accessHierarchy(Partitioned &Tlb, Partitioned &L1,
   return Cycles;
 }
 
-uint64_t PartitionedHw::accessObserved(Partitioned &Tlb, Partitioned &L1,
-                                       Partitioned &L2, Addr A, Label Read,
-                                       Label Write, bool IsData,
-                                       bool IsStore) {
-  uint64_t Cycles = 0;
-
-  CacheLevelStats &TlbStats = IsData ? Stats.DTlb : Stats.ITlb;
-  CacheLevelStats &L1Stats = IsData ? Stats.L1D : Stats.L1I;
-  CacheLevelStats &L2Stats = IsData ? Stats.L2D : Stats.L2I;
-
+uint64_t PartitionedHw::accessObserved(bool IsData, Addr A, Label Read,
+                                       Label Write, bool IsStore) {
+  const Cache *const Tlb = parts(IsData ? kDTlb : kITlb);
+  const Cache *const L1 = parts(IsData ? kL1D : kL1I);
+  const Cache *const L2 = parts(IsData ? kL2D : kL2I);
   HwAccess Acc;
   Acc.A = A;
   Acc.IsData = IsData;
   Acc.IsStore = IsStore;
-
-  CacheEvents TlbBefore = sumPartEvents(Tlb);
-  CacheEvents L1Before = sumPartEvents(L1);
-  CacheEvents L2Before = sumPartEvents(L2);
-
-  if (partLookup(Tlb, A, Read, Write)) {
-    ++TlbStats.Hits;
-  } else {
-    ++TlbStats.Misses;
-    Acc.TlbMiss = true;
-    Cycles += Tlb[0].latency();
-    partInstall(Tlb, A, Write);
-  }
-
-  Cycles += L1[0].latency();
-  if (partLookup(L1, A, Read, Write, IsStore)) {
-    ++L1Stats.Hits;
-    Acc.Cycles = Cycles;
-    Acc.TlbEvents = eventDelta(TlbBefore, sumPartEvents(Tlb));
-    Acc.L1Events = eventDelta(L1Before, sumPartEvents(L1));
-    Acc.L2Events = eventDelta(L2Before, sumPartEvents(L2));
-    notifyAccess(Acc);
-    return Cycles;
-  }
-  ++L1Stats.Misses;
-  Acc.L1Miss = true;
-
-  Cycles += L2[0].latency();
-  if (partLookup(L2, A, Read, Write)) {
-    ++L2Stats.Hits;
-  } else {
-    ++L2Stats.Misses;
-    Acc.L2Miss = true;
-    Cycles += Config.MemLatency;
-    partInstall(L2, A, Write);
-  }
-  partInstall(L1, A, Write, IsStore);
-  Acc.Cycles = Cycles;
-  Acc.TlbEvents = eventDelta(TlbBefore, sumPartEvents(Tlb));
-  Acc.L1Events = eventDelta(L1Before, sumPartEvents(L1));
-  Acc.L2Events = eventDelta(L2Before, sumPartEvents(L2));
+  const CacheEvents TlbBefore = sumPartEvents(Tlb, Levels);
+  const CacheEvents L1Before = sumPartEvents(L1, Levels);
+  const CacheEvents L2Before = sumPartEvents(L2, Levels);
+  Acc.Cycles = accessHierarchy<true>(IsData, A, Read, Write, IsStore, &Acc);
+  Acc.TlbEvents = eventDelta(TlbBefore, sumPartEvents(Tlb, Levels));
+  Acc.L1Events = eventDelta(L1Before, sumPartEvents(L1, Levels));
+  Acc.L2Events = eventDelta(L2Before, sumPartEvents(L2, Levels));
   notifyAccess(Acc);
-  return Cycles;
+  return Acc.Cycles;
 }
 
 uint64_t PartitionedHw::dataAccess(Addr A, bool IsStore, Label Read,
                                    Label Write) {
   assert(lattice().contains(Read) && lattice().contains(Write) &&
          "labels from another lattice");
-  return accessHierarchy(DTlb, L1D, L2D, A, Read, Write, /*IsData=*/true,
-                         IsStore);
+  if (observer() == nullptr)
+    return accessHierarchy<false>(/*IsData=*/true, A, Read, Write, IsStore,
+                                  nullptr);
+  return accessObserved(/*IsData=*/true, A, Read, Write, IsStore);
 }
 
 uint64_t PartitionedHw::fetch(Addr A, Label Read, Label Write) {
   assert(lattice().contains(Read) && lattice().contains(Write) &&
          "labels from another lattice");
-  return accessHierarchy(ITlb, L1I, L2I, A, Read, Write, /*IsData=*/false,
-                         /*IsStore=*/false);
+  if (observer() == nullptr)
+    return accessHierarchy<false>(/*IsData=*/false, A, Read, Write,
+                                  /*IsStore=*/false, nullptr);
+  return accessObserved(/*IsData=*/false, A, Read, Write, /*IsStore=*/false);
 }
 
 std::unique_ptr<MachineEnv> PartitionedHw::clone() const {
@@ -470,44 +441,41 @@ bool PartitionedHw::projectionEquals(const MachineEnv &Other, Label L) const {
   assert(Other.hwKind() == hwKind() && "comparing different hardware designs");
   assert(lattice().contains(L) && "label from another lattice");
   const auto &O = static_cast<const PartitionedHw &>(Other);
-  unsigned I = L.index();
-  return L1D[I] == O.L1D[I] && L2D[I] == O.L2D[I] && L1I[I] == O.L1I[I] &&
-         L2I[I] == O.L2I[I] && DTlb[I] == O.DTlb[I] && ITlb[I] == O.ITlb[I];
+  for (unsigned S = 0; S != kNumStructures; ++S) {
+    const size_t I = S * Levels + L.index();
+    if (!(Caches[I] == O.Caches[I]))
+      return false;
+  }
+  return true;
 }
 
 void PartitionedHw::reset() {
-  for (Partitioned *P : {&L1D, &L2D, &L1I, &L2I, &DTlb, &ITlb})
-    for (Cache &C : *P)
-      C.reset();
+  for (Cache &C : Caches)
+    C.reset();
 }
 
 void PartitionedHw::randomize(Rng &R) {
-  for (Partitioned *P : {&L1D, &L2D, &L1I, &L2I, &DTlb, &ITlb})
-    for (Cache &C : *P)
-      C.randomize(R);
+  for (Cache &C : Caches)
+    C.randomize(R);
 }
 
 void PartitionedHw::perturbAbove(Label L, Rng &R) {
-  for (Partitioned *P : {&L1D, &L2D, &L1I, &L2I, &DTlb, &ITlb})
-    for (unsigned I = 0, E = P->size(); I != E; ++I)
+  for (unsigned S = 0; S != kNumStructures; ++S)
+    for (unsigned I = 0; I != Levels; ++I)
       if (!lattice().flowsTo(Label::fromIndex(I), L))
-        (*P)[I].randomize(R);
+        Caches[S * Levels + I].randomize(R);
 }
 
 HwStats PartitionedHw::stats() const {
   HwStats S = Stats;
-  CacheLevelStats *Levels[] = {&S.L1D, &S.L2D, &S.L1I, &S.L2I, &S.DTlb,
-                               &S.ITlb};
-  const Partitioned *Parts[] = {&L1D, &L2D, &L1I, &L2I, &DTlb, &ITlb};
-  for (unsigned I = 0; I != 6; ++I)
-    for (const Cache &C : *Parts[I])
-      mergeEvents(*Levels[I], C.events());
+  for (unsigned St = 0; St != kNumStructures; ++St)
+    for (unsigned I = 0; I != Levels; ++I)
+      mergeEvents(statsOf(S, St), Caches[St * Levels + I].events());
   return S;
 }
 
 void PartitionedHw::resetStats() {
   Stats.reset();
-  for (Partitioned *P : {&L1D, &L2D, &L1I, &L2I, &DTlb, &ITlb})
-    for (Cache &C : *P)
-      C.resetEvents();
+  for (Cache &C : Caches)
+    C.resetEvents();
 }

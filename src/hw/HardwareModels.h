@@ -34,9 +34,22 @@
 
 #include "hw/MachineEnv.h"
 
+#include <memory>
 #include <vector>
 
 namespace zam {
+
+/// The six structures of every design, indexing its CacheArena (the
+/// partitioned design stores structure S's partitions at S * Levels + I).
+enum HwStructure : unsigned {
+  kL1D,
+  kL2D,
+  kL1I,
+  kL2I,
+  kDTlb,
+  kITlb,
+  kNumStructures
+};
 
 /// Shared implementation for the two designs with a single (unpartitioned)
 /// copy of every structure, all of it labeled ⊥.
@@ -61,7 +74,8 @@ protected:
   /// operands (the mode flag and the cached ⊥) are fixed at construction.
   bool mayFill(Label Write) const { return !NoFillMode || Write == Bottom; }
 
-  Cache L1D, L2D, L1I, L2I, DTlb, ITlb;
+  /// One Cache per HwStructure.
+  CacheArena Caches;
 
 private:
   bool NoFillMode;
@@ -114,56 +128,53 @@ public:
   /// implementation file.
   static constexpr uint8_t kProbeOnly = 0x80;
 
+  /// Precomputed partition walks, one per (er, ew) pair: a lookup visits
+  /// exactly the partitions at levels ⊑ er in ascending label order, each
+  /// entry packing the partition index with a probe-only bit (set when
+  /// ew ⋢ level, Property 5). An install's stale-copy sweep visits the
+  /// partitions I ≠ ew with ew ⊑ I. Both walks are functions of the
+  /// immutable lattice alone, so they are computed once per environment
+  /// and shared, read-only, by all its clones.
+  struct Walks {
+    std::vector<uint8_t> Lookup;     ///< Packed entries for all (er,ew).
+    std::vector<uint16_t> LookupOff; ///< Levels²+1 offsets into Lookup.
+    std::vector<uint8_t> Victims;    ///< Packed entries for all ew.
+    std::vector<uint16_t> VictimOff; ///< Levels+1 offsets.
+  };
+
 private:
-  /// One structure = one Cache per lattice level, indexed by label index.
-  using Partitioned = std::vector<Cache>;
-
-  Partitioned makePartitions(const CacheConfig &Full) const;
-
-  /// Searches partitions at levels ⊑ er. On a hit, promotes LRU only when
-  /// ew ⊑ level (Property 5); \p MarkDirty marks the line dirty on a
-  /// promoting hit (telemetry only). \returns true on hit.
-  bool partLookup(Partitioned &P, Addr A, Label Read, Label Write,
-                  bool MarkDirty = false);
+  /// Structure \p S's partitions, indexed by label index.
+  Cache *parts(HwStructure S) { return Caches.data() + S * Levels; }
+  const Cache *parts(HwStructure S) const {
+    return Caches.data() + S * Levels;
+  }
 
   /// Moves any copy resident above \p Write down to the \p Write partition
   /// and installs the block there.
-  void partInstall(Partitioned &P, Addr A, Label Write, bool Dirty = false);
+  void partInstall(Cache *P, Addr A, Label Write, bool Dirty = false);
 
-  uint64_t accessHierarchy(Partitioned &Tlb, Partitioned &L1, Partitioned &L2,
-                           Addr A, Label Read, Label Write, bool IsData,
-                           bool IsStore);
+  /// Walks one TLB + two-level cache path (data when \p IsData, else
+  /// instruction). \p Observed selects whether miss flags are reported
+  /// through \p Acc; the unobserved instantiation is the hot path.
+  template <bool Observed>
+  uint64_t accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
+                           bool IsStore, HwAccess *Acc);
 
-  /// The observed variant of accessHierarchy: identical walk and charges,
-  /// plus per-access event snapshots and the HwObserver notification. Split
-  /// out so unobserved runs — the hot case — pay for none of it; the two
-  /// bodies must stay mirror images.
-  uint64_t accessObserved(Partitioned &Tlb, Partitioned &L1, Partitioned &L2,
-                          Addr A, Label Read, Label Write, bool IsData,
+  /// The observed access: the same walk between per-structure event
+  /// snapshots, then the HwObserver notification.
+  uint64_t accessObserved(bool IsData, Addr A, Label Read, Label Write,
                           bool IsStore);
 
-  /// Precomputed lattice order: Flows[i * Levels + j] = (ℓ_i ⊑ ℓ_j). The
-  /// partition search consults the order once per partition per access, so
-  /// a virtual flowsTo() call there is measurable; the lattice is immutable,
-  /// so snapshotting it at construction is safe.
-  bool flows(unsigned I, unsigned J) const { return Flows[I * Levels + J]; }
-
   unsigned Levels = 0;
-  std::vector<uint8_t> Flows;
-
-  /// Precomputed partition walks, one per (er, ew) pair: partLookup visits
-  /// exactly the partitions at levels ⊑ er in ascending label order, each
-  /// entry packing the partition index with a probe-only bit (set when
-  /// ew ⋢ level, Property 5). partInstall's stale-copy sweep visits the
-  /// partitions I ≠ ew with ew ⊑ I. Both walks are functions of the
-  /// immutable lattice alone, so precomputing them at construction removes
-  /// every per-access order check from the simulator's hottest loop.
-  std::vector<uint8_t> LookupPlan;     ///< Packed entries for all (er,ew).
-  std::vector<uint16_t> LookupOff;     ///< Levels²+1 offsets into LookupPlan.
-  std::vector<uint8_t> InstallVictims; ///< Packed entries for all ew.
-  std::vector<uint16_t> VictimOff;     ///< Levels+1 offsets.
-
-  Partitioned L1D, L2D, L1I, L2I, DTlb, ITlb;
+  std::shared_ptr<const Walks> Plan;
+  /// Plan's arrays, cached beside the arena so the access path loads them
+  /// straight from the environment.
+  const uint8_t *Lookup;
+  const uint16_t *LookupOff;
+  const uint8_t *Victims;
+  const uint16_t *VictimOff;
+  /// The arena holds structure S's partitions at S * Levels + I.
+  CacheArena Caches;
 };
 
 } // namespace zam

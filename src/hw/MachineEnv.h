@@ -102,11 +102,14 @@ public:
   /// labels [\p Read, \p Write]. \returns the fetch latency in cycles.
   virtual uint64_t fetch(Addr A, Label Read, Label Write) = 0;
 
-  /// Deep copy, including all cache/TLB state and statistics. Clones share
-  /// no mutable state with the source (the lattice is immutable and shared
-  /// by pointer), so distinct clones may be driven concurrently from
-  /// different threads — the contract the exp/ParallelRunner fan-out relies
-  /// on, audited by the CloneAudit tests in tests/exp_test.cpp.
+  /// Deep copy, including all cache/TLB state and statistics. The built-in
+  /// designs keep all cache/TLB state in one CacheArena (hw/Cache.h), so a
+  /// clone is one allocation plus the occupancy words and resident lines.
+  /// Clones share no mutable state with the source (the lattice and the
+  /// partition walk tables are immutable and shared), so distinct clones
+  /// may be driven concurrently from different threads — the contract the
+  /// exp/ParallelRunner fan-out relies on, audited by the CloneAudit tests
+  /// in tests/exp_test.cpp.
   virtual std::unique_ptr<MachineEnv> clone() const = 0;
 
   /// Projected equivalence E1 ≈ℓ E2 (Sec. 3.3): equality of exactly the

@@ -2,7 +2,37 @@
 
 #include "lang/Parser.h"
 
+#include <string>
+
 using namespace zam;
+
+/// The nesting levels one parse function holds; released on return.
+class Parser::Nesting {
+public:
+  explicit Nesting(Parser &P) : P(P) {}
+  ~Nesting() { P.Depth -= Held; }
+
+  /// Enters one more level at \p Loc. \returns false, reporting the limit
+  /// once per parse, when that is deeper than kMaxNesting.
+  bool enter(SourceLoc Loc) {
+    ++P.Depth;
+    ++Held;
+    if (P.Depth <= kMaxNesting)
+      return true;
+    if (!P.NestingReported) {
+      P.NestingReported = true;
+      P.Diags.error(Loc, "nesting exceeds the limit of " +
+                             std::to_string(kMaxNesting) +
+                             " levels (parentheses, operators, blocks and "
+                             "';'-sequenced commands each add one)");
+    }
+    return false;
+  }
+
+private:
+  Parser &P;
+  unsigned Held = 0;
+};
 
 Parser::Parser(std::string Source, const SecurityLattice &Lat,
                DiagnosticEngine &Diags)
@@ -300,6 +330,9 @@ CmdPtr Parser::parseSimpleCmd() {
 }
 
 CmdPtr Parser::parseCmd() {
+  Nesting Scope(*this);
+  if (!Scope.enter(peek().Loc))
+    return nullptr;
   CmdPtr First = parseSimpleCmd();
   if (!First)
     return nullptr;
@@ -356,6 +389,9 @@ static const BinOpInfo *findBinOp(TokKind Kind) {
 }
 
 ExprPtr Parser::parseBinary(int MinPrec) {
+  Nesting Scope(*this);
+  if (!Scope.enter(peek().Loc))
+    return nullptr;
   ExprPtr LHS = parseUnary();
   if (!LHS)
     return nullptr;
@@ -364,6 +400,9 @@ ExprPtr Parser::parseBinary(int MinPrec) {
     if (!Info || Info->Prec < MinPrec)
       return LHS;
     SourceLoc Loc = advance().Loc;
+    // A left-associative chain deepens the tree by one per operator.
+    if (!Scope.enter(Loc))
+      return nullptr;
     ExprPtr RHS = parseBinary(Info->Prec + 1); // Left-associative.
     if (!RHS)
       return nullptr;
@@ -374,6 +413,11 @@ ExprPtr Parser::parseBinary(int MinPrec) {
 
 ExprPtr Parser::parseUnary() {
   SourceLoc Loc = peek().Loc;
+  Nesting Scope(*this);
+  if ((check(TokKind::Minus) || check(TokKind::Bang) ||
+       check(TokKind::Tilde)) &&
+      !Scope.enter(Loc))
+    return nullptr;
   if (accept(TokKind::Minus)) {
     ExprPtr Sub = parseUnary();
     if (!Sub)

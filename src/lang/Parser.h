@@ -27,6 +27,11 @@
 /// Expressions use C-like precedence. Label names are resolved against the
 /// SecurityLattice supplied at construction; unknown names are diagnosed.
 ///
+/// Nesting is bounded (Parser::kMaxNesting): every later pass — label
+/// inference, type checking, lowering, printing, even destroying the tree —
+/// recurses over the AST, so a deeper input is rejected here with a located
+/// diagnostic instead of overflowing the stack somewhere downstream.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ZAM_LANG_PARSER_H
@@ -56,7 +61,14 @@ public:
   /// Parses a single expression; used by tests.
   ExprPtr parseExprOnly();
 
+  /// The deepest nesting accepted. Parentheses and array indices, unary
+  /// and binary operators, blocks and ';'-sequenced commands (a sequence
+  /// nests to the right) each add a level.
+  static constexpr unsigned kMaxNesting = 1000;
+
 private:
+  class Nesting;
+
   const Token &peek(unsigned Ahead = 0) const;
   const Token &advance();
   bool check(TokKind Kind) const { return peek().Kind == Kind; }
@@ -78,6 +90,8 @@ private:
   DiagnosticEngine &Diags;
   std::vector<Token> Toks;
   size_t Pos = 0;
+  unsigned Depth = 0;            ///< Levels the open parse functions hold.
+  bool NestingReported = false; ///< The limit is diagnosed once.
 };
 
 /// Convenience wrapper: lex+parse \p Source, returning the program or

@@ -48,6 +48,8 @@ struct CostModel {
   Addr codeAddr(unsigned NodeId) const {
     return CodeBase + static_cast<Addr>(NodeId) * CodeBytesPerNode;
   }
+
+  bool operator==(const CostModel &Other) const = default;
 };
 
 } // namespace zam

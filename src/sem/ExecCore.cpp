@@ -2,7 +2,6 @@
 
 #include "sem/ExecCore.h"
 
-#include "ir/Fusion.h"
 #include "support/Diagnostics.h"
 
 using namespace zam;
@@ -71,15 +70,6 @@ int64_t zam::evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
   if (Cur)
     Cur->Loc = Saved;
   return SP[-1];
-}
-
-std::unique_ptr<LirProgram> zam::compileLir(const IrProgram &IR,
-                                            const InterpreterOptions &Opts) {
-  auto L = std::make_unique<LirProgram>(lowerToLir(IR));
-  if (Opts.Fusion)
-    planFusion(*L, Opts.FuseProfile ? *Opts.FuseProfile
-                                    : FusionProfile::defaultProfile());
-  return L;
 }
 
 ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,

@@ -78,12 +78,6 @@ int64_t evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
                    uint64_t &Cycles, CostCursor *Cur = nullptr,
                    int64_t *Stack = nullptr);
 
-/// Lowers \p IR to the LIR tier and overlays the fusion plan the options
-/// select (Opts.Fusion / Opts.FuseProfile). The shared second lowering
-/// stage both engines run at construction.
-std::unique_ptr<LirProgram> compileLir(const IrProgram &IR,
-                                       const InterpreterOptions &Opts);
-
 class ExecCore final : public HwObserver {
 public:
   /// Executes \p L (which, with its IR tier, must outlive the core) with

@@ -2,7 +2,7 @@
 
 #include "sem/FullInterpreter.h"
 
-#include "ir/Lowering.h"
+#include "sem/CompiledProgram.h"
 #include "sem/ExecCore.h"
 #include "support/Diagnostics.h"
 
@@ -10,12 +10,24 @@ using namespace zam;
 
 FullInterpreter::FullInterpreter(const Program &P, MachineEnv &Env,
                                  InterpreterOptions Opts)
-    : Env(Env), Opts(Opts),
-      IR(std::make_unique<IrProgram>(
-          lowerProgram(P, Opts.Costs, Opts.Mitigation))),
-      LIR(compileLir(*IR, Opts)),
-      Core(std::make_unique<ExecCore>(
-          *LIR, P, Memory::fromProgram(P, Opts.Costs.DataBase), Env, Opts)) {}
+    : FullInterpreter(std::make_unique<CompiledProgram>(P, Opts), Env, Opts) {
+}
+
+FullInterpreter::FullInterpreter(std::unique_ptr<CompiledProgram> C,
+                                 MachineEnv &Env, InterpreterOptions Opts)
+    : Env(Env), Opts(std::move(Opts)) {
+  Core = std::make_unique<ExecCore>(C->lir(), C->program(),
+                                    C->takeInitialMemory(), Env, this->Opts);
+  Owned = std::move(C);
+}
+
+FullInterpreter::FullInterpreter(const CompiledProgram &C, MachineEnv &Env,
+                                 InterpreterOptions Opts)
+    : Env(Env), Opts(std::move(Opts)) {
+  C.requireInputsOf(this->Opts, "FullInterpreter");
+  Core = std::make_unique<ExecCore>(C.lir(), C.program(), C.initialMemory(),
+                                    Env, this->Opts);
+}
 
 FullInterpreter::~FullInterpreter() = default;
 

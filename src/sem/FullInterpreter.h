@@ -8,10 +8,11 @@
 /// \file
 /// The production engine for the full semantics: configurations
 /// ⟨c, m, E, G⟩ executed over the flat timing-IR (ir/Ir.h) by the shared
-/// execution core (sem/ExecCore.h). Construction lowers the program once —
-/// resolving variables to memory slots, code addresses, timing labels and
-/// attribution locations — and run() drives the core to completion in a
-/// tight program-counter loop. It charges exactly the same costs as the
+/// execution core (sem/ExecCore.h). It runs a compiled form
+/// (sem/CompiledProgram.h) — the program lowered once, with variables
+/// resolved to memory slots, code addresses, timing labels and attribution
+/// locations — and run() drives the core to completion in a tight
+/// program-counter loop. It charges exactly the same costs as the
 /// resumable small-step cursor (sem/StepInterpreter.h) — both execute the
 /// same IR through the same core, and the agreement is additionally
 /// checked cycle-for-cycle by the property-based tests.
@@ -43,10 +44,9 @@
 
 namespace zam {
 
+class CompiledProgram;
 class ExecCore;
 class FusionProfile;
-struct IrProgram;
-struct LirProgram;
 
 /// How the execution core dispatches LIR instructions. Purely a
 /// wall-clock knob: every mode produces bit-identical traces, ledgers and
@@ -62,7 +62,10 @@ enum class DispatchMode : uint8_t {
 /// false, DispatchMode::Threaded silently degrades to the switch loop.
 bool threadedDispatchAvailable();
 
-/// Knobs shared by both full-semantics engines.
+/// Knobs shared by both full-semantics engines. Costs, Mitigation, Fusion
+/// and FuseProfile are the *lowering inputs*: they shape the compiled form
+/// (sem/CompiledProgram.h), so every run of one compiled form must pass the
+/// same ones. All other fields may change from run to run.
 struct InterpreterOptions {
   CostModel Costs;
   /// Which mitigation policy governs each mitigate site: a run-wide default
@@ -129,17 +132,24 @@ struct RunResult {
 /// MachineEnv::clone()).
 ///
 /// Every non-Seq command in the program must carry complete [er,ew] labels
-/// (run type checking / label inference first); violations abort at
-/// construction, when the program is lowered.
+/// (run type checking / label inference first); violations abort when the
+/// program is compiled.
 class FullInterpreter {
 public:
+  /// Compiles \p P under \p Opts (sem/CompiledProgram.h), then runs the
+  /// compiled form.
   FullInterpreter(const Program &P, MachineEnv &Env,
+                  InterpreterOptions Opts = InterpreterOptions());
+  /// Runs the compiled form \p C, which must outlive the interpreter.
+  /// \p Opts' lowering inputs must be those \p C was compiled with; any
+  /// other field may differ per run.
+  FullInterpreter(const CompiledProgram &C, MachineEnv &Env,
                   InterpreterOptions Opts = InterpreterOptions());
   ~FullInterpreter();
   FullInterpreter(FullInterpreter &&) = delete;
 
-  /// The pre-run memory (initialized from declarations); callers may poke
-  /// experiment-specific inputs before run().
+  /// The pre-run memory (a copy of the compiled form's image); callers may
+  /// poke experiment-specific inputs before run().
   Memory &memory();
 
   /// Runs the program body to completion and returns the final memory and
@@ -149,13 +159,13 @@ public:
   uint64_t clock() const;
 
 private:
+  FullInterpreter(std::unique_ptr<CompiledProgram> C, MachineEnv &Env,
+                  InterpreterOptions Opts);
+
   MachineEnv &Env;
   InterpreterOptions Opts;
-  /// The lowered tiers; immutable and owned so the core's instruction
-  /// pointers stay valid for the interpreter's lifetime. The LIR borrows
-  /// the IR, so declaration order matters.
-  std::unique_ptr<IrProgram> IR;
-  std::unique_ptr<LirProgram> LIR;
+  /// The compiled form the Program constructor made; null otherwise.
+  std::unique_ptr<const CompiledProgram> Owned;
   std::unique_ptr<ExecCore> Core;
   bool Consumed = false;
 };

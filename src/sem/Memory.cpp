@@ -10,6 +10,7 @@ using namespace zam;
 
 Memory Memory::fromProgram(const Program &P, Addr DataBase) {
   Memory M;
+  auto Index = std::make_shared<std::unordered_map<std::string, size_t>>();
   Addr Next = DataBase;
   for (const VarDecl &D : P.vars()) {
     MemorySlot S;
@@ -21,17 +22,18 @@ Memory Memory::fromProgram(const Program &P, Addr DataBase) {
     for (size_t I = 0; I != D.Init.size() && I != S.Data.size(); ++I)
       S.Data[I] = D.Init[I];
     Next += D.Size * 8;
-    M.Index.emplace(S.Name, M.Slots.size());
+    Index->emplace(S.Name, M.Slots.size());
     M.Slots.push_back(std::move(S));
   }
+  M.Index = std::move(Index);
   return M;
 }
 
 const MemorySlot &Memory::slot(const std::string &Name) const {
-  auto It = Index.find(Name);
-  if (It == Index.end())
+  const size_t I = slotIndexOf(Name);
+  if (I == npos)
     reportFatalError("access to undeclared variable");
-  return Slots[It->second];
+  return Slots[I];
 }
 
 MemorySlot &Memory::slot(const std::string &Name) {

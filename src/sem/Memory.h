@@ -25,6 +25,7 @@
 #include "lattice/SecurityLattice.h"
 #include "support/Diagnostics.h"
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -53,7 +54,7 @@ public:
   static Memory fromProgram(const Program &P, Addr DataBase = 0x10000000);
 
   bool hasVar(const std::string &Name) const {
-    return Index.count(Name) != 0;
+    return slotIndexOf(Name) != npos;
   }
 
   const MemorySlot &slot(const std::string &Name) const;
@@ -79,8 +80,10 @@ public:
   /// Declaration-order index of \p Name, or npos when undeclared.
   static constexpr size_t npos = static_cast<size_t>(-1);
   size_t slotIndexOf(const std::string &Name) const {
-    auto It = Index.find(Name);
-    return It == Index.end() ? npos : It->second;
+    if (!Index)
+      return npos;
+    auto It = Index->find(Name);
+    return It == Index->end() ? npos : It->second;
   }
 
   /// Index wrapping, exposed statically so callers holding a raw element
@@ -121,7 +124,8 @@ public:
   /// m1 ≈ℓ m2: agreement on variables labeled exactly ℓ.
   bool projectionEquals(const Memory &Other, Label L) const;
 
-  bool operator==(const Memory &Other) const = default;
+  /// Equality of the slots; the name index is derived from them.
+  bool operator==(const Memory &Other) const { return Slots == Other.Slots; }
 
 private:
   /// Contract checks for the dense addressing fast path. Zero-cost in
@@ -144,7 +148,10 @@ private:
   }
 
   std::vector<MemorySlot> Slots;
-  std::unordered_map<std::string, size_t> Index;
+  /// Name → slot index. The layout never changes after fromProgram, so
+  /// copies of one image (a run's memory is a copy of its compiled
+  /// program's image) share the index instead of rebuilding it.
+  std::shared_ptr<const std::unordered_map<std::string, size_t>> Index;
 };
 
 } // namespace zam

@@ -2,34 +2,41 @@
 
 #include "sem/StepInterpreter.h"
 
-#include "ir/Lowering.h"
-
 using namespace zam;
 
 StepInterpreter::StepInterpreter(const Program &P, MachineEnv &Env,
                                  InterpreterOptions Opts)
-    : Env(Env),
-      IR(std::make_unique<IrProgram>(
-          lowerProgram(P, Opts.Costs, Opts.Mitigation))),
-      LIR(compileLir(*IR, Opts)),
-      Core(std::make_unique<ExecCore>(
-          *LIR, P, Memory::fromProgram(P, Opts.Costs.DataBase), Env, Opts)) {
-  if (Opts.Provenance) {
-    PriorObserver = Env.observer();
-    Env.setObserver(Core.get());
-    ObserverInstalled = true;
-  }
-}
+    : StepInterpreter(std::make_unique<CompiledProgram>(P, Opts), nullptr,
+                      Env, Opts) {}
 
 StepInterpreter::StepInterpreter(const Program &P, CmdPtr C,
                                  Memory InitialMemory, MachineEnv &Env,
                                  InterpreterOptions Opts)
-    : Env(Env), Owned(std::move(C)),
-      IR(std::make_unique<IrProgram>(
-          lowerCommand(P, *Owned, Opts.Costs, Opts.Mitigation))),
-      LIR(compileLir(*IR, Opts)),
-      Core(std::make_unique<ExecCore>(*LIR, P, std::move(InitialMemory), Env,
-                                      Opts)) {
+    : StepInterpreter(
+          std::make_unique<CompiledProgram>(P, std::move(C), Opts),
+          &InitialMemory, Env, Opts) {}
+
+StepInterpreter::StepInterpreter(std::unique_ptr<CompiledProgram> C,
+                                 Memory *InitialMemory, MachineEnv &Env,
+                                 const InterpreterOptions &Opts)
+    : Env(Env) {
+  Memory M = InitialMemory ? std::move(*InitialMemory) : C->takeInitialMemory();
+  Core = std::make_unique<ExecCore>(C->lir(), C->program(), std::move(M), Env,
+                                    Opts);
+  Owned = std::move(C);
+  observe(Opts);
+}
+
+StepInterpreter::StepInterpreter(const CompiledProgram &C, MachineEnv &Env,
+                                 InterpreterOptions Opts)
+    : Env(Env) {
+  C.requireInputsOf(Opts, "StepInterpreter");
+  Core = std::make_unique<ExecCore>(C.lir(), C.program(), C.initialMemory(),
+                                    Env, Opts);
+  observe(Opts);
+}
+
+void StepInterpreter::observe(const InterpreterOptions &Opts) {
   if (Opts.Provenance) {
     PriorObserver = Env.observer();
     Env.setObserver(Core.get());
@@ -38,8 +45,8 @@ StepInterpreter::StepInterpreter(const Program &P, CmdPtr C,
 }
 
 StepInterpreter::StepInterpreter(StepInterpreter &&Other)
-    : Env(Other.Env), Owned(std::move(Other.Owned)), IR(std::move(Other.IR)),
-      LIR(std::move(Other.LIR)), Core(std::move(Other.Core)),
+    : Env(Other.Env), Owned(std::move(Other.Owned)),
+      Core(std::move(Other.Core)),
       ObserverInstalled(Other.ObserverInstalled),
       PriorObserver(Other.PriorObserver) {
   // The core (and with it Env's observer registration) moved by pointer;

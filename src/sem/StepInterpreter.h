@@ -30,6 +30,7 @@
 
 #include "hw/MachineEnv.h"
 #include "lang/Ast.h"
+#include "sem/CompiledProgram.h"
 #include "sem/ExecCore.h"
 #include "sem/FullInterpreter.h"
 #include "sem/Memory.h"
@@ -44,14 +45,19 @@ namespace zam {
 /// instruction.
 class StepInterpreter {
 public:
-  /// Begins executing \p P on \p Env.
+  /// Begins executing \p P on \p Env (compiling it first).
   StepInterpreter(const Program &P, MachineEnv &Env,
+                  InterpreterOptions Opts = InterpreterOptions());
+
+  /// Begins executing the compiled form \p C, which must outlive the
+  /// engine; \p Opts' lowering inputs must be those \p C was compiled with.
+  StepInterpreter(const CompiledProgram &C, MachineEnv &Env,
                   InterpreterOptions Opts = InterpreterOptions());
 
   /// Begins executing a bare command \p C under the declarations of \p P.
   /// Used by the property checkers to run single labeled commands. The
-  /// command is lowered at construction (and must therefore carry complete
-  /// timing labels) and kept alive for the engine's lifetime.
+  /// command is compiled at construction (and must therefore carry
+  /// complete timing labels) and kept alive for the engine's lifetime.
   StepInterpreter(const Program &P, CmdPtr C, Memory InitialMemory,
                   MachineEnv &Env,
                   InterpreterOptions Opts = InterpreterOptions());
@@ -86,15 +92,16 @@ public:
   }
 
 private:
+  /// Runs the owned \p C from \p InitialMemory, or from C's image when
+  /// null.
+  StepInterpreter(std::unique_ptr<CompiledProgram> C, Memory *InitialMemory,
+                  MachineEnv &Env, const InterpreterOptions &Opts);
+  /// Registers the core as Env's observer when a provenance sink listens.
+  void observe(const InterpreterOptions &Opts);
+
   MachineEnv &Env;
-  /// Bare-command ctor only: keeps the lowered AST alive (the IR points
-  /// into it for provenance).
-  CmdPtr Owned;
-  /// The lowered tiers; immutable and owned so the core's instruction
-  /// pointers stay valid for the engine's lifetime. The LIR borrows the
-  /// IR, so declaration order matters.
-  std::unique_ptr<IrProgram> IR;
-  std::unique_ptr<LirProgram> LIR;
+  /// The compiled form the Program and bare-command constructors made.
+  std::unique_ptr<const CompiledProgram> Owned;
   std::unique_ptr<ExecCore> Core;
   /// Whether this engine registered the core as Env's observer (only under
   /// Opts.Provenance); the displaced observer is restored on destruction.

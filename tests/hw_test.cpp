@@ -311,3 +311,123 @@ TEST(HwStats, ResetStatsClearsEveryCounterOnEveryDesign) {
               cfg().L1D.Latency);
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Clone faithfulness: a clone carries every bit of machine state and
+// telemetry, and shares nothing mutable with its source
+//===----------------------------------------------------------------------===//
+
+namespace {
+constexpr Addr CodeA = 0x40000000;
+
+/// The lattices the clone tests run on: two and three levels.
+std::vector<const SecurityLattice *> cloneLattices() {
+  return {&lh(), &lmh()};
+}
+
+/// A randomized environment with dirty lines: random resident tags, then
+/// stores under every label over a range wide enough to evict.
+std::unique_ptr<MachineEnv> dirtyEnv(HwKind Kind, const SecurityLattice &Lat,
+                                     uint64_t Seed) {
+  auto Env = createMachineEnv(Kind, Lat, cfg());
+  Rng R(Seed);
+  Env->randomize(R);
+  const std::vector<Label> Labels = Lat.allLabels();
+  for (int I = 0; I != 400; ++I) {
+    const Label L = Labels[R.nextBelow(Labels.size())];
+    Env->dataAccess(DataA + R.nextBelow(1 << 14) * 8, /*IsStore=*/true, L, L);
+  }
+  return Env;
+}
+
+/// Drives one seeded stream of data loads/stores and fetches under random
+/// [er, ew] labels on \p A and, when set, on \p B, asserting equal
+/// latencies throughout.
+void driveBoth(MachineEnv &A, MachineEnv *B, uint64_t Seed) {
+  Rng R(Seed);
+  const std::vector<Label> Labels = A.lattice().allLabels();
+  for (int I = 0; I != 3000; ++I) {
+    const Label Read = Labels[R.nextBelow(Labels.size())];
+    const Label Write = Labels[R.nextBelow(Labels.size())];
+    const bool Data = R.nextBelow(4) != 0;
+    const bool Store = R.nextBelow(3) == 0;
+    const Addr At = Data ? DataA + R.nextBelow(1 << 15) * 8
+                         : CodeA + R.nextBelow(1 << 13) * 16;
+    auto Access = [&](MachineEnv &E) {
+      return Data ? E.dataAccess(At, Store, Read, Write)
+                  : E.fetch(At, Read, Write);
+    };
+    const uint64_t TA = Access(A);
+    if (B) {
+      ASSERT_EQ(TA, Access(*B)) << "access " << I;
+    }
+  }
+}
+
+void expectSameMachine(const MachineEnv &A, const MachineEnv &B) {
+  // stats() carries evictions, writebacks and line fills: writebacks only
+  // match if the dirty bits did.
+  EXPECT_EQ(A.stats(), B.stats());
+  for (Label L : A.lattice().allLabels())
+    EXPECT_TRUE(A.projectionEquals(B, L)) << A.lattice().name(L);
+}
+
+class CountingObserver final : public HwObserver {
+public:
+  void onAccess(const HwAccess &) override { ++Accesses; }
+  unsigned Accesses = 0;
+};
+} // namespace
+
+class HwClone : public ::testing::TestWithParam<HwKind> {};
+
+TEST_P(HwClone, CloneBehavesLikeItsSource) {
+  for (const SecurityLattice *Lat : cloneLattices()) {
+    auto Source = dirtyEnv(GetParam(), *Lat, 11);
+    auto Copy = Source->clone();
+    expectSameMachine(*Source, *Copy);
+    driveBoth(*Source, Copy.get(), 12);
+    expectSameMachine(*Source, *Copy);
+    EXPECT_GT(Source->stats().L1D.Writebacks, 0u)
+        << "the stream retired no dirty line";
+  }
+}
+
+TEST_P(HwClone, MutatingTheCloneLeavesTheSource) {
+  for (const SecurityLattice *Lat : cloneLattices()) {
+    // Twin is built exactly like Source and never cloned.
+    auto Source = dirtyEnv(GetParam(), *Lat, 21);
+    auto Twin = dirtyEnv(GetParam(), *Lat, 21);
+    {
+      auto Copy = Source->clone();
+      driveBoth(*Copy, nullptr, 22);
+      Rng R(23);
+      Copy->perturbAbove(Lat->bottom(), R);
+      Copy->resetStats();
+      Copy->randomize(R);
+      Copy->reset();
+    }
+    expectSameMachine(*Source, *Twin);
+    driveBoth(*Source, Twin.get(), 24);
+    expectSameMachine(*Source, *Twin);
+  }
+}
+
+TEST_P(HwClone, CloneDoesNotInheritTheObserver) {
+  auto Source = createMachineEnv(GetParam(), lh(), cfg());
+  CountingObserver Obs;
+  Source->setObserver(&Obs);
+  auto Copy = Source->clone();
+  EXPECT_EQ(Copy->observer(), nullptr);
+  Copy->dataAccess(DataA, false, low(), low());
+  Copy->fetch(CodeA, low(), low());
+  EXPECT_EQ(Obs.Accesses, 0u);
+  Source->dataAccess(DataA, false, low(), low());
+  EXPECT_EQ(Obs.Accesses, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, HwClone,
+                         ::testing::ValuesIn(allHwKinds()),
+                         [](const auto &Info) {
+                           return std::string(hwKindName(Info.param));
+                         });

@@ -9,20 +9,27 @@
 // everything, including the attribution ledger bit for bit; and the
 // online leakage accountant (fed window-by-window during the run) must
 // match an offline accountant replaying the finished trace bit for bit
-// under whichever policy scheduled the run.
+// under whichever policy scheduled the run. Compiled-form sharing says a
+// CompiledProgram reused for many runs, on any number of threads, behaves
+// exactly like compiling afresh for each run.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/RandomProgram.h"
+#include "exp/ParallelRunner.h"
 #include "hw/HardwareModels.h"
+#include "ir/Fusion.h"
 #include "obs/CostLedger.h"
 #include "obs/ExecProfile.h"
 #include "obs/LeakAudit.h"
 #include "obs/Metrics.h"
-#include "sem/Mitigation.h"
+#include "obs/Telemetry.h"
+#include "sem/CompiledProgram.h"
 #include "sem/CoreInterpreter.h"
 #include "sem/FullInterpreter.h"
+#include "sem/Mitigation.h"
 #include "sem/StepInterpreter.h"
+#include "types/LabelInference.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
@@ -188,6 +195,100 @@ void expectThreeWayAgreement(const Program &P, HwKind Kind,
   }
 }
 
+/// Every observable of one fully observed run, rendered comparable.
+struct RunBytes {
+  Memory FinalMemory;
+  HwStats Hw;
+  std::string Summary; ///< FinalTime, steps, limit flag, Miss table, ops.
+  std::string Trace;   ///< The JSONL export, with the embedded ledger.
+  std::string Metrics; ///< leak.*, prof.* and exec.* as canonical JSON.
+};
+
+/// Runs \p P as run number \p K — from \p C when set, else compiling
+/// afresh through the Program constructor — with every observer attached.
+/// The run's inputs (each scalar's initial value) depend on \p K.
+RunBytes observedRun(const Program &P, const CompiledProgram *C, HwKind Kind,
+                     const PolicySelection &Sel, unsigned K) {
+  auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
+  CostLedger Ledger;
+  ExecProfile Prof;
+  LeakAudit Audit(P.lattice(), std::nullopt, Sel);
+  InterpreterOptions Opts;
+  Opts.Mitigation = Sel;
+  Opts.Provenance = &Ledger;
+  Opts.Probe = &Prof;
+  Opts.RecordMisses = true;
+  // New inputs may make a loop run long; both sides stop at the same step.
+  Opts.StepLimit = 200000;
+  Opts.OnMitigateWindow = [&Audit](const MitigateRecord &R) {
+    Audit.onWindow(R);
+  };
+  std::optional<FullInterpreter> Interp;
+  if (C)
+    Interp.emplace(*C, *Env, Opts);
+  else
+    Interp.emplace(P, *Env, Opts);
+  Memory &M = Interp->memory();
+  for (size_t I = 0; I != M.slotCount(); ++I)
+    if (!M.slotAt(I).IsArray)
+      M.slotAt(I).Data[0] = static_cast<int64_t>((K * 7 + I) % 11) - 3;
+  RunResult R = Interp->run();
+  Ledger.applyLeakage(Audit);
+
+  RunBytes B;
+  B.FinalMemory = std::move(R.FinalMemory);
+  B.Hw = R.Hw;
+  B.Summary = std::to_string(R.T.FinalTime) + " " + std::to_string(R.T.Steps) +
+              " " + std::to_string(R.T.HitStepLimit) + " " +
+              std::to_string(R.T.Ops.Assignments) + " " +
+              std::to_string(R.T.Ops.Branches) + " " +
+              std::to_string(R.T.Ops.MitigateEntries);
+  for (unsigned Miss : R.T.FinalMissTable)
+    B.Summary += " " + std::to_string(Miss);
+  StringByteSink Bytes;
+  std::unique_ptr<TraceSink> Sink = makeTraceSink(TraceFormat::Jsonl, Bytes);
+  TraceExportOptions EOpts;
+  EOpts.Ledger = &Ledger;
+  EOpts.Mitigation = Sel;
+  exportTrace(*Sink, R.T, P.lattice(), EOpts);
+  Sink->close();
+  B.Trace = Bytes.str();
+  MetricsRegistry Reg;
+  Audit.exportMetrics(Reg);
+  Ledger.exportMetrics(Reg);
+  Prof.exportMetrics(Reg);
+  B.Metrics = Reg.toJson().dump();
+  return B;
+}
+
+/// K runs through one shared CompiledProgram — sequentially and fanned out
+/// over 1, 2 and 8 worker threads — must be byte-identical to K runs that
+/// each compile afresh.
+void expectSharedCompiledFormAgrees(const Program &P, HwKind Kind,
+                                    const PolicySelection &Sel) {
+  constexpr unsigned K = 4;
+  std::vector<RunBytes> Fresh;
+  for (unsigned Run = 0; Run != K; ++Run)
+    Fresh.push_back(observedRun(P, nullptr, Kind, Sel, Run));
+  InterpreterOptions COpts;
+  COpts.Mitigation = Sel;
+  const CompiledProgram C(P, COpts);
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    const ParallelRunner Runner(Threads);
+    std::vector<RunBytes> Shared = Runner.map(K, [&](size_t Run) {
+      return observedRun(P, &C, Kind, Sel, static_cast<unsigned>(Run));
+    });
+    for (unsigned Run = 0; Run != K; ++Run) {
+      const RunBytes &A = Fresh[Run], &B = Shared[Run];
+      EXPECT_TRUE(A.FinalMemory == B.FinalMemory) << Threads << "t run " << Run;
+      EXPECT_TRUE(A.Hw == B.Hw) << Threads << "t run " << Run;
+      EXPECT_EQ(A.Summary, B.Summary) << Threads << "t run " << Run;
+      EXPECT_EQ(A.Trace, B.Trace) << Threads << "t run " << Run;
+      EXPECT_EQ(A.Metrics, B.Metrics) << Threads << "t run " << Run;
+    }
+  }
+}
+
 void fuzz(const SecurityLattice &Lat, HwKind Kind, uint64_t Seed,
           unsigned Want) {
   Rng R(Seed);
@@ -202,6 +303,7 @@ void fuzz(const SecurityLattice &Lat, HwKind Kind, uint64_t Seed,
     PolicySelection Sel;
     Sel.Default = &trialPolicy(Found);
     expectThreeWayAgreement(*P, Kind, Sel);
+    expectSharedCompiledFormAgrees(*P, Kind, Sel);
   }
   EXPECT_GE(Found, Want / 2) << "random generator produced too few programs";
 }
@@ -223,3 +325,40 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, IrDifferential,
                          [](const auto &Info) {
                            return std::string(hwKindName(Info.param));
                          });
+
+TEST(CompiledProgram, MismatchedLoweringInputsAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Program P = parseOrDie("var l : L;\nl := l + 1");
+  inferTimingLabels(P);
+  const CompiledProgram C(P);
+  auto Env = createMachineEnv(HwKind::NoPartition, lh(), MachineEnvConfig());
+
+  InterpreterOptions Costly;
+  Costly.Costs.AluOp = 3;
+  EXPECT_DEATH(FullInterpreter(C, *Env, Costly),
+               "FullInterpreter: the options' Costs differs");
+  InterpreterOptions Linear;
+  Linear.Mitigation.Default = &linearPolicy();
+  EXPECT_DEATH(StepInterpreter(C, *Env, Linear),
+               "StepInterpreter: the options' Mitigation differs");
+  InterpreterOptions Unfused;
+  Unfused.Fusion = false;
+  EXPECT_DEATH(FullInterpreter(C, *Env, Unfused), "Fusion differs");
+  const FusionProfile Empty;
+  InterpreterOptions OtherPlan;
+  OtherPlan.FuseProfile = &Empty;
+  EXPECT_DEATH(FullInterpreter(C, *Env, OtherPlan), "FuseProfile differs");
+
+  // Everything else may change per run, and an equal profile at another
+  // address plans the same fusion.
+  InterpreterOptions PerRun;
+  PerRun.StepLimit = 10;
+  PerRun.RecordMisses = true;
+  PerRun.Penalty = PenaltyPolicy::Global;
+  PerRun.Mitigation.Default = &fastDoublingPolicy();
+  const FusionProfile Copy = FusionProfile::defaultProfile();
+  PerRun.FuseProfile = &Copy;
+  EXPECT_EQ(C.mismatchedInput(PerRun), nullptr);
+  FullInterpreter Interp(C, *Env, PerRun);
+  EXPECT_EQ(Interp.run().FinalMemory.load("l"), 1);
+}

@@ -1753,6 +1753,26 @@ int cmdAttack(Program &P, const Options &Opts) {
   return writeJsonIfRequested(Opts, Doc) ? 0 : 1;
 }
 
+/// Reports running out of memory in \p Command, naming what outgrew it.
+/// \returns the exit status.
+int outOfMemory(const std::string &Command) {
+  if (Command == "attack")
+    std::fprintf(stderr,
+                 "error: out of memory: the sample set outgrew memory; stream "
+                 "to the binary trace format instead (--trace-out out.ztb) "
+                 "or reduce --samples\n");
+  else if (Command == "run" || Command == "trace" || Command == "profile" ||
+           Command == "hot" || Command == "leakage" || Command == "audit")
+    std::fprintf(stderr,
+                 "error: out of memory: the retained run trace (one event "
+                 "per executed assignment) outgrew memory; the program may "
+                 "not terminate, or runs too long to trace in memory\n");
+  else
+    std::fprintf(stderr, "error: out of memory in 'zamc %s'\n",
+                 Command.c_str());
+  return 1;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -1809,8 +1829,8 @@ int main(int Argc, char **Argv) {
     inferTimingLabels(*P);
   }
 
-  // Allocation failure on a huge workload is an answer, not a crash: point
-  // at the streaming path instead of dying on an uncaught bad_alloc.
+  // Allocation failure on a huge workload is an answer, not a crash: name
+  // what outgrew memory instead of dying on an uncaught bad_alloc.
   try {
     if (Opts.Command == "check")
       return checkProgram(*P, Opts, /*Verbose=*/true);
@@ -1856,17 +1876,9 @@ int main(int Argc, char **Argv) {
     if (Opts.Command == "attack")
       return cmdAttack(*P, Opts);
   } catch (const std::bad_alloc &) {
-    std::fprintf(stderr,
-                 "error: input exceeds in-memory mode; stream to the binary "
-                 "trace format instead (--trace-out out.ztb) or reduce "
-                 "--samples\n");
-    return 1;
+    return outOfMemory(Opts.Command);
   } catch (const std::length_error &) {
-    std::fprintf(stderr,
-                 "error: input exceeds in-memory mode; stream to the binary "
-                 "trace format instead (--trace-out out.ztb) or reduce "
-                 "--samples\n");
-    return 1;
+    return outOfMemory(Opts.Command);
   }
   return usage();
 }
