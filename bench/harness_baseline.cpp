@@ -162,9 +162,8 @@ int main(int Argc, char **Argv) {
   // Interpreter throughput: many serial full-semantics runs of a
   // loop-heavy probe (~400 evaluation steps per run, so per-run setup is
   // amortized and the engine's step rate dominates) — the engine-speed
-  // floor under every harness number above. interp_wall_ms_seed is the
-  // same measurement taken at the pre-IR tree-walking engines on the
-  // acceptance container.
+  // floor under every harness number above. Comparing engine speed across
+  // builds is bench/perf's job; this is one sample on this host.
   std::optional<Program> InterpP = parseProgram(
       "var h : H;\nvar l : L;\nvar a : L[16];\nvar i : L;\n"
       "i := 0;\n"
@@ -173,15 +172,10 @@ int main(int Argc, char **Argv) {
       "l := i",
       Lat, Diags);
   inferTimingLabels(*InterpP);
-  constexpr double SeedInterpWallMs = 118.2;
-  // The committed PR 5 BENCH_harness.json measurement of this same loop —
-  // the baseline the LIR tier's speedup is gated against in CI.
-  constexpr double Pr5InterpWallMs = 117.84163;
   constexpr unsigned InterpReps = 2000;
   // The execution observatory rides the measured loop: its per-dispatch
-  // counters are part of the engine cost being benchmarked (the committed
-  // baseline was recorded the same way), and its exec.* profile is the
-  // dispatch mix the native-backend work targets.
+  // counters are part of the engine cost being measured, and its exec.*
+  // profile is the loop's dispatch mix.
   ExecProfile InterpProf;
   double InterpMs = timeMs("interp/serial", [&] {
     auto Env = createMachineEnv(HwKind::Partitioned, Lat);
@@ -193,22 +187,16 @@ int main(int Argc, char **Argv) {
           [&](Memory &M) { M.store("h", static_cast<int64_t>(I % 97)); },
           IOpts);
   });
-  std::printf("interpreter throughput: %u serial runs in %.1f ms (seed"
-              " engines: %.1f ms, speedup %.2fx; IR tier at PR 5: %.1f ms,"
-              " speedup %.2fx)\n",
-              InterpReps, InterpMs, SeedInterpWallMs,
-              SeedInterpWallMs / InterpMs, Pr5InterpWallMs,
-              Pr5InterpWallMs / InterpMs);
+  std::printf("interpreter throughput: %u serial runs in %.1f ms\n",
+              InterpReps, InterpMs);
   std::string ProfErr;
   if (!InterpProf.selfCheck(ProfErr)) {
     std::fprintf(stderr, "error: %s\n", ProfErr.c_str());
     return 2;
   }
   std::vector<ExecProfile::DigramRank> Digrams = InterpProf.rankedDigrams();
-  std::printf("engine observatory: %llu dispatches (%llu in fused pairs)",
-              static_cast<unsigned long long>(InterpProf.dispatches()),
-              static_cast<unsigned long long>(2 *
-                                              InterpProf.fusedDispatches()));
+  std::printf("engine observatory: %llu dispatches",
+              static_cast<unsigned long long>(InterpProf.dispatches()));
   if (!Digrams.empty())
     std::printf(", hottest digram %s;%s (%llu pairs)",
                 irOpName(Digrams.front().A), irOpName(Digrams.front().B),
@@ -236,16 +224,11 @@ int main(int Argc, char **Argv) {
   R.setWallScalar("login_speedup", LoginMs1 / LoginMsN);
   R.setWallScalar("interp_runs", InterpReps);
   R.setWallScalar("interp_wall_ms", InterpMs);
-  R.setWallScalar("interp_wall_ms_seed", SeedInterpWallMs);
-  R.setWallScalar("interp_speedup_vs_seed", SeedInterpWallMs / InterpMs);
-  R.setWallScalar("interp_wall_ms_pr5", Pr5InterpWallMs);
-  R.setWallScalar("interp_speedup_vs_pr5", Pr5InterpWallMs / InterpMs);
   // The deterministic dispatch profile of the interp loop rides the
   // "metrics" object (exec.*); the epoch-sampled host throughput joins
   // the other wall numbers as wall.exec.* (outside the deterministic
   // projection, like every wall figure).
   InterpProf.exportMetrics(R.metrics());
-  InterpProf.exportFusionMetrics(R.metrics());
   R.setWallScalar("exec.sample_epochs",
                   static_cast<double>(InterpProf.wall().Epochs));
   R.setWallScalar("exec.sampled_dispatches",

@@ -2,7 +2,6 @@
 
 #include "ir/Lir.h"
 
-#include "ir/Fusion.h"
 #include "ir/IrPrinter.h"
 #include "lattice/SecurityLattice.h"
 
@@ -64,8 +63,8 @@ std::string uopText(const LirProgram &L, const LirUop &U) {
 
 std::string zam::printLir(const LirProgram &L, const SecurityLattice &Lat) {
   std::string Out =
-      fmt("lir: %zu instructions, %zu uops, %u regs, %u fused pairs\n",
-          L.Insts.size(), L.Uops.size(), L.NumRegs, L.FusedPairs);
+      fmt("lir: %zu instructions, %zu uops, %u regs\n", L.Insts.size(),
+          L.Uops.size(), L.NumRegs);
   if (L.IR)
     for (const IrSlotInfo &S : L.IR->Slots)
       Out += fmt("  slot %%%u: %s : %s %s[%" PRIu64 "] @0x%" PRIx64 "\n",
@@ -79,25 +78,12 @@ std::string zam::printLir(const LirProgram &L, const SecurityLattice &Lat) {
       Out += printIrInstr(*L.IR, I, Lat);
     else
       Out += irOpName(L.Insts[I].K);
-    if (L.fusedAt(I))
-      Out += fmt("  ; fused +%u", L.FusedWith[I]);
     Out += "\n";
     const LirInst &In = L.Insts[I];
     for (uint32_t U = In.U0; U != In.U0 + In.N0; ++U)
       Out += fmt("       u%-3u ", U) + uopText(L, L.Uops[U]) + "\n";
     for (uint32_t U = In.U1; U != In.U1 + In.N1; ++U)
       Out += fmt("       u%-3u ", U) + uopText(L, L.Uops[U]) + "\n";
-  }
-  Out += "  fused pairs:";
-  if (!L.FusedPairs)
-    Out += " none\n";
-  else {
-    Out += "\n";
-    for (uint32_t I = 0; I != L.Insts.size(); ++I)
-      if (L.fusedAt(I))
-        Out += fmt("    %u+%u: %s;%s\n", I, L.FusedWith[I],
-                   irOpName(L.Insts[I].K),
-                   irOpName(L.Insts[L.FusedWith[I]].K));
   }
   return Out;
 }
@@ -112,12 +98,9 @@ bool zam::verifyLir(const LirProgram &L, std::string &Err) {
   const IrProgram &IR = *L.IR;
   if (L.Insts.size() != IR.Instrs.size())
     return Fail("LIR/IR instruction counts differ");
-  if (L.FusedWith.size() != L.Insts.size())
-    return Fail("fusion plan size mismatch");
   if (L.NumRegs < 1)
     return Fail("register file must hold at least one register");
   const uint32_t N = static_cast<uint32_t>(L.Insts.size());
-  uint32_t Pairs = 0;
   for (uint32_t I = 0; I != N; ++I) {
     const LirInst &In = L.Insts[I];
     const IrInstr &Ir = IR.Instrs[I];
@@ -143,25 +126,6 @@ bool zam::verifyLir(const LirProgram &L, std::string &Err) {
     for (uint32_t U = In.U1; U != In.U1 + In.N1; ++U)
       if (L.Uops[U].Dst >= L.NumRegs)
         return Fail(At + "micro-op register out of range");
-    // Plan soundness.
-    const uint32_t Partner = L.FusedWith[I];
-    if (Partner == LirProgram::kNoFuse)
-      continue;
-    ++Pairs;
-    if (!fusibleFirst(In.K))
-      return Fail(At + "unfusible opcode heads a pair");
-    if (Partner != In.Next)
-      return Fail(At + "fused partner is not the fall-through successor");
-    if (Partner >= N || Partner == L.haltIndex())
-      return Fail(At + "fused partner out of range");
-    if (!fusibleSecond(L.Insts[Partner].K))
-      return Fail(At + "unfusible opcode closes a pair");
-    // Note a partner may itself head a pair (reachable when a later pc's
-    // backward Next claims an earlier head as its second); that is sound
-    // because the run loop executes second constituents standalone, so
-    // superinstructions never chain within one dispatch.
   }
-  if (Pairs != L.FusedPairs)
-    return Fail("FusedPairs count disagrees with the plan");
   return true;
 }

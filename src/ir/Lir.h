@@ -8,7 +8,7 @@
 /// \file
 /// The third (lowest) tier of the execution pipeline, below the flat
 /// timing-IR of Ir.h: an RTL-like register-transfer form built for the
-/// threaded-code dispatch loop in sem/ExecCore. Where the IR evaluates
+/// dispatch loop in sem/ExecCore. Where the IR evaluates
 /// postfix expressions on a value stack, the LIR flattens every expression
 /// into micro-ops over a statically-allocated register file: each postfix
 /// operation's stack position is known at lowering time, so it becomes a
@@ -18,9 +18,7 @@
 ///
 ///   - LirInst is 1:1 with IrInstr — Insts[pc] lowers Instrs[pc], so the
 ///     program counter, exec.* per-pc metrics and branch targets carry over
-///     unchanged between tiers. This array doubles as the *de-fused side
-///     table*: every logical pc stays individually dispatchable, which is
-///     what lets the Step engine resume in the middle of a fused pair.
+///     unchanged between tiers.
 ///   - All micro-ops live in one shared pool; each LirInst names its
 ///     expression work as [U0, U0+N0) (and [U1, U1+N1) for the stored
 ///     value of an array assignment, lowered with registers offset by one
@@ -28,13 +26,6 @@
 ///   - The LIR is purely static data, shareable by any number of cores;
 ///     per-run state (the register file, the slot-data pointer table)
 ///     lives in the execution core.
-///
-/// Superinstruction fusion (ir/Fusion.h) is an overlay, not a rewrite:
-/// FusedWith[pc] names the second constituent of a fused pair headed at
-/// pc (or kNoFuse). The run loop dispatches the pair as one
-/// superinstruction; observability replays both constituents, so the
-/// logical dispatch stream — and with it every exec.* metric — is
-/// bit-identical to unfused execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,25 +95,13 @@ struct LirInst {
   const Cmd *Origin = nullptr;
 };
 
-/// A lowered LIR program: the de-fused logical instruction array, the
-/// shared micro-op pool, and the fusion plan overlay.
+/// A lowered LIR program: the logical instruction array and the shared
+/// micro-op pool.
 struct LirProgram {
-  /// FusedWith[pc] value meaning "pc heads no fused pair".
-  static constexpr uint32_t kNoFuse = ~0u;
-
-  /// Logical instructions, 1:1 with (and indexed like) IR.Instrs. This is
-  /// the de-fused side table: fused execution never removes an entry, so
-  /// branch targets into a pair's second constituent — and Step-engine
-  /// resume mid-superinstruction — dispatch it standalone.
+  /// Logical instructions, 1:1 with (and indexed like) IR.Instrs.
   std::vector<LirInst> Insts;
   /// The shared micro-op pool all instruction spans point into.
   std::vector<LirUop> Uops;
-  /// Fusion plan: the second constituent of the pair headed at each pc, or
-  /// kNoFuse. Filled by planFusion (ir/Fusion.h); all-kNoFuse when fusion
-  /// is disabled.
-  std::vector<uint32_t> FusedWith;
-  /// Number of statically planned pairs (Σ FusedWith[pc] != kNoFuse).
-  uint32_t FusedPairs = 0;
   /// Register-file size the micro-ops require (≥ 1).
   uint32_t NumRegs = 1;
   /// The tier above (borrowed; must outlive this program). Carries the
@@ -132,26 +111,22 @@ struct LirProgram {
   uint32_t haltIndex() const {
     return static_cast<uint32_t>(Insts.size()) - 1;
   }
-  bool fusedAt(uint32_t Pc) const { return FusedWith[Pc] != kNoFuse; }
 };
 
 /// Flattens \p IR into register-transfer form. The result borrows \p IR
-/// (which must outlive it) and carries an empty fusion plan; run
-/// planFusion to overlay one.
+/// (which must outlive it).
 LirProgram lowerToLir(const IrProgram &IR);
 
 class SecurityLattice;
 
 /// Renders the LIR tier: each logical instruction line byte-identical to
-/// the `printIr` listing, followed by its micro-ops, then the fused-pair
-/// plan. `zamc ir --tier=lir` prints this; CI pins it as a golden file.
+/// the `printIr` listing, followed by its micro-ops. `zamc ir --tier=lir`
+/// prints this; CI pins it as a golden file.
 std::string printLir(const LirProgram &L, const SecurityLattice &Lat);
 
-/// Checks every structural invariant of a lowered (and possibly
-/// fusion-planned) program: 1:1 correspondence with the IR tier, span and
-/// register bounds, and plan soundness (partners are fall-through
-/// successors, heads are straightline, pairs never chain). Returns false
-/// and fills \p Err on the first violation.
+/// Checks every structural invariant of a lowered program: 1:1
+/// correspondence with the IR tier, and span and register bounds. Returns
+/// false and fills \p Err on the first violation.
 bool verifyLir(const LirProgram &L, std::string &Err);
 
 } // namespace zam

@@ -105,6 +105,5 @@ LirProgram zam::lowerToLir(const IrProgram &IR) {
   }
 
   L.NumRegs = MaxRegs;
-  L.FusedWith.assign(L.Insts.size(), LirProgram::kNoFuse);
   return L;
 }

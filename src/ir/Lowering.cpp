@@ -50,13 +50,6 @@ public:
     return std::move(Out);
   }
 
-  IrExpr lowerExprOnly(const Expr &E, SourceLoc CmdLoc) {
-    IrExpr Ex;
-    uint32_t Depth = 0;
-    lowerExprInto(E, CmdLoc, Ex, Depth);
-    return Ex;
-  }
-
 private:
   const Program &P;
   const CostModel &Costs;
@@ -306,9 +299,4 @@ IrProgram zam::lowerCommand(const Program &P, const Cmd &C,
                             const CostModel &Costs,
                             const PolicySelection &Policies) {
   return Lowerer(P, Costs, Policies).take(C, computePcLabels(C, P));
-}
-
-IrExpr zam::lowerExpr(const Expr &E, const Program &P, const CostModel &Costs,
-                      SourceLoc CmdLoc) {
-  return Lowerer(P, Costs, PolicySelection()).lowerExprOnly(E, CmdLoc);
 }

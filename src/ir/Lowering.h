@@ -43,11 +43,6 @@ IrProgram lowerCommand(const Program &P, const Cmd &C,
                        const CostModel &Costs = CostModel(),
                        const PolicySelection &Policies = PolicySelection());
 
-/// Lowers a single expression against \p P's declarations, inheriting
-/// \p CmdLoc as the fallback attribution location (unit tests and tools).
-IrExpr lowerExpr(const Expr &E, const Program &P, const CostModel &Costs,
-                 SourceLoc CmdLoc = SourceLoc());
-
 } // namespace zam
 
 #endif // ZAM_IR_LOWERING_H

@@ -63,12 +63,6 @@ void ExecProfile::onBranch(uint32_t Pc, bool Taken) {
     ++Pcs[Pc].NotTaken;
 }
 
-void ExecProfile::onFused(uint32_t FirstPc, uint32_t SecondPc) {
-  ++FusedDispatches;
-  ++FusedDigrams[static_cast<unsigned>(Pcs[FirstPc].K)]
-                [static_cast<unsigned>(Pcs[SecondPc].K)];
-}
-
 void ExecProfile::onSettle(unsigned Eta, unsigned Epochs) {
   for (SiteStat &S : Sites)
     if (S.Eta == Eta) {
@@ -157,16 +151,6 @@ bool ExecProfile::selfCheck(std::string &Err) const {
     return Fail("settle-histogram totals (" + std::to_string(Settles) +
                 ") != MitEnd dispatches (" +
                 std::to_string(opCount(IrInstr::Op::MitEnd)) + ")");
-  uint64_t FusedSum = 0;
-  for (unsigned A = 0; A != kNumOps; ++A)
-    for (unsigned B = 0; B != kNumOps; ++B)
-      FusedSum += FusedDigrams[A][B];
-  if (FusedSum != FusedDispatches)
-    return Fail("fused digram counts sum to " + std::to_string(FusedSum) +
-                ", not " + std::to_string(FusedDispatches) +
-                " fused dispatches");
-  if (2 * FusedDispatches > Dispatches)
-    return Fail("more fused constituents than dispatches");
   return true;
 }
 
@@ -189,13 +173,10 @@ void ExecProfile::merge(const ExecProfile &Other) {
   Runs += Other.Runs;
   Heads += Other.Heads;
   Dispatches += Other.Dispatches;
-  FusedDispatches += Other.FusedDispatches;
   for (unsigned A = 0; A != kNumOps; ++A) {
     OpCounts[A] += Other.OpCounts[A];
-    for (unsigned B = 0; B != kNumOps; ++B) {
+    for (unsigned B = 0; B != kNumOps; ++B)
       Digrams[A][B] += Other.Digrams[A][B];
-      FusedDigrams[A][B] += Other.FusedDigrams[A][B];
-    }
   }
   Wall.Epochs += Other.Wall.Epochs;
   Wall.SampledDispatches += Other.Wall.SampledDispatches;
@@ -236,17 +217,6 @@ void ExecProfile::exportMetrics(MetricsRegistry &Reg) const {
   for (const SiteStat &S : Sites)
     S.SettleEpochs.exportMetrics(Reg, "settle_epochs",
                                  "exec.site.m" + std::to_string(S.Eta) + ".");
-}
-
-void ExecProfile::exportFusionMetrics(MetricsRegistry &Reg) const {
-  Reg.setCounter("exec.fused.dispatches", FusedDispatches);
-  for (unsigned A = 0; A != kNumOps; ++A)
-    for (unsigned B = 0; B != kNumOps; ++B)
-      if (FusedDigrams[A][B])
-        Reg.setCounter(std::string("exec.fused.digram.") +
-                           irOpName(static_cast<IrInstr::Op>(A)) + "_" +
-                           irOpName(static_cast<IrInstr::Op>(B)),
-                       FusedDigrams[A][B]);
 }
 
 void ExecProfile::exportWallMetrics(MetricsRegistry &Reg) const {

@@ -11,9 +11,8 @@
 /// declared in sem/Provenance.h. Where CostLedger attributes *simulated*
 /// cycles to source constructs, ExecProfile profiles the *engine itself* —
 /// exact per-pc execution counts, per-opcode dispatch totals, the dynamic
-/// opcode-digram (consecutive-pair) table that ranks superinstruction-fusion
-/// candidates for the future native backend, per-Branch taken/not-taken
-/// counts, and per-mitigate-site settle-epoch histograms.
+/// opcode-digram (consecutive-pair) table that ranks the hottest
+/// instruction sequences, per-Branch taken/not-taken counts, and per-mitigate-site settle-epoch histograms.
 ///
 /// Everything above is pure control-flow data, so it is bit-identical
 /// across the Full and Step engines, any thread partitioning of a run set
@@ -87,11 +86,8 @@ public:
     LogLinearHistogram SettleEpochs; ///< Misprediction epochs per settle.
   };
 
-  /// One ranked fusion candidate: the opcode pair and how many times it
-  /// occurred consecutively. Count is an upper bound on the dispatches a
-  /// plan fusing A;B can save — overlapping occurrences in a chain share
-  /// pcs, and greedy planning claims each pc once; fusedDigram(A, B)
-  /// reports what a run actually realized.
+  /// One ranked digram: the opcode pair and how many times it occurred
+  /// consecutively.
   struct DigramRank {
     IrInstr::Op A = IrInstr::Op::Skip;
     IrInstr::Op B = IrInstr::Op::Skip;
@@ -122,7 +118,6 @@ public:
   void onProgram(const IrProgram &IR) override;
   void onDispatch(uint32_t Pc) override;
   void onBranch(uint32_t Pc, bool Taken) override;
-  void onFused(uint32_t FirstPc, uint32_t SecondPc) override;
   void onSettle(unsigned Eta, unsigned Epochs) override;
 
   uint64_t runs() const { return Runs; }
@@ -140,11 +135,6 @@ public:
   }
   uint64_t branchTaken() const;
   uint64_t branchNotTaken() const;
-  /// Realized superinstruction dispatches (one per fused pair executed).
-  uint64_t fusedDispatches() const { return FusedDispatches; }
-  uint64_t fusedDigram(IrInstr::Op A, IrInstr::Op B) const {
-    return FusedDigrams[static_cast<unsigned>(A)][static_cast<unsigned>(B)];
-  }
   const WallStats &wall() const { return Wall; }
 
   /// All non-zero digrams, highest count first (ties broken row-major, so
@@ -165,14 +155,6 @@ public:
   /// order, every per-pc counter (with taken/not-taken for Branch pcs),
   /// and one settle-epoch histogram per static mitigate site.
   void exportMetrics(MetricsRegistry &Reg) const;
-
-  /// Exports the additive exec.fused.* namespace: realized-fusion totals
-  /// and per-digram counts. Deliberately separate from exportMetrics —
-  /// realization depends on how a run was driven (run() realizes the
-  /// plan, step()-driven execution never does, fusion may be off), so
-  /// folding it into exec.* would break the byte-equality contract that
-  /// holds across {Full, Step} × {fusion on/off} × dispatch modes.
-  void exportFusionMetrics(MetricsRegistry &Reg) const;
 
   /// Exports wall.exec.* host-throughput numbers into \p Reg — callers
   /// keep this registry out of deterministic content (the BENCH "wall"
@@ -197,8 +179,6 @@ private:
   std::vector<SiteStat> Sites; ///< Sorted by Eta.
   bool PrevValid = false;
   IrInstr::Op PrevOp = IrInstr::Op::Skip;
-  uint64_t FusedDispatches = 0;
-  uint64_t FusedDigrams[kNumOps][kNumOps] = {};
 
   uint64_t WallEpoch;
   /// Dispatches until the next wall sample. A countdown instead of

@@ -2,7 +2,6 @@
 
 #include "sem/CompiledProgram.h"
 
-#include "ir/Fusion.h"
 #include "ir/Lowering.h"
 #include "support/Diagnostics.h"
 
@@ -10,41 +9,21 @@
 
 using namespace zam;
 
-namespace {
-/// The profile fusion plans with under \p Opts, or null when fusion is off.
-const FusionProfile *effectiveProfile(const InterpreterOptions &Opts) {
-  if (!Opts.Fusion)
-    return nullptr;
-  return Opts.FuseProfile ? Opts.FuseProfile : &FusionProfile::defaultProfile();
-}
-
-/// Lowers \p IR to the LIR tier and overlays the fusion plan of \p Prof.
-std::unique_ptr<LirProgram> compileLir(const IrProgram &IR,
-                                       const FusionProfile *Prof) {
-  auto L = std::make_unique<LirProgram>(lowerToLir(IR));
-  if (Prof)
-    planFusion(*L, *Prof);
-  return L;
-}
-} // namespace
-
 CompiledProgram::CompiledProgram(const Program &P,
                                  const InterpreterOptions &Opts)
     : P(P), Costs(Opts.Costs), Mitigation(Opts.Mitigation),
-      Fusion(Opts.Fusion), FuseProfile(effectiveProfile(Opts)),
       IR(std::make_unique<IrProgram>(
           lowerProgram(P, Opts.Costs, Opts.Mitigation))),
-      LIR(compileLir(*IR, FuseProfile)),
+      LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
       Init(Memory::fromProgram(P, Opts.Costs.DataBase)) {}
 
 CompiledProgram::CompiledProgram(const Program &P, CmdPtr C,
                                  const InterpreterOptions &Opts)
     : P(P), Owned(std::move(C)), Costs(Opts.Costs),
-      Mitigation(Opts.Mitigation), Fusion(Opts.Fusion),
-      FuseProfile(effectiveProfile(Opts)),
+      Mitigation(Opts.Mitigation),
       IR(std::make_unique<IrProgram>(
           lowerCommand(P, *Owned, Opts.Costs, Opts.Mitigation))),
-      LIR(compileLir(*IR, FuseProfile)),
+      LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
       Init(Memory::fromProgram(P, Opts.Costs.DataBase)) {}
 
 CompiledProgram::~CompiledProgram() = default;
@@ -58,11 +37,6 @@ CompiledProgram::mismatchedInput(const InterpreterOptions &Opts) const {
   if (&Opts.Mitigation.base() != &Mitigation.base() ||
       Opts.Mitigation.PerSite != Mitigation.PerSite)
     return "Mitigation";
-  if (Opts.Fusion != Fusion)
-    return "Fusion";
-  const FusionProfile *Prof = effectiveProfile(Opts);
-  if (Prof != FuseProfile && Prof->digrams() != FuseProfile->digrams())
-    return "FuseProfile";
   return nullptr;
 }
 

@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The executable form of a program: its timing-IR, the LIR with the fusion
-/// plan overlaid, and the initial memory image. Compiling depends on the
-/// program and on four fields of InterpreterOptions, the *lowering inputs*
-/// — Costs, Mitigation, Fusion and FuseProfile — and on nothing a run
-/// changes. Workloads that run one program many times (a login session's
-/// attempts, RSA decryptions, adversary samples, scenario runs) therefore
-/// compile once; each run then copies only the memory image.
+/// The executable form of a program: its timing-IR, the LIR, and the
+/// initial memory image. Compiling depends on the program and on two fields
+/// of InterpreterOptions, the *lowering inputs* — Costs and Mitigation —
+/// and on nothing a run changes. Workloads that run one program many times
+/// (a login session's attempts, RSA decryptions, adversary samples,
+/// scenario runs) therefore compile once; each run then copies only the
+/// memory image.
 ///
 /// A compiled form is immutable, so any number of engines on any number of
 /// threads may share one. An engine handed options whose lowering inputs
@@ -37,8 +37,7 @@ namespace zam {
 class CompiledProgram {
 public:
   /// Compiles \p P's body under \p Opts' lowering inputs. \p P, and the
-  /// policies and fuse profile \p Opts points at, must outlive the
-  /// compiled form.
+  /// policies \p Opts points at, must outlive the compiled form.
   explicit CompiledProgram(const Program &P,
                            const InterpreterOptions &Opts = {});
 
@@ -62,7 +61,7 @@ public:
   Memory takeInitialMemory() { return std::move(Init); }
 
   /// The first lowering input on which \p Opts differs from this form's
-  /// ("Costs", "Mitigation", "Fusion" or "FuseProfile"), or nullptr.
+  /// ("Costs" or "Mitigation"), or nullptr.
   const char *mismatchedInput(const InterpreterOptions &Opts) const;
 
   /// Aborts with a diagnostic naming \p Engine and the mismatched input
@@ -76,8 +75,6 @@ private:
   /// The lowering inputs, as compiled.
   CostModel Costs;
   PolicySelection Mitigation;
-  bool Fusion;
-  const FusionProfile *FuseProfile;
   /// The LIR borrows the IR, so declaration order matters.
   std::unique_ptr<IrProgram> IR;
   std::unique_ptr<LirProgram> LIR;

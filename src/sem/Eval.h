@@ -10,9 +10,9 @@
 /// timing-IR execution core (sem/ExecCore.h): total and deterministic —
 /// division/modulo by zero yield 0, shift counts are masked to 6 bits,
 /// arithmetic wraps modulo 2^64, and array indices wrap modulo the array
-/// size. Timed evaluation (costs + hardware accesses) lives in
-/// evalIrExpr over the lowered postfix form; it applies these same
-/// operators, so the engines agree with the core semantics by construction.
+/// size. Timed evaluation (costs + hardware accesses) lives in the
+/// execution core's micro-op loop; it applies these same operators, so the
+/// engines agree with the core semantics by construction.
 ///
 //===----------------------------------------------------------------------===//
 

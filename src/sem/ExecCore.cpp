@@ -6,72 +6,6 @@
 
 using namespace zam;
 
-// Computed-goto dispatch needs the GNU labels-as-values extension; MSVC
-// (and any build configured with -DZAM_THREADED_DISPATCH=OFF) uses the
-// portable switch loop. Both loops are always compiled and behave
-// identically; this only selects what run() can pick.
-#if defined(ZAM_THREADED_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
-#define ZAM_HAVE_THREADED 1
-#else
-#define ZAM_HAVE_THREADED 0
-#endif
-
-bool zam::threadedDispatchAvailable() { return ZAM_HAVE_THREADED != 0; }
-
-int64_t zam::evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
-                        Label Read, Label Write, const CostModel &Costs,
-                        uint64_t &Cycles, CostCursor *Cur, int64_t *Stack) {
-  std::vector<int64_t> Local;
-  if (!Stack) {
-    Local.resize(E.MaxDepth ? E.MaxDepth : 1);
-    Stack = Local.data();
-  }
-  // The cursor narrows to each operation's effective location only for its
-  // own hardware access; the caller's location is restored on return (the
-  // LocScope discipline of the old AST walker).
-  SourceLoc Saved;
-  if (Cur)
-    Saved = Cur->Loc;
-
-  int64_t *SP = Stack;
-  for (const ExprOp &Op : E.Ops) {
-    switch (Op.K) {
-    case ExprOp::Kind::PushConst: // Immediate operand: free.
-      *SP++ = Op.Const;
-      break;
-    case ExprOp::Kind::LoadVar:
-      if (Cur)
-        Cur->Loc = Op.Loc;
-      Cycles += Env.dataAccess(Op.Base, /*IsStore=*/false, Read, Write);
-      *SP++ = M.slotAt(Op.Slot).Data[0];
-      break;
-    case ExprOp::Kind::LoadElem: {
-      uint64_t W = Memory::wrapRaw(SP[-1], Op.ElemCount);
-      if (Cur)
-        Cur->Loc = Op.Loc;
-      Cycles += Env.dataAccess(Op.Base + W * 8, /*IsStore=*/false, Read,
-                               Write);
-      Cycles += Costs.AluOp; // Address computation.
-      SP[-1] = M.slotAt(Op.Slot).Data[W];
-      break;
-    }
-    case ExprOp::Kind::Bin: {
-      int64_t R = *--SP;
-      SP[-1] = applyBinOp(Op.BinOp, SP[-1], R);
-      Cycles += Costs.AluOp;
-      break;
-    }
-    case ExprOp::Kind::Un:
-      SP[-1] = applyUnOp(Op.UnOp, SP[-1]);
-      Cycles += Costs.AluOp;
-      break;
-    }
-  }
-  if (Cur)
-    Cur->Loc = Saved;
-  return SP[-1];
-}
-
 ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
                    MachineEnv &Env, const InterpreterOptions &Opts)
     : P(P), Env(Env), Opts(Opts), Probe(this->Opts.Probe),
@@ -80,10 +14,8 @@ ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
       M(std::move(InitM)),
       OwnMitState(P.lattice(), this->Opts.Mitigation.base(), Opts.Penalty),
       MitState(Opts.SharedMitState ? *Opts.SharedMitState : OwnMitState),
-      Code(L.Insts.data()), Uops(L.Uops.data()), Fused(L.FusedWith.data()),
-      TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr),
-      UseThreaded(ZAM_HAVE_THREADED != 0 &&
-                  Opts.Dispatch != DispatchMode::Switch) {
+      Code(L.Insts.data()), Uops(L.Uops.data()),
+      TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr) {
   Regs.resize(L.NumRegs ? L.NumRegs : 1);
   SlotData.resize(M.slotCount());
   for (size_t I = 0; I != SlotData.size(); ++I)
@@ -174,7 +106,7 @@ int64_t ExecCore::evalSpan(const LirInst &I, uint32_t U, uint32_t N,
     Result = Op->Dst;
   }
   // Restore the cursor to the command before any post-evaluation costs
-  // (store access, step charge) — the LocScope discipline of evalIrExpr.
+  // (store access, step charge).
   if (TrackCursor)
     Cur.Loc = I.Loc;
   return R[Result];
@@ -346,21 +278,10 @@ void ExecCore::step() {
   }
 }
 
+// The transition discipline of step() — count and check the step limit,
+// execute one instruction, stop when the pc lands on Halt — in a loop that
+// tests Halted once on entry instead of once per transition.
 void ExecCore::run() {
-  if (UseThreaded)
-    runThreaded();
-  else
-    runSwitch();
-}
-
-// Both loops follow the exact transition discipline of step(): increment
-// and check the step counter, execute one logical instruction, stop when
-// the pc lands on Halt — with two additions that change no observable:
-// fused heads fire one onFused callback and execute both constituents in
-// one loop iteration (the limit check still sits between them), and the
-// loop exits once instead of re-checking Halted per transition.
-
-void ExecCore::runSwitch() {
   if (Halted)
     return;
   for (;;) {
@@ -368,87 +289,12 @@ void ExecCore::runSwitch() {
       T.HitStepLimit = true;
       break;
     }
-    const uint32_t Second = Fused[PC];
-    if (Second != LirProgram::kNoFuse) {
-      if (Probe)
-        Probe->onFused(PC, Second);
-      // The head is straightline (planFusion guarantees it), so after it
-      // executes the pc sits exactly on Second.
-      execInstr(Code[PC]);
-      if (++T.Steps > StepLimit) {
-        T.HitStepLimit = true;
-        break;
-      }
-      execInstr(Code[PC]);
-    } else {
-      execInstr(Code[PC]);
-    }
+    execInstr(Code[PC]);
     if (Code[PC].K == IrInstr::Op::Halt)
       break;
   }
   Halted = true;
   finalize();
-}
-
-void ExecCore::runThreaded() {
-#if ZAM_HAVE_THREADED
-  if (Halted)
-    return;
-  // Indexed by IrInstr::Op. Halt's slot is the exit path, though the
-  // dispatch macro peels it off before indexing (a fused head can never
-  // be followed by Halt, so only the macro needs the test).
-  static const void *const Handlers[] = {
-      &&L_Skip, &&L_Assign, &&L_Store,    &&L_Branch,
-      &&L_Sleep, &&L_MitEnter, &&L_MitEnd, &&L_Halt};
-#define ZAM_DISPATCH()                                                         \
-  do {                                                                         \
-    if (Code[PC].K == IrInstr::Op::Halt)                                       \
-      goto L_Halt;                                                             \
-    if (++T.Steps > StepLimit)                                            \
-      goto L_Limit;                                                            \
-    if (Fused[PC] != LirProgram::kNoFuse)                                      \
-      goto L_Fused;                                                            \
-    goto *Handlers[static_cast<uint8_t>(Code[PC].K)];                          \
-  } while (0)
-  ZAM_DISPATCH();
-L_Skip:
-  execSkip(Code[PC]);
-  ZAM_DISPATCH();
-L_Assign:
-  execAssign(Code[PC]);
-  ZAM_DISPATCH();
-L_Store:
-  execStore(Code[PC]);
-  ZAM_DISPATCH();
-L_Branch:
-  execBranch(Code[PC]);
-  ZAM_DISPATCH();
-L_Sleep:
-  execSleep(Code[PC]);
-  ZAM_DISPATCH();
-L_MitEnter:
-  execMitEnter(Code[PC]);
-  ZAM_DISPATCH();
-L_MitEnd:
-  execMitEnd(Code[PC]);
-  ZAM_DISPATCH();
-L_Fused:
-  if (Probe)
-    Probe->onFused(PC, Fused[PC]);
-  execInstr(Code[PC]);
-  if (++T.Steps > StepLimit)
-    goto L_Limit;
-  execInstr(Code[PC]);
-  ZAM_DISPATCH();
-L_Limit:
-  T.HitStepLimit = true;
-L_Halt:
-  Halted = true;
-  finalize();
-#undef ZAM_DISPATCH
-#else
-  runSwitch();
-#endif
 }
 
 void ExecCore::finalize() {

@@ -26,20 +26,10 @@
 ///     moves exactly as in the tree engines, so ledgers and miss samples
 ///     are byte-for-byte identical.
 ///
-/// run() executes through one of two dispatch loops — computed-goto
-/// threaded code when the build carries it (ZAM_THREADED_DISPATCH), a
-/// portable switch loop otherwise — and realizes the program's fusion
-/// plan: a pc heading a fused pair dispatches both constituents in one
-/// loop iteration. Observability is at *logical* granularity throughout:
-/// each constituent still charges, traces and probes individually (plus
-/// one additive ExecProbe::onFused per realized pair), and the step-limit
-/// check sits between constituents, so every observable is bit-identical
-/// across {threaded, switch} × {fusion on, off} × {run, step}.
-///
-/// step() executes exactly one logical transition through the de-fused
-/// instruction table, ignoring the fusion plan — that is what makes the
-/// Step engine's cursor resumable at any pc, including the middle of a
-/// superinstruction.
+/// Each loop iteration of run() is one transition of the semantics, and
+/// step() performs exactly the same transition once, so the two interleave
+/// freely: a run resumed after any number of single steps observes exactly
+/// what an uninterrupted run does.
 ///
 /// The LIR is immutable; the core holds all run state, so engines stay
 /// thin wrappers that only decide when to call step()/run() and when to
@@ -65,19 +55,6 @@
 
 namespace zam {
 
-/// Evaluates one lowered expression against \p M and \p Env under timing
-/// labels [\p Read, \p Write], accumulating data-access and ALU costs into
-/// \p Cycles. When \p Cur is set, the cursor narrows to each operation's
-/// effective location for its hardware access and is restored on return —
-/// the same attribution discipline the AST walker used. \p Stack must have
-/// at least E.MaxDepth capacity; pass nullptr to use a local buffer
-/// (tests/tools). This is the IR-tier reference evaluator; the execution
-/// core itself runs the register-transfer form.
-int64_t evalIrExpr(const IrExpr &E, const Memory &M, MachineEnv &Env,
-                   Label Read, Label Write, const CostModel &Costs,
-                   uint64_t &Cycles, CostCursor *Cur = nullptr,
-                   int64_t *Stack = nullptr);
-
 class ExecCore final : public HwObserver {
 public:
   /// Executes \p L (which, with its IR tier, must outlive the core) with
@@ -90,14 +67,11 @@ public:
   /// limit).
   bool done() const { return Halted; }
 
-  /// Performs exactly one logical transition (one instruction) through the
-  /// de-fused table. No-op when done.
+  /// Performs exactly one transition (one instruction). No-op when done.
   void step();
 
-  /// Runs to completion through the fused dispatch loop (the big-step
-  /// driver's tight loop). Interleaves with step(): resuming run() from
-  /// any pc — including a superinstruction's second constituent — is
-  /// sound because fused heads are re-checked per dispatch.
+  /// Runs to completion (the big-step driver's tight loop). May follow any
+  /// number of step() calls.
   void run();
 
   Memory &memory() { return M; }
@@ -126,14 +100,9 @@ private:
   void execSleep(const LirInst &I);
   void execMitEnter(const LirInst &I);
   void execMitEnd(const LirInst &I);
-  /// One logical transition of the instruction at \p I (a switch over the
-  /// bodies above). Never called on Halt.
+  /// One transition of the instruction at \p I (a switch over the bodies
+  /// above). Never called on Halt.
   void execInstr(const LirInst &I);
-
-  /// The two run loops. Identical observable behavior; runThreaded exists
-  /// only when the build carries computed-goto dispatch.
-  void runSwitch();
-  void runThreaded();
 
   void finalize();
   void head(const LirInst &I) {
@@ -187,9 +156,8 @@ private:
   Memory M;
   MitigationState OwnMitState;
   MitigationState &MitState;
-  const LirInst *Code;   ///< The logical (de-fused) instruction array.
-  const LirUop *Uops;    ///< The shared micro-op pool.
-  const uint32_t *Fused; ///< The fusion plan (FusedWith).
+  const LirInst *Code; ///< The instruction array.
+  const LirUop *Uops;  ///< The shared micro-op pool.
   Trace T;
   uint64_t G = 0;
   uint32_t PC = 0;
@@ -197,8 +165,6 @@ private:
   /// Cursor maintenance is skipped when nothing observes it (no sink, no
   /// miss sampling) — the cursor is only visible through those channels.
   bool TrackCursor;
-  /// Whether run() uses the threaded loop (build support ∧ Opts.Dispatch).
-  bool UseThreaded;
   CostCursor Cur;
   std::vector<MitFrame> Frames;
   std::vector<int64_t> Regs; ///< The micro-op register file (NumRegs).

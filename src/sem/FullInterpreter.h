@@ -46,24 +46,9 @@ namespace zam {
 
 class CompiledProgram;
 class ExecCore;
-class FusionProfile;
 
-/// How the execution core dispatches LIR instructions. Purely a
-/// wall-clock knob: every mode produces bit-identical traces, ledgers and
-/// exec.* profiles (the differential tests enforce this).
-enum class DispatchMode : uint8_t {
-  Auto,     ///< Threaded when the build carries it, else switch.
-  Threaded, ///< Computed-goto loop (falls back to switch when unavailable).
-  Switch,   ///< The portable switch loop.
-};
-
-/// Whether this build carries the computed-goto threaded dispatch loop
-/// (ZAM_THREADED_DISPATCH on a compiler with labels-as-values). When
-/// false, DispatchMode::Threaded silently degrades to the switch loop.
-bool threadedDispatchAvailable();
-
-/// Knobs shared by both full-semantics engines. Costs, Mitigation, Fusion
-/// and FuseProfile are the *lowering inputs*: they shape the compiled form
+/// Knobs shared by both full-semantics engines. Costs and Mitigation are
+/// the *lowering inputs*: they shape the compiled form
 /// (sem/CompiledProgram.h), so every run of one compiled form must pass the
 /// same ones. All other fields may change from run to run.
 struct InterpreterOptions {
@@ -105,16 +90,6 @@ struct InterpreterOptions {
   /// observational: attaching a probe never changes costs, the trace, or
   /// the leakage ledger. Not owned.
   ExecProbe *Probe = nullptr;
-  /// Superinstruction fusion over the LIR tier (ir/Fusion.h). A dispatch
-  /// optimization only — fused runs observe exactly what unfused runs do;
-  /// off mainly for differential testing and debugging.
-  bool Fusion = true;
-  /// The digram profile driving fusion; null uses
-  /// FusionProfile::defaultProfile(). Borrowed, must outlive the engine.
-  const FusionProfile *FuseProfile = nullptr;
-  /// Which dispatch loop run() uses. Step-driven execution is unaffected
-  /// (single transitions always dispatch through the de-fused table).
-  DispatchMode Dispatch = DispatchMode::Auto;
 };
 
 /// Outcome of a full-semantics run.

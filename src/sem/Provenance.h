@@ -19,9 +19,9 @@
 ///     sets Cur.Loc to its own location when its step begins.
 ///   - Expression evaluation narrows Cur.Loc to the innermost valid
 ///     sub-expression location for the duration of each load's own accesses
-///     (evalIrExpr uses per-operand locations precomputed by the lowering
-///     pass and restores the cursor on return, so it is back at the command
-///     when the step's cycles are charged).
+///     (the execution core uses per-operand locations precomputed by the
+///     lowering pass and restores the cursor after each expression, so it is
+///     back at the command when the step's cycles are charged).
 ///   - Cur.Site is the η of the innermost open mitigate window (kNoSite
 ///     outside any window); body costs charge to the innermost window only
 ///     (self/exclusive accounting).
@@ -103,17 +103,6 @@ public:
   /// The Branch at \p Pc resolved; \p Taken is true when control went to
   /// the branch target (guard nonzero), false for fall-through.
   virtual void onBranch(uint32_t Pc, bool Taken) = 0;
-
-  /// The superinstruction headed at \p FirstPc is about to execute as one
-  /// fused dispatch covering \p SecondPc as well. Purely additive: the two
-  /// constituent onDispatch (and onBranch) callbacks still fire, so the
-  /// logical dispatch stream — and every metric derived from it — is
-  /// unchanged by fusion. Realized-fusion accounting (the `exec.fused.*`
-  /// namespace) hangs off this hook alone; the default ignores it.
-  virtual void onFused(uint32_t FirstPc, uint32_t SecondPc) {
-    (void)FirstPc;
-    (void)SecondPc;
-  }
 
   /// The mitigate window with site \p Eta settled, costing \p Epochs
   /// scheduler misprediction epochs (0 = the prediction held).

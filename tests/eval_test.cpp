@@ -4,11 +4,12 @@
 #include "lang/StaticLabels.h"
 
 #include "hw/HardwareModels.h"
-#include "ir/Lowering.h"
-#include "sem/ExecCore.h"
 #include "lang/Parser.h"
 #include "lang/ProgramBuilder.h"
+#include "sem/CompiledProgram.h"
+#include "sem/FullInterpreter.h"
 #include "support/Casting.h"
+#include "types/LabelInference.h"
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
@@ -110,52 +111,71 @@ TEST(EvalPure, NoShortCircuit) {
 }
 
 //===----------------------------------------------------------------------===//
-// Timed evaluation (lowered postfix form)
+// Timed evaluation (through the execution engine)
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// exprProgram's declarations plus a high target t, with the body t := E.
+Program assignProgram(const std::string &E) {
+  Program P = parseOrDie("var x : L = 10;\nvar h : H = 3;\n"
+                         "var a : L[4] = {10, 20, 30, 40};\nvar t : H;\n"
+                         "t := " +
+                         E);
+  inferTimingLabels(P);
+  return P;
+}
+
+/// The cycles of the one step t := E — first on a cold environment, then
+/// again on the same, now warm, one — and the value it stored.
+struct AssignRun {
+  uint64_t Cold = 0;
+  uint64_t Warm = 0;
+  int64_t Value = 0;
+};
+
+AssignRun runAssign(const std::string &E, HwKind Kind = HwKind::NoPartition) {
+  Program P = assignProgram(E);
+  const CompiledProgram C(P);
+  auto Env = createMachineEnv(Kind, lh(), MachineEnvConfig());
+  AssignRun Run;
+  Run.Cold = FullInterpreter(C, *Env).run().T.FinalTime;
+  RunResult Warm = FullInterpreter(C, *Env).run();
+  EXPECT_EQ(Warm.T.Steps, 1u);
+  Run.Warm = Warm.T.FinalTime;
+  Run.Value = Warm.FinalMemory.load("t");
+  return Run;
+}
+} // namespace
+
 TEST(EvalTimed, ChargesAluAndMemoryCosts) {
-  Program P = exprProgram();
-  Memory M = Memory::fromProgram(P, CostModel().DataBase);
-  auto Env = createMachineEnv(HwKind::NoPartition, lh(), MachineEnvConfig());
-  CostModel Costs;
+  const MachineEnvConfig Hw;
+  const CostModel Costs;
 
-  // Literal: free.
-  uint64_t Cycles = 0;
-  ProgramBuilder B(lh());
-  IrExpr Lit = lowerExpr(*B.lit(5), P, Costs);
-  evalIrExpr(Lit, M, *Env, low(), low(), Costs, Cycles);
-  EXPECT_EQ(Cycles, 0u);
+  // Literal: free, so the step pays only its base, fetch and store.
+  const AssignRun Lit = runAssign("5");
+  EXPECT_EQ(Lit.Warm, Costs.BaseStep + Hw.L1I.Latency + Hw.L1D.Latency);
 
-  // Variable: one (cold) data access.
-  IrExpr X = lowerExpr(*B.v("x"), P, Costs);
-  Cycles = 0;
-  evalIrExpr(X, M, *Env, low(), low(), Costs, Cycles);
-  EXPECT_GT(Cycles, Costs.AluOp);
-
-  // Warm variable: L1 hit.
-  Cycles = 0;
-  evalIrExpr(X, M, *Env, low(), low(), Costs, Cycles);
-  EXPECT_EQ(Cycles, MachineEnvConfig().L1D.Latency);
+  // Variable: one data access — a miss when cold, an L1 hit when warm.
+  const AssignRun X = runAssign("x");
+  EXPECT_GT(X.Cold - Lit.Cold, Hw.L1D.Latency);
+  EXPECT_EQ(X.Warm - Lit.Warm, Hw.L1D.Latency);
 
   // x + x (both warm): two hits + one ALU op.
-  IrExpr Sum = lowerExpr(*B.add(B.v("x"), B.v("x")), P, Costs);
-  Cycles = 0;
-  evalIrExpr(Sum, M, *Env, low(), low(), Costs, Cycles);
-  EXPECT_EQ(Cycles, 2 * MachineEnvConfig().L1D.Latency + Costs.AluOp);
+  EXPECT_EQ(runAssign("x + x").Warm - Lit.Warm,
+            2 * Hw.L1D.Latency + Costs.AluOp);
+
+  // a[1] (warm): one hit + the address computation.
+  EXPECT_EQ(runAssign("a[1]").Warm - Lit.Warm, Hw.L1D.Latency + Costs.AluOp);
 }
 
 TEST(EvalTimed, AgreesWithPureOnValues) {
-  Program P = exprProgram();
-  Memory M = Memory::fromProgram(P, CostModel().DataBase);
-  auto Env = createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
+  const std::string Text = "(x + a[1]) * 3 - (a[x] & h)";
   DiagnosticEngine Diags;
-  Parser Pr("(x + a[1]) * 3 - (a[x] & h)", lh(), Diags);
+  Parser Pr(Text, lh(), Diags);
   ExprPtr E = Pr.parseExprOnly();
   ASSERT_TRUE(E) << Diags.str();
-  IrExpr L = lowerExpr(*E, P, CostModel());
-  uint64_t Cycles = 0;
-  EXPECT_EQ(evalIrExpr(L, M, *Env, low(), low(), CostModel(), Cycles),
-            evalExprPure(*E, M));
+  EXPECT_EQ(runAssign(Text, HwKind::Partitioned).Value,
+            evalExprPure(*E, Memory::fromProgram(assignProgram(Text))));
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,7 +5,7 @@
 // engines and every hardware design, thread-partitioned merge equivalence,
 // the lowering invariants the per-pc table depends on (dense pc slots,
 // trailing never-dispatched Halt), the fixed export shape for degenerate
-// zero-mitigate-site programs, and the fusion-ranking / collapsed-stack
+// zero-mitigate-site programs, and the digram-ranking / collapsed-stack
 // exports.
 //
 //===----------------------------------------------------------------------===//

@@ -18,7 +18,6 @@
 #include "analysis/RandomProgram.h"
 #include "exp/ParallelRunner.h"
 #include "hw/HardwareModels.h"
-#include "ir/Fusion.h"
 #include "obs/CostLedger.h"
 #include "obs/ExecProfile.h"
 #include "obs/LeakAudit.h"
@@ -132,55 +131,6 @@ void expectThreeWayAgreement(const Program &P, HwKind Kind,
   StepProf.exportMetrics(StepExec);
   EXPECT_EQ(FullExec.toJson().dump(), StepExec.toJson().dump())
       << hwKindName(Kind);
-
-  // Dispatch-matrix unification: the fusion overlay and the choice of run
-  // loop are pure wall-clock knobs, so every observable — trace, memory,
-  // hardware state, ledger, exec.* profile — is byte-identical across
-  // {fusion on, off} × {threaded, switch} against the baseline run above.
-  const std::string BaseLedger = FullLedger.toJson().dump();
-  const std::string BaseExec = FullExec.toJson().dump();
-  struct DispatchLeg {
-    bool Fusion;
-    DispatchMode Mode;
-    const char *Name;
-  };
-  const DispatchLeg Legs[] = {
-      {true, DispatchMode::Threaded, "fused/threaded"},
-      {true, DispatchMode::Switch, "fused/switch"},
-      {false, DispatchMode::Threaded, "unfused/threaded"},
-      {false, DispatchMode::Switch, "unfused/switch"},
-  };
-  for (const DispatchLeg &Leg : Legs) {
-    if (Leg.Mode == DispatchMode::Threaded && !threadedDispatchAvailable())
-      continue;
-    auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
-    CostLedger Ledger;
-    ExecProfile Prof;
-    InterpreterOptions Opts;
-    Opts.Mitigation = Sel;
-    Opts.Provenance = &Ledger;
-    Opts.Probe = &Prof;
-    Opts.Fusion = Leg.Fusion;
-    Opts.Dispatch = Leg.Mode;
-    RunResult R = runFull(P, *Env, Opts);
-    EXPECT_EQ(R.T.FinalTime, Full.T.FinalTime) << Leg.Name;
-    EXPECT_EQ(R.T.Steps, Full.T.Steps) << Leg.Name;
-    EXPECT_EQ(R.T.FinalMissTable, Full.T.FinalMissTable) << Leg.Name;
-    EXPECT_TRUE(R.FinalMemory == Full.FinalMemory) << Leg.Name;
-    EXPECT_TRUE(Env->stateEquals(*FullEnv)) << Leg.Name;
-    ASSERT_EQ(R.T.Events.size(), Full.T.Events.size()) << Leg.Name;
-    for (size_t I = 0; I != R.T.Events.size(); ++I)
-      EXPECT_TRUE(R.T.Events[I] == Full.T.Events[I])
-          << Leg.Name << " event " << I;
-    ASSERT_EQ(R.T.Mitigations.size(), Full.T.Mitigations.size()) << Leg.Name;
-    for (size_t I = 0; I != R.T.Mitigations.size(); ++I)
-      EXPECT_TRUE(R.T.Mitigations[I] == Full.T.Mitigations[I])
-          << Leg.Name << " mitigation " << I;
-    EXPECT_EQ(Ledger.toJson().dump(), BaseLedger) << Leg.Name;
-    MetricsRegistry Exec;
-    Prof.exportMetrics(Exec);
-    EXPECT_EQ(Exec.toJson().dump(), BaseExec) << Leg.Name;
-  }
 
   // Online/offline agreement: replaying the finished trace through a
   // fresh accountant must land on the same Sec. 6 bound, bit for bit,
@@ -341,23 +291,13 @@ TEST(CompiledProgram, MismatchedLoweringInputsAbort) {
   Linear.Mitigation.Default = &linearPolicy();
   EXPECT_DEATH(StepInterpreter(C, *Env, Linear),
                "StepInterpreter: the options' Mitigation differs");
-  InterpreterOptions Unfused;
-  Unfused.Fusion = false;
-  EXPECT_DEATH(FullInterpreter(C, *Env, Unfused), "Fusion differs");
-  const FusionProfile Empty;
-  InterpreterOptions OtherPlan;
-  OtherPlan.FuseProfile = &Empty;
-  EXPECT_DEATH(FullInterpreter(C, *Env, OtherPlan), "FuseProfile differs");
 
-  // Everything else may change per run, and an equal profile at another
-  // address plans the same fusion.
+  // Everything else may change per run.
   InterpreterOptions PerRun;
   PerRun.StepLimit = 10;
   PerRun.RecordMisses = true;
   PerRun.Penalty = PenaltyPolicy::Global;
   PerRun.Mitigation.Default = &fastDoublingPolicy();
-  const FusionProfile Copy = FusionProfile::defaultProfile();
-  PerRun.FuseProfile = &Copy;
   EXPECT_EQ(C.mismatchedInput(PerRun), nullptr);
   FullInterpreter Interp(C, *Env, PerRun);
   EXPECT_EQ(Interp.run().FinalMemory.load("l"), 1);

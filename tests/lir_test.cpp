@@ -1,17 +1,14 @@
-//===- lir_test.cpp - The register-transfer tier and fusion plans ----------===//
+//===- lir_test.cpp - The register-transfer tier -------------------------===//
 //
 // The LIR tier under the timing-IR: lowering invariants (verifyLir over
-// random well-typed programs), the FusionProfile data format, and the
-// central soundness obligation of superinstruction fusion — that the
-// fusion plan, branches into a pair's second constituent, and Step-engine
-// resume from the middle of a superinstruction are all invisible to every
-// observable.
+// random well-typed programs), stable printing, and the resume obligation
+// of the execution core — single steps followed by run() observe exactly
+// what one uninterrupted run does.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/RandomProgram.h"
 #include "hw/HardwareModels.h"
-#include "ir/Fusion.h"
 #include "ir/Lir.h"
 #include "ir/Lowering.h"
 #include "obs/CostLedger.h"
@@ -27,33 +24,36 @@ using namespace zam::test;
 
 namespace {
 
-/// A loop whose body is a fusible assign;assign chain and whose back edge
-/// branches into the middle of it: fused runs must still be able to enter
-/// a pair's second constituent standalone through the de-fused table.
+/// A loop with an array store and a secret-dependent sleep inside one
+/// mitigate window, with work on both sides of it: resume points cover
+/// every opcode, including the inside of an open window.
 Program loopProgram() {
-  Program P = parseOrDie("var x : L;\nvar y : L;\n"
+  Program P = parseOrDie("var h : H;\nvar x : L;\nvar y : L;\n"
+                         "var a : L[4];\n"
                          "x := 6;\n"
-                         "while x > 0 do { y := y + x; x := x - 1 }");
+                         "mitigate (32, H) {\n"
+                         "  while x > 0 do {\n"
+                         "    y := y + x; a[x] := y; x := x - 1\n"
+                         "  };\n"
+                         "  sleep(h + 20) @[H,H]\n"
+                         "};\n"
+                         "y := y + 1",
+                         lh());
   inferTimingLabels(P);
   return P;
 }
 
-/// Observables of one full-engine run, for byte comparison across knobs.
+/// Observables of one run, for byte comparison across resume points.
 struct Observed {
   Trace T;
   Memory M;
   std::string Ledger;
 };
 
-Observed runWith(const Program &P, HwKind Kind, bool Fusion,
-                 DispatchMode Mode,
-                 const FusionProfile *Prof = nullptr) {
+Observed runUninterrupted(const Program &P, HwKind Kind) {
   auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
   CostLedger Ledger;
   InterpreterOptions Opts;
-  Opts.Fusion = Fusion;
-  Opts.FuseProfile = Prof;
-  Opts.Dispatch = Mode;
   Opts.Provenance = &Ledger;
   RunResult R = runFull(P, *Env, Opts);
   EXPECT_FALSE(R.T.HitStepLimit);
@@ -84,10 +84,9 @@ TEST(Lir, LoweringPreservesShapeAndVerifies) {
   IrProgram IR = lowerProgram(P);
   LirProgram L = lowerToLir(IR);
 
-  // 1:1 with the IR tier, micro-ops bounded, empty plan verifies.
+  // 1:1 with the IR tier, micro-ops bounded.
   ASSERT_EQ(L.Insts.size(), IR.Instrs.size());
   EXPECT_EQ(L.IR, &IR);
-  EXPECT_EQ(L.FusedPairs, 0u);
   EXPECT_GE(L.NumRegs, 1u);
   std::string Err;
   EXPECT_TRUE(verifyLir(L, Err)) << Err;
@@ -97,17 +96,6 @@ TEST(Lir, LoweringPreservesShapeAndVerifies) {
     EXPECT_EQ(L.Insts[I].K, IR.Instrs[I].K) << "pc " << I;
     EXPECT_EQ(L.Insts[I].Next, IR.Instrs[I].Next) << "pc " << I;
   }
-
-  // The default and the everything plans both verify; re-planning with an
-  // empty profile clears the overlay.
-  planFusion(L, FusionProfile::defaultProfile());
-  EXPECT_TRUE(verifyLir(L, Err)) << Err;
-  EXPECT_GT(L.FusedPairs, 0u) << "the loop body must fuse something";
-  planFusion(L, FusionProfile::all());
-  EXPECT_TRUE(verifyLir(L, Err)) << Err;
-  planFusion(L, FusionProfile());
-  EXPECT_TRUE(verifyLir(L, Err)) << Err;
-  EXPECT_EQ(L.FusedPairs, 0u);
 }
 
 TEST(Lir, RandomProgramsLowerAndVerify) {
@@ -124,18 +112,6 @@ TEST(Lir, RandomProgramsLowerAndVerify) {
     LirProgram L = lowerToLir(IR);
     std::string Err;
     ASSERT_TRUE(verifyLir(L, Err)) << Err;
-    planFusion(L, FusionProfile::all());
-    ASSERT_TRUE(verifyLir(L, Err)) << Err;
-    // No pair chains and every head is straightline — re-derive the plan
-    // rules independently of the verifier.
-    for (uint32_t Pc = 0; Pc != L.Insts.size(); ++Pc) {
-      if (!L.fusedAt(Pc))
-        continue;
-      EXPECT_TRUE(fusibleFirst(L.Insts[Pc].K));
-      EXPECT_TRUE(fusibleSecond(L.Insts[L.FusedWith[Pc]].K));
-      EXPECT_EQ(L.FusedWith[Pc], L.Insts[Pc].Next);
-      EXPECT_FALSE(L.fusedAt(L.FusedWith[Pc])) << "pairs must not chain";
-    }
   }
   ASSERT_GE(Found, 10u);
 }
@@ -144,107 +120,32 @@ TEST(Lir, PrintLirIsStable) {
   Program P = loopProgram();
   IrProgram IR = lowerProgram(P);
   LirProgram L = lowerToLir(IR);
-  planFusion(L, FusionProfile::defaultProfile());
   const std::string First = printLir(L, P.lattice());
-  EXPECT_NE(First.find("fused pairs"), std::string::npos);
+  EXPECT_EQ(First.rfind("lir: ", 0), 0u);
   EXPECT_EQ(First, printLir(L, P.lattice())) << "rendering must be pure";
 }
 
-TEST(Lir, FusionInvisibleAcrossDispatchMatrix) {
+TEST(Lir, StepThenRunResumesExactly) {
+  // run() picks up wherever single steps left the core — in the middle of
+  // the loop body, on the back edge, or inside the open mitigate window —
+  // and every observable matches one uninterrupted run.
   Program P = loopProgram();
   for (HwKind Kind : allHwKinds()) {
-    const Observed Base = runWith(P, Kind, /*Fusion=*/false,
-                                  DispatchMode::Switch);
-    expectSameObservables(
-        Base, runWith(P, Kind, true, DispatchMode::Switch), "fused/switch");
-    if (threadedDispatchAvailable()) {
-      expectSameObservables(Base,
-                            runWith(P, Kind, true, DispatchMode::Threaded),
-                            "fused/threaded");
-      expectSameObservables(Base,
-                            runWith(P, Kind, false, DispatchMode::Threaded),
-                            "unfused/threaded");
-    }
-    // A single-digram profile (assign;assign only) is a valid plan too.
-    FusionProfile Narrow;
-    ASSERT_TRUE(Narrow.add(IrInstr::Op::Assign, IrInstr::Op::Assign));
-    expectSameObservables(
-        Base, runWith(P, Kind, true, DispatchMode::Auto, &Narrow),
-        "fused/narrow-profile");
-  }
-}
-
-TEST(Lir, StepResumeMidSuperinstruction) {
-  // Resuming run() from every possible step count K covers, in
-  // particular, pcs that sit in the middle of a fused pair: single steps
-  // go through the de-fused table, and the fused run loop must pick up
-  // soundly from whatever pc they leave behind.
-  Program P = loopProgram();
-  for (HwKind Kind : allHwKinds()) {
-    const Observed Base = runWith(P, Kind, true, DispatchMode::Auto);
+    const Observed Base = runUninterrupted(P, Kind);
+    ASSERT_FALSE(Base.T.Mitigations.empty());
     for (uint64_t K = 0; K <= Base.T.Steps; ++K) {
       auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
-      StepInterpreter Step(P, *Env);
+      CostLedger Ledger;
+      InterpreterOptions Opts;
+      Opts.Provenance = &Ledger;
+      StepInterpreter Step(P, *Env, Opts);
       for (uint64_t I = 0; I != K; ++I)
         Step.step();
       Trace T = Step.runToCompletion();
-      EXPECT_EQ(T.FinalTime, Base.T.FinalTime) << "resume after " << K;
-      EXPECT_EQ(T.Steps, Base.T.Steps) << "resume after " << K;
-      EXPECT_TRUE(Step.memory() == Base.M) << "resume after " << K;
+      const std::string What = "resume after " + std::to_string(K);
+      expectSameObservables(
+          Base, {std::move(T), Step.memory(), Ledger.toJson().dump()},
+          What.c_str());
     }
   }
-}
-
-TEST(FusionProfileFormat, ParseRenderRoundtrip) {
-  std::string Err;
-  std::optional<FusionProfile> P = FusionProfile::parse(
-      "# the hot pairs\n"
-      "assign assign\n"
-      "\n"
-      "assign branch\n"
-      "store assign\n",
-      Err);
-  ASSERT_TRUE(P.has_value()) << Err;
-  EXPECT_EQ(P->digrams().size(), 3u);
-  EXPECT_TRUE(P->contains(IrInstr::Op::Assign, IrInstr::Op::Branch));
-  EXPECT_FALSE(P->contains(IrInstr::Op::Branch, IrInstr::Op::Assign));
-
-  std::optional<FusionProfile> Again = FusionProfile::parse(P->render(), Err);
-  ASSERT_TRUE(Again.has_value()) << Err;
-  EXPECT_EQ(Again->render(), P->render());
-}
-
-TEST(FusionProfileFormat, RejectsMalformedAndUnfusible) {
-  std::string Err;
-  EXPECT_FALSE(FusionProfile::parse("assign\n", Err).has_value());
-  EXPECT_FALSE(Err.empty());
-  EXPECT_FALSE(FusionProfile::parse("assign frobnicate\n", Err).has_value());
-  // Branch may only close a pair; mitigation ops never fuse.
-  EXPECT_FALSE(FusionProfile::parse("branch assign\n", Err).has_value());
-  EXPECT_FALSE(FusionProfile::parse("mitenter skip\n", Err).has_value());
-
-  FusionProfile F;
-  EXPECT_FALSE(F.add(IrInstr::Op::Branch, IrInstr::Op::Assign));
-  EXPECT_FALSE(F.add(IrInstr::Op::Assign, IrInstr::Op::MitEnd));
-  EXPECT_TRUE(F.empty());
-  EXPECT_TRUE(F.add(IrInstr::Op::Assign, IrInstr::Op::Assign));
-  EXPECT_TRUE(F.add(IrInstr::Op::Assign, IrInstr::Op::Assign))
-      << "duplicates are dropped, not errors";
-  EXPECT_EQ(F.digrams().size(), 1u);
-}
-
-TEST(FusionProfileFormat, DefaultAndAllAreStructurallySound) {
-  for (auto [A, B] : FusionProfile::defaultProfile().digrams()) {
-    EXPECT_TRUE(fusibleFirst(A));
-    EXPECT_TRUE(fusibleSecond(B));
-  }
-  const FusionProfile All = FusionProfile::all();
-  EXPECT_FALSE(All.empty());
-  for (auto [A, B] : All.digrams()) {
-    EXPECT_TRUE(fusibleFirst(A));
-    EXPECT_TRUE(fusibleSecond(B));
-  }
-  // `all` dominates the default.
-  for (auto [A, B] : FusionProfile::defaultProfile().digrams())
-    EXPECT_TRUE(All.contains(A, B));
 }

@@ -23,16 +23,11 @@
 //                                      (the execution observatory): dump the
 //                                      IR annotated with exact per-pc
 //                                      dispatch counts, rank the hottest pcs
-//                                      and opcode digrams (candidate vs
-//                                      realized superinstruction counts for
-//                                      the active fusion plan, plus the
-//                                      static pc-level pair listing), report
-//                                      per-branch taken/not-taken splits and
-//                                      per-site settle-epoch histograms;
-//                                      --folded writes a collapsed-stack file
-//                                      for flamegraph.pl / speedscope;
-//                                      --emit-fuse-profile writes the
-//                                      measured ranking as a profile file
+//                                      and opcode digrams, report per-branch
+//                                      taken/not-taken splits and per-site
+//                                      settle-epoch histograms; --folded
+//                                      writes a collapsed-stack file for
+//                                      flamegraph.pl / speedscope
 //   zamc attack <file.zam> --class NAME:var=V|var=LO..HI[,...] ... [options]
 //                                      run the empirical adversary: sample
 //                                      secrets from two or more named
@@ -64,14 +59,8 @@
 //                         "program;line L;op count" line per source-line/
 //                         opcode pair) for flamegraph.pl or speedscope
 //   --tier ir|lir         with `ir`: which lowering tier to print — the
-//                         timing-IR listing (default) or the fused
+//                         timing-IR listing (default) or the
 //                         register-transfer LIR the engines execute
-//   --fuse-profile FILE   drive superinstruction fusion from FILE (one
-//                         "first second" opcode digram per line, '#'
-//                         comments) instead of the built-in default plan
-//   --emit-fuse-profile FILE  with `hot`: write the run's measured digram
-//                         ranking, filtered to fusible pairs, in
-//                         --fuse-profile format
 //   --no-equal-labels     drop the commodity er=ew side condition
 //   --threads N           worker threads for leakage/audit/attack fan-out
 //                         (0 = auto via ZAM_THREADS / hardware)
@@ -118,7 +107,6 @@
 #include "analysis/RandomProgram.h"
 #include "exp/Harness.h"
 #include "exp/ParallelRunner.h"
-#include "ir/Fusion.h"
 #include "ir/IrPrinter.h"
 #include "ir/Lir.h"
 #include "ir/Lowering.h"
@@ -191,10 +179,6 @@ struct Options {
   unsigned TopK = 10;     ///< `hot`: ranking depth for pcs and digrams.
   std::string FoldedPath; ///< `hot`: collapsed-stack output (empty: none).
   std::string IrTier = "ir"; ///< `ir`: which tier to dump (ir | lir).
-  std::string FuseProfilePath;     ///< --fuse-profile: digram list file.
-  std::string EmitFuseProfilePath; ///< `hot`: measured-profile output.
-  /// The parsed --fuse-profile, owned here (engines borrow it).
-  std::optional<FusionProfile> LoadedFuseProfile;
   uint64_t Seed = 0;      ///< --seed: base Rng seed for sampled commands.
   bool SeedSet = false;   ///< Whether --seed was given explicitly.
   unsigned Samples = 256; ///< `attack`: total sampled executions.
@@ -233,8 +217,7 @@ int usage(const std::string &BadArg = "") {
       "  [--adversary LEVEL] [--no-equal-labels]\n"
       "  [--mitigation SPEC] [--mitigate-site ETA=SPEC]...\n"
       "  [--recommend] [--top N] [--folded FILE]\n"
-      "  [--tier ir|lir] [--fuse-profile FILE]\n"
-      "  [--emit-fuse-profile FILE]\n"
+      "  [--tier ir|lir]\n"
       "  [--threads N] [--seed S] [--json FILE]\n"
       "  [--stats[=FILE]] [--trace-out FILE]\n"
       "  [--trace-format jsonl|chrome|ztb] [--progress]\n"
@@ -460,16 +443,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!V || (std::strcmp(V, "ir") != 0 && std::strcmp(V, "lir") != 0))
         return false;
       Opts.IrTier = V;
-    } else if (Arg == "--fuse-profile") {
-      const char *V = Next();
-      if (!V || !*V)
-        return false;
-      Opts.FuseProfilePath = V;
-    } else if (Arg == "--emit-fuse-profile") {
-      const char *V = Next();
-      if (!V || !*V)
-        return false;
-      Opts.EmitFuseProfilePath = V;
     } else if (Arg == "--progress") {
       Opts.Progress = true;
     } else if (Arg == "--snapshot-every") {
@@ -492,13 +465,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
 /// Collects the per-run counters when --stats or --trace-out asked for them.
 bool wantsTelemetry(const Options &Opts) {
   return Opts.Stats || !Opts.TraceOutPath.empty();
-}
-
-/// Points \p IOpts at the --fuse-profile digram list when one was loaded;
-/// engines otherwise keep the statically seeded default profile.
-void applyFusionOptions(InterpreterOptions &IOpts, const Options &Opts) {
-  if (Opts.LoadedFuseProfile)
-    IOpts.FuseProfile = &*Opts.LoadedFuseProfile;
 }
 
 /// Resolves the export format for --trace-out: an explicit --trace-format
@@ -632,7 +598,6 @@ int cmdRun(Program &P, const Options &Opts, bool Timeline) {
   ExecProfile Prof;
   InterpreterOptions IOpts;
   IOpts.Mitigation = Opts.Mitigation;
-  applyFusionOptions(IOpts, Opts);
   IOpts.RecordMisses = !Opts.TraceOutPath.empty();
   if (wantsTelemetry(Opts)) {
     IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &R) {
@@ -868,7 +833,6 @@ int cmdProfile(Program &P, const Options &Opts, const std::string &Source) {
   ExecProfile Prof;
   InterpreterOptions IOpts;
   IOpts.Mitigation = Opts.Mitigation;
-  applyFusionOptions(IOpts, Opts);
   IOpts.Provenance = &Ledger;
   if (wantsTelemetry(Opts))
     IOpts.Probe = &Prof;
@@ -937,8 +901,8 @@ int cmdProfile(Program &P, const Options &Opts, const std::string &Source) {
 
 /// `zamc hot`: the execution observatory. One deterministic run with the
 /// engine self-profiler attached; reports where the *interpreter* spends
-/// its dispatches (per-pc counts, opcode totals, digram fusion candidates,
-/// branch splits, settle-epoch histograms). Everything on stdout derives
+/// its dispatches (per-pc counts, opcode totals, opcode digrams, branch
+/// splits, settle-epoch histograms). Everything on stdout derives
 /// from exact dispatch counts — byte-stable and golden-diffable; the host
 /// wall-clock sample summary goes to stderr like other non-deterministic
 /// chatter.
@@ -961,7 +925,6 @@ int cmdHot(Program &P, const Options &Opts) {
   ExecProfile Prof;
   InterpreterOptions IOpts;
   IOpts.Mitigation = Opts.Mitigation;
-  applyFusionOptions(IOpts, Opts);
   IOpts.Probe = &Prof;
   IOpts.RecordMisses = !Opts.TraceOutPath.empty();
   if (wantsTelemetry(Opts))
@@ -1039,55 +1002,14 @@ int cmdHot(Program &P, const Options &Opts) {
     std::printf("\n");
   }
 
-  // The fusion books. The run above executed the active plan (the default
-  // profile, or --fuse-profile), so savings are *realized*, not projected:
-  // each superinstruction the probe saw saved exactly one dispatch-loop
-  // iteration. Candidate counts are adjacent-digram occurrences; a
-  // candidate can exceed its realized count when pairs overlap in a chain
-  // (greedy planning claims each pc once) or when the digram is missing
-  // from the active profile.
   std::vector<ExecProfile::DigramRank> Digrams = Prof.rankedDigrams();
-  const uint64_t FusedTotal = Prof.fusedDispatches();
-  std::printf("\nfusion (opcode digrams; realized pairs each saved one "
-              "dispatch-loop iteration):\n");
+  std::printf("\nopcode digrams (consecutive dispatches):\n");
   for (unsigned I = 0; I != Opts.TopK && I != Digrams.size(); ++I) {
     const ExecProfile::DigramRank &D = Digrams[I];
-    const uint64_t Realized = Prof.fusedDigram(D.A, D.B);
-    std::printf("  #%-2u %s;%s: %" PRIu64 " candidates, %" PRIu64
-                " realized (%5.1f%% of %" PRIu64 " dispatches)",
-                I + 1, irOpName(D.A), irOpName(D.B), D.Count, Realized,
-                Share(Realized), Total);
-    if (!fusibleFirst(D.A) || !fusibleSecond(D.B))
-      std::printf("  [not fusible]");
-    std::printf("\n");
-  }
-  std::printf("  total: %" PRIu64 " superinstructions saved %5.1f%% of %"
-              PRIu64 " dispatch-loop iterations\n",
-              FusedTotal, Share(FusedTotal), Total);
-
-  // The static plan the engines realized: lowering here reproduces it
-  // bit-for-bit (same IR, same profile), giving the pc-level pair listing.
-  LirProgram Lir = lowerToLir(IR);
-  planFusion(Lir, Opts.LoadedFuseProfile ? *Opts.LoadedFuseProfile
-                                         : FusionProfile::defaultProfile());
-  std::string LirErr;
-  if (!verifyLir(Lir, LirErr)) {
-    std::fprintf(stderr, "error: %s\n", LirErr.c_str());
-    return 1;
-  }
-  if (Lir.FusedPairs) {
-    std::printf("\nfused pairs (static plan, %" PRIu32 " pairs):\n",
-                Lir.FusedPairs);
-    for (uint32_t Pc = 0; Pc != Lir.Insts.size(); ++Pc) {
-      if (!Lir.fusedAt(Pc))
-        continue;
-      const uint32_t Second = Lir.FusedWith[Pc];
-      std::printf("  pc %3u+%-3u %s;%s: %" PRIu64 " head dispatches\n", Pc,
-                  Second, irOpName(Lir.Insts[Pc].K),
-                  irOpName(Lir.Insts[Second].K), Prof.pcs()[Pc].Count);
-    }
-  } else {
-    std::printf("\nfused pairs: none planned\n");
+    const std::string Pair =
+        std::string(irOpName(D.A)) + ";" + irOpName(D.B) + ":";
+    std::printf("  #%-2u %-18s %10" PRIu64 " (%5.1f%%)\n", I + 1,
+                Pair.c_str(), D.Count, Share(D.Count));
   }
 
   std::printf("\nbranches: %" PRIu64 " taken, %" PRIu64 " not taken\n",
@@ -1145,37 +1067,11 @@ int cmdHot(Program &P, const Options &Opts) {
                  Opts.FoldedPath.c_str());
   }
 
-  if (!Opts.EmitFuseProfilePath.empty()) {
-    // The measured digram ranking, filtered to the structurally fusible
-    // pairs — the file --fuse-profile feeds back into any workload.
-    FusionProfile Measured;
-    for (const ExecProfile::DigramRank &D : Digrams)
-      if (D.Count)
-        Measured.add(D.A, D.B);
-    std::FILE *F = std::fopen(Opts.EmitFuseProfilePath.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
-                   Opts.EmitFuseProfilePath.c_str());
-      return 1;
-    }
-    const std::string Text = Measured.render();
-    bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-    Ok &= std::fclose(F) == 0;
-    if (!Ok) {
-      std::fprintf(stderr, "error: short write to '%s'\n",
-                   Opts.EmitFuseProfilePath.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote fusion profile to %s\n",
-                 Opts.EmitFuseProfilePath.c_str());
-  }
-
   if (wantsTelemetry(Opts)) {
     MetricsRegistry Reg;
     collectRunMetrics(Reg, R.T, R.Hw, P.lattice());
     Audit.exportMetrics(Reg);
     Prof.exportMetrics(Reg);
-    Prof.exportFusionMetrics(Reg);
     if (!emitTraceIfRequested(Opts, R.T, P.lattice()) ||
         !emitStatsIfRequested(Opts, Reg))
       return 1;
@@ -1199,15 +1095,12 @@ int cmdHot(Program &P, const Options &Opts) {
   Br["taken"] = JsonValue(Prof.branchTaken());
   Br["not_taken"] = JsonValue(Prof.branchNotTaken());
   Doc["branch"] = std::move(Br);
-  Doc["fused_dispatches"] = JsonValue(FusedTotal);
-  Doc["fused_pairs_planned"] = JsonValue(static_cast<uint64_t>(Lir.FusedPairs));
   JsonValue DigArr = JsonValue::array();
   for (const ExecProfile::DigramRank &D : Digrams) {
     JsonValue Row = JsonValue::object();
     Row["a"] = JsonValue(std::string(irOpName(D.A)));
     Row["b"] = JsonValue(std::string(irOpName(D.B)));
     Row["count"] = JsonValue(D.Count);
-    Row["fused"] = JsonValue(Prof.fusedDigram(D.A, D.B));
     DigArr.push(std::move(Row));
   }
   Doc["digrams"] = std::move(DigArr);
@@ -1288,7 +1181,6 @@ int cmdLeakage(Program &P, const Options &Opts) {
   auto Env = createMachineEnv(Opts.Hw, Lat);
   InterpreterOptions MOpts;
   MOpts.Mitigation = Opts.Mitigation;
-  applyFusionOptions(MOpts, Opts);
   LeakageResult R = measureLeakage(P, *Env, Spec, MOpts, Opts.Threads);
 
   if (wantsTelemetry(Opts)) {
@@ -1300,8 +1192,6 @@ int cmdLeakage(Program &P, const Options &Opts) {
                     Opts.Mitigation);
     InterpreterOptions IOpts;
     IOpts.Mitigation = Opts.Mitigation;
-    applyFusionOptions(IOpts, Opts);
-  applyFusionOptions(IOpts, Opts);
     IOpts.RecordMisses = !Opts.TraceOutPath.empty();
     IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &MR) {
       Audit.onWindow(MR);
@@ -1373,8 +1263,6 @@ int cmdAudit(Program &P, const Options &Opts) {
                     Opts.Mitigation);
     InterpreterOptions IOpts;
     IOpts.Mitigation = Opts.Mitigation;
-    applyFusionOptions(IOpts, Opts);
-  applyFusionOptions(IOpts, Opts);
     IOpts.RecordMisses = !Opts.TraceOutPath.empty();
     IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &MR) {
       Audit.onWindow(MR);
@@ -1591,7 +1479,6 @@ int cmdAttack(Program &P, const Options &Opts) {
   AOpts.Adversary = Adv;
   InterpreterOptions IOpts;
   IOpts.Mitigation = Opts.Mitigation;
-  applyFusionOptions(IOpts, Opts);
   ParallelRunner Runner(Opts.Threads);
 
   // The bounded-memory collection pipeline: observations stream out of the
@@ -1795,15 +1682,6 @@ int main(int Argc, char **Argv) {
     return usage(Opts.BadArg);
   if (!resolveTraceFormat(Opts))
     return 2;
-  if (!Opts.FuseProfilePath.empty()) {
-    std::string Err;
-    Opts.LoadedFuseProfile = FusionProfile::load(Opts.FuseProfilePath, Err);
-    if (!Opts.LoadedFuseProfile) {
-      std::fprintf(stderr, "error: --fuse-profile %s: %s\n",
-                   Opts.FuseProfilePath.c_str(), Err.c_str());
-      return 1;
-    }
-  }
 
   std::string Source;
   {
@@ -1844,12 +1722,8 @@ int main(int Argc, char **Argv) {
         return lowerProgram(*P, CostModel(), Opts.Mitigation);
       }();
       if (Opts.IrTier == "lir") {
-        // The executable tier: register-transfer micro-ops plus the fusion
-        // plan the engines would realize under the selected profile.
-        LirProgram L = lowerToLir(IR);
-        planFusion(L, Opts.LoadedFuseProfile
-                          ? *Opts.LoadedFuseProfile
-                          : FusionProfile::defaultProfile());
+        // The executable tier: register-transfer micro-ops.
+        const LirProgram L = lowerToLir(IR);
         std::string Err;
         if (!verifyLir(L, Err)) {
           std::fprintf(stderr, "error: %s\n", Err.c_str());
