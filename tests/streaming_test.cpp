@@ -164,6 +164,51 @@ TEST(StreamingSinks, ChromeEscapingRoundTrips) {
   expectSameRecord(Got[0], nastyRecord());
 }
 
+/// The round-trips above cannot catch a byte difference that both the sink
+/// and the reader accept, so these pin the exact escaped bytes: `\"`, `\\`,
+/// `\n` and `\t` get short escapes, every other control char a lower-case
+/// `\u00xx`, and everything else — 0x7f and multi-byte UTF-8 included —
+/// passes through unchanged.
+TEST(StreamingSinks, EscapingBytesAreExact) {
+  std::string Controls;
+  for (char C = 0x01; C != 0x20; ++C)
+    Controls += C;
+  const std::pair<std::string, std::string> Cases[] = {
+      {"", R"("")"},
+      {"plain text", R"("plain text")"},
+      {"\"first", R"("\"first")"},
+      {"last\\", R"("last\\")"},
+      {R"(""\\"\)", R"("\"\"\\\\\"\\")"},
+      {"a\nb\tc", R"("a\nb\tc")"},
+      {Controls, R"("\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008)"
+                 R"(\t\n\u000b\u000c\u000d\u000e\u000f\u0010\u0011\u0012)"
+                 R"(\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a)"
+                 R"(\u001b\u001c\u001d\u001e\u001f")"},
+      {"del\x7f", "\"del\x7f\""},
+      {"caf\xc3\xa9 \xe2\x96\x88", "\"caf\xc3\xa9 \xe2\x96\x88\""},
+  };
+  for (const auto &[Raw, Quoted] : Cases) {
+    TraceRecord R;
+    R.Name = Raw;
+    R.Category = "c";
+    R.Args.emplace_back("k", Raw);
+
+    JsonlTraceSink Jsonl;
+    Jsonl.record(R);
+    EXPECT_EQ(Jsonl.finish(), "{\"kind\":\"instant\",\"name\":" + Quoted +
+                                  ",\"cat\":\"c\",\"ts\":0,\"args\":{\"k\":" +
+                                  Quoted + "}}\n");
+
+    ChromeTraceSink Chrome;
+    Chrome.record(R);
+    EXPECT_EQ(Chrome.finish(),
+              "[\n{\"name\":" + Quoted +
+                  ",\"cat\":\"c\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
+                  "\"tid\":1,\"ts\":0,\"args\":{\"k\":" +
+                  Quoted + "}}\n]\n");
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // ZTB: header provenance, every record kind, exact arg fidelity.
 //===----------------------------------------------------------------------===//
