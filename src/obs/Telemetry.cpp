@@ -8,7 +8,7 @@
 #include "support/BuildInfo.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
 using namespace zam;
 
@@ -126,177 +126,283 @@ std::unique_ptr<TraceSink> zam::makeTraceSink(TraceFormat Format,
   return nullptr;
 }
 
-static std::string hexAddr(Addr A) {
+namespace {
+
+/// Appends the decimal (or, with \p Base 16, lower-case hex) digits of \p V.
+template <typename Int>
+void appendInt(std::string &Out, Int V, int Base = 10) {
   char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "0x%llx", static_cast<unsigned long long>(A));
-  return Buf;
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V, Base).ptr);
 }
+
+/// The record streams of an export, in the order their keys are built —
+/// which, the sort being stable, is the order records with equal
+/// timestamps leave in. Leak windows and snapshots interleave: each
+/// snapshot is keyed right after the window it closes.
+enum class Stream : uint8_t {
+  Event,
+  Mitigation,
+  LeakWindow,
+  Snapshot,
+  Miss,
+  LedgerLine,
+  LedgerSite,
+};
+
+/// One record to emit: its timestamp and where its source data lives.
+/// Index is the position in the stream's source sequence (an index into
+/// Trace::Events, Trace::Mitigations, LeakAudit::windows() or
+/// Trace::Misses; unused for the ledger maps, which are walked in order).
+struct RecordKey {
+  uint64_t Ts;
+  uint32_t Index;
+  Stream From;
+};
+static_assert(sizeof(RecordKey) == 16, "one key per record stays compact");
+
+/// Refills one TraceRecord in place. Name, category and arg strings are
+/// assigned into the buffers the previous record left behind, so a
+/// steady-state export allocates nothing per record.
+class RecordFiller {
+public:
+  TraceRecord &begin(TraceRecord::Kind Kind, const char *Category,
+                     uint64_t Ts, uint64_t Dur = 0) {
+    R.RecordKind = Kind;
+    R.Category = Category;
+    R.Ts = Ts;
+    R.Dur = Dur;
+    Args = 0;
+    return R;
+  }
+
+  /// Opens arg \p Key and returns its cleared value buffer.
+  std::string &arg(const char *Key) {
+    if (Args == R.Args.size())
+      R.Args.emplace_back();
+    auto &[K, V] = R.Args[Args++];
+    K = Key;
+    V.clear();
+    return V;
+  }
+
+  template <typename Int> void intArg(const char *Key, Int V) {
+    appendInt(arg(Key), V);
+  }
+
+  /// The finished record: args past the ones this record opened dropped.
+  const TraceRecord &done() {
+    R.Args.resize(Args);
+    return R;
+  }
+
+private:
+  TraceRecord R;
+  size_t Args = 0;
+};
+
+} // namespace
 
 size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
                         const SecurityLattice &Lat,
                         const TraceExportOptions &Opts) {
-  std::vector<TraceRecord> Records;
+  // One priced leak_budget span per *counted* window (the online
+  // accountant's exact projection), so the double sums recomputed offline
+  // from these spans are bit-identical to the leak.* metrics — the
+  // zamtrace cross-check.
+  LeakAudit Audit(Lat, Opts.Adversary, Opts.Mitigation);
+  if (Opts.IncludeLeakBudget)
+    Audit.ingest(T);
+  const std::vector<LeakWindow> &Windows = Audit.windows();
+  // Cache misses are machine-internal: invisible to a language-level
+  // adversary, so an adversary projection drops them wholesale, and the
+  // ledger rows with them.
+  const bool WithMisses = Opts.IncludeMisses && !Opts.Adversary;
+  const CostLedger *Ledger = Opts.Adversary ? nullptr : Opts.Ledger;
 
+  // Key every record in emission order: interp events, mit windows, leak
+  // windows (each snapshot right after its window), hw misses, then the
+  // ledger's line and site rows. A 32-bit index suffices: 2^32 retained
+  // events alone would take hundreds of GiB.
+  std::vector<RecordKey> Keys;
+  Keys.reserve((Opts.IncludeEvents ? T.Events.size() : 0) +
+               (Opts.IncludeMitigations ? T.Mitigations.size() : 0) +
+               2 * Windows.size() + (WithMisses ? T.Misses.size() : 0) +
+               (Ledger ? Ledger->lines().size() + Ledger->sites().size()
+                       : 0));
+  auto key = [&Keys](uint64_t Ts, size_t Index, Stream From) {
+    Keys.push_back({Ts, static_cast<uint32_t>(Index), From});
+  };
   if (Opts.IncludeEvents)
-    for (const AssignEvent &E : T.Events) {
+    for (size_t I = 0; I != T.Events.size(); ++I) {
+      const AssignEvent &E = T.Events[I];
       // The Sec. 6.1 projection: an adversary at ℓA sees (x, v, t) iff
       // Γ(x) ⊑ ℓA.
-      if (Opts.Adversary && !Lat.flowsTo(E.VarLabel, *Opts.Adversary))
-        continue;
-      TraceRecord R;
-      R.RecordKind = TraceRecord::Kind::Instant;
-      R.Name = "assign " + E.Var;
-      if (E.IsArrayStore)
-        R.Name += "[" + std::to_string(E.ElemIndex) + "]";
-      R.Category = "interp";
-      R.Ts = E.Time;
-      R.Args.emplace_back("value", std::to_string(E.Value));
-      R.Args.emplace_back("label", Lat.name(E.VarLabel));
-      Records.push_back(std::move(R));
+      if (!Opts.Adversary || Lat.flowsTo(E.VarLabel, *Opts.Adversary))
+        key(E.Time, I, Stream::Event);
     }
-
+  // Mitigate spans are kept under any adversary: the padded duration is a
+  // schedule value the mitigator makes public by construction.
   if (Opts.IncludeMitigations)
-    for (const MitigateRecord &M : T.Mitigations) {
-      // Mitigate spans are kept under any adversary: the padded duration is
-      // a schedule value the mitigator makes public by construction.
-      TraceRecord R;
-      R.RecordKind = TraceRecord::Kind::Span;
-      R.Name = "mitigate#" + std::to_string(M.Eta);
-      R.Category = "mit";
-      R.Ts = M.Start;
-      R.Dur = M.Duration;
-      R.Args.emplace_back("level", Lat.name(M.Level));
-      R.Args.emplace_back("pc", Lat.name(M.PcLabel));
-      R.Args.emplace_back("estimate", std::to_string(M.Estimate));
-      R.Args.emplace_back("predicted", std::to_string(M.Duration));
-      R.Args.emplace_back("consumed", std::to_string(M.BodyTime));
-      R.Args.emplace_back(
-          "padded", std::to_string(M.Duration > M.BodyTime
-                                       ? M.Duration - M.BodyTime
-                                       : 0));
-      R.Args.emplace_back("mispredicted", M.Mispredicted ? "true" : "false");
-      if (M.Line != 0)
-        R.Args.emplace_back("loc", std::to_string(M.Line));
-      Records.push_back(std::move(R));
-    }
+    for (size_t I = 0; I != T.Mitigations.size(); ++I)
+      key(T.Mitigations[I].Start, I, Stream::Mitigation);
+  for (size_t I = 0; I != Windows.size(); ++I) {
+    const LeakWindow &W = Windows[I];
+    key(W.Start, I, Stream::LeakWindow);
+    // Periodic metrics snapshots: a deterministic running time series of
+    // the Sec. 6 account, stamped at the window's completion time.
+    if (Opts.SnapshotEveryWindows != 0 &&
+        (I + 1) % Opts.SnapshotEveryWindows == 0)
+      key(W.Start + W.Duration, I, Stream::Snapshot);
+  }
+  if (WithMisses)
+    for (size_t I = 0; I != T.Misses.size(); ++I)
+      key(T.Misses[I].Time, I, Stream::Miss);
+  // The embedded profile: the per-line and per-site ledger rows, stamped at
+  // the run's final time. Cycle attribution is not reconstructible from the
+  // event stream (hits are never sampled), so these rows are the offline
+  // reader's ground truth; everything it *can* rebuild — windows, padding,
+  // leak bits, sampled misses — it checks against them.
+  if (Ledger) {
+    for (size_t I = 0; I != Ledger->lines().size(); ++I)
+      key(T.FinalTime, I, Stream::LedgerLine);
+    for (size_t I = 0; I != Ledger->sites().size(); ++I)
+      key(T.FinalTime, I, Stream::LedgerSite);
+  }
 
-  if (Opts.IncludeLeakBudget) {
-    // One priced span per *counted* window (the online accountant's exact
-    // projection), so the double sums recomputed offline from these spans
-    // are bit-identical to the leak.* metrics — the zamtrace cross-check.
-    LeakAudit Audit(Lat, Opts.Adversary, Opts.Mitigation);
-    Audit.ingest(T);
-    const MitigationPolicy &RunDefault = Opts.Mitigation.base();
-    uint64_t SnapWindows = 0;
-    double SnapBits = 0;
-    for (const LeakWindow &W : Audit.windows()) {
-      TraceRecord R;
-      R.RecordKind = TraceRecord::Kind::Span;
-      R.Name = "leak_budget#" + std::to_string(W.Eta);
-      R.Category = "leak";
-      R.Ts = W.Start;
-      R.Dur = W.Duration;
-      R.Args.emplace_back("level", Lat.name(W.Level));
-      R.Args.emplace_back("estimate", std::to_string(W.Estimate));
-      R.Args.emplace_back("misses_after", std::to_string(W.MissesAfter));
-      R.Args.emplace_back("attainable", std::to_string(W.Attainable));
-      R.Args.emplace_back("window_bits", jsonNumberString(W.WindowBits));
-      R.Args.emplace_back("cum_level_bits",
-                          jsonNumberString(W.CumLevelBits));
-      R.Args.emplace_back("mispredicted", W.Mispredicted ? "true" : "false");
+  // One merged, time-ordered stream. stable_sort keeps the emission order
+  // for simultaneous records, so output is deterministic.
+  std::stable_sort(Keys.begin(), Keys.end(),
+                   [](const RecordKey &A, const RecordKey &B) {
+                     return A.Ts < B.Ts;
+                   });
+
+  // Ledger rows all share one timestamp, so the sort leaves each map's rows
+  // in map order: walk them with cursors.
+  std::map<uint32_t, LineCost>::const_iterator LineAt;
+  std::map<unsigned, SiteCost>::const_iterator SiteAt;
+  if (Ledger) {
+    LineAt = Ledger->lines().begin();
+    SiteAt = Ledger->sites().begin();
+  }
+  // Σ WindowBits over Windows[0, SnapEnd), summed in window order. Windows
+  // are recorded as they complete and a snapshot is stamped at its
+  // window's completion, so snapshots leave the sort in window order and
+  // the running sum only moves forward.
+  size_t SnapEnd = 0;
+  double SnapBits = 0;
+  const MitigationPolicy &RunDefault = Opts.Mitigation.base();
+  RecordFiller F;
+  using Kind = TraceRecord::Kind;
+  for (const RecordKey &K : Keys) {
+    switch (K.From) {
+    case Stream::Event: {
+      const AssignEvent &E = T.Events[K.Index];
+      TraceRecord &R = F.begin(Kind::Instant, "interp", K.Ts);
+      R.Name = "assign ";
+      R.Name += E.Var;
+      if (E.IsArrayStore) {
+        R.Name += '[';
+        appendInt(R.Name, E.ElemIndex);
+        R.Name += ']';
+      }
+      F.intArg("value", E.Value);
+      F.arg("label") = Lat.name(E.VarLabel);
+      break;
+    }
+    case Stream::Mitigation: {
+      const MitigateRecord &M = T.Mitigations[K.Index];
+      TraceRecord &R = F.begin(Kind::Span, "mit", K.Ts, M.Duration);
+      R.Name = "mitigate#";
+      appendInt(R.Name, M.Eta);
+      F.arg("level") = Lat.name(M.Level);
+      F.arg("pc") = Lat.name(M.PcLabel);
+      F.intArg("estimate", M.Estimate);
+      F.intArg("predicted", M.Duration);
+      F.intArg("consumed", M.BodyTime);
+      F.intArg("padded",
+               M.Duration > M.BodyTime ? M.Duration - M.BodyTime : 0);
+      F.arg("mispredicted") = M.Mispredicted ? "true" : "false";
+      if (M.Line != 0)
+        F.intArg("loc", M.Line);
+      break;
+    }
+    case Stream::LeakWindow: {
+      const LeakWindow &W = Windows[K.Index];
+      TraceRecord &R = F.begin(Kind::Span, "leak", K.Ts, W.Duration);
+      R.Name = "leak_budget#";
+      appendInt(R.Name, W.Eta);
+      F.arg("level") = Lat.name(W.Level);
+      F.intArg("estimate", W.Estimate);
+      F.intArg("misses_after", W.MissesAfter);
+      F.intArg("attainable", W.Attainable);
+      F.arg("window_bits") = jsonNumberString(W.WindowBits);
+      F.arg("cum_level_bits") = jsonNumberString(W.CumLevelBits);
+      F.arg("mispredicted") = W.Mispredicted ? "true" : "false";
       // Only sites diverging from the run default name their policy, so
       // default-policy traces keep the historical byte layout.
       if (W.Policy && W.Policy != &RunDefault)
-        R.Args.emplace_back("policy", W.Policy->spec());
+        F.arg("policy") = W.Policy->spec();
       if (W.Line != 0)
-        R.Args.emplace_back("loc", std::to_string(W.Line));
-      Records.push_back(std::move(R));
-
-      // Periodic metrics snapshots: a deterministic running time series of
-      // the Sec. 6 account, stamped at the window's completion time.
-      ++SnapWindows;
-      SnapBits += W.WindowBits;
-      if (Opts.SnapshotEveryWindows != 0 &&
-          SnapWindows % Opts.SnapshotEveryWindows == 0) {
-        TraceRecord S;
-        S.RecordKind = TraceRecord::Kind::Meta;
-        S.Name = "snapshot";
-        S.Category = "obs";
-        S.Ts = W.Start + W.Duration;
-        S.Args.emplace_back("windows", std::to_string(SnapWindows));
-        S.Args.emplace_back("total_bits_bound", jsonNumberString(SnapBits));
-        Records.push_back(std::move(S));
-      }
+        F.intArg("loc", W.Line);
+      break;
     }
-  }
-
-  // Cache misses are machine-internal: invisible to a language-level
-  // adversary, so an adversary projection drops them wholesale.
-  if (Opts.IncludeMisses && !Opts.Adversary)
-    for (const AccessSample &S : T.Misses) {
-      TraceRecord R;
-      R.RecordKind = TraceRecord::Kind::Instant;
+    case Stream::Snapshot: {
+      while (SnapEnd <= K.Index)
+        SnapBits += Windows[SnapEnd++].WindowBits;
+      TraceRecord &R = F.begin(Kind::Meta, "obs", K.Ts);
+      R.Name = "snapshot";
+      F.intArg("windows", SnapEnd);
+      F.arg("total_bits_bound") = jsonNumberString(SnapBits);
+      break;
+    }
+    case Stream::Miss: {
+      const AccessSample &S = T.Misses[K.Index];
+      TraceRecord &R = F.begin(Kind::Instant, "hw", K.Ts);
       R.Name = S.IsData ? "dmiss" : "imiss";
-      R.Category = "hw";
-      R.Ts = S.Time;
-      R.Args.emplace_back("addr", hexAddr(S.A));
-      R.Args.emplace_back("cycles", std::to_string(S.Cycles));
+      std::string &Hex = F.arg("addr");
+      Hex = "0x";
+      appendInt(Hex, S.A, 16);
+      F.intArg("cycles", S.Cycles);
       if (S.TlbMiss)
-        R.Args.emplace_back("tlb_miss", "true");
+        F.arg("tlb_miss") = "true";
       if (S.L1Miss)
-        R.Args.emplace_back("l1_miss", "true");
+        F.arg("l1_miss") = "true";
       if (S.L2Miss)
-        R.Args.emplace_back("memory", "true");
+        F.arg("memory") = "true";
       if (S.Line != 0)
-        R.Args.emplace_back("loc", std::to_string(S.Line));
-      Records.push_back(std::move(R));
+        F.intArg("loc", S.Line);
+      break;
     }
-
-  if (Opts.Ledger && !Opts.Adversary) {
-    // The embedded profile: the per-line and per-site ledger rows, stamped
-    // at the run's final time. Cycle attribution is not reconstructible
-    // from the event stream (hits are never sampled), so these rows are the
-    // offline reader's ground truth; everything it *can* rebuild — windows,
-    // padding, leak bits, sampled misses — it checks against them.
-    for (const auto &[Line, C] : Opts.Ledger->lines()) {
-      TraceRecord R;
-      R.RecordKind = TraceRecord::Kind::Instant;
-      R.Name = "prof_line#" + std::to_string(Line);
-      R.Category = "prof";
-      R.Ts = T.FinalTime;
-      R.Args.emplace_back("cycles", std::to_string(C.totalCycles()));
-      R.Args.emplace_back("step_cycles", std::to_string(C.StepCycles));
-      R.Args.emplace_back("sleep_cycles", std::to_string(C.SleepCycles));
-      R.Args.emplace_back("pad_cycles", std::to_string(C.PadCycles));
-      R.Args.emplace_back("accesses", std::to_string(C.Accesses));
-      R.Args.emplace_back("misses", std::to_string(C.misses()));
-      R.Args.emplace_back("windows", std::to_string(C.Windows));
-      R.Args.emplace_back("leak_bits", jsonNumberString(C.LeakBits));
-      Records.push_back(std::move(R));
+    case Stream::LedgerLine: {
+      const auto &[Line, C] = *LineAt++;
+      TraceRecord &R = F.begin(Kind::Instant, "prof", K.Ts);
+      R.Name = "prof_line#";
+      appendInt(R.Name, Line);
+      F.intArg("cycles", C.totalCycles());
+      F.intArg("step_cycles", C.StepCycles);
+      F.intArg("sleep_cycles", C.SleepCycles);
+      F.intArg("pad_cycles", C.PadCycles);
+      F.intArg("accesses", C.Accesses);
+      F.intArg("misses", C.misses());
+      F.intArg("windows", C.Windows);
+      F.arg("leak_bits") = jsonNumberString(C.LeakBits);
+      break;
     }
-    for (const auto &[Eta, S] : Opts.Ledger->sites()) {
-      TraceRecord R;
-      R.RecordKind = TraceRecord::Kind::Instant;
-      R.Name = "prof_site#" + std::to_string(Eta);
-      R.Category = "prof";
-      R.Ts = T.FinalTime;
-      R.Args.emplace_back("loc", std::to_string(S.Line));
-      R.Args.emplace_back("windows", std::to_string(S.Windows));
-      R.Args.emplace_back("pad_cycles", std::to_string(S.PadCycles));
-      R.Args.emplace_back("leak_bits", jsonNumberString(S.LeakBits));
-      Records.push_back(std::move(R));
+    case Stream::LedgerSite: {
+      const auto &[Eta, S] = *SiteAt++;
+      TraceRecord &R = F.begin(Kind::Instant, "prof", K.Ts);
+      R.Name = "prof_site#";
+      appendInt(R.Name, Eta);
+      F.intArg("loc", S.Line);
+      F.intArg("windows", S.Windows);
+      F.intArg("pad_cycles", S.PadCycles);
+      F.arg("leak_bits") = jsonNumberString(S.LeakBits);
+      break;
     }
+    }
+    Sink.record(F.done());
   }
-
-  // One merged, time-ordered stream. stable_sort keeps the within-category
-  // emission order for simultaneous records, so output is deterministic.
-  std::stable_sort(Records.begin(), Records.end(),
-                   [](const TraceRecord &A, const TraceRecord &B) {
-                     return A.Ts < B.Ts;
-                   });
-  for (const TraceRecord &R : Records)
-    Sink.record(R);
-  return Records.size();
+  return Keys.size();
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -131,7 +131,9 @@ struct TraceExportOptions {
 /// assignment instants (cat "interp"), mitigate spans (cat "mit"),
 /// leak_budget spans (cat "leak"), cache-miss instants (cat "hw") and —
 /// when a ledger is attached — source-profile rows (cat "prof").
-/// \returns the number of records emitted.
+/// Simultaneous records keep that stream order (each snapshot row right
+/// after its leak window). Memory is one 16-byte sort key per record plus
+/// one reused TraceRecord. \returns the number of records emitted.
 size_t exportTrace(TraceSink &Sink, const Trace &T, const SecurityLattice &Lat,
                    const TraceExportOptions &Opts = TraceExportOptions());
 

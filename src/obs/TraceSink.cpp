@@ -3,6 +3,7 @@
 #include "obs/TraceSink.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 using namespace zam;
@@ -29,10 +30,18 @@ const std::string &TraceSink::finish() {
 
 namespace {
 
-/// Appends \p S to \p Out as a quoted JSON string.
+/// Appends \p S to \p Out as a quoted JSON string. Each run of characters
+/// that needs no escaping is appended in one piece.
 void appendQuoted(std::string &Out, const std::string &S) {
   Out += '"';
-  for (char C : S) {
+  const char *Run = S.data();
+  const char *End = Run + S.size();
+  for (const char *P = Run; P != End; ++P) {
+    const unsigned char C = static_cast<unsigned char>(*P);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(Run, P);
+    Run = P + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -46,16 +55,14 @@ void appendQuoted(std::string &Out, const std::string &S) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    default: {
+      static constexpr char Hex[] = "0123456789abcdef";
+      const char Escape[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xF]};
+      Out.append(Escape, sizeof(Escape));
+    }
     }
   }
+  Out.append(Run, End);
   Out += '"';
 }
 
@@ -79,8 +86,7 @@ void appendArgs(std::string &Out,
 
 void appendU64(std::string &Out, uint64_t V) {
   char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu", static_cast<unsigned long long>(V));
-  Out += Buf;
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
 }
 
 void appendDouble(std::string &Out, double V) {

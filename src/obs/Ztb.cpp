@@ -55,7 +55,7 @@ void ZtbTraceSink::record(const TraceRecord &R) {
   ++RecordCount;
 
   // Serialize the payload, then prefix its length.
-  std::string Payload;
+  Payload.clear();
   switch (R.RecordKind) {
   case TraceRecord::Kind::Instant:
     Payload += static_cast<char>(ztb::KindInstant);

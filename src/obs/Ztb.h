@@ -88,6 +88,9 @@ private:
 
   bool WrotePreamble = false;
   uint64_t RecordCount = 0;
+  /// Per-record payload buffer, reused so record() allocates nothing once
+  /// it has grown to the largest payload.
+  std::string Payload;
 };
 
 } // namespace zam
