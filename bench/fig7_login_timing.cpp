@@ -138,13 +138,11 @@ int main(int Argc, char **Argv) {
   }
 
   // Interpreter throughput of record: repeated mitigated attempts against
-  // the first table, single-threaded, no provenance — the raw engine speed
-  // the timing-IR refactor targets. Wall-clock only (the "wall" JSON
-  // section), so the deterministic metrics stay byte-stable across
-  // machines. interp_wall_ms_seed is the same measurement taken at the
-  // pre-IR tree-walking engines on the acceptance container.
+  // the first table, single-threaded, no provenance — the raw engine speed.
+  // Wall-clock only (the "wall" JSON section), so the deterministic metrics
+  // stay byte-stable across machines; zam_perf (bench/perf) is the
+  // repeated, per-layer measurement.
   {
-    constexpr double SeedInterpWallMs = 12.1;
     constexpr unsigned Reps = 200;
     auto Env = createMachineEnv(HwKind::Partitioned, Lat);
     Program P = buildLoginProgram(Lat, Tables[0], Padded);
@@ -159,11 +157,8 @@ int main(int Argc, char **Argv) {
                     .count();
     R.setWallScalar("interp_runs", Reps);
     R.setWallScalar("interp_wall_ms", Ms);
-    R.setWallScalar("interp_wall_ms_seed", SeedInterpWallMs);
-    R.setWallScalar("interp_speedup_vs_seed", SeedInterpWallMs / Ms);
-    std::printf("\ninterpreter throughput: %u mitigated attempts in %.1f ms"
-                " (seed engines: %.1f ms, speedup %.2fx)\n",
-                Reps, Ms, SeedInterpWallMs, SeedInterpWallMs / Ms);
+    std::printf("\ninterpreter throughput: %u mitigated attempts in %.1f ms\n",
+                Reps, Ms);
   }
 
   std::printf("=== Fig. 7: login time per attempt (cycles; secrets = #valid"

@@ -144,13 +144,11 @@ int main(int Argc, char **Argv) {
   }
 
   // Interpreter throughput of record: repeated mitigated keyA decryptions,
-  // single-threaded, no provenance — the raw engine speed the timing-IR
-  // refactor targets. Wall-clock only (the "wall" JSON section), so the
-  // deterministic metrics stay byte-stable across machines.
-  // interp_wall_ms_seed is the same measurement taken at the pre-IR
-  // tree-walking engines on the acceptance container.
+  // single-threaded, no provenance — the raw engine speed. Wall-clock only
+  // (the "wall" JSON section), so the deterministic metrics stay
+  // byte-stable across machines; zam_perf (bench/perf) is the repeated,
+  // per-layer measurement.
   {
-    constexpr double SeedInterpWallMs = 134.0;
     constexpr unsigned Reps = 20;
     RsaProgramConfig Config;
     Config.Mode = RsaMitigationMode::PerBlock;
@@ -166,11 +164,9 @@ int main(int Argc, char **Argv) {
                     .count();
     R.setWallScalar("interp_runs", Reps);
     R.setWallScalar("interp_wall_ms", Ms);
-    R.setWallScalar("interp_wall_ms_seed", SeedInterpWallMs);
-    R.setWallScalar("interp_speedup_vs_seed", SeedInterpWallMs / Ms);
     std::printf("\ninterpreter throughput: %u mitigated decryptions in"
-                " %.1f ms (seed engines: %.1f ms, speedup %.2fx)\n",
-                Reps, Ms, SeedInterpWallMs, SeedInterpWallMs / Ms);
+                " %.1f ms\n",
+                Reps, Ms);
   }
 
   std::printf("=== Fig. 8: decryption time per message (cycles) ===\n");

@@ -46,7 +46,7 @@ PropertyReport zam::checkAdequacy(const Program &P,
   for (size_t I = 0; I != Core.Events.size(); ++I) {
     const AssignEvent &A = Core.Events[I];
     const AssignEvent &B = Full.T.Events[I];
-    if (A.Var != B.Var || A.Value != B.Value ||
+    if (A.Slot != B.Slot || A.Value != B.Value ||
         A.IsArrayStore != B.IsArrayStore || A.ElemIndex != B.ElemIndex)
       return PropertyReport::fail(fmt("event %zu differs", I));
   }

@@ -108,6 +108,8 @@ ProbeResult zam::runPrimeProbe(const Program &P, MachineEnv &Env, int64_t Key,
                             (Config.SboxEntries - 1));
   const Addr VictimAddr = SboxBase + Index * 8;
 
+  const size_t SetSlot = M.slotIndexOf("s");
+  const size_t MarkSlot = M.slotIndexOf("mark");
   RunResult R = Interp.run();
 
   ProbeResult Out;
@@ -120,9 +122,9 @@ ProbeResult zam::runPrimeProbe(const Program &P, MachineEnv &Env, int64_t Key,
   std::vector<uint64_t> MarkTimes;
   uint64_t ProbeStart = 0;
   for (const AssignEvent &E : R.T.Events) {
-    if (E.Var == "s" && E.Value == 0 && MarkTimes.empty())
+    if (E.Slot == SetSlot && E.Value == 0 && MarkTimes.empty())
       ProbeStart = E.Time; // The probe loop's initialization.
-    if (E.Var == "mark")
+    if (E.Slot == MarkSlot)
       MarkTimes.push_back(E.Time);
   }
   if (MarkTimes.size() != Config.Sets)

@@ -6,9 +6,9 @@
 #include "obs/LeakAudit.h"
 #include "obs/Ztb.h"
 #include "support/BuildInfo.h"
+#include "support/StrAppend.h"
 
 #include <algorithm>
-#include <charconv>
 
 using namespace zam;
 
@@ -127,13 +127,6 @@ std::unique_ptr<TraceSink> zam::makeTraceSink(TraceFormat Format,
 }
 
 namespace {
-
-/// Appends the decimal (or, with \p Base 16, lower-case hex) digits of \p V.
-template <typename Int>
-void appendInt(std::string &Out, Int V, int Base = 10) {
-  char Buf[24];
-  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V, Base).ptr);
-}
 
 /// The record streams of an export, in the order their keys are built —
 /// which, the sort being stable, is the order records with equal
@@ -299,7 +292,7 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
       const AssignEvent &E = T.Events[K.Index];
       TraceRecord &R = F.begin(Kind::Instant, "interp", K.Ts);
       R.Name = "assign ";
-      R.Name += E.Var;
+      R.Name += T.varName(E);
       if (E.IsArrayStore) {
         R.Name += '[';
         appendInt(R.Name, E.ElemIndex);

@@ -2,8 +2,9 @@
 
 #include "obs/TraceSink.h"
 
+#include "support/StrAppend.h"
+
 #include <cctype>
-#include <charconv>
 #include <cstdio>
 
 using namespace zam;
@@ -82,11 +83,6 @@ void appendArgs(std::string &Out,
       appendQuoted(Out, Value);
   }
   Out += '}';
-}
-
-void appendU64(std::string &Out, uint64_t V) {
-  char Buf[24];
-  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
 }
 
 void appendDouble(std::string &Out, double V) {
@@ -169,10 +165,10 @@ void JsonlTraceSink::record(const TraceRecord &R) {
   Scratch += ",\"cat\":";
   appendQuoted(Scratch, R.Category);
   Scratch += ",\"ts\":";
-  appendU64(Scratch, R.Ts);
+  appendInt(Scratch, R.Ts);
   if (R.RecordKind == TraceRecord::Kind::Span) {
     Scratch += ",\"dur\":";
-    appendU64(Scratch, R.Dur);
+    appendInt(Scratch, R.Dur);
   }
   if (R.RecordKind == TraceRecord::Kind::Counter) {
     Scratch += ",\"value\":";
@@ -233,13 +229,13 @@ void ChromeTraceSink::record(const TraceRecord &R) {
   Scratch += ",\"pid\":1,\"tid\":";
   // Metadata rows carry no timeline semantics, so they stay off the
   // category rows (tid 0, like the provenance header).
-  appendU64(Scratch,
+  appendInt(Scratch,
             R.RecordKind == TraceRecord::Kind::Meta ? 0 : tidFor(R.Category));
   Scratch += ",\"ts\":";
-  appendU64(Scratch, R.Ts);
+  appendInt(Scratch, R.Ts);
   if (R.RecordKind == TraceRecord::Kind::Span) {
     Scratch += ",\"dur\":";
-    appendU64(Scratch, R.Dur);
+    appendInt(Scratch, R.Dur);
   }
   if (R.RecordKind == TraceRecord::Kind::Counter) {
     Scratch += ",\"args\":{\"value\":";

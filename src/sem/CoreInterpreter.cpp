@@ -32,14 +32,15 @@ private:
 
   void record(const std::string &Var, bool IsArray, uint64_t Index,
               int64_t Value) {
+    const size_t Slot = M.slotIndexOf(Var);
     AssignEvent E;
-    E.Var = Var;
-    E.VarLabel = M.labelOf(Var);
+    E.Slot = static_cast<uint32_t>(Slot);
+    E.VarLabel = M.slotAt(Slot).SecLabel;
     E.IsArrayStore = IsArray;
     E.ElemIndex = Index;
     E.Value = Value;
     E.Time = Events.size(); // Ordinal: the core semantics has no clock.
-    Events.push_back(std::move(E));
+    Events.push_back(E);
   }
 
   void exec(const Cmd &C) {

@@ -2,31 +2,24 @@
 
 #include "sem/Event.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include "support/StrAppend.h"
 
 using namespace zam;
-
-std::vector<AssignEvent> Trace::observableBy(Label AdversaryLevel,
-                                             const SecurityLattice &Lat) const {
-  std::vector<AssignEvent> Out;
-  for (const AssignEvent &E : Events)
-    if (Lat.flowsTo(E.VarLabel, AdversaryLevel))
-      Out.push_back(E);
-  return Out;
-}
 
 std::string Trace::observationKey(Label AdversaryLevel,
                                   const SecurityLattice &Lat) const {
   std::string Key;
-  char Buf[96];
   for (const AssignEvent &E : Events) {
     if (!Lat.flowsTo(E.VarLabel, AdversaryLevel))
       continue;
-    std::snprintf(Buf, sizeof(Buf), "%s[%" PRIu64 "]=%" PRId64 "@%" PRIu64 ";",
-                  E.Var.c_str(), E.IsArrayStore ? E.ElemIndex : 0, E.Value,
-                  E.Time);
-    Key += Buf;
+    Key += varName(E);
+    Key += '[';
+    appendInt(Key, E.IsArrayStore ? E.ElemIndex : 0);
+    Key += "]=";
+    appendInt(Key, E.Value);
+    Key += '@';
+    appendInt(Key, E.Time);
+    Key += ';';
   }
   return Key;
 }

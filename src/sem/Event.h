@@ -19,27 +19,45 @@
 #include "hw/CacheConfig.h"
 #include "lattice/Label.h"
 #include "lattice/SecurityLattice.h"
+#include "support/Diagnostics.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 namespace zam {
 
-/// One observable assignment event (x, v, t). Array stores carry the
-/// (wrapped) element index. The adversary at level ℓA observes the event iff
-/// Γ(x) ⊑ ℓA; monitoring low memory also reveals t (the coresident threat
-/// model of Sec. 3.4).
+/// The variables of one memory layout: names in declaration order (the slot
+/// numbering of Memory, the lowering pass and AssignEvent::Slot) and the
+/// inverse map. Built once per program image and shared read-only by every
+/// copy of that memory and by the trace of every run over it.
+struct SlotNames {
+  std::vector<std::string> Names;
+  std::unordered_map<std::string, size_t> Index;
+};
+
+/// One observable assignment event (x, v, t). The variable x is its
+/// declaration-order slot, resolved to a name through Trace::varName, so
+/// recording an event copies 32 plain bytes and no string. Array stores
+/// carry the (wrapped) element index. The adversary at level ℓA observes
+/// the event iff Γ(x) ⊑ ℓA; monitoring low memory also reveals t (the
+/// coresident threat model of Sec. 3.4).
 struct AssignEvent {
-  std::string Var;
+  uint32_t Slot : 31 = 0; ///< Declaration-order slot of x.
+  uint32_t IsArrayStore : 1 = 0;
   Label VarLabel; ///< Γ(x), recorded to avoid re-lookup in analyses.
-  bool IsArrayStore = false;
   uint64_t ElemIndex = 0;
   int64_t Value = 0;
   uint64_t Time = 0; ///< Global clock G' at the completing transition.
 
   bool operator==(const AssignEvent &Other) const = default;
 };
+static_assert(sizeof(AssignEvent) == 32 &&
+                  std::is_trivially_copyable_v<AssignEvent>,
+              "AssignEvent is recorded once per executed assignment");
 
 /// One executed mitigate command: the (M_η, t) tuples of Sec. 6.3, ordered
 /// by completion time in the trace.
@@ -98,6 +116,9 @@ struct AccessSample {
 /// Everything recorded about one execution.
 struct Trace {
   std::vector<AssignEvent> Events;
+  /// The run's slot names (the memory image's shared table), so a trace
+  /// outlives the program and the interpreter that produced it.
+  std::shared_ptr<const SlotNames> Names;
   std::vector<MitigateRecord> Mitigations;
   OpCounters Ops;
   /// Miss timeline; populated only under InterpreterOptions::RecordMisses
@@ -111,10 +132,16 @@ struct Trace {
   uint64_t Steps = 0;
   bool HitStepLimit = false;
 
-  /// The ℓA-observable subsequence of events (Sec. 6.1): those with
-  /// Γ(x) ⊑ ℓA.
-  std::vector<AssignEvent> observableBy(Label AdversaryLevel,
-                                        const SecurityLattice &Lat) const;
+  /// The name of \p E's variable. A trace with events always has a name
+  /// table; sanitizer builds turn a missing table or an out-of-range slot
+  /// into a diagnosed abort.
+  const std::string &varName(const AssignEvent &E) const {
+#ifdef ZAM_SANITIZE_CHECKS
+    if (!Names || E.Slot >= Names->Names.size())
+      reportFatalError("trace event slot has no entry in the name table");
+#endif
+    return Names->Names[E.Slot];
+  }
 
   /// A canonical string encoding of the ℓA-observable event sequence, used
   /// to count distinguishable observations in Definition 1.

@@ -16,6 +16,7 @@ ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
       MitState(Opts.SharedMitState ? *Opts.SharedMitState : OwnMitState),
       Code(L.Insts.data()), Uops(L.Uops.data()),
       TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr) {
+  T.Names = M.slotNames();
   Regs.resize(L.NumRegs ? L.NumRegs : 1);
   SlotData.resize(M.slotCount());
   for (size_t I = 0; I != SlotData.size(); ++I)
@@ -49,18 +50,19 @@ void ExecCore::onAccess(const HwAccess &Access) {
   T.Misses.push_back(S);
 }
 
-void ExecCore::record(const MemorySlot &S, bool IsArray, uint64_t Index,
-                      int64_t Value) {
-  // AssignEvent carries a string, so vector growth moves elements one by
-  // one; seeding the capacity keeps loop-heavy runs from paying ~2N moves
-  // across the doubling schedule.
-  if (T.Events.size() == T.Events.capacity())
-    T.Events.reserve(T.Events.capacity() < 512 ? 512
-                                               : T.Events.capacity() * 2);
+void ExecCore::record(uint32_t Slot, Label VarLabel, bool IsArray,
+                      uint64_t Index, int64_t Value) {
+  // 32 plain bytes per event: the name stays in T.Names. A run that
+  // records one event (an attack sample) allocates one slot; a longer run
+  // jumps straight to 512 instead of regrowing eight times through the
+  // small sizes, which a few-hundred-event login attempt would pay.
+  if (T.Events.size() == T.Events.capacity() && !T.Events.empty() &&
+      T.Events.size() < 512)
+    T.Events.reserve(512);
   AssignEvent &E = T.Events.emplace_back();
-  E.Var = S.Name;
-  E.VarLabel = S.SecLabel;
+  E.Slot = Slot;
   E.IsArrayStore = IsArray;
+  E.VarLabel = VarLabel;
   E.ElemIndex = Index;
   E.Value = Value;
   E.Time = G;
@@ -130,7 +132,7 @@ void ExecCore::execAssign(const LirInst &I) {
   G += Cycles;
   MemorySlot &S = M.slotAt(I.Slot);
   S.Data[0] = V;
-  record(S, false, 0, V);
+  record(I.Slot, S.SecLabel, false, 0, V);
   PC = I.Next;
 }
 
@@ -148,7 +150,7 @@ void ExecCore::execStore(const LirInst &I) {
   G += Cycles;
   MemorySlot &S = M.slotAt(I.Slot);
   S.Data[W] = V;
-  record(S, true, W, V);
+  record(I.Slot, S.SecLabel, true, W, V);
   PC = I.Next;
 }
 

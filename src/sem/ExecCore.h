@@ -125,7 +125,7 @@ private:
   /// costs charged after evaluation attribute to the command.
   int64_t evalSpan(const LirInst &I, uint32_t U, uint32_t N,
                    uint64_t &Cycles);
-  void record(const MemorySlot &S, bool IsArray, uint64_t Index,
+  void record(uint32_t Slot, Label VarLabel, bool IsArray, uint64_t Index,
               int64_t Value);
 
   /// A mitigate window opened by MitEnter and pending settlement.
@@ -170,7 +170,7 @@ private:
   std::vector<int64_t> Regs; ///< The micro-op register file (NumRegs).
   /// Per-slot element-0 pointers: the load fast path indexes straight into
   /// slot storage without touching Memory's bookkeeping. Stores still go
-  /// through Memory::slotAt (they need the slot metadata for the event
+  /// through Memory::slotAt (they need the slot's label for the event
   /// record anyway).
   std::vector<const int64_t *> SlotData;
 };

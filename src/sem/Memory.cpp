@@ -10,7 +10,7 @@ using namespace zam;
 
 Memory Memory::fromProgram(const Program &P, Addr DataBase) {
   Memory M;
-  auto Index = std::make_shared<std::unordered_map<std::string, size_t>>();
+  auto Names = std::make_shared<SlotNames>();
   Addr Next = DataBase;
   for (const VarDecl &D : P.vars()) {
     MemorySlot S;
@@ -22,10 +22,11 @@ Memory Memory::fromProgram(const Program &P, Addr DataBase) {
     for (size_t I = 0; I != D.Init.size() && I != S.Data.size(); ++I)
       S.Data[I] = D.Init[I];
     Next += D.Size * 8;
-    Index->emplace(S.Name, M.Slots.size());
+    Names->Index.emplace(S.Name, M.Slots.size());
+    Names->Names.push_back(S.Name);
     M.Slots.push_back(std::move(S));
   }
-  M.Index = std::move(Index);
+  M.Names = std::move(Names);
   return M;
 }
 

@@ -23,11 +23,11 @@
 #include "hw/CacheConfig.h"
 #include "lang/Ast.h"
 #include "lattice/SecurityLattice.h"
+#include "sem/Event.h"
 #include "support/Diagnostics.h"
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace zam {
@@ -80,11 +80,15 @@ public:
   /// Declaration-order index of \p Name, or npos when undeclared.
   static constexpr size_t npos = static_cast<size_t>(-1);
   size_t slotIndexOf(const std::string &Name) const {
-    if (!Index)
+    if (!Names)
       return npos;
-    auto It = Index->find(Name);
-    return It == Index->end() ? npos : It->second;
+    auto It = Names->Index.find(Name);
+    return It == Names->Index.end() ? npos : It->second;
   }
+
+  /// The layout's shared name table (null for a default-constructed
+  /// memory). Traces alias it to name their events.
+  const std::shared_ptr<const SlotNames> &slotNames() const { return Names; }
 
   /// Index wrapping, exposed statically so callers holding a raw element
   /// count (the IR engines) wrap exactly like wrapIndex does. A zero size
@@ -124,7 +128,7 @@ public:
   /// m1 ≈ℓ m2: agreement on variables labeled exactly ℓ.
   bool projectionEquals(const Memory &Other, Label L) const;
 
-  /// Equality of the slots; the name index is derived from them.
+  /// Equality of the slots; the name table is derived from them.
   bool operator==(const Memory &Other) const { return Slots == Other.Slots; }
 
 private:
@@ -148,10 +152,11 @@ private:
   }
 
   std::vector<MemorySlot> Slots;
-  /// Name → slot index. The layout never changes after fromProgram, so
-  /// copies of one image (a run's memory is a copy of its compiled
-  /// program's image) share the index instead of rebuilding it.
-  std::shared_ptr<const std::unordered_map<std::string, size_t>> Index;
+  /// Slot names and name → slot index. The layout never changes after
+  /// fromProgram, so copies of one image (a run's memory is a copy of its
+  /// compiled program's image) and the traces of runs over them share one
+  /// table instead of rebuilding it.
+  std::shared_ptr<const SlotNames> Names;
 };
 
 } // namespace zam

@@ -2,6 +2,8 @@
 
 #include "sem/TraceDump.h"
 
+#include "support/StrAppend.h"
+
 #include <cinttypes>
 #include <cstdio>
 
@@ -10,20 +12,23 @@ using namespace zam;
 std::string zam::dumpEvents(const Trace &T, const SecurityLattice &Lat,
                             std::optional<Label> Adversary) {
   std::string Out;
-  char Buf[160];
+  char Time[24];
   for (const AssignEvent &E : T.Events) {
     if (Adversary && !Lat.flowsTo(E.VarLabel, *Adversary))
       continue;
-    if (E.IsArrayStore)
-      std::snprintf(Buf, sizeof(Buf),
-                    "t=%-10" PRIu64 " %s[%" PRIu64 "] := %" PRId64 "   [%s]\n",
-                    E.Time, E.Var.c_str(), E.ElemIndex, E.Value,
-                    Lat.name(E.VarLabel).c_str());
-    else
-      std::snprintf(Buf, sizeof(Buf),
-                    "t=%-10" PRIu64 " %s := %" PRId64 "   [%s]\n", E.Time,
-                    E.Var.c_str(), E.Value, Lat.name(E.VarLabel).c_str());
-    Out += Buf;
+    std::snprintf(Time, sizeof(Time), "t=%-10" PRIu64 " ", E.Time);
+    Out += Time;
+    Out += T.varName(E);
+    if (E.IsArrayStore) {
+      Out += '[';
+      appendInt(Out, E.ElemIndex);
+      Out += ']';
+    }
+    Out += " := ";
+    appendInt(Out, E.Value);
+    Out += "   [";
+    Out += Lat.name(E.VarLabel);
+    Out += "]\n";
   }
   return Out;
 }

@@ -2,6 +2,9 @@
 
 #include "sem/CoreInterpreter.h"
 
+#include "sem/FullInterpreter.h"
+#include "types/LabelInference.h"
+
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
@@ -16,7 +19,7 @@ TEST(CoreInterpreter, StraightLine) {
   EXPECT_EQ(R.FinalMemory.load("y"), 6);
   EXPECT_FALSE(R.HitStepLimit);
   ASSERT_EQ(R.Events.size(), 3u);
-  EXPECT_EQ(R.Events[0].Var, "x");
+  EXPECT_EQ(R.Events[0].Slot, R.FinalMemory.slotIndexOf("x"));
   EXPECT_EQ(R.Events[0].Value, 2);
   EXPECT_EQ(R.Events[2].Value, 5);
 }
@@ -97,4 +100,28 @@ TEST(CoreInterpreter, ArrayStoreEventsCarryWrappedIndex) {
   EXPECT_TRUE(R.Events[0].IsArrayStore);
   EXPECT_EQ(R.Events[0].ElemIndex, 2u);
   EXPECT_EQ(R.Events[0].Value, 9);
+}
+
+// Events carry the declaration-order slot, not a name: the core and the
+// full engine must record the same slot for every event, and the slot must
+// name the assigned variable.
+TEST(CoreInterpreter, SlotsAgreeWithTheFullEngine) {
+  Program P = parseOrDie("var i : L;\nvar a : L[3];\nvar h : H;\n"
+                         "var b : H[2];\n"
+                         "while i < 5 do { a[i] := i; b[i] := h; h := h + i;"
+                         " i := i + 1 }");
+  inferTimingLabels(P);
+  CoreResult Core = runCore(P);
+  auto Env = createMachineEnv(HwKind::Partitioned, lh());
+  RunResult Full = runFull(P, *Env);
+  ASSERT_EQ(Core.Events.size(), Full.T.Events.size());
+  ASSERT_EQ(Core.Events.size(), 20u);
+  const std::vector<std::string> Expected = {"a", "b", "h", "i"};
+  for (size_t I = 0; I != Core.Events.size(); ++I) {
+    const AssignEvent &C = Core.Events[I], &F = Full.T.Events[I];
+    EXPECT_EQ(C.Slot, F.Slot) << "event " << I;
+    EXPECT_EQ(C.IsArrayStore, F.IsArrayStore) << "event " << I;
+    EXPECT_EQ(Full.T.varName(F), Expected[I % 4]) << "event " << I;
+    EXPECT_EQ(F.Slot, Full.FinalMemory.slotIndexOf(Expected[I % 4]));
+  }
 }

@@ -93,7 +93,7 @@ void expectThreeWayAgreement(const Program &P, HwKind Kind,
   ASSERT_EQ(Core.Events.size(), Full.T.Events.size());
   for (size_t I = 0; I != Core.Events.size(); ++I) {
     const AssignEvent &C = Core.Events[I], &F = Full.T.Events[I];
-    EXPECT_EQ(C.Var, F.Var) << "event " << I;
+    EXPECT_EQ(C.Slot, F.Slot) << "event " << I;
     EXPECT_EQ(C.VarLabel, F.VarLabel) << "event " << I;
     EXPECT_EQ(C.IsArrayStore, F.IsArrayStore) << "event " << I;
     EXPECT_EQ(C.ElemIndex, F.ElemIndex) << "event " << I;

@@ -3,6 +3,7 @@
 #include "analysis/Leakage.h"
 
 #include "hw/HardwareModels.h"
+#include "sem/FullInterpreter.h"
 #include "types/LabelInference.h"
 #include "types/TypeChecker.h"
 
@@ -69,6 +70,35 @@ TEST(Leakage, MitigatedSleepLeaksAtMostScheduleBits) {
   EXPECT_LT(R.DistinctObservations, 8u);
   EXPECT_TRUE(R.TheoremTwoHolds);
   EXPECT_EQ(R.RelevantMitigates, 1u);
+}
+
+// Regression: observation keys were formatted into a fixed 96-byte buffer,
+// so a long low variable cut off the value and time, and two different
+// observations collapsed into one key (Q undercounted).
+TEST(Leakage, LongVariableNamesKeepObservationsDistinct) {
+  const std::string Name(100, 'v');
+  auto keyOf = [&Name](int64_t V) {
+    Program P = parseOrDie("var " + Name + " : L;\n" + Name +
+                           " := " + std::to_string(V));
+    inferTimingLabels(P);
+    auto Env =
+        createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
+    return runFull(P, *Env).T.observationKey(low(), lh());
+  };
+  const std::string K1 = keyOf(1), K2 = keyOf(2);
+  EXPECT_NE(K1, K2);
+  EXPECT_EQ(K1.compare(0, Name.size(), Name), 0) << K1;
+
+  // Definition 1 over a secret copied into the long-named low variable
+  // (deliberately ill-typed, so the checker is bypassed): two secrets, two
+  // observations.
+  Program P = parseOrDie("var h : H;\nvar " + Name + " : L;\n" + Name +
+                         " := h");
+  inferTimingLabels(P);
+  auto Env = createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
+  LeakageResult R = measureLeakage(P, *Env, highSecretSweep({1, 2}));
+  EXPECT_EQ(R.DistinctObservations, 2u);
+  EXPECT_DOUBLE_EQ(R.QBits, 1.0);
 }
 
 TEST(Leakage, NoSecretsNoObservations) {

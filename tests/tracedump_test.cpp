@@ -3,6 +3,7 @@
 #include "sem/TraceDump.h"
 
 #include "hw/HardwareModels.h"
+#include "obs/Telemetry.h"
 #include "sem/FullInterpreter.h"
 #include "types/LabelInference.h"
 
@@ -13,6 +14,8 @@ using namespace zam;
 using namespace zam::test;
 
 namespace {
+/// Returns only the trace: the program, its compiled image and the
+/// interpreter are gone by the time a test reads it.
 Trace runTrace(const std::string &Source) {
   Program P = parseOrDie(Source);
   inferTimingLabels(P);
@@ -64,4 +67,48 @@ TEST(TraceDump, StepLimitNoted) {
   Opts.StepLimit = 50;
   Trace T = runFull(P, *Env, Opts).T;
   EXPECT_NE(dumpTrace(T, lh()).find("step limit hit"), std::string::npos);
+}
+
+// Events name their variable through the trace's shared name table, which
+// must outlive the program and the interpreter that produced the trace.
+TEST(TraceDump, TraceOutlivesItsProgramAndNamesEveryVariable) {
+  Trace T = runTrace("var x : L;\nvar a : L[4];\nvar h : H;\nvar b : H[2];\n"
+                     "x := 1; a[3] := 2; h := 3; b[1] := 4");
+  ASSERT_EQ(T.Events.size(), 4u);
+  std::string S = dumpTrace(T, lh());
+  EXPECT_NE(S.find("x := 1   [L]"), std::string::npos) << S;
+  EXPECT_NE(S.find("a[3] := 2   [L]"), std::string::npos) << S;
+  EXPECT_NE(S.find("h := 3   [H]"), std::string::npos) << S;
+  EXPECT_NE(S.find("b[1] := 4   [H]"), std::string::npos) << S;
+
+  JsonlTraceSink Sink;
+  EXPECT_EQ(exportTrace(Sink, T, lh()), 4u);
+  std::string Out = Sink.finish();
+  for (const char *Name :
+       {"\"assign x\"", "\"assign a[3]\"", "\"assign h\"", "\"assign b[1]\""})
+    EXPECT_NE(Out.find(Name), std::string::npos) << Name << "\n" << Out;
+}
+
+// Long identifiers are written whole: dumpEvents has no line buffer for a
+// name to overflow.
+TEST(TraceDump, LongNamesAreNotTruncated) {
+  const std::string Name(200, 'v');
+  Trace T = runTrace("var " + Name + " : L;\n" + Name + " := 12345");
+  EXPECT_NE(dumpEvents(T, lh()).find(Name + " := 12345   [L]"),
+            std::string::npos);
+}
+
+// A trace with events but no name table is a construction bug; sanitizer
+// builds diagnose it instead of dereferencing null. Plain builds skip —
+// the check compiles away.
+TEST(TraceDumpDeathTest, EventsWithoutNameTableAreDiagnosed) {
+#ifdef ZAM_SANITIZE_CHECKS
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Trace T;
+  T.Events.emplace_back();
+  EXPECT_DEATH(dumpEvents(T, lh()), "no entry in the name table");
+  EXPECT_DEATH(T.observationKey(low(), lh()), "no entry in the name table");
+#else
+  GTEST_SKIP() << "name-table checks compile away outside ZAM_SANITIZE";
+#endif
 }
