@@ -30,6 +30,9 @@ size_t zam::streamObservations(
   const size_t Total = Opts.Samples;
   // Compiled once and shared, read-only, by every sample on every thread.
   const CompiledProgram Compiled(P, IOpts);
+  // A sample reads the final clock and the mitigate windows only.
+  InterpreterOptions RunOpts = IOpts;
+  RunOpts.RetainEvents = false;
   for (size_t Base = 0; Base < Total; Base += kObservationChunk) {
     const size_t ChunkLen = std::min(kObservationChunk, Total - Base);
     std::vector<Observation> Chunk =
@@ -40,7 +43,7 @@ size_t zam::streamObservations(
           std::unique_ptr<MachineEnv> Env = EnvTemplate.clone();
           // No hooks: the audit replays the finished trace, which onWindow
           // matches bit-for-bit (LeakAudit's documented equivalence).
-          FullInterpreter Interp(Compiled, *Env, IOpts);
+          FullInterpreter Interp(Compiled, *Env, RunOpts);
           Memory &M = Interp.memory();
           for (const auto &[Var, Value] : Spec.Fixed)
             M.store(Var, Value);

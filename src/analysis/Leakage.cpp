@@ -60,6 +60,8 @@ struct VariationRecord {
   std::vector<unsigned> Identity;
   uint64_t FinalTime = 0;
   uint64_t Relevant = 0;
+  bool HitStepLimit = false;
+  bool HitEventLimit = false;
 };
 
 } // namespace
@@ -99,6 +101,10 @@ LeakageResult zam::measureLeakage(const Program &P,
         RunResult R = Scn.run(RS);
 
         VariationRecord Rec;
+        Rec.HitStepLimit = R.T.HitStepLimit;
+        Rec.HitEventLimit = R.T.HitEventLimit;
+        if (R.T.hitLimit())
+          return Rec; // Incomplete: the caller reports the limit.
         Rec.ObservationKey = R.T.observationKey(Spec.Adversary, Lat);
         Rec.TimingKey = timingVectorKey(R.T, Lat, UnobsUpward);
         Rec.Identity = mitigateIdentityProjection(R.T, UnobsUpward);
@@ -123,6 +129,8 @@ LeakageResult zam::measureLeakage(const Program &P,
     Result.MaxFinalTime = std::max(Result.MaxFinalTime, Rec.FinalTime);
     Result.RelevantMitigates =
         std::max(Result.RelevantMitigates, Rec.Relevant);
+    Result.HitStepLimit |= Rec.HitStepLimit;
+    Result.HitEventLimit |= Rec.HitEventLimit;
   }
 
   Result.DistinctObservations = Observations.size();

@@ -75,6 +75,11 @@ struct LeakageResult {
   uint64_t MaxFinalTime = 0;          ///< T, for the closed-form bound.
   uint64_t RelevantMitigates = 0;     ///< K, for the closed-form bound.
   double ClosedFormBoundBits = 0;     ///< |LeA↑|·log2(K+1)·(1+log2 T).
+  /// Some variation's run stopped at a limit (sem/Limits.h) before it
+  /// finished. Its observation is incomplete, so the measures above do not
+  /// describe the program.
+  bool HitStepLimit = false;
+  bool HitEventLimit = false;
 };
 
 /// Runs \p P once per variation (each run on a fresh clone of \p EnvTemplate

@@ -34,6 +34,9 @@ PropertyReport zam::checkAdequacy(const Program &P,
 
   if (Core.HitStepLimit || Full.T.HitStepLimit)
     return PropertyReport::fail("execution hit the step limit");
+  if (Full.T.HitEventLimit)
+    return PropertyReport::fail("execution hit the event limit");
+  Full.T.requireEvents("checkAdequacy");
 
   if (!(Core.FinalMemory == Full.FinalMemory))
     return PropertyReport::fail("final memories differ");
@@ -69,6 +72,7 @@ PropertyReport zam::checkDeterminism(const Program &P,
     return PropertyReport::fail("final memories differ");
   if (!E1->stateEquals(*E2))
     return PropertyReport::fail("final machine environments differ");
+  R1.T.requireEvents("checkDeterminism");
   if (!(R1.T.Events == R2.T.Events))
     return PropertyReport::fail("event traces differ");
   return PropertyReport::ok();
@@ -263,6 +267,8 @@ PropertyReport zam::checkNoninterference(const Program &P, const Memory &M1,
 
   if (R1.T.HitStepLimit || R2.T.HitStepLimit)
     return PropertyReport::fail("execution hit the step limit");
+  if (R1.T.HitEventLimit || R2.T.HitEventLimit)
+    return PropertyReport::fail("execution hit the event limit");
 
   if (!R1.FinalMemory.equivalentUpTo(R2.FinalMemory, Level, Lat))
     return PropertyReport::fail(

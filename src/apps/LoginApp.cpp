@@ -202,6 +202,9 @@ LoginSession::LoginSession(const SecurityLattice &Lat, const LoginTable &Table,
     : P(buildLoginProgram(Lat, Table, Config)), Compiled(P, Opts), Env(Env),
       Opts(Opts), MitState(Lat, Opts.Mitigation.base(), Opts.Penalty) {
   this->Opts.SharedMitState = &MitState;
+  // A session's results read the clock, memory and the mitigate windows,
+  // never the assignment events.
+  this->Opts.RetainEvents = false;
 }
 
 LoginAttemptResult LoginSession::attempt(const std::string &Username,

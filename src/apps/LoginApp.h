@@ -106,7 +106,8 @@ struct LoginAttemptResult {
 };
 
 /// A login session: runs attempts against one machine environment and a
-/// persistent mitigation Miss table, as a server would.
+/// persistent mitigation Miss table, as a server would. Its runs retain no
+/// assignment events; a result carries the latency and the verdict.
 class LoginSession {
 public:
   LoginSession(const SecurityLattice &Lat, const LoginTable &Table,

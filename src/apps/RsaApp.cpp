@@ -106,6 +106,9 @@ RsaSession::RsaSession(const SecurityLattice &Lat, const RsaKey &Key,
     : P(buildRsaProgram(Lat, Key, Config)), Compiled(P, Opts), Env(Env),
       Opts(Opts), MitState(Lat, Opts.Mitigation.base(), Opts.Penalty) {
   this->Opts.SharedMitState = &MitState;
+  // A session's results read the clock, memory and the mitigate windows,
+  // never the assignment events.
+  this->Opts.RetainEvents = false;
 }
 
 RsaDecryptResult RsaSession::decrypt(const std::vector<uint64_t> &CipherBlocks) {

@@ -78,11 +78,13 @@ void setRsaMessage(Memory &M, const std::vector<uint64_t> &CipherBlocks);
 struct RsaDecryptResult {
   uint64_t Cycles = 0;
   std::vector<uint64_t> Plain; ///< Decrypted blocks (from secret memory).
+  /// The run's trace: clock, steps and mitigate windows. It carries no
+  /// assignment events (the session runs with RetainEvents off).
   Trace T;
 };
 
 /// A decryption session over one machine environment and persistent
-/// mitigation state.
+/// mitigation state. Its runs retain no assignment events.
 class RsaSession {
 public:
   RsaSession(const SecurityLattice &Lat, const RsaKey &Key,

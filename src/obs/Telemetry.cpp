@@ -39,7 +39,9 @@ void zam::collectTraceMetrics(MetricsRegistry &Reg, const Trace &T,
   Reg.setCounter(Prefix + "interp.assignments", T.Ops.Assignments);
   Reg.setCounter(Prefix + "interp.branches", T.Ops.Branches);
   Reg.setCounter(Prefix + "interp.mitigate_entries", T.Ops.MitigateEntries);
-  Reg.setCounter(Prefix + "interp.events", T.Events.size());
+  // The events the run produced, one per assignment, whether or not it
+  // retained them.
+  Reg.setCounter(Prefix + "interp.events", T.Ops.Assignments);
   Reg.setCounter(Prefix + "interp.final_time_cycles", T.FinalTime);
 
   uint64_t Mispredictions = 0, PaddedIdle = 0;
@@ -202,6 +204,8 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
   // accountant's exact projection), so the double sums recomputed offline
   // from these spans are bit-identical to the leak.* metrics — the
   // zamtrace cross-check.
+  if (Opts.IncludeEvents)
+    T.requireEvents("exportTrace");
   LeakAudit Audit(Lat, Opts.Adversary, Opts.Mitigation);
   if (Opts.IncludeLeakBudget)
     Audit.ingest(T);

@@ -100,7 +100,7 @@ struct TraceExportOptions {
   /// When set, project to this adversary level: assignment events are
   /// filtered by Γ(x) ⊑ ℓA and cache-miss instants are dropped.
   std::optional<Label> Adversary;
-  bool IncludeEvents = true;
+  bool IncludeEvents = true; ///< Needs a trace that retained its events.
   bool IncludeMitigations = true;
   bool IncludeMisses = true;
   /// Emit a leak_budget span (cat "leak") per mitigate window the leakage

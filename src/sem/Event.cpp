@@ -8,6 +8,7 @@ using namespace zam;
 
 std::string Trace::observationKey(Label AdversaryLevel,
                                   const SecurityLattice &Lat) const {
+  requireEvents("observationKey");
   std::string Key;
   for (const AssignEvent &E : Events) {
     if (!Lat.flowsTo(E.VarLabel, AdversaryLevel))

@@ -115,6 +115,10 @@ struct AccessSample {
 
 /// Everything recorded about one execution.
 struct Trace {
+  /// The assignment events, when the run retained them
+  /// (InterpreterOptions::RetainEvents). Readers call requireEvents first:
+  /// an empty vector from a run that kept none is "not recorded", not "no
+  /// assignments".
   std::vector<AssignEvent> Events;
   /// The run's slot names (the memory image's shared table), so a trace
   /// outlives the program and the interpreter that produced it.
@@ -131,6 +135,25 @@ struct Trace {
   uint64_t FinalTime = 0;
   uint64_t Steps = 0;
   bool HitStepLimit = false;
+  /// The run kept its events in Events.
+  bool EventsRetained = true;
+  /// The run stopped because Events reached kMaxRetainedEvents
+  /// (sem/Limits.h); Events holds the first kMaxRetainedEvents of them.
+  bool HitEventLimit = false;
+
+  /// Whether a safety net stopped the run before it finished.
+  bool hitLimit() const { return HitStepLimit || HitEventLimit; }
+
+  /// Aborts with a diagnostic naming \p Reader unless the run retained its
+  /// events. Checked in every build: counting the events of a run that
+  /// kept none would silently see one empty observation.
+  void requireEvents(const char *Reader) const {
+    if (!EventsRetained)
+      reportFatalError((std::string(Reader) +
+                        ": the run did not retain its assignment events "
+                        "(InterpreterOptions::RetainEvents is off)")
+                           .c_str());
+  }
 
   /// The name of \p E's variable. A trace with events always has a name
   /// table; sanitizer builds turn a missing table or an out-of-range slot
@@ -145,6 +168,7 @@ struct Trace {
 
   /// A canonical string encoding of the ℓA-observable event sequence, used
   /// to count distinguishable observations in Definition 1.
+  /// Requires retained events.
   std::string observationKey(Label AdversaryLevel,
                              const SecurityLattice &Lat) const;
 };

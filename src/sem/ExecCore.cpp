@@ -2,6 +2,7 @@
 
 #include "sem/ExecCore.h"
 
+#include "sem/Limits.h"
 #include "support/Diagnostics.h"
 
 using namespace zam;
@@ -15,8 +16,10 @@ ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
       OwnMitState(P.lattice(), this->Opts.Mitigation.base(), Opts.Penalty),
       MitState(Opts.SharedMitState ? *Opts.SharedMitState : OwnMitState),
       Code(L.Insts.data()), Uops(L.Uops.data()),
-      TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr) {
+      TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr),
+      RetainEvents(Opts.RetainEvents) {
   T.Names = M.slotNames();
+  T.EventsRetained = RetainEvents;
   Regs.resize(L.NumRegs ? L.NumRegs : 1);
   SlotData.resize(M.slotCount());
   for (size_t I = 0; I != SlotData.size(); ++I)
@@ -52,13 +55,16 @@ void ExecCore::onAccess(const HwAccess &Access) {
 
 void ExecCore::record(uint32_t Slot, Label VarLabel, bool IsArray,
                       uint64_t Index, int64_t Value) {
-  // 32 plain bytes per event: the name stays in T.Names. A run that
-  // records one event (an attack sample) allocates one slot; a longer run
-  // jumps straight to 512 instead of regrowing eight times through the
-  // small sizes, which a few-hundred-event login attempt would pay.
-  if (T.Events.size() == T.Events.capacity() && !T.Events.empty() &&
-      T.Events.size() < 512)
-    T.Events.reserve(512);
+  if (!RetainEvents)
+    return;
+  // The retained trace is full: drop this event and end the run at the
+  // next step check, which the lowered bound fails.
+  if (T.Events.size() == kMaxRetainedEvents) {
+    T.HitEventLimit = true;
+    StepLimit = T.Steps;
+    return;
+  }
+  // 32 plain bytes per event: the name stays in T.Names.
   AssignEvent &E = T.Events.emplace_back();
   E.Slot = Slot;
   E.IsArrayStore = IsArray;
@@ -268,7 +274,7 @@ void ExecCore::step() {
   if (Halted)
     return;
   if (++T.Steps > StepLimit) {
-    T.HitStepLimit = true;
+    T.HitStepLimit = !T.HitEventLimit;
     Halted = true;
     finalize();
     return;
@@ -288,7 +294,7 @@ void ExecCore::run() {
     return;
   for (;;) {
     if (++T.Steps > StepLimit) {
-      T.HitStepLimit = true;
+      T.HitStepLimit = !T.HitEventLimit;
       break;
     }
     execInstr(Code[PC]);

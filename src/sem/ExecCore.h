@@ -63,7 +63,7 @@ public:
   ExecCore(const LirProgram &L, const Program &P, Memory InitM,
            MachineEnv &Env, const InterpreterOptions &Opts);
 
-  /// Whether the configuration has reached ⟨stop, m, E, G⟩ (or the step
+  /// Whether the configuration has reached ⟨stop, m, E, G⟩ (or a run
   /// limit).
   bool done() const { return Halted; }
 
@@ -152,6 +152,8 @@ private:
   CostSink *Prov;
   uint64_t BaseStepCost;
   uint64_t AluCost;
+  /// Opts.StepLimit, lowered to the current step when the retained events
+  /// reach their limit so that the per-step check ends the run.
   uint64_t StepLimit;
   Memory M;
   MitigationState OwnMitState;
@@ -165,6 +167,8 @@ private:
   /// Cursor maintenance is skipped when nothing observes it (no sink, no
   /// miss sampling) — the cursor is only visible through those channels.
   bool TrackCursor;
+  /// Opts.RetainEvents: record() keeps nothing when it is off.
+  bool RetainEvents;
   CostCursor Cur;
   std::vector<MitFrame> Frames;
   std::vector<int64_t> Regs; ///< The micro-op register file (NumRegs).

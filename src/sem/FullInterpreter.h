@@ -69,6 +69,15 @@ struct InterpreterOptions {
   /// state must be over the program's lattice; Penalty (and the selection's
   /// default policy) are ignored in favor of the shared state's own.
   MitigationState *SharedMitState = nullptr;
+  /// Keep one AssignEvent per executed assignment in Trace::Events, up to
+  /// kMaxRetainedEvents. Only the ℓA observation of Definition 1, trace
+  /// export and dump, the adequacy and determinism checks and the
+  /// prime+probe reconstruction read the events; callers that read only
+  /// the clock, the mitigate windows and memory (the app sessions, the
+  /// attack sampler, `zamc run`) turn it off and run in memory that does
+  /// not grow with the run. Trace::requireEvents diagnoses a read of a
+  /// trace that kept none.
+  bool RetainEvents = true;
   /// Record a per-access miss timeline into Trace::Misses (big-step engine
   /// only; costs an observer callback per hardware access, so it is off by
   /// default and enabled by the trace exporters).

@@ -6,7 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Safety-net bounds shared by every interpreter.
+/// Safety-net bounds shared by every interpreter. Each one ends a run that
+/// reaches it with a flag on the trace (Trace::HitStepLimit,
+/// Trace::HitEventLimit), so a caller can tell a finished run from a
+/// stopped one and name the limit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +33,20 @@ namespace zam {
 /// willing to wait". Runs that hit it are flagged (Trace::HitStepLimit)
 /// rather than treated as completed. Callers with a tighter latency budget
 /// (e.g. divergence tests) pass an explicit lower limit.
+///
+/// A run that keeps no events (InterpreterOptions::RetainEvents off) holds
+/// no per-step state, so it reaches this limit in flat memory.
 inline constexpr uint64_t kDefaultStepLimit = 500'000'000;
+
+/// Bound on the assignment events one retaining run keeps in
+/// Trace::Events: 2^22 events of 32 bytes, 128 MiB. That is about 200x the
+/// heaviest run in the repository (a Fig. 8 decryption records 21,039), so
+/// reaching it means the program does not terminate, or runs too long to
+/// trace in memory. The run then stops at its next step check with
+/// Trace::HitEventLimit set, instead of growing the vector until the
+/// allocator fails; a run that retains no events never reaches it and is
+/// bounded by the step limit alone.
+inline constexpr uint64_t kMaxRetainedEvents = uint64_t(1) << 22;
 
 } // namespace zam
 

@@ -11,6 +11,7 @@ using namespace zam;
 
 std::string zam::dumpEvents(const Trace &T, const SecurityLattice &Lat,
                             std::optional<Label> Adversary) {
+  T.requireEvents("dumpEvents");
   std::string Out;
   char Time[24];
   for (const AssignEvent &E : T.Events) {
@@ -56,7 +57,9 @@ std::string zam::dumpTrace(const Trace &T, const SecurityLattice &Lat,
   std::snprintf(Buf, sizeof(Buf),
                 "terminated at G = %" PRIu64 " after %" PRIu64 " steps%s\n",
                 T.FinalTime, T.Steps,
-                T.HitStepLimit ? " (step limit hit)" : "");
+                T.HitEventLimit  ? " (event limit hit)"
+                : T.HitStepLimit ? " (step limit hit)"
+                                 : "");
   Out += Buf;
   return Out;
 }

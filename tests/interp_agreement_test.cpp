@@ -8,14 +8,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/PropertyCheckers.h"
 #include "analysis/RandomProgram.h"
 #include "hw/HardwareModels.h"
+#include "obs/Telemetry.h"
 #include "sem/FullInterpreter.h"
 #include "sem/StepInterpreter.h"
+#include "sem/TraceDump.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace zam;
 using namespace zam::test;
@@ -214,4 +221,100 @@ TEST(FullSemantics, SharedMitigationStatePersists) {
   RunResult Second = runFull(P, *Env, Opts);
   EXPECT_FALSE(Second.T.Mitigations[0].Mispredicted);
   EXPECT_EQ(Shared.misses(high()), MissesAfterFirst);
+}
+
+//===----------------------------------------------------------------------===//
+// Event retention (InterpreterOptions::RetainEvents)
+//===----------------------------------------------------------------------===//
+
+TEST(EventRetention, NonRetainingRunKeepsNoEventsUpToTheStepLimit) {
+  Program P = inferred("var x : L;\nwhile 1 do { x := x + 1 }");
+  auto Env = createMachineEnv(HwKind::NoPartition, lh(), MachineEnvConfig());
+  InterpreterOptions Opts;
+  Opts.StepLimit = 5'000'000;
+  Opts.RetainEvents = false;
+  RunResult R = runFull(P, *Env, Opts);
+  EXPECT_TRUE(R.T.HitStepLimit);
+  EXPECT_FALSE(R.T.HitEventLimit);
+  EXPECT_FALSE(R.T.EventsRetained);
+  EXPECT_EQ(R.T.Events.capacity(), 0u);
+  EXPECT_EQ(R.T.Steps, 5'000'001u);
+  // Guard, then assignment: one assignment per two steps.
+  EXPECT_EQ(R.T.Ops.Assignments, 2'500'000u);
+  EXPECT_EQ(R.FinalMemory.load("x"), 2'500'000);
+}
+
+class EventRetentionAgreement : public ::testing::TestWithParam<HwKind> {};
+
+// Retention is an output, never an input: every example runs to the same
+// clock, steps, windows, Miss table, memory and hardware state with and
+// without it.
+TEST_P(EventRetentionAgreement, ExamplesAgreeWithAndWithoutEvents) {
+  unsigned Examples = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(ZAM_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".zam")
+      continue;
+    SCOPED_TRACE(Entry.path().filename().string());
+    ++Examples;
+    std::ifstream In(Entry.path());
+    std::stringstream Source;
+    Source << In.rdbuf();
+    Program P = inferred(Source.str());
+    auto Env1 = createMachineEnv(GetParam(), P.lattice(), MachineEnvConfig());
+    auto Env2 = Env1->clone();
+    RunResult Kept = runFull(P, *Env1);
+    InterpreterOptions Opts;
+    Opts.RetainEvents = false;
+    RunResult Dropped = runFull(P, *Env2, Opts);
+
+    ASSERT_FALSE(Kept.T.hitLimit());
+    EXPECT_EQ(Kept.T.Events.size(), Kept.T.Ops.Assignments);
+    EXPECT_TRUE(Dropped.T.Events.empty());
+    EXPECT_EQ(Dropped.T.FinalTime, Kept.T.FinalTime);
+    EXPECT_EQ(Dropped.T.Steps, Kept.T.Steps);
+    EXPECT_EQ(Dropped.T.Ops, Kept.T.Ops);
+    EXPECT_EQ(Dropped.T.Mitigations, Kept.T.Mitigations);
+    EXPECT_EQ(Dropped.T.FinalMissTable, Kept.T.FinalMissTable);
+    EXPECT_FALSE(Dropped.T.hitLimit());
+    EXPECT_TRUE(Dropped.FinalMemory == Kept.FinalMemory);
+    EXPECT_TRUE(Dropped.Hw == Kept.Hw);
+    EXPECT_TRUE(Env1->stateEquals(*Env2));
+  }
+  EXPECT_GE(Examples, 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, EventRetentionAgreement,
+                         ::testing::ValuesIn(allHwKinds()),
+                         [](const auto &Info) {
+                           return std::string(hwKindName(Info.param));
+                         });
+
+// An empty event vector from a run that kept none must never pass for "no
+// assignments": Definition 1 would count one observation for every secret.
+TEST(EventRetentionDeathTest, ReadingEventsOfANonRetainingRunIsDiagnosed) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Program P = inferred("var l : L;\nl := 1");
+  auto Env = createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
+  InterpreterOptions Opts;
+  Opts.RetainEvents = false;
+  const Trace T = runFull(P, *Env, Opts).T;
+  const char *Why = "did not retain its assignment events";
+  EXPECT_DEATH(T.observationKey(low(), lh()), Why);
+  EXPECT_DEATH(dumpEvents(T, lh()), Why);
+  EXPECT_DEATH(
+      {
+        JsonlTraceSink Sink;
+        exportTrace(Sink, T, lh());
+      },
+      Why);
+  EXPECT_DEATH(checkAdequacy(P, *Env, Opts), Why);
+  EXPECT_DEATH(checkDeterminism(P, *Env, Opts), Why);
+
+  // Without events, the export has nothing of them to read.
+  JsonlTraceSink Sink;
+  TraceExportOptions EOpts;
+  EOpts.IncludeEvents = false;
+  exportTrace(Sink, T, lh(), EOpts);
+  EXPECT_EQ(Sink.finish().find("assign"), std::string::npos);
 }

@@ -303,6 +303,9 @@ TEST(Collectors, RunMetricsUseCanonicalNamesAndValues) {
   EXPECT_EQ(Reg.counterValue("interp.final_time_cycles"), R.T.FinalTime);
   EXPECT_EQ(Reg.counterValue("mit.predictions"), 1u);
   EXPECT_EQ(Reg.counterValue("mit.mispredictions"), 1u);
+  // interp.events counts the events a run produced; on a retaining run
+  // that is exactly the retained vector.
+  EXPECT_EQ(Reg.counterValue("interp.events"), R.T.Events.size());
   EXPECT_GT(Reg.counterValue("mit.padded_idle_cycles"), 0u);
   // h = 700 with estimate 64 needs Miss[H] = 4: 64·2⁴ = 1024 ≥ 700.
   EXPECT_EQ(Reg.counterValue("mit.miss_table.H"), 4u);
@@ -310,6 +313,22 @@ TEST(Collectors, RunMetricsUseCanonicalNamesAndValues) {
   // Hardware counters flow through under the hw. prefix.
   EXPECT_EQ(Reg.counterValue("hw.l1d.misses"), R.Hw.L1D.Misses);
   EXPECT_GT(Reg.counterValue("hw.l1i.line_fills"), 0u);
+}
+
+TEST(Collectors, EventsCounterNeedsNoRetention) {
+  TwoPointLattice Lat;
+  RunResult Kept = runMitigated(Lat, /*H=*/700);
+  InterpreterOptions Opts;
+  Opts.RetainEvents = false;
+  RunResult Dropped = runMitigated(Lat, /*H=*/700, Opts);
+  ASSERT_TRUE(Dropped.T.Events.empty());
+
+  MetricsRegistry KeptReg, DroppedReg;
+  collectRunMetrics(KeptReg, Kept.T, Kept.Hw, Lat);
+  collectRunMetrics(DroppedReg, Dropped.T, Dropped.Hw, Lat);
+  EXPECT_EQ(DroppedReg.counterValue("interp.events"),
+            KeptReg.counterValue("interp.events"));
+  EXPECT_EQ(DroppedReg.toJson().dump(), KeptReg.toJson().dump());
 }
 
 TEST(Collectors, PrefixNamespacesTheCounters) {

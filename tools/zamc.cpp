@@ -555,6 +555,29 @@ bool emitTraceIfRequested(const Options &Opts, const Trace &T,
   return Ok;
 }
 
+/// Reports a run that a safety net stopped before it finished, naming the
+/// limit (sem/Limits.h). \returns true when one did; the command then
+/// exits 1 without reporting the unfinished run as a result.
+bool reportLimitStop(bool HitEventLimit, bool HitStepLimit) {
+  if (HitEventLimit)
+    std::fprintf(stderr,
+                 "error: event limit reached: the run retained %" PRIu64
+                 " assignment events (kMaxRetainedEvents) and was stopped; "
+                 "the program may not terminate, or runs too long to trace "
+                 "in memory\n",
+                 kMaxRetainedEvents);
+  else if (HitStepLimit)
+    std::fprintf(stderr,
+                 "error: step limit reached: the run took %" PRIu64
+                 " steps (kDefaultStepLimit) without terminating\n",
+                 kDefaultStepLimit);
+  return HitEventLimit || HitStepLimit;
+}
+
+bool reportLimitStop(const Trace &T) {
+  return reportLimitStop(T.HitEventLimit, T.HitStepLimit);
+}
+
 std::unique_ptr<SecurityLattice> makeLattice(const Options &Opts) {
   return std::make_unique<TotalOrderLattice>(Opts.Levels);
 }
@@ -600,6 +623,9 @@ int cmdRun(Program &P, const Options &Opts, bool Timeline) {
   InterpreterOptions IOpts;
   IOpts.Mitigation = Opts.Mitigation;
   IOpts.RecordMisses = !Opts.TraceOutPath.empty();
+  // Only the timeline and the trace export read the events; a plain run
+  // keeps none and is bounded by the step limit alone.
+  IOpts.RetainEvents = Timeline || !Opts.TraceOutPath.empty();
   if (wantsTelemetry(Opts)) {
     IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &R) {
       Audit.onWindow(R);
@@ -618,6 +644,8 @@ int cmdRun(Program &P, const Options &Opts, bool Timeline) {
     auto Scope = Phases.scope("run");
     return Interp.run();
   }();
+  if (reportLimitStop(R.T))
+    return 1;
 
   if (wantsTelemetry(Opts)) {
     std::string ProfErr;
@@ -853,6 +881,8 @@ int cmdProfile(Program &P, const Options &Opts, const std::string &Source) {
     auto Scope = Phases.scope("run");
     return Interp.run();
   }();
+  if (reportLimitStop(R.T))
+    return 1;
   Ledger.applyLeakage(Audit);
 
   if (!checkLedgerConservation(Ledger, R, Audit))
@@ -944,6 +974,8 @@ int cmdHot(Program &P, const Options &Opts) {
     auto Scope = Phases.scope("run");
     return Interp.run();
   }();
+  if (reportLimitStop(R.T))
+    return 1;
 
   // The observatory's books must balance before anything is reported —
   // a drift means the probe missed a dispatch, so it is a hard error
@@ -1183,6 +1215,8 @@ int cmdLeakage(Program &P, const Options &Opts) {
   InterpreterOptions MOpts;
   MOpts.Mitigation = Opts.Mitigation;
   LeakageResult R = measureLeakage(P, *Env, Spec, MOpts, Opts.Threads);
+  if (reportLimitStop(R.HitEventLimit, R.HitStepLimit))
+    return 1;
 
   if (wantsTelemetry(Opts)) {
     // Counters and timeline of one representative run: the first secret
@@ -1207,6 +1241,8 @@ int cmdLeakage(Program &P, const Options &Opts) {
           },
           IOpts);
     }();
+    if (reportLimitStop(Rep.T))
+      return 1;
     MetricsRegistry Reg;
     collectRunMetrics(Reg, Rep.T, Rep.Hw, Lat);
     Audit.exportMetrics(Reg);
@@ -1272,6 +1308,8 @@ int cmdAudit(Program &P, const Options &Opts) {
       auto Scope = Phases.scope("run");
       return runFull(P, *StatsEnv, IOpts);
     }();
+    if (reportLimitStop(Rep.T))
+      return 1;
     MetricsRegistry Reg;
     collectRunMetrics(Reg, Rep.T, Rep.Hw, Lat);
     Audit.exportMetrics(Reg);
@@ -1653,8 +1691,9 @@ int outOfMemory(const std::string &Command) {
            Command == "hot" || Command == "leakage" || Command == "audit")
     std::fprintf(stderr,
                  "error: out of memory: the retained run trace (one event "
-                 "per executed assignment) outgrew memory; the program may "
-                 "not terminate, or runs too long to trace in memory\n");
+                 "per executed assignment) outgrew memory before the event "
+                 "limit; the program may not terminate, or runs too long to "
+                 "trace in memory\n");
   else
     std::fprintf(stderr, "error: out of memory in 'zamc %s'\n",
                  Command.c_str());
