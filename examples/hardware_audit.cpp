@@ -82,10 +82,7 @@ AuditResult auditProperty7(const Program &Decls, const MachineEnv &Env,
       Memory M1 = Memory::fromProgram(Decls, CostModel().DataBase);
       randomizeMemoryValues(M1, R);
       Memory M2 = M1;
-      for (const MemorySlot &S : M1.slots())
-        if (!Lat.flowsTo(S.SecLabel, Level))
-          for (int64_t &V : M2.slot(S.Name).Data)
-            V = R.nextInRange(-64, 64);
+      perturbMemoryAbove(M2, Level, Lat, R);
       auto E1 = Env.clone();
       E1->randomize(R);
       auto E2 = E1->clone();

@@ -91,9 +91,10 @@ LeakageResult zam::measureLeakage(const Program &P,
           // Validate that the variation only touches LeA↑ variables;
           // anything else would measure flows Definition 1 does not
           // quantify over.
-          for (const MemorySlot &S : M.slots()) {
-            const MemorySlot &B = Base.slot(S.Name);
-            if (S.Data != B.Data && !UnobsUpward.contains(S.SecLabel))
+          for (size_t I = 0; I != M.slotCount(); ++I) {
+            const MemorySlot &S = M.slotAt(I);
+            if (S.Data != Base.slotAt(I).Data &&
+                !UnobsUpward.contains(S.SecLabel))
               reportFatalError(
                   "secret variation modifies a variable outside LeA-upward");
           }

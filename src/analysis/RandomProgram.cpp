@@ -256,11 +256,17 @@ CmdPtr zam::randomCommand(const Program &P, Rng &R,
 }
 
 void zam::randomizeMemoryValues(Memory &M, Rng &R, int64_t MaxAbs) {
-  for (const MemorySlot &S : M.slots()) {
-    MemorySlot &Slot = M.slot(S.Name);
-    for (int64_t &V : Slot.Data)
+  for (size_t I = 0; I != M.slotCount(); ++I)
+    for (int64_t &V : M.slotAt(I).Data)
       V = R.nextInRange(-MaxAbs, MaxAbs);
-  }
+}
+
+void zam::perturbMemoryAbove(Memory &M, Label Level,
+                             const SecurityLattice &Lat, Rng &R) {
+  for (size_t I = 0; I != M.slotCount(); ++I)
+    if (!Lat.flowsTo(M.slotAt(I).SecLabel, Level))
+      for (int64_t &V : M.slotAt(I).Data)
+        V = R.nextInRange(-64, 64);
 }
 
 std::optional<Program>

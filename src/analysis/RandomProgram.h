@@ -55,6 +55,12 @@ CmdPtr randomCommand(const Program &P, Rng &R, const RandomProgramOptions &O);
 /// A random memory for \p P's declarations (uniform small values).
 void randomizeMemoryValues(class Memory &M, Rng &R, int64_t MaxAbs = 64);
 
+/// Redraws (uniform in [-64, 64], slot by slot) every variable of \p M
+/// whose label does not flow to \p Level, so the result stays ~Level to
+/// the input: the premise of the noninterference checks.
+void perturbMemoryAbove(class Memory &M, Label Level,
+                        const SecurityLattice &Lat, Rng &R);
+
 /// Generates programs until one passes label inference + type checking, up
 /// to \p MaxAttempts. Programs come out numbered and fully labeled.
 std::optional<Program>

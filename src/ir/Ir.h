@@ -39,10 +39,12 @@
 
 #include "hw/CacheConfig.h"
 #include "lang/Ast.h"
+#include "lang/SlotNames.h"
 #include "lattice/SecurityLattice.h"
 #include "support/SourceLoc.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,10 +136,10 @@ struct IrInstr {
   IrExpr E1; ///< ArrayAssign: the stored value.
 };
 
-/// Slot metadata mirrored from the declarations, for printing and for
-/// cross-checking the layout against Memory::fromProgram.
+/// Slot metadata mirrored from the declarations: the layout lowering
+/// bakes into operands, plus the label and shape the listing shows. The
+/// name is in IrProgram::Names.
 struct IrSlotInfo {
-  std::string Name;
   Label SecLabel;
   bool IsArray = false;
   uint64_t Size = 1;
@@ -149,6 +151,8 @@ struct IrSlotInfo {
 struct IrProgram {
   std::vector<IrInstr> Instrs;
   std::vector<IrSlotInfo> Slots;
+  /// The slot names, shared with the memory image of a compiled form.
+  std::shared_ptr<const SlotNames> Names;
   uint32_t MaxEvalDepth = 0; ///< Max value-stack depth over all exprs.
   uint32_t MaxMitDepth = 0;  ///< Max static nesting of mitigate windows.
 

@@ -25,7 +25,7 @@ std::string opText(const ExprOp &Op, const IrProgram *IR) {
   auto SlotRef = [&](uint32_t Slot) {
     std::string S = "%" + std::to_string(Slot);
     if (IR && Slot < IR->Slots.size())
-      S += ":" + IR->Slots[Slot].Name;
+      S += ":" + IR->Names->Names[Slot];
     return S;
   };
   switch (Op.K) {
@@ -101,14 +101,14 @@ std::string zam::printIrInstr(const IrProgram &IR, uint32_t I,
   case IrInstr::Op::Assign:
     Line += fmt("assign %%%u", In.Slot);
     if (In.Slot < IR.Slots.size())
-      Line += ":" + IR.Slots[In.Slot].Name;
+      Line += ":" + IR.Names->Names[In.Slot];
     Line += " <- {" + exprText(In.E0, &IR) + "}" + Common() +
             fmt(" -> %u", In.Next);
     break;
   case IrInstr::Op::ArrayAssign:
     Line += fmt("store %%%u", In.Slot);
     if (In.Slot < IR.Slots.size())
-      Line += ":" + IR.Slots[In.Slot].Name;
+      Line += ":" + IR.Names->Names[In.Slot];
     Line += "[{" + exprText(In.E0, &IR) + "}] <- {" + exprText(In.E1, &IR) +
             "}" + Common() + fmt(" -> %u", In.Next);
     break;
@@ -145,11 +145,13 @@ std::string zam::printIr(const IrProgram &IR, const SecurityLattice &Lat) {
                         "max mitigate depth %u\n",
                         IR.Instrs.size(), IR.Slots.size(), IR.MaxEvalDepth,
                         IR.MaxMitDepth);
-  for (const IrSlotInfo &S : IR.Slots)
-    Out += fmt("  slot %%%u: %s : %s %s[%" PRIu64 "] @0x%" PRIx64 "\n",
-               static_cast<unsigned>(&S - IR.Slots.data()), S.Name.c_str(),
-               Lat.name(S.SecLabel).c_str(), S.IsArray ? "array" : "scalar",
-               S.Size, static_cast<uint64_t>(S.Base));
+  for (size_t I = 0; I != IR.Slots.size(); ++I) {
+    const IrSlotInfo &S = IR.Slots[I];
+    Out += fmt("  slot %%%zu: %s : %s %s[%" PRIu64 "] @0x%" PRIx64 "\n", I,
+               IR.Names->Names[I].c_str(), Lat.name(S.SecLabel).c_str(),
+               S.IsArray ? "array" : "scalar", S.Size,
+               static_cast<uint64_t>(S.Base));
+  }
   for (uint32_t I = 0; I != IR.Instrs.size(); ++I)
     Out += fmt("  %3u: ", I) + printIrInstr(IR, I, Lat) + "\n";
   return Out;

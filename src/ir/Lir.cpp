@@ -25,7 +25,7 @@ std::string fmt(const char *Format, ...) {
 std::string slotRef(const LirProgram &L, uint32_t Slot) {
   std::string S = "%" + std::to_string(Slot);
   if (L.IR && Slot < L.IR->Slots.size())
-    S += ":" + L.IR->Slots[Slot].Name;
+    S += ":" + L.IR->Names->Names[Slot];
   return S;
 }
 
@@ -66,12 +66,14 @@ std::string zam::printLir(const LirProgram &L, const SecurityLattice &Lat) {
       fmt("lir: %zu instructions, %zu uops, %u regs\n", L.Insts.size(),
           L.Uops.size(), L.NumRegs);
   if (L.IR)
-    for (const IrSlotInfo &S : L.IR->Slots)
-      Out += fmt("  slot %%%u: %s : %s %s[%" PRIu64 "] @0x%" PRIx64 "\n",
-                 static_cast<unsigned>(&S - L.IR->Slots.data()),
-                 S.Name.c_str(), Lat.name(S.SecLabel).c_str(),
+    for (size_t I = 0; I != L.IR->Slots.size(); ++I) {
+      const IrSlotInfo &S = L.IR->Slots[I];
+      Out += fmt("  slot %%%zu: %s : %s %s[%" PRIu64 "] @0x%" PRIx64 "\n",
+                 I, L.IR->Names->Names[I].c_str(),
+                 Lat.name(S.SecLabel).c_str(),
                  S.IsArray ? "array" : "scalar", S.Size,
                  static_cast<uint64_t>(S.Base));
+    }
   for (uint32_t I = 0; I != L.Insts.size(); ++I) {
     Out += fmt("  %3u: ", I);
     if (L.IR)

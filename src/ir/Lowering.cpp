@@ -27,10 +27,10 @@ public:
       : P(P), Costs(Costs), Policies(Policies) {
     // Identical layout to Memory::fromProgram: declaration order,
     // contiguous 8-byte words from DataBase.
+    Out.Names = SlotNames::of(P);
     Addr Next = Costs.DataBase;
     for (const VarDecl &D : P.vars()) {
-      Map.emplace(D.Name, static_cast<uint32_t>(Out.Slots.size()));
-      Out.Slots.push_back({D.Name, D.SecLabel, D.IsArray, D.Size, Next});
+      Out.Slots.push_back({D.SecLabel, D.IsArray, D.Size, Next});
       Next += D.Size * 8;
     }
   }
@@ -55,7 +55,6 @@ private:
   const CostModel &Costs;
   const PolicySelection &Policies;
   const std::unordered_map<unsigned, Label> *Pc = nullptr;
-  std::unordered_map<std::string, uint32_t> Map;
   IrProgram Out;
   unsigned MitDepth = 0;
 
@@ -73,10 +72,10 @@ private:
   }
 
   const IrSlotInfo &resolve(const std::string &Name, uint32_t &SlotIdx) {
-    auto It = Map.find(Name);
-    if (It == Map.end())
+    auto It = Out.Names->Index.find(Name);
+    if (It == Out.Names->Index.end())
       reportFatalError("access to undeclared variable");
-    SlotIdx = It->second;
+    SlotIdx = static_cast<uint32_t>(It->second);
     return Out.Slots[It->second];
   }
 

@@ -15,7 +15,7 @@ CompiledProgram::CompiledProgram(const Program &P,
       IR(std::make_unique<IrProgram>(
           lowerProgram(P, Opts.Costs, Opts.Mitigation))),
       LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
-      Init(Memory::fromProgram(P, Opts.Costs.DataBase)) {}
+      Init(Memory::fromProgram(P, Opts.Costs.DataBase, IR->Names)) {}
 
 CompiledProgram::CompiledProgram(const Program &P, CmdPtr C,
                                  const InterpreterOptions &Opts)
@@ -24,7 +24,7 @@ CompiledProgram::CompiledProgram(const Program &P, CmdPtr C,
       IR(std::make_unique<IrProgram>(
           lowerCommand(P, *Owned, Opts.Costs, Opts.Mitigation))),
       LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
-      Init(Memory::fromProgram(P, Opts.Costs.DataBase)) {}
+      Init(Memory::fromProgram(P, Opts.Costs.DataBase, IR->Names)) {}
 
 CompiledProgram::~CompiledProgram() = default;
 

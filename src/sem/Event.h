@@ -17,6 +17,7 @@
 #define ZAM_SEM_EVENT_H
 
 #include "hw/CacheConfig.h"
+#include "lang/SlotNames.h"
 #include "lattice/Label.h"
 #include "lattice/SecurityLattice.h"
 #include "support/Diagnostics.h"
@@ -25,19 +26,9 @@
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 namespace zam {
-
-/// The variables of one memory layout: names in declaration order (the slot
-/// numbering of Memory, the lowering pass and AssignEvent::Slot) and the
-/// inverse map. Built once per program image and shared read-only by every
-/// copy of that memory and by the trace of every run over it.
-struct SlotNames {
-  std::vector<std::string> Names;
-  std::unordered_map<std::string, size_t> Index;
-};
 
 /// One observable assignment event (x, v, t). The variable x is its
 /// declaration-order slot, resolved to a name through Trace::varName, so

@@ -8,13 +8,13 @@
 
 using namespace zam;
 
-Memory Memory::fromProgram(const Program &P, Addr DataBase) {
+Memory Memory::fromProgram(const Program &P, Addr DataBase,
+                           std::shared_ptr<const SlotNames> Names) {
   Memory M;
-  auto Names = std::make_shared<SlotNames>();
+  M.Slots.reserve(P.vars().size());
   Addr Next = DataBase;
   for (const VarDecl &D : P.vars()) {
     MemorySlot S;
-    S.Name = D.Name;
     S.SecLabel = D.SecLabel;
     S.IsArray = D.IsArray;
     S.Base = Next;
@@ -22,11 +22,11 @@ Memory Memory::fromProgram(const Program &P, Addr DataBase) {
     for (size_t I = 0; I != D.Init.size() && I != S.Data.size(); ++I)
       S.Data[I] = D.Init[I];
     Next += D.Size * 8;
-    Names->Index.emplace(S.Name, M.Slots.size());
-    Names->Names.push_back(S.Name);
     M.Slots.push_back(std::move(S));
   }
-  M.Names = std::move(Names);
+  M.Names = Names ? std::move(Names) : SlotNames::of(P);
+  assert(M.Names->Names.size() == M.Slots.size() &&
+         "name table of another program");
   return M;
 }
 
@@ -88,10 +88,11 @@ Label Memory::labelOf(const std::string &Name) const {
 bool Memory::equivalentUpTo(const Memory &Other, Label L,
                             const SecurityLattice &Lat) const {
   assert(Slots.size() == Other.Slots.size() && "memories with different Γ");
+  assert((Names == Other.Names || Names->Names == Other.Names->Names) &&
+         "memories with different Γ");
   for (size_t I = 0; I != Slots.size(); ++I) {
     const MemorySlot &A = Slots[I];
     const MemorySlot &B = Other.Slots[I];
-    assert(A.Name == B.Name && "memories with different Γ");
     if (Lat.flowsTo(A.SecLabel, L) && A.Data != B.Data)
       return false;
   }

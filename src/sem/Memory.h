@@ -32,9 +32,10 @@
 
 namespace zam {
 
-/// Runtime storage for one declared variable.
+/// Runtime storage for one declared variable. Its name lives in the
+/// layout's shared SlotNames (Memory::slotName), so copying a memory copies
+/// no strings.
 struct MemorySlot {
-  std::string Name;
   Label SecLabel; ///< Γ(x).
   bool IsArray = false;
   Addr Base = 0; ///< Simulated address of element 0.
@@ -50,8 +51,11 @@ public:
   Memory() = default;
 
   /// Builds memory from a program's declarations, laying variables out
-  /// contiguously (8-byte words) from \p DataBase.
-  static Memory fromProgram(const Program &P, Addr DataBase = 0x10000000);
+  /// contiguously (8-byte words) from \p DataBase. \p Names, when given,
+  /// is \p P's table (a compiled form shares its IR's); otherwise one is
+  /// built.
+  static Memory fromProgram(const Program &P, Addr DataBase = 0x10000000,
+                            std::shared_ptr<const SlotNames> Names = nullptr);
 
   bool hasVar(const std::string &Name) const {
     return slotIndexOf(Name) != npos;
@@ -59,7 +63,6 @@ public:
 
   const MemorySlot &slot(const std::string &Name) const;
   MemorySlot &slot(const std::string &Name);
-  const std::vector<MemorySlot> &slots() const { return Slots; }
 
   /// Dense slot-index fast path used by the IR execution core. Indices
   /// follow declaration order — the same numbering the lowering pass bakes
@@ -75,6 +78,12 @@ public:
   MemorySlot &slotAt(size_t I) {
     checkSlotIndex(I, Slots.size());
     return Slots[I];
+  }
+
+  /// The name of slot \p I.
+  const std::string &slotName(size_t I) const {
+    checkSlotIndex(I, Slots.size());
+    return Names->Names[I];
   }
 
   /// Declaration-order index of \p Name, or npos when undeclared.
@@ -121,7 +130,8 @@ public:
   Label labelOf(const std::string &Name) const;
 
   /// m1 ~ℓ m2 (Sec. 3.4): agreement on every variable whose label flows to
-  /// ℓ. Arrays compare element-wise. Slot layouts must match.
+  /// ℓ. Arrays compare element-wise. Slot layouts must match (asserted on
+  /// the names).
   bool equivalentUpTo(const Memory &Other, Label L,
                       const SecurityLattice &Lat) const;
 

@@ -2,6 +2,8 @@
 
 #include "sem/Mitigation.h"
 
+#include "support/ParseInt.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -246,17 +248,6 @@ const std::vector<MitigationPolicyInfo> &zam::mitigationPolicyRegistry() {
   return Registry;
 }
 
-static bool parseUint(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size())
-    return false;
-  Out = V;
-  return true;
-}
-
 MitigationPolicyPtr zam::parseMitigationPolicy(const std::string &Spec,
                                                std::string *Error) {
   const auto Fail = [&](const std::string &Why) -> MitigationPolicyPtr {
@@ -272,6 +263,8 @@ MitigationPolicyPtr zam::parseMitigationPolicy(const std::string &Spec,
   const std::string Name = Spec.substr(0, Colon);
   const std::string Params =
       Colon == std::string::npos ? std::string() : Spec.substr(Colon + 1);
+  if (Colon != std::string::npos && Params.empty())
+    return Fail("policy '" + Name + "' has an empty parameter list after ':'");
 
   if (Name == "fast-doubling" || Name == "linear") {
     if (!Params.empty())
@@ -281,7 +274,7 @@ MitigationPolicyPtr zam::parseMitigationPolicy(const std::string &Spec,
   if (Name == "bucketed") {
     uint64_t Q = 4; // Default quantum: quarter-octave steps.
     if (!Params.empty()) {
-      if (Params.rfind("q=", 0) != 0 || !parseUint(Params.substr(2), Q) ||
+      if (Params.rfind("q=", 0) != 0 || !parseInteger(Params.substr(2), Q) ||
           Q == 0 || Q > 4096)
         return Fail("bucketed wants q=<1..4096>, got '" + Params + "'");
     }
@@ -289,7 +282,7 @@ MitigationPolicyPtr zam::parseMitigationPolicy(const std::string &Spec,
   }
   if (Name == "seeded") {
     uint64_t Est = 0;
-    if (Params.rfind("est=", 0) != 0 || !parseUint(Params.substr(4), Est) ||
+    if (Params.rfind("est=", 0) != 0 || !parseInteger(Params.substr(4), Est) ||
         Est == 0)
       return Fail("seeded wants est=<positive cycles>, got '" + Params + "'");
     return std::make_shared<SeededPolicy>(Est);

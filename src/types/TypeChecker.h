@@ -66,8 +66,14 @@ public:
   /// The whole program's timing end-label (valid after a successful check).
   std::optional<Label> programEndLabel() const { return ProgramEnd; }
 
-private:
+  /// The first part of check(): every variable the body reads or assigns
+  /// is declared, with the shape it is used at. Needs no timing labels, so
+  /// a front end runs it before label inference, which computes guard
+  /// labels and cannot handle an undeclared variable. \returns true when
+  /// the declarations are sound; located diagnostics otherwise.
   bool checkDeclarations();
+
+private:
   bool checkExprShape(const Expr &E);
   /// Join of index labels over all array reads in \p E (⊥ when none):
   /// the address-dependence label that must flow to ew.

@@ -98,7 +98,7 @@ TEST(Memory, SlotNumberingStableAcrossBuilderAndParser) {
                  "skip"));
   ASSERT_EQ(FromBuilder.slotCount(), FromParser.slotCount());
   for (size_t I = 0; I != FromBuilder.slotCount(); ++I) {
-    EXPECT_EQ(FromBuilder.slotAt(I).Name, FromParser.slotAt(I).Name) << I;
+    EXPECT_EQ(FromBuilder.slotName(I), FromParser.slotName(I)) << I;
     EXPECT_EQ(FromBuilder.slotAt(I).Base, FromParser.slotAt(I).Base) << I;
   }
   EXPECT_TRUE(FromBuilder == FromParser);
@@ -171,7 +171,7 @@ TEST(MemoryDeathTest, SanitizeChecksCatchRawMisuse) {
 #ifdef ZAM_SANITIZE_CHECKS
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Memory M = Memory::fromProgram(declProgram());
-  EXPECT_DEATH(M.slotAt(M.slots().size()), "slot index out of range");
+  EXPECT_DEATH(M.slotAt(M.slotCount()), "slot index out of range");
   EXPECT_DEATH(Memory::wrapRaw(3, 0), "wrap modulus is zero");
 #else
   GTEST_SKIP() << "bounds assertions compile away outside ZAM_SANITIZE";

@@ -28,10 +28,7 @@ namespace {
 Memory perturbAboveMemory(const Memory &M, Label Level,
                           const SecurityLattice &Lat, Rng &R) {
   Memory Out = M;
-  for (const MemorySlot &S : M.slots())
-    if (!Lat.flowsTo(S.SecLabel, Level))
-      for (int64_t &V : Out.slot(S.Name).Data)
-        V = R.nextInRange(-64, 64);
+  perturbMemoryAbove(Out, Level, Lat, R);
   return Out;
 }
 } // namespace
@@ -136,9 +133,9 @@ TEST(Noninterference, MitigateFreeProgramsHaveSecretIndependentTiming) {
     randomizeMemoryValues(I1.memory(), R);
     I2.memory() = I1.memory();
     // Vary only high variables.
-    for (const MemorySlot &S : I1.memory().slots())
-      if (S.SecLabel == high())
-        for (int64_t &V : I2.memory().slot(S.Name).Data)
+    for (size_t I = 0; I != I1.memory().slotCount(); ++I)
+      if (I1.memory().slotAt(I).SecLabel == high())
+        for (int64_t &V : I2.memory().slotAt(I).Data)
           V = R.nextInRange(-64, 64);
     RunResult R1 = I1.run();
     RunResult R2 = I2.run();

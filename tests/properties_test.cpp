@@ -197,10 +197,7 @@ TEST_P(SecurityProperties, Property7SingleStepNoninterference) {
       // Premise: m1 ~ℓ m2 and E1 ~ℓ E2.
       Memory M1 = randomMemory(Decls, R);
       Memory M2 = M1;
-      for (const MemorySlot &S : M1.slots())
-        if (!Lat.flowsTo(S.SecLabel, Level))
-          for (int64_t &V : M2.slot(S.Name).Data)
-            V = R.nextInRange(-64, 64);
+      perturbMemoryAbove(M2, Level, Lat, R);
       auto E1 = Env->clone();
       E1->randomize(R);
       auto E2 = E1->clone();

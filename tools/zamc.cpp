@@ -119,6 +119,7 @@
 #include "obs/Phase.h"
 #include "obs/Telemetry.h"
 #include "support/BuildInfo.h"
+#include "support/ParseInt.h"
 #include "hw/HardwareModels.h"
 #include "lang/Parser.h"
 #include "lang/PrettyPrinter.h"
@@ -312,11 +313,15 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       std::string Var = Assign.substr(0, Eq);
       if (Arg == "--set") {
-        Opts.Overrides.emplace_back(Var, std::stoll(Assign.substr(Eq + 1)));
+        int64_t Value = 0;
+        if (!parseInteger(std::string_view(Assign).substr(Eq + 1), Value))
+          return false;
+        Opts.Overrides.emplace_back(Var, Value);
       } else {
         std::vector<int64_t> Values;
         for (const std::string &Piece : splitCommas(Assign.substr(Eq + 1)))
-          Values.push_back(std::stoll(Piece));
+          if (!parseInteger(Piece, Values.emplace_back()))
+            return false;
         Opts.Variations.emplace_back(Var, std::move(Values));
       }
     } else if (Arg == "--adversary") {
@@ -330,11 +335,10 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       const char *V = Next();
       if (!V)
         return false;
-      char *End = nullptr;
-      unsigned long N = std::strtoul(V, &End, 10);
-      if (End == V || *End != '\0' || N > 1024)
+      unsigned N = 0;
+      if (!parseInteger(V, N) || N > 1024)
         return false;
-      Opts.Threads = static_cast<unsigned>(N);
+      Opts.Threads = N;
     } else if (Arg == "--json") {
       const char *V = Next();
       if (!V)
@@ -360,11 +364,10 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       const char *V = Next();
       if (!V)
         return false;
-      char *End = nullptr;
-      unsigned long N = std::strtoul(V, &End, 10);
-      if (End == V || *End != '\0' || N == 0 || N > 10000)
+      unsigned N = 0;
+      if (!parseInteger(V, N) || N == 0 || N > 10000)
         return false;
-      Opts.TopK = static_cast<unsigned>(N);
+      Opts.TopK = N;
     } else if (Arg == "--folded") {
       const char *V = Next();
       if (!V || !*V)
@@ -392,9 +395,8 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       size_t Eq = Assign.find('=');
       if (Eq == std::string::npos || Eq == 0)
         return false;
-      char *End = nullptr;
-      unsigned long Eta = std::strtoul(Assign.c_str(), &End, 10);
-      if (End != Assign.c_str() + Eq)
+      unsigned Eta = 0;
+      if (!parseInteger(std::string_view(Assign).substr(0, Eq), Eta))
         return false;
       std::string Err;
       MitigationPolicyPtr P = parseMitigationPolicy(Assign.substr(Eq + 1),
@@ -403,7 +405,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         std::fprintf(stderr, "error: %s\n", Err.c_str());
         return false;
       }
-      Opts.Mitigation.overrideSite(static_cast<unsigned>(Eta), *P);
+      Opts.Mitigation.overrideSite(Eta, *P);
       Opts.OwnedPolicies.push_back(std::move(P));
     } else if (Arg == "--seed") {
       const char *V = Next();
@@ -419,11 +421,10 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       const char *V = Next();
       if (!V)
         return false;
-      char *End = nullptr;
-      unsigned long N = std::strtoul(V, &End, 10);
-      if (End == V || *End != '\0' || N == 0 || N > 10000000)
+      unsigned N = 0;
+      if (!parseInteger(V, N) || N == 0 || N > 10000000)
         return false;
-      Opts.Samples = static_cast<unsigned>(N);
+      Opts.Samples = N;
     } else if (Arg == "--class") {
       const char *V = Next();
       if (!V || !*V)
@@ -449,11 +450,8 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       const char *V = Next();
       if (!V || !*V)
         return false;
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(V, &End, 10);
-      if (End == V || *End != '\0')
+      if (!parseInteger(V, Opts.SnapshotEvery))
         return false;
-      Opts.SnapshotEvery = N;
     } else {
       return false;
     }
@@ -672,8 +670,9 @@ int cmdRun(Program &P, const Options &Opts, bool Timeline) {
               " steps on %s hardware\n",
               R.T.FinalTime, R.T.Steps, hwKindName(Opts.Hw));
   std::printf("final memory:\n");
-  for (const MemorySlot &S : R.FinalMemory.slots()) {
-    std::printf("  %-12s [%s] = ", S.Name.c_str(),
+  for (size_t I = 0; I != R.FinalMemory.slotCount(); ++I) {
+    const MemorySlot &S = R.FinalMemory.slotAt(I);
+    std::printf("  %-12s [%s] = ", R.FinalMemory.slotName(I).c_str(),
                 P.lattice().name(S.SecLabel).c_str());
     if (S.IsArray) {
       std::printf("{");
@@ -694,14 +693,16 @@ int cmdRun(Program &P, const Options &Opts, bool Timeline) {
   Doc["final_time"] = JsonValue(R.T.FinalTime);
   Doc["steps"] = JsonValue(R.T.Steps);
   JsonValue Mem = JsonValue::object();
-  for (const MemorySlot &S : R.FinalMemory.slots()) {
+  for (size_t I = 0; I != R.FinalMemory.slotCount(); ++I) {
+    const MemorySlot &S = R.FinalMemory.slotAt(I);
+    const std::string &Name = R.FinalMemory.slotName(I);
     if (S.IsArray) {
       JsonValue Arr = JsonValue::array();
       for (int64_t V : S.Data)
         Arr.push(JsonValue(V));
-      Mem[S.Name] = std::move(Arr);
+      Mem[Name] = std::move(Arr);
     } else {
-      Mem[S.Name] = JsonValue(S.Data[0]);
+      Mem[Name] = JsonValue(S.Data[0]);
     }
   }
   Doc["memory"] = std::move(Mem);
@@ -1351,10 +1352,7 @@ int cmdAudit(Program &P, const Options &Opts) {
 
     for (Label Level : Lat.allLabels()) {
       Memory M3 = M;
-      for (const MemorySlot &S : M.slots())
-        if (!Lat.flowsTo(S.SecLabel, Level))
-          for (int64_t &V : M3.slot(S.Name).Data)
-            V = R.nextInRange(-64, 64);
+      perturbMemoryAbove(M3, Level, Lat, R);
       auto E3 = E->clone();
       E3->perturbAbove(Level, R);
       if (!checkSingleStepNI(P, *C, M, M3, *E, *E3, Level).Holds) {
@@ -1402,19 +1400,6 @@ int cmdAudit(Program &P, const Options &Opts) {
   return Pass ? 0 : 1;
 }
 
-/// Strict base-10 int64 parse for class-spec values.
-bool parseInt64(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
 /// Parses one --class spec "NAME:var=V[,var=LO..HI]..." against the
 /// program's declarations. Diagnoses and returns false on any malformed
 /// piece or unknown variable.
@@ -1445,14 +1430,14 @@ bool parseClassSpec(const std::string &Raw, const Program &P,
     size_t Dots = Val.find("..");
     if (Dots == std::string::npos) {
       int64_t V;
-      if (!parseInt64(Val, V))
+      if (!parseInteger(Val, V))
         return Complain("value is not an integer");
       Out.Fixed.emplace_back(Var, V);
     } else {
       SecretClassSpec::Range Rg;
       Rg.Var = Var;
-      if (!parseInt64(Val.substr(0, Dots), Rg.Lo) ||
-          !parseInt64(Val.substr(Dots + 2), Rg.Hi) || Rg.Lo > Rg.Hi)
+      if (!parseInteger(Val.substr(0, Dots), Rg.Lo) ||
+          !parseInteger(Val.substr(Dots + 2), Rg.Hi) || Rg.Lo > Rg.Hi)
         return Complain("range is not lo..hi with lo <= hi");
       Out.Ranges.push_back(std::move(Rg));
     }
@@ -1744,6 +1729,12 @@ int main(int Argc, char **Argv) {
   }
   {
     auto Scope = Phases.scope("infer");
+    // Inference computes guard labels from the declarations, so an
+    // undeclared variable must be the checker's diagnostic first.
+    if (!TypeChecker(*P, Diags).checkDeclarations()) {
+      std::fprintf(stderr, "%s", Diags.str().c_str());
+      return 1;
+    }
     inferTimingLabels(*P);
   }
 
