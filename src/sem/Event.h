@@ -158,8 +158,8 @@ struct Trace {
   }
 
   /// A canonical string encoding of the ℓA-observable event sequence, used
-  /// to count distinguishable observations in Definition 1.
-  /// Requires retained events.
+  /// to count distinguishable observations in Definition 1. Requires
+  /// retained events.
   std::string observationKey(Label AdversaryLevel,
                              const SecurityLattice &Lat) const;
 };

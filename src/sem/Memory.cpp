@@ -11,7 +11,6 @@ using namespace zam;
 Memory Memory::fromProgram(const Program &P, Addr DataBase,
                            std::shared_ptr<const SlotNames> Names) {
   Memory M;
-  M.Slots.reserve(P.vars().size());
   Addr Next = DataBase;
   for (const VarDecl &D : P.vars()) {
     MemorySlot S;
