@@ -53,13 +53,15 @@ std::string zam::dumpTrace(const Trace &T, const SecurityLattice &Lat,
                            std::optional<Label> Adversary) {
   std::string Out = dumpEvents(T, Lat, Adversary);
   Out += dumpMitigations(T, Lat);
+  const char *Stop = "";
+  if (T.HitEventLimit)
+    Stop = " (event limit hit)";
+  else if (T.HitStepLimit)
+    Stop = " (step limit hit)";
   char Buf[120];
   std::snprintf(Buf, sizeof(Buf),
                 "terminated at G = %" PRIu64 " after %" PRIu64 " steps%s\n",
-                T.FinalTime, T.Steps,
-                T.HitEventLimit  ? " (event limit hit)"
-                : T.HitStepLimit ? " (step limit hit)"
-                                 : "");
+                T.FinalTime, T.Steps, Stop);
   Out += Buf;
   return Out;
 }
