@@ -4,6 +4,7 @@
 
 #include "exp/ParallelRunner.h"
 #include "obs/Telemetry.h"
+#include "support/ParseInt.h"
 
 #include <cinttypes>
 #include <cstdio>
@@ -16,32 +17,25 @@ HarnessOptions zam::parseHarnessArgs(int Argc, char **Argv) {
   HarnessOptions Opts;
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--threads") && I + 1 < Argc) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(Argv[++I], &End, 10);
-      if (End == Argv[I] || *End != '\0' || V > 1024) {
+      if (!parseInteger(Argv[++I], Opts.Threads) || Opts.Threads > 1024) {
         Opts.Ok = false;
         return Opts;
       }
-      Opts.Threads = static_cast<unsigned>(V);
     } else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc) {
       Opts.JsonPath = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--trace-out") && I + 1 < Argc) {
       Opts.TraceOutPath = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--seed") && I + 1 < Argc) {
-      char *End = nullptr;
-      Opts.Seed = std::strtoull(Argv[++I], &End, 0);
-      if (End == Argv[I] || *End != '\0') {
+      if (!parseInteger(Argv[++I], Opts.Seed)) {
         Opts.Ok = false;
         return Opts;
       }
     } else if (!std::strcmp(Argv[I], "--samples") && I + 1 < Argc) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(Argv[++I], &End, 10);
-      if (End == Argv[I] || *End != '\0' || V < 1 || V > 10000000) {
+      if (!parseInteger(Argv[++I], Opts.Samples) || Opts.Samples < 1 ||
+          Opts.Samples > 10000000) {
         Opts.Ok = false;
         return Opts;
       }
-      Opts.Samples = static_cast<unsigned>(V);
     } else if (!std::strcmp(Argv[I], "--progress")) {
       Opts.Progress = true;
     } else if (!std::strcmp(Argv[I], "--trace-format") && I + 1 < Argc) {

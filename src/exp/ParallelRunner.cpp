@@ -2,8 +2,11 @@
 
 #include "exp/ParallelRunner.h"
 
+#include "support/ParseInt.h"
+
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -16,10 +19,18 @@ unsigned zam::resolveThreadCount(unsigned Requested) {
   if (Requested > 0)
     return Requested;
   if (const char *Env = std::getenv("ZAM_THREADS")) {
-    char *End = nullptr;
-    unsigned long V = std::strtoul(Env, &End, 10);
-    if (End != Env && *End == '\0' && V > 0 && V <= 1024)
-      return static_cast<unsigned>(V);
+    unsigned V = 0;
+    if (parseInteger(Env, V) && V > 0 && V <= 1024)
+      return V;
+    // A malformed setting falls back to the hardware count, but says so
+    // (once per process: runners are built per experiment).
+    static std::once_flag Warned;
+    std::call_once(Warned, [Env] {
+      std::fprintf(stderr,
+                   "warning: ignoring ZAM_THREADS='%s' (expected a thread "
+                   "count from 1 to 1024); using the hardware count\n",
+                   Env);
+    });
   }
   unsigned Hw = std::thread::hardware_concurrency();
   return Hw ? Hw : 1;

@@ -73,13 +73,31 @@ void mergeEvents(CacheLevelStats &S, const CacheEvents &E) {
   S.LineFills += E.LineFills;
 }
 
-/// The delta between two event snapshots of one structure.
-HwEventDelta eventDelta(const CacheEvents &Before, const CacheEvents &After) {
-  HwEventDelta D;
+/// Sums the event counters of the \p N caches at \p P (one structure's
+/// partitions; N = 1 for the unpartitioned designs).
+CacheEvents sumEvents(const Cache *P, unsigned N) {
+  CacheEvents E;
+  for (unsigned I = 0; I != N; ++I) {
+    E.Evictions += P[I].events().Evictions;
+    E.Writebacks += P[I].events().Writebacks;
+    E.LineFills += P[I].events().LineFills;
+  }
+  return E;
+}
+
+/// Runs \p Install, which may install into or remove from the \p N caches
+/// at \p P, and stores the events it caused there in \p D. Lookups and
+/// probes change no event counter, so the observed walks read events only
+/// around installs: a hit leaves every delta at zero without reading any.
+template <typename InstallFn>
+void trackInstall(const Cache *P, unsigned N, HwEventDelta &D,
+                  InstallFn Install) {
+  const CacheEvents Before = sumEvents(P, N);
+  Install();
+  const CacheEvents After = sumEvents(P, N);
   D.Evictions = static_cast<uint32_t>(After.Evictions - Before.Evictions);
   D.Writebacks = static_cast<uint32_t>(After.Writebacks - Before.Writebacks);
   D.LineFills = static_cast<uint32_t>(After.LineFills - Before.LineFills);
-  return D;
 }
 } // namespace
 
@@ -96,9 +114,9 @@ namespace {
 /// Walks one TLB + two-level cache path. \p Fill selects between normal
 /// operation and no-fill probing (no installs, no LRU updates). \p IsStore
 /// marks the L1 line dirty (telemetry only; writebacks add no latency).
-/// \p Observed selects whether miss flags are reported through \p Acc —
-/// the unobserved instantiation is the simulator's hottest path and skips
-/// every HwAccess store.
+/// \p Observed selects whether miss flags and each install's event deltas
+/// are reported through \p Acc — the unobserved instantiation is the
+/// simulator's hottest path and skips every HwAccess store.
 template <bool Observed>
 uint64_t unifiedPath(Cache &Tlb, Cache &L1, Cache &L2, Addr A, bool Fill,
                      bool IsStore, uint64_t MemLatency,
@@ -114,8 +132,12 @@ uint64_t unifiedPath(Cache &Tlb, Cache &L1, Cache &L2, Addr A, bool Fill,
     if constexpr (Observed)
       Acc->TlbMiss = true;
     Cycles += Tlb.latency();
-    if (Fill)
-      Tlb.install(A);
+    if (Fill) {
+      if constexpr (Observed)
+        trackInstall(&Tlb, 1, Acc->TlbEvents, [&] { Tlb.install(A); });
+      else
+        Tlb.install(A);
+    }
   }
 
   Cycles += L1.latency();
@@ -137,11 +159,19 @@ uint64_t unifiedPath(Cache &Tlb, Cache &L1, Cache &L2, Addr A, bool Fill,
     if constexpr (Observed)
       Acc->L2Miss = true;
     Cycles += MemLatency;
-    if (Fill)
-      L2.install(A);
+    if (Fill) {
+      if constexpr (Observed)
+        trackInstall(&L2, 1, Acc->L2Events, [&] { L2.install(A); });
+      else
+        L2.install(A);
+    }
   }
-  if (Fill)
-    L1.install(A, IsStore);
+  if (Fill) {
+    if constexpr (Observed)
+      trackInstall(&L1, 1, Acc->L1Events, [&] { L1.install(A, IsStore); });
+    else
+      L1.install(A, IsStore);
+  }
   return Cycles;
 }
 } // namespace
@@ -159,15 +189,9 @@ uint64_t UnifiedHwBase::dataAccess(Addr A, bool IsStore, Label Read,
   Acc.A = A;
   Acc.IsData = true;
   Acc.IsStore = IsStore;
-  CacheEvents TlbBefore = Tlb.events();
-  CacheEvents L1Before = L1.events();
-  CacheEvents L2Before = L2.events();
   Acc.Cycles = unifiedPath<true>(Tlb, L1, L2, A, mayFill(Write), IsStore,
                                  Config.MemLatency, Stats.DTlb, Stats.L1D,
                                  Stats.L2D, &Acc);
-  Acc.TlbEvents = eventDelta(TlbBefore, Tlb.events());
-  Acc.L1Events = eventDelta(L1Before, L1.events());
-  Acc.L2Events = eventDelta(L2Before, L2.events());
   notifyAccess(Acc);
   return Acc.Cycles;
 }
@@ -182,15 +206,9 @@ uint64_t UnifiedHwBase::fetch(Addr A, Label Read, Label Write) {
                               Stats.L1I, Stats.L2I, nullptr);
   HwAccess Acc;
   Acc.A = A;
-  CacheEvents TlbBefore = Tlb.events();
-  CacheEvents L1Before = L1.events();
-  CacheEvents L2Before = L2.events();
   Acc.Cycles = unifiedPath<true>(Tlb, L1, L2, A, mayFill(Write),
                                  /*IsStore=*/false, Config.MemLatency,
                                  Stats.ITlb, Stats.L1I, Stats.L2I, &Acc);
-  Acc.TlbEvents = eventDelta(TlbBefore, Tlb.events());
-  Acc.L1Events = eventDelta(L1Before, L1.events());
-  Acc.L2Events = eventDelta(L2Before, L2.events());
   notifyAccess(Acc);
   return Acc.Cycles;
 }
@@ -319,17 +337,6 @@ inline bool walkPlan(Cache *P, Addr A, const uint8_t *E,
   return false;
 }
 
-/// Sums one partitioned structure's event counters over its \p Levels
-/// partitions (an install may displace stale copies from several of them).
-CacheEvents sumPartEvents(const Cache *P, unsigned Levels) {
-  CacheEvents E;
-  for (unsigned I = 0; I != Levels; ++I) {
-    E.Evictions += P[I].events().Evictions;
-    E.Writebacks += P[I].events().Writebacks;
-    E.LineFills += P[I].events().LineFills;
-  }
-  return E;
-}
 } // namespace
 
 void PartitionedHw::partInstall(Cache *P, Addr A, Label Write, bool Dirty) {
@@ -368,7 +375,13 @@ uint64_t PartitionedHw::accessHierarchy(bool IsData, Addr A, Label Read,
     if constexpr (Observed)
       Acc->TlbMiss = true;
     Cycles += Tlb[0].latency();
-    partInstall(Tlb, A, Write);
+    // Observed deltas sum over the structure's partitions: an install may
+    // displace stale copies from several of them.
+    if constexpr (Observed)
+      trackInstall(Tlb, Levels, Acc->TlbEvents,
+                   [&] { partInstall(Tlb, A, Write); });
+    else
+      partInstall(Tlb, A, Write);
   }
 
   Cycles += L1[0].latency();
@@ -388,28 +401,27 @@ uint64_t PartitionedHw::accessHierarchy(bool IsData, Addr A, Label Read,
     if constexpr (Observed)
       Acc->L2Miss = true;
     Cycles += Config.MemLatency;
-    partInstall(L2, A, Write);
+    if constexpr (Observed)
+      trackInstall(L2, Levels, Acc->L2Events,
+                   [&] { partInstall(L2, A, Write); });
+    else
+      partInstall(L2, A, Write);
   }
-  partInstall(L1, A, Write, IsStore);
+  if constexpr (Observed)
+    trackInstall(L1, Levels, Acc->L1Events,
+                 [&] { partInstall(L1, A, Write, IsStore); });
+  else
+    partInstall(L1, A, Write, IsStore);
   return Cycles;
 }
 
 uint64_t PartitionedHw::accessObserved(bool IsData, Addr A, Label Read,
                                        Label Write, bool IsStore) {
-  const Cache *const Tlb = parts(IsData ? kDTlb : kITlb);
-  const Cache *const L1 = parts(IsData ? kL1D : kL1I);
-  const Cache *const L2 = parts(IsData ? kL2D : kL2I);
   HwAccess Acc;
   Acc.A = A;
   Acc.IsData = IsData;
   Acc.IsStore = IsStore;
-  const CacheEvents TlbBefore = sumPartEvents(Tlb, Levels);
-  const CacheEvents L1Before = sumPartEvents(L1, Levels);
-  const CacheEvents L2Before = sumPartEvents(L2, Levels);
   Acc.Cycles = accessHierarchy<true>(IsData, A, Read, Write, IsStore, &Acc);
-  Acc.TlbEvents = eventDelta(TlbBefore, sumPartEvents(Tlb, Levels));
-  Acc.L1Events = eventDelta(L1Before, sumPartEvents(L1, Levels));
-  Acc.L2Events = eventDelta(L2Before, sumPartEvents(L2, Levels));
   notifyAccess(Acc);
   return Acc.Cycles;
 }

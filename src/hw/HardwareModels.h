@@ -154,14 +154,15 @@ private:
   void partInstall(Cache *P, Addr A, Label Write, bool Dirty = false);
 
   /// Walks one TLB + two-level cache path (data when \p IsData, else
-  /// instruction). \p Observed selects whether miss flags are reported
-  /// through \p Acc; the unobserved instantiation is the hot path.
+  /// instruction). \p Observed selects whether miss flags and the event
+  /// deltas of each install are reported through \p Acc; the unobserved
+  /// instantiation is the hot path.
   template <bool Observed>
   uint64_t accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
                            bool IsStore, HwAccess *Acc);
 
-  /// The observed access: the same walk between per-structure event
-  /// snapshots, then the HwObserver notification.
+  /// The observed access: the observed walk, then the HwObserver
+  /// notification.
   uint64_t accessObserved(bool IsData, Addr A, Label Read, Label Write,
                           bool IsStore);
 

@@ -45,9 +45,11 @@ enum class HwKind {
 const char *hwKindName(HwKind Kind);
 
 /// Eviction/writeback/line-fill deltas one access caused in one structure
-/// (TLB or cache level). Computed from before/after event snapshots, and
-/// only while an observer is installed — the snapshot cost is skipped on
-/// unobserved runs.
+/// (TLB or cache level). Only an install, with the stale-copy removes of
+/// the partitioned design, changes a structure's event counters, so the
+/// observed walk reads them just before and after each install and nowhere
+/// else: a hit reads none and reports zeros. Unobserved runs read none at
+/// all.
 struct HwEventDelta {
   uint32_t Evictions = 0;
   uint32_t Writebacks = 0;
@@ -65,9 +67,9 @@ struct HwAccess {
   bool L2Miss = false; ///< Implies L1Miss; the access went to memory.
   uint64_t Cycles = 0; ///< Latency charged for this access.
   /// Structure-event deltas (valid only while an observer is installed;
-  /// zero otherwise). In the partitioned design each delta sums over the
-  /// structure's partitions — an install may displace stale copies from
-  /// several of them.
+  /// zero for a structure the access did not install into). In the
+  /// partitioned design each delta sums over the structure's partitions —
+  /// an install may displace stale copies from several of them.
   HwEventDelta TlbEvents;
   HwEventDelta L1Events;
   HwEventDelta L2Events;

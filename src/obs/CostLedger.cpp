@@ -29,9 +29,10 @@ const char *CostLedger::structureName(unsigned I) {
   return "?";
 }
 
-LineCost &CostLedger::line(uint32_t L) {
+LineCost &CostLedger::lineSlow(uint32_t L) {
   LineCost &C = Lines[L];
   C.Line = L;
+  Memo.C = &C;
   return C;
 }
 
@@ -63,6 +64,14 @@ void CostLedger::chargeAccess(const CostCursor &Cur, const HwAccess &Access) {
   ++C.Accesses;
 
   // The TLB and L1 are consulted on every access; L2 only past an L1 miss.
+  // A TLB and L1 hit installs nothing, so all its event deltas are zero:
+  // it counts two hits and nothing else.
+  if (!Access.TlbMiss && !Access.L1Miss) {
+    ++C.S[Access.IsData ? DTlb : ITlb].Hits;
+    ++C.S[Access.IsData ? L1D : L1I].Hits;
+    return;
+  }
+
   // Event deltas (evictions/writebacks/fills) are added unconditionally —
   // they are zero for structures the access never touched.
   auto AddEvents = [](LineHwStats &S, const HwEventDelta &D) {

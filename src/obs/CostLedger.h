@@ -144,10 +144,31 @@ public:
   std::string renderAnnotated(const std::string &Source, bool Color) const;
 
 private:
-  LineCost &line(uint32_t L);
+  /// The last line charged. Runs charge the same line many times in a row
+  /// (a step's fetch, its data accesses and its cycles), so line() answers
+  /// a repeat from here without walking the map; map nodes never move, so
+  /// the pointer stays valid as other lines are added. A copied or moved
+  /// ledger starts with no memo: it must never point into another ledger.
+  struct LineMemo {
+    LineCost *C = nullptr;
+    LineMemo() = default;
+    LineMemo(const LineMemo &) {}
+    LineMemo &operator=(const LineMemo &) {
+      C = nullptr;
+      return *this;
+    }
+  };
+
+  LineCost &line(uint32_t L) {
+    if (Memo.C && Memo.C->Line == L)
+      return *Memo.C;
+    return lineSlow(L);
+  }
+  LineCost &lineSlow(uint32_t L);
   SiteCost &site(unsigned Eta);
 
   std::map<uint32_t, LineCost> Lines;
+  LineMemo Memo;
   std::map<unsigned, SiteCost> Sites;
   /// Per-level leak-bit partial sums (index: label index), replayed from
   /// the audit so the total reproduces its summation order.

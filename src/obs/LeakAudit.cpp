@@ -3,6 +3,7 @@
 #include "obs/LeakAudit.h"
 
 #include "obs/TraceReader.h"
+#include "support/ParseInt.h"
 
 #include <cmath>
 #include <cstdlib>
@@ -96,25 +97,35 @@ bool LeakAudit::replay(TraceReader &Reader, std::string &Err) {
     if (R.RecordKind != TraceRecord::Kind::Span || R.Category != "mit")
       continue;
     MitigateRecord M;
+    // Numeric fields are checked integers: a malformed one fails the
+    // replay rather than reading as 0.
+    auto Malformed = [&](const char *Key) {
+      Err = "mitigate span '" + R.Name + "' has a malformed '" + Key +
+            "' value";
+      return false;
+    };
     const size_t Hash = R.Name.rfind('#');
-    if (Hash != std::string::npos)
-      M.Eta = static_cast<unsigned>(
-          std::strtoul(R.Name.c_str() + Hash + 1, nullptr, 10));
+    if (Hash != std::string::npos &&
+        !parseInteger(std::string_view(R.Name).substr(Hash + 1), M.Eta))
+      return Malformed("eta");
     std::string LevelName, PcName;
     for (const auto &[Key, Value] : R.Args) {
-      if (Key == "level")
+      if (Key == "level") {
         LevelName = Value;
-      else if (Key == "pc")
+      } else if (Key == "pc") {
         PcName = Value;
-      else if (Key == "estimate")
-        M.Estimate = std::strtoll(Value.c_str(), nullptr, 10);
-      else if (Key == "consumed")
-        M.BodyTime = std::strtoull(Value.c_str(), nullptr, 10);
-      else if (Key == "mispredicted")
+      } else if (Key == "estimate") {
+        if (!parseInteger(Value, M.Estimate))
+          return Malformed("estimate");
+      } else if (Key == "consumed") {
+        if (!parseInteger(Value, M.BodyTime))
+          return Malformed("consumed");
+      } else if (Key == "mispredicted") {
         M.Mispredicted = Value == "true";
-      else if (Key == "loc")
-        M.Line = static_cast<uint32_t>(
-            std::strtoul(Value.c_str(), nullptr, 10));
+      } else if (Key == "loc") {
+        if (!parseInteger(Value, M.Line))
+          return Malformed("loc");
+      }
     }
     const std::optional<Label> Level = Lat.byName(LevelName);
     const std::optional<Label> Pc = Lat.byName(PcName);

@@ -6,9 +6,11 @@
 #include "obs/LeakAudit.h"
 #include "obs/Ztb.h"
 #include "support/BuildInfo.h"
+#include "support/Diagnostics.h"
 #include "support/StrAppend.h"
 
 #include <algorithm>
+#include <span>
 
 using namespace zam;
 
@@ -130,8 +132,7 @@ std::unique_ptr<TraceSink> zam::makeTraceSink(TraceFormat Format,
 
 namespace {
 
-/// The record streams of an export, in the order their keys are built —
-/// which, the sort being stable, is the order records with equal
+/// The record streams of an export, in the order records with equal
 /// timestamps leave in. Leak windows and snapshots interleave: each
 /// snapshot is keyed right after the window it closes.
 enum class Stream : uint8_t {
@@ -153,17 +154,22 @@ struct RecordKey {
   uint32_t Index;
   Stream From;
 };
-static_assert(sizeof(RecordKey) == 16, "one key per record stays compact");
+static_assert(sizeof(RecordKey) == 16, "sort keys stay compact");
 
 /// Refills one TraceRecord in place. Name, category and arg strings are
 /// assigned into the buffers the previous record left behind, so a
-/// steady-state export allocates nothing per record.
+/// steady-state export allocates nothing per record. Records of one stream
+/// come in runs, so the category and each arg key are copied only when
+/// their literal differs from the previous record's.
 class RecordFiller {
 public:
   TraceRecord &begin(TraceRecord::Kind Kind, const char *Category,
                      uint64_t Ts, uint64_t Dur = 0) {
     R.RecordKind = Kind;
-    R.Category = Category;
+    if (Category != LastCategory) {
+      R.Category = Category;
+      LastCategory = Category;
+    }
     R.Ts = Ts;
     R.Dur = Dur;
     Args = 0;
@@ -172,10 +178,16 @@ public:
 
   /// Opens arg \p Key and returns its cleared value buffer.
   std::string &arg(const char *Key) {
-    if (Args == R.Args.size())
+    if (Args == R.Args.size()) {
       R.Args.emplace_back();
-    auto &[K, V] = R.Args[Args++];
-    K = Key;
+      Keys.push_back(nullptr);
+    }
+    auto &[K, V] = R.Args[Args];
+    if (Keys[Args] != Key) {
+      K = Key;
+      Keys[Args] = Key;
+    }
+    ++Args;
     V.clear();
     return V;
   }
@@ -187,12 +199,16 @@ public:
   /// The finished record: args past the ones this record opened dropped.
   const TraceRecord &done() {
     R.Args.resize(Args);
+    Keys.resize(Args);
     return R;
   }
 
 private:
   TraceRecord R;
   size_t Args = 0;
+  const char *LastCategory = nullptr;
+  /// The literal each of R.Args' keys was copied from.
+  std::vector<const char *> Keys;
 };
 
 } // namespace
@@ -216,27 +232,37 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
   const bool WithMisses = Opts.IncludeMisses && !Opts.Adversary;
   const CostLedger *Ledger = Opts.Adversary ? nullptr : Opts.Ledger;
 
-  // Key every record in emission order: interp events, mit windows, leak
-  // windows (each snapshot right after its window), hw misses, then the
-  // ledger's line and site rows. A 32-bit index suffices: 2^32 retained
-  // events alone would take hundreds of GiB.
+  // Simultaneous records leave in stream order: interp events, mit
+  // windows, leak windows (each snapshot right after its window), hw
+  // misses, then the ledger's line and site rows. The result is the stable
+  // sort of every record by timestamp, built as a merge of four streams:
+  //  - the events and the misses, read in place: each is recorded as the
+  //    clock advances, so each is already in time order;
+  //  - the few mitigate, leak and snapshot records, keyed and sorted here;
+  //  - the ledger rows, all stamped at the run's final time.
+  // The merge relies on the first, so it is checked in every build: a
+  // violation would emit records out of order.
+  //
+  // The Sec. 6.1 projection: an adversary at ℓA sees (x, v, t) iff
+  // Γ(x) ⊑ ℓA.
+  auto visible = [&](const AssignEvent &E) {
+    return !Opts.Adversary || Lat.flowsTo(E.VarLabel, *Opts.Adversary);
+  };
+  const std::span<const AssignEvent> Events =
+      Opts.IncludeEvents ? std::span(T.Events) : std::span<const AssignEvent>();
+  const std::span<const AccessSample> Misses =
+      WithMisses ? std::span(T.Misses) : std::span<const AccessSample>();
+  auto ByTime = [](const auto &A, const auto &B) { return A.Time < B.Time; };
+  if (!std::is_sorted(Events.begin(), Events.end(), ByTime) ||
+      !std::is_sorted(Misses.begin(), Misses.end(), ByTime))
+    reportFatalError("exportTrace: the trace's events or misses are out of "
+                     "time order");
+  // A 32-bit index suffices: 2^32 retained events alone would take
+  // hundreds of GiB.
   std::vector<RecordKey> Keys;
-  Keys.reserve((Opts.IncludeEvents ? T.Events.size() : 0) +
-               (Opts.IncludeMitigations ? T.Mitigations.size() : 0) +
-               2 * Windows.size() + (WithMisses ? T.Misses.size() : 0) +
-               (Ledger ? Ledger->lines().size() + Ledger->sites().size()
-                       : 0));
   auto key = [&Keys](uint64_t Ts, size_t Index, Stream From) {
     Keys.push_back({Ts, static_cast<uint32_t>(Index), From});
   };
-  if (Opts.IncludeEvents)
-    for (size_t I = 0; I != T.Events.size(); ++I) {
-      const AssignEvent &E = T.Events[I];
-      // The Sec. 6.1 projection: an adversary at ℓA sees (x, v, t) iff
-      // Γ(x) ⊑ ℓA.
-      if (!Opts.Adversary || Lat.flowsTo(E.VarLabel, *Opts.Adversary))
-        key(E.Time, I, Stream::Event);
-    }
   // Mitigate spans are kept under any adversary: the padded duration is a
   // schedule value the mitigator makes public by construction.
   if (Opts.IncludeMitigations)
@@ -251,32 +277,22 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
         (I + 1) % Opts.SnapshotEveryWindows == 0)
       key(W.Start + W.Duration, I, Stream::Snapshot);
   }
-  if (WithMisses)
-    for (size_t I = 0; I != T.Misses.size(); ++I)
-      key(T.Misses[I].Time, I, Stream::Miss);
-  // The embedded profile: the per-line and per-site ledger rows, stamped at
-  // the run's final time. Cycle attribution is not reconstructible from the
-  // event stream (hits are never sampled), so these rows are the offline
-  // reader's ground truth; everything it *can* rebuild — windows, padding,
-  // leak bits, sampled misses — it checks against them.
-  if (Ledger) {
-    for (size_t I = 0; I != Ledger->lines().size(); ++I)
-      key(T.FinalTime, I, Stream::LedgerLine);
-    for (size_t I = 0; I != Ledger->sites().size(); ++I)
-      key(T.FinalTime, I, Stream::LedgerSite);
-  }
-
-  // One merged, time-ordered stream. stable_sort keeps the emission order
-  // for simultaneous records, so output is deterministic.
   std::stable_sort(Keys.begin(), Keys.end(),
                    [](const RecordKey &A, const RecordKey &B) {
                      return A.Ts < B.Ts;
                    });
 
-  // Ledger rows all share one timestamp, so the sort leaves each map's rows
-  // in map order: walk them with cursors.
+  // The embedded profile: the per-line and per-site ledger rows, stamped at
+  // the run's final time, in map order. Cycle attribution is not
+  // reconstructible from the event stream (hits are never sampled), so
+  // these rows are the offline reader's ground truth; everything it *can*
+  // rebuild — windows, padding, leak bits, sampled misses — it checks
+  // against them.
   std::map<uint32_t, LineCost>::const_iterator LineAt;
   std::map<unsigned, SiteCost>::const_iterator SiteAt;
+  const size_t LedgerLines = Ledger ? Ledger->lines().size() : 0;
+  const size_t LedgerRows =
+      LedgerLines + (Ledger ? Ledger->sites().size() : 0);
   if (Ledger) {
     LineAt = Ledger->lines().begin();
     SiteAt = Ledger->sites().begin();
@@ -288,22 +304,38 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
   size_t SnapEnd = 0;
   double SnapBits = 0;
   const MitigationPolicy &RunDefault = Opts.Mitigation.base();
+  // Names resolved once per export, not once per record: every level's
+  // name, and each slot's "assign <name>" (at the slot's first event).
+  std::vector<std::string> LevelNames;
+  LevelNames.reserve(Lat.size());
+  for (unsigned I = 0; I != Lat.size(); ++I)
+    LevelNames.push_back(Lat.name(Label::fromIndex(I)));
+  auto levelName = [&LevelNames](Label L) -> const std::string & {
+    return LevelNames[L.index()];
+  };
+  std::vector<std::string> AssignNames;
   RecordFiller F;
   using Kind = TraceRecord::Kind;
-  for (const RecordKey &K : Keys) {
+  auto emit = [&](const RecordKey &K) {
     switch (K.From) {
     case Stream::Event: {
       const AssignEvent &E = T.Events[K.Index];
       TraceRecord &R = F.begin(Kind::Instant, "interp", K.Ts);
-      R.Name = "assign ";
-      R.Name += T.varName(E);
+      // T.varName checks the slot in sanitizer builds.
+      if (E.Slot >= AssignNames.size() || AssignNames[E.Slot].empty()) {
+        const std::string &Var = T.varName(E);
+        if (E.Slot >= AssignNames.size())
+          AssignNames.resize(E.Slot + 1);
+        AssignNames[E.Slot] = "assign " + Var;
+      }
+      R.Name = AssignNames[E.Slot];
       if (E.IsArrayStore) {
         R.Name += '[';
         appendInt(R.Name, E.ElemIndex);
         R.Name += ']';
       }
       F.intArg("value", E.Value);
-      F.arg("label") = Lat.name(E.VarLabel);
+      F.arg("label") = levelName(E.VarLabel);
       break;
     }
     case Stream::Mitigation: {
@@ -311,8 +343,8 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
       TraceRecord &R = F.begin(Kind::Span, "mit", K.Ts, M.Duration);
       R.Name = "mitigate#";
       appendInt(R.Name, M.Eta);
-      F.arg("level") = Lat.name(M.Level);
-      F.arg("pc") = Lat.name(M.PcLabel);
+      F.arg("level") = levelName(M.Level);
+      F.arg("pc") = levelName(M.PcLabel);
       F.intArg("estimate", M.Estimate);
       F.intArg("predicted", M.Duration);
       F.intArg("consumed", M.BodyTime);
@@ -328,7 +360,7 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
       TraceRecord &R = F.begin(Kind::Span, "leak", K.Ts, W.Duration);
       R.Name = "leak_budget#";
       appendInt(R.Name, W.Eta);
-      F.arg("level") = Lat.name(W.Level);
+      F.arg("level") = levelName(W.Level);
       F.intArg("estimate", W.Estimate);
       F.intArg("misses_after", W.MissesAfter);
       F.intArg("attainable", W.Attainable);
@@ -398,8 +430,49 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
     }
     }
     Sink.record(F.done());
+  };
+
+  // The merge: each pass emits the earliest head of the four streams, the
+  // earlier stream on a tie.
+  enum Source { FromEvents, FromKeys, FromMisses, FromRows, NumSources };
+  size_t At[NumSources] = {};
+  const size_t End[NumSources] = {Events.size(), Keys.size(), Misses.size(),
+                                  LedgerRows};
+  size_t Emitted = 0;
+  auto headOf = [&](unsigned S, size_t I) -> RecordKey {
+    const uint32_t Index = static_cast<uint32_t>(I);
+    switch (S) {
+    case FromEvents:
+      return {Events[I].Time, Index, Stream::Event};
+    case FromKeys:
+      return Keys[I];
+    case FromMisses:
+      return {Misses[I].Time, Index, Stream::Miss};
+    default:
+      return {T.FinalTime, Index,
+              I < LedgerLines ? Stream::LedgerLine : Stream::LedgerSite};
+    }
+  };
+  for (;; ++Emitted) {
+    while (At[FromEvents] != End[FromEvents] &&
+           !visible(Events[At[FromEvents]]))
+      ++At[FromEvents];
+    RecordKey Head{};
+    unsigned From = NumSources;
+    for (unsigned S = 0; S != NumSources; ++S) {
+      if (At[S] == End[S])
+        continue;
+      const RecordKey K = headOf(S, At[S]);
+      if (From == NumSources || K.Ts < Head.Ts) {
+        Head = K;
+        From = S;
+      }
+    }
+    if (From == NumSources)
+      return Emitted;
+    ++At[From];
+    emit(Head);
   }
-  return Keys.size();
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -132,8 +132,11 @@ struct TraceExportOptions {
 /// leak_budget spans (cat "leak"), cache-miss instants (cat "hw") and —
 /// when a ledger is attached — source-profile rows (cat "prof").
 /// Simultaneous records keep that stream order (each snapshot row right
-/// after its leak window). Memory is one 16-byte sort key per record plus
-/// one reused TraceRecord. \returns the number of records emitted.
+/// after its leak window). The events and misses, recorded in time order,
+/// are merged as they stand (a trace with either out of time order is a
+/// fatal error), so memory is one 16-byte sort key per mitigate, leak and
+/// snapshot record plus one reused TraceRecord. \returns the number of
+/// records emitted.
 size_t exportTrace(TraceSink &Sink, const Trace &T, const SecurityLattice &Lat,
                    const TraceExportOptions &Opts = TraceExportOptions());
 

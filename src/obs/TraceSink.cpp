@@ -4,7 +4,6 @@
 
 #include "support/StrAppend.h"
 
-#include <cctype>
 #include <cstdio>
 
 using namespace zam;
@@ -85,6 +84,10 @@ void appendArgs(std::string &Out,
   Out += '}';
 }
 
+/// An ASCII digit test the compiler inlines (std::isdigit is a locale-aware
+/// libc call, and traceArgIsNumberLiteral runs it on every arg character).
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
 void appendDouble(std::string &Out, double V) {
   char Buf[40];
   std::snprintf(Buf, sizeof(Buf), "%.17g", V);
@@ -101,7 +104,7 @@ void appendDouble(std::string &Out, double V) {
 bool zam::traceArgIsNumberLiteral(const std::string &S) {
   size_t I = !S.empty() && S[0] == '-' ? 1 : 0;
   size_t Digits = 0;
-  while (I != S.size() && std::isdigit(static_cast<unsigned char>(S[I]))) {
+  while (I != S.size() && isDigit(S[I])) {
     ++I;
     ++Digits;
   }
@@ -110,7 +113,7 @@ bool zam::traceArgIsNumberLiteral(const std::string &S) {
   if (I != S.size() && S[I] == '.') {
     ++I;
     Digits = 0;
-    while (I != S.size() && std::isdigit(static_cast<unsigned char>(S[I]))) {
+    while (I != S.size() && isDigit(S[I])) {
       ++I;
       ++Digits;
     }
@@ -122,7 +125,7 @@ bool zam::traceArgIsNumberLiteral(const std::string &S) {
     if (I != S.size() && (S[I] == '+' || S[I] == '-'))
       ++I;
     Digits = 0;
-    while (I != S.size() && std::isdigit(static_cast<unsigned char>(S[I]))) {
+    while (I != S.size() && isDigit(S[I])) {
       ++I;
       ++Digits;
     }

@@ -107,18 +107,18 @@ struct AccessSample {
 /// Everything recorded about one execution.
 struct Trace {
   /// The assignment events, when the run retained them
-  /// (InterpreterOptions::RetainEvents). Readers call requireEvents first:
-  /// an empty vector from a run that kept none is "not recorded", not "no
-  /// assignments".
+  /// (InterpreterOptions::RetainEvents), in nondecreasing Time order.
+  /// Readers call requireEvents first: an empty vector from a run that kept
+  /// none is "not recorded", not "no assignments".
   std::vector<AssignEvent> Events;
   /// The run's slot names (the memory image's shared table), so a trace
   /// outlives the program and the interpreter that produced it.
   std::shared_ptr<const SlotNames> Names;
   std::vector<MitigateRecord> Mitigations;
   OpCounters Ops;
-  /// Miss timeline; populated only under InterpreterOptions::RecordMisses
-  /// (big-step engine only — never part of trace agreement or observation
-  /// keys).
+  /// Miss timeline, in nondecreasing Time order; populated only under
+  /// InterpreterOptions::RecordMisses (big-step engine only — never part of
+  /// trace agreement or observation keys).
   std::vector<AccessSample> Misses;
   /// Miss[ℓ] for every lattice level at completion (index = label index).
   /// With the Global penalty policy every entry is the shared counter.

@@ -426,6 +426,101 @@ TEST_P(HwClone, CloneDoesNotInheritTheObserver) {
   EXPECT_EQ(Obs.Accesses, 1u);
 }
 
+//===----------------------------------------------------------------------===//
+// Observed event deltas: per-access reports sum to the run's counters
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// A machine small enough that a short stream evicts at every structure.
+MachineEnvConfig tinyCfg() {
+  MachineEnvConfig C;
+  C.L1D = C.L1I = {/*NumSets=*/4, /*Assoc=*/2, /*BlockBytes=*/64, 1};
+  C.L2D = C.L2I = {/*NumSets=*/8, /*Assoc=*/2, /*BlockBytes=*/64, 6};
+  C.DTlb = C.ITlb = {/*NumSets=*/2, /*Assoc=*/2, /*BlockBytes=*/4096, 30};
+  return C;
+}
+
+/// Rebuilds HwStats from the accesses it observes: miss flags become hit
+/// and miss counts, and the event deltas are summed per structure.
+class SummingObserver final : public HwObserver {
+public:
+  void onAccess(const HwAccess &A) override {
+    const HwEventDelta Zero;
+    auto Add = [](CacheLevelStats &S, const HwEventDelta &D) {
+      S.Evictions += D.Evictions;
+      S.Writebacks += D.Writebacks;
+      S.LineFills += D.LineFills;
+    };
+    auto Same = [](const HwEventDelta &X, const HwEventDelta &Y) {
+      return X.Evictions == Y.Evictions && X.Writebacks == Y.Writebacks &&
+             X.LineFills == Y.LineFills;
+    };
+    CacheLevelStats &Tlb = A.IsData ? Sum.DTlb : Sum.ITlb;
+    CacheLevelStats &L1 = A.IsData ? Sum.L1D : Sum.L1I;
+    CacheLevelStats &L2 = A.IsData ? Sum.L2D : Sum.L2I;
+    ++(A.TlbMiss ? Tlb.Misses : Tlb.Hits);
+    ++(A.L1Miss ? L1.Misses : L1.Hits);
+    if (A.L1Miss)
+      ++(A.L2Miss ? L2.Misses : L2.Hits);
+    Add(Tlb, A.TlbEvents);
+    Add(L1, A.L1Events);
+    Add(L2, A.L2Events);
+    // A structure that hit installed nothing, so it reports no events.
+    if ((!A.TlbMiss && !Same(A.TlbEvents, Zero)) ||
+        (!A.L1Miss && (!Same(A.L1Events, Zero) || !Same(A.L2Events, Zero))) ||
+        (!A.L2Miss && !Same(A.L2Events, Zero)))
+      ++NonzeroHitDeltas;
+  }
+
+  HwStats Sum;
+  unsigned NonzeroHitDeltas = 0;
+};
+} // namespace
+
+class HwObservedDeltas : public ::testing::TestWithParam<HwKind> {};
+
+TEST_P(HwObservedDeltas, SumToTheRunCounters) {
+  for (const SecurityLattice *Lat : cloneLattices()) {
+    auto Env = createMachineEnv(GetParam(), *Lat, tinyCfg());
+    SummingObserver Obs;
+    Env->setObserver(&Obs);
+    // Loads, stores and fetches under random [er, ew] over 64 KiB of data
+    // and 64 KiB of code: far beyond every structure of tinyCfg().
+    Rng R(31);
+    const std::vector<Label> Labels = Lat->allLabels();
+    for (int I = 0; I != 4000; ++I) {
+      const Label Read = Labels[R.nextBelow(Labels.size())];
+      const Label Write = Labels[R.nextBelow(Labels.size())];
+      if (R.nextBelow(4) != 0)
+        Env->dataAccess(DataA + R.nextBelow(1 << 13) * 8,
+                        /*IsStore=*/R.nextBelow(3) == 0, Read, Write);
+      else
+        Env->fetch(CodeA + R.nextBelow(1 << 12) * 16, Read, Write);
+    }
+    const HwStats Run = Env->stats();
+    const std::string Where =
+        std::string(hwKindName(GetParam())) + " over " +
+        std::to_string(Lat->size()) + " levels";
+    EXPECT_EQ(Obs.Sum, Run) << Where;
+    EXPECT_EQ(Obs.NonzeroHitDeltas, 0u) << Where;
+    // The stream must exercise every kind of event, or the sums above
+    // compare zeros.
+    EXPECT_GT(Run.L1D.Evictions, 0u) << Where;
+    EXPECT_GT(Run.L1D.Writebacks, 0u) << Where;
+    EXPECT_GT(Run.L1D.LineFills, 0u) << Where;
+    EXPECT_GT(Run.L2D.Evictions, 0u) << Where;
+    EXPECT_GT(Run.DTlb.Evictions, 0u) << Where;
+    EXPECT_GT(Run.L1I.Evictions, 0u) << Where;
+    EXPECT_GT(Run.ITlb.Evictions, 0u) << Where;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, HwObservedDeltas,
+                         ::testing::ValuesIn(allHwKinds()),
+                         [](const auto &Info) {
+                           return std::string(hwKindName(Info.param));
+                         });
+
 INSTANTIATE_TEST_SUITE_P(AllDesigns, HwClone,
                          ::testing::ValuesIn(allHwKinds()),
                          [](const auto &Info) {

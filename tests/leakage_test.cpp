@@ -3,6 +3,9 @@
 #include "analysis/Leakage.h"
 
 #include "hw/HardwareModels.h"
+#include "obs/LeakAudit.h"
+#include "obs/Telemetry.h"
+#include "obs/TraceReader.h"
 #include "sem/FullInterpreter.h"
 #include "types/LabelInference.h"
 #include "types/TypeChecker.h"
@@ -11,6 +14,7 @@
 #include "gtest/gtest.h"
 
 #include <cmath>
+#include <cstdio>
 
 using namespace zam;
 using namespace zam::test;
@@ -161,6 +165,51 @@ TEST(Leakage, SecretVariationOutsideUpwardSetAborts) {
   // Varying the *low* variable is outside LeA↑ — the analysis must refuse.
   Spec.Variations.push_back(SecretAssignment{{{"l", 5}}, {}});
   EXPECT_DEATH(measureLeakage(P, *Env, Spec), "outside LeA");
+}
+
+// A replayed mitigate span whose numeric field does not parse fails the
+// replay with an error naming the span and the key; it never reads as 0.
+TEST(Leakage, ReplayRejectsMalformedSpanFields) {
+  const SecurityLattice &Lat = lh();
+  Program P = wellTyped("var h : H = 9;\nmitigate (64, H) { sleep(h) };\n");
+  auto Env = createMachineEnv(HwKind::Partitioned, Lat, MachineEnvConfig());
+  RunResult R = runFull(P, *Env);
+  auto Sink = makeTraceSink(TraceFormat::Jsonl);
+  exportTrace(*Sink, R.T, Lat);
+  const std::string Good = Sink->finish();
+
+  auto Replay = [&](const std::string &Bytes, std::string &Err) {
+    std::FILE *F = std::tmpfile();
+    EXPECT_NE(F, nullptr);
+    std::fwrite(Bytes.data(), 1, Bytes.size(), F);
+    std::rewind(F);
+    JsonlTraceReader Reader(F, /*TakeOwnership=*/true);
+    LeakAudit Audit(Lat);
+    return Audit.replay(Reader, Err);
+  };
+  std::string Err;
+  ASSERT_TRUE(Replay(Good, Err)) << Err;
+
+  // Each corruption replaces one field of the mitigate span.
+  const std::pair<std::string, std::string> Cases[] = {
+      {"\"mitigate#0\"", "\"mitigate#x\""},
+      {"\"estimate\":64", "\"estimate\":\"64k\""},
+      {"\"consumed\":", "\"consumed\":-"},
+      {"\"loc\":2", "\"loc\":\"two\""},
+  };
+  const char *Keys[] = {"eta", "estimate", "consumed", "loc"};
+  for (size_t I = 0; I != std::size(Cases); ++I) {
+    const auto &[From, To] = Cases[I];
+    const size_t At = Good.find(From);
+    ASSERT_NE(At, std::string::npos) << From;
+    std::string Bad = Good;
+    Bad.replace(At, From.size(), To);
+    Err.clear();
+    EXPECT_FALSE(Replay(Bad, Err)) << Keys[I];
+    EXPECT_NE(Err.find("'mitigate#"), std::string::npos) << Err;
+    EXPECT_NE(Err.find(std::string("'") + Keys[I] + "'"), std::string::npos)
+        << Err;
+  }
 }
 
 TEST(Leakage, ArraySecretsSupported) {

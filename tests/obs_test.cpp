@@ -21,7 +21,9 @@
 #include "support/BuildInfo.h"
 #include "types/LabelInference.h"
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "gtest/gtest.h"
 
@@ -284,6 +286,85 @@ TEST(ExportTrace, AdversaryProjectionFiltersHighEventsAndMisses) {
   EXPECT_NE(Out.find("leak_budget#0"), std::string::npos);
   EXPECT_EQ(Out.find("dmiss"), std::string::npos);
   EXPECT_EQ(Out.find("imiss"), std::string::npos);
+}
+
+// Records leave sorted by ts; simultaneous records keep the stream order
+// interp, mit, leak, hw, prof and, within a stream, their source order.
+// The exporter merges the events and the misses as they stand, which
+// needs both in time order: a trace with either out of order is diagnosed.
+TEST(ExportTrace, SimultaneousRecordsKeepTheStreamOrder) {
+  TwoPointLattice Lat;
+  InterpreterOptions Opts;
+  Opts.RecordMisses = true;
+  const RunResult R = runMitigated(Lat, /*H=*/700, Opts);
+  ASSERT_FALSE(R.T.Mitigations.empty());
+  ASSERT_FALSE(R.T.Misses.empty());
+  const uint64_t MitTs = R.T.Mitigations[0].Start;
+  const uint64_t MissTs = R.T.Misses.back().Time;
+  ASSERT_LT(MitTs, MissTs);
+
+  // Events tied with the mitigate span, a miss and each other; value I
+  // marks the I-th event of the source vector.
+  Trace T = R.T;
+  const AssignEvent Proto = T.Events.at(0);
+  T.Events.clear();
+  for (uint64_t Time : {uint64_t(0), MitTs, MitTs, MissTs, MissTs}) {
+    AssignEvent &E = T.Events.emplace_back(Proto);
+    E.Time = Time;
+    E.Value = static_cast<int64_t>(T.Events.size() - 1);
+  }
+
+  auto rank = [](const std::string &Cat) {
+    const char *Order[] = {"interp", "mit", "leak", "hw", "prof"};
+    return std::find(std::begin(Order), std::end(Order), Cat) -
+           std::begin(Order);
+  };
+  auto field = [](const std::string &Line, const std::string &Key) {
+    const size_t At = Line.find("\"" + Key + "\":");
+    EXPECT_NE(At, std::string::npos) << Key << " in " << Line;
+    size_t From = At + Key.size() + 3;
+    if (Line[From] == '"')
+      return Line.substr(From + 1, Line.find('"', From + 1) - From - 1);
+    return Line.substr(From, Line.find_first_of(",}", From) - From);
+  };
+  JsonlTraceSink Sink;
+  const size_t N = exportTrace(Sink, T, Lat);
+  std::istringstream Lines(Sink.finish());
+  std::string Line;
+  uint64_t LastTs = 0;
+  long LastRank = 0, LastValue = -1;
+  size_t Seen = 0;
+  while (std::getline(Lines, Line)) {
+    ++Seen;
+    const uint64_t Ts = std::stoull(field(Line, "ts"));
+    const long Rank = rank(field(Line, "cat"));
+    ASSERT_GE(Ts, LastTs) << Line;
+    if (Ts == LastTs) {
+      ASSERT_GE(Rank, LastRank) << Line;
+    }
+    if (Rank == 0) {
+      const long Value = std::stol(field(Line, "value"));
+      // Events tied at one ts leave in source order.
+      if (Ts == LastTs && LastRank == 0) {
+        EXPECT_GT(Value, LastValue) << Line;
+      }
+      LastValue = Value;
+    }
+    LastTs = Ts;
+    LastRank = Rank;
+  }
+  EXPECT_EQ(Seen, N);
+  // The events, the mitigate span, its leak_budget span and the misses.
+  EXPECT_EQ(N, T.Events.size() + 2 + T.Misses.size());
+
+  Trace Swapped = T;
+  std::swap(Swapped.Events.front(), Swapped.Events.back());
+  EXPECT_DEATH(
+      {
+        JsonlTraceSink Out;
+        exportTrace(Out, Swapped, Lat);
+      },
+      "out of time order");
 }
 
 //===----------------------------------------------------------------------===//

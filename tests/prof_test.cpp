@@ -44,6 +44,17 @@ const char *kWorkload = "var h : H = 9;\n"
                         "};\n"
                         "sleep(5)";
 
+/// Stores over a 32 KiB array (twice the Table 1 L1D), then reads and
+/// rewrites it: the second pass evicts the dirty lines of the first, so
+/// evictions and writebacks are nonzero on every design.
+const char *kEvictingWorkload = "var a : L[4096];\n"
+                                "var i : L;\n"
+                                "while i < 4096 do { a[i] := i; i := i + 1 };\n"
+                                "i := 0;\n"
+                                "while i < 4096 do {\n"
+                                "  a[i] := a[i] + 1; i := i + 1\n"
+                                "}";
+
 /// Runs \p P on a fresh \p Kind machine under the profiler and returns the
 /// settled ledger JSON (the canonical byte-comparable form).
 std::string profileDump(const Program &P, HwKind Kind) {
@@ -75,9 +86,13 @@ void expectStructureMatches(const LineHwStats &Got, const CacheLevelStats &Want,
 
 class ProfilerConservation : public ::testing::TestWithParam<HwKind> {};
 
-TEST_P(ProfilerConservation, EveryCostIsAttributedExactly) {
-  Program P = inferred(kWorkload);
-  auto Env = createMachineEnv(GetParam(), P.lattice(), MachineEnvConfig());
+namespace {
+/// Profiles \p Source on a fresh \p Kind machine and checks that every
+/// cost is attributed exactly. \returns the run and the settled ledger.
+std::pair<RunResult, CostLedger> expectConservation(const char *Source,
+                                                    HwKind Kind) {
+  Program P = inferred(Source);
+  auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
   CostLedger Ledger;
   LeakAudit Audit(P.lattice());
   InterpreterOptions Opts;
@@ -108,7 +123,22 @@ TEST_P(ProfilerConservation, EveryCostIsAttributedExactly) {
 
   // Leakage: the replay reproduces the online account bit-for-bit.
   EXPECT_EQ(Ledger.totalLeakBits(), Audit.totalBitsBound());
+  return {std::move(R), std::move(Ledger)};
+}
+} // namespace
+
+TEST_P(ProfilerConservation, EveryCostIsAttributedExactly) {
+  const auto [R, Ledger] = expectConservation(kWorkload, GetParam());
   EXPECT_GT(Ledger.totalLeakBits(), 0.0);
+}
+
+// kWorkload evicts nothing, so its eviction and writeback sums compare
+// zeros; this workload makes those two comparisons able to fail.
+TEST_P(ProfilerConservation, EvictionsAndWritebacksAreAttributedExactly) {
+  const auto [R, Ledger] = expectConservation(kEvictingWorkload, GetParam());
+  EXPECT_GT(R.Hw.L1D.Evictions, 0u);
+  EXPECT_GT(R.Hw.L1D.Writebacks, 0u);
+  EXPECT_GT(Ledger.structureTotals(CostLedger::L1D).Writebacks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, ProfilerConservation,
@@ -282,4 +312,38 @@ TEST(Profiler, ExportMetricsEmitsTotalsTopLinesAndSites) {
   EXPECT_EQ(LineEntries, 2u * 4u); // cycles, misses, pad, leak bits per line
   EXPECT_EQ(SiteEntries, 1u * 3u); // windows, pad, leak bits per site
   EXPECT_EQ(Reg.counterValue("prof.site.m0.windows"), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Ledger copies: a copy or a moved-to ledger shares nothing with its source
+//===----------------------------------------------------------------------===//
+
+TEST(Profiler, ChargingACopyLeavesTheSource) {
+  CostCursor Cur;
+  Cur.Loc.Line = 3;
+  HwAccess Hit;
+  Hit.IsData = true;
+  CostLedger Source;
+  Source.chargeCycles(Cur, CycleKind::Step, 10);
+  Source.chargeAccess(Cur, Hit);
+  const std::string Before = Source.toJson().dump();
+
+  // Each charge goes to the line the source charged last.
+  CostLedger Copy = Source;
+  Copy.chargeCycles(Cur, CycleKind::Step, 5);
+  Copy.chargeAccess(Cur, Hit);
+  EXPECT_EQ(Source.toJson().dump(), Before);
+  EXPECT_EQ(Copy.lines().at(3).StepCycles, 15u);
+
+  CostLedger Assigned;
+  Assigned = Source;
+  Assigned.chargeCycles(Cur, CycleKind::Sleep, 7);
+  EXPECT_EQ(Source.toJson().dump(), Before);
+  EXPECT_EQ(Assigned.lines().at(3).SleepCycles, 7u);
+
+  CostLedger Moved = std::move(Copy);
+  Moved.chargeCycles(Cur, CycleKind::Step, 1);
+  EXPECT_EQ(Source.toJson().dump(), Before);
+  EXPECT_EQ(Moved.lines().at(3).StepCycles, 16u);
+  EXPECT_EQ(Moved.lines().at(3).Accesses, 2u);
 }

@@ -12,8 +12,16 @@
 #   MODE=guard_if     undeclared variable (or an `if` guard) reports the
 #                     checker's located "use of undeclared variable".
 #
+# and in a usage diagnostic and exit 2 on a malformed command line:
+#
+#   MODE=vary_observable  `zamc leakage pin.zam --vary guess0=1,2` varies a
+#                         variable the adversary observes.
+#   MODE=negative_seed    `zamc run pin.zam --seed -1` names a seed that is
+#                         not an unsigned integer.
+#
 # Usage: cmake -DZAMC=<zamc> -DMODE=<mode> -DOUT=<scratch prefix>
-#              -P cli_check.cmake
+#              [-DPROGRAMS=<examples/programs>] -P cli_check.cmake
+set(EXIT 1)
 set(ENDLESS "var l : L;\nwhile 1 do { l := l + 1 }\n")
 if(MODE STREQUAL "nesting")
   string(REPEAT "(" 200000 OPEN)
@@ -39,6 +47,14 @@ elseif(MODE STREQUAL "guard_if")
        "var l : L;\nif (k == 1) then { skip } else { skip }\n")
   set(COMMAND ${ZAMC} check ${OUT}.zam)
   set(EXPECT "2:5: use of undeclared variable 'k'")
+elseif(MODE STREQUAL "vary_observable")
+  set(COMMAND ${ZAMC} leakage ${PROGRAMS}/pin.zam --vary guess0=1,2)
+  set(EXPECT "pin.zam: error: --vary guess0: 'guess0' is at level L")
+  set(EXIT 2)
+elseif(MODE STREQUAL "negative_seed")
+  set(COMMAND ${ZAMC} run ${PROGRAMS}/pin.zam --seed -1)
+  set(EXPECT "unknown or malformed argument '--seed'")
+  set(EXIT 2)
 else()
   message(FATAL_ERROR "unknown MODE '${MODE}'")
 endif()
@@ -47,8 +63,8 @@ execute_process(COMMAND ${COMMAND}
                 RESULT_VARIABLE RC
                 OUTPUT_VARIABLE STDOUT
                 ERROR_VARIABLE STDERR)
-if(NOT RC EQUAL 1)
-  message(FATAL_ERROR "expected exit 1, got '${RC}'\n${STDERR}")
+if(NOT RC EQUAL EXIT)
+  message(FATAL_ERROR "expected exit ${EXIT}, got '${RC}'\n${STDERR}")
 endif()
 if(NOT STDERR MATCHES "${EXPECT}")
   message(FATAL_ERROR "expected a diagnostic matching '${EXPECT}', got:\n"

@@ -409,13 +409,8 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.OwnedPolicies.push_back(std::move(P));
     } else if (Arg == "--seed") {
       const char *V = Next();
-      if (!V || !*V)
+      if (!V || !parseInteger(V, Opts.Seed))
         return false;
-      char *End = nullptr;
-      unsigned long long S = std::strtoull(V, &End, 0);
-      if (End == V || *End != '\0')
-        return false;
-      Opts.Seed = S;
       Opts.SeedSet = true;
     } else if (Arg == "--samples") {
       const char *V = Next();
@@ -1199,6 +1194,18 @@ int cmdLeakage(Program &P, const Options &Opts) {
     const VarDecl *D = P.findVar(Var);
     if (!D) {
       std::fprintf(stderr, "error: no variable '%s' to vary\n", Var.c_str());
+      return 2;
+    }
+    // Definition 1 quantifies over secrets the adversary cannot see: a
+    // variation of a variable it observes is a usage error, not a run.
+    if (Lat.flowsTo(D->SecLabel, Adversary)) {
+      std::fprintf(stderr,
+                   "%s: error: --vary %s: '%s' is at level %s, which the "
+                   "adversary at %s observes; vary only variables the "
+                   "adversary cannot observe\n",
+                   Opts.File.c_str(), Var.c_str(), Var.c_str(),
+                   Lat.name(D->SecLabel).c_str(),
+                   Lat.name(Adversary).c_str());
       return 2;
     }
     Sources.insert(D->SecLabel);
