@@ -68,7 +68,7 @@ int main() {
   }
 
   // Partition geometry of the Sec. 4.3 design.
-  PartitionedHw Part(Lat, C);
+  HardwareEnv Part(HwKind::Partitioned, Lat, C);
   CacheConfig P1 = Part.partitionConfig(C.L1D);
   std::printf("\npartitioned design: each structure statically divided per"
               " level\n  e.g. L1D partition: %u sets x %u ways (of %u sets"

@@ -223,6 +223,6 @@ TEST(DeepChain, FullPipelineOnFiveLevels) {
   ASSERT_EQ(R.T.Mitigations.size(), 1u);
   EXPECT_EQ(R.T.Mitigations[0].Level, *Lat.byName("P3"));
   // Partition geometry: five partitions of the 128-set L1D.
-  PartitionedHw Hw(Lat, MachineEnvConfig());
+  HardwareEnv Hw(HwKind::Partitioned, Lat, MachineEnvConfig());
   EXPECT_EQ(Hw.partitionConfig(MachineEnvConfig().L1D).NumSets, 128u / 5);
 }

@@ -18,6 +18,8 @@
 #                         variable the adversary observes.
 #   MODE=negative_seed    `zamc run pin.zam --seed -1` names a seed that is
 #                         not an unsigned integer.
+#   MODE=levels           `zamc run` with a 65-level `--levels` names the
+#                         machine environment's lattice-size limit.
 #
 # Usage: cmake -DZAMC=<zamc> -DMODE=<mode> -DOUT=<scratch prefix>
 #              [-DPROGRAMS=<examples/programs>] -P cli_check.cmake
@@ -54,6 +56,16 @@ elseif(MODE STREQUAL "vary_observable")
 elseif(MODE STREQUAL "negative_seed")
   set(COMMAND ${ZAMC} run ${PROGRAMS}/pin.zam --seed -1)
   set(EXPECT "unknown or malformed argument '--seed'")
+  set(EXIT 2)
+elseif(MODE STREQUAL "levels")
+  set(LEVELS L)
+  foreach(I RANGE 1 63)
+    string(APPEND LEVELS ",M${I}")
+  endforeach()
+  file(WRITE ${OUT}.zam "var h : H;\nh := h + 1 @[H, M10]\n")
+  set(COMMAND ${ZAMC} run ${OUT}.zam --hw partitioned --no-equal-labels
+              --levels ${LEVELS},H)
+  set(EXPECT "--levels names 65 levels; a machine environment holds at most 64")
   set(EXIT 2)
 else()
   message(FATAL_ERROR "unknown MODE '${MODE}'")

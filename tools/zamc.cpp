@@ -291,6 +291,13 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!V)
         return false;
       Opts.Levels = splitCommas(V);
+      if (Opts.Levels.size() > kMaxLatticeLevels) {
+        std::fprintf(stderr,
+                     "error: --levels names %zu levels; a machine "
+                     "environment holds at most %u (kMaxLatticeLevels)\n",
+                     Opts.Levels.size(), kMaxLatticeLevels);
+        return false;
+      }
     } else if (Arg == "--hw") {
       const char *V = Next();
       if (!V)
