@@ -35,12 +35,14 @@ size_t zam::streamObservations(
   RunOpts.RetainEvents = false;
   for (size_t Base = 0; Base < Total; Base += kObservationChunk) {
     const size_t ChunkLen = std::min(kObservationChunk, Total - Base);
+    // Each slice restores one env from the template before every sample.
     std::vector<Observation> Chunk =
-        Runner.map(ChunkLen, [&](size_t Offset) {
+        Runner.mapWithState<std::unique_ptr<MachineEnv>>(
+            ChunkLen, [&](size_t Offset, std::unique_ptr<MachineEnv> &Env) {
           const size_t I = Base + Offset;
           const SecretClassSpec &Spec = Classes[I % K];
           Rng R(sampleSeed(Opts.Seed, I));
-          std::unique_ptr<MachineEnv> Env = EnvTemplate.clone();
+          EnvTemplate.copyInto(Env);
           // No hooks: the audit replays the finished trace, which onWindow
           // matches bit-for-bit (LeakAudit's documented equivalence).
           FullInterpreter Interp(Compiled, *Env, RunOpts);

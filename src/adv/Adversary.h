@@ -85,8 +85,9 @@ inline uint64_t sampleSeed(uint64_t Seed, size_t Index) {
 /// at any parallelism.
 inline constexpr size_t kObservationChunk = 2048;
 
-/// Streams Opts.Samples executions of \p P (sample i: class i mod K) on
-/// clones of \p EnvTemplate under \p IOpts, fanning out over \p Runner in
+/// Streams Opts.Samples executions of \p P (sample i: class i mod K), each
+/// on a copy of \p EnvTemplate (one env per worker slice, restored in
+/// place before every sample), under \p IOpts, fanning out over \p Runner in
 /// fixed kObservationChunk batches and invoking \p OnObservation(O, i) in
 /// strict sample order as each batch drains. At most one chunk of full
 /// observations is alive at a time, so collecting 10^6 samples needs
@@ -101,7 +102,7 @@ size_t streamObservations(
     const std::function<void(const Observation &, size_t)> &OnObservation);
 
 /// Runs Opts.Samples executions of \p P (sample i: class i mod K) on
-/// clones of \p EnvTemplate under \p IOpts, fanning out over \p Runner.
+/// copies of \p EnvTemplate under \p IOpts, fanning out over \p Runner.
 /// Each observation carries the adversary-projected window durations and
 /// the run's analytic bound from a per-run LeakAudit replay. Aborts on an
 /// unknown Fixed/Ranges variable (callers validate for graceful errors).

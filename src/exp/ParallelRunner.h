@@ -21,8 +21,10 @@
 #ifndef ZAM_EXP_PARALLELRUNNER_H
 #define ZAM_EXP_PARALLELRUNNER_H
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <utility>
 #include <vector>
 
 namespace zam {
@@ -54,6 +56,27 @@ public:
   template <typename Fn> auto map(size_t N, Fn &&F) const {
     std::vector<decltype(F(size_t(0)))> Results(N);
     forEach(N, [&](size_t I) { Results[I] = F(I); });
+    return Results;
+  }
+
+  /// map() for tasks that reuse scratch state: F(I, S) also receives a
+  /// State S, value-initialized once per slice of consecutive indices and
+  /// handed to every F of that slice in index order on one thread. The
+  /// slices — one with one thread, else up to four per thread for load
+  /// balance — depend on the thread count, so F's result must not depend
+  /// on what earlier indices left in S: streamObservations and
+  /// Scenario::runAll keep an env slot in S and restore it from their
+  /// template (MachineEnv::copyInto) before each run.
+  template <typename State, typename Fn> auto mapWithState(size_t N, Fn &&F) const {
+    std::vector<decltype(F(size_t(0), std::declval<State &>()))> Results(N);
+    const size_t Slices =
+        std::min<size_t>(N, NumThreads == 1 ? 1 : size_t(NumThreads) * 4);
+    forEach(Slices, [&](size_t Slice) {
+      State S{};
+      for (size_t I = N * Slice / Slices, E = N * (Slice + 1) / Slices;
+           I != E; ++I)
+        Results[I] = F(I, S);
+    });
     return Results;
   }
 

@@ -33,16 +33,22 @@ Scenario::Scenario(const Program &P, const MachineEnv &EnvTemplate,
       EnvTemplate(EnvTemplate.clone()) {}
 
 RunResult Scenario::run(const RunSpec &Spec) const {
-  std::unique_ptr<MachineEnv> Env = EnvTemplate->clone();
-  FullInterpreter Interp(*Compiled, *Env, Opts);
+  return runOn(Spec, *EnvTemplate->clone());
+}
+
+RunResult Scenario::runOn(const RunSpec &Spec, MachineEnv &Env) const {
+  FullInterpreter Interp(*Compiled, Env, Opts);
   Spec.applyTo(Interp.memory());
   return Interp.run();
 }
 
 std::vector<RunResult> Scenario::runAll(const std::vector<RunSpec> &Specs,
                                         const ParallelRunner &Runner) const {
-  return Runner.map(Specs.size(),
-                    [&](size_t I) { return run(Specs[I]); });
+  return Runner.mapWithState<std::unique_ptr<MachineEnv>>(
+      Specs.size(), [&](size_t I, std::unique_ptr<MachineEnv> &Env) {
+        EnvTemplate->copyInto(Env);
+        return runOn(Specs[I], *Env);
+      });
 }
 
 void zam::runSeriesInto(Report &R, const std::vector<SeriesSpec> &Specs,

@@ -2,29 +2,54 @@
 
 #include "hw/Cache.h"
 
+#include "support/Diagnostics.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
 #include <new>
+#include <string>
 #include <type_traits>
 
 using namespace zam;
 
 namespace {
-/// Bytes of line storage and of occupancy words for \p C. Occupancy is
+/// Bytes of line storage and of occupancy counts for \p C. Occupancy is
 /// padded to 8 bytes so the lines that follow it stay aligned.
 size_t lineBytes(const CacheConfig &C) {
   return static_cast<size_t>(C.NumSets) * C.Assoc * sizeof(uint64_t);
 }
 size_t occupancyBytes(const CacheConfig &C) {
-  return (static_cast<size_t>(C.NumSets) * sizeof(uint32_t) + 7) & ~size_t(7);
+  return (static_cast<size_t>(C.NumSets) * sizeof(Cache::Occupancy) + 7) &
+         ~size_t(7);
+}
+
+[[noreturn]] void badGeometry(const char *Name, const char *Field,
+                              unsigned Value, const std::string &Rule) {
+  reportFatalError((std::string("cache configuration: ") + Name + "." +
+                    Field + " is " + std::to_string(Value) + "; " + Rule)
+                       .c_str());
 }
 } // namespace
 
-Cache::Cache(const CacheConfig &Config, Line *Lines, uint32_t *Occupancy)
-    : Lines(Lines), Occupancy(Occupancy), Latency(Config.Latency),
-      Assoc(Config.Assoc), Config(Config) {
+void zam::checkCacheConfig(const CacheConfig &C, const char *Name) {
+  if (C.NumSets == 0)
+    badGeometry(Name, "NumSets", 0, "it must be at least 1");
+  if (C.BlockBytes == 0)
+    badGeometry(Name, "BlockBytes", 0, "it must be at least 1");
+  if (C.Assoc == 0)
+    badGeometry(Name, "Assoc", 0, "it must be at least 1");
+  if (C.Assoc > Cache::kMaxAssoc)
+    badGeometry(Name, "Assoc", C.Assoc,
+                "the limit is " + std::to_string(Cache::kMaxAssoc) +
+                    " ways (Cache::kMaxAssoc, what a set's occupancy count "
+                    "holds)");
+}
+
+Cache::Cache(const CacheConfig &Config, Line *Lines, Occupancy *Occ)
+    : Lines(Lines), Occ(Occ), Latency(Config.Latency), Assoc(Config.Assoc),
+      Config(Config) {
   // The access paths read only the first host line of a header.
   static_assert(std::is_standard_layout_v<Cache>);
   static_assert(offsetof(Cache, Events) + sizeof(CacheEvents) <= 64,
@@ -40,16 +65,11 @@ Cache::Cache(const CacheConfig &Config, Line *Lines, uint32_t *Occupancy)
   }
 }
 
-Cache::Cache(const Cache &Other, Line *Lines, uint32_t *Occupancy)
-    : Lines(Lines), Occupancy(Occupancy), Latency(Other.Latency),
-      SetMask(Other.SetMask), Assoc(Other.Assoc), Resident(Other.Resident),
-      BlockShift(Other.BlockShift), TagShift(Other.TagShift),
-      Events(Other.Events), Config(Other.Config) {}
-
-Cache::Cache(const CacheConfig &Config) : Cache(Config, nullptr, nullptr) {
+Cache::Cache(const CacheConfig &Config)
+    : Cache((checkCacheConfig(Config, "cache"), Config), nullptr, nullptr) {
   // Occupancy first, then the lines: the padding keeps them aligned.
   Owned = ::operator new(occupancyBytes(Config) + lineBytes(Config));
-  Occupancy = static_cast<uint32_t *>(Owned);
+  Occ = static_cast<Occupancy *>(Owned);
   Lines = reinterpret_cast<Line *>(static_cast<char *>(Owned) +
                                    occupancyBytes(Config));
   reset();
@@ -62,7 +82,7 @@ void Cache::install(Addr A, bool Dirty) {
   const uint64_t Tag = tagOf(A);
   assert(!(Tag & kDirty) && "address too large for the dirty-bit encoding");
   Line *Set = setLines(S);
-  uint32_t &N = Occupancy[S];
+  Occupancy &N = Occ[S];
   uint32_t W = 0;
   while (W != N && tagBits(Set[W]) != Tag)
     ++W;
@@ -93,7 +113,7 @@ void Cache::remove(Addr A) {
   const unsigned S = setOf(A);
   const uint64_t Tag = tagOf(A);
   Line *Set = setLines(S);
-  uint32_t &N = Occupancy[S];
+  Occupancy &N = Occ[S];
   for (uint32_t W = 0; W != N; ++W) {
     if (tagBits(Set[W]) != Tag)
       continue;
@@ -108,7 +128,7 @@ void Cache::remove(Addr A) {
 }
 
 void Cache::reset() {
-  std::fill(Occupancy, Occupancy + Config.NumSets, 0);
+  std::fill(Occ, Occ + Config.NumSets, 0);
   Resident = 0;
 }
 
@@ -116,7 +136,7 @@ void Cache::randomize(Rng &R, double FillFraction) {
   reset();
   for (unsigned S = 0; S != Config.NumSets; ++S) {
     Line *Set = setLines(S);
-    uint32_t &N = Occupancy[S];
+    Occupancy &N = Occ[S];
     for (unsigned Way = 0; Way != Config.Assoc; ++Way)
       if (R.nextDouble() < FillFraction) {
         uint64_t Tag = R.nextBelow(1u << 16);
@@ -133,11 +153,11 @@ void Cache::randomize(Rng &R, double FillFraction) {
 
 bool Cache::operator==(const Cache &Other) const {
   if (Config != Other.Config ||
-      !std::equal(Occupancy, Occupancy + Config.NumSets, Other.Occupancy))
+      !std::equal(Occ, Occ + Config.NumSets, Other.Occ))
     return false;
   for (unsigned S = 0; S != Config.NumSets; ++S) {
     const Line *A = setLines(S), *B = Other.setLines(S);
-    for (uint32_t W = 0; W != Occupancy[S]; ++W)
+    for (uint32_t W = 0; W != Occ[S]; ++W)
       if (tagBits(A[W]) != tagBits(B[W]))
         return false;
   }
@@ -148,8 +168,8 @@ bool Cache::operator==(const Cache &Other) const {
 // CacheArena
 //===----------------------------------------------------------------------===//
 
-template <typename ConfigFn, typename MakeFn>
-void CacheArena::place(size_t N, ConfigFn ConfigOf, MakeFn Make) {
+template <typename ConfigFn>
+void CacheArena::place(size_t N, ConfigFn ConfigOf) {
   size_t OccBytes = 0, LineBytes = 0;
   for (size_t I = 0; I != N; ++I) {
     OccBytes += occupancyBytes(ConfigOf(I));
@@ -166,46 +186,50 @@ void CacheArena::place(size_t N, ConfigFn ConfigOf, MakeFn Make) {
   Count = N;
   char *Occ = reinterpret_cast<char *>(Caches) + HeaderBytes;
   char *Lines = Occ + OccBytes;
+  // Every cache starts cold: the occupancy counts are contiguous.
+  std::memset(Occ, 0, OccBytes);
   for (size_t I = 0; I != N; ++I) {
     const CacheConfig &C = ConfigOf(I);
-    Make(I, reinterpret_cast<Cache::Line *>(Lines),
-         reinterpret_cast<uint32_t *>(Occ));
+    new (&Caches[I]) Cache(C, reinterpret_cast<Cache::Line *>(Lines),
+                           reinterpret_cast<Cache::Occupancy *>(Occ));
     Occ += occupancyBytes(C);
     Lines += lineBytes(C);
   }
 }
 
 CacheArena::CacheArena(const std::vector<CacheConfig> &Configs) {
-  auto ConfigOf = [&](size_t I) -> const CacheConfig & { return Configs[I]; };
-  place(Configs.size(), ConfigOf,
-        [&](size_t I, Cache::Line *Lines, uint32_t *Occ) {
-          new (&Caches[I]) Cache(Configs[I], Lines, Occ);
-          Caches[I].reset();
-        });
+  place(Configs.size(),
+        [&](size_t I) -> const CacheConfig & { return Configs[I]; });
 }
 
 CacheArena::CacheArena(const CacheArena &Other) {
-  auto ConfigOf = [&](size_t I) -> const CacheConfig & {
+  place(Other.Count, [&](size_t I) -> const CacheConfig & {
     return Other.Caches[I].Config;
-  };
-  place(Other.Count, ConfigOf,
-        [&](size_t I, Cache::Line *Lines, uint32_t *Occ) {
-          const Cache &From = Other.Caches[I];
-          const unsigned Sets = From.Config.NumSets;
-          new (&Caches[I]) Cache(From, Lines, Occ);
-          // A cold cache copies nothing but zeros; otherwise only the
-          // resident ways carry state.
-          if (!From.Resident) {
-            std::memset(Occ, 0, Sets * sizeof(uint32_t));
-            return;
-          }
-          std::memcpy(Occ, From.Occupancy, Sets * sizeof(uint32_t));
-          for (unsigned S = 0; S != Sets; ++S)
-            if (const uint32_t Ways = Occ[S])
-              std::memcpy(Lines + static_cast<size_t>(S) * From.Assoc,
-                          From.Lines + static_cast<size_t>(S) * From.Assoc,
-                          Ways * sizeof(Cache::Line));
-        });
+  });
+  copyFrom(Other);
+}
+
+void CacheArena::copyFrom(const CacheArena &Other) {
+  assert(Count == Other.Count && "restoring from a different arena shape");
+  for (size_t I = 0; I != Count; ++I)
+    copyCache(Caches[I], Other.Caches[I]);
+}
+
+void CacheArena::copyCache(Cache &To, const Cache &From) {
+  assert(To.Config == From.Config && "copying between cache geometries");
+  To.Events = From.Events;
+  const unsigned Sets = From.Config.NumSets;
+  if (!From.Resident) {
+    if (To.Resident)
+      std::memset(To.Occ, 0, Sets * sizeof(Cache::Occupancy));
+    To.Resident = 0;
+    return;
+  }
+  To.Resident = From.Resident;
+  std::memcpy(To.Occ, From.Occ, Sets * sizeof(Cache::Occupancy));
+  for (unsigned S = 0; S != Sets; ++S)
+    if (const unsigned Ways = From.Occ[S])
+      std::memcpy(To.setLines(S), From.setLines(S), Ways * sizeof(Cache::Line));
 }
 
 CacheArena::~CacheArena() {

@@ -23,8 +23,9 @@
 /// Storage: a Cache is a header over line and occupancy storage. A
 /// standalone Cache owns its storage; the caches of a machine environment
 /// live in one CacheArena, whose single allocation holds every header,
-/// every occupancy word and every line, so cloning an environment is one
-/// allocation plus a copy of the resident lines only.
+/// every occupancy count and every line, so cloning an environment is one
+/// allocation plus a copy of the resident lines only, and restoring one in
+/// place (CacheArena::copyFrom) is the same copy with no allocation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +38,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace zam {
@@ -51,6 +53,13 @@ struct CacheEvents {
   bool operator==(const CacheEvents &Other) const = default;
 };
 
+/// Fatal error unless \p C describes a cache this model can hold: every
+/// geometry field (NumSets, Assoc, BlockBytes) at least 1, and Assoc at
+/// most Cache::kMaxAssoc. \p Name ("L1D", ...) prefixes the field in the
+/// diagnostic. Checked in every build: a zero field would otherwise
+/// divide by zero or index out of bounds on the first access.
+void checkCacheConfig(const CacheConfig &C, const char *Name);
+
 /// One cache-like structure. State per set is the list of resident lines in
 /// LRU order (front = most recently used). Replacement is strict LRU.
 ///
@@ -60,7 +69,13 @@ struct CacheEvents {
 /// adjacent partitions never share or straddle one.
 class alignas(64) Cache {
 public:
-  /// A standalone cache owning its storage (tests, micro-benchmarks).
+  /// The count of resident lines in one set.
+  using Occupancy = uint32_t;
+  /// The most ways a set may have: its occupancy count must hold them.
+  static constexpr unsigned kMaxAssoc = std::numeric_limits<Occupancy>::max();
+
+  /// A standalone cache owning its storage (tests). Fatal error if
+  /// checkCacheConfig rejects \p Config.
   explicit Cache(const CacheConfig &Config);
   Cache(const Cache &) = delete;
   Cache &operator=(const Cache &) = delete;
@@ -116,11 +131,9 @@ private:
   static constexpr Line kDirty = Line(1) << 63;
   static Line tagBits(Line L) { return L & ~kDirty; }
 
-  /// A header over storage the arena owns.
-  Cache(const CacheConfig &Config, Line *Lines, uint32_t *Occupancy);
-  /// A copy of \p Other's header (geometry and event counters) over new
-  /// storage; the arena copies the lines.
-  Cache(const Cache &Other, Line *Lines, uint32_t *Occupancy);
+  /// A header over storage the arena owns. The cache is cold only once
+  /// its occupancy counts are zero.
+  Cache(const CacheConfig &Config, Line *Lines, Occupancy *Occ);
 
   uint64_t tagOf(Addr A) const {
     if (TagShift)
@@ -140,17 +153,17 @@ private:
   // The hot header: the first 64-byte host line (checked in Cache.cpp).
 
   /// Line storage, NumSets × Assoc: set S occupies [S*Assoc, S*Assoc +
-  /// Occupancy[S]) in MRU-to-LRU order. Ways at or beyond the occupancy are
+  /// Occ[S]) in MRU-to-LRU order. Ways at or beyond the occupancy are
   /// never read, so they need not be initialized or copied.
   Line *Lines;
-  uint32_t *Occupancy; ///< Resident lines per set.
+  Occupancy *Occ; ///< Resident lines per set.
   uint64_t Latency;    ///< Copy of Config.Latency.
   /// Shift/mask fast path for power-of-two geometry (all Table 1 shapes).
   /// TagShift == 0 falls back to division — partitioned designs divide sets
   /// among lattice levels, which need not leave a power of two.
   uint32_t SetMask = 0;
   uint32_t Assoc;        ///< Copy of Config.Assoc (set stride).
-  uint32_t Resident = 0; ///< Σ Occupancy: lets a copy skip a cold cache.
+  uint32_t Resident = 0; ///< Σ Occ: lets a copy skip a cold cache.
   uint8_t BlockShift = 0, TagShift = 0;
   CacheEvents Events;
 
@@ -161,15 +174,21 @@ private:
 
 /// The caches of one machine environment in one allocation: the Cache
 /// headers first (one 64-byte-aligned header each), then every cache's
-/// occupancy words, then every cache's lines. Copying an arena allocates
-/// once, copies the occupancy words, and copies only the resident ways of
-/// each set — a cold environment copies no lines at all.
+/// occupancy counts, then every cache's lines. Copying an arena allocates
+/// once and copies each cache's state with copyCache: the occupancy
+/// counts and only the resident ways of each set, so a cold environment
+/// copies no lines at all.
 class CacheArena {
 public:
   explicit CacheArena(const std::vector<CacheConfig> &Configs);
   CacheArena(const CacheArena &Other);
   CacheArena &operator=(const CacheArena &) = delete;
   ~CacheArena();
+
+  /// Makes every cache's state a copy of \p Other's, in place: the same
+  /// copyCache as the copy constructor, with no allocation. \p Other must
+  /// hold the same configurations in the same order.
+  void copyFrom(const CacheArena &Other);
 
   size_t size() const { return Count; }
   Cache *data() { return Caches; }
@@ -182,10 +201,15 @@ public:
   const Cache *end() const { return Caches + Count; }
 
 private:
-  /// Allocates the block for \p N caches whose configurations \p ConfigOf
-  /// yields, and places each header (built by \p Make over its storage).
-  template <typename ConfigFn, typename MakeFn>
-  void place(size_t N, ConfigFn ConfigOf, MakeFn Make);
+  /// Allocates the block for the caches of \p Configs and places a cold
+  /// header over each one's storage.
+  template <typename ConfigFn> void place(size_t N, ConfigFn ConfigOf);
+
+  /// Makes \p To's state (occupancy, resident lines and event counters) a
+  /// copy of \p From's, which has the same configuration. Copies only the
+  /// resident ways; a cold \p From clears \p To's occupancy, unless \p To
+  /// is cold as well and there is nothing to clear.
+  static void copyCache(Cache &To, const Cache &From);
 
   void *Mem = nullptr;
   Cache *Caches = nullptr;
@@ -196,7 +220,7 @@ inline bool Cache::lookup(Addr A, bool MarkDirty) {
   const unsigned S = setOf(A);
   const uint64_t Tag = tagOf(A);
   Line *Set = setLines(S);
-  const uint32_t N = Occupancy[S];
+  const uint32_t N = Occ[S];
   for (uint32_t W = 0; W != N; ++W) {
     if (tagBits(Set[W]) != Tag)
       continue;
@@ -222,7 +246,7 @@ inline bool Cache::probe(Addr A) const {
   const unsigned S = setOf(A);
   const uint64_t Tag = tagOf(A);
   const Line *Set = setLines(S);
-  const uint32_t N = Occupancy[S];
+  const uint32_t N = Occ[S];
   for (uint32_t W = 0; W != N; ++W)
     if (tagBits(Set[W]) == Tag)
       return true;

@@ -55,6 +55,8 @@ struct MachineEnvConfig {
   CacheConfig DTlb{16, 4, 4096, 30};
   CacheConfig ITlb{32, 4, 4096, 30};
   uint64_t MemLatency = 100; ///< Penalty beyond L2 on an L2 miss.
+
+  bool operator==(const MachineEnvConfig &Other) const = default;
 };
 
 /// Counters for one cache-like structure; purely observational (never fed

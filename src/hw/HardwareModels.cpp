@@ -8,6 +8,7 @@
 #include <cassert>
 #include <limits>
 #include <string>
+#include <typeinfo>
 
 using namespace zam;
 
@@ -62,6 +63,10 @@ namespace {
 std::vector<CacheConfig> structureConfigs(const MachineEnvConfig &C) {
   return {C.L1D, C.L2D, C.L1I, C.L2I, C.DTlb, C.ITlb};
 }
+
+/// The name of each structure, in HwStructure order.
+constexpr const char *kStructureNames[] = {"L1D", "L2D",  "L1I",
+                                           "L2I", "DTlb", "ITlb"};
 
 /// The merged-stats slot of each structure, in HwStructure order.
 CacheLevelStats &statsOf(HwStats &S, unsigned Structure) {
@@ -172,11 +177,19 @@ const SecurityLattice &checkedLattice(const SecurityLattice &Lat) {
                          .c_str());
   return Lat;
 }
+
+/// Checks every structure's geometry before anything is sized from it.
+const MachineEnvConfig &checkedConfig(const MachineEnvConfig &C) {
+  const std::vector<CacheConfig> Configs = structureConfigs(C);
+  for (unsigned S = 0; S != kNumStructures; ++S)
+    checkCacheConfig(Configs[S], kStructureNames[S]);
+  return C;
+}
 } // namespace
 
 HardwareEnv::HardwareEnv(HwKind Kind, const SecurityLattice &Lat,
                          const MachineEnvConfig &Config)
-    : MachineEnv(Kind, checkedLattice(Lat), Config),
+    : MachineEnv(Kind, checkedLattice(Lat), checkedConfig(Config)),
       Plan(buildPlan(Kind, Lat)), Routes(Plan->Routes.data()),
       Lookup(Plan->Lookup.data()), Sweep(Plan->Sweep.data()),
       SweepOff(Plan->SweepOff.data()),
@@ -326,6 +339,24 @@ uint64_t HardwareEnv::fetch(Addr A, Label Read, Label Write) {
 
 std::unique_ptr<MachineEnv> HardwareEnv::clone() const {
   return std::make_unique<HardwareEnv>(*this);
+}
+
+void HardwareEnv::copyInto(std::unique_ptr<MachineEnv> &Slot) const {
+  // A slot of the same design and lattice walks an equal plan, and the
+  // same configuration gives it the same arena shape, so only the state
+  // and counters need copying.
+  auto *To = Slot && typeid(*Slot) == typeid(HardwareEnv)
+                 ? static_cast<HardwareEnv *>(Slot.get())
+                 : nullptr;
+  if (!To || To->Kind != Kind || To->Lat != Lat || To->Config != Config) {
+    Slot = clone();
+    return;
+  }
+  if (To == this)
+    return;
+  To->Stats = Stats;
+  To->Obs = nullptr;
+  To->Caches.copyFrom(Caches);
 }
 
 bool HardwareEnv::projectionEquals(const MachineEnv &Other, Label L) const {

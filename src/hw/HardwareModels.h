@@ -98,13 +98,17 @@ struct HwPlan {
 /// HwPlan.
 class HardwareEnv final : public MachineEnv {
 public:
-  /// Fatal error if \p Lat has more than kMaxLatticeLevels levels.
+  /// Fatal error if \p Lat has more than kMaxLatticeLevels levels, or if
+  /// checkCacheConfig (hw/Cache.h) rejects one of \p Config's structures.
   HardwareEnv(HwKind Kind, const SecurityLattice &Lat,
               const MachineEnvConfig &Config);
 
   uint64_t dataAccess(Addr A, bool IsStore, Label Read, Label Write) override;
   uint64_t fetch(Addr A, Label Read, Label Write) override;
   std::unique_ptr<MachineEnv> clone() const override;
+  /// Restores a HardwareEnv slot of the same design, lattice and
+  /// configuration in place (CacheArena::copyFrom); clones otherwise.
+  void copyInto(std::unique_ptr<MachineEnv> &Slot) const override;
   bool projectionEquals(const MachineEnv &Other, Label L) const override;
   void reset() override;
   void randomize(Rng &R) override;

@@ -104,15 +104,31 @@ public:
   /// labels [\p Read, \p Write]. \returns the fetch latency in cycles.
   virtual uint64_t fetch(Addr A, Label Read, Label Write) = 0;
 
-  /// Deep copy, including all cache/TLB state and statistics. The built-in
-  /// designs keep all cache/TLB state in one CacheArena (hw/Cache.h), so a
-  /// clone is one allocation plus the occupancy words and resident lines.
-  /// Clones share no mutable state with the source (the lattice and the
-  /// design's HwPlan are immutable and shared), so distinct clones
-  /// may be driven concurrently from different threads — the contract the
-  /// exp/ParallelRunner fan-out relies on, audited by the CloneAudit tests
-  /// in tests/exp_test.cpp.
+  /// Deep copy, including all cache/TLB state and statistics, but not the
+  /// observer (see setObserver()). The built-in designs keep all cache/TLB
+  /// state in one CacheArena (hw/Cache.h), so a clone is two allocations
+  /// (the env and its arena) plus a copy of the occupancy counts and the
+  /// resident lines. Clones share no mutable state with the source (the
+  /// lattice and the design's HwPlan are immutable and shared), so
+  /// distinct clones may be driven concurrently from different threads —
+  /// the contract the exp/ParallelRunner fan-out relies on, audited by the
+  /// CloneAudit tests in tests/exp_test.cpp.
   virtual std::unique_ptr<MachineEnv> clone() const = 0;
+
+  /// Makes \p Slot a copy of this environment, reusing its storage when it
+  /// can: afterwards *Slot is indistinguishable from a fresh clone() — the
+  /// same state, statistics and no observer — and, like a clone, shares
+  /// no mutable state with this one. The default is `Slot = clone()`. The
+  /// built-in designs restore a slot of the same design, lattice and
+  /// configuration in place, with no allocation, copying only what either
+  /// side holds (a cold template restored into a cold slot copies no
+  /// cache state at all); any other slot, or an empty one, gets a fresh
+  /// clone. Loops that run many samples from one template (adv's
+  /// streamObservations, exp's Scenario::runAll) keep one slot per worker
+  /// and call this before each sample.
+  virtual void copyInto(std::unique_ptr<MachineEnv> &Slot) const {
+    Slot = clone();
+  }
 
   /// Projected equivalence E1 ≈ℓ E2 (Sec. 3.3): equality of exactly the
   /// level-ℓ partition of the state. For unpartitioned designs all state
