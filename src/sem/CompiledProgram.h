@@ -27,7 +27,7 @@
 #include "ir/Ir.h"
 #include "ir/Lir.h"
 #include "lang/Ast.h"
-#include "sem/FullInterpreter.h"
+#include "sem/InterpreterOptions.h"
 #include "sem/Memory.h"
 
 #include <memory>

@@ -5,30 +5,43 @@
 #include "sem/Limits.h"
 #include "support/Diagnostics.h"
 
+#include <cassert>
+#include <cstddef>
+#include <new>
+
 using namespace zam;
 
 ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
-                   MachineEnv &Env, const InterpreterOptions &Opts)
-    : P(P), Env(Env), Opts(Opts), Probe(this->Opts.Probe),
-      Prov(this->Opts.Provenance), BaseStepCost(this->Opts.Costs.BaseStep),
-      AluCost(this->Opts.Costs.AluOp), StepLimit(this->Opts.StepLimit),
-      M(std::move(InitM)),
-      OwnMitState(P.lattice(), this->Opts.Mitigation.base(), Opts.Penalty),
-      MitState(Opts.SharedMitState ? *Opts.SharedMitState : OwnMitState),
-      Code(L.Insts.data()), Uops(L.Uops.data()),
+                   MachineEnv &Env, InterpreterOptions &&Options)
+    : P(P), Env(Env), Opts(std::move(Options)), Probe(Opts.Probe),
+      Prov(Opts.Provenance), BaseStepCost(Opts.Costs.BaseStep),
+      AluCost(Opts.Costs.AluOp), StepLimit(Opts.StepLimit),
+      M(std::move(InitM)), Code(L.Insts.data()), Uops(L.Uops.data()),
       TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr),
       RetainEvents(Opts.RetainEvents) {
+  MitState = Opts.SharedMitState
+                 ? Opts.SharedMitState
+                 : &OwnMitState.emplace(P.lattice(), Opts.Mitigation.base(),
+                                        Opts.Penalty);
   T.Names = M.slotNames();
   T.EventsRetained = RetainEvents;
-  Regs.resize(L.NumRegs ? L.NumRegs : 1);
-  SlotData.resize(M.slotCount());
-  for (size_t I = 0; I != SlotData.size(); ++I)
+  // Regs, SlotData and Frames in one zeroed block, each part 8-byte
+  // aligned.
+  static_assert(sizeof(const int64_t *) == sizeof(int64_t) &&
+                alignof(MitFrame) <= alignof(int64_t) &&
+                sizeof(MitFrame) % sizeof(int64_t) == 0);
+  const size_t NumRegs = L.NumRegs ? L.NumRegs : 1;
+  const size_t NumSlots = M.slotCount();
+  MaxDepth = L.IR->MaxMitDepth;
+  Scratch = std::make_unique<std::byte[]>((NumRegs + NumSlots) * 8 +
+                                          MaxDepth * sizeof(MitFrame));
+  Regs = reinterpret_cast<int64_t *>(Scratch.get());
+  SlotData = reinterpret_cast<const int64_t **>(Regs + NumRegs);
+  for (size_t I = 0; I != NumSlots; ++I)
     SlotData[I] = M.slotAt(I).Data.data();
-  if (L.IR) {
-    Frames.reserve(L.IR->MaxMitDepth);
-    if (Probe)
-      Probe->onProgram(*L.IR);
-  }
+  Frames = reinterpret_cast<MitFrame *>(SlotData + NumSlots);
+  if (Probe)
+    Probe->onProgram(*L.IR);
   if (Code[PC].K == IrInstr::Op::Halt) {
     Halted = true;
     finalize();
@@ -76,7 +89,7 @@ void ExecCore::record(uint32_t Slot, Label VarLabel, bool IsArray,
 
 int64_t ExecCore::evalSpan(const LirInst &I, uint32_t U, uint32_t N,
                            uint64_t &Cycles) {
-  int64_t *R = Regs.data();
+  int64_t *R = Regs;
   const LirUop *Op = Uops + U;
   const LirUop *const End = Op + N;
   uint16_t Result = 0;
@@ -196,8 +209,10 @@ void ExecCore::execMitEnter(const LirInst &I) {
   // the body.
   charge(CycleKind::Step, Cycles);
   G += Cycles;
-  Frames.push_back({I.Eta, N, I.MitLevel, I.PcLabel, G,
-                    I.Policy ? I.Policy : &Opts.Mitigation.base()});
+  // The IR's static nesting bound sized the stack.
+  assert(Depth < MaxDepth && "mitigate nesting above MaxMitDepth");
+  new (&Frames[Depth++]) MitFrame{I.Eta, N, I.MitLevel, I.PcLabel, G,
+                                  I.Policy ? I.Policy : &Opts.Mitigation.base()};
   Cur.Site = I.Eta;
   PC = I.Next;
 }
@@ -206,14 +221,14 @@ void ExecCore::execMitEnd(const LirInst &I) {
   head(I);
   // The paper's MitigateEnd continuation: no fetch, no base cost — only
   // the update rule and the padding to the final prediction.
-  const MitFrame &F = Frames.back();
+  const MitFrame &F = Frames[Depth - 1];
   const uint64_t Elapsed = G - F.Start;
-  const unsigned MissesBefore = Probe ? MitState.misses(F.Level) : 0;
+  const unsigned MissesBefore = Probe ? MitState->misses(F.Level) : 0;
   MitigationState::Outcome Out =
-      MitState.settle(F.Estimate, F.Level, Elapsed, *F.Policy);
+      MitState->settle(F.Estimate, F.Level, Elapsed, *F.Policy);
   G = F.Start + Out.Duration;
   if (Probe)
-    Probe->onSettle(F.Eta, MitState.misses(F.Level) - MissesBefore);
+    Probe->onSettle(F.Eta, MitState->misses(F.Level) - MissesBefore);
 
   MitigateRecord R;
   R.Eta = F.Eta;
@@ -224,7 +239,7 @@ void ExecCore::execMitEnd(const LirInst &I) {
   R.Duration = Out.Duration;
   R.BodyTime = Elapsed;
   R.Mispredicted = Out.Mispredicted;
-  R.MissesAfter = MitState.misses(R.Level);
+  R.MissesAfter = MitState->misses(R.Level);
   R.Line = I.Loc.Line;
   T.Mitigations.push_back(R);
   if (Opts.OnMitigateWindow)
@@ -236,8 +251,8 @@ void ExecCore::execMitEnd(const LirInst &I) {
     charge(CycleKind::Pad, Out.Duration - Elapsed);
   if (Prov)
     Prov->closeWindow(Cur, T.Mitigations.back());
-  Frames.pop_back();
-  Cur.Site = Frames.empty() ? CostCursor::kNoSite : Frames.back().Eta;
+  --Depth;
+  Cur.Site = Depth == 0 ? CostCursor::kNoSite : Frames[Depth - 1].Eta;
   PC = I.Next;
 }
 
@@ -307,7 +322,7 @@ void ExecCore::run() {
 
 void ExecCore::finalize() {
   T.FinalTime = G;
-  T.FinalMissTable.clear();
-  for (Label L : P.lattice().allLabels())
-    T.FinalMissTable.push_back(MitState.misses(L));
+  T.FinalMissTable.resize(P.lattice().size());
+  for (uint32_t I = 0; I != T.FinalMissTable.size(); ++I)
+    T.FinalMissTable[I] = MitState->misses(Label::fromIndex(I));
 }

@@ -45,23 +45,30 @@
 #include "ir/Lir.h"
 #include "sem/Eval.h"
 #include "sem/Event.h"
-#include "sem/FullInterpreter.h"
+#include "sem/InterpreterOptions.h"
 #include "sem/Memory.h"
 #include "sem/Mitigation.h"
 #include "sem/Provenance.h"
 
+#include <cstddef>
 #include <memory>
-#include <vector>
+#include <optional>
 
 namespace zam {
 
 class ExecCore final : public HwObserver {
 public:
   /// Executes \p L (which, with its IR tier, must outlive the core) with
-  /// initial memory \p InitM on \p Env. \p P provides the lattice and
+  /// initial memory \p InitM on \p Env under \p Opts, which the core
+  /// takes over (the run's one copy). \p P provides the lattice and
   /// declarations.
+  ///
+  /// Construction allocates only what the run needs: the register file,
+  /// the slot-data pointers and the mitigate frame stack share one block
+  /// (the stack sized by the IR's static nesting bound), and the core's
+  /// own Miss table is built only when Opts.SharedMitState is unset.
   ExecCore(const LirProgram &L, const Program &P, Memory InitM,
-           MachineEnv &Env, const InterpreterOptions &Opts);
+           MachineEnv &Env, InterpreterOptions &&Opts);
 
   /// Whether the configuration has reached ⟨stop, m, E, G⟩ (or a run
   /// limit).
@@ -79,7 +86,8 @@ public:
   uint64_t clock() const { return G; }
   Trace &trace() { return T; }
   const Trace &trace() const { return T; }
-  const MitigationState &mitigationState() const { return MitState; }
+  const MitigationState &mitigationState() const { return *MitState; }
+  const InterpreterOptions &options() const { return Opts; }
 
   /// The source command the next transition executes (nullptr when done).
   const Cmd *currentCmd() const {
@@ -156,8 +164,9 @@ private:
   /// reach their limit so that the per-step check ends the run.
   uint64_t StepLimit;
   Memory M;
-  MitigationState OwnMitState;
-  MitigationState &MitState;
+  /// The Miss table, unless Opts.SharedMitState supplies one.
+  std::optional<MitigationState> OwnMitState;
+  MitigationState *MitState;
   const LirInst *Code; ///< The instruction array.
   const LirUop *Uops;  ///< The shared micro-op pool.
   Trace T;
@@ -170,13 +179,19 @@ private:
   /// Opts.RetainEvents: record() keeps nothing when it is off.
   bool RetainEvents;
   CostCursor Cur;
-  std::vector<MitFrame> Frames;
-  std::vector<int64_t> Regs; ///< The micro-op register file (NumRegs).
+  /// One block holding Regs, SlotData and Frames, in that order.
+  std::unique_ptr<std::byte[]> Scratch;
+  int64_t *Regs; ///< The micro-op register file (NumRegs).
   /// Per-slot element-0 pointers: the load fast path indexes straight into
   /// slot storage without touching Memory's bookkeeping. Stores still go
   /// through Memory::slotAt (they need the slot's label for the event
   /// record anyway).
-  std::vector<const int64_t *> SlotData;
+  const int64_t **SlotData;
+  /// The open mitigate windows, innermost last: Depth of them, at most
+  /// MaxDepth (the IR's static nesting bound, which sized the block).
+  MitFrame *Frames;
+  uint32_t Depth = 0;
+  uint32_t MaxDepth;
 };
 
 } // namespace zam

@@ -15,25 +15,22 @@ FullInterpreter::FullInterpreter(const Program &P, MachineEnv &Env,
 
 FullInterpreter::FullInterpreter(std::unique_ptr<CompiledProgram> C,
                                  MachineEnv &Env, InterpreterOptions Opts)
-    : Env(Env), Opts(std::move(Opts)) {
-  Core = std::make_unique<ExecCore>(C->lir(), C->program(),
-                                    C->takeInitialMemory(), Env, this->Opts);
-  Owned = std::move(C);
-}
+    : Env(Env), Owned(std::move(C)),
+      Core(Owned->lir(), Owned->program(), Owned->takeInitialMemory(), Env,
+           std::move(Opts)) {}
 
 FullInterpreter::FullInterpreter(const CompiledProgram &C, MachineEnv &Env,
                                  InterpreterOptions Opts)
-    : Env(Env), Opts(std::move(Opts)) {
-  C.requireInputsOf(this->Opts, "FullInterpreter");
-  Core = std::make_unique<ExecCore>(C.lir(), C.program(), C.initialMemory(),
-                                    Env, this->Opts);
-}
+    : Env(Env),
+      Core(C.lir(), C.program(),
+           (C.requireInputsOf(Opts, "FullInterpreter"), C.initialMemory()),
+           Env, std::move(Opts)) {}
 
 FullInterpreter::~FullInterpreter() = default;
 
-Memory &FullInterpreter::memory() { return Core->memory(); }
+Memory &FullInterpreter::memory() { return Core.memory(); }
 
-uint64_t FullInterpreter::clock() const { return Core->clock(); }
+uint64_t FullInterpreter::clock() const { return Core.clock(); }
 
 RunResult FullInterpreter::run() {
   if (Consumed)
@@ -42,19 +39,20 @@ RunResult FullInterpreter::run() {
 
   // The core doubles as the hardware observer, but installing it costs a
   // virtual call per access — only pay when someone listens.
+  const InterpreterOptions &Opts = Core.options();
   const bool Observe = Opts.RecordMisses || Opts.Provenance != nullptr;
   HwObserver *Prior = nullptr;
   if (Observe) {
     Prior = Env.observer();
-    Env.setObserver(Core.get());
+    Env.setObserver(&Core);
   }
-  Core->run();
+  Core.run();
   if (Observe)
     Env.setObserver(Prior);
 
   RunResult R;
-  R.FinalMemory = std::move(Core->memory());
-  R.T = std::move(Core->trace());
+  R.FinalMemory = std::move(Core.memory());
+  R.T = std::move(Core.trace());
   R.Hw = Env.stats();
   return R;
 }

@@ -22,7 +22,7 @@ StepInterpreter::StepInterpreter(std::unique_ptr<CompiledProgram> C,
     : Env(Env) {
   Memory M = InitialMemory ? std::move(*InitialMemory) : C->takeInitialMemory();
   Core = std::make_unique<ExecCore>(C->lir(), C->program(), std::move(M), Env,
-                                    Opts);
+                                    InterpreterOptions(Opts));
   Owned = std::move(C);
   observe(Opts);
 }
@@ -32,7 +32,7 @@ StepInterpreter::StepInterpreter(const CompiledProgram &C, MachineEnv &Env,
     : Env(Env) {
   C.requireInputsOf(Opts, "StepInterpreter");
   Core = std::make_unique<ExecCore>(C.lir(), C.program(), C.initialMemory(),
-                                    Env, Opts);
+                                    Env, InterpreterOptions(Opts));
   observe(Opts);
 }
 
