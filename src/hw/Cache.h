@@ -70,7 +70,7 @@ void checkCacheConfig(const CacheConfig &C, const char *Name);
 class alignas(64) Cache {
 public:
   /// The count of resident lines in one set.
-  using Occupancy = uint32_t;
+  using Occupancy = uint8_t;
   /// The most ways a set may have: its occupancy count must hold them.
   static constexpr unsigned kMaxAssoc = std::numeric_limits<Occupancy>::max();
 
