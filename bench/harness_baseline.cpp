@@ -1,11 +1,12 @@
-//===- harness_baseline.cpp - Parallel-runner wall-clock baseline -----------===//
+//===- harness_baseline.cpp - Parallel-runner determinism baseline --------===//
 //
-// Records the wall-clock trajectory of the experiment harness itself: the
-// leakage Q/V enumeration and a Fig. 7-style batch of login sessions, each
-// executed serially and fanned out over the worker pool, with the results
-// cross-checked for bit-identical equality. The JSON report (--json) is the
-// BENCH_harness.json baseline; it includes hardware_concurrency so that a
-// 1-core container's "speedup" numbers read as what they are.
+// Checks that the experiment harness gives the same answers at any thread
+// count: the leakage Q/V enumeration and a Fig. 7-style batch of login
+// sessions each run serially and fanned out over the worker pool, and the
+// results must be bit-identical. It also records the dispatch profile
+// (exec.*) of a loop-heavy probe. The JSON report (--json) is the
+// BENCH_harness.json baseline; every number in it is deterministic. Host
+// time is bench/perf's job (zam_perf).
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,33 +18,15 @@
 #include "ir/IrPrinter.h"
 #include "lang/Parser.h"
 #include "obs/ExecProfile.h"
-#include "obs/Phase.h"
 #include "sem/FullInterpreter.h"
 #include "types/LabelInference.h"
 
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
 using namespace zam;
 
 namespace {
-
-/// Wall-clock phase breakdown of the whole baseline, printed at the end.
-/// Wall-clock never enters the report's deterministic members; the
-/// trailing "wall" and "phases" sections carry the timings instead.
-PhaseProfiler Phases;
-
-/// Milliseconds of wall-clock spent in \p Fn, also accumulated into the
-/// phase profiler under \p Phase.
-template <typename Fn> double timeMs(const char *Phase, Fn &&Fn_) {
-  auto Start = std::chrono::steady_clock::now();
-  Fn_();
-  auto End = std::chrono::steady_clock::now();
-  double Ms = std::chrono::duration<double, std::milli>(End - Start).count();
-  Phases.add(Phase, Ms);
-  return Ms;
-}
 
 LeakageResult measureOnce(const Program &P, const SecurityLattice &Lat,
                           unsigned Threads) {
@@ -129,16 +112,11 @@ int main(int Argc, char **Argv) {
               Cores, Wide);
 
   // Leakage enumeration: 4096 secret variations per measurement.
-  LeakageResult L1, LN;
-  double LeakMs1 =
-      timeMs("leakage/1thread", [&] { L1 = measureOnce(*P, Lat, 1); });
-  double LeakMsN =
-      timeMs("leakage/wide", [&] { LN = measureOnce(*P, Lat, Wide); });
-  bool LeakSame = sameLeakage(L1, LN);
-  std::printf("leakage enumeration (4096 runs): %.1f ms at 1 thread, "
-              "%.1f ms at %u threads (speedup %.2fx), identical: %s\n",
-              LeakMs1, LeakMsN, Wide, LeakMs1 / LeakMsN,
-              LeakSame ? "YES" : "NO");
+  const LeakageResult L1 = measureOnce(*P, Lat, 1);
+  const bool LeakSame = sameLeakage(L1, measureOnce(*P, Lat, Wide));
+  std::printf("leakage enumeration (4096 runs) at 1 and %u threads "
+              "identical: %s\n",
+              Wide, LeakSame ? "YES" : "NO");
 
   // Login batch: six independent sessions of 100 attempts.
   Rng TableRng(2254078);
@@ -147,23 +125,14 @@ int main(int Argc, char **Argv) {
   for (unsigned I = 0; I != 3; ++I)
     Tables[I] = makeLoginTable(100, ValidCounts[I], TableRng);
 
-  std::string Batch1, BatchN;
-  double LoginMs1 =
-      timeMs("login/1thread", [&] { Batch1 = loginBatchJson(Lat, Tables, 1); });
-  double LoginMsN =
-      timeMs("login/wide", [&] { BatchN = loginBatchJson(Lat, Tables, Wide); });
-  bool LoginSame = Batch1 == BatchN;
-  std::printf("login batch (6 sessions x 100 attempts): %.1f ms at 1 "
-              "thread, %.1f ms at %u threads (speedup %.2fx), "
+  const bool LoginSame =
+      loginBatchJson(Lat, Tables, 1) == loginBatchJson(Lat, Tables, Wide);
+  std::printf("login batch (6 sessions x 100 attempts) at 1 and %u threads, "
               "bit-identical JSON: %s\n",
-              LoginMs1, LoginMsN, Wide, LoginMs1 / LoginMsN,
-              LoginSame ? "YES" : "NO");
+              Wide, LoginSame ? "YES" : "NO");
 
-  // Interpreter throughput: many serial full-semantics runs of a
-  // loop-heavy probe (~400 evaluation steps per run, so per-run setup is
-  // amortized and the engine's step rate dominates) — the engine-speed
-  // floor under every harness number above. Comparing engine speed across
-  // builds is bench/perf's job; this is one sample on this host.
+  // The dispatch profile of many serial full-semantics runs of a
+  // loop-heavy probe (~400 evaluation steps per run).
   std::optional<Program> InterpP = parseProgram(
       "var h : H;\nvar l : L;\nvar a : L[16];\nvar i : L;\n"
       "i := 0;\n"
@@ -173,11 +142,8 @@ int main(int Argc, char **Argv) {
       Lat, Diags);
   inferTimingLabels(*InterpP);
   constexpr unsigned InterpReps = 2000;
-  // The execution observatory rides the measured loop: its per-dispatch
-  // counters are part of the engine cost being measured, and its exec.*
-  // profile is the loop's dispatch mix.
   ExecProfile InterpProf;
-  double InterpMs = timeMs("interp/serial", [&] {
+  {
     auto Env = createMachineEnv(HwKind::Partitioned, Lat);
     InterpreterOptions IOpts;
     IOpts.Probe = &InterpProf;
@@ -186,23 +152,21 @@ int main(int Argc, char **Argv) {
           *InterpP, *Env,
           [&](Memory &M) { M.store("h", static_cast<int64_t>(I % 97)); },
           IOpts);
-  });
-  std::printf("interpreter throughput: %u serial runs in %.1f ms\n",
-              InterpReps, InterpMs);
+  }
   std::string ProfErr;
   if (!InterpProf.selfCheck(ProfErr)) {
     std::fprintf(stderr, "error: %s\n", ProfErr.c_str());
     return 2;
   }
   std::vector<ExecProfile::DigramRank> Digrams = InterpProf.rankedDigrams();
-  std::printf("engine observatory: %llu dispatches",
+  std::printf("engine observatory: %u serial runs, %llu dispatches",
+              InterpReps,
               static_cast<unsigned long long>(InterpProf.dispatches()));
   if (!Digrams.empty())
     std::printf(", hottest digram %s;%s (%llu pairs)",
                 irOpName(Digrams.front().A), irOpName(Digrams.front().B),
                 static_cast<unsigned long long>(Digrams.front().Count));
-  std::printf("; %.1f dispatches/us sampled\n",
-              InterpProf.wall().dispatchesPerUs());
+  std::printf("\n");
 
   Report R("harness_baseline");
   R.setScalar("hardware_concurrency", Cores);
@@ -212,34 +176,8 @@ int main(int Argc, char **Argv) {
   R.setScalar("leakage_v_bits", L1.VBits);
   R.setVerdict("leakage_identical", LeakSame);
   R.setVerdict("login_json_bit_identical", LoginSame);
-  // Wall-clock trajectory: elapsed times and speedups vary per host and
-  // per run, so they ride in the report's trailing "wall"/"phases"
-  // sections, outside the deterministic projection that byte-stability
-  // audits (and zamtrace diff) look at.
-  R.setWallScalar("leakage_ms_1thread", LeakMs1);
-  R.setWallScalar("leakage_ms_wide", LeakMsN);
-  R.setWallScalar("leakage_speedup", LeakMs1 / LeakMsN);
-  R.setWallScalar("login_ms_1thread", LoginMs1);
-  R.setWallScalar("login_ms_wide", LoginMsN);
-  R.setWallScalar("login_speedup", LoginMs1 / LoginMsN);
-  R.setWallScalar("interp_runs", InterpReps);
-  R.setWallScalar("interp_wall_ms", InterpMs);
-  // The deterministic dispatch profile of the interp loop rides the
-  // "metrics" object (exec.*); the epoch-sampled host throughput joins
-  // the other wall numbers as wall.exec.* (outside the deterministic
-  // projection, like every wall figure).
   InterpProf.exportMetrics(R.metrics());
-  R.setWallScalar("exec.sample_epochs",
-                  static_cast<double>(InterpProf.wall().Epochs));
-  R.setWallScalar("exec.sampled_dispatches",
-                  static_cast<double>(InterpProf.wall().SampledDispatches));
-  R.setWallScalar("exec.elapsed_ms",
-                  static_cast<double>(InterpProf.wall().ElapsedNs) / 1e6);
-  R.setWallScalar("exec.dispatch_per_us",
-                  InterpProf.wall().dispatchesPerUs());
-  R.setPhases(Phases.toJson());
 
-  std::printf("\n-- phases (wall clock) --\n%s", Phases.render().c_str());
   std::printf("\n%s", R.renderSummary().c_str());
   if (!emitReportJson(R, Harness))
     return 2;

@@ -33,37 +33,40 @@ size_t zam::streamObservations(
   // A sample reads the final clock and the mitigate windows only.
   InterpreterOptions RunOpts = IOpts;
   RunOpts.RetainEvents = false;
+  // Sample I on Env, a copy of the template.
+  auto RunSample = [&](size_t I, MachineEnv &Env) {
+    const SecretClassSpec &Spec = Classes[I % K];
+    Rng R(sampleSeed(Opts.Seed, I));
+    // No hooks: the audit replays the finished trace, which onWindow
+    // matches bit-for-bit (LeakAudit's documented equivalence).
+    FullInterpreter Interp(Compiled, Env, RunOpts);
+    Memory &M = Interp.memory();
+    for (const auto &[Var, Value] : Spec.Fixed)
+      M.store(Var, Value);
+    for (const SecretClassSpec::Range &Rg : Spec.Ranges)
+      M.store(Rg.Var, R.nextInRange(Rg.Lo, Rg.Hi));
+    if (Spec.Prepare)
+      Spec.Prepare(M, R);
+    RunResult RR = Interp.run();
+    LeakAudit Audit(P.lattice(), Opts.Adversary, IOpts.Mitigation);
+    Audit.ingest(RR.T);
+    Observation O;
+    O.ClassIndex = static_cast<uint32_t>(I % K);
+    O.EndToEnd = RR.T.FinalTime;
+    for (const LeakWindow &W : Audit.windows())
+      O.Windows.push_back(W.Duration);
+    O.BoundBits = Audit.totalBitsBound();
+    return O;
+  };
   for (size_t Base = 0; Base < Total; Base += kObservationChunk) {
     const size_t ChunkLen = std::min(kObservationChunk, Total - Base);
     // Each slice restores one env from the template before every sample.
     std::vector<Observation> Chunk =
         Runner.mapWithState<std::unique_ptr<MachineEnv>>(
             ChunkLen, [&](size_t Offset, std::unique_ptr<MachineEnv> &Env) {
-          const size_t I = Base + Offset;
-          const SecretClassSpec &Spec = Classes[I % K];
-          Rng R(sampleSeed(Opts.Seed, I));
-          EnvTemplate.copyInto(Env);
-          // No hooks: the audit replays the finished trace, which onWindow
-          // matches bit-for-bit (LeakAudit's documented equivalence).
-          FullInterpreter Interp(Compiled, *Env, RunOpts);
-          Memory &M = Interp.memory();
-          for (const auto &[Var, Value] : Spec.Fixed)
-            M.store(Var, Value);
-          for (const SecretClassSpec::Range &Rg : Spec.Ranges)
-            M.store(Rg.Var, R.nextInRange(Rg.Lo, Rg.Hi));
-          if (Spec.Prepare)
-            Spec.Prepare(M, R);
-          RunResult RR = Interp.run();
-          LeakAudit Audit(P.lattice(), Opts.Adversary, IOpts.Mitigation);
-          Audit.ingest(RR.T);
-          Observation O;
-          O.ClassIndex = static_cast<uint32_t>(I % K);
-          O.EndToEnd = RR.T.FinalTime;
-          for (const LeakWindow &W : Audit.windows())
-            O.Windows.push_back(W.Duration);
-          O.BoundBits = Audit.totalBitsBound();
-          return O;
-        });
+              EnvTemplate.copyInto(Env);
+              return RunSample(Base + Offset, *Env);
+            });
     for (size_t Offset = 0; Offset < Chunk.size(); ++Offset)
       OnObservation(Chunk[Offset], Base + Offset);
   }

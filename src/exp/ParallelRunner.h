@@ -67,7 +67,8 @@ public:
   /// on what earlier indices left in S: streamObservations and
   /// Scenario::runAll keep an env slot in S and restore it from their
   /// template (MachineEnv::copyInto) before each run.
-  template <typename State, typename Fn> auto mapWithState(size_t N, Fn &&F) const {
+  template <typename State, typename Fn>
+  auto mapWithState(size_t N, Fn &&F) const {
     std::vector<decltype(F(size_t(0), std::declval<State &>()))> Results(N);
     const size_t Slices =
         std::min<size_t>(N, NumThreads == 1 ? 1 : size_t(NumThreads) * 4);

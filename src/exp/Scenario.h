@@ -15,8 +15,9 @@
 /// Scenarios are shared read-only across worker threads; every run starts
 /// from a copy of the environment template (a fresh clone, or in runAll a
 /// per-worker env restored in place), so concurrent runs never touch
-/// shared mutable state. Session-style workloads (persistent mitigation state across
-/// requests) fan out at series granularity instead, via SeriesSpec.
+/// shared mutable state. Session-style workloads (persistent mitigation
+/// state across requests) fan out at series granularity instead, via
+/// SeriesSpec.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -64,10 +64,6 @@ std::vector<CacheConfig> structureConfigs(const MachineEnvConfig &C) {
   return {C.L1D, C.L2D, C.L1I, C.L2I, C.DTlb, C.ITlb};
 }
 
-/// The name of each structure, in HwStructure order.
-constexpr const char *kStructureNames[] = {"L1D", "L2D",  "L1I",
-                                           "L2I", "DTlb", "ITlb"};
-
 /// The merged-stats slot of each structure, in HwStructure order.
 CacheLevelStats &statsOf(HwStats &S, unsigned Structure) {
   CacheLevelStats *Levels[] = {&S.L1D, &S.L2D, &S.L1I, &S.L2I, &S.DTlb,
@@ -180,9 +176,12 @@ const SecurityLattice &checkedLattice(const SecurityLattice &Lat) {
 
 /// Checks every structure's geometry before anything is sized from it.
 const MachineEnvConfig &checkedConfig(const MachineEnvConfig &C) {
-  const std::vector<CacheConfig> Configs = structureConfigs(C);
-  for (unsigned S = 0; S != kNumStructures; ++S)
-    checkCacheConfig(Configs[S], kStructureNames[S]);
+  checkCacheConfig(C.L1D, "L1D");
+  checkCacheConfig(C.L2D, "L2D");
+  checkCacheConfig(C.L1I, "L1I");
+  checkCacheConfig(C.L2I, "L2I");
+  checkCacheConfig(C.DTlb, "DTlb");
+  checkCacheConfig(C.ITlb, "ITlb");
   return C;
 }
 } // namespace
@@ -344,7 +343,8 @@ std::unique_ptr<MachineEnv> HardwareEnv::clone() const {
 void HardwareEnv::copyInto(std::unique_ptr<MachineEnv> &Slot) const {
   // A slot of the same design and lattice walks an equal plan, and the
   // same configuration gives it the same arena shape, so only the state
-  // and counters need copying.
+  // and counters need copying. The kind tag alone does not say the slot is
+  // a HardwareEnv: an env that wraps another reports the inner one's kind.
   auto *To = Slot && typeid(*Slot) == typeid(HardwareEnv)
                  ? static_cast<HardwareEnv *>(Slot.get())
                  : nullptr;
@@ -352,8 +352,6 @@ void HardwareEnv::copyInto(std::unique_ptr<MachineEnv> &Slot) const {
     Slot = clone();
     return;
   }
-  if (To == this)
-    return;
   To->Stats = Stats;
   To->Obs = nullptr;
   To->Caches.copyFrom(Caches);

@@ -211,8 +211,9 @@ void ExecCore::execMitEnter(const LirInst &I) {
   G += Cycles;
   // The IR's static nesting bound sized the stack.
   assert(Depth < MaxDepth && "mitigate nesting above MaxMitDepth");
-  new (&Frames[Depth++]) MitFrame{I.Eta, N, I.MitLevel, I.PcLabel, G,
-                                  I.Policy ? I.Policy : &Opts.Mitigation.base()};
+  const MitigationPolicy *Policy =
+      I.Policy ? I.Policy : &Opts.Mitigation.base();
+  new (&Frames[Depth++]) MitFrame{I.Eta, N, I.MitLevel, I.PcLabel, G, Policy};
   Cur.Site = I.Eta;
   PC = I.Next;
 }

@@ -11,6 +11,7 @@
 
 #include "adv/Adversary.h"
 #include "adv/LeakDetector.h"
+#include "exp/Scenario.h"
 #include "obs/LeakAudit.h"
 #include "obs/Telemetry.h"
 #include "obs/TraceSink.h"
@@ -215,6 +216,105 @@ TEST(Collector, ByteIdenticalAcrossThreadCounts) {
     Dumps[I] = Sink->finish();
   }
   EXPECT_EQ(Dumps[0], Dumps[1]);
+}
+
+/// The clone-per-sample loop written out: sample I runs on a fresh clone
+/// of \p Template with its own Rng, no events retained, audited by
+/// replay. streamObservations restores one env per worker slice instead
+/// and must produce exactly this bag.
+std::vector<Observation>
+cloneEverySample(const Program &P, const MachineEnv &Template,
+                 const std::vector<SecretClassSpec> &Classes,
+                 const AttackOptions &Opts) {
+  InterpreterOptions RunOpts;
+  RunOpts.RetainEvents = false;
+  std::vector<Observation> Out;
+  for (size_t I = 0; I != Opts.Samples; ++I) {
+    const SecretClassSpec &Spec = Classes[I % Classes.size()];
+    Rng R(sampleSeed(Opts.Seed, I));
+    std::unique_ptr<MachineEnv> Env = Template.clone();
+    FullInterpreter Interp(P, *Env, RunOpts);
+    for (const SecretClassSpec::Range &Rg : Spec.Ranges)
+      Interp.memory().store(Rg.Var, R.nextInRange(Rg.Lo, Rg.Hi));
+    RunResult RR = Interp.run();
+    LeakAudit Audit(P.lattice(), Opts.Adversary);
+    Audit.ingest(RR.T);
+    Observation &O = Out.emplace_back();
+    O.ClassIndex = static_cast<uint32_t>(I % Classes.size());
+    O.EndToEnd = RR.T.FinalTime;
+    for (const LeakWindow &W : Audit.windows())
+      O.Windows.push_back(W.Duration);
+    O.BoundBits = Audit.totalBitsBound();
+  }
+  return Out;
+}
+
+/// A non-cold template: random resident lines, then the probe's own
+/// accesses at both levels.
+std::unique_ptr<MachineEnv> warmTemplate(HwKind Kind, uint64_t Seed) {
+  auto Env = createMachineEnv(Kind, lh());
+  Rng R(Seed);
+  Env->randomize(R);
+  for (Addr A = 0x10000000; A != 0x10000000 + 4096; A += 32)
+    Env->dataAccess(A, /*IsStore=*/true, high(), high());
+  return Env;
+}
+
+TEST(Collector, RestoredEnvsMatchACloneEverySample) {
+  Program P = parsed(kSweepSource);
+  AttackOptions Opts;
+  // Crosses a chunk boundary; a multiple of neither the chunk nor any
+  // slice size.
+  Opts.Samples = static_cast<unsigned>(kObservationChunk + 37);
+  Opts.Seed = 4321;
+  Opts.Adversary = low();
+  for (HwKind Kind : allHwKinds()) {
+    const auto Template = warmTemplate(Kind, 77);
+    const std::vector<Observation> Expected =
+        cloneEverySample(P, *Template, twoRangeClasses(), Opts);
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      const std::vector<Observation> Got =
+          collectObservations(P, *Template, twoRangeClasses(), Opts,
+                              InterpreterOptions(), ParallelRunner(Threads));
+      ASSERT_EQ(Got.size(), Expected.size());
+      for (size_t I = 0; I != Got.size(); ++I) {
+        SCOPED_TRACE(std::string(hwKindName(Kind)) + ", " +
+                     std::to_string(Threads) + " threads, sample " +
+                     std::to_string(I));
+        ASSERT_EQ(Got[I].ClassIndex, Expected[I].ClassIndex);
+        ASSERT_EQ(Got[I].EndToEnd, Expected[I].EndToEnd);
+        ASSERT_EQ(Got[I].Windows, Expected[I].Windows);
+        ASSERT_EQ(Got[I].BoundBits, Expected[I].BoundBits);
+      }
+    }
+  }
+}
+
+TEST(Collector, ScenarioRunAllMatchesRunPerSpec) {
+  Program P = parsed(kSweepSource);
+  for (HwKind Kind : allHwKinds()) {
+    const Scenario S(P, *warmTemplate(Kind, 78));
+    std::vector<RunSpec> Specs(53);
+    for (size_t I = 0; I != Specs.size(); ++I)
+      Specs[I].Scalars = {{"h", static_cast<int64_t>(I * 13 % 701)}};
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      const std::vector<RunResult> All =
+          S.runAll(Specs, ParallelRunner(Threads));
+      ASSERT_EQ(All.size(), Specs.size());
+      for (size_t I = 0; I != Specs.size(); ++I) {
+        SCOPED_TRACE(std::string(hwKindName(Kind)) + ", " +
+                     std::to_string(Threads) + " threads, spec " +
+                     std::to_string(I));
+        const RunResult One = S.run(Specs[I]);
+        ASSERT_EQ(All[I].T.FinalTime, One.T.FinalTime);
+        ASSERT_EQ(All[I].T.Events, One.T.Events);
+        ASSERT_EQ(All[I].T.Mitigations, One.T.Mitigations);
+        ASSERT_EQ(All[I].T.FinalMissTable, One.T.FinalMissTable);
+        ASSERT_EQ(All[I].Hw, One.Hw);
+        ASSERT_EQ(All[I].FinalMemory, One.FinalMemory);
+      }
+    }
+  }
 }
 
 TEST(Collector, SampleSeedMixesIndices) {

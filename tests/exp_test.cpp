@@ -383,6 +383,30 @@ TEST(CloneAudit, ClonesAreDeepAndIndependent) {
   }
 }
 
+TEST(CloneAudit, RestoredEnvsShareNothingWithTheTemplate) {
+  Rng R(43);
+  for (HwKind Kind :
+       {HwKind::NoPartition, HwKind::NoFill, HwKind::Partitioned}) {
+    auto Template = createMachineEnv(Kind, lh());
+    Template->randomize(R);
+    const auto Before = Template->clone();
+    // A slot restored in place, as the sampling loops reuse it: driving
+    // it after each restore must leave the template as it was.
+    std::unique_ptr<MachineEnv> Slot = createMachineEnv(Kind, lh());
+    const MachineEnv *Storage = Slot.get();
+    for (int Round = 0; Round != 3; ++Round) {
+      Template->copyInto(Slot);
+      ASSERT_EQ(Slot.get(), Storage) << hwKindName(Kind);
+      EXPECT_TRUE(Slot->stateEquals(*Template)) << hwKindName(Kind);
+      for (Addr A = 0; A != 4096; A += 64)
+        Slot->dataAccess(A + 4096 * Round, /*IsStore=*/true, low(), low());
+      Slot->resetStats();
+      EXPECT_TRUE(Template->stateEquals(*Before)) << hwKindName(Kind);
+      EXPECT_EQ(Template->stats(), Before->stats()) << hwKindName(Kind);
+    }
+  }
+}
+
 TEST(Harness, ParsesThreadsAndJson) {
   const char *Argv1[] = {"bench", "--threads", "4", "--json", "out.json"};
   HarnessOptions O1 =

@@ -652,6 +652,86 @@ TEST(HwPinned, DigestsOfMixedLabelStreams) {
 }
 
 //===----------------------------------------------------------------------===//
+// In-place restore: MachineEnv::copyInto leaves a slot that is the same
+// machine as a fresh clone, or gives it one
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// The restore lattices: two levels, a three-level order (its partitioned
+/// sets are not a power of two, so the division path runs) and a
+/// two-principal powerset.
+std::vector<const SecurityLattice *> restoreLattices() {
+  return {&lh(), &lmh(), &twoPrincipals()};
+}
+
+/// Restores \p Slot from \p Template and checks that it was restored in
+/// place and is the same machine as a fresh clone: state, every
+/// projection, stats() and no observer; then that a seeded mixed stream
+/// produces the same latencies and observed records on both.
+void expectRestoredLikeAClone(const MachineEnv &Template,
+                              std::unique_ptr<MachineEnv> Slot,
+                              uint64_t Seed) {
+  CountingObserver Stale;
+  Slot->setObserver(&Stale);
+  const MachineEnv *Storage = Slot.get();
+  Template.copyInto(Slot);
+  EXPECT_EQ(Slot.get(), Storage) << "not restored in place";
+  EXPECT_EQ(Slot->observer(), nullptr);
+  auto Fresh = Template.clone();
+  EXPECT_TRUE(Slot->stateEquals(*Fresh));
+  expectSameMachine(*Slot, *Fresh);
+  DigestObserver RestoredObs, FreshObs;
+  Slot->setObserver(&RestoredObs);
+  Fresh->setObserver(&FreshObs);
+  driveBoth(*Slot, Fresh.get(), Seed);
+  EXPECT_EQ(RestoredObs.D.value(), FreshObs.D.value());
+  expectSameMachine(*Slot, *Fresh);
+  EXPECT_EQ(Stale.Accesses, 0u);
+}
+} // namespace
+
+TEST(HwRestore, RestoredSlotEqualsAFreshClone) {
+  for (HwKind Kind : allHwKinds())
+    for (const SecurityLattice *Lat : restoreLattices()) {
+      SCOPED_TRACE(std::string(hwKindName(Kind)) + " over " +
+                   std::to_string(Lat->size()) + " levels");
+      auto Cold = [&] { return createMachineEnv(Kind, *Lat, cfg()); };
+      // Dirty template into a differently dirty slot.
+      expectRestoredLikeAClone(*dirtyEnv(Kind, *Lat, 31),
+                               dirtyEnv(Kind, *Lat, 32), 33);
+      // Cold template into a dirty slot: the slot's lines must all go.
+      expectRestoredLikeAClone(*Cold(), dirtyEnv(Kind, *Lat, 34), 35);
+      // Dirty template into a cold slot.
+      expectRestoredLikeAClone(*dirtyEnv(Kind, *Lat, 36), Cold(), 37);
+    }
+}
+
+TEST(HwRestore, MismatchedSlotGetsAFreshClone) {
+  const std::unique_ptr<MachineEnv> Template =
+      dirtyEnv(HwKind::Partitioned, lmh(), 41);
+  const TotalOrderLattice SameShape({"L", "M", "H"});
+  std::vector<std::unique_ptr<MachineEnv>> Slots;
+  Slots.push_back(createMachineEnv(HwKind::NoFill, lmh(), cfg()));
+  Slots.push_back(createMachineEnv(HwKind::Partitioned, lh(), cfg()));
+  // An equal lattice that is another object is another lattice.
+  Slots.push_back(createMachineEnv(HwKind::Partitioned, SameShape, cfg()));
+  Slots.push_back(createMachineEnv(HwKind::Partitioned, lmh(), tinyCfg()));
+  for (std::unique_ptr<MachineEnv> &Slot : Slots) {
+    const MachineEnv *Storage = Slot.get();
+    Template->copyInto(Slot);
+    EXPECT_NE(Slot.get(), Storage);
+    EXPECT_EQ(Slot->hwKind(), Template->hwKind());
+    EXPECT_EQ(&Slot->lattice(), &Template->lattice());
+    EXPECT_TRUE(Slot->config() == Template->config());
+    expectSameMachine(*Slot, *Template);
+  }
+  std::unique_ptr<MachineEnv> Empty;
+  Template->copyInto(Empty);
+  ASSERT_NE(Empty, nullptr);
+  expectSameMachine(*Empty, *Template);
+}
+
+//===----------------------------------------------------------------------===//
 // The plan: every (er, ew) entry of every design satisfies Properties 5
 // and 6 by construction
 //===----------------------------------------------------------------------===//
@@ -749,4 +829,28 @@ TEST(HwPlanDeathTest, LatticeAboveTheLimitIsFatal) {
   for (HwKind Kind : allHwKinds())
     EXPECT_DEATH(createMachineEnv(Kind, TooLarge),
                  "65-level lattice: the limit is 64 levels");
+}
+
+TEST(HwConfigDeathTest, DegenerateGeometryIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  MachineEnvConfig ZeroSets = cfg();
+  ZeroSets.L1D.NumSets = 0;
+  MachineEnvConfig ZeroWays = cfg();
+  ZeroWays.L2I.Assoc = 0;
+  MachineEnvConfig ZeroBlock = cfg();
+  ZeroBlock.DTlb.BlockBytes = 0;
+  MachineEnvConfig TooManyWays = cfg();
+  TooManyWays.L2D.Assoc = Cache::kMaxAssoc + 1;
+  for (HwKind Kind : allHwKinds()) {
+    EXPECT_DEATH(createMachineEnv(Kind, lh(), ZeroSets),
+                 "L1D.NumSets is 0; it must be at least 1");
+    EXPECT_DEATH(createMachineEnv(Kind, lh(), ZeroWays),
+                 "L2I.Assoc is 0; it must be at least 1");
+    EXPECT_DEATH(createMachineEnv(Kind, lh(), ZeroBlock),
+                 "DTlb.BlockBytes is 0; it must be at least 1");
+    EXPECT_DEATH(createMachineEnv(Kind, lh(), TooManyWays),
+                 "L2D.Assoc is 256; the limit is 255 ways");
+  }
+  // A standalone cache checks the same rules.
+  EXPECT_DEATH(Cache(CacheConfig{0, 1, 32, 1}), "cache.NumSets is 0");
 }
