@@ -69,6 +69,10 @@ public:
   /// own Miss table is built only when Opts.SharedMitState is unset.
   ExecCore(const LirProgram &L, const Program &P, Memory InitM,
            MachineEnv &Env, InterpreterOptions &&Opts);
+  /// Pinned: the engines register the core as Env's observer, and it
+  /// points into itself (MitState).
+  ExecCore(const ExecCore &) = delete;
+  ExecCore &operator=(const ExecCore &) = delete;
 
   /// Whether the configuration has reached ⟨stop, m, E, G⟩ (or a run
   /// limit).
