@@ -58,15 +58,16 @@ size_t zam::streamObservations(
     O.BoundBits = Audit.totalBitsBound();
     return O;
   };
+  // One env per slice, kept across chunks and restored from the template
+  // before every sample.
+  std::vector<std::unique_ptr<MachineEnv>> Envs;
   for (size_t Base = 0; Base < Total; Base += kObservationChunk) {
     const size_t ChunkLen = std::min(kObservationChunk, Total - Base);
-    // Each slice restores one env from the template before every sample.
-    std::vector<Observation> Chunk =
-        Runner.mapWithState<std::unique_ptr<MachineEnv>>(
-            ChunkLen, [&](size_t Offset, std::unique_ptr<MachineEnv> &Env) {
-              EnvTemplate.copyInto(Env);
-              return RunSample(Base + Offset, *Env);
-            });
+    std::vector<Observation> Chunk = Runner.mapWithState(
+        ChunkLen, Envs, [&](size_t Offset, std::unique_ptr<MachineEnv> &Env) {
+          EnvTemplate.copyInto(Env);
+          return RunSample(Base + Offset, *Env);
+        });
     for (size_t Offset = 0; Offset < Chunk.size(); ++Offset)
       OnObservation(Chunk[Offset], Base + Offset);
   }

@@ -60,20 +60,23 @@ public:
   }
 
   /// map() for tasks that reuse scratch state: F(I, S) also receives a
-  /// State S, value-initialized once per slice of consecutive indices and
-  /// handed to every F of that slice in index order on one thread. The
-  /// slices — one with one thread, else up to four per thread for load
-  /// balance — depend on the thread count, so F's result must not depend
-  /// on what earlier indices left in S: streamObservations and
-  /// Scenario::runAll keep an env slot in S and restore it from their
-  /// template (MachineEnv::copyInto) before each run.
+  /// State S from \p States, one per slice of consecutive indices, handed
+  /// to every F of that slice in index order on one thread. \p States
+  /// grows to the slice count (value-initialized) and keeps its elements
+  /// for the caller's next call. The slices — one with one thread, else up
+  /// to four per thread for load balance — depend on the thread count, so
+  /// F's result must not depend on what earlier indices left in S:
+  /// streamObservations and Scenario::runAll keep an env slot in S and
+  /// restore it from their template (MachineEnv::copyInto) before each run.
   template <typename State, typename Fn>
-  auto mapWithState(size_t N, Fn &&F) const {
+  auto mapWithState(size_t N, std::vector<State> &States, Fn &&F) const {
     std::vector<decltype(F(size_t(0), std::declval<State &>()))> Results(N);
     const size_t Slices =
         std::min<size_t>(N, NumThreads == 1 ? 1 : size_t(NumThreads) * 4);
+    if (States.size() < Slices)
+      States.resize(Slices);
     forEach(Slices, [&](size_t Slice) {
-      State S{};
+      State &S = States[Slice];
       for (size_t I = N * Slice / Slices, E = N * (Slice + 1) / Slices;
            I != E; ++I)
         Results[I] = F(I, S);

@@ -44,8 +44,9 @@ RunResult Scenario::runOn(const RunSpec &Spec, MachineEnv &Env) const {
 
 std::vector<RunResult> Scenario::runAll(const std::vector<RunSpec> &Specs,
                                         const ParallelRunner &Runner) const {
-  return Runner.mapWithState<std::unique_ptr<MachineEnv>>(
-      Specs.size(), [&](size_t I, std::unique_ptr<MachineEnv> &Env) {
+  std::vector<std::unique_ptr<MachineEnv>> Envs;
+  return Runner.mapWithState(
+      Specs.size(), Envs, [&](size_t I, std::unique_ptr<MachineEnv> &Env) {
         EnvTemplate->copyInto(Env);
         return runOn(Specs[I], *Env);
       });
