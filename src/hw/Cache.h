@@ -156,8 +156,8 @@ private:
   /// Occ[S]) in MRU-to-LRU order. Ways at or beyond the occupancy are
   /// never read, so they need not be initialized or copied.
   Line *Lines;
-  Occupancy *Occ; ///< Resident lines per set.
-  uint64_t Latency;    ///< Copy of Config.Latency.
+  Occupancy *Occ;   ///< Resident lines per set.
+  uint64_t Latency; ///< Copy of Config.Latency.
   /// Shift/mask fast path for power-of-two geometry (all Table 1 shapes).
   /// TagShift == 0 falls back to division — partitioned designs divide sets
   /// among lattice levels, which need not leave a power of two.
