@@ -33,8 +33,8 @@ ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
   const size_t NumRegs = L.NumRegs ? L.NumRegs : 1;
   const size_t NumSlots = M.slotCount();
   MaxDepth = L.IR->MaxMitDepth;
-  Scratch = std::make_unique<std::byte[]>((NumRegs + NumSlots) * 8 +
-                                          MaxDepth * sizeof(MitFrame));
+  Scratch = std::make_unique<std::byte[]>(
+      (NumRegs + NumSlots) * sizeof(int64_t) + MaxDepth * sizeof(MitFrame));
   Regs = reinterpret_cast<int64_t *>(Scratch.get());
   SlotData = reinterpret_cast<const int64_t **>(Regs + NumRegs);
   for (size_t I = 0; I != NumSlots; ++I)
