@@ -33,23 +33,16 @@ Scenario::Scenario(const Program &P, const MachineEnv &EnvTemplate,
       EnvTemplate(EnvTemplate.clone()) {}
 
 RunResult Scenario::run(const RunSpec &Spec) const {
-  return runOn(Spec, *EnvTemplate->clone());
-}
-
-RunResult Scenario::runOn(const RunSpec &Spec, MachineEnv &Env) const {
-  FullInterpreter Interp(*Compiled, Env, Opts);
+  std::unique_ptr<MachineEnv> Env = EnvTemplate->clone();
+  FullInterpreter Interp(*Compiled, *Env, Opts);
   Spec.applyTo(Interp.memory());
   return Interp.run();
 }
 
 std::vector<RunResult> Scenario::runAll(const std::vector<RunSpec> &Specs,
                                         const ParallelRunner &Runner) const {
-  std::vector<std::unique_ptr<MachineEnv>> Envs;
-  return Runner.mapWithState(
-      Specs.size(), Envs, [&](size_t I, std::unique_ptr<MachineEnv> &Env) {
-        EnvTemplate->copyInto(Env);
-        return runOn(Specs[I], *Env);
-      });
+  return Runner.map(Specs.size(),
+                    [&](size_t I) { return run(Specs[I]); });
 }
 
 void zam::runSeriesInto(Report &R, const std::vector<SeriesSpec> &Specs,

@@ -12,12 +12,10 @@
 /// interpreter options — and a RunSpec describes one run's inputs (scalar
 /// and array overrides plus an arbitrary memory-preparation hook).
 ///
-/// Scenarios are shared read-only across worker threads; every run starts
-/// from a copy of the environment template (a fresh clone, or in runAll a
-/// per-worker env restored in place), so concurrent runs never touch
-/// shared mutable state. Session-style workloads (persistent mitigation
-/// state across requests) fan out at series granularity instead, via
-/// SeriesSpec.
+/// Scenarios are shared read-only across worker threads; every run clones
+/// the environment template, so concurrent runs never touch shared mutable
+/// state. Session-style workloads (persistent mitigation state across
+/// requests) fan out at series granularity instead, via SeriesSpec.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +48,7 @@ struct RunSpec {
 
 /// A shared experiment context: program + environment template + options.
 /// Immutable after construction; safe to use from any number of worker
-/// threads concurrently (each run copies the template).
+/// threads concurrently (each run clones the template).
 class Scenario {
 public:
   /// Builds the machine environment from a design kind and configuration.
@@ -73,15 +71,11 @@ public:
   RunResult run(const RunSpec &Spec) const;
 
   /// Executes every spec (fanned out over \p Runner) and returns results in
-  /// submission order, each equal to run(Spec). Each worker slice keeps
-  /// one env and restores it from the template before every run.
+  /// submission order.
   std::vector<RunResult> runAll(const std::vector<RunSpec> &Specs,
                                 const ParallelRunner &Runner) const;
 
 private:
-  /// Executes one run on \p Env, which must be a copy of the template.
-  RunResult runOn(const RunSpec &Spec, MachineEnv &Env) const;
-
   const Program *P;
   InterpreterOptions Opts;
   std::unique_ptr<const CompiledProgram> Compiled; ///< Shared by every run.

@@ -123,9 +123,9 @@ public:
   /// configuration in place, with no allocation, copying only what either
   /// side holds (a cold template restored into a cold slot copies no
   /// cache state at all); any other slot, or an empty one, gets a fresh
-  /// clone. Loops that run many samples from one template (adv's
-  /// streamObservations, exp's Scenario::runAll) keep one slot per worker
-  /// and call this before each sample.
+  /// clone. adv's streamObservations, which runs many samples from one
+  /// template, keeps one slot per worker and calls this before each
+  /// sample.
   virtual void copyInto(std::unique_ptr<MachineEnv> &Slot) const {
     Slot = clone();
   }

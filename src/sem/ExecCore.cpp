@@ -5,7 +5,6 @@
 #include "sem/Limits.h"
 #include "support/Diagnostics.h"
 
-#include <cassert>
 #include <cstddef>
 #include <new>
 
@@ -209,8 +208,10 @@ void ExecCore::execMitEnter(const LirInst &I) {
   // the body.
   charge(CycleKind::Step, Cycles);
   G += Cycles;
-  // The IR's static nesting bound sized the stack.
-  assert(Depth < MaxDepth && "mitigate nesting above MaxMitDepth");
+  // The IR's static nesting bound sized the stack; an IR that understates
+  // it stops the run here instead of writing past the block.
+  if (Depth == MaxDepth)
+    reportFatalError("mitigate nesting above the IR's MaxMitDepth");
   const MitigationPolicy *Policy =
       I.Policy ? I.Policy : &Opts.Mitigation.base();
   new (&Frames[Depth++]) MitFrame{I.Eta, N, I.MitLevel, I.PcLabel, G, Policy};

@@ -116,12 +116,12 @@ TEST(AllocBudget, LoginSessionAttempt) {
   // Names built outside the counted window.
   const std::string User = Table.ValidUsernames.front(), Pass = "pass";
   S.attempt(User, Pass);
-  const uint64_t PerAttempt =
-      allocationsOf([&] {
-        for (int I = 0; I != 100; ++I)
-          S.attempt(User, Pass);
-      }) /
-      100;
+  const uint64_t Total = allocationsOf([&] {
+    for (int I = 0; I != 100; ++I)
+      S.attempt(User, Pass);
+  });
+  ASSERT_EQ(Total % 100, 0u) << "allocations vary per attempt";
+  const uint64_t PerAttempt = Total / 100;
   std::printf("allocations per LoginSession::attempt: %llu\n",
               static_cast<unsigned long long>(PerAttempt));
   RecordProperty("allocations_per_attempt", static_cast<int>(PerAttempt));

@@ -390,7 +390,7 @@ TEST(CloneAudit, RestoredEnvsShareNothingWithTheTemplate) {
     auto Template = createMachineEnv(Kind, lh());
     Template->randomize(R);
     const auto Before = Template->clone();
-    // A slot restored in place, as the sampling loops reuse it: driving
+    // A slot restored in place, as streamObservations reuses it: driving
     // it after each restore must leave the template as it was.
     std::unique_ptr<MachineEnv> Slot = createMachineEnv(Kind, lh());
     const MachineEnv *Storage = Slot.get();

@@ -12,6 +12,7 @@
 #include "ir/Lir.h"
 #include "ir/Lowering.h"
 #include "obs/CostLedger.h"
+#include "sem/ExecCore.h"
 #include "sem/FullInterpreter.h"
 #include "sem/StepInterpreter.h"
 #include "types/LabelInference.h"
@@ -148,4 +149,24 @@ TEST(Lir, StepThenRunResumesExactly) {
           What.c_str());
     }
   }
+}
+
+TEST(LirDeathTest, MitigateNestingAboveTheIrBoundIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The core sizes its mitigate frame stack by the IR's static nesting
+  // bound. An IR that understates the bound must stop the run with a
+  // diagnostic, in every build, instead of writing past the stack.
+  Program P = loopProgram();
+  IrProgram IR = lowerProgram(P);
+  ASSERT_EQ(IR.MaxMitDepth, 1u);
+  IR.MaxMitDepth = 0;
+  LirProgram L = lowerToLir(IR);
+  auto Env = createMachineEnv(HwKind::Partitioned, P.lattice());
+  EXPECT_DEATH(
+      {
+        ExecCore Core(L, P, Memory::fromProgram(P, CostModel().DataBase, IR.Names),
+                      *Env, InterpreterOptions());
+        Core.run();
+      },
+      "mitigate nesting above the IR's MaxMitDepth");
 }
