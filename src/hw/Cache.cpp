@@ -227,9 +227,15 @@ void CacheArena::copyCache(Cache &To, const Cache &From) {
   }
   To.Resident = From.Resident;
   std::memcpy(To.Occ, From.Occ, Sets * sizeof(Cache::Occupancy));
-  for (unsigned S = 0; S != Sets; ++S)
-    if (const unsigned Ways = From.Occ[S])
-      std::memcpy(To.setLines(S), From.setLines(S), Ways * sizeof(Cache::Line));
+  // A plain loop, not memcpy: with a one-byte count the compiler knows a
+  // set holds at most 255 ways and expands memcpy as `rep movsq`, which
+  // made a warm environment's copy about 4x slower than this loop.
+  for (unsigned S = 0; S != Sets; ++S) {
+    const Cache::Line *Src = From.setLines(S);
+    Cache::Line *Dst = To.setLines(S);
+    for (unsigned W = 0, Ways = From.Occ[S]; W != Ways; ++W)
+      Dst[W] = Src[W];
+  }
 }
 
 CacheArena::~CacheArena() {
