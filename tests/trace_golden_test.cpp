@@ -10,6 +10,12 @@
 // the ZTB output against a checksum, both for the full export and for an
 // adversary projection.
 //
+// The edge-case goldens pin what the encoders must keep doing with values
+// whose rendering depends on their text: level names that read as numbers
+// (emitted bare) or need escaping, the adv sample stream's one-element and
+// multi-element window lists and non-finite bounds, a Counter record's
+// %.17g value, and the attack command's snapshot meta row.
+//
 // On a mismatch the actual bytes are written to <golden name>.actual in
 // the test's working directory, for diffing against tests/golden/.
 //
@@ -17,6 +23,7 @@
 
 #include "TestUtil.h"
 
+#include "adv/Adversary.h"
 #include "obs/CostLedger.h"
 #include "obs/LeakAudit.h"
 #include "obs/Telemetry.h"
@@ -25,6 +32,7 @@
 #include "types/LabelInference.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "gtest/gtest.h"
@@ -56,6 +64,14 @@ constexpr size_t kFullZtbBytes = 3407;
 constexpr uint64_t kFullZtbFnv1a = 17762605070204708717ull;
 constexpr size_t kLowZtbBytes = 1365;
 constexpr uint64_t kLowZtbFnv1a = 1268868543072887777ull;
+constexpr size_t kNumericLevelsZtbBytes = 3407;
+constexpr uint64_t kNumericLevelsZtbFnv1a = 13176712421316185198ull;
+constexpr size_t kEscapedLevelsZtbBytes = 3478;
+constexpr uint64_t kEscapedLevelsZtbFnv1a = 9369731330840897644ull;
+constexpr size_t kAdvZtbBytes = 573;
+constexpr uint64_t kAdvZtbFnv1a = 7600988232793590304ull;
+constexpr size_t kRecordsZtbBytes = 185;
+constexpr uint64_t kRecordsZtbFnv1a = 10106790972940678949ull;
 
 /// The run and the observers `zamc profile --trace-out` attaches.
 struct GoldenRun {
@@ -92,10 +108,13 @@ struct GoldenRun {
     return Opts;
   }
 
-  std::string exportAs(TraceFormat Format, bool Projected) const {
+  /// Exports the run with \p Lat naming the levels; any two-level total
+  /// order prices the windows as lh() does.
+  std::string exportAs(TraceFormat Format, bool Projected,
+                       const SecurityLattice &Lat = lh()) const {
     StringByteSink Bytes;
     std::unique_ptr<TraceSink> Sink = makeTraceSink(Format, Bytes);
-    exportTrace(*Sink, R.T, lh(), options(Projected));
+    exportTrace(*Sink, R.T, Lat, options(Projected));
     Sink->close();
     return Bytes.str();
   }
@@ -126,6 +145,16 @@ void expectGolden(const std::string &Name, const std::string &Actual) {
   ADD_FAILURE() << Name << ": bytes differ from the golden at offset " << At
                 << " (" << Actual.size() << " vs " << Want.size()
                 << " bytes); wrote " << Name << ".actual";
+}
+
+/// Streams \p Produce's records through a \p Format sink over a
+/// StringByteSink and returns the bytes.
+template <typename Fn> std::string capture(TraceFormat Format, Fn Produce) {
+  StringByteSink Bytes;
+  std::unique_ptr<TraceSink> Sink = makeTraceSink(Format, Bytes);
+  Produce(*Sink);
+  Sink->close();
+  return Bytes.str();
 }
 
 /// FNV-1a over \p Bytes.
@@ -183,4 +212,106 @@ TEST(TraceGolden, AdversaryProjectionMatchesGoldens) {
   const std::string Ztb = G.exportAs(TraceFormat::Ztb, true);
   EXPECT_EQ(Ztb.size(), kLowZtbBytes);
   EXPECT_EQ(fnv1a(Ztb), kLowZtbFnv1a);
+}
+
+/// Levels named "0" and "1" read as JSON numbers, so every level, pc and
+/// label arg leaves bare.
+TEST(TraceGolden, NumericLevelNamesEmitBare) {
+  const TotalOrderLattice Numeric({"0", "1"});
+  const GoldenRun &G = goldenRun();
+  const std::string Jsonl = G.exportAs(TraceFormat::Jsonl, false, Numeric);
+  EXPECT_NE(Jsonl.find("\"label\":0}"), std::string::npos);
+  expectGolden("levels_numeric.jsonl", Jsonl);
+  expectGolden("levels_numeric.chrome.json",
+               G.exportAs(TraceFormat::Chrome, false, Numeric));
+  const std::string Ztb = G.exportAs(TraceFormat::Ztb, false, Numeric);
+  EXPECT_EQ(Ztb.size(), kNumericLevelsZtbBytes);
+  EXPECT_EQ(fnv1a(Ztb), kNumericLevelsZtbFnv1a);
+}
+
+/// Level names with a quote, a backslash and a control byte are escaped
+/// wherever they appear.
+TEST(TraceGolden, EscapedLevelNames) {
+  const TotalOrderLattice Escaped({"lo\"w", "h\\i\x01gh"});
+  const GoldenRun &G = goldenRun();
+  expectGolden("levels_escaped.jsonl",
+               G.exportAs(TraceFormat::Jsonl, false, Escaped));
+  expectGolden("levels_escaped.chrome.json",
+               G.exportAs(TraceFormat::Chrome, false, Escaped));
+  const std::string Ztb = G.exportAs(TraceFormat::Ztb, false, Escaped);
+  EXPECT_EQ(Ztb.size(), kEscapedLevelsZtbBytes);
+  EXPECT_EQ(fnv1a(Ztb), kEscapedLevelsZtbFnv1a);
+}
+
+/// The attack sample stream: a one-element window list reads as a number
+/// and leaves bare, longer and empty lists are quoted text, class names
+/// are escaped, an index past the names drops the "class" arg, and
+/// non-finite bounds are quoted.
+TEST(TraceGolden, AdvSampleStream) {
+  const std::vector<std::string> Names = {"lo\"w", "h\\i\x02gh"};
+  std::vector<Observation> Obs(6);
+  Obs[0] = {0, 1200, {256}, 0};
+  Obs[1] = {1, 4800, {256, 512, 1024}, 3.5849625007211563};
+  Obs[2] = {0, 900, {}, 1e20};
+  Obs[3] = {1, 0, {7}, std::numeric_limits<double>::infinity()};
+  Obs[4] = {0, 18446744073709551615ull, {1, 2},
+            std::numeric_limits<double>::quiet_NaN()};
+  Obs[5] = {2, 77, {3}, -std::numeric_limits<double>::infinity()};
+  auto Produce = [&](TraceSink &Sink) {
+    Sink.header({{"tool", "zam"}, {"attack_classes", "lo\"w,h\\i\x02gh"}});
+    EXPECT_EQ(exportObservations(Sink, Obs, Names), Obs.size());
+  };
+  const std::string Jsonl = capture(TraceFormat::Jsonl, Produce);
+  EXPECT_NE(Jsonl.find("\"windows\":256,"), std::string::npos);
+  EXPECT_NE(Jsonl.find("\"windows\":\"256,512,1024\""), std::string::npos);
+  EXPECT_NE(Jsonl.find("\"bound_bits\":\"inf\""), std::string::npos);
+  expectGolden("adv.jsonl", Jsonl);
+  expectGolden("adv.chrome.json", capture(TraceFormat::Chrome, Produce));
+  const std::string Ztb = capture(TraceFormat::Ztb, Produce);
+  EXPECT_EQ(Ztb.size(), kAdvZtbBytes);
+  EXPECT_EQ(fnv1a(Ztb), kAdvZtbFnv1a);
+}
+
+/// Records that arrive as TraceRecords: Counter values in %.17g (Chrome
+/// carries only the value), the attack command's snapshot meta row, and
+/// text args that read as numbers or booleans.
+TEST(TraceGolden, RecordAdapter) {
+  auto Produce = [](TraceSink &Sink) {
+    Sink.header({{"tool", "zam"}, {"threads", "4"}});
+    TraceRecord Counter;
+    Counter.RecordKind = TraceRecord::Kind::Counter;
+    Counter.Name = "bits";
+    Counter.Category = "leak";
+    Counter.Ts = 3;
+    Counter.Value = 0.1;
+    Sink.record(Counter);
+    Counter.Ts = 4;
+    Counter.Value = -1e300;
+    Counter.Args.emplace_back("note", "dropped by chrome");
+    Sink.record(Counter);
+    TraceRecord Snapshot;
+    Snapshot.RecordKind = TraceRecord::Kind::Meta;
+    Snapshot.Name = "snapshot";
+    Snapshot.Category = "obs";
+    Snapshot.Ts = 15;
+    Snapshot.Args.emplace_back("samples", "16");
+    Snapshot.Args.emplace_back("end_to_end_p50", "4711");
+    Sink.record(Snapshot);
+    TraceRecord Span;
+    Span.RecordKind = TraceRecord::Kind::Span;
+    Span.Name = "1";
+    Span.Category = "c\"at";
+    Span.Ts = 20;
+    Span.Dur = 5;
+    Span.Args = {{"true", "true"}, {"n", "-0.5e-3"}, {"x", "1."},
+                 {"k\\", "0x1f"}};
+    Sink.record(Span);
+  };
+  const std::string Jsonl = capture(TraceFormat::Jsonl, Produce);
+  EXPECT_NE(Jsonl.find("\"value\":0.10000000000000001"), std::string::npos);
+  expectGolden("records.jsonl", Jsonl);
+  expectGolden("records.chrome.json", capture(TraceFormat::Chrome, Produce));
+  const std::string Ztb = capture(TraceFormat::Ztb, Produce);
+  EXPECT_EQ(Ztb.size(), kRecordsZtbBytes);
+  EXPECT_EQ(fnv1a(Ztb), kRecordsZtbFnv1a);
 }
