@@ -7,9 +7,9 @@
 
 #include "adv/Adversary.h"
 
-#include "obs/Json.h"
 #include "obs/LeakAudit.h"
 #include "sem/CompiledProgram.h"
+#include "support/StrAppend.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -88,26 +88,25 @@ std::vector<Observation> zam::collectObservations(
 size_t zam::exportObservation(TraceSink &Sink, const Observation &O,
                               size_t Index,
                               const std::vector<std::string> &ClassNames) {
-  TraceRecord R;
-  R.RecordKind = TraceRecord::Kind::Instant;
-  R.Name = "sample#" + std::to_string(Index);
-  R.Category = "adv";
-  R.Ts = Index;
-  if (O.ClassIndex < ClassNames.size())
-    R.Args.emplace_back("class", ClassNames[O.ClassIndex]);
-  R.Args.emplace_back("class_index", std::to_string(O.ClassIndex));
-  R.Args.emplace_back("end_to_end", std::to_string(O.EndToEnd));
   std::string Windows;
   for (size_t W = 0; W < O.Windows.size(); ++W) {
     if (W)
       Windows += ',';
-    Windows += std::to_string(O.Windows[W]);
+    appendInt(Windows, O.Windows[W]);
   }
-  // A one-element list like "256" emits as a bare number (sink rule);
-  // offline readers treat the arg as display-only either way.
-  R.Args.emplace_back("windows", Windows);
-  R.Args.emplace_back("bound_bits", jsonNumberString(O.BoundBits));
-  Sink.record(R);
+  withEncoder(Sink, [&](auto &Enc) {
+    Enc.begin(TraceRecord::Kind::Instant, "sample#", TraceNameIndex(Index),
+              "adv", Index);
+    if (O.ClassIndex < ClassNames.size())
+      Enc.argText("class", ClassNames[O.ClassIndex]);
+    Enc.argInt("class_index", O.ClassIndex);
+    Enc.argInt("end_to_end", O.EndToEnd);
+    // A one-element list like "256" reads as a number and leaves bare;
+    // offline readers treat the arg as display-only either way.
+    Enc.argText("windows", Windows);
+    Enc.argDouble("bound_bits", O.BoundBits);
+    Enc.end();
+  });
   return 1;
 }
 

@@ -4,10 +4,8 @@
 
 #include "obs/CostLedger.h"
 #include "obs/LeakAudit.h"
-#include "obs/Ztb.h"
 #include "support/BuildInfo.h"
 #include "support/Diagnostics.h"
-#include "support/StrAppend.h"
 
 #include <algorithm>
 #include <span>
@@ -156,61 +154,6 @@ struct RecordKey {
 };
 static_assert(sizeof(RecordKey) == 16, "sort keys stay compact");
 
-/// Refills one TraceRecord in place. Name, category and arg strings are
-/// assigned into the buffers the previous record left behind, so a
-/// steady-state export allocates nothing per record. Records of one stream
-/// come in runs, so the category and each arg key are copied only when
-/// their literal differs from the previous record's.
-class RecordFiller {
-public:
-  TraceRecord &begin(TraceRecord::Kind Kind, const char *Category,
-                     uint64_t Ts, uint64_t Dur = 0) {
-    R.RecordKind = Kind;
-    if (Category != LastCategory) {
-      R.Category = Category;
-      LastCategory = Category;
-    }
-    R.Ts = Ts;
-    R.Dur = Dur;
-    Args = 0;
-    return R;
-  }
-
-  /// Opens arg \p Key and returns its cleared value buffer.
-  std::string &arg(const char *Key) {
-    if (Args == R.Args.size()) {
-      R.Args.emplace_back();
-      Keys.push_back(nullptr);
-    }
-    auto &[K, V] = R.Args[Args];
-    if (Keys[Args] != Key) {
-      K = Key;
-      Keys[Args] = Key;
-    }
-    ++Args;
-    V.clear();
-    return V;
-  }
-
-  template <typename Int> void intArg(const char *Key, Int V) {
-    appendInt(arg(Key), V);
-  }
-
-  /// The finished record: args past the ones this record opened dropped.
-  const TraceRecord &done() {
-    R.Args.resize(Args);
-    Keys.resize(Args);
-    return R;
-  }
-
-private:
-  TraceRecord R;
-  size_t Args = 0;
-  const char *LastCategory = nullptr;
-  /// The literal each of R.Args' keys was copied from.
-  std::vector<const char *> Keys;
-};
-
 } // namespace
 
 size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
@@ -304,175 +247,172 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
   size_t SnapEnd = 0;
   double SnapBits = 0;
   const MitigationPolicy &RunDefault = Opts.Mitigation.base();
-  // Names resolved once per export, not once per record: every level's
-  // name, and each slot's "assign <name>" (at the slot's first event).
-  std::vector<std::string> LevelNames;
-  LevelNames.reserve(Lat.size());
-  for (unsigned I = 0; I != Lat.size(); ++I)
-    LevelNames.push_back(Lat.name(Label::fromIndex(I)));
-  auto levelName = [&LevelNames](Label L) -> const std::string & {
-    return LevelNames[L.index()];
-  };
-  std::vector<std::string> AssignNames;
-  RecordFiller F;
-  using Kind = TraceRecord::Kind;
-  auto emit = [&](const RecordKey &K) {
-    switch (K.From) {
-    case Stream::Event: {
-      const AssignEvent &E = T.Events[K.Index];
-      TraceRecord &R = F.begin(Kind::Instant, "interp", K.Ts);
-      // T.varName checks the slot in sanitizer builds.
-      if (E.Slot >= AssignNames.size() || AssignNames[E.Slot].empty()) {
-        const std::string &Var = T.varName(E);
-        if (E.Slot >= AssignNames.size())
-          AssignNames.resize(E.Slot + 1);
-        AssignNames[E.Slot] = "assign " + Var;
+  return withEncoder(Sink, [&](auto &Enc) {
+    // Strings encoded once per export, not once per record: every level's
+    // name as an arg value, and each slot's "assign <name>" as a record
+    // name (at the slot's first event).
+    std::vector<std::string> LevelNames;
+    LevelNames.reserve(Lat.size());
+    for (unsigned I = 0; I != Lat.size(); ++I)
+      LevelNames.push_back(Enc.encodeValue(Lat.name(Label::fromIndex(I))));
+    auto levelName = [&LevelNames](Label L) -> std::string_view {
+      return LevelNames[L.index()];
+    };
+    std::vector<std::string> AssignNames;
+    using Kind = TraceRecord::Kind;
+    auto emit = [&](const RecordKey &K) {
+      switch (K.From) {
+      case Stream::Event: {
+        const AssignEvent &E = T.Events[K.Index];
+        // T.varName checks the slot in sanitizer builds.
+        if (E.Slot >= AssignNames.size() || AssignNames[E.Slot].empty()) {
+          const std::string &Var = T.varName(E);
+          if (E.Slot >= AssignNames.size())
+            AssignNames.resize(E.Slot + 1);
+          AssignNames[E.Slot] = Enc.encodeText("assign " + Var);
+        }
+        Enc.begin(Kind::Instant, AssignNames[E.Slot],
+                  E.IsArrayStore ? TraceNameIndex(E.ElemIndex, true)
+                                 : TraceNameIndex(),
+                  "interp", K.Ts);
+        Enc.argInt("value", E.Value);
+        Enc.argValue("label", levelName(E.VarLabel));
+        break;
       }
-      R.Name = AssignNames[E.Slot];
-      if (E.IsArrayStore) {
-        R.Name += '[';
-        appendInt(R.Name, E.ElemIndex);
-        R.Name += ']';
+      case Stream::Mitigation: {
+        const MitigateRecord &M = T.Mitigations[K.Index];
+        Enc.begin(Kind::Span, "mitigate#", TraceNameIndex(M.Eta), "mit", K.Ts,
+                  M.Duration);
+        Enc.argValue("level", levelName(M.Level));
+        Enc.argValue("pc", levelName(M.PcLabel));
+        Enc.argInt("estimate", M.Estimate);
+        Enc.argInt("predicted", M.Duration);
+        Enc.argInt("consumed", M.BodyTime);
+        Enc.argInt("padded",
+                   M.Duration > M.BodyTime ? M.Duration - M.BodyTime : 0);
+        Enc.argBool("mispredicted", M.Mispredicted);
+        if (M.Line != 0)
+          Enc.argInt("loc", M.Line);
+        break;
       }
-      F.intArg("value", E.Value);
-      F.arg("label") = levelName(E.VarLabel);
-      break;
-    }
-    case Stream::Mitigation: {
-      const MitigateRecord &M = T.Mitigations[K.Index];
-      TraceRecord &R = F.begin(Kind::Span, "mit", K.Ts, M.Duration);
-      R.Name = "mitigate#";
-      appendInt(R.Name, M.Eta);
-      F.arg("level") = levelName(M.Level);
-      F.arg("pc") = levelName(M.PcLabel);
-      F.intArg("estimate", M.Estimate);
-      F.intArg("predicted", M.Duration);
-      F.intArg("consumed", M.BodyTime);
-      F.intArg("padded",
-               M.Duration > M.BodyTime ? M.Duration - M.BodyTime : 0);
-      F.arg("mispredicted") = M.Mispredicted ? "true" : "false";
-      if (M.Line != 0)
-        F.intArg("loc", M.Line);
-      break;
-    }
-    case Stream::LeakWindow: {
-      const LeakWindow &W = Windows[K.Index];
-      TraceRecord &R = F.begin(Kind::Span, "leak", K.Ts, W.Duration);
-      R.Name = "leak_budget#";
-      appendInt(R.Name, W.Eta);
-      F.arg("level") = levelName(W.Level);
-      F.intArg("estimate", W.Estimate);
-      F.intArg("misses_after", W.MissesAfter);
-      F.intArg("attainable", W.Attainable);
-      F.arg("window_bits") = jsonNumberString(W.WindowBits);
-      F.arg("cum_level_bits") = jsonNumberString(W.CumLevelBits);
-      F.arg("mispredicted") = W.Mispredicted ? "true" : "false";
-      // Only sites diverging from the run default name their policy, so
-      // default-policy traces keep the historical byte layout.
-      if (W.Policy && W.Policy != &RunDefault)
-        F.arg("policy") = W.Policy->spec();
-      if (W.Line != 0)
-        F.intArg("loc", W.Line);
-      break;
-    }
-    case Stream::Snapshot: {
-      while (SnapEnd <= K.Index)
-        SnapBits += Windows[SnapEnd++].WindowBits;
-      TraceRecord &R = F.begin(Kind::Meta, "obs", K.Ts);
-      R.Name = "snapshot";
-      F.intArg("windows", SnapEnd);
-      F.arg("total_bits_bound") = jsonNumberString(SnapBits);
-      break;
-    }
-    case Stream::Miss: {
-      const AccessSample &S = T.Misses[K.Index];
-      TraceRecord &R = F.begin(Kind::Instant, "hw", K.Ts);
-      R.Name = S.IsData ? "dmiss" : "imiss";
-      std::string &Hex = F.arg("addr");
-      Hex = "0x";
-      appendInt(Hex, S.A, 16);
-      F.intArg("cycles", S.Cycles);
-      if (S.TlbMiss)
-        F.arg("tlb_miss") = "true";
-      if (S.L1Miss)
-        F.arg("l1_miss") = "true";
-      if (S.L2Miss)
-        F.arg("memory") = "true";
-      if (S.Line != 0)
-        F.intArg("loc", S.Line);
-      break;
-    }
-    case Stream::LedgerLine: {
-      const auto &[Line, C] = *LineAt++;
-      TraceRecord &R = F.begin(Kind::Instant, "prof", K.Ts);
-      R.Name = "prof_line#";
-      appendInt(R.Name, Line);
-      F.intArg("cycles", C.totalCycles());
-      F.intArg("step_cycles", C.StepCycles);
-      F.intArg("sleep_cycles", C.SleepCycles);
-      F.intArg("pad_cycles", C.PadCycles);
-      F.intArg("accesses", C.Accesses);
-      F.intArg("misses", C.misses());
-      F.intArg("windows", C.Windows);
-      F.arg("leak_bits") = jsonNumberString(C.LeakBits);
-      break;
-    }
-    case Stream::LedgerSite: {
-      const auto &[Eta, S] = *SiteAt++;
-      TraceRecord &R = F.begin(Kind::Instant, "prof", K.Ts);
-      R.Name = "prof_site#";
-      appendInt(R.Name, Eta);
-      F.intArg("loc", S.Line);
-      F.intArg("windows", S.Windows);
-      F.intArg("pad_cycles", S.PadCycles);
-      F.arg("leak_bits") = jsonNumberString(S.LeakBits);
-      break;
-    }
-    }
-    Sink.record(F.done());
-  };
+      case Stream::LeakWindow: {
+        const LeakWindow &W = Windows[K.Index];
+        Enc.begin(Kind::Span, "leak_budget#", TraceNameIndex(W.Eta), "leak",
+                  K.Ts, W.Duration);
+        Enc.argValue("level", levelName(W.Level));
+        Enc.argInt("estimate", W.Estimate);
+        Enc.argInt("misses_after", W.MissesAfter);
+        Enc.argInt("attainable", W.Attainable);
+        Enc.argDouble("window_bits", W.WindowBits);
+        Enc.argDouble("cum_level_bits", W.CumLevelBits);
+        Enc.argBool("mispredicted", W.Mispredicted);
+        // Only sites diverging from the run default name their policy, so
+        // default-policy traces keep the historical byte layout.
+        if (W.Policy && W.Policy != &RunDefault)
+          Enc.argText("policy", W.Policy->spec());
+        if (W.Line != 0)
+          Enc.argInt("loc", W.Line);
+        break;
+      }
+      case Stream::Snapshot: {
+        while (SnapEnd <= K.Index)
+          SnapBits += Windows[SnapEnd++].WindowBits;
+        Enc.begin(Kind::Meta, "snapshot", {}, "obs", K.Ts);
+        Enc.argInt("windows", SnapEnd);
+        Enc.argDouble("total_bits_bound", SnapBits);
+        break;
+      }
+      case Stream::Miss: {
+        const AccessSample &S = T.Misses[K.Index];
+        Enc.begin(Kind::Instant, S.IsData ? "dmiss" : "imiss", {}, "hw", K.Ts);
+        Enc.argHex("addr", S.A);
+        Enc.argInt("cycles", S.Cycles);
+        if (S.TlbMiss)
+          Enc.argBool("tlb_miss", true);
+        if (S.L1Miss)
+          Enc.argBool("l1_miss", true);
+        if (S.L2Miss)
+          Enc.argBool("memory", true);
+        if (S.Line != 0)
+          Enc.argInt("loc", S.Line);
+        break;
+      }
+      case Stream::LedgerLine: {
+        const auto &[Line, C] = *LineAt++;
+        Enc.begin(Kind::Instant, "prof_line#", TraceNameIndex(Line), "prof",
+                  K.Ts);
+        Enc.argInt("cycles", C.totalCycles());
+        Enc.argInt("step_cycles", C.StepCycles);
+        Enc.argInt("sleep_cycles", C.SleepCycles);
+        Enc.argInt("pad_cycles", C.PadCycles);
+        Enc.argInt("accesses", C.Accesses);
+        Enc.argInt("misses", C.misses());
+        Enc.argInt("windows", C.Windows);
+        Enc.argDouble("leak_bits", C.LeakBits);
+        break;
+      }
+      case Stream::LedgerSite: {
+        const auto &[Eta, S] = *SiteAt++;
+        Enc.begin(Kind::Instant, "prof_site#", TraceNameIndex(Eta), "prof",
+                  K.Ts);
+        Enc.argInt("loc", S.Line);
+        Enc.argInt("windows", S.Windows);
+        Enc.argInt("pad_cycles", S.PadCycles);
+        Enc.argDouble("leak_bits", S.LeakBits);
+        break;
+      }
+      }
+      Enc.end();
+    };
 
-  // The merge: each pass emits the earliest head of the four streams, the
-  // earlier stream on a tie.
-  enum Source { FromEvents, FromKeys, FromMisses, FromRows, NumSources };
-  size_t At[NumSources] = {};
-  const size_t End[NumSources] = {Events.size(), Keys.size(), Misses.size(),
-                                  LedgerRows};
-  size_t Emitted = 0;
-  auto headOf = [&](unsigned S, size_t I) -> RecordKey {
-    const uint32_t Index = static_cast<uint32_t>(I);
-    switch (S) {
-    case FromEvents:
-      return {Events[I].Time, Index, Stream::Event};
-    case FromKeys:
-      return Keys[I];
-    case FromMisses:
-      return {Misses[I].Time, Index, Stream::Miss};
-    default:
-      return {T.FinalTime, Index,
-              I < LedgerLines ? Stream::LedgerLine : Stream::LedgerSite};
-    }
-  };
-  for (;; ++Emitted) {
-    while (At[FromEvents] != End[FromEvents] &&
-           !visible(Events[At[FromEvents]]))
-      ++At[FromEvents];
-    RecordKey Head{};
-    unsigned From = NumSources;
-    for (unsigned S = 0; S != NumSources; ++S) {
-      if (At[S] == End[S])
-        continue;
-      const RecordKey K = headOf(S, At[S]);
-      if (From == NumSources || K.Ts < Head.Ts) {
-        Head = K;
-        From = S;
+    // The merge: each pass finds the earliest head of the streams after
+    // the events (the earlier stream on a tie), emits every visible event
+    // at or before it — the events stream wins ties — and then that head.
+    enum Source { FromKeys, FromMisses, FromRows, NumSources };
+    size_t At[NumSources] = {};
+    const size_t End[NumSources] = {Keys.size(), Misses.size(), LedgerRows};
+    size_t NextEvent = 0;
+    size_t Emitted = 0;
+    auto headOf = [&](unsigned S, size_t I) -> RecordKey {
+      const uint32_t Index = static_cast<uint32_t>(I);
+      switch (S) {
+      case FromKeys:
+        return Keys[I];
+      case FromMisses:
+        return {Misses[I].Time, Index, Stream::Miss};
+      default:
+        return {T.FinalTime, Index,
+                I < LedgerLines ? Stream::LedgerLine : Stream::LedgerSite};
       }
+    };
+    for (;;) {
+      RecordKey Head{};
+      unsigned From = NumSources;
+      for (unsigned S = 0; S != NumSources; ++S) {
+        if (At[S] == End[S])
+          continue;
+        const RecordKey K = headOf(S, At[S]);
+        if (From == NumSources || K.Ts < Head.Ts) {
+          Head = K;
+          From = S;
+        }
+      }
+      for (; NextEvent != Events.size() &&
+             (From == NumSources || Events[NextEvent].Time <= Head.Ts);
+           ++NextEvent) {
+        const AssignEvent &E = Events[NextEvent];
+        if (!visible(E))
+          continue;
+        emit({E.Time, static_cast<uint32_t>(NextEvent), Stream::Event});
+        ++Emitted;
+      }
+      if (From == NumSources)
+        return Emitted;
+      ++At[From];
+      emit(Head);
+      ++Emitted;
     }
-    if (From == NumSources)
-      return Emitted;
-    ++At[From];
-    emit(Head);
-  }
+  });
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -70,13 +70,6 @@ void collectRunMetrics(MetricsRegistry &Reg, const Trace &T, const HwStats &Hw,
                        const SecurityLattice &Lat,
                        const std::string &Prefix = "");
 
-/// Serialization format for exported traces.
-enum class TraceFormat {
-  Jsonl,  ///< One JSON object per line.
-  Chrome, ///< Chrome trace-event array (chrome://tracing, Perfetto).
-  Ztb,    ///< Compact binary (obs/Ztb.h) for million-window runs.
-};
-
 /// Parses "jsonl"/"chrome"/"ztb"; std::nullopt otherwise.
 std::optional<TraceFormat> parseTraceFormat(const std::string &Name);
 
@@ -135,8 +128,9 @@ struct TraceExportOptions {
 /// after its leak window). The events and misses, recorded in time order,
 /// are merged as they stand (a trace with either out of time order is a
 /// fatal error), so memory is one 16-byte sort key per mitigate, leak and
-/// snapshot record plus one reused TraceRecord. \returns the number of
-/// records emitted.
+/// snapshot record plus the encoded level and variable names. Each record
+/// is written once, from its typed fields, by the sink's encoder
+/// (withEncoder). \returns the number of records emitted.
 size_t exportTrace(TraceSink &Sink, const Trace &T, const SecurityLattice &Lat,
                    const TraceExportOptions &Opts = TraceExportOptions());
 

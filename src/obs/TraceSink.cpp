@@ -2,8 +2,9 @@
 
 #include "obs/TraceSink.h"
 
-#include "support/StrAppend.h"
+#include "obs/Json.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace zam;
@@ -22,6 +23,22 @@ void TraceSink::header(
   (void)Meta; // Sinks without a preamble representation drop it.
 }
 
+void TraceBuffer::grow(size_t N) {
+  const size_t NewCapacity = std::max({2 * Capacity, Size + N, kMinCapacity});
+  std::unique_ptr<char[]> Grown(new char[NewCapacity]);
+  if (Size != 0)
+    std::memcpy(Grown.get(), Data.get(), Size);
+  Data = std::move(Grown);
+  Capacity = NewCapacity;
+}
+
+void TraceSink::flush() {
+  if (Out.empty())
+    return;
+  Sink->write(Out.data(), Out.size());
+  Out.clear();
+}
+
 const std::string &TraceSink::finish() {
   close();
   static const std::string Empty;
@@ -30,10 +47,11 @@ const std::string &TraceSink::finish() {
 
 namespace {
 
-/// Appends \p S to \p Out as a quoted JSON string. Each run of characters
-/// that needs no escaping is appended in one piece.
-void appendQuoted(std::string &Out, const std::string &S) {
-  Out += '"';
+/// Appends \p S to \p Out (a std::string or a TraceBuffer) escaped as the
+/// body of a JSON string. Each run of characters that needs no escaping is
+/// appended in one piece.
+template <typename Buffer>
+void appendEscaped(Buffer &Out, std::string_view S) {
   const char *Run = S.data();
   const char *End = Run + S.size();
   for (const char *P = Run; P != End; ++P) {
@@ -58,37 +76,34 @@ void appendQuoted(std::string &Out, const std::string &S) {
     default: {
       static constexpr char Hex[] = "0123456789abcdef";
       const char Escape[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xF]};
-      Out.append(Escape, sizeof(Escape));
+      Out.append(Escape, Escape + sizeof(Escape));
     }
     }
   }
   Out.append(Run, End);
+}
+
+template <typename Buffer>
+void appendQuoted(Buffer &Out, std::string_view S) {
+  Out += '"';
+  appendEscaped(Out, S);
   Out += '"';
 }
 
-void appendArgs(std::string &Out,
-                const std::vector<std::pair<std::string, std::string>> &Args) {
-  Out += '{';
-  bool First = true;
-  for (const auto &[Key, Value] : Args) {
-    if (!First)
-      Out += ',';
-    First = false;
-    appendQuoted(Out, Key);
-    Out += ':';
-    if (traceArgIsNumberLiteral(Value))
-      Out += Value;
-    else
-      appendQuoted(Out, Value);
-  }
-  Out += '}';
+/// Appends \p S as an arg value: bare when it reads as a number literal.
+template <typename Buffer>
+void appendValue(Buffer &Out, std::string_view S) {
+  if (traceArgIsNumberLiteral(S))
+    Out += S;
+  else
+    appendQuoted(Out, S);
 }
 
 /// An ASCII digit test the compiler inlines (std::isdigit is a locale-aware
 /// libc call, and traceArgIsNumberLiteral runs it on every arg character).
 bool isDigit(char C) { return C >= '0' && C <= '9'; }
 
-void appendDouble(std::string &Out, double V) {
+void appendDouble(TraceBuffer &Out, double V) {
   char Buf[40];
   std::snprintf(Buf, sizeof(Buf), "%.17g", V);
   Out += Buf;
@@ -101,7 +116,7 @@ void appendDouble(std::string &Out, double V) {
 /// everything else is quoted. Covers the integers the producers printf and
 /// the doubles they format via jsonNumberString ("3.5849625007211563",
 /// "1e+20"); "inf"/"nan" fail the test and stay quoted strings.
-bool zam::traceArgIsNumberLiteral(const std::string &S) {
+bool zam::traceArgIsNumberLiteral(std::string_view S) {
   size_t I = !S.empty() && S[0] == '-' ? 1 : 0;
   size_t Digits = 0;
   while (I != S.size() && isDigit(S[I])) {
@@ -135,128 +150,109 @@ bool zam::traceArgIsNumberLiteral(const std::string &S) {
   return I == S.size();
 }
 
+std::string JsonTraceSink::encodeText(std::string_view Raw) {
+  std::string S;
+  appendEscaped(S, Raw);
+  return S;
+}
+
+std::string JsonTraceSink::encodeValue(std::string_view Raw) {
+  std::string S;
+  appendValue(S, Raw);
+  return S;
+}
+
+void JsonTraceSink::argDouble(std::string_view Key, double V) {
+  argText(Key, jsonNumberString(V));
+}
+
+void JsonTraceSink::argText(std::string_view Key, std::string_view Raw) {
+  key(Key);
+  appendValue(Out, Raw);
+}
+
+void JsonTraceSink::recordArgs(const TraceRecord &R) {
+  for (const auto &[Key, Value] : R.Args) {
+    Out += Args++ ? "," : ",\"args\":{";
+    appendQuoted(Out, Key);
+    Out += ':';
+    appendValue(Out, Value);
+  }
+}
+
+void JsonTraceSink::appendObject(
+    const std::vector<std::pair<std::string, std::string>> &Meta) {
+  Out += '{';
+  for (size_t I = 0; I != Meta.size(); ++I) {
+    if (I != 0)
+      Out += ',';
+    appendQuoted(Out, Meta[I].first);
+    Out += ':';
+    appendValue(Out, Meta[I].second);
+  }
+  Out += '}';
+}
+
+void JsonTraceSink::encodeNames(const TraceRecord &R) {
+  RecordName.clear();
+  appendEscaped(RecordName, R.Name);
+  RecordCategory.clear();
+  appendEscaped(RecordCategory, R.Category);
+}
+
 void JsonlTraceSink::header(
     const std::vector<std::pair<std::string, std::string>> &Meta) {
-  Scratch.clear();
-  Scratch += "{\"kind\":\"meta\",\"args\":";
-  appendArgs(Scratch, Meta);
-  Scratch += "}\n";
-  emit(Scratch);
+  Out += "{\"kind\":\"meta\",\"args\":";
+  appendObject(Meta);
+  Out += "}\n";
 }
 
 void JsonlTraceSink::record(const TraceRecord &R) {
-  Scratch.clear();
-  Scratch += "{\"kind\":";
-  switch (R.RecordKind) {
-  case TraceRecord::Kind::Instant:
-    Scratch += "\"instant\"";
-    break;
-  case TraceRecord::Kind::Span:
-    Scratch += "\"span\"";
-    break;
-  case TraceRecord::Kind::Counter:
-    Scratch += "\"counter\"";
-    break;
-  case TraceRecord::Kind::Meta:
-    // Mid-stream metadata (metrics snapshots). Distinguished from the
-    // nameless header line by the presence of "name".
-    Scratch += "\"meta\"";
-    break;
-  }
-  Scratch += ",\"name\":";
-  appendQuoted(Scratch, R.Name);
-  Scratch += ",\"cat\":";
-  appendQuoted(Scratch, R.Category);
-  Scratch += ",\"ts\":";
-  appendInt(Scratch, R.Ts);
-  if (R.RecordKind == TraceRecord::Kind::Span) {
-    Scratch += ",\"dur\":";
-    appendInt(Scratch, R.Dur);
-  }
-  if (R.RecordKind == TraceRecord::Kind::Counter) {
-    Scratch += ",\"value\":";
-    appendDouble(Scratch, R.Value);
-  }
-  if (!R.Args.empty()) {
-    Scratch += ",\"args\":";
-    appendArgs(Scratch, R.Args);
-  }
-  Scratch += "}\n";
-  emit(Scratch);
+  encodeNames(R);
+  begin(R.RecordKind, RecordName, {}, RecordCategory, R.Ts, R.Dur);
+  if (R.RecordKind == TraceRecord::Kind::Counter)
+    counter(R.Value);
+  recordArgs(R);
+  end();
 }
 
-unsigned ChromeTraceSink::tidFor(const std::string &Category) {
-  for (unsigned I = 0; I != Categories.size(); ++I)
-    if (Categories[I] == Category)
-      return I + 1;
-  Categories.push_back(Category);
-  return Categories.size();
+void JsonlTraceSink::counter(double V) {
+  Out += ",\"value\":";
+  appendDouble(Out, V);
 }
 
 void ChromeTraceSink::header(
     const std::vector<std::pair<std::string, std::string>> &Meta) {
   // A trace-event metadata record: ph "M" carries no timeline semantics,
   // so viewers show the provenance without perturbing the rows.
-  Scratch.clear();
-  Scratch += First ? "[\n" : ",\n";
+  Out += First ? "[\n" : ",\n";
   First = false;
-  Scratch += "{\"name\":\"zam_build\",\"cat\":\"meta\",\"ph\":\"M\",\"pid\":1,"
-             "\"tid\":0,\"ts\":0,\"args\":";
-  appendArgs(Scratch, Meta);
-  Scratch += '}';
-  emit(Scratch);
+  Out += "{\"name\":\"zam_build\",\"cat\":\"meta\",\"ph\":\"M\",\"pid\":1,"
+         "\"tid\":0,\"ts\":0,\"args\":";
+  appendObject(Meta);
+  Out += '}';
 }
 
 void ChromeTraceSink::record(const TraceRecord &R) {
-  Scratch.clear();
-  Scratch += First ? "[\n" : ",\n";
-  First = false;
-  Scratch += "{\"name\":";
-  appendQuoted(Scratch, R.Name);
-  Scratch += ",\"cat\":";
-  appendQuoted(Scratch, R.Category);
-  switch (R.RecordKind) {
-  case TraceRecord::Kind::Instant:
-    Scratch += ",\"ph\":\"i\",\"s\":\"t\"";
-    break;
-  case TraceRecord::Kind::Span:
-    Scratch += ",\"ph\":\"X\"";
-    break;
-  case TraceRecord::Kind::Counter:
-    Scratch += ",\"ph\":\"C\"";
-    break;
-  case TraceRecord::Kind::Meta:
-    Scratch += ",\"ph\":\"M\"";
-    break;
-  }
-  Scratch += ",\"pid\":1,\"tid\":";
-  // Metadata rows carry no timeline semantics, so they stay off the
-  // category rows (tid 0, like the provenance header).
-  appendInt(Scratch,
-            R.RecordKind == TraceRecord::Kind::Meta ? 0 : tidFor(R.Category));
-  Scratch += ",\"ts\":";
-  appendInt(Scratch, R.Ts);
-  if (R.RecordKind == TraceRecord::Kind::Span) {
-    Scratch += ",\"dur\":";
-    appendInt(Scratch, R.Dur);
-  }
-  if (R.RecordKind == TraceRecord::Kind::Counter) {
-    Scratch += ",\"args\":{\"value\":";
-    appendDouble(Scratch, R.Value);
-    Scratch += '}';
-  } else if (!R.Args.empty()) {
-    Scratch += ",\"args\":";
-    appendArgs(Scratch, R.Args);
-  }
-  Scratch += '}';
-  emit(Scratch);
+  encodeNames(R);
+  begin(R.RecordKind, RecordName, {}, RecordCategory, R.Ts, R.Dur);
+  if (R.RecordKind == TraceRecord::Kind::Counter)
+    counter(R.Value); // A counter event's args are its value alone.
+  else
+    recordArgs(R);
+  end();
+}
+
+void ChromeTraceSink::counter(double V) {
+  Out += ",\"args\":{\"value\":";
+  appendDouble(Out, V);
+  Out += '}';
 }
 
 void ChromeTraceSink::close() {
-  if (Closed)
-    return;
-  Closed = true;
-  Scratch.clear();
-  Scratch += First ? "[]\n" : "\n]\n";
-  emit(Scratch);
+  if (!Closed) {
+    Closed = true;
+    Out += First ? "[]\n" : "\n]\n";
+  }
+  TraceSink::close();
 }

@@ -27,16 +27,16 @@
 /// Varints are unsigned LEB128; strings are varint length + raw bytes.
 /// Everything is deterministic — same records in, same bytes out — so ZTB
 /// files participate in the byte-stability audits like the text formats.
+/// The encoder is ZtbTraceSink (obs/TraceSink.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ZAM_OBS_ZTB_H
 #define ZAM_OBS_ZTB_H
 
-#include "obs/TraceSink.h"
-
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace zam {
 namespace ztb {
@@ -63,35 +63,23 @@ enum KindByte : uint8_t {
   KindMeta = 4,
 };
 
-/// Appends \p V as an unsigned LEB128 varint.
-void appendVarint(std::string &Out, uint64_t V);
+/// Appends \p V as an unsigned LEB128 varint to \p Out (a std::string or
+/// the encoders' TraceBuffer).
+template <typename Buffer> void appendVarint(Buffer &Out, uint64_t V) {
+  while (V >= 0x80) {
+    Out += static_cast<char>((V & 0x7F) | 0x80);
+    V >>= 7;
+  }
+  Out += static_cast<char>(V);
+}
 
 /// Appends \p S as varint length + raw bytes.
-void appendString(std::string &Out, const std::string &S);
+template <typename Buffer> void appendString(Buffer &Out, std::string_view S) {
+  appendVarint(Out, S.size());
+  Out += S;
+}
 
 } // namespace ztb
-
-/// Binary backend: varint-encoded records behind a versioned provenance
-/// preamble, with periodic frame markers. Intended for FileByteSink
-/// streaming; a default-constructed instance buffers like the text sinks.
-class ZtbTraceSink final : public TraceSink {
-public:
-  using TraceSink::TraceSink;
-
-  void header(
-      const std::vector<std::pair<std::string, std::string>> &Meta) override;
-  void record(const TraceRecord &R) override;
-
-private:
-  /// Writes the magic/version/empty-header preamble if header() never ran.
-  void ensurePreamble();
-
-  bool WrotePreamble = false;
-  uint64_t RecordCount = 0;
-  /// Per-record payload buffer, reused so record() allocates nothing once
-  /// it has grown to the largest payload.
-  std::string Payload;
-};
 
 } // namespace zam
 
