@@ -1,0 +1,80 @@
+# Trace I/O that fails must end in a diagnostic and a nonzero exit.
+#
+# `zamtrace report` on a trace whose numbers are not what a producer
+# writes names the record and the arg (exit 2), never a crash, an
+# allocation failure or a silent wrap:
+#
+#   MODE=class_index_wrap   class_index 4294967295 (its + 1 wrapped to 0
+#                           and the class table was written out of bounds)
+#   MODE=class_index_huge   class_index 400000000 (sized the class table
+#                           to it and failed the allocation)
+#   MODE=negative_time      end_to_end -7 (wrapped to 2^64 - 7)
+#   MODE=windows_list       windows "1,,2" (read as the list "1")
+#   MODE=name_index         a span named "mitigate#x" (read as site 0)
+#   MODE=negative_site      meta mitigation_sites "-1=linear" (read as
+#                           site 2^32 - 1); this one exits 1, like every
+#                           malformed policy record
+#
+# `zamc` writing a trace to a full device reports the short write (exit
+# 1): the sinks buffer their output, so the write that fails may be the
+# last flush, at close(), or fclose's:
+#
+#   MODE=short_write_<jsonl|chrome|ztb>  `zamc profile scan.zam`
+#   MODE=short_write_attack              `zamc attack sweep.zam`
+#
+# Usage: cmake -DZAMTRACE=<zamtrace> -DZAMC=<zamc> -DMODE=<mode>
+#              -DOUT=<scratch prefix> [-DPROGRAMS=<examples/programs>]
+#              -P trace_io_check.cmake
+set(EXIT 2)
+set(ADV "{\"kind\":\"instant\",\"name\":\"sample#0\",\"cat\":\"adv\",\"ts\":0,")
+if(MODE STREQUAL "class_index_wrap")
+  set(TRACE "${ADV}\"args\":{\"class\":\"x\",\"class_index\":4294967295,\"end_to_end\":5}}\n")
+  set(EXPECT "record 'sample#0' \\(cat 'adv'\\): arg 'class_index' is 4294967295, above the limit of 65535")
+elseif(MODE STREQUAL "class_index_huge")
+  set(TRACE "${ADV}\"args\":{\"class\":\"x\",\"class_index\":400000000,\"end_to_end\":5}}\n")
+  set(EXPECT "arg 'class_index' is 400000000, above the limit of 65535")
+elseif(MODE STREQUAL "negative_time")
+  set(TRACE "${ADV}\"args\":{\"class\":\"x\",\"class_index\":0,\"end_to_end\":-7}}\n")
+  set(EXPECT "arg 'end_to_end' is '-7', not an integer in range")
+elseif(MODE STREQUAL "windows_list")
+  set(TRACE "${ADV}\"args\":{\"class_index\":0,\"end_to_end\":5,\"windows\":\"1,,2\"}}\n")
+  set(EXPECT "arg 'windows' is '1,,2', not a list of integers")
+elseif(MODE STREQUAL "name_index")
+  set(TRACE "{\"kind\":\"span\",\"name\":\"mitigate#x\",\"cat\":\"mit\",\"ts\":0,\"dur\":5,\"args\":{\"consumed\":3}}\n")
+  set(EXPECT "record 'mitigate#x' \\(cat 'mit'\\): the index after '#' is not an integer in range")
+elseif(MODE STREQUAL "negative_site")
+  set(TRACE "{\"kind\":\"meta\",\"args\":{\"mitigation_sites\":\"-1=linear\"}}\n{\"kind\":\"span\",\"name\":\"mitigate#0\",\"cat\":\"mit\",\"ts\":0,\"dur\":5}\n")
+  set(EXPECT "trace meta 'mitigation_sites' entry '-1=linear' is not ETA=SPEC")
+  set(EXIT 1)
+elseif(MODE MATCHES "^short_write_(jsonl|chrome|ztb)$")
+  set(COMMAND ${ZAMC} profile ${PROGRAMS}/scan.zam --no-color
+              --trace-out /dev/full --trace-format ${CMAKE_MATCH_1})
+  set(EXPECT "error: short write to '/dev/full'")
+  set(EXIT 1)
+elseif(MODE STREQUAL "short_write_attack")
+  set(COMMAND ${ZAMC} attack ${PROGRAMS}/sweep.zam
+              --class low:h=1..60 --class high:h=600..700
+              --samples 24 --seed 42 --trace-out /dev/full
+              --trace-format jsonl)
+  set(EXPECT "error: short write to '/dev/full'")
+  set(EXIT 1)
+else()
+  message(FATAL_ERROR "unknown MODE '${MODE}'")
+endif()
+
+if(DEFINED TRACE)
+  file(WRITE ${OUT}.jsonl "${TRACE}")
+  set(COMMAND ${ZAMTRACE} report ${OUT}.jsonl)
+endif()
+execute_process(COMMAND ${COMMAND}
+                RESULT_VARIABLE RC
+                OUTPUT_VARIABLE STDOUT
+                ERROR_VARIABLE STDERR)
+if(NOT RC EQUAL EXIT)
+  message(FATAL_ERROR "expected exit ${EXIT}, got '${RC}'\n${STDOUT}${STDERR}")
+endif()
+if(NOT STDERR MATCHES "${EXPECT}")
+  message(FATAL_ERROR "expected a diagnostic matching '${EXPECT}', got:\n"
+                      "${STDERR}")
+endif()
+message(STATUS "${MODE}: ${STDERR}")

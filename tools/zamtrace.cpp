@@ -74,6 +74,7 @@
 #include "obs/TraceReader.h"
 #include "sem/Mitigation.h"
 #include "support/BuildInfo.h"
+#include "support/ParseInt.h"
 
 #include <cinttypes>
 #include <cmath>
@@ -141,9 +142,25 @@ std::string argStr(const TraceRecord &R, const char *Key) {
   return V ? *V : std::string();
 }
 
-uint64_t argNum(const TraceRecord &R, const char *Key) {
+/// A record that is not what its producer writes: a numeric arg or name
+/// index that does not parse, or a value past a stated limit. Analysis
+/// stops at the first one; main() reports it as an input error (exit 2).
+struct MalformedRecord : std::runtime_error {
+  MalformedRecord(const TraceRecord &R, const std::string &What)
+      : std::runtime_error("record '" + R.Name + "' (cat '" + R.Category +
+                           "'): " + What) {}
+};
+
+/// Checked integer arg: absent reads as 0; present, it must parse as a
+/// \p Int in full.
+template <typename Int = uint64_t>
+Int argNum(const TraceRecord &R, const char *Key) {
   const std::string *V = findArg(R, Key);
-  return V ? std::strtoull(V->c_str(), nullptr, 10) : 0;
+  Int Out = 0;
+  if (V && !parseInteger(*V, Out))
+    throw MalformedRecord(R, std::string("arg '") + Key + "' is '" + *V +
+                                 "', not an integer in range");
+  return Out;
 }
 
 /// Exact double round-trip: the producer serialized through
@@ -332,10 +349,9 @@ struct PolicyResolver {
                                                        : Comma - Pos);
       Pos = Comma == std::string::npos ? Sites.size() : Comma + 1;
       const size_t Eq = Item.find('=');
-      char *End = nullptr;
-      const unsigned long Eta =
-          Eq == std::string::npos ? 0 : std::strtoul(Item.c_str(), &End, 10);
-      if (Eq == std::string::npos || End != Item.c_str() + Eq) {
+      unsigned Eta = 0;
+      if (Eq == std::string::npos ||
+          !parseInteger(std::string_view(Item).substr(0, Eq), Eta)) {
         std::fprintf(stderr,
                      "error: trace meta 'mitigation_sites' entry '%s' is "
                      "not ETA=SPEC\n",
@@ -348,7 +364,7 @@ struct PolicyResolver {
                      Err.c_str());
         return false;
       }
-      Sel.overrideSite(static_cast<unsigned>(Eta), *P);
+      Sel.overrideSite(Eta, *P);
     }
     return true;
   }
@@ -418,13 +434,21 @@ struct Analysis {
   std::vector<double> SnapshotValues;
 };
 
-/// The η suffix of "mitigate#3" / "leak_budget#3" / "prof_site#3".
-uint64_t etaOfName(const std::string &Name) {
-  size_t Hash = Name.rfind('#');
-  return Hash == std::string::npos
-             ? 0
-             : std::strtoull(Name.c_str() + Hash + 1, nullptr, 10);
+/// The η suffix of "mitigate#3" / "leak_budget#3" / "prof_site#3" (the
+/// line of "prof_line#3"); 0 for a name without one.
+uint64_t etaOfName(const TraceRecord &R) {
+  const size_t Hash = R.Name.rfind('#');
+  uint64_t Eta = 0;
+  if (Hash != std::string::npos &&
+      !parseInteger(std::string_view(R.Name).substr(Hash + 1), Eta))
+    throw MalformedRecord(R, "the index after '#' is not an integer in "
+                             "range");
+  return Eta;
 }
+
+/// Attack traces name their classes by index; a larger index is not one
+/// `zamc attack` writes, and would size the class table to it.
+constexpr uint32_t kMaxClassIndex = 65535;
 
 LevelRecompute &levelAccount(Analysis &A, const std::string &Name) {
   for (auto &[N, Acc] : A.Levels)
@@ -493,7 +517,12 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
         // decimal form, so the offline detector sees the exact double the
         // collector recorded.
         CompactObservation O;
-        O.ClassIndex = static_cast<uint32_t>(argNum(R, "class_index"));
+        O.ClassIndex = argNum<uint32_t>(R, "class_index");
+        if (O.ClassIndex > kMaxClassIndex)
+          throw MalformedRecord(
+              R, "arg 'class_index' is " + std::to_string(O.ClassIndex) +
+                     ", above the limit of " +
+                     std::to_string(kMaxClassIndex));
         O.EndToEnd = argNum(R, "end_to_end");
         double Bits = 0;
         if (argDouble(R, "bound_bits", Bits))
@@ -505,23 +534,25 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
           A.AdvClassNames[O.ClassIndex] = Cls;
         A.EndToEndDist.add(O.EndToEnd);
         if (const std::string *W = findArg(R, "windows")) {
-          const char *P = W->c_str();
-          while (*P) {
-            char *End = nullptr;
-            const uint64_t D = std::strtoull(P, &End, 10);
-            if (End == P)
-              break;
+          // "d1,d2,...": each duration an unsigned integer; "" for none.
+          std::string_view Rest = *W;
+          while (!W->empty()) {
+            const size_t Comma = Rest.find(',');
+            uint64_t D = 0;
+            if (!parseInteger(Rest.substr(0, Comma), D))
+              throw MalformedRecord(R, "arg 'windows' is '" + *W +
+                                           "', not a list of integers");
             A.WindowDist.add(D);
-            if (*End != ',')
+            if (Comma == std::string_view::npos)
               break;
-            P = End + 1;
+            Rest.remove_prefix(Comma + 1);
           }
         }
         A.AdvObs.push_back(O);
       } else if (R.Category == "prof") {
         A.HasProf = true;
         if (R.Name.rfind("prof_line#", 0) == 0) {
-          LineRebuild &L = A.Lines[etaOfName(R.Name)];
+          LineRebuild &L = A.Lines[etaOfName(R)];
           L.HasEmbedded = true;
           L.EmbCycles = argNum(R, "cycles");
           L.EmbStepCycles = argNum(R, "step_cycles");
@@ -532,7 +563,7 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
           L.EmbWindows = argNum(R, "windows");
           argDouble(R, "leak_bits", L.EmbLeakBits);
         } else if (R.Name.rfind("prof_site#", 0) == 0) {
-          SiteRebuild &S = A.Sites[etaOfName(R.Name)];
+          SiteRebuild &S = A.Sites[etaOfName(R)];
           S.HasEmbedded = true;
           S.EmbLine = argNum(R, "loc");
           S.EmbWindows = argNum(R, "windows");
@@ -564,16 +595,14 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
       LineRebuild &L = A.Lines[Loc];
       ++L.Windows;
       L.PadCycles += W.Padded;
-      SiteRebuild &S = A.Sites[etaOfName(R.Name)];
+      SiteRebuild &S = A.Sites[etaOfName(R)];
       S.Line = Loc;
       ++S.Windows;
       S.PadCycles += W.Padded;
       A.Windows.push_back(std::move(W));
     } else if (R.Category == "leak") {
       const std::string Level = argStr(R, "level");
-      const std::string *Est = findArg(R, "estimate");
-      const int64_t Estimate =
-          Est ? std::strtoll(Est->c_str(), nullptr, 10) : 0;
+      const int64_t Estimate = argNum<int64_t>(R, "estimate");
       const uint64_t Attainable = argNum(R, "attainable");
       double WindowBits = 0, CumBits = 0;
       const bool HasBits = argDouble(R, "window_bits", WindowBits);
@@ -586,7 +615,7 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
       const uint64_t Completed = R.Ts + R.Dur;
       std::string PErr;
       const MitigationPolicy *Pol = A.Policies.resolve(
-          argStr(R, "policy"), etaOfName(R.Name), &PErr);
+          argStr(R, "policy"), etaOfName(R), &PErr);
       if (!Pol) {
         std::fprintf(stderr, "error: leak span '%s' policy arg: %s\n",
                      R.Name.c_str(), PErr.c_str());
@@ -609,7 +638,7 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
       }
       LevelRecompute &Acc = levelAccount(A, Level);
       ++Acc.Windows;
-      Acc.Misses = static_cast<unsigned>(argNum(R, "misses_after"));
+      Acc.Misses = argNum<unsigned>(R, "misses_after");
       Acc.BitsBound += WantBits;
       if (CumBits != Acc.BitsBound) {
         std::fprintf(stderr,
@@ -623,7 +652,7 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
       // Per-line / per-site replay for --by-line: trace order is the
       // accountant's arrival order, so these double sums are bit-exact.
       A.Lines[argNum(R, "loc")].LeakBits += WantBits;
-      A.Sites[etaOfName(R.Name)].LeakBits += WantBits;
+      A.Sites[etaOfName(R)].LeakBits += WantBits;
       ++A.LeakWindows;
     }
   }
@@ -1690,6 +1719,9 @@ int main(int Argc, char **Argv) {
       return cmdReport(Argc, Argv);
     if (!std::strcmp(Argv[1], "diff"))
       return cmdDiff(Argc, Argv);
+  } catch (const MalformedRecord &E) {
+    std::fprintf(stderr, "error: %s\n", E.what());
+    return 2;
   } catch (const std::bad_alloc &) {
     std::fprintf(stderr,
                  "error: input exceeds in-memory mode; re-export the run "
