@@ -24,9 +24,11 @@
 #include "sem/FullInterpreter.h"
 #include "types/LabelInference.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 
 #include "gtest/gtest.h"
 
@@ -207,6 +209,56 @@ TEST(StreamingSinks, EscapingBytesAreExact) {
                   "\"tid\":1,\"ts\":0,\"args\":{\"k\":" +
                   Quoted + "}}\n]\n");
   }
+}
+
+/// The typed encoder prints integers itself, two digits at a time; every
+/// digit count and both ends of each integer type must read as
+/// std::to_string does, in the text formats and in ZTB.
+TEST(StreamingSinks, TypedIntArgsPrintEveryDigitCount) {
+  std::vector<int64_t> Signed = {INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX};
+  std::vector<uint64_t> Unsigned = {UINT64_MAX, UINT64_MAX - 1};
+  for (uint64_t P = 1; P <= UINT64_MAX / 10; P *= 10)
+    for (uint64_t V : {P - 1, P, P + 1, 10 * P - 1}) {
+      Unsigned.push_back(V);
+      if (V <= INT64_MAX)
+        Signed.push_back(-static_cast<int64_t>(V));
+    }
+  std::string Want;
+  for (int64_t V : Signed)
+    Want += std::to_string(V) + ",";
+  for (uint64_t V : Unsigned)
+    Want += std::to_string(V) + ",";
+
+  JsonlTraceSink Jsonl;
+  ZtbTraceSink Ztb;
+  std::string Got;
+  auto check = [&](const auto &V) {
+    Jsonl.begin(TraceRecord::Kind::Instant, "n", {}, "c", 0);
+    Jsonl.argInt("v", V);
+    Jsonl.end();
+    Ztb.begin(TraceRecord::Kind::Instant, "n", {}, "c", 0);
+    Ztb.argInt("v", V);
+    Ztb.end();
+  };
+  for (int64_t V : Signed)
+    check(V);
+  for (uint64_t V : Unsigned)
+    check(V);
+
+  std::istringstream Lines(Jsonl.finish());
+  for (std::string Line; std::getline(Lines, Line);) {
+    const size_t At = Line.find("\"v\":") + 4;
+    Got += Line.substr(At, Line.size() - At - 2) + ",";
+  }
+  EXPECT_EQ(Got, Want);
+
+  ZtbTraceReader Reader(streamOver(Ztb.finish()), /*TakeOwnership=*/true);
+  Got.clear();
+  for (const TraceRecord &R : drain(Reader))
+    if (!R.Args.empty())
+      Got += R.Args[0].second + ",";
+  EXPECT_TRUE(Reader.ok()) << Reader.error();
+  EXPECT_EQ(Got, Want);
 }
 
 //===----------------------------------------------------------------------===//

@@ -529,9 +529,9 @@ bool emitTraceIfRequested(const Options &Opts, const Trace &T,
   EOpts.Ledger = Ledger;
   EOpts.Mitigation = Opts.Mitigation;
   EOpts.SnapshotEveryWindows = Opts.SnapshotEvery;
-  // Stream straight to disk: records leave the process as they serialize,
-  // so exporting a million-window trace holds one reused record plus a
-  // 16-byte key per record in memory.
+  // Stream to disk: records leave the process in 64 KiB chunks as they
+  // serialize, so exporting a million-window trace holds one chunk plus a
+  // few 16-byte keys per mitigate window in memory.
   std::FILE *F = std::fopen(Opts.TraceOutPath.c_str(), "wb");
   if (!F) {
     std::fprintf(stderr, "error: cannot write '%s'\n",
