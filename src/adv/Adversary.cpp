@@ -9,6 +9,7 @@
 
 #include "obs/LeakAudit.h"
 #include "sem/CompiledProgram.h"
+#include "support/Diagnostics.h"
 #include "support/StrAppend.h"
 
 #include <algorithm>
@@ -16,6 +17,43 @@
 #include <cstdlib>
 
 using namespace zam;
+
+namespace {
+/// A class's Fixed and Ranges inputs with their variables resolved to
+/// memory slots.
+struct ResolvedClass {
+  std::vector<std::pair<size_t, int64_t>> Fixed;
+  struct Range {
+    size_t Slot;
+    int64_t Lo, Hi;
+  };
+  std::vector<Range> Ranges;
+};
+
+/// A worker slice's scratch state, kept across the chunks of one call:
+/// its env, restored from the template before every sample; the
+/// interpreter bound to that env, restarted for every sample; and the
+/// audit, reset for every sample.
+struct SampleSlice {
+  std::unique_ptr<MachineEnv> Env;
+  std::unique_ptr<FullInterpreter> Interp;
+  std::optional<LeakAudit> Audit;
+};
+} // namespace
+
+/// The slot of the scalar input \p Var in \p M; aborts naming \p Var when
+/// it is undeclared or an array.
+static size_t scalarInputSlot(const Memory &M, const std::string &Var) {
+  const size_t Slot = M.slotIndexOf(Var);
+  if (Slot == Memory::npos)
+    reportFatalError(
+        ("streamObservations: no variable '" + Var + "'").c_str());
+  if (M.slotAt(Slot).IsArray)
+    reportFatalError(("streamObservations: '" + Var +
+                      "' is an array, not a scalar input")
+                         .c_str());
+  return Slot;
+}
 
 size_t zam::streamObservations(
     const Program &P, const MachineEnv &EnvTemplate,
@@ -30,43 +68,66 @@ size_t zam::streamObservations(
   const size_t Total = Opts.Samples;
   // Compiled once and shared, read-only, by every sample on every thread.
   const CompiledProgram Compiled(P, IOpts);
+  const Memory &Image = Compiled.initialMemory();
+  std::vector<ResolvedClass> Resolved(K);
+  for (size_t C = 0; C != K; ++C) {
+    for (const auto &[Var, Value] : Classes[C].Fixed)
+      Resolved[C].Fixed.emplace_back(scalarInputSlot(Image, Var), Value);
+    for (const SecretClassSpec::Range &Rg : Classes[C].Ranges)
+      Resolved[C].Ranges.push_back({scalarInputSlot(Image, Rg.Var), Rg.Lo,
+                                    Rg.Hi});
+  }
   // A sample reads the final clock and the mitigate windows only.
   InterpreterOptions RunOpts = IOpts;
   RunOpts.RetainEvents = false;
-  // Sample I on Env, a copy of the template.
-  auto RunSample = [&](size_t I, MachineEnv &Env) {
+  // Sample I on slice S. Restarting S's interpreter and resetting its
+  // audit leaves nothing of the slice's earlier samples behind, so the
+  // observation is the same whatever sample the slice ran before.
+  auto RunSample = [&](size_t I, SampleSlice &S) {
     const SecretClassSpec &Spec = Classes[I % K];
+    const ResolvedClass &RC = Resolved[I % K];
     Rng R(sampleSeed(Opts.Seed, I));
+    const MachineEnv *Before = S.Env.get();
+    EnvTemplate.copyInto(S.Env);
     // No hooks: the audit replays the finished trace, which onWindow
-    // matches bit-for-bit (LeakAudit's documented equivalence).
-    FullInterpreter Interp(Compiled, Env, RunOpts);
-    Memory &M = Interp.memory();
-    for (const auto &[Var, Value] : Spec.Fixed)
-      M.store(Var, Value);
-    for (const SecretClassSpec::Range &Rg : Spec.Ranges)
-      M.store(Rg.Var, R.nextInRange(Rg.Lo, Rg.Hi));
+    // matches bit-for-bit (LeakAudit's documented equivalence). The
+    // interpreter is bound to its env, so a new env object (the slice's
+    // first sample, or a template of another shape) needs a new one; the
+    // old one is replaced without touching the env copyInto freed.
+    if (!S.Interp || S.Env.get() != Before)
+      S.Interp = std::make_unique<FullInterpreter>(Compiled, *S.Env, RunOpts);
+    else
+      S.Interp->restart();
+    Memory &M = S.Interp->memory();
+    for (const auto &[Slot, Value] : RC.Fixed)
+      M.slotAt(Slot).Data[0] = Value;
+    for (const ResolvedClass::Range &Rg : RC.Ranges)
+      M.slotAt(Rg.Slot).Data[0] = R.nextInRange(Rg.Lo, Rg.Hi);
     if (Spec.Prepare)
       Spec.Prepare(M, R);
-    RunResult RR = Interp.run();
-    LeakAudit Audit(P.lattice(), Opts.Adversary, IOpts.Mitigation);
-    Audit.ingest(RR.T);
+    const Trace &T = S.Interp->complete();
+    if (S.Audit)
+      S.Audit->reset();
+    else
+      S.Audit.emplace(P.lattice(), Opts.Adversary, IOpts.Mitigation);
+    S.Audit->ingest(T);
     Observation O;
     O.ClassIndex = static_cast<uint32_t>(I % K);
-    O.EndToEnd = RR.T.FinalTime;
-    for (const LeakWindow &W : Audit.windows())
+    O.EndToEnd = T.FinalTime;
+    O.Windows.reserve(S.Audit->windows().size());
+    for (const LeakWindow &W : S.Audit->windows())
       O.Windows.push_back(W.Duration);
-    O.BoundBits = Audit.totalBitsBound();
+    O.BoundBits = S.Audit->totalBitsBound();
     return O;
   };
-  // One env per slice, kept across chunks and restored from the template
-  // before every sample.
-  std::vector<std::unique_ptr<MachineEnv>> Envs;
+  // Kept across chunks: a slice builds its env and interpreter once per
+  // call.
+  std::vector<SampleSlice> Slices;
   for (size_t Base = 0; Base < Total; Base += kObservationChunk) {
     const size_t ChunkLen = std::min(kObservationChunk, Total - Base);
     std::vector<Observation> Chunk = Runner.mapWithState(
-        ChunkLen, Envs, [&](size_t Offset, std::unique_ptr<MachineEnv> &Env) {
-          EnvTemplate.copyInto(Env);
-          return RunSample(Base + Offset, *Env);
+        ChunkLen, Slices, [&](size_t Offset, SampleSlice &S) {
+          return RunSample(Base + Offset, S);
         });
     for (size_t Offset = 0; Offset < Chunk.size(); ++Offset)
       OnObservation(Chunk[Offset], Base + Offset);

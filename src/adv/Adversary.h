@@ -86,15 +86,20 @@ inline uint64_t sampleSeed(uint64_t Seed, size_t Index) {
 inline constexpr size_t kObservationChunk = 2048;
 
 /// Streams Opts.Samples executions of \p P (sample i: class i mod K), each
-/// on a copy of \p EnvTemplate (one env per worker slice, restored in
-/// place before every sample), under \p IOpts, fanning out over \p Runner in
-/// fixed kObservationChunk batches and invoking \p OnObservation(O, i) in
-/// strict sample order as each batch drains. At most one chunk of full
-/// observations is alive at a time, so collecting 10^6 samples needs
-/// O(chunk) memory; the callback owns all retention (compact rows, online
-/// histograms, trace records). Aborts on an unknown Fixed/Ranges variable
-/// (callers validate for graceful errors). The runs retain no assignment
-/// events, whatever \p IOpts says. \returns the sample count.
+/// on a copy of \p EnvTemplate, under \p IOpts, fanning out over \p Runner
+/// in fixed kObservationChunk batches and invoking \p OnObservation(O, i)
+/// in strict sample order as each batch drains. Each worker slice keeps
+/// an env, an interpreter bound to it and a LeakAudit across the call:
+/// before every sample the env is restored from the template in place,
+/// the interpreter restarted (rebuilt only when the restore hands back a
+/// new env object) and the audit reset, so a sample allocates only its
+/// observation's window list. At most one chunk of full observations is
+/// alive at a time, so collecting 10^6 samples needs O(chunk) memory; the
+/// callback owns all retention (compact rows, online histograms, trace
+/// records). The Fixed/Ranges variables are resolved to memory slots once
+/// per call; an undeclared or array variable aborts, naming it (callers
+/// validate for graceful errors). The runs retain no assignment events,
+/// whatever \p IOpts says. \returns the sample count.
 size_t streamObservations(
     const Program &P, const MachineEnv &EnvTemplate,
     const std::vector<SecretClassSpec> &Classes, const AttackOptions &Opts,

@@ -209,12 +209,14 @@ LoginSession::LoginSession(const SecurityLattice &Lat, const LoginTable &Table,
 
 LoginAttemptResult LoginSession::attempt(const std::string &Username,
                                          const std::string &Password) {
-  FullInterpreter Interp(Compiled, Env, Opts);
-  setLoginRequest(Interp.memory(), Username, Password);
-  RunResult R = Interp.run();
+  if (Interp)
+    Interp->restart();
+  else
+    Interp.emplace(Compiled, Env, Opts);
+  setLoginRequest(Interp->memory(), Username, Password);
   LoginAttemptResult Out;
-  Out.Cycles = R.T.FinalTime;
-  Out.Accepted = R.FinalMemory.load("ok") == 1;
+  Out.Cycles = Interp->complete().FinalTime;
+  Out.Accepted = Interp->memory().load("ok") == 1;
   return Out;
 }
 

@@ -56,6 +56,7 @@
 #include "sem/FullInterpreter.h"
 #include "support/Rng.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,12 +108,17 @@ struct LoginAttemptResult {
 
 /// A login session: runs attempts against one machine environment and a
 /// persistent mitigation Miss table, as a server would. Its runs retain no
-/// assignment events; a result carries the latency and the verdict.
+/// assignment events; a result carries the latency and the verdict. One
+/// interpreter serves every attempt, restarted in place for each, so an
+/// attempt allocates nothing for its run. The session points into itself
+/// (the interpreter shares its Miss table) and cannot be moved.
 class LoginSession {
 public:
   LoginSession(const SecurityLattice &Lat, const LoginTable &Table,
                const LoginProgramConfig &Config, MachineEnv &Env,
                InterpreterOptions Opts = InterpreterOptions());
+  LoginSession(const LoginSession &) = delete;
+  LoginSession &operator=(const LoginSession &) = delete;
 
   /// Runs one attempt; the machine environment and Miss table persist.
   LoginAttemptResult attempt(const std::string &Username,
@@ -133,6 +139,8 @@ private:
   MachineEnv &Env;
   InterpreterOptions Opts;
   MitigationState MitState;
+  /// The interpreter every attempt restarts; the first attempt builds it.
+  std::optional<FullInterpreter> Interp;
 };
 
 /// Samples mitigated-body times over \p Samples random usernames (half the

@@ -66,8 +66,10 @@ public:
   /// for the caller's next call. The slices — one with one thread, else up
   /// to four per thread for load balance — depend on the thread count, so
   /// F's result must not depend on what earlier indices left in S:
-  /// streamObservations keeps an env slot in S and restores it from its
-  /// template (MachineEnv::copyInto) before each sample.
+  /// streamObservations keeps an env, the interpreter bound to it and a
+  /// LeakAudit in S, and before each sample restores the env from its
+  /// template (MachineEnv::copyInto), restarts the interpreter and resets
+  /// the audit.
   template <typename State, typename Fn>
   auto mapWithState(size_t N, std::vector<State> &States, Fn &&F) const {
     std::vector<decltype(F(size_t(0), std::declval<State &>()))> Results(N);

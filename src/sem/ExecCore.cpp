@@ -5,6 +5,7 @@
 #include "sem/Limits.h"
 #include "support/Diagnostics.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <new>
 
@@ -12,10 +13,10 @@ using namespace zam;
 
 ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
                    MachineEnv &Env, InterpreterOptions &&Options)
-    : P(P), Env(Env), Opts(std::move(Options)), Probe(Opts.Probe),
+    : L(L), P(P), Env(Env), Opts(std::move(Options)), Probe(Opts.Probe),
       Prov(Opts.Provenance), BaseStepCost(Opts.Costs.BaseStep),
-      AluCost(Opts.Costs.AluOp), StepLimit(Opts.StepLimit),
-      M(std::move(InitM)), Code(L.Insts.data()), Uops(L.Uops.data()),
+      AluCost(Opts.Costs.AluOp), M(std::move(InitM)), Code(L.Insts.data()),
+      Uops(L.Uops.data()),
       TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr),
       RetainEvents(Opts.RetainEvents) {
   MitState = Opts.SharedMitState
@@ -24,21 +25,51 @@ ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
                                         Opts.Penalty);
   T.Names = M.slotNames();
   T.EventsRetained = RetainEvents;
-  // Regs, SlotData and Frames in one zeroed block, each part 8-byte
-  // aligned.
+  // Regs, SlotData and Frames in one block, each part 8-byte aligned.
+  // beginRun zeroes the registers; the frames are written before they are
+  // read.
   static_assert(sizeof(const int64_t *) == sizeof(int64_t) &&
                 alignof(MitFrame) <= alignof(int64_t) &&
                 sizeof(MitFrame) % sizeof(int64_t) == 0);
-  const size_t NumRegs = L.NumRegs ? L.NumRegs : 1;
+  NumRegs = L.NumRegs ? L.NumRegs : 1;
   const size_t NumSlots = M.slotCount();
   MaxDepth = L.IR->MaxMitDepth;
-  Scratch = std::make_unique<std::byte[]>(
+  Scratch = std::make_unique_for_overwrite<std::byte[]>(
       (NumRegs + NumSlots) * sizeof(int64_t) + MaxDepth * sizeof(MitFrame));
   Regs = reinterpret_cast<int64_t *>(Scratch.get());
+  // Slot storage is never reallocated (restart copies values into it), so
+  // these pointers hold for every run.
   SlotData = reinterpret_cast<const int64_t **>(Regs + NumRegs);
   for (size_t I = 0; I != NumSlots; ++I)
     SlotData[I] = M.slotAt(I).Data.data();
   Frames = reinterpret_cast<MitFrame *>(SlotData + NumSlots);
+  beginRun();
+}
+
+void ExecCore::restart(const Memory &Image) {
+  M.restoreValues(Image);
+  beginRun();
+}
+
+void ExecCore::beginRun() {
+  T.Events.clear();
+  T.Mitigations.clear();
+  T.Misses.clear();
+  T.FinalMissTable.clear();
+  T.Ops = OpCounters();
+  T.FinalTime = 0;
+  T.Steps = 0;
+  T.HitStepLimit = false;
+  T.HitEventLimit = false;
+  StepLimit = Opts.StepLimit;
+  if (OwnMitState)
+    OwnMitState->reset();
+  std::fill_n(Regs, NumRegs, 0);
+  G = 0;
+  PC = 0;
+  Depth = 0;
+  Cur = CostCursor();
+  Halted = false;
   if (Probe)
     Probe->onProgram(*L.IR);
   if (Code[PC].K == IrInstr::Op::Halt) {

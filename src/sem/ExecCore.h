@@ -33,7 +33,11 @@
 ///
 /// The LIR is immutable; the core holds all run state, so engines stay
 /// thin wrappers that only decide when to call step()/run() and when to
-/// install the hardware observer.
+/// install the hardware observer. All of that state is set by one per-run
+/// initialisation, which construction and restart() share: a restarted
+/// core is indistinguishable from a freshly constructed one, but reuses
+/// the memory, the scratch block, the trace's vectors and its own Miss
+/// table instead of allocating them again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +89,13 @@ public:
   /// number of step() calls.
   void run();
 
+  /// Starts another run on the same env and options, from \p Image: the
+  /// memory image the core was constructed from (or one of its layout).
+  /// Copies the image's values into the memory the core holds, then
+  /// repeats construction's per-run initialisation. Allocates nothing;
+  /// a SharedMitState carries over, as it does between two engines.
+  void restart(const Memory &Image);
+
   Memory &memory() { return M; }
   const Memory &memory() const { return M; }
   uint64_t clock() const { return G; }
@@ -116,6 +127,12 @@ private:
   /// above). Never called on Halt.
   void execInstr(const LirInst &I);
 
+  /// The per-run initialisation of construction and restart(): empties
+  /// the trace's vectors (keeping their storage), zeroes the counters,
+  /// clock, registers and cursor, restores the step limit, clears the
+  /// core's own Miss table, tells the probe about the program, and halts
+  /// at once on a program that is only Halt.
+  void beginRun();
   void finalize();
   void head(const LirInst &I) {
     // Attribution: every transition moves the cursor to its instruction's
@@ -154,6 +171,7 @@ private:
     const MitigationPolicy *Policy = nullptr;
   };
 
+  const LirProgram &L;
   const Program &P;
   MachineEnv &Env;
   InterpreterOptions Opts;
@@ -185,7 +203,8 @@ private:
   CostCursor Cur;
   /// One block holding Regs, SlotData and Frames, in that order.
   std::unique_ptr<std::byte[]> Scratch;
-  int64_t *Regs; ///< The micro-op register file (NumRegs).
+  int64_t *Regs; ///< The micro-op register file (NumRegs of them).
+  size_t NumRegs = 0;
   /// Per-slot element-0 pointers: the load fast path indexes straight into
   /// slot storage without touching Memory's bookkeeping. Stores still go
   /// through Memory::slotAt (they need the slot's label for the event

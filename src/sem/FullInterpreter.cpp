@@ -21,7 +21,7 @@ FullInterpreter::FullInterpreter(std::unique_ptr<CompiledProgram> C,
 
 FullInterpreter::FullInterpreter(const CompiledProgram &C, MachineEnv &Env,
                                  InterpreterOptions Opts)
-    : Env(Env),
+    : Env(Env), Image(&C.initialMemory()),
       Core(C.lir(), C.program(),
            (C.requireInputsOf(Opts, "FullInterpreter"), C.initialMemory()),
            Env, std::move(Opts)) {}
@@ -32,10 +32,12 @@ Memory &FullInterpreter::memory() { return Core.memory(); }
 
 uint64_t FullInterpreter::clock() const { return Core.clock(); }
 
-RunResult FullInterpreter::run() {
-  if (Consumed)
-    reportFatalError("FullInterpreter::run() called twice");
-  Consumed = true;
+const Trace &FullInterpreter::complete() {
+  if (Completed)
+    reportFatalError(Consumed ? "FullInterpreter::run() called twice"
+                              : "FullInterpreter: a second run needs "
+                                "restart() first");
+  Completed = true;
 
   // The core doubles as the hardware observer, but installing it costs a
   // virtual call per access — only pay when someone listens.
@@ -49,7 +51,23 @@ RunResult FullInterpreter::run() {
   Core.run();
   if (Observe)
     Env.setObserver(Prior);
+  return Core.trace();
+}
 
+void FullInterpreter::restart() {
+  if (!Image)
+    reportFatalError("FullInterpreter::restart() needs an interpreter over "
+                     "a shared CompiledProgram");
+  if (Consumed)
+    reportFatalError("FullInterpreter::restart() after run() moved the "
+                     "results out");
+  Core.restart(*Image);
+  Completed = false;
+}
+
+RunResult FullInterpreter::run() {
+  complete();
+  Consumed = true;
   RunResult R;
   R.FinalMemory = std::move(Core.memory());
   R.T = std::move(Core.trace());

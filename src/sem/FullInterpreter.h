@@ -58,6 +58,13 @@ struct RunResult {
 /// environment is borrowed and mutated in place (callers snapshot via
 /// MachineEnv::clone()).
 ///
+/// One interpreter serves any number of runs of a shared compiled form:
+/// complete() each run, read its memory and trace in place, and restart()
+/// for the next. Loops over many runs (the adversary's samples, a login
+/// session's attempts) do so instead of constructing an interpreter per
+/// run. run() is the single-shot form: complete() once, then move the
+/// results out.
+///
 /// Every non-Seq command in the program must carry complete [er,ew] labels
 /// (run type checking / label inference first); violations abort when the
 /// program is compiled.
@@ -76,11 +83,27 @@ public:
   FullInterpreter(FullInterpreter &&) = delete;
 
   /// The pre-run memory (a copy of the compiled form's image); callers may
-  /// poke experiment-specific inputs before run().
+  /// poke experiment-specific inputs before complete() or run(). After
+  /// complete(), the final memory.
   Memory &memory();
 
-  /// Runs the program body to completion and returns the final memory and
-  /// trace. The interpreter is single-shot: run() may be called once.
+  /// Runs the program body to completion, installing the core as the
+  /// env's observer when the options ask for misses or provenance, and
+  /// leaves the final memory and trace in place: memory() and the
+  /// returned trace stay readable until the next restart(). Once per
+  /// construction or restart().
+  const Trace &complete();
+
+  /// Starts another run: the interpreter becomes indistinguishable from a
+  /// fresh one over the same compiled form, env and options (memory back
+  /// to the image, trace empty, clock and counters zero, own Miss table
+  /// cleared; a SharedMitState carries over), without allocating. Needs
+  /// the CompiledProgram constructor — the Program one hands its image to
+  /// the single run — and results not moved out by run().
+  void restart();
+
+  /// complete(), then moves the final memory and trace out. The
+  /// interpreter is spent afterwards: no run(), complete() or restart().
   RunResult run();
 
   uint64_t clock() const;
@@ -92,8 +115,14 @@ private:
   MachineEnv &Env;
   /// The compiled form the Program constructor made; null otherwise.
   std::unique_ptr<CompiledProgram> Owned;
+  /// The image restart() rewinds to: the shared compiled form's; null for
+  /// an owned form, whose image the core took.
+  const Memory *Image = nullptr;
   /// Held inline, with the run's only copy of the options.
   ExecCore Core;
+  /// complete() has run since construction or the last restart().
+  bool Completed = false;
+  /// run() moved the results out.
   bool Consumed = false;
 };
 

@@ -4,6 +4,7 @@
 
 #include "support/Diagnostics.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace zam;
@@ -82,6 +83,15 @@ Addr Memory::addrOfElem(const std::string &Name, int64_t RawIndex) const {
 
 Label Memory::labelOf(const std::string &Name) const {
   return slot(Name).SecLabel;
+}
+
+void Memory::restoreValues(const Memory &Image) {
+  assert(Slots.size() == Image.Slots.size() && "memories with different Γ");
+  for (size_t I = 0; I != Slots.size(); ++I) {
+    const std::vector<int64_t> &From = Image.Slots[I].Data;
+    assert(Slots[I].Data.size() == From.size() && "memories with different Γ");
+    std::copy(From.begin(), From.end(), Slots[I].Data.begin());
+  }
 }
 
 bool Memory::equivalentUpTo(const Memory &Other, Label L,

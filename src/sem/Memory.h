@@ -138,6 +138,12 @@ public:
   /// m1 ≈ℓ m2: agreement on variables labeled exactly ℓ.
   bool projectionEquals(const Memory &Other, Label L) const;
 
+  /// Overwrites every slot's values with \p Image's, which must have this
+  /// memory's layout (a copy of the same image). The slot storage is
+  /// reused and the shared name table left alone, so this allocates
+  /// nothing: a restarted run (ExecCore::restart) rewinds its inputs here.
+  void restoreValues(const Memory &Image);
+
   /// Equality of the slots; the name table is derived from them.
   bool operator==(const Memory &Other) const { return Slots == Other.Slots; }
 

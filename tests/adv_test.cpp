@@ -20,6 +20,7 @@
 #include "TestUtil.h"
 
 #include <cmath>
+#include <set>
 
 using namespace zam;
 using namespace zam::test;
@@ -234,6 +235,8 @@ cloneEverySample(const Program &P, const MachineEnv &Template,
     Rng R(sampleSeed(Opts.Seed, I));
     std::unique_ptr<MachineEnv> Env = Template.clone();
     FullInterpreter Interp(P, *Env, RunOpts);
+    for (const auto &[Var, Value] : Spec.Fixed)
+      Interp.memory().store(Var, Value);
     for (const SecretClassSpec::Range &Rg : Spec.Ranges)
       Interp.memory().store(Rg.Var, R.nextInRange(Rg.Lo, Rg.Hi));
     RunResult RR = Interp.run();
@@ -288,6 +291,90 @@ TEST(Collector, RestoredEnvsMatchACloneEverySample) {
       }
     }
   }
+}
+
+/// A probe whose samples differ in more than their clock: the window
+/// count follows the drawn n, the class's fixed k stretches every window
+/// after the first, and the windows of one run share (and grow) the run's
+/// own Miss table, so a sample's mispredictions depend on its inputs.
+const char *kLoopSource = R"(
+var h : H;
+var k : H;
+var n : L;
+var i : L;
+var l : L;
+while (i < n) do {
+  mitigate (16, H) {
+    sleep(h + k * i) @[H, H]
+  };
+  i := i + 1
+};
+l := 1
+)";
+
+std::vector<SecretClassSpec> loopClasses() {
+  std::vector<SecretClassSpec> Classes(2);
+  Classes[0].Name = "flat";
+  Classes[0].Fixed = {{"k", 0}};
+  Classes[0].Ranges = {{"h", 1, 40}, {"n", 0, 3}};
+  Classes[1].Name = "growing";
+  Classes[1].Fixed = {{"k", 70}};
+  Classes[1].Ranges = {{"h", 10, 300}, {"n", 1, 5}};
+  return Classes;
+}
+
+TEST(Collector, RestartedInterpretersMatchAFreshOneEverySample) {
+  Program P = parsed(kLoopSource);
+  AttackOptions Opts;
+  Opts.Samples = 301;
+  Opts.Seed = 8765;
+  Opts.Adversary = low();
+  for (HwKind Kind : allHwKinds()) {
+    const auto Template = warmTemplate(Kind, 79);
+    const std::vector<Observation> Expected =
+        cloneEverySample(P, *Template, loopClasses(), Opts);
+    // The probe is only worth its name if the samples do differ.
+    std::set<size_t> WindowCounts;
+    std::set<uint64_t> Durations;
+    for (const Observation &O : Expected) {
+      WindowCounts.insert(O.Windows.size());
+      Durations.insert(O.Windows.begin(), O.Windows.end());
+    }
+    ASSERT_GE(WindowCounts.size(), 4u);
+    ASSERT_GE(Durations.size(), 4u);
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      const std::vector<Observation> Got =
+          collectObservations(P, *Template, loopClasses(), Opts,
+                              InterpreterOptions(), ParallelRunner(Threads));
+      ASSERT_EQ(Got.size(), Expected.size());
+      for (size_t I = 0; I != Got.size(); ++I) {
+        SCOPED_TRACE(std::string(hwKindName(Kind)) + ", " +
+                     std::to_string(Threads) + " threads, sample " +
+                     std::to_string(I));
+        ASSERT_EQ(Got[I].ClassIndex, Expected[I].ClassIndex);
+        ASSERT_EQ(Got[I].EndToEnd, Expected[I].EndToEnd);
+        ASSERT_EQ(Got[I].Windows, Expected[I].Windows);
+        ASSERT_EQ(Got[I].BoundBits, Expected[I].BoundBits);
+      }
+    }
+  }
+}
+
+TEST(Collector, RejectsAnArrayInputNamingIt) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Program P = parsed("var h : H;\nvar a : H[4];\nh := a[1]\n");
+  std::vector<SecretClassSpec> Classes = twoRangeClasses();
+  Classes[1].Fixed = {{"a", 3}};
+  const auto Env = createMachineEnv(HwKind::NoPartition, lh());
+  AttackOptions Opts;
+  Opts.Samples = 4;
+  EXPECT_DEATH(collectObservations(P, *Env, Classes, Opts,
+                                   InterpreterOptions(), ParallelRunner(1)),
+               "'a' is an array, not a scalar input");
+  Classes[1].Fixed = {{"nope", 3}};
+  EXPECT_DEATH(collectObservations(P, *Env, Classes, Opts,
+                                   InterpreterOptions(), ParallelRunner(1)),
+               "no variable 'nope'");
 }
 
 TEST(Collector, ScenarioRunAllMatchesRunPerSpec) {

@@ -336,6 +336,49 @@ TEST(LoginApp, SessionAcceptanceIsDeterministic) {
   }
 }
 
+// The session restarts one interpreter for every attempt; each attempt
+// must equal a fresh interpreter's run over a copy of the same env and
+// Miss table, including across mispredictions and a schedule reset.
+TEST(LoginApp, SessionAttemptsMatchFreshInterpreters) {
+  Rng R(12);
+  LoginTable T = makeLoginTable(30, 12, R);
+  LoginProgramConfig Config;
+  Config.Mitigated = true;
+  Config.Estimate1 = 200;
+  Config.Estimate2 = 50;
+  for (HwKind Kind : allHwKinds()) {
+    SCOPED_TRACE(hwKindName(Kind));
+    auto Env = createMachineEnv(Kind, lh());
+    auto FreshEnv = Env->clone();
+    LoginSession S(lh(), T, Config, *Env);
+    const CompiledProgram C(S.program());
+    MitigationState Miss(lh(), fastDoublingPolicy(), PenaltyPolicy::PerLevel);
+    InterpreterOptions Opts;
+    Opts.SharedMitState = &Miss;
+    Opts.RetainEvents = false;
+    for (unsigned I = 0; I != 24; ++I) {
+      SCOPED_TRACE("attempt " + std::to_string(I));
+      if (I == 13) {
+        S.resetMitigation();
+        Miss.reset();
+      }
+      const std::string User = I % 3 ? "user" + std::to_string(I % 14)
+                                     : "ghost" + std::to_string(I);
+      const std::string Pass = "pass" + std::to_string(I % 5 ? I % 14 : 99);
+      const LoginAttemptResult Got = S.attempt(User, Pass);
+      FullInterpreter Fresh(C, *FreshEnv, Opts);
+      setLoginRequest(Fresh.memory(), User, Pass);
+      const RunResult Want = Fresh.run();
+      EXPECT_EQ(Got.Cycles, Want.T.FinalTime);
+      EXPECT_EQ(Got.Accepted, Want.FinalMemory.load("ok") == 1);
+      for (Label L : {lh().bottom(), lh().top()})
+        EXPECT_EQ(S.mitigationState().misses(L), Miss.misses(L));
+      EXPECT_TRUE(Env->stateEquals(*FreshEnv));
+    }
+    EXPECT_GT(S.mitigationState().misses(lh().top()), 0u);
+  }
+}
+
 TEST(LoginApp, HashReplicasMatchTheObjectLanguage) {
   // loginUserHash must track the in-language mix exactly, otherwise lookups
   // would silently miss (this guards the C++/object-language contract).

@@ -4,14 +4,18 @@
 // StepInterpreter implement the same full semantics; these tests check
 // cycle-level agreement on hand-written and random programs across all
 // three hardware designs, plus the basic timing behaviors of the full
-// semantics themselves.
+// semantics themselves and the equality of a restarted FullInterpreter's
+// runs with fresh ones.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/PropertyCheckers.h"
 #include "analysis/RandomProgram.h"
 #include "hw/HardwareModels.h"
+#include "obs/CostLedger.h"
+#include "obs/ExecProfile.h"
 #include "obs/Telemetry.h"
+#include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
 #include "sem/StepInterpreter.h"
 #include "sem/TraceDump.h"
@@ -317,4 +321,193 @@ TEST(EventRetentionDeathTest, ReadingEventsOfANonRetainingRunIsDiagnosed) {
   EOpts.IncludeEvents = false;
   exportTrace(Sink, T, lh(), EOpts);
   EXPECT_EQ(Sink.finish().find("assign"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Restarted runs (FullInterpreter::restart)
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Inputs h, n, m pick the run: h mispredicts the window when large, n
+/// iterations store 3 events each, and a nonzero m spins without events.
+const char *kRestartSource = R"(var h : H;
+var n : L;
+var m : L;
+var i : L;
+var x : L = 5;
+var a : L[4] = {9, 8, 7, 6};
+mitigate (8, H) { sleep(h) @[H, H] };
+while i < n do { a[i] := x; x := x + i; i := i + 1 };
+while m do { skip }
+)";
+
+struct RestartInputs {
+  int64_t H, N, M;
+};
+
+void poke(Memory &Mem, const RestartInputs &In) {
+  Mem.store("h", In.H);
+  Mem.store("n", In.N);
+  Mem.store("m", In.M);
+}
+
+/// FNV-1a over every field of \p Events, so a run that fills the event
+/// limit can be compared with a later one without keeping both traces.
+uint64_t eventsDigest(const std::vector<AssignEvent> &Events) {
+  uint64_t D = 0xcbf29ce484222325ULL;
+  auto Mix = [&](uint64_t V) {
+    for (unsigned B = 0; B != 8; ++B)
+      D = (D ^ ((V >> (8 * B)) & 0xff)) * 0x100000001b3ULL;
+  };
+  for (const AssignEvent &E : Events) {
+    Mix(E.Slot);
+    Mix(E.IsArrayStore);
+    Mix(E.VarLabel.index());
+    Mix(E.ElemIndex);
+    Mix(static_cast<uint64_t>(E.Value));
+    Mix(E.Time);
+  }
+  return D;
+}
+
+/// Every RunResult field of a fresh run, with the events as a digest.
+struct RunSummary {
+  uint64_t Events;
+  size_t NumEvents;
+  const SlotNames *Names;
+  std::vector<MitigateRecord> Mitigations;
+  OpCounters Ops;
+  std::vector<AccessSample> Misses;
+  std::vector<unsigned> FinalMissTable;
+  uint64_t FinalTime, Steps;
+  bool HitStepLimit, EventsRetained, HitEventLimit;
+  Memory FinalMemory;
+  HwStats Hw;
+};
+
+RunSummary summarize(const Trace &T, const Memory &M, const HwStats &Hw) {
+  return {eventsDigest(T.Events), T.Events.size(), T.Names.get(),
+          T.Mitigations, T.Ops, T.Misses, T.FinalMissTable, T.FinalTime,
+          T.Steps, T.HitStepLimit, T.EventsRetained, T.HitEventLimit, M,
+          Hw};
+}
+
+void expectSameRun(const RunSummary &Want, const RunSummary &Got) {
+  EXPECT_EQ(Got.Events, Want.Events);
+  EXPECT_EQ(Got.NumEvents, Want.NumEvents);
+  EXPECT_EQ(Got.Names, Want.Names);
+  EXPECT_EQ(Got.Mitigations, Want.Mitigations);
+  EXPECT_EQ(Got.Ops, Want.Ops);
+  EXPECT_EQ(Got.Misses, Want.Misses);
+  EXPECT_EQ(Got.FinalMissTable, Want.FinalMissTable);
+  EXPECT_EQ(Got.FinalTime, Want.FinalTime);
+  EXPECT_EQ(Got.Steps, Want.Steps);
+  EXPECT_EQ(Got.HitStepLimit, Want.HitStepLimit);
+  EXPECT_EQ(Got.EventsRetained, Want.EventsRetained);
+  EXPECT_EQ(Got.HitEventLimit, Want.HitEventLimit);
+  EXPECT_TRUE(Got.FinalMemory == Want.FinalMemory);
+  EXPECT_TRUE(Got.Hw == Want.Hw);
+}
+} // namespace
+
+// One interpreter restarted between runs must run each exactly like a
+// fresh one on an env in the same state: after an event-limit stop (which
+// lowers the core's step limit), a step-limit stop, and a misprediction in
+// its own Miss table.
+TEST(Restart, MatchesFreshInterpretersAcrossLimitStops) {
+  Program P = inferred(kRestartSource);
+  InterpreterOptions Opts;
+  // Above the ≈5.6M steps that fill the event limit, so the unbounded
+  // loop stops on events and the spin on steps.
+  Opts.StepLimit = 6'000'000;
+  const CompiledProgram C(P, Opts);
+  auto FreshEnv = createMachineEnv(HwKind::NoPartition, lh());
+  auto ReEnv = FreshEnv->clone();
+  FullInterpreter Re(C, *ReEnv, Opts);
+  const RestartInputs Runs[] = {{100, 3, 0},       {100, 1 << 30, 0},
+                                {100, 3, 0},       {5, 0, 1},
+                                {300, 6, 0},       {100, 3, 0}};
+  bool SawEventLimit = false, SawStepLimit = false;
+  for (size_t I = 0; I != std::size(Runs); ++I) {
+    SCOPED_TRACE("run " + std::to_string(I));
+    RunSummary Want = [&] {
+      FullInterpreter Fresh(C, *FreshEnv, Opts);
+      poke(Fresh.memory(), Runs[I]);
+      const RunResult R = Fresh.run();
+      return summarize(R.T, R.FinalMemory, R.Hw);
+    }();
+    if (I != 0)
+      Re.restart();
+    poke(Re.memory(), Runs[I]);
+    const Trace &T = Re.complete();
+    expectSameRun(Want, summarize(T, Re.memory(), ReEnv->stats()));
+    EXPECT_TRUE(FreshEnv->stateEquals(*ReEnv));
+    SawEventLimit |= T.HitEventLimit;
+    SawStepLimit |= T.HitStepLimit;
+    // Each run starts from its own, empty Miss table.
+    EXPECT_EQ(T.Mitigations.at(0).Mispredicted, Runs[I].H > 8);
+  }
+  EXPECT_TRUE(SawEventLimit);
+  EXPECT_TRUE(SawStepLimit);
+}
+
+// With every observer attached — miss sampling, the cost ledger and the
+// execution profile — restarted runs feed them exactly what fresh runs
+// do.
+TEST(Restart, MatchesFreshInterpretersUnderObservers) {
+  Program P = inferred(kRestartSource);
+  const CompiledProgram C(P);
+  for (HwKind Kind : allHwKinds()) {
+    SCOPED_TRACE(hwKindName(Kind));
+    CostLedger FreshLedger, ReLedger;
+    ExecProfile FreshProf, ReProf;
+    InterpreterOptions FreshOpts, ReOpts;
+    FreshOpts.RecordMisses = ReOpts.RecordMisses = true;
+    FreshOpts.Provenance = &FreshLedger;
+    ReOpts.Provenance = &ReLedger;
+    FreshOpts.Probe = &FreshProf;
+    ReOpts.Probe = &ReProf;
+    auto FreshEnv = createMachineEnv(Kind, lh());
+    auto ReEnv = FreshEnv->clone();
+    FullInterpreter Re(C, *ReEnv, ReOpts);
+    const RestartInputs Runs[] = {
+        {100, 3, 0}, {100, 3, 0}, {5, 40, 0}, {300, 1, 0}, {0, 0, 0}};
+    for (size_t I = 0; I != std::size(Runs); ++I) {
+      SCOPED_TRACE("run " + std::to_string(I));
+      RunSummary Want = [&] {
+        FullInterpreter Fresh(C, *FreshEnv, FreshOpts);
+        poke(Fresh.memory(), Runs[I]);
+        const RunResult R = Fresh.run();
+        return summarize(R.T, R.FinalMemory, R.Hw);
+      }();
+      if (I != 0)
+        Re.restart();
+      poke(Re.memory(), Runs[I]);
+      const Trace &T = Re.complete();
+      expectSameRun(Want, summarize(T, Re.memory(), ReEnv->stats()));
+      if (I == 0) {
+        EXPECT_FALSE(T.Misses.empty());
+      }
+      EXPECT_EQ(ReLedger.toJson().dump(), FreshLedger.toJson().dump());
+      MetricsRegistry FreshReg, ReReg;
+      FreshProf.exportMetrics(FreshReg);
+      ReProf.exportMetrics(ReReg);
+      EXPECT_EQ(ReReg.toJson().dump(), FreshReg.toJson().dump());
+    }
+  }
+}
+
+TEST(RestartDeathTest, NeedsASharedFormAndUnconsumedResults) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Program P = inferred("var l : L;\nl := 1");
+  auto Env = createMachineEnv(HwKind::NoPartition, lh());
+  EXPECT_DEATH(FullInterpreter(P, *Env).restart(),
+               "needs an interpreter over a shared CompiledProgram");
+  const CompiledProgram C(P);
+  FullInterpreter I(C, *Env);
+  I.complete();
+  EXPECT_DEATH(I.complete(), "a second run needs restart\\(\\) first");
+  I.restart();
+  I.run();
+  EXPECT_DEATH(I.restart(), "after run\\(\\) moved the results out");
 }

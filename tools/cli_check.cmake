@@ -21,6 +21,12 @@
 #   MODE=levels           `zamc run` with a 65-level `--levels` names the
 #                         machine environment's lattice-size limit.
 #
+# An array named where a command-line value writes a scalar (it used to
+# write element 0 silently) is rejected like an undeclared variable, with
+# its exit code: 1 for `run` (MODE=array_set, `--set secret=7`), 2 for
+# `leakage` (MODE=array_vary, `--vary secret=1,2`) and `attack`
+# (MODE=array_class, `--class a:secret=1`), all on pin.zam's secret[4].
+#
 # Usage: cmake -DZAMC=<zamc> -DMODE=<mode> -DOUT=<scratch prefix>
 #              [-DPROGRAMS=<examples/programs>] -P cli_check.cmake
 set(EXIT 1)
@@ -66,6 +72,18 @@ elseif(MODE STREQUAL "levels")
   set(COMMAND ${ZAMC} run ${OUT}.zam --hw partitioned --no-equal-labels
               --levels ${LEVELS},H)
   set(EXPECT "--levels names 65 levels; a machine environment holds at most 64")
+  set(EXIT 2)
+elseif(MODE STREQUAL "array_set")
+  set(COMMAND ${ZAMC} run ${PROGRAMS}/pin.zam --set secret=7)
+  set(EXPECT "error: 'secret' is an array, not a scalar to set")
+elseif(MODE STREQUAL "array_vary")
+  set(COMMAND ${ZAMC} leakage ${PROGRAMS}/pin.zam --vary secret=1,2)
+  set(EXPECT "error: 'secret' is an array, not a scalar to vary")
+  set(EXIT 2)
+elseif(MODE STREQUAL "array_class")
+  set(COMMAND ${ZAMC} attack ${PROGRAMS}/pin.zam --class a:secret=1
+              --class b:secret=2 --samples 4)
+  set(EXPECT "error: --class a: 'secret' is an array, not a scalar")
   set(EXIT 2)
 else()
   message(FATAL_ERROR "unknown MODE '${MODE}'")

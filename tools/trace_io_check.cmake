@@ -22,9 +22,17 @@
 #   MODE=short_write_<jsonl|chrome|ztb>  `zamc profile scan.zam`
 #   MODE=short_write_attack              `zamc attack sweep.zam`
 #
+# `zamtrace diff BASE CAND` takes only a finite, non-negative budget (a
+# NaN one passed every comparison and turned the gate off; text read as 0,
+# 1e999 as infinity) and names the flag (exit 2):
+#
+#   MODE=budget_<bits|pct>_<nan|inf|huge|word|negative|empty>
+#                           --budget-bits/--budget-pct nan, inf, 1e999,
+#                           foo, -5 or the empty string
+#
 # Usage: cmake -DZAMTRACE=<zamtrace> -DZAMC=<zamc> -DMODE=<mode>
 #              -DOUT=<scratch prefix> [-DPROGRAMS=<examples/programs>]
-#              -P trace_io_check.cmake
+#              [-DBASE=<trace> -DCAND=<trace>] -P trace_io_check.cmake
 set(EXIT 2)
 set(ADV "{\"kind\":\"instant\",\"name\":\"sample#0\",\"cat\":\"adv\",\"ts\":0,")
 if(MODE STREQUAL "class_index_wrap")
@@ -46,6 +54,22 @@ elseif(MODE STREQUAL "negative_site")
   set(TRACE "{\"kind\":\"meta\",\"args\":{\"mitigation_sites\":\"-1=linear\"}}\n{\"kind\":\"span\",\"name\":\"mitigate#0\",\"cat\":\"mit\",\"ts\":0,\"dur\":5}\n")
   set(EXPECT "trace meta 'mitigation_sites' entry '-1=linear' is not ETA=SPEC")
   set(EXIT 1)
+elseif(MODE MATCHES "^budget_(bits|pct)_(nan|inf|huge|word|negative|empty)$")
+  set(FLAG --budget-${CMAKE_MATCH_1})
+  set(VALUE ${CMAKE_MATCH_2})
+  if(VALUE STREQUAL "huge")
+    set(VALUE 1e999)
+  elseif(VALUE STREQUAL "word")
+    set(VALUE foo)
+  elseif(VALUE STREQUAL "negative")
+    set(VALUE -5)
+  elseif(VALUE STREQUAL "empty")
+    set(VALUE "")
+  endif()
+  # Through sh, so that the empty value stays an argument.
+  set(COMMAND sh -c "exec \"$0\" diff \"$1\" \"$2\" ${FLAG} '${VALUE}'"
+              ${ZAMTRACE} ${BASE} ${CAND})
+  set(EXPECT "error: ${FLAG} wants a finite, non-negative number, got '${VALUE}'")
 elseif(MODE MATCHES "^short_write_(jsonl|chrome|ztb)$")
   set(COMMAND ${ZAMC} profile ${PROGRAMS}/scan.zam --no-color
               --trace-out /dev/full --trace-format ${CMAKE_MATCH_1})

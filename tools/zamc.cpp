@@ -608,6 +608,36 @@ int checkProgram(Program &P, const Options &Opts, bool Verbose) {
   return 0;
 }
 
+/// The declaration of \p Var when it names a scalar of \p P: the only
+/// variables a command-line value (--set, --vary, --class) can write.
+/// Otherwise prints "error: <Prefix>no variable 'v'<Suffix>" or "error:
+/// <Prefix>'v' is an array, not a scalar<Suffix>" and returns null.
+const VarDecl *findScalarInput(const Program &P, const std::string &Var,
+                               const std::string &Prefix,
+                               const char *Suffix) {
+  const VarDecl *D = P.findVar(Var);
+  if (!D)
+    std::fprintf(stderr, "error: %sno variable '%s'%s\n", Prefix.c_str(),
+                 Var.c_str(), Suffix);
+  else if (D->IsArray)
+    std::fprintf(stderr, "error: %s'%s' is an array, not a scalar%s\n",
+                 Prefix.c_str(), Var.c_str(), Suffix);
+  else
+    return D;
+  return nullptr;
+}
+
+/// Stores the --set overrides into \p M; false after a diagnostic when one
+/// names no scalar of \p P.
+bool applyOverrides(const Program &P, const Options &Opts, Memory &M) {
+  for (const auto &[Var, Value] : Opts.Overrides) {
+    if (!findScalarInput(P, Var, "", " to set"))
+      return false;
+    M.store(Var, Value);
+  }
+  return true;
+}
+
 int cmdRun(Program &P, const Options &Opts, bool Timeline) {
   if (int Rc = checkProgram(P, Opts, /*Verbose=*/false))
     return Rc;
@@ -633,13 +663,8 @@ int cmdRun(Program &P, const Options &Opts, bool Timeline) {
     IOpts.Probe = &Prof;
   }
   FullInterpreter Interp(P, *Env, IOpts);
-  for (const auto &[Var, Value] : Opts.Overrides) {
-    if (!Interp.memory().hasVar(Var)) {
-      std::fprintf(stderr, "error: no variable '%s' to set\n", Var.c_str());
-      return 1;
-    }
-    Interp.memory().store(Var, Value);
-  }
+  if (!applyOverrides(P, Opts, Interp.memory()))
+    return 1;
   RunResult R = [&] {
     auto Scope = Phases.scope("run");
     return Interp.run();
@@ -873,13 +898,8 @@ int cmdProfile(Program &P, const Options &Opts, const std::string &Source) {
     Audit.onWindow(R);
   };
   FullInterpreter Interp(P, *Env, IOpts);
-  for (const auto &[Var, Value] : Opts.Overrides) {
-    if (!Interp.memory().hasVar(Var)) {
-      std::fprintf(stderr, "error: no variable '%s' to set\n", Var.c_str());
-      return 1;
-    }
-    Interp.memory().store(Var, Value);
-  }
+  if (!applyOverrides(P, Opts, Interp.memory()))
+    return 1;
   RunResult R = [&] {
     auto Scope = Phases.scope("run");
     return Interp.run();
@@ -966,13 +986,8 @@ int cmdHot(Program &P, const Options &Opts) {
       Audit.onWindow(R);
     };
   FullInterpreter Interp(P, *Env, IOpts);
-  for (const auto &[Var, Value] : Opts.Overrides) {
-    if (!Interp.memory().hasVar(Var)) {
-      std::fprintf(stderr, "error: no variable '%s' to set\n", Var.c_str());
-      return 1;
-    }
-    Interp.memory().store(Var, Value);
-  }
+  if (!applyOverrides(P, Opts, Interp.memory()))
+    return 1;
   RunResult R = [&] {
     auto Scope = Phases.scope("run");
     return Interp.run();
@@ -1198,11 +1213,9 @@ int cmdLeakage(Program &P, const Options &Opts) {
   LabelSet Sources(Lat);
   size_t MaxLen = 0;
   for (const auto &[Var, Values] : Opts.Variations) {
-    const VarDecl *D = P.findVar(Var);
-    if (!D) {
-      std::fprintf(stderr, "error: no variable '%s' to vary\n", Var.c_str());
+    const VarDecl *D = findScalarInput(P, Var, "", " to vary");
+    if (!D)
       return 2;
-    }
     // Definition 1 quantifies over secrets the adversary cannot see: a
     // variation of a variable it observes is a usage error, not a run.
     if (Lat.flowsTo(D->SecLabel, Adversary)) {
@@ -1435,11 +1448,8 @@ bool parseClassSpec(const std::string &Raw, const Program &P,
     if (Eq == std::string::npos || Eq == 0)
       return Complain("assignment without '='");
     std::string Var = Item.substr(0, Eq);
-    if (!P.findVar(Var)) {
-      std::fprintf(stderr, "error: --class %s: no variable '%s'\n",
-                   Out.Name.c_str(), Var.c_str());
+    if (!findScalarInput(P, Var, "--class " + Out.Name + ": ", ""))
       return false;
-    }
     std::string Val = Item.substr(Eq + 1);
     size_t Dots = Val.find("..");
     if (Dots == std::string::npos) {
@@ -1488,10 +1498,8 @@ int cmdAttack(Program &P, const Options &Opts) {
       }
     // Global --set overrides apply to every class, before its own stores.
     for (const auto &[Var, Value] : Opts.Overrides) {
-      if (!P.findVar(Var)) {
-        std::fprintf(stderr, "error: no variable '%s' to set\n", Var.c_str());
+      if (!findScalarInput(P, Var, "", " to set"))
         return 2;
-      }
       Spec.Fixed.insert(Spec.Fixed.begin(), {Var, Value});
     }
     Names.push_back(Spec.Name);

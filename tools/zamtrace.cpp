@@ -1410,7 +1410,8 @@ int usage() {
       "diff:   compares two runs (traces or --stats/--json documents) and\n"
       "        exits 1 when the candidate exceeds the leakage or overhead\n"
       "        budget, or when the two sides recorded different mitigation\n"
-      "        policies. Only the metrics object is compared.\n");
+      "        policies. Only the metrics object is compared. Budgets\n"
+      "        are finite, non-negative numbers.\n");
   return 2;
 }
 
@@ -1580,16 +1581,36 @@ int cmdReport(int Argc, char **Argv) {
   return 0;
 }
 
+/// Parses all of \p Text as the value of budget flag \p Flag: a finite,
+/// non-negative number. A NaN budget would pass every comparison and turn
+/// the gate off, so anything else is diagnosed, naming the flag.
+bool parseBudget(const char *Flag, const char *Text, double &Out) {
+  char *End = nullptr;
+  const double V = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || !std::isfinite(V) || V < 0) {
+    std::fprintf(stderr,
+                 "error: %s wants a finite, non-negative number, got '%s'\n",
+                 Flag, Text);
+    return false;
+  }
+  Out = V;
+  return true;
+}
+
 int cmdDiff(int Argc, char **Argv) {
   std::string BasePath, CandPath, JsonPath;
   double BudgetBits = 0;
   std::optional<double> BudgetPct;
   for (int I = 2; I < Argc; ++I) {
-    if (!std::strcmp(Argv[I], "--budget-bits") && I + 1 < Argc)
-      BudgetBits = std::strtod(Argv[++I], nullptr);
-    else if (!std::strcmp(Argv[I], "--budget-pct") && I + 1 < Argc)
-      BudgetPct = std::strtod(Argv[++I], nullptr);
-    else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc)
+    if (!std::strcmp(Argv[I], "--budget-bits") && I + 1 < Argc) {
+      if (!parseBudget(Argv[I], Argv[I + 1], BudgetBits))
+        return 2;
+      ++I;
+    } else if (!std::strcmp(Argv[I], "--budget-pct") && I + 1 < Argc) {
+      if (!parseBudget(Argv[I], Argv[I + 1], BudgetPct.emplace()))
+        return 2;
+      ++I;
+    } else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc)
       JsonPath = Argv[++I];
     else if (Argv[I][0] != '-' && BasePath.empty())
       BasePath = Argv[I];
