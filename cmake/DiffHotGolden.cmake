@@ -17,6 +17,6 @@ execute_process(
   RESULT_VARIABLE DIFF_RC)
 if(NOT DIFF_RC EQUAL 0)
   message(FATAL_ERROR
-          "zamc hot output drifted from ${GOLDEN}; inspect ${OUT} and "
+          "zamc ${CMD} output drifted from ${GOLDEN}; inspect ${OUT} and "
           "regenerate the golden if the change is intended")
 endif()

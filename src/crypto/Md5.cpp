@@ -3,7 +3,6 @@
 #include "crypto/Md5.h"
 
 #include <cstring>
-#include <vector>
 
 using namespace zam;
 
@@ -77,16 +76,19 @@ Md5Digest zam::md5(const void *Data, size_t Len) {
   for (size_t I = 0; I != Full; ++I)
     processBlock(Bytes + I * 64, State);
 
-  // Padding: 0x80, zeros, then the bit length as a 64-bit little-endian word.
-  std::vector<uint8_t> Tail(Bytes + Full * 64, Bytes + Len);
-  Tail.push_back(0x80);
-  while (Tail.size() % 64 != 56)
-    Tail.push_back(0);
+  // Padding: 0x80, zeros, then the bit length as a 64-bit little-endian
+  // word. The under-64-byte rest plus its padding fills one or two blocks.
+  uint8_t Tail[128] = {};
+  const size_t Rest = Len - Full * 64;
+  if (Rest)
+    std::memcpy(Tail, Bytes + Full * 64, Rest);
+  Tail[Rest] = 0x80;
+  const size_t TailLen = Rest < 56 ? 64 : 128;
   uint64_t BitLen = static_cast<uint64_t>(Len) * 8;
   for (unsigned I = 0; I != 8; ++I)
-    Tail.push_back(static_cast<uint8_t>(BitLen >> (8 * I)));
-  for (size_t I = 0; I != Tail.size(); I += 64)
-    processBlock(Tail.data() + I, State);
+    Tail[TailLen - 8 + I] = static_cast<uint8_t>(BitLen >> (8 * I));
+  for (size_t I = 0; I != TailLen; I += 64)
+    processBlock(Tail + I, State);
 
   Md5Digest Out;
   for (unsigned W = 0; W != 4; ++W)

@@ -25,12 +25,17 @@
 ///     sites (from lang/StaticLabels);
 ///   - the SourceLoc attribution cursor for every instruction and for
 ///     every expression operation that can touch the data hierarchy;
-///   - expressions in evaluation-order postfix, executed on a flat value
-///     stack whose maximum depth is known statically.
+///   - expressions as register micro-ops in one pool: each operation's
+///     position on the evaluation-order value stack is static, so it
+///     becomes a fixed register index, and every load's operand address
+///     is precomputed. No value stack exists at run time.
 ///
-/// The IR is purely static data: executing it never mutates it, so any
-/// number of engines (and any number of resumable cursors) can share one
-/// lowered program.
+/// This is the only program form: the engines (sem/ExecCore) execute it,
+/// probes receive it, and `zamc ir`/`zamc hot` print it. It is purely
+/// static data: executing it never mutates it, so any number of engines
+/// (and any number of resumable cursors) can share one lowered program;
+/// per-run state (the register file, the slot-data pointer table) lives in
+/// the execution core.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,45 +57,42 @@ namespace zam {
 
 class MitigationPolicy;
 
-/// One postfix expression operation. Operations execute left-to-right on a
-/// value stack, reproducing the AST evaluation order exactly: an array
-/// read's index is computed before the element access, a binary operator's
-/// left operand before its right.
-struct ExprOp {
-  enum class Kind : uint8_t {
-    PushConst, ///< Push Const.
-    LoadVar,   ///< Data access at Base, push the scalar's value.
-    LoadElem,  ///< Pop index, wrap mod ElemCount, access, push element.
-    Bin,       ///< Pop rhs then lhs, push applyBinOp(BinOp, lhs, rhs).
-    Un,        ///< Pop operand, push applyUnOp(UnOp, v).
+/// One register micro-op of an expression. Registers are assigned from the
+/// static depth of the evaluation-order value stack, so the operations run
+/// left to right exactly as the AST evaluates (an array read's index before
+/// the element access, a binary operator's left operand before its right),
+/// a binary operator's operands are always (Dst, Dst+1), and every op
+/// writes its result to Dst.
+struct IrUop {
+  enum class K : uint8_t {
+    Const, ///< r[Dst] = Imm (immediate operand: free).
+    Var,   ///< Data access at Base; r[Dst] = scalar slot value.
+    Elem,  ///< Wrap r[Dst] mod Mod, access Base + 8w, r[Dst] = element w.
+    Bin,   ///< r[Dst] = applyBinOp(Op2, r[Dst], r[Dst+1]).
+    Un,    ///< r[Dst] = applyUnOp(Op2, r[Dst]).
   };
 
-  Kind K = Kind::PushConst;
-  BinOpKind BinOp = BinOpKind::Add; ///< Valid when K == Bin.
-  UnOpKind UnOp = UnOpKind::Neg;    ///< Valid when K == Un.
-  uint32_t Slot = 0;                ///< LoadVar/LoadElem: memory slot index.
-  Addr Base = 0;                    ///< LoadVar/LoadElem: slot base address.
-  uint64_t ElemCount = 1;           ///< LoadElem: wrap modulus (array size).
-  int64_t Const = 0;                ///< PushConst: the literal value.
-
+  K Kind = K::Const;
+  uint8_t Op2 = 0;   ///< Raw BinOpKind (Bin) / UnOpKind (Un).
+  uint16_t Dst = 0;  ///< Destination (and first-operand) register.
+  uint32_t Slot = 0; ///< Var/Elem: memory slot index.
+  Addr Base = 0;     ///< Var/Elem: precomputed operand base address.
+  union {
+    int64_t Imm = 0; ///< Const: the literal value.
+    uint64_t Mod;    ///< Elem: wrap modulus (array size).
+  };
   /// The effective attribution location: the nearest enclosing AST node
   /// with a valid location (the operation's own node if it has one, else
   /// the innermost valid ancestor, falling back to the command). Hardware
-  /// accesses made by LoadVar/LoadElem are charged at this location —
-  /// byte-for-byte the cursor-narrowing discipline of the tree engines.
+  /// accesses made by Var/Elem are charged at this location, byte for byte
+  /// the cursor-narrowing discipline of Provenance.h.
   SourceLoc Loc;
-};
-
-/// A lowered expression: postfix operations plus the value-stack depth the
-/// sequence needs. Never empty.
-struct IrExpr {
-  std::vector<ExprOp> Ops;
-  uint32_t MaxDepth = 0;
 };
 
 /// One instruction — one small-step transition. Control flow is explicit:
 /// every instruction names its successor(s) by index, so engines advance a
-/// plain program counter instead of rewriting command trees.
+/// plain program counter instead of rewriting command trees. Its
+/// expression work is a span of micro-ops in IrProgram::Uops.
 struct IrInstr {
   enum class Op : uint8_t {
     Skip,        ///< Fetch + base cost only.
@@ -104,23 +106,29 @@ struct IrInstr {
   };
 
   Op K = Op::Skip;
+  bool IsLoop = false; ///< Branch lowered from a `while` (printer only).
 
   // Successors.
   uint32_t Next = 0;   ///< Fall-through successor.
   uint32_t Target = 0; ///< Branch: successor when the guard is non-zero.
-  bool IsLoop = false; ///< Branch lowered from a `while` (printer only).
+
+  // Micro-op spans into IrProgram::Uops.
+  uint32_t U0 = 0, N0 = 0; ///< E0: value / index / guard / duration /
+                           ///< estimate, result in r0.
+  uint32_t U1 = 0, N1 = 0; ///< E1: ArrayAssign's stored value, registers
+                           ///< based at r1 so the index in r0 survives.
 
   // Precomputed static data.
   Label Read;          ///< er — upper bound on state read by this step.
   Label Write;         ///< ew — lower bound on state written by this step.
   Addr CodeAddr = 0;   ///< I-fetch address (CostModel::codeAddr of node id).
-  SourceLoc Loc;       ///< The command's own source location.
-  const Cmd *Origin = nullptr; ///< The source command this step came from.
 
   // Assign / ArrayAssign.
   uint32_t Slot = 0;      ///< Target memory slot.
   Addr SlotBase = 0;      ///< Its base address.
   uint64_t ElemCount = 1; ///< ArrayAssign: wrap modulus.
+
+  SourceLoc Loc; ///< The command's own source location.
 
   // MitEnter / MitEnd.
   unsigned Eta = 0; ///< Mitigate site id η.
@@ -132,8 +140,7 @@ struct IrInstr {
   /// fall back to the run default.
   const MitigationPolicy *Policy = nullptr;
 
-  IrExpr E0; ///< Value / index / guard / duration / estimate.
-  IrExpr E1; ///< ArrayAssign: the stored value.
+  const Cmd *Origin = nullptr; ///< The source command this step came from.
 };
 
 /// Slot metadata mirrored from the declarations: the layout lowering
@@ -146,20 +153,29 @@ struct IrSlotInfo {
   Addr Base = 0;
 };
 
-/// A lowered program: static instruction array plus layout metadata.
-/// Instruction 0 is the entry point; the last instruction is always Halt.
+/// A lowered program: static instruction array, micro-op pool and layout
+/// metadata. Instruction 0 is the entry point; the last instruction is
+/// always Halt.
 struct IrProgram {
   std::vector<IrInstr> Instrs;
   std::vector<IrSlotInfo> Slots;
   /// The slot names, shared with the memory image of a compiled form.
   std::shared_ptr<const SlotNames> Names;
-  uint32_t MaxEvalDepth = 0; ///< Max value-stack depth over all exprs.
-  uint32_t MaxMitDepth = 0;  ///< Max static nesting of mitigate windows.
+  /// The micro-op pool every instruction's spans point into.
+  std::vector<IrUop> Uops;
+  uint32_t NumRegs = 1;     ///< Register-file size the micro-ops need.
+  uint32_t MaxMitDepth = 0; ///< Max static nesting of mitigate windows.
 
   uint32_t haltIndex() const {
     return static_cast<uint32_t>(Instrs.size()) - 1;
   }
 };
+
+/// Checks the structural invariants of a lowered program: successors in
+/// range, micro-op spans inside the pool, registers inside the register
+/// file, and a second span only on array stores. Returns false and fills
+/// \p Err on the first violation.
+bool verifyIr(const IrProgram &IR, std::string &Err);
 
 } // namespace zam
 

@@ -21,42 +21,63 @@ std::string fmt(const char *Format, ...) {
   return Buf;
 }
 
-std::string opText(const ExprOp &Op, const IrProgram *IR) {
-  auto SlotRef = [&](uint32_t Slot) {
-    std::string S = "%" + std::to_string(Slot);
-    if (IR && Slot < IR->Slots.size())
-      S += ":" + IR->Names->Names[Slot];
-    return S;
-  };
-  switch (Op.K) {
-  case ExprOp::Kind::PushConst:
-    return fmt("const %" PRId64, Op.Const);
-  case ExprOp::Kind::LoadVar:
-    return "load " + SlotRef(Op.Slot);
-  case ExprOp::Kind::LoadElem:
-    return "elem " + SlotRef(Op.Slot) +
-           fmt("[mod %" PRIu64 "]", Op.ElemCount);
-  case ExprOp::Kind::Bin:
-    return fmt("bin '%s'", binOpSpelling(Op.BinOp));
-  case ExprOp::Kind::Un:
-    return fmt("un '%s'", unOpSpelling(Op.UnOp));
-  }
-  return "?";
+std::string slotRef(const IrProgram &IR, uint32_t Slot) {
+  std::string S = "%" + std::to_string(Slot);
+  if (Slot < IR.Slots.size())
+    S += ":" + IR.Names->Names[Slot];
+  return S;
 }
 
-std::string exprText(const IrExpr &E, const IrProgram *IR) {
+/// One micro-op: its postfix mnemonic as the instruction line shows it
+/// ("elem %1:a[mod 4]"), or with \p Regs its full register-transfer form
+/// ("elem %1:a[r0 mod 4] @0x10000008 -> r0 line=3").
+std::string uopText(const IrProgram &IR, const IrUop &U, bool Regs) {
+  const bool IsLoad = U.Kind == IrUop::K::Var || U.Kind == IrUop::K::Elem;
   std::string S;
-  for (const ExprOp &Op : E.Ops) {
+  switch (U.Kind) {
+  case IrUop::K::Const:
+    S = fmt("const %" PRId64, U.Imm);
+    break;
+  case IrUop::K::Var:
+    S = "load " + slotRef(IR, U.Slot);
+    break;
+  case IrUop::K::Elem:
+    S = "elem " + slotRef(IR, U.Slot) + (Regs ? fmt("[r%u ", U.Dst) : "[") +
+        fmt("mod %" PRIu64 "]", U.Mod);
+    break;
+  case IrUop::K::Bin:
+    S = fmt("bin '%s'", binOpSpelling(static_cast<BinOpKind>(U.Op2)));
+    if (Regs)
+      S += fmt(" r%u r%u", U.Dst, U.Dst + 1);
+    break;
+  case IrUop::K::Un:
+    S = fmt("un '%s'", unOpSpelling(static_cast<UnOpKind>(U.Op2)));
+    if (Regs)
+      S += fmt(" r%u", U.Dst);
+    break;
+  }
+  if (!Regs)
+    return S;
+  if (IsLoad)
+    S += fmt(" @0x%" PRIx64, static_cast<uint64_t>(U.Base));
+  S += fmt(" -> r%u", U.Dst);
+  if (IsLoad && U.Loc.isValid())
+    S += fmt(" line=%u", U.Loc.Line);
+  return S;
+}
+
+/// The span [U, U+N) in postfix, e.g. "load %1:x; const 3; bin '+'".
+std::string exprText(const IrProgram &IR, uint32_t U, uint32_t N) {
+  std::string S;
+  for (uint32_t I = U; I != U + N; ++I) {
     if (!S.empty())
       S += "; ";
-    S += opText(Op, IR);
+    S += uopText(IR, IR.Uops[I], /*Regs=*/false);
   }
   return S;
 }
 
 } // namespace
-
-std::string zam::printIrExpr(const IrExpr &E) { return exprText(E, nullptr); }
 
 const char *zam::irOpName(IrInstr::Op K) {
   switch (K) {
@@ -102,23 +123,23 @@ std::string zam::printIrInstr(const IrProgram &IR, uint32_t I,
     Line += fmt("assign %%%u", In.Slot);
     if (In.Slot < IR.Slots.size())
       Line += ":" + IR.Names->Names[In.Slot];
-    Line += " <- {" + exprText(In.E0, &IR) + "}" + Common() +
+    Line += " <- {" + exprText(IR, In.U0, In.N0) + "}" + Common() +
             fmt(" -> %u", In.Next);
     break;
   case IrInstr::Op::ArrayAssign:
     Line += fmt("store %%%u", In.Slot);
     if (In.Slot < IR.Slots.size())
       Line += ":" + IR.Names->Names[In.Slot];
-    Line += "[{" + exprText(In.E0, &IR) + "}] <- {" + exprText(In.E1, &IR) +
+    Line += "[{" + exprText(IR, In.U0, In.N0) + "}] <- {" + exprText(IR, In.U1, In.N1) +
             "}" + Common() + fmt(" -> %u", In.Next);
     break;
   case IrInstr::Op::Branch:
     Line += std::string(In.IsLoop ? "loop" : "branch") + " {" +
-            exprText(In.E0, &IR) + "}" + Common() +
+            exprText(IR, In.U0, In.N0) + "}" + Common() +
             fmt(" true->%u false->%u", In.Target, In.Next);
     break;
   case IrInstr::Op::Sleep:
-    Line += "sleep {" + exprText(In.E0, &IR) + "}" + Labels() +
+    Line += "sleep {" + exprText(IR, In.U0, In.N0) + "}" + Labels() +
             (In.Loc.isValid() ? fmt(" line=%u", In.Loc.Line) : "") +
             fmt(" -> %u", In.Next);
     break;
@@ -126,7 +147,7 @@ std::string zam::printIrInstr(const IrProgram &IR, uint32_t I,
     Line += fmt("mitenter eta=%u level=%s pc=%s est={", In.Eta,
                 Lat.name(In.MitLevel).c_str(),
                 Lat.name(In.PcLabel).c_str()) +
-            exprText(In.E0, &IR) + "}" + Common() + fmt(" -> %u", In.Next);
+            exprText(IR, In.U0, In.N0) + "}" + Common() + fmt(" -> %u", In.Next);
     break;
   case IrInstr::Op::MitEnd:
     Line += fmt("mitend eta=%u", In.Eta) + Labels() +
@@ -141,10 +162,10 @@ std::string zam::printIrInstr(const IrProgram &IR, uint32_t I,
 }
 
 std::string zam::printIr(const IrProgram &IR, const SecurityLattice &Lat) {
-  std::string Out = fmt("ir: %zu instructions, %zu slots, max eval depth %u, "
+  std::string Out = fmt("ir: %zu instructions, %zu slots, %zu uops, %u regs, "
                         "max mitigate depth %u\n",
-                        IR.Instrs.size(), IR.Slots.size(), IR.MaxEvalDepth,
-                        IR.MaxMitDepth);
+                        IR.Instrs.size(), IR.Slots.size(), IR.Uops.size(),
+                        IR.NumRegs, IR.MaxMitDepth);
   for (size_t I = 0; I != IR.Slots.size(); ++I) {
     const IrSlotInfo &S = IR.Slots[I];
     Out += fmt("  slot %%%zu: %s : %s %s[%" PRIu64 "] @0x%" PRIx64 "\n", I,
@@ -152,7 +173,15 @@ std::string zam::printIr(const IrProgram &IR, const SecurityLattice &Lat) {
                S.IsArray ? "array" : "scalar", S.Size,
                static_cast<uint64_t>(S.Base));
   }
-  for (uint32_t I = 0; I != IR.Instrs.size(); ++I)
+  auto Span = [&](uint32_t First, uint32_t N) {
+    for (uint32_t U = First; U != First + N; ++U)
+      Out += fmt("       u%-3u ", U) +
+             uopText(IR, IR.Uops[U], /*Regs=*/true) + "\n";
+  };
+  for (uint32_t I = 0; I != IR.Instrs.size(); ++I) {
     Out += fmt("  %3u: ", I) + printIrInstr(IR, I, Lat) + "\n";
+    Span(IR.Instrs[I].U0, IR.Instrs[I].N0);
+    Span(IR.Instrs[I].U1, IR.Instrs[I].N1);
+  }
   return Out;
 }

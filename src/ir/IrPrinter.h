@@ -8,8 +8,10 @@
 /// \file
 /// Deterministic, human-readable dump of a lowered program: the slot
 /// layout, then one line per instruction with its successors, timing
-/// labels, code address and postfix expression(s). `zamc ir` prints this,
-/// and CI diffs it against a committed golden file — the format is part of
+/// labels, code address and expression(s) in postfix, each followed by
+/// the instruction's micro-ops with their registers and operand addresses.
+/// `zamc ir` prints this, `zamc hot` annotates the instruction lines, and
+/// CI diffs both against committed golden files — the format is part of
 /// the repository's regression surface, so change it deliberately.
 ///
 //===----------------------------------------------------------------------===//
@@ -25,10 +27,6 @@ namespace zam {
 
 class SecurityLattice;
 
-/// Renders one lowered expression in postfix, e.g.
-/// "load %1:x; const 3; add".
-std::string printIrExpr(const IrExpr &E);
-
 /// The stable lower-case mnemonic for an opcode ("skip", "assign", "store",
 /// "branch", "sleep", "mitenter", "mitend", "halt") — the spelling used by
 /// the instruction dump, the exec.* metrics namespace and the folded-stack
@@ -41,7 +39,8 @@ const char *irOpName(IrInstr::Op K);
 std::string printIrInstr(const IrProgram &IR, uint32_t I,
                          const SecurityLattice &Lat);
 
-/// Renders the whole program (slots, then instructions).
+/// Renders the whole program (slots, then each instruction line followed
+/// by its micro-op lines).
 std::string printIr(const IrProgram &IR, const SecurityLattice &Lat);
 
 } // namespace zam

@@ -79,70 +79,68 @@ private:
     return Out.Slots[It->second];
   }
 
-  void lowerExprInto(const Expr &E, SourceLoc Inherited, IrExpr &Ex,
+  /// Appends \p E's micro-ops to the pool. \p Depth is the static
+  /// value-stack depth before the operation; the operation's register is
+  /// \p BaseReg plus its stack position.
+  void lowerExprInto(const Expr &E, SourceLoc Inherited, uint32_t BaseReg,
                      uint32_t &Depth) {
     // The effective attribution location: the innermost valid source
     // location on the path from the command — exactly the tree engines'
     // LocScope narrowing.
     SourceLoc L = E.loc().isValid() ? E.loc() : Inherited;
-    ExprOp Op;
-    Op.Loc = L;
+    IrUop U;
+    U.Loc = L;
     switch (E.kind()) {
     case Expr::Kind::IntLit:
-      Op.K = ExprOp::Kind::PushConst;
-      Op.Const = cast<IntLitExpr>(E).value();
-      push(Ex, Op, Depth);
-      return;
-    case Expr::Kind::Var: {
-      Op.K = ExprOp::Kind::LoadVar;
-      const IrSlotInfo &S = resolve(cast<VarExpr>(E).name(), Op.Slot);
-      Op.Base = S.Base;
-      push(Ex, Op, Depth);
-      return;
-    }
+      U.Kind = IrUop::K::Const;
+      U.Imm = cast<IntLitExpr>(E).value();
+      ++Depth;
+      break;
+    case Expr::Kind::Var:
+      U.Kind = IrUop::K::Var;
+      U.Base = resolve(cast<VarExpr>(E).name(), U.Slot).Base;
+      ++Depth;
+      break;
     case Expr::Kind::ArrayRead: {
       const auto &AR = cast<ArrayReadExpr>(E);
-      lowerExprInto(AR.index(), L, Ex, Depth);
-      Op.K = ExprOp::Kind::LoadElem;
-      const IrSlotInfo &S = resolve(AR.array(), Op.Slot);
-      Op.Base = S.Base;
-      Op.ElemCount = S.Size;
-      Ex.Ops.push_back(Op); // Pops the index, pushes the element.
-      return;
+      lowerExprInto(AR.index(), L, BaseReg, Depth);
+      U.Kind = IrUop::K::Elem; // Replaces the index with the element.
+      const IrSlotInfo &S = resolve(AR.array(), U.Slot);
+      U.Base = S.Base;
+      U.Mod = S.Size;
+      break;
     }
     case Expr::Kind::BinOp: {
       const auto &BO = cast<BinOpExpr>(E);
-      lowerExprInto(BO.lhs(), L, Ex, Depth);
-      lowerExprInto(BO.rhs(), L, Ex, Depth);
-      Op.K = ExprOp::Kind::Bin;
-      Op.BinOp = BO.op();
-      Ex.Ops.push_back(Op);
-      --Depth; // Pops two, pushes one.
-      return;
+      lowerExprInto(BO.lhs(), L, BaseReg, Depth);
+      lowerExprInto(BO.rhs(), L, BaseReg, Depth);
+      U.Kind = IrUop::K::Bin;
+      U.Op2 = static_cast<uint8_t>(BO.op());
+      --Depth; // Two operands in, one result out.
+      break;
     }
     case Expr::Kind::UnOp: {
       const auto &UO = cast<UnOpExpr>(E);
-      lowerExprInto(UO.sub(), L, Ex, Depth);
-      Op.K = ExprOp::Kind::Un;
-      Op.UnOp = UO.op();
-      Ex.Ops.push_back(Op);
-      return;
+      lowerExprInto(UO.sub(), L, BaseReg, Depth);
+      U.Kind = IrUop::K::Un;
+      U.Op2 = static_cast<uint8_t>(UO.op());
+      break;
     }
     }
+    // Every kind leaves its result on top of the stack.
+    U.Dst = static_cast<uint16_t>(BaseReg + Depth - 1);
+    Out.NumRegs = std::max(Out.NumRegs, BaseReg + Depth);
+    Out.Uops.push_back(U);
   }
 
-  void push(IrExpr &Ex, const ExprOp &Op, uint32_t &Depth) {
-    Ex.Ops.push_back(Op);
-    ++Depth;
-    Ex.MaxDepth = std::max(Ex.MaxDepth, Depth);
-    Out.MaxEvalDepth = std::max(Out.MaxEvalDepth, Ex.MaxDepth);
-  }
-
-  IrExpr lowerExprFor(const Expr &E, const Cmd &C) {
-    IrExpr Ex;
+  /// Lowers \p E, evaluated by \p C, into the span [\p U, \p U + \p N)
+  /// with registers based at \p BaseReg; the result lands in r[BaseReg].
+  void lowerExprFor(const Expr &E, const Cmd &C, uint32_t BaseReg,
+                    uint32_t &U, uint32_t &N) {
+    U = static_cast<uint32_t>(Out.Uops.size());
     uint32_t Depth = 0;
-    lowerExprInto(E, C.loc(), Ex, Depth);
-    return Ex;
+    lowerExprInto(E, C.loc(), BaseReg, Depth);
+    N = static_cast<uint32_t>(Out.Uops.size()) - U;
   }
 
   /// The static skeleton shared by every instruction lowered from \p C.
@@ -185,7 +183,7 @@ private:
       I.K = IrInstr::Op::Assign;
       const IrSlotInfo &S = resolve(A.var(), I.Slot);
       I.SlotBase = S.Base;
-      I.E0 = lowerExprFor(A.value(), C);
+      lowerExprFor(A.value(), C, 0, I.U0, I.N0);
       Exits.push_back({emit(std::move(I))});
       return;
     }
@@ -197,8 +195,9 @@ private:
       const IrSlotInfo &S = resolve(A.array(), I.Slot);
       I.SlotBase = S.Base;
       I.ElemCount = S.Size;
-      I.E0 = lowerExprFor(A.index(), C);
-      I.E1 = lowerExprFor(A.value(), C);
+      lowerExprFor(A.index(), C, 0, I.U0, I.N0);
+      // The stored value evaluates with the index still live in r0.
+      lowerExprFor(A.value(), C, 1, I.U1, I.N1);
       Exits.push_back({emit(std::move(I))});
       return;
     }
@@ -207,7 +206,7 @@ private:
       const auto &If = cast<IfCmd>(C);
       IrInstr I = base(C);
       I.K = IrInstr::Op::Branch;
-      I.E0 = lowerExprFor(If.cond(), C);
+      lowerExprFor(If.cond(), C, 0, I.U0, I.N0);
       uint32_t B = emit(std::move(I));
       Out.Instrs[B].Target = B + 1; // Then-block follows immediately.
       lowerCmd(If.thenCmd(), Depth, Exits);
@@ -222,7 +221,7 @@ private:
       IrInstr I = base(C);
       I.K = IrInstr::Op::Branch;
       I.IsLoop = true;
-      I.E0 = lowerExprFor(W.cond(), C);
+      lowerExprFor(W.cond(), C, 0, I.U0, I.N0);
       uint32_t B = emit(std::move(I));
       Out.Instrs[B].Target = B + 1; // Body follows immediately.
       std::vector<PatchRef> BodyExits;
@@ -236,7 +235,7 @@ private:
       const auto &S = cast<SleepCmd>(C);
       IrInstr I = base(C);
       I.K = IrInstr::Op::Sleep;
-      I.E0 = lowerExprFor(S.duration(), C);
+      lowerExprFor(S.duration(), C, 0, I.U0, I.N0);
       Exits.push_back({emit(std::move(I))});
       return;
     }
@@ -252,7 +251,7 @@ private:
       Enter.Policy = &Policies.forSite(M.mitigateId());
       auto PcIt = Pc->find(C.nodeId());
       Enter.PcLabel = PcIt != Pc->end() ? PcIt->second : P.lattice().bottom();
-      Enter.E0 = lowerExprFor(M.initialEstimate(), C);
+      lowerExprFor(M.initialEstimate(), C, 0, Enter.U0, Enter.N0);
       uint32_t E = emit(std::move(Enter));
       Out.Instrs[E].Next = E + 1; // Body follows immediately.
 

@@ -7,12 +7,15 @@
 ///
 /// \file
 /// Compiles a type-checked, label-complete program (or a detached labeled
-/// command) into the flat timing-IR of Ir.h. Lowering resolves everything
-/// static once: variable names become dense slot indices with the exact
-/// Memory::fromProgram address layout, each command's code address and
-/// [er, ew] labels are baked into its instruction, mitigate sites carry
-/// their static pc label, and every expression becomes an evaluation-order
-/// postfix sequence with per-operation attribution locations.
+/// command) into the flat timing-IR of Ir.h, in one pass. Lowering
+/// resolves everything static once: variable names become dense slot
+/// indices with the exact Memory::fromProgram address layout, each
+/// command's code address and [er, ew] labels are baked into its
+/// instruction, mitigate sites carry their static pc label, and every
+/// expression becomes a span of register micro-ops, in evaluation order,
+/// with per-operation attribution locations. Registers come from the
+/// static value-stack depth: an expression's result lands in r0, and an
+/// array store's value in r1, above the live index.
 ///
 /// Lowering fails fatally on a program without a body or on a command
 /// missing timing labels — the same eager contract the engines enforced.

@@ -12,19 +12,15 @@ using namespace zam;
 CompiledProgram::CompiledProgram(const Program &P,
                                  const InterpreterOptions &Opts)
     : P(P), Costs(Opts.Costs), Mitigation(Opts.Mitigation),
-      IR(std::make_unique<IrProgram>(
-          lowerProgram(P, Opts.Costs, Opts.Mitigation))),
-      LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
-      Init(Memory::fromProgram(P, Opts.Costs.DataBase, IR->Names)) {}
+      IR(lowerProgram(P, Opts.Costs, Opts.Mitigation)),
+      Init(Memory::fromProgram(P, Opts.Costs.DataBase, IR.Names)) {}
 
 CompiledProgram::CompiledProgram(const Program &P, CmdPtr C,
                                  const InterpreterOptions &Opts)
     : P(P), Owned(std::move(C)), Costs(Opts.Costs),
       Mitigation(Opts.Mitigation),
-      IR(std::make_unique<IrProgram>(
-          lowerCommand(P, *Owned, Opts.Costs, Opts.Mitigation))),
-      LIR(std::make_unique<LirProgram>(lowerToLir(*IR))),
-      Init(Memory::fromProgram(P, Opts.Costs.DataBase, IR->Names)) {}
+      IR(lowerCommand(P, *Owned, Opts.Costs, Opts.Mitigation)),
+      Init(Memory::fromProgram(P, Opts.Costs.DataBase, IR.Names)) {}
 
 CompiledProgram::~CompiledProgram() = default;
 

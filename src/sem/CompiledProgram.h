@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The executable form of a program: its timing-IR, the LIR, and the
-/// initial memory image. Compiling depends on the program and on two fields
-/// of InterpreterOptions, the *lowering inputs* — Costs and Mitigation —
-/// and on nothing a run changes. Workloads that run one program many times
-/// (a login session's attempts, RSA decryptions, adversary samples,
-/// scenario runs) therefore compile once; each run then copies only the
-/// memory image.
+/// The executable form of a program: its lowered IR (the one program form
+/// of ir/Ir.h, held by value) and the initial memory image. Compiling
+/// depends on the program and on two fields of InterpreterOptions, the
+/// *lowering inputs* — Costs and Mitigation — and on nothing a run
+/// changes. Workloads that run one program many times (a login session's
+/// attempts, RSA decryptions, adversary samples, scenario runs) therefore
+/// compile once; each run then copies only the memory image.
 ///
 /// A compiled form is immutable, so any number of engines on any number of
 /// threads may share one. An engine handed options whose lowering inputs
@@ -25,12 +25,9 @@
 #define ZAM_SEM_COMPILEDPROGRAM_H
 
 #include "ir/Ir.h"
-#include "ir/Lir.h"
 #include "lang/Ast.h"
 #include "sem/InterpreterOptions.h"
 #include "sem/Memory.h"
-
-#include <memory>
 
 namespace zam {
 
@@ -50,8 +47,7 @@ public:
   ~CompiledProgram();
 
   const Program &program() const { return P; }
-  const IrProgram &ir() const { return *IR; }
-  const LirProgram &lir() const { return *LIR; }
+  const IrProgram &ir() const { return IR; }
   /// The memory every run starts from: the declarations laid out from
   /// Costs.DataBase, before any run-specific input is poked in.
   const Memory &initialMemory() const { return Init; }
@@ -75,9 +71,7 @@ private:
   /// The lowering inputs, as compiled.
   CostModel Costs;
   PolicySelection Mitigation;
-  /// The LIR borrows the IR, so declaration order matters.
-  std::unique_ptr<IrProgram> IR;
-  std::unique_ptr<LirProgram> LIR;
+  IrProgram IR;
   Memory Init;
 };
 

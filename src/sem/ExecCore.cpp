@@ -1,4 +1,4 @@
-//===- ExecCore.cpp - The shared LIR execution core -----------------------===//
+//===- ExecCore.cpp - The shared execution core ---------------------------===//
 
 #include "sem/ExecCore.h"
 
@@ -11,12 +11,12 @@
 
 using namespace zam;
 
-ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
+ExecCore::ExecCore(const IrProgram &IR, const Program &P, Memory InitM,
                    MachineEnv &Env, InterpreterOptions &&Options)
-    : L(L), P(P), Env(Env), Opts(std::move(Options)), Probe(Opts.Probe),
+    : IR(IR), P(P), Env(Env), Opts(std::move(Options)), Probe(Opts.Probe),
       Prov(Opts.Provenance), BaseStepCost(Opts.Costs.BaseStep),
-      AluCost(Opts.Costs.AluOp), M(std::move(InitM)), Code(L.Insts.data()),
-      Uops(L.Uops.data()),
+      AluCost(Opts.Costs.AluOp), M(std::move(InitM)), Code(IR.Instrs.data()),
+      Uops(IR.Uops.data()),
       TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr),
       RetainEvents(Opts.RetainEvents) {
   MitState = Opts.SharedMitState
@@ -31,9 +31,9 @@ ExecCore::ExecCore(const LirProgram &L, const Program &P, Memory InitM,
   static_assert(sizeof(const int64_t *) == sizeof(int64_t) &&
                 alignof(MitFrame) <= alignof(int64_t) &&
                 sizeof(MitFrame) % sizeof(int64_t) == 0);
-  NumRegs = L.NumRegs ? L.NumRegs : 1;
+  NumRegs = IR.NumRegs ? IR.NumRegs : 1;
   const size_t NumSlots = M.slotCount();
-  MaxDepth = L.IR->MaxMitDepth;
+  MaxDepth = IR.MaxMitDepth;
   Scratch = std::make_unique_for_overwrite<std::byte[]>(
       (NumRegs + NumSlots) * sizeof(int64_t) + MaxDepth * sizeof(MitFrame));
   Regs = reinterpret_cast<int64_t *>(Scratch.get());
@@ -71,7 +71,7 @@ void ExecCore::beginRun() {
   Cur = CostCursor();
   Halted = false;
   if (Probe)
-    Probe->onProgram(*L.IR);
+    Probe->onProgram(IR);
   if (Code[PC].K == IrInstr::Op::Halt) {
     Halted = true;
     finalize();
@@ -117,24 +117,24 @@ void ExecCore::record(uint32_t Slot, Label VarLabel, bool IsArray,
   E.Time = G;
 }
 
-int64_t ExecCore::evalSpan(const LirInst &I, uint32_t U, uint32_t N,
+int64_t ExecCore::evalSpan(const IrInstr &I, uint32_t U, uint32_t N,
                            uint64_t &Cycles) {
   int64_t *R = Regs;
-  const LirUop *Op = Uops + U;
-  const LirUop *const End = Op + N;
+  const IrUop *Op = Uops + U;
+  const IrUop *const End = Op + N;
   uint16_t Result = 0;
   for (; Op != End; ++Op) {
     switch (Op->Kind) {
-    case LirUop::K::Const: // Immediate operand: free.
+    case IrUop::K::Const: // Immediate operand: free.
       R[Op->Dst] = Op->Imm;
       break;
-    case LirUop::K::Var:
+    case IrUop::K::Var:
       if (TrackCursor)
         Cur.Loc = Op->Loc;
       Cycles += Env.dataAccess(Op->Base, /*IsStore=*/false, I.Read, I.Write);
       R[Op->Dst] = SlotData[Op->Slot][0];
       break;
-    case LirUop::K::Elem: {
+    case IrUop::K::Elem: {
       const uint64_t W = Memory::wrapRaw(R[Op->Dst], Op->Mod);
       if (TrackCursor)
         Cur.Loc = Op->Loc;
@@ -144,12 +144,12 @@ int64_t ExecCore::evalSpan(const LirInst &I, uint32_t U, uint32_t N,
       R[Op->Dst] = SlotData[Op->Slot][W];
       break;
     }
-    case LirUop::K::Bin:
+    case IrUop::K::Bin:
       R[Op->Dst] = applyBinOp(static_cast<BinOpKind>(Op->Op2), R[Op->Dst],
                               R[Op->Dst + 1]);
       Cycles += AluCost;
       break;
-    case LirUop::K::Un:
+    case IrUop::K::Un:
       R[Op->Dst] = applyUnOp(static_cast<UnOpKind>(Op->Op2), R[Op->Dst]);
       Cycles += AluCost;
       break;
@@ -163,7 +163,7 @@ int64_t ExecCore::evalSpan(const LirInst &I, uint32_t U, uint32_t N,
   return R[Result];
 }
 
-void ExecCore::execSkip(const LirInst &I) {
+void ExecCore::execSkip(const IrInstr &I) {
   head(I);
   const uint64_t Cycles = stepBase(I);
   charge(CycleKind::Step, Cycles);
@@ -171,7 +171,7 @@ void ExecCore::execSkip(const LirInst &I) {
   PC = I.Next;
 }
 
-void ExecCore::execAssign(const LirInst &I) {
+void ExecCore::execAssign(const IrInstr &I) {
   head(I);
   ++T.Ops.Assignments;
   uint64_t Cycles = stepBase(I);
@@ -185,7 +185,7 @@ void ExecCore::execAssign(const LirInst &I) {
   PC = I.Next;
 }
 
-void ExecCore::execStore(const LirInst &I) {
+void ExecCore::execStore(const IrInstr &I) {
   head(I);
   ++T.Ops.Assignments;
   uint64_t Cycles = stepBase(I);
@@ -203,7 +203,7 @@ void ExecCore::execStore(const LirInst &I) {
   PC = I.Next;
 }
 
-void ExecCore::execBranch(const LirInst &I) {
+void ExecCore::execBranch(const IrInstr &I) {
   head(I);
   ++T.Ops.Branches;
   uint64_t Cycles = stepBase(I) + Opts.Costs.Branch;
@@ -215,7 +215,7 @@ void ExecCore::execBranch(const LirInst &I) {
   PC = Guard != 0 ? I.Target : I.Next;
 }
 
-void ExecCore::execSleep(const LirInst &I) {
+void ExecCore::execSleep(const IrInstr &I) {
   head(I);
   // Sleep is a calibrated timer, not a fetched instruction: with a
   // literal argument it consumes exactly max(n, 0) cycles (Property 4).
@@ -230,7 +230,7 @@ void ExecCore::execSleep(const LirInst &I) {
   PC = I.Next;
 }
 
-void ExecCore::execMitEnter(const LirInst &I) {
+void ExecCore::execMitEnter(const IrInstr &I) {
   head(I);
   ++T.Ops.MitigateEntries;
   uint64_t Cycles = stepBase(I);
@@ -250,7 +250,7 @@ void ExecCore::execMitEnter(const LirInst &I) {
   PC = I.Next;
 }
 
-void ExecCore::execMitEnd(const LirInst &I) {
+void ExecCore::execMitEnd(const IrInstr &I) {
   head(I);
   // The paper's MitigateEnd continuation: no fetch, no base cost — only
   // the update rule and the padding to the final prediction.
@@ -289,7 +289,7 @@ void ExecCore::execMitEnd(const LirInst &I) {
   PC = I.Next;
 }
 
-void ExecCore::execInstr(const LirInst &I) {
+void ExecCore::execInstr(const IrInstr &I) {
   switch (I.K) {
   case IrInstr::Op::Skip:
     execSkip(I);
@@ -315,7 +315,7 @@ void ExecCore::execInstr(const LirInst &I) {
   case IrInstr::Op::Halt:
     return; // Unreachable: step()/run() never execute Halt.
   }
-  reportFatalError("unexpected instruction in LIR execution");
+  reportFatalError("unexpected instruction in IR execution");
 }
 
 void ExecCore::step() {

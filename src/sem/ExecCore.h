@@ -1,4 +1,4 @@
-//===- ExecCore.h - The shared LIR execution core ---------------*- C++ -*-===//
+//===- ExecCore.h - The shared execution core -------------------*- C++ -*-===//
 //
 // Part of the zam project: a reproduction of "Language-Based Control and
 // Mitigation of Timing Channels" (Zhang, Askarov, Myers; PLDI 2012).
@@ -9,8 +9,9 @@
 /// One execution core for the full semantics (Fig. 2 + Fig. 6), shared by
 /// both engines: FullInterpreter is a run-to-completion driver over it and
 /// StepInterpreter a resumable program-counter cursor. The core executes
-/// the LIR tier (ir/Lir.h) — the timing-IR flattened into register-slot
-/// micro-ops — and owns everything a transition involves:
+/// the lowered program (ir/Ir.h) — one instruction per transition, its
+/// expression work as register micro-ops — and owns everything a
+/// transition involves:
 ///
 ///   - expression evaluation as register-transfer micro-ops (no run-time
 ///     value stack: operand registers and addresses are precomputed);
@@ -18,7 +19,7 @@
 ///     (+ Branch for guards; sleep is a calibrated timer with no fetch);
 ///   - hardware access through the machine environment under the
 ///     instruction's precomputed [er, ew] labels — the machine env is the
-///     security boundary and the LIR tier does not move it;
+///     security boundary and lowering does not move it;
 ///   - predictive mitigation windows (Fig. 6): a frame stack of open
 ///     mitigate sites, settled by MitEnd exactly like the paper's
 ///     MitigateEnd continuation;
@@ -31,7 +32,7 @@
 /// freely: a run resumed after any number of single steps observes exactly
 /// what an uninterrupted run does.
 ///
-/// The LIR is immutable; the core holds all run state, so engines stay
+/// The program is immutable; the core holds all run state, so engines stay
 /// thin wrappers that only decide when to call step()/run() and when to
 /// install the hardware observer. All of that state is set by one per-run
 /// initialisation, which construction and restart() share: a restarted
@@ -46,7 +47,6 @@
 
 #include "hw/MachineEnv.h"
 #include "ir/Ir.h"
-#include "ir/Lir.h"
 #include "sem/Eval.h"
 #include "sem/Event.h"
 #include "sem/InterpreterOptions.h"
@@ -62,16 +62,15 @@ namespace zam {
 
 class ExecCore final : public HwObserver {
 public:
-  /// Executes \p L (which, with its IR tier, must outlive the core) with
-  /// initial memory \p InitM on \p Env under \p Opts, which the core
-  /// takes over (the run's one copy). \p P provides the lattice and
-  /// declarations.
+  /// Executes \p IR (which must outlive the core) with initial memory
+  /// \p InitM on \p Env under \p Opts, which the core takes over (the
+  /// run's one copy). \p P provides the lattice and declarations.
   ///
   /// Construction allocates only what the run needs: the register file,
   /// the slot-data pointers and the mitigate frame stack share one block
   /// (the stack sized by the IR's static nesting bound), and the core's
   /// own Miss table is built only when Opts.SharedMitState is unset.
-  ExecCore(const LirProgram &L, const Program &P, Memory InitM,
+  ExecCore(const IrProgram &IR, const Program &P, Memory InitM,
            MachineEnv &Env, InterpreterOptions &&Opts);
   /// Pinned: the engines register the core as Env's observer, and it
   /// points into itself (MitState).
@@ -116,16 +115,16 @@ private:
 
   /// Per-opcode bodies. Each begins with the shared dispatch head
   /// (cursor + probe) and fully executes one logical transition.
-  void execSkip(const LirInst &I);
-  void execAssign(const LirInst &I);
-  void execStore(const LirInst &I);
-  void execBranch(const LirInst &I);
-  void execSleep(const LirInst &I);
-  void execMitEnter(const LirInst &I);
-  void execMitEnd(const LirInst &I);
+  void execSkip(const IrInstr &I);
+  void execAssign(const IrInstr &I);
+  void execStore(const IrInstr &I);
+  void execBranch(const IrInstr &I);
+  void execSleep(const IrInstr &I);
+  void execMitEnter(const IrInstr &I);
+  void execMitEnd(const IrInstr &I);
   /// One transition of the instruction at \p I (a switch over the bodies
   /// above). Never called on Halt.
-  void execInstr(const LirInst &I);
+  void execInstr(const IrInstr &I);
 
   /// The per-run initialisation of construction and restart(): empties
   /// the trace's vectors (keeping their storage), zeroes the counters,
@@ -134,7 +133,7 @@ private:
   /// at once on a program that is only Halt.
   void beginRun();
   void finalize();
-  void head(const LirInst &I) {
+  void head(const IrInstr &I) {
     // Attribution: every transition moves the cursor to its instruction's
     // source location before any of its costs (including the I-fetch).
     if (TrackCursor)
@@ -142,7 +141,7 @@ private:
     if (Probe)
       Probe->onDispatch(PC);
   }
-  uint64_t stepBase(const LirInst &I) {
+  uint64_t stepBase(const IrInstr &I) {
     return BaseStepCost + Env.fetch(I.CodeAddr, I.Read, I.Write);
   }
   void charge(CycleKind K, uint64_t N) {
@@ -152,7 +151,7 @@ private:
   /// Executes the micro-op span [\p U, \p U + \p N) of \p I and returns
   /// its value. Restores the cursor to the instruction's own location, so
   /// costs charged after evaluation attribute to the command.
-  int64_t evalSpan(const LirInst &I, uint32_t U, uint32_t N,
+  int64_t evalSpan(const IrInstr &I, uint32_t U, uint32_t N,
                    uint64_t &Cycles);
   void record(uint32_t Slot, Label VarLabel, bool IsArray, uint64_t Index,
               int64_t Value);
@@ -171,7 +170,7 @@ private:
     const MitigationPolicy *Policy = nullptr;
   };
 
-  const LirProgram &L;
+  const IrProgram &IR;
   const Program &P;
   MachineEnv &Env;
   InterpreterOptions Opts;
@@ -189,8 +188,8 @@ private:
   /// The Miss table, unless Opts.SharedMitState supplies one.
   std::optional<MitigationState> OwnMitState;
   MitigationState *MitState;
-  const LirInst *Code; ///< The instruction array.
-  const LirUop *Uops;  ///< The shared micro-op pool.
+  const IrInstr *Code; ///< The instruction array.
+  const IrUop *Uops;   ///< The shared micro-op pool.
   Trace T;
   uint64_t G = 0;
   uint32_t PC = 0;

@@ -16,13 +16,13 @@ FullInterpreter::FullInterpreter(const Program &P, MachineEnv &Env,
 FullInterpreter::FullInterpreter(std::unique_ptr<CompiledProgram> C,
                                  MachineEnv &Env, InterpreterOptions Opts)
     : Env(Env), Owned(std::move(C)),
-      Core(Owned->lir(), Owned->program(), Owned->takeInitialMemory(), Env,
+      Core(Owned->ir(), Owned->program(), Owned->takeInitialMemory(), Env,
            std::move(Opts)) {}
 
 FullInterpreter::FullInterpreter(const CompiledProgram &C, MachineEnv &Env,
                                  InterpreterOptions Opts)
     : Env(Env), Image(&C.initialMemory()),
-      Core(C.lir(), C.program(),
+      Core(C.ir(), C.program(),
            (C.requireInputsOf(Opts, "FullInterpreter"), C.initialMemory()),
            Env, std::move(Opts)) {}
 

@@ -66,10 +66,10 @@ public:
 
   /// Dense slot-index fast path used by the IR execution core. Indices
   /// follow declaration order — the same numbering the lowering pass bakes
-  /// into LoadVar/LoadElem/Assign operands — so no name resolution happens
+  /// into load micro-ops and store operands — so no name resolution happens
   /// on the execution path. Unchecked in production (the lowering pass is
-  /// the sole producer of indices and LIR operands are precomputed from
-  /// it); sanitizer builds verify the contract on every access.
+  /// the sole producer of indices); sanitizer builds verify the contract on
+  /// every access.
   size_t slotCount() const { return Slots.size(); }
   const MemorySlot &slotAt(size_t I) const {
     checkSlotIndex(I, Slots.size());

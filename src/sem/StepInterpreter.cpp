@@ -21,7 +21,7 @@ StepInterpreter::StepInterpreter(std::unique_ptr<CompiledProgram> C,
                                  const InterpreterOptions &Opts)
     : Env(Env) {
   Memory M = InitialMemory ? std::move(*InitialMemory) : C->takeInitialMemory();
-  Core = std::make_unique<ExecCore>(C->lir(), C->program(), std::move(M), Env,
+  Core = std::make_unique<ExecCore>(C->ir(), C->program(), std::move(M), Env,
                                     InterpreterOptions(Opts));
   Owned = std::move(C);
   observe(Opts);
@@ -31,7 +31,7 @@ StepInterpreter::StepInterpreter(const CompiledProgram &C, MachineEnv &Env,
                                  InterpreterOptions Opts)
     : Env(Env) {
   C.requireInputsOf(Opts, "StepInterpreter");
-  Core = std::make_unique<ExecCore>(C.lir(), C.program(), C.initialMemory(),
+  Core = std::make_unique<ExecCore>(C.ir(), C.program(), C.initialMemory(),
                                     Env, InterpreterOptions(Opts));
   observe(Opts);
 }

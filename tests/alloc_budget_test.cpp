@@ -131,9 +131,10 @@ TEST(AllocBudget, LoginSessionAttempt) {
   RecordProperty("allocations_per_attempt", static_cast<int>(PerAttempt));
   // 41 with a heap-held core, three separate run vectors, an unused Miss
   // table beside the session's shared one and a throwaway label list; 35
-  // while every attempt built an interpreter. The session now restarts one
-  // in place; what is left is the padding buffers of setLoginRequest's
-  // three MD5 digests of the request strings.
-  EXPECT_LE(PerAttempt, 14u);
+  // while every attempt built an interpreter; 14 while the session
+  // restarted one in place but MD5 still padded each of setLoginRequest's
+  // three digests in a heap vector. MD5 now pads in a fixed buffer, so an
+  // attempt allocates nothing.
+  EXPECT_EQ(PerAttempt, 0u);
 }
 } // namespace

@@ -7,6 +7,9 @@
 
 #include "gtest/gtest.h"
 
+#include <string>
+#include <utility>
+
 using namespace zam;
 
 //===----------------------------------------------------------------------===//
@@ -31,15 +34,22 @@ TEST(Md5, Rfc1321Vectors) {
 }
 
 TEST(Md5, BlockBoundaryLengths) {
-  // Lengths around the 55/56/64-byte padding boundaries.
-  for (size_t Len : {54u, 55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    std::string Input(Len, 'x');
-    Md5Digest D = md5(Input);
-    // Self-consistency: same input, same digest; flip one byte, different.
-    EXPECT_EQ(md5(Input), D);
-    Input[0] = 'y';
-    EXPECT_FALSE(md5(Input) == D);
-  }
+  // Lengths around the 55/56/64-byte padding boundaries, against the
+  // reference digests of 'x' * n (Python's hashlib.md5).
+  const std::pair<size_t, const char *> Cases[] = {
+      {54, "61ea0974c662328da964d977a8253873"},
+      {55, "04364420e25c512fd958a70738aa8f72"},
+      {56, "668a72d5ba17f08e62dabcafad6db14b"},
+      {57, "693037871c4a9d3d8685018905cb530a"},
+      {63, "7dc2ca208106a2f703567bdff99d8981"},
+      {64, "c1bb4f81d892b2d57947682aeb252456"},
+      {65, "1bc932052302d074bdec39795fe00cf6"},
+      {119, "ab347a5f68c8a443cfcddc633f12c24f"},
+      {120, "fb98667f98096de92620b64f46e1c5b5"},
+      {128, "d69cb61a6ee87200676eb0d4b90edbcb"},
+  };
+  for (const auto &[Len, Hex] : Cases)
+    EXPECT_EQ(md5(std::string(Len, 'x')).hex(), Hex) << "length " << Len;
 }
 
 TEST(Md5, Low64IsLittleEndianPrefix) {

@@ -1,15 +1,15 @@
-//===- lir_test.cpp - The register-transfer tier -------------------------===//
+//===- lir_test.cpp - The lowered program's register micro-ops -----------===//
 //
-// The LIR tier under the timing-IR: lowering invariants (verifyLir over
-// random well-typed programs), stable printing, and the resume obligation
-// of the execution core — single steps followed by run() observe exactly
-// what one uninterrupted run does.
+// The one program form: lowering invariants (verifyIr over random
+// well-typed programs and every example), stable printing, and the resume
+// obligation of the execution core — single steps followed by run()
+// observe exactly what one uninterrupted run does.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/RandomProgram.h"
 #include "hw/HardwareModels.h"
-#include "ir/Lir.h"
+#include "ir/IrPrinter.h"
 #include "ir/Lowering.h"
 #include "obs/CostLedger.h"
 #include "sem/ExecCore.h"
@@ -19,6 +19,10 @@
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace zam;
 using namespace zam::test;
@@ -80,25 +84,6 @@ void expectSameObservables(const Observed &A, const Observed &B,
 
 } // namespace
 
-TEST(Lir, LoweringPreservesShapeAndVerifies) {
-  Program P = loopProgram();
-  IrProgram IR = lowerProgram(P);
-  LirProgram L = lowerToLir(IR);
-
-  // 1:1 with the IR tier, micro-ops bounded.
-  ASSERT_EQ(L.Insts.size(), IR.Instrs.size());
-  EXPECT_EQ(L.IR, &IR);
-  EXPECT_GE(L.NumRegs, 1u);
-  std::string Err;
-  EXPECT_TRUE(verifyLir(L, Err)) << Err;
-
-  // Instruction kinds, successors and labels carry over unchanged.
-  for (size_t I = 0; I != L.Insts.size(); ++I) {
-    EXPECT_EQ(L.Insts[I].K, IR.Instrs[I].K) << "pc " << I;
-    EXPECT_EQ(L.Insts[I].Next, IR.Instrs[I].Next) << "pc " << I;
-  }
-}
-
 TEST(Lir, RandomProgramsLowerAndVerify) {
   Rng R(0x11F);
   unsigned Found = 0;
@@ -110,20 +95,68 @@ TEST(Lir, RandomProgramsLowerAndVerify) {
       continue;
     ++Found;
     IrProgram IR = lowerProgram(*P);
-    LirProgram L = lowerToLir(IR);
     std::string Err;
-    ASSERT_TRUE(verifyLir(L, Err)) << Err;
+    ASSERT_TRUE(verifyIr(IR, Err)) << Err;
   }
   ASSERT_GE(Found, 10u);
+  unsigned Examples = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(ZAM_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".zam")
+      continue;
+    ++Examples;
+    std::ifstream In(Entry.path());
+    std::stringstream Source;
+    Source << In.rdbuf();
+    Program P = parseOrDie(Source.str());
+    inferTimingLabels(P);
+    std::string Err;
+    EXPECT_TRUE(verifyIr(lowerProgram(P), Err))
+        << Entry.path().filename() << ": " << Err;
+  }
+  EXPECT_GE(Examples, 6u);
 }
 
 TEST(Lir, PrintLirIsStable) {
   Program P = loopProgram();
   IrProgram IR = lowerProgram(P);
-  LirProgram L = lowerToLir(IR);
-  const std::string First = printLir(L, P.lattice());
-  EXPECT_EQ(First.rfind("lir: ", 0), 0u);
-  EXPECT_EQ(First, printLir(L, P.lattice())) << "rendering must be pure";
+  const std::string First = printIr(IR, P.lattice());
+  EXPECT_EQ(First.rfind("ir: ", 0), 0u);
+  EXPECT_EQ(First, printIr(IR, P.lattice())) << "rendering must be pure";
+  // Each instruction line is followed by its micro-ops; the store's value
+  // is evaluated above the index, in r1.
+  EXPECT_NE(First.find("\n       u0   "), std::string::npos) << First;
+  EXPECT_NE(First.find("-> r1"), std::string::npos) << First;
+}
+
+TEST(Lir, VerifierRejectsBrokenPrograms) {
+  Program P = loopProgram();
+  const IrProgram Good = lowerProgram(P);
+  std::string Err;
+  ASSERT_TRUE(verifyIr(Good, Err)) << Err;
+  uint32_t Store = 0;
+  while (Good.Instrs[Store].K != IrInstr::Op::ArrayAssign)
+    ++Store;
+  const std::pair<const char *, void (*)(IrProgram &, uint32_t)> Breaks[] = {
+      {"successor", [](IrProgram &IR, uint32_t) {
+         IR.Instrs[0].Next = static_cast<uint32_t>(IR.Instrs.size());
+       }},
+      {"span", [](IrProgram &IR, uint32_t S) {
+         IR.Instrs[S].N1 = static_cast<uint32_t>(IR.Uops.size());
+       }},
+      {"register", [](IrProgram &IR, uint32_t S) {
+         IR.Uops[IR.Instrs[S].U1].Dst = static_cast<uint16_t>(IR.NumRegs);
+       }},
+      {"second expression", [](IrProgram &IR, uint32_t S) {
+         IR.Instrs[S - 1].U1 = IR.Instrs[S].U1;
+         IR.Instrs[S - 1].N1 = 1;
+       }},
+  };
+  for (const auto &[What, Break] : Breaks) {
+    IrProgram Bad = Good;
+    Break(Bad, Store);
+    EXPECT_FALSE(verifyIr(Bad, Err)) << What;
+  }
 }
 
 TEST(Lir, StepThenRunResumesExactly) {
@@ -160,11 +193,11 @@ TEST(LirDeathTest, MitigateNestingAboveTheIrBoundIsFatal) {
   IrProgram IR = lowerProgram(P);
   ASSERT_EQ(IR.MaxMitDepth, 1u);
   IR.MaxMitDepth = 0;
-  LirProgram L = lowerToLir(IR);
   auto Env = createMachineEnv(HwKind::Partitioned, P.lattice());
   EXPECT_DEATH(
       {
-        ExecCore Core(L, P, Memory::fromProgram(P, CostModel().DataBase, IR.Names),
+        ExecCore Core(IR, P,
+                      Memory::fromProgram(P, CostModel().DataBase, IR.Names),
                       *Env, InterpreterOptions());
         Core.run();
       },

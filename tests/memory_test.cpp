@@ -163,10 +163,10 @@ TEST(Memory, ThreeLevelEquivalence) {
   EXPECT_TRUE(A.equivalentUpTo(C, L, lmh()));
 }
 
-// Bounds regression: the raw indexed paths the LIR tier leans on (slotAt
-// by precomputed index, wrapRaw by precomputed modulus) carry assertions
-// only in ZAM_SANITIZE builds; there they must die loudly instead of
-// reading out of range. Plain builds skip — the checks compile away.
+// Bounds regression: the raw indexed paths the execution core leans on
+// (slotAt by precomputed index, wrapRaw by precomputed modulus) carry
+// assertions only in ZAM_SANITIZE builds; there they must die loudly
+// instead of reading out of range. Plain builds skip — the checks compile away.
 TEST(MemoryDeathTest, SanitizeChecksCatchRawMisuse) {
 #ifdef ZAM_SANITIZE_CHECKS
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";

@@ -20,6 +20,10 @@
 #                         not an unsigned integer.
 #   MODE=levels           `zamc run` with a 65-level `--levels` names the
 #                         machine environment's lattice-size limit.
+#   MODE=levels_empty     `zamc run` on a label-free program with
+#                         `--levels ''` names the empty level list.
+#   MODE=levels_empty_name  `--levels L,,H` names the empty level name.
+#   MODE=levels_duplicate   `--levels H,L,H` names the repeated level.
 #
 # An array named where a command-line value writes a scalar (it used to
 # write element 0 silently) is rejected like an undeclared variable, with
@@ -72,6 +76,21 @@ elseif(MODE STREQUAL "levels")
   set(COMMAND ${ZAMC} run ${OUT}.zam --hw partitioned --no-equal-labels
               --levels ${LEVELS},H)
   set(EXPECT "--levels names 65 levels; a machine environment holds at most 64")
+  set(EXIT 2)
+elseif(MODE STREQUAL "levels_empty")
+  file(WRITE ${OUT}.zam "skip\n")
+  set(COMMAND sh -c "exec \"$0\" run \"$1\" --levels ''" ${ZAMC} ${OUT}.zam)
+  set(EXPECT "error: --levels names no level")
+  set(EXIT 2)
+elseif(MODE STREQUAL "levels_empty_name")
+  file(WRITE ${OUT}.zam "var h : H;\nvar l : L;\nl := 1\n")
+  set(COMMAND ${ZAMC} run ${OUT}.zam --levels L,,H)
+  set(EXPECT "error: --levels has an empty level name")
+  set(EXIT 2)
+elseif(MODE STREQUAL "levels_duplicate")
+  file(WRITE ${OUT}.zam "var h : H;\nvar l : L;\nl := h\n")
+  set(COMMAND ${ZAMC} run ${OUT}.zam --levels H,L,H)
+  set(EXPECT "error: --levels names 'H' twice")
   set(EXIT 2)
 elseif(MODE STREQUAL "array_set")
   set(COMMAND ${ZAMC} run ${PROGRAMS}/pin.zam --set secret=7)

@@ -58,9 +58,6 @@
 //   --folded FILE         with `hot`: write collapsed stacks (one
 //                         "program;line L;op count" line per source-line/
 //                         opcode pair) for flamegraph.pl or speedscope
-//   --tier ir|lir         with `ir`: which lowering tier to print — the
-//                         timing-IR listing (default) or the
-//                         register-transfer LIR the engines execute
 //   --no-equal-labels     drop the commodity er=ew side condition
 //   --threads N           worker threads for leakage/audit/attack fan-out
 //                         (0 = auto via ZAM_THREADS / hardware)
@@ -108,7 +105,6 @@
 #include "exp/Harness.h"
 #include "exp/ParallelRunner.h"
 #include "ir/IrPrinter.h"
-#include "ir/Lir.h"
 #include "ir/Lowering.h"
 #include "obs/CostLedger.h"
 #include "obs/ExecProfile.h"
@@ -123,6 +119,7 @@
 #include "hw/HardwareModels.h"
 #include "lang/Parser.h"
 #include "lang/PrettyPrinter.h"
+#include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
 #include "sem/TraceDump.h"
 #include "types/LabelInference.h"
@@ -179,7 +176,6 @@ struct Options {
   bool Recommend = false; ///< `profile`: emit per-site policy suggestions.
   unsigned TopK = 10;     ///< `hot`: ranking depth for pcs and digrams.
   std::string FoldedPath; ///< `hot`: collapsed-stack output (empty: none).
-  std::string IrTier = "ir"; ///< `ir`: which tier to dump (ir | lir).
   uint64_t Seed = 0;      ///< --seed: base Rng seed for sampled commands.
   bool SeedSet = false;   ///< Whether --seed was given explicitly.
   unsigned Samples = 256; ///< `attack`: total sampled executions.
@@ -218,7 +214,6 @@ int usage(const std::string &BadArg = "") {
       "  [--adversary LEVEL] [--no-equal-labels]\n"
       "  [--mitigation SPEC] [--mitigate-site ETA=SPEC]...\n"
       "  [--recommend] [--top N] [--folded FILE]\n"
-      "  [--tier ir|lir]\n"
       "  [--threads N] [--seed S] [--json FILE]\n"
       "  [--stats[=FILE]] [--trace-out FILE]\n"
       "  [--trace-format jsonl|chrome|ztb] [--progress]\n"
@@ -291,11 +286,21 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!V)
         return false;
       Opts.Levels = splitCommas(V);
-      if (Opts.Levels.size() > kMaxLatticeLevels) {
-        std::fprintf(stderr,
-                     "error: --levels names %zu levels; a machine "
-                     "environment holds at most %u (kMaxLatticeLevels)\n",
-                     Opts.Levels.size(), kMaxLatticeLevels);
+      if (*V && V[std::strlen(V) - 1] == ',')
+        Opts.Levels.emplace_back(); // The empty name getline drops.
+      const auto &Ls = Opts.Levels;
+      std::string Why = *V ? "" : "names no level";
+      if (Ls.size() > kMaxLatticeLevels)
+        Why = "names " + std::to_string(Ls.size()) +
+              " levels; a machine environment holds at most " +
+              std::to_string(kMaxLatticeLevels) + " (kMaxLatticeLevels)";
+      for (auto It = Ls.begin(); Why.empty() && It != Ls.end(); ++It)
+        if (It->empty())
+          Why = "has an empty level name";
+        else if (std::find(Ls.begin(), It, *It) != It)
+          Why = "names '" + *It + "' twice";
+      if (!Why.empty()) {
+        std::fprintf(stderr, "error: --levels %s\n", Why.c_str());
         return false;
       }
     } else if (Arg == "--hw") {
@@ -441,11 +446,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       Opts.TraceFmt = *F;
       Opts.TraceFmtSet = true;
-    } else if (Arg == "--tier") {
-      const char *V = Next();
-      if (!V || (std::strcmp(V, "ir") != 0 && std::strcmp(V, "lir") != 0))
-        return false;
-      Opts.IrTier = V;
     } else if (Arg == "--progress") {
       Opts.Progress = true;
     } else if (Arg == "--snapshot-every") {
@@ -963,13 +963,6 @@ int cmdProfile(Program &P, const Options &Opts, const std::string &Source) {
 int cmdHot(Program &P, const Options &Opts) {
   if (int Rc = checkProgram(P, Opts, /*Verbose=*/false))
     return Rc;
-  // Lower a local copy for the annotated listing; the interpreter lowers
-  // identically (same program, costs and policy selection), and the probe
-  // verifies the shapes agree.
-  IrProgram IR = [&] {
-    auto Scope = Phases.scope("lower");
-    return lowerProgram(P, CostModel(), Opts.Mitigation);
-  }();
   auto Env = createMachineEnv(Opts.Hw, P.lattice());
   bool AdvErr = false;
   std::optional<Label> Adv = adversaryLabel(Opts, P.lattice(), AdvErr);
@@ -985,7 +978,14 @@ int cmdHot(Program &P, const Options &Opts) {
     IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &R) {
       Audit.onWindow(R);
     };
-  FullInterpreter Interp(P, *Env, IOpts);
+  // One compiled form serves the run and the annotated listing; the probe
+  // checks that it saw the same shape.
+  const CompiledProgram C = [&] {
+    auto Scope = Phases.scope("lower");
+    return CompiledProgram(P, IOpts);
+  }();
+  const IrProgram &IR = C.ir();
+  FullInterpreter Interp(C, *Env, IOpts);
   if (!applyOverrides(P, Opts, Interp.memory()))
     return 1;
   RunResult R = [&] {
@@ -1774,16 +1774,10 @@ int main(int Argc, char **Argv) {
         auto Scope = Phases.scope("lower");
         return lowerProgram(*P, CostModel(), Opts.Mitigation);
       }();
-      if (Opts.IrTier == "lir") {
-        // The executable tier: register-transfer micro-ops.
-        const LirProgram L = lowerToLir(IR);
-        std::string Err;
-        if (!verifyLir(L, Err)) {
-          std::fprintf(stderr, "error: %s\n", Err.c_str());
-          return 1;
-        }
-        std::printf("%s", printLir(L, P->lattice()).c_str());
-        return 0;
+      std::string Err;
+      if (!verifyIr(IR, Err)) {
+        std::fprintf(stderr, "error: %s\n", Err.c_str());
+        return 1;
       }
       std::printf("%s", printIr(IR, P->lattice()).c_str());
       return 0;
