@@ -245,7 +245,7 @@ void HardwareEnv::install(Cache *P, Addr A, uint32_t Target, bool Dirty) {
 template <bool Observed>
 [[gnu::always_inline]] inline uint64_t
 HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
-                             bool IsStore, HwAccess *Acc) {
+                             bool IsStore) {
   Cache *const Tlb = parts(IsData ? kDTlb : kITlb);
   Cache *const L1 = parts(IsData ? kL1D : kL1I);
   Cache *const L2 = parts(IsData ? kL2D : kL2I);
@@ -258,13 +258,31 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
   // structures, so it is resolved once.
   const HwPlan::Route &R = Routes[Read.index() * Levels + Write.index()];
   const bool FirstProbeOnly = BottomProbeOnly >> Write.index() & 1;
-  // Observed deltas sum over the structure's partitions: an install may
-  // displace stale copies from several of them.
-  auto Install = [&](Cache *P, HwEventDelta *D, bool Dirty) {
+  // What an observed miss reports, kept in scalars so that an access that
+  // hits in the TLB and the L1 builds no report. Observed deltas sum over
+  // the structure's partitions: an install may displace stale copies from
+  // several of them.
+  bool TlbMiss = false;
+  HwEventDelta TlbEvents, L1Events, L2Events;
+  auto Install = [&](Cache *P, HwEventDelta &D, bool Dirty) {
     if constexpr (Observed)
-      trackInstall(P, Parts, *D, [&] { install(P, A, R.Target, Dirty); });
+      trackInstall(P, Parts, D, [&] { install(P, A, R.Target, Dirty); });
     else
       install(P, A, R.Target, Dirty);
+  };
+  auto Report = [&](bool L1Miss, bool L2Miss, uint64_t Cycles) {
+    HwAccess Acc;
+    Acc.A = A;
+    Acc.IsData = IsData;
+    Acc.IsStore = IsStore;
+    Acc.TlbMiss = TlbMiss;
+    Acc.L1Miss = L1Miss;
+    Acc.L2Miss = L2Miss;
+    Acc.Cycles = Cycles;
+    Acc.TlbEvents = TlbEvents;
+    Acc.L1Events = L1Events;
+    Acc.L2Events = L2Events;
+    notifyAccess(Acc);
   };
   uint64_t Cycles = 0;
 
@@ -272,32 +290,34 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
     ++TlbStats.Hits;
   } else {
     ++TlbStats.Misses;
-    if constexpr (Observed)
-      Acc->TlbMiss = true;
+    TlbMiss = true;
     Cycles += Tlb[0].latency();
-    Install(Tlb, Observed ? &Acc->TlbEvents : nullptr, false);
+    Install(Tlb, TlbEvents, false);
   }
 
   Cycles += L1[0].latency();
   if (walkRoute(L1, A, FirstProbeOnly, R, Lookup, IsStore)) {
     ++L1Stats.Hits;
+    if constexpr (Observed)
+      if (TlbMiss)
+        Report(/*L1Miss=*/false, /*L2Miss=*/false, Cycles);
     return Cycles;
   }
   ++L1Stats.Misses;
-  if constexpr (Observed)
-    Acc->L1Miss = true;
 
   Cycles += L2[0].latency();
+  bool L2Miss = false;
   if (walkRoute(L2, A, FirstProbeOnly, R, Lookup, false)) {
     ++L2Stats.Hits;
   } else {
     ++L2Stats.Misses;
-    if constexpr (Observed)
-      Acc->L2Miss = true;
+    L2Miss = true;
     Cycles += Config.MemLatency;
-    Install(L2, Observed ? &Acc->L2Events : nullptr, false);
+    Install(L2, L2Events, false);
   }
-  Install(L1, Observed ? &Acc->L1Events : nullptr, IsStore);
+  Install(L1, L1Events, IsStore);
+  if constexpr (Observed)
+    Report(/*L1Miss=*/true, L2Miss, Cycles);
   return Cycles;
 }
 
@@ -306,13 +326,7 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
                                                        Label Read,
                                                        Label Write,
                                                        bool IsStore) {
-  HwAccess Acc;
-  Acc.A = A;
-  Acc.IsData = IsData;
-  Acc.IsStore = IsStore;
-  Acc.Cycles = accessHierarchy<true>(IsData, A, Read, Write, IsStore, &Acc);
-  notifyAccess(Acc);
-  return Acc.Cycles;
+  return accessHierarchy<true>(IsData, A, Read, Write, IsStore);
 }
 
 // Inlined into dataAccess and fetch, so each unobserved walk runs with
@@ -324,7 +338,7 @@ HardwareEnv::access(bool IsData, Addr A, Label Read, Label Write,
          "labels from another lattice");
   if (observer() != nullptr)
     return accessObserved(IsData, A, Read, Write, IsStore);
-  return accessHierarchy<false>(IsData, A, Read, Write, IsStore, nullptr);
+  return accessHierarchy<false>(IsData, A, Read, Write, IsStore);
 }
 
 uint64_t HardwareEnv::dataAccess(Addr A, bool IsStore, Label Read,

@@ -134,20 +134,21 @@ private:
   void install(Cache *P, Addr A, uint32_t Target, bool Dirty);
 
   /// Walks one TLB + two-level cache path (data when \p IsData, else
-  /// instruction). \p Observed selects whether miss flags and the event
-  /// deltas of each install are reported through \p Acc; the unobserved
-  /// instantiation is the hot path.
+  /// instruction). \p Observed selects whether an access that misses in
+  /// the TLB or the L1 is reported to the observer, with its miss flags
+  /// and the event deltas of each install; the unobserved instantiation is
+  /// the hot path, and an observed hit in both reports nothing.
   template <bool Observed>
   uint64_t accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
-                           bool IsStore, HwAccess *Acc);
+                           bool IsStore);
 
   /// An access: the observed walk when an observer is installed, else the
   /// unobserved one.
   uint64_t access(bool IsData, Addr A, Label Read, Label Write,
                   bool IsStore);
 
-  /// The observed access: the observed walk, then the HwObserver
-  /// notification.
+  /// The observed access: the observed walk, which notifies the
+  /// HwObserver of a miss.
   uint64_t accessObserved(bool IsData, Addr A, Label Read, Label Write,
                           bool IsStore);
 

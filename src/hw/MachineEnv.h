@@ -48,7 +48,7 @@ const char *hwKindName(HwKind Kind);
 /// (TLB or cache level). Only an install, with the stale-copy removes of
 /// the partitioned design, changes a structure's event counters, so the
 /// observed walk reads them just before and after each install and nowhere
-/// else: a hit reads none and reports zeros. Unobserved runs read none at
+/// else: a structure that hit reports zeros. Unobserved runs read none at
 /// all.
 struct HwEventDelta {
   uint32_t Evictions = 0;
@@ -56,8 +56,10 @@ struct HwEventDelta {
   uint32_t LineFills = 0;
 };
 
-/// One completed hardware access, as reported to a HwObserver. Purely
-/// observational: produced after the access's latency is fixed.
+/// One completed hardware access that missed in the TLB or the L1, as
+/// reported to a HwObserver. Purely observational: produced after the
+/// access's latency is fixed. TlbMiss || L1Miss always holds; an access
+/// that hit in both installed nothing and is never reported.
 struct HwAccess {
   Addr A = 0;
   bool IsData = false;  ///< Data access (vs instruction fetch).
@@ -66,19 +68,24 @@ struct HwAccess {
   bool L1Miss = false;
   bool L2Miss = false; ///< Implies L1Miss; the access went to memory.
   uint64_t Cycles = 0; ///< Latency charged for this access.
-  /// Structure-event deltas (valid only while an observer is installed;
-  /// zero for a structure the access did not install into). In the
-  /// partitioned design each delta sums over the structure's partitions —
-  /// an install may displace stale copies from several of them.
+  /// Structure-event deltas (zero for a structure the access did not
+  /// install into). In the partitioned design each delta sums over the
+  /// structure's partitions — an install may displace stale copies from
+  /// several of them.
   HwEventDelta TlbEvents;
   HwEventDelta L1Events;
   HwEventDelta L2Events;
 };
 
-/// Telemetry hook: receives every hardware access while installed via
-/// MachineEnv::setObserver(). Implementations must not mutate the
-/// environment. The interpreter installs one to build cache-miss timelines
-/// (see obs/TraceSink.h).
+/// Telemetry hook: receives every access that misses in the TLB or the L1
+/// while installed via MachineEnv::setObserver(). An access that hits in
+/// both builds no HwAccess and makes no call, so observing costs a hit
+/// nothing beyond the walk; a consumer that needs the hits derives them
+/// from its own access count (every access walks the TLB and the L1) minus
+/// the misses reported here, and the L2 outcome of every L1 miss is in its
+/// report. Implementations must not mutate the environment. The
+/// interpreter installs one to charge the cost ledger and to build
+/// cache-miss timelines (see obs/TraceSink.h).
 class HwObserver {
 public:
   virtual ~HwObserver();
@@ -164,10 +171,10 @@ public:
   /// Clears all counters (hit/miss tallies and per-cache events).
   virtual void resetStats() { Stats.reset(); }
 
-  /// Installs \p Observer to receive every subsequent access (nullptr to
-  /// detach). Observers are deliberately NOT copied by clone(): clones may
-  /// be driven from other threads, and an inherited observer would be a
-  /// shared mutable sink.
+  /// Installs \p Observer to receive every subsequent access that misses
+  /// in the TLB or the L1 (nullptr to detach). Observers are deliberately
+  /// NOT copied by clone(): clones may be driven from other threads, and an
+  /// inherited observer would be a shared mutable sink.
   void setObserver(HwObserver *Observer) { Obs = Observer; }
   HwObserver *observer() const { return Obs; }
 

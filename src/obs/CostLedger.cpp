@@ -29,10 +29,24 @@ const char *CostLedger::structureName(unsigned I) {
   return "?";
 }
 
-LineCost &CostLedger::lineSlow(uint32_t L) {
+LineHwStats LineCost::hw(unsigned I) const {
+  LineHwStats T = S[I];
+  switch (I) {
+  case CostLedger::DTlb:
+  case CostLedger::L1D:
+    T.Hits = DataAccesses - T.Misses;
+    break;
+  case CostLedger::ITlb:
+  case CostLedger::L1I:
+    T.Hits = Fetches - T.Misses;
+    break;
+  }
+  return T;
+}
+
+LineCost &CostLedger::line(uint32_t L) {
   LineCost &C = Lines[L];
   C.Line = L;
-  Memo.C = &C;
   return C;
 }
 
@@ -59,21 +73,18 @@ void CostLedger::chargeCycles(const CostCursor &Cur, CycleKind K, uint64_t N) {
   }
 }
 
-void CostLedger::chargeAccess(const CostCursor &Cur, const HwAccess &Access) {
+void CostLedger::chargeAccesses(const CostCursor &Cur, bool IsData,
+                                uint64_t N) {
   LineCost &C = line(Cur.Loc.Line);
-  ++C.Accesses;
+  (IsData ? C.DataAccesses : C.Fetches) += N;
+}
 
-  // The TLB and L1 are consulted on every access; L2 only past an L1 miss.
-  // A TLB and L1 hit installs nothing, so all its event deltas are zero:
-  // it counts two hits and nothing else.
-  if (!Access.TlbMiss && !Access.L1Miss) {
-    ++C.S[Access.IsData ? DTlb : ITlb].Hits;
-    ++C.S[Access.IsData ? L1D : L1I].Hits;
-    return;
-  }
-
-  // Event deltas (evictions/writebacks/fills) are added unconditionally —
-  // they are zero for structures the access never touched.
+void CostLedger::chargeMiss(const CostCursor &Cur, const HwAccess &Access) {
+  LineCost &C = line(Cur.Loc.Line);
+  // The TLB and L1 hits are derived from the accesses (LineCost::hw), so
+  // only the misses count here. The L2 is consulted only past an L1 miss.
+  // Event deltas are added unconditionally: they are zero for structures
+  // the access did not install into.
   auto AddEvents = [](LineHwStats &S, const HwEventDelta &D) {
     S.Evictions += D.Evictions;
     S.Writebacks += D.Writebacks;
@@ -81,11 +92,11 @@ void CostLedger::chargeAccess(const CostCursor &Cur, const HwAccess &Access) {
   };
 
   LineHwStats &Tlb = C.S[Access.IsData ? DTlb : ITlb];
-  ++(Access.TlbMiss ? Tlb.Misses : Tlb.Hits);
+  Tlb.Misses += Access.TlbMiss;
   AddEvents(Tlb, Access.TlbEvents);
 
   LineHwStats &L1 = C.S[Access.IsData ? L1D : L1I];
-  ++(Access.L1Miss ? L1.Misses : L1.Hits);
+  L1.Misses += Access.L1Miss;
   AddEvents(L1, Access.L1Events);
 
   LineHwStats &L2 = C.S[Access.IsData ? L2D : L2I];
@@ -140,7 +151,7 @@ uint64_t CostLedger::totalPadCycles() const {
 uint64_t CostLedger::totalAccesses() const {
   uint64_t N = 0;
   for (const auto &[L, C] : Lines)
-    N += C.Accesses;
+    N += C.accesses();
   return N;
 }
 
@@ -154,7 +165,7 @@ uint64_t CostLedger::totalWindows() const {
 LineHwStats CostLedger::structureTotals(unsigned I) const {
   LineHwStats T;
   for (const auto &[L, C] : Lines) {
-    const LineHwStats &S = C.S[I];
+    const LineHwStats S = C.hw(I);
     T.Hits += S.Hits;
     T.Misses += S.Misses;
     T.Evictions += S.Evictions;
@@ -183,12 +194,12 @@ JsonValue CostLedger::toJson() const {
     O["step_cycles"] = JsonValue(C.StepCycles);
     O["sleep_cycles"] = JsonValue(C.SleepCycles);
     O["pad_cycles"] = JsonValue(C.PadCycles);
-    O["accesses"] = JsonValue(C.Accesses);
+    O["accesses"] = JsonValue(C.accesses());
     O["windows"] = JsonValue(C.Windows);
     O["leak_bits"] = JsonValue(C.LeakBits);
     JsonValue Hw = JsonValue::object();
     for (unsigned I = 0; I != kStructures; ++I) {
-      const LineHwStats &S = C.S[I];
+      const LineHwStats S = C.hw(I);
       JsonValue St = JsonValue::object();
       St["hits"] = JsonValue(S.Hits);
       St["misses"] = JsonValue(S.Misses);

@@ -8,11 +8,18 @@
 /// \file
 /// The data side of the source-level timing-provenance profiler: a CostSink
 /// (sem/Provenance.h) that both interpreters feed while running with
-/// InterpreterOptions::Provenance installed. Every cost event — step
-/// cycles, sleep cycles, mitigation padding, and each cache/TLB access with
-/// its hit/miss/eviction outcome — is charged to the source line under the
-/// attribution cursor, and padding/leakage additionally to the mitigate
-/// site (η) whose window produced it.
+/// InterpreterOptions::Provenance installed. Every cost — step cycles,
+/// sleep cycles, mitigation padding, hardware accesses and each cache/TLB
+/// miss with its eviction/writeback/fill outcome — is charged to a source
+/// line, and padding/leakage additionally to the mitigate site (η) whose
+/// window produced it.
+///
+/// Misses, sleep, padding and windows arrive as they happen. Step cycles
+/// and access counts arrive once per executed instruction when the run
+/// stops, so the ledger never sees a hit: each line's TLB and L1 hits are
+/// its accesses on that side minus its misses there (LineCost::hw), and
+/// its L2 hits arrive with the L1 misses that looked them up. A ledger
+/// read before the run stopped lacks that run's steps and accesses.
 ///
 /// Invariants the profiler's self-check relies on (zamc profile aborts when
 /// they fail):
@@ -61,15 +68,23 @@ struct LineHwStats {
 /// Everything charged to one source line.
 struct LineCost {
   uint32_t Line = 0;
-  uint64_t StepCycles = 0;  ///< Fetch + ALU + access latencies of steps.
-  uint64_t SleepCycles = 0; ///< Calibrated sleep n durations.
-  uint64_t PadCycles = 0;   ///< Mitigation padding settled at this line.
-  uint64_t Accesses = 0;    ///< Hardware accesses issued by this line.
-  /// Indexed by CostLedger::Structure (l1d, l2d, l1i, l2i, dtlb, itlb).
+  uint64_t StepCycles = 0;   ///< Fetch + ALU + access latencies of steps.
+  uint64_t SleepCycles = 0;  ///< Calibrated sleep n durations.
+  uint64_t PadCycles = 0;    ///< Mitigation padding settled at this line.
+  uint64_t DataAccesses = 0; ///< Loads and stores issued by this line.
+  uint64_t Fetches = 0;      ///< Instruction fetches issued by this line.
+  /// What was charged per structure, indexed by CostLedger::Structure
+  /// (l1d, l2d, l1i, l2i, dtlb, itlb). The TLB and L1 hits are never
+  /// charged: read the tallies through hw(), which derives them.
   LineHwStats S[6];
   uint64_t Windows = 0; ///< Mitigate windows that closed at this line.
   double LeakBits = 0;  ///< Σ window bits of those windows.
 
+  uint64_t accesses() const { return DataAccesses + Fetches; }
+  /// Structure \p I's tallies, with the TLB and L1 hits derived: every
+  /// access walks its side's TLB and L1, so each one that missed in
+  /// neither hit in both.
+  LineHwStats hw(unsigned I) const;
   uint64_t totalCycles() const { return StepCycles + SleepCycles + PadCycles; }
   uint64_t misses() const {
     uint64_t N = 0;
@@ -104,7 +119,9 @@ public:
 
   // CostSink implementation (called by the interpreters).
   void chargeCycles(const CostCursor &Cur, CycleKind K, uint64_t N) override;
-  void chargeAccess(const CostCursor &Cur, const HwAccess &Access) override;
+  void chargeAccesses(const CostCursor &Cur, bool IsData,
+                      uint64_t N) override;
+  void chargeMiss(const CostCursor &Cur, const HwAccess &Access) override;
   void closeWindow(const CostCursor &Cur, const MitigateRecord &R) override;
 
   /// Replays \p Audit's counted windows into per-line / per-site leak bits.
@@ -144,31 +161,10 @@ public:
   std::string renderAnnotated(const std::string &Source, bool Color) const;
 
 private:
-  /// The last line charged. Runs charge the same line many times in a row
-  /// (a step's fetch, its data accesses and its cycles), so line() answers
-  /// a repeat from here without walking the map; map nodes never move, so
-  /// the pointer stays valid as other lines are added. A copied or moved
-  /// ledger starts with no memo: it must never point into another ledger.
-  struct LineMemo {
-    LineCost *C = nullptr;
-    LineMemo() = default;
-    LineMemo(const LineMemo &) {}
-    LineMemo &operator=(const LineMemo &) {
-      C = nullptr;
-      return *this;
-    }
-  };
-
-  LineCost &line(uint32_t L) {
-    if (Memo.C && Memo.C->Line == L)
-      return *Memo.C;
-    return lineSlow(L);
-  }
-  LineCost &lineSlow(uint32_t L);
+  LineCost &line(uint32_t L);
   SiteCost &site(unsigned Eta);
 
   std::map<uint32_t, LineCost> Lines;
-  LineMemo Memo;
   std::map<unsigned, SiteCost> Sites;
   /// Per-level leak-bit partial sums (index: label index), replayed from
   /// the audit so the total reproduces its summation order.

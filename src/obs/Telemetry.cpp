@@ -345,7 +345,7 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
         Enc.argInt("step_cycles", C.StepCycles);
         Enc.argInt("sleep_cycles", C.SleepCycles);
         Enc.argInt("pad_cycles", C.PadCycles);
-        Enc.argInt("accesses", C.Accesses);
+        Enc.argInt("accesses", C.accesses());
         Enc.argInt("misses", C.misses());
         Enc.argInt("windows", C.Windows);
         Enc.argDouble("leak_bits", C.LeakBits);

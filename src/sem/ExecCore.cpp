@@ -25,17 +25,20 @@ ExecCore::ExecCore(const IrProgram &IR, const Program &P, Memory InitM,
                                         Opts.Penalty);
   T.Names = M.slotNames();
   T.EventsRetained = RetainEvents;
-  // Regs, SlotData and Frames in one block, each part 8-byte aligned.
-  // beginRun zeroes the registers; the frames are written before they are
-  // read.
+  // Regs, SlotData, Frames and Tallies in one block, each part 8-byte
+  // aligned. beginRun zeroes the registers and tallies; the frames are
+  // written before they are read.
   static_assert(sizeof(const int64_t *) == sizeof(int64_t) &&
                 alignof(MitFrame) <= alignof(int64_t) &&
-                sizeof(MitFrame) % sizeof(int64_t) == 0);
+                sizeof(MitFrame) % sizeof(int64_t) == 0 &&
+                alignof(PcTally) <= alignof(int64_t));
   NumRegs = IR.NumRegs ? IR.NumRegs : 1;
   const size_t NumSlots = M.slotCount();
   MaxDepth = IR.MaxMitDepth;
+  const size_t NumTallies = Prov ? IR.Instrs.size() : 0;
   Scratch = std::make_unique_for_overwrite<std::byte[]>(
-      (NumRegs + NumSlots) * sizeof(int64_t) + MaxDepth * sizeof(MitFrame));
+      (NumRegs + NumSlots) * sizeof(int64_t) + MaxDepth * sizeof(MitFrame) +
+      NumTallies * sizeof(PcTally));
   Regs = reinterpret_cast<int64_t *>(Scratch.get());
   // Slot storage is never reallocated (restart copies values into it), so
   // these pointers hold for every run.
@@ -43,7 +46,14 @@ ExecCore::ExecCore(const IrProgram &IR, const Program &P, Memory InitM,
   for (size_t I = 0; I != NumSlots; ++I)
     SlotData[I] = M.slotAt(I).Data.data();
   Frames = reinterpret_cast<MitFrame *>(SlotData + NumSlots);
+  if (NumTallies)
+    Tallies = reinterpret_cast<PcTally *>(Frames + MaxDepth);
   beginRun();
+}
+
+ExecCore::~ExecCore() {
+  if (!Halted)
+    foldTallies();
 }
 
 void ExecCore::restart(const Memory &Image) {
@@ -65,6 +75,8 @@ void ExecCore::beginRun() {
   if (OwnMitState)
     OwnMitState->reset();
   std::fill_n(Regs, NumRegs, 0);
+  if (Tallies)
+    std::fill_n(Tallies, IR.Instrs.size(), PcTally());
   G = 0;
   PC = 0;
   Depth = 0;
@@ -80,8 +92,8 @@ void ExecCore::beginRun() {
 
 void ExecCore::onAccess(const HwAccess &Access) {
   if (Prov)
-    Prov->chargeAccess(Cur, Access);
-  if (!Opts.RecordMisses || (!Access.TlbMiss && !Access.L1Miss))
+    Prov->chargeMiss(Cur, Access);
+  if (!Opts.RecordMisses)
     return;
   AccessSample S;
   S.A = Access.A;
@@ -163,10 +175,50 @@ int64_t ExecCore::evalSpan(const IrInstr &I, uint32_t U, uint32_t N,
   return R[Result];
 }
 
+/// The accesses one transition of \p I makes, in the order the bodies below
+/// make them: one call \p Access(Loc, IsData) per access, at the location
+/// the cursor holds when it is made. The fold multiplies them by the
+/// instruction's dispatches, so this must name exactly the Env calls of
+/// the bodies: a fetch unless the instruction is Sleep or MitEnd, one
+/// data access per Var/Elem micro-op at that micro-op's own location, and
+/// the store of Assign and ArrayAssign.
+template <typename Fn>
+static void accessesOf(const IrInstr &I, const IrUop *Uops, Fn &&Access) {
+  if (I.K != IrInstr::Op::Sleep && I.K != IrInstr::Op::MitEnd)
+    Access(I.Loc, /*IsData=*/false);
+  auto Loads = [&](uint32_t U, uint32_t N) {
+    for (const IrUop *Op = Uops + U, *End = Op + N; Op != End; ++Op)
+      if (Op->Kind == IrUop::K::Var || Op->Kind == IrUop::K::Elem)
+        Access(Op->Loc, /*IsData=*/true);
+  };
+  Loads(I.U0, I.N0);
+  Loads(I.U1, I.N1);
+  if (I.K == IrInstr::Op::Assign || I.K == IrInstr::Op::ArrayAssign)
+    Access(I.Loc, /*IsData=*/true);
+}
+
+void ExecCore::foldTallies() {
+  if (!Tallies)
+    return;
+  for (uint32_t Pc = 0; Pc != IR.Instrs.size(); ++Pc) {
+    const PcTally &T = Tallies[Pc];
+    if (T.Dispatches == 0)
+      continue;
+    const IrInstr &I = Code[Pc];
+    CostCursor At;
+    At.Loc = I.Loc;
+    Prov->chargeCycles(At, CycleKind::Step, T.StepCycles);
+    accessesOf(I, Uops, [&](const SourceLoc &Loc, bool IsData) {
+      At.Loc = Loc;
+      Prov->chargeAccesses(At, IsData, T.Dispatches);
+    });
+  }
+}
+
 void ExecCore::execSkip(const IrInstr &I) {
   head(I);
   const uint64_t Cycles = stepBase(I);
-  charge(CycleKind::Step, Cycles);
+  chargeStep(Cycles);
   G += Cycles;
   PC = I.Next;
 }
@@ -177,7 +229,7 @@ void ExecCore::execAssign(const IrInstr &I) {
   uint64_t Cycles = stepBase(I);
   const int64_t V = evalSpan(I, I.U0, I.N0, Cycles);
   Cycles += Env.dataAccess(I.SlotBase, /*IsStore=*/true, I.Read, I.Write);
-  charge(CycleKind::Step, Cycles);
+  chargeStep(Cycles);
   G += Cycles;
   MemorySlot &S = M.slotAt(I.Slot);
   S.Data[0] = V;
@@ -195,7 +247,7 @@ void ExecCore::execStore(const IrInstr &I) {
   const uint64_t W = Memory::wrapRaw(Index, I.ElemCount);
   Cycles += Env.dataAccess(I.SlotBase + W * 8, /*IsStore=*/true, I.Read,
                            I.Write);
-  charge(CycleKind::Step, Cycles);
+  chargeStep(Cycles);
   G += Cycles;
   MemorySlot &S = M.slotAt(I.Slot);
   S.Data[W] = V;
@@ -208,7 +260,7 @@ void ExecCore::execBranch(const IrInstr &I) {
   ++T.Ops.Branches;
   uint64_t Cycles = stepBase(I) + Opts.Costs.Branch;
   const int64_t Guard = evalSpan(I, I.U0, I.N0, Cycles);
-  charge(CycleKind::Step, Cycles);
+  chargeStep(Cycles);
   G += Cycles;
   if (Probe)
     Probe->onBranch(PC, Guard != 0);
@@ -221,7 +273,7 @@ void ExecCore::execSleep(const IrInstr &I) {
   // literal argument it consumes exactly max(n, 0) cycles (Property 4).
   uint64_t Cycles = 0;
   const int64_t N = evalSpan(I, I.U0, I.N0, Cycles);
-  charge(CycleKind::Step, Cycles);
+  chargeStep(Cycles);
   G += Cycles;
   if (N > 0) {
     charge(CycleKind::Sleep, static_cast<uint64_t>(N));
@@ -237,7 +289,7 @@ void ExecCore::execMitEnter(const IrInstr &I) {
   const int64_t N = evalSpan(I, I.U0, I.N0, Cycles);
   // The entry step belongs to the enclosing window; the site opens with
   // the body.
-  charge(CycleKind::Step, Cycles);
+  chargeStep(Cycles);
   G += Cycles;
   // The IR's static nesting bound sized the stack; an IR that understates
   // it stops the run here instead of writing past the block.
@@ -358,4 +410,5 @@ void ExecCore::finalize() {
   T.FinalMissTable.resize(P.lattice().size());
   for (uint32_t I = 0; I != T.FinalMissTable.size(); ++I)
     T.FinalMissTable[I] = MitState->misses(Label::fromIndex(I));
+  foldTallies();
 }

@@ -25,7 +25,10 @@
 ///     MitigateEnd continuation;
 ///   - CostSink attribution: the cursor (location + innermost open site)
 ///     moves exactly as in the tree engines, so ledgers and miss samples
-///     are byte-for-byte identical.
+///     are byte-for-byte identical. While a sink is attached the core
+///     tallies each instruction's dispatches and step cycles, and folds
+///     them into the sink once per executed instruction when the run
+///     stops; an access reaches the sink as it happens only if it missed.
 ///
 /// Each loop iteration of run() is one transition of the semantics, and
 /// step() performs exactly the same transition once, so the two interleave
@@ -76,6 +79,9 @@ public:
   /// points into itself (MitState).
   ExecCore(const ExecCore &) = delete;
   ExecCore &operator=(const ExecCore &) = delete;
+  /// A run destroyed before it stopped (a StepInterpreter dropped after k
+  /// of n steps) folds what it ran into the sink, as a stopped run does.
+  ~ExecCore() override;
 
   /// Whether the configuration has reached ⟨stop, m, E, G⟩ (or a run
   /// limit).
@@ -109,8 +115,9 @@ public:
   }
 
 private:
-  /// HwObserver hook (installed by the owning engine): forwards accesses to
-  /// the provenance sink and samples misses under RecordMisses.
+  /// HwObserver hook (installed by the owning engine), called for each
+  /// access that missed in the TLB or L1: charges it to the provenance sink
+  /// and samples it under RecordMisses.
   void onAccess(const HwAccess &Access) override;
 
   /// Per-opcode bodies. Each begins with the shared dispatch head
@@ -128,11 +135,15 @@ private:
 
   /// The per-run initialisation of construction and restart(): empties
   /// the trace's vectors (keeping their storage), zeroes the counters,
-  /// clock, registers and cursor, restores the step limit, clears the
-  /// core's own Miss table, tells the probe about the program, and halts
-  /// at once on a program that is only Halt.
+  /// clock, registers, cursor and tallies, restores the step limit, clears
+  /// the core's own Miss table, tells the probe about the program, and
+  /// halts at once on a program that is only Halt.
   void beginRun();
+  /// Ends the run: the final clock and Miss table, and the fold.
   void finalize();
+  /// Charges the tallies of every executed instruction to the sink: its
+  /// step cycles, and its dispatches times each access accessesOf names.
+  void foldTallies();
   void head(const IrInstr &I) {
     // Attribution: every transition moves the cursor to its instruction's
     // source location before any of its costs (including the I-fetch).
@@ -148,6 +159,14 @@ private:
     if (Prov)
       Prov->chargeCycles(Cur, K, N);
   }
+  /// The end of a step that cost \p Cycles: tallied for the fold.
+  void chargeStep(uint64_t Cycles) {
+    if (Tallies) {
+      PcTally &T = Tallies[PC];
+      ++T.Dispatches;
+      T.StepCycles += Cycles;
+    }
+  }
   /// Executes the micro-op span [\p U, \p U + \p N) of \p I and returns
   /// its value. Restores the cursor to the instruction's own location, so
   /// costs charged after evaluation attribute to the command.
@@ -155,6 +174,12 @@ private:
                    uint64_t &Cycles);
   void record(uint32_t Slot, Label VarLabel, bool IsArray, uint64_t Index,
               int64_t Value);
+
+  /// What one instruction cost in this run, for the fold.
+  struct PcTally {
+    uint64_t Dispatches = 0;
+    uint64_t StepCycles = 0;
+  };
 
   /// A mitigate window opened by MitEnter and pending settlement.
   struct MitFrame {
@@ -200,7 +225,7 @@ private:
   /// Opts.RetainEvents: record() keeps nothing when it is off.
   bool RetainEvents;
   CostCursor Cur;
-  /// One block holding Regs, SlotData and Frames, in that order.
+  /// One block holding Regs, SlotData, Frames and Tallies, in that order.
   std::unique_ptr<std::byte[]> Scratch;
   int64_t *Regs; ///< The micro-op register file (NumRegs of them).
   size_t NumRegs = 0;
@@ -214,6 +239,8 @@ private:
   MitFrame *Frames;
   uint32_t Depth = 0;
   uint32_t MaxDepth;
+  /// One tally per instruction while a sink is attached, else null.
+  PcTally *Tallies = nullptr;
 };
 
 } // namespace zam

@@ -39,8 +39,9 @@ const Trace &FullInterpreter::complete() {
                                 "restart() first");
   Completed = true;
 
-  // The core doubles as the hardware observer, but installing it costs a
-  // virtual call per access — only pay when someone listens.
+  // The core doubles as the hardware observer, but installing it sends
+  // every access through the env's observed walk — only pay when someone
+  // listens.
   const InterpreterOptions &Opts = Core.options();
   const bool Observe = Opts.RecordMisses || Opts.Provenance != nullptr;
   HwObserver *Prior = nullptr;

@@ -8,9 +8,9 @@
 /// \file
 /// The interpreter side of the source-attribution profiler: a cursor naming
 /// the source construct currently being charged, and an abstract sink that
-/// receives every cost event tagged with that cursor. The obs layer's
-/// CostLedger implements the sink (sem must not depend on obs, so only the
-/// interface lives here — the same layering as
+/// receives every cost of a run tagged with a source location. The obs
+/// layer's CostLedger implements the sink (sem must not depend on obs, so
+/// only the interface lives here — the same layering as
 /// InterpreterOptions::OnMitigateWindow).
 ///
 /// Cursor discipline (both engines follow it identically, so their ledgers
@@ -21,12 +21,19 @@
 ///     sub-expression location for the duration of each load's own accesses
 ///     (the execution core uses per-operand locations precomputed by the
 ///     lowering pass and restores the cursor after each expression, so it is
-///     back at the command when the step's cycles are charged).
+///     back at the command when its store is made).
 ///   - Cur.Site is the η of the innermost open mitigate window (kNoSite
 ///     outside any window); body costs charge to the innermost window only
 ///     (self/exclusive accounting).
 ///   - Mitigation padding is charged at the mitigate command's own location
 ///     with Cur.Site = η, right before the window closes.
+///
+/// The cursor travels with the costs that arrive as they happen: accesses
+/// that miss, sleep, padding and window closes. Step cycles and the
+/// accesses themselves arrive once per executed instruction when the run
+/// stops, at the locations the cursor would have held (the instruction's
+/// own for its step and its fetch and store, each load's own for that
+/// load), so a hit costs the sink nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,18 +67,33 @@ enum class CycleKind {
   Pad,   ///< Mitigation padding (prediction − consumed).
 };
 
-/// Receives every cost event of a run, tagged with the current cursor.
-/// Implementations must be deterministic; they are invoked on the
-/// interpreter's thread.
+/// Receives every cost of a run, tagged with a cursor. Implementations must
+/// be deterministic; they are invoked on the interpreter's thread.
+///
+/// The execution core folds its per-instruction tallies into the sink when
+/// a run stops (it completes, reaches the step or event limit, or its
+/// engine is destroyed mid-run): for each executed instruction, one Step
+/// batch and one chargeAccesses per access it makes, multiplied by the
+/// times it ran. Those fold calls carry Site = kNoSite. Everything else
+/// arrives as it happens.
 class CostSink {
 public:
   virtual ~CostSink() = default;
 
-  /// \p N cycles of kind \p K elapsed while the cursor was at \p Cur.
+  /// \p N cycles of kind \p K elapsed while the cursor was at \p Cur. Step
+  /// cycles arrive from the fold, sleep and padding as they elapse.
   virtual void chargeCycles(const CostCursor &Cur, CycleKind K, uint64_t N) = 0;
 
-  /// One completed hardware access (hit or miss) occurred at \p Cur.
-  virtual void chargeAccess(const CostCursor &Cur, const HwAccess &Access) = 0;
+  /// \p N hardware accesses, data accesses when \p IsData and instruction
+  /// fetches otherwise, were made at \p Cur (from the fold). Every access
+  /// walks the TLB and the L1, so each one that chargeMiss does not report
+  /// hit in both.
+  virtual void chargeAccesses(const CostCursor &Cur, bool IsData,
+                              uint64_t N) = 0;
+
+  /// One access, already counted by chargeAccesses, missed in the TLB or
+  /// the L1 at \p Cur (the machine environment reports no other access).
+  virtual void chargeMiss(const CostCursor &Cur, const HwAccess &Access) = 0;
 
   /// The mitigate window \p R settled while the cursor was at its own
   /// mitigate command (Cur.Site == R.Eta). Fires after the window's padding

@@ -440,8 +440,9 @@ MachineEnvConfig tinyCfg() {
   return C;
 }
 
-/// Rebuilds HwStats from the accesses it observes: miss flags become hit
-/// and miss counts, and the event deltas are summed per structure.
+/// Sums the misses and event deltas of the accesses it observes per
+/// structure, and the L2 outcome of each L1 miss. It sees no hits in both
+/// the TLB and the L1, so those hit counts stay zero.
 class SummingObserver final : public HwObserver {
 public:
   void onAccess(const HwAccess &A) override {
@@ -455,11 +456,14 @@ public:
       return X.Evictions == Y.Evictions && X.Writebacks == Y.Writebacks &&
              X.LineFills == Y.LineFills;
     };
+    ++Reports;
+    if (!A.TlbMiss && !A.L1Miss)
+      ++HitsInBoth;
     CacheLevelStats &Tlb = A.IsData ? Sum.DTlb : Sum.ITlb;
     CacheLevelStats &L1 = A.IsData ? Sum.L1D : Sum.L1I;
     CacheLevelStats &L2 = A.IsData ? Sum.L2D : Sum.L2I;
-    ++(A.TlbMiss ? Tlb.Misses : Tlb.Hits);
-    ++(A.L1Miss ? L1.Misses : L1.Hits);
+    Tlb.Misses += A.TlbMiss;
+    L1.Misses += A.L1Miss;
     if (A.L1Miss)
       ++(A.L2Miss ? L2.Misses : L2.Hits);
     Add(Tlb, A.TlbEvents);
@@ -473,8 +477,15 @@ public:
   }
 
   HwStats Sum;
+  unsigned Reports = 0;
+  unsigned HitsInBoth = 0;
   unsigned NonzeroHitDeltas = 0;
 };
+
+/// The TLB and L1 misses of both sides in \p S.
+uint64_t tlbAndL1Misses(const HwStats &S) {
+  return S.DTlb.Misses + S.ITlb.Misses + S.L1D.Misses + S.L1I.Misses;
+}
 } // namespace
 
 class HwObservedDeltas : public ::testing::TestWithParam<HwKind> {};
@@ -484,25 +495,48 @@ TEST_P(HwObservedDeltas, SumToTheRunCounters) {
     auto Env = createMachineEnv(GetParam(), *Lat, tinyCfg());
     SummingObserver Obs;
     Env->setObserver(&Obs);
+    const std::string Where =
+        std::string(hwKindName(GetParam())) + " over " +
+        std::to_string(Lat->size()) + " levels";
     // Loads, stores and fetches under random [er, ew] over 64 KiB of data
     // and 64 KiB of code: far beyond every structure of tinyCfg().
     Rng R(31);
     const std::vector<Label> Labels = Lat->allLabels();
+    uint64_t DataAccesses = 0, Fetches = 0, Missed = 0;
     for (int I = 0; I != 4000; ++I) {
       const Label Read = Labels[R.nextBelow(Labels.size())];
       const Label Write = Labels[R.nextBelow(Labels.size())];
-      if (R.nextBelow(4) != 0)
+      const uint64_t MissesBefore = tlbAndL1Misses(Env->stats());
+      const unsigned ReportsBefore = Obs.Reports;
+      if (R.nextBelow(4) != 0) {
+        ++DataAccesses;
         Env->dataAccess(DataA + R.nextBelow(1 << 13) * 8,
                         /*IsStore=*/R.nextBelow(3) == 0, Read, Write);
-      else
+      } else {
+        ++Fetches;
         Env->fetch(CodeA + R.nextBelow(1 << 12) * 16, Read, Write);
+      }
+      // Exactly the accesses that missed in the TLB or the L1 are
+      // reported, each once.
+      const bool Miss = tlbAndL1Misses(Env->stats()) != MissesBefore;
+      Missed += Miss;
+      ASSERT_EQ(Obs.Reports - ReportsBefore, Miss ? 1u : 0u)
+          << Where << ", access " << I;
     }
     const HwStats Run = Env->stats();
-    const std::string Where =
-        std::string(hwKindName(GetParam())) + " over " +
-        std::to_string(Lat->size()) + " levels";
-    EXPECT_EQ(Obs.Sum, Run) << Where;
+    // The TLB and L1 hits are every access on that side that missed there
+    // in no report.
+    HwStats Sum = Obs.Sum;
+    Sum.DTlb.Hits = DataAccesses - Sum.DTlb.Misses;
+    Sum.L1D.Hits = DataAccesses - Sum.L1D.Misses;
+    Sum.ITlb.Hits = Fetches - Sum.ITlb.Misses;
+    Sum.L1I.Hits = Fetches - Sum.L1I.Misses;
+    EXPECT_EQ(Sum, Run) << Where;
+    EXPECT_EQ(Obs.HitsInBoth, 0u) << Where;
     EXPECT_EQ(Obs.NonzeroHitDeltas, 0u) << Where;
+    // Hits in both went unreported, or the check above compares nothing.
+    EXPECT_GT(Missed, 0u) << Where;
+    EXPECT_LT(Missed, 4000u) << Where;
     // The stream must exercise every kind of event, or the sums above
     // compare zeros.
     EXPECT_GT(Run.L1D.Evictions, 0u) << Where;
@@ -553,22 +587,62 @@ private:
   uint64_t H = 0xcbf29ce484222325ull;
 };
 
-/// Digests every observed access record.
+/// Adds every field of the access record \p A to \p D.
+void addRecord(Digest &D, const HwAccess &A) {
+  D.add(A.A);
+  D.add(A.IsData | A.IsStore << 1 | A.TlbMiss << 2 | A.L1Miss << 3 |
+        A.L2Miss << 4);
+  D.add(A.Cycles);
+  for (const HwEventDelta *E : {&A.TlbEvents, &A.L1Events, &A.L2Events}) {
+    D.add(E->Evictions);
+    D.add(E->Writebacks);
+    D.add(E->LineFills);
+  }
+}
+
+/// Digests every observed access record, each on its own and in sequence.
 class DigestObserver final : public HwObserver {
 public:
   void onAccess(const HwAccess &A) override {
-    D.add(A.A);
-    D.add(A.IsData | A.IsStore << 1 | A.TlbMiss << 2 | A.L1Miss << 3 |
-          A.L2Miss << 4);
-    D.add(A.Cycles);
-    for (const HwEventDelta *E : {&A.TlbEvents, &A.L1Events, &A.L2Events}) {
-      D.add(E->Evictions);
-      D.add(E->Writebacks);
-      D.add(E->LineFills);
-    }
+    addRecord(D, A);
+    Digest One;
+    addRecord(One, A);
+    Records.push_back(One.value());
   }
   Digest D;
+  std::vector<uint64_t> Records;
 };
+
+/// The record of one access, read off the machine's counters
+/// before and after it: a structure missed when its miss count rose, and
+/// its event deltas are the change in its event counters (only its
+/// install changes them).
+HwAccess recordFromStats(const HwStats &Before, const HwStats &After, Addr A,
+                         bool IsData, bool IsStore, uint64_t Cycles) {
+  auto Delta = [](const CacheLevelStats &B, const CacheLevelStats &E) {
+    HwEventDelta D;
+    D.Evictions = static_cast<uint32_t>(E.Evictions - B.Evictions);
+    D.Writebacks = static_cast<uint32_t>(E.Writebacks - B.Writebacks);
+    D.LineFills = static_cast<uint32_t>(E.LineFills - B.LineFills);
+    return D;
+  };
+  using Member = CacheLevelStats HwStats::*;
+  const Member Tlb = IsData ? &HwStats::DTlb : &HwStats::ITlb;
+  const Member L1 = IsData ? &HwStats::L1D : &HwStats::L1I;
+  const Member L2 = IsData ? &HwStats::L2D : &HwStats::L2I;
+  HwAccess Rec;
+  Rec.A = A;
+  Rec.IsData = IsData;
+  Rec.IsStore = IsStore;
+  Rec.TlbMiss = (After.*Tlb).Misses != (Before.*Tlb).Misses;
+  Rec.L1Miss = (After.*L1).Misses != (Before.*L1).Misses;
+  Rec.L2Miss = (After.*L2).Misses != (Before.*L2).Misses;
+  Rec.Cycles = Cycles;
+  Rec.TlbEvents = Delta(Before.*Tlb, After.*Tlb);
+  Rec.L1Events = Delta(Before.*L1, After.*L1);
+  Rec.L2Events = Delta(Before.*L2, After.*L2);
+  return Rec;
+}
 
 const PowersetLattice &twoPrincipals() {
   static const PowersetLattice Lat({"A", "B"});
@@ -579,7 +653,9 @@ const PowersetLattice &twoPrincipals() {
 /// [er, ew] (er ≠ ew included) from a randomized dirty start, unobserved
 /// and then observed from the same start. Digests every latency, the
 /// projections against the start state at every level (every 500 accesses
-/// and at the end), the final stats() and every observed access record.
+/// and at the end), the final stats() and the record of every access, read
+/// off the unobserved run's counters. The observed run must report exactly
+/// the records of the accesses that missed in the TLB or the L1, in order.
 uint64_t pinnedDigest(HwKind Kind, const SecurityLattice &Lat) {
   auto Start = createMachineEnv(Kind, Lat, tinyCfg());
   Rng Init(41);
@@ -599,6 +675,8 @@ uint64_t pinnedDigest(HwKind Kind, const SecurityLattice &Lat) {
     for (Label L : Labels)
       D.add(Plain->projectionEquals(*Start, L));
   };
+  Digest Records;
+  std::vector<uint64_t> Misses;
   Rng R(42);
   for (int I = 0; I != 6000; ++I) {
     const Label Read = Labels[R.nextBelow(Labels.size())];
@@ -611,9 +689,18 @@ uint64_t pinnedDigest(HwKind Kind, const SecurityLattice &Lat) {
       return Data ? E.dataAccess(At, Store, Read, Write)
                   : E.fetch(At, Read, Write);
     };
+    const HwStats Before = Plain->stats();
     const uint64_t Cycles = Access(*Plain);
     EXPECT_EQ(Cycles, Access(*Observed)) << "access " << I;
     D.add(Cycles);
+    const HwAccess Rec =
+        recordFromStats(Before, Plain->stats(), At, Data, Store, Cycles);
+    addRecord(Records, Rec);
+    if (Rec.TlbMiss || Rec.L1Miss) {
+      Digest One;
+      addRecord(One, Rec);
+      Misses.push_back(One.value());
+    }
     if (I % 500 == 499)
       Projections();
   }
@@ -624,7 +711,8 @@ uint64_t pinnedDigest(HwKind Kind, const SecurityLattice &Lat) {
     D.add(*C);
   EXPECT_EQ(S, Observed->stats());
   EXPECT_TRUE(Plain->stateEquals(*Observed));
-  D.add(Obs.D.value());
+  EXPECT_EQ(Obs.Records, Misses);
+  D.add(Records.value());
   return D.value();
 }
 } // namespace

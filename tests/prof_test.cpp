@@ -1,18 +1,21 @@
 //===- prof_test.cpp - Source-attribution profiler ledger ------------------===//
 //
 // Tests for the timing-provenance profiler (obs/CostLedger.h): the
-// conservation invariants `zamc profile` enforces, cycle-for-cycle
-// agreement between the two interpreter engines' attributions, byte
-// stability of the ledger across harness thread counts, the synthetic
-// locations ProgramBuilder stamps, and the prof.* metrics export shape.
+// conservation invariants `zamc profile` enforces, on fixed and random
+// programs and on runs that stop early, cycle-for-cycle agreement between
+// the two interpreter engines' attributions, byte stability of the ledger
+// across harness thread counts, the synthetic locations ProgramBuilder
+// stamps, and the prof.* metrics export shape.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/RandomProgram.h"
 #include "exp/ParallelRunner.h"
 #include "hw/HardwareModels.h"
 #include "lang/ProgramBuilder.h"
 #include "obs/CostLedger.h"
 #include "obs/LeakAudit.h"
+#include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
 #include "sem/StepInterpreter.h"
 #include "types/LabelInference.h"
@@ -78,6 +81,35 @@ void expectStructureMatches(const LineHwStats &Got, const CacheLevelStats &Want,
   EXPECT_EQ(Got.LineFills, Want.LineFills) << Name;
 }
 
+/// The ledger accounts for exactly \p Cycles simulated cycles and for the
+/// machine's counters \p Hw: each structure's per-line tallies sum to
+/// them on all five fields.
+void expectLedgerCovers(const CostLedger &Ledger, uint64_t Cycles,
+                        const HwStats &Hw) {
+  EXPECT_EQ(Ledger.totalCycles(), Cycles);
+  const CacheLevelStats *Want[CostLedger::kStructures] = {
+      &Hw.L1D, &Hw.L2D, &Hw.L1I, &Hw.L2I, &Hw.DTlb, &Hw.ITlb};
+  for (unsigned I = 0; I != CostLedger::kStructures; ++I)
+    expectStructureMatches(Ledger.structureTotals(I), *Want[I],
+                           CostLedger::structureName(I));
+  EXPECT_EQ(Ledger.totalAccesses(),
+            Hw.DTlb.Hits + Hw.DTlb.Misses + Hw.ITlb.Hits + Hw.ITlb.Misses);
+}
+
+/// Well-typed random programs over \p Lat, at most \p Count of them.
+std::vector<Program> randomPrograms(const SecurityLattice &Lat, uint64_t Seed,
+                                    unsigned Count) {
+  Rng R(Seed);
+  std::vector<Program> Out;
+  for (unsigned Trial = 0; Trial != 60 && Out.size() < Count; ++Trial) {
+    RandomProgramOptions O;
+    O.MaxDepth = 3;
+    if (std::optional<Program> P = randomWellTypedProgram(Lat, R, O))
+      Out.push_back(std::move(*P));
+  }
+  return Out;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -87,11 +119,10 @@ void expectStructureMatches(const LineHwStats &Got, const CacheLevelStats &Want,
 class ProfilerConservation : public ::testing::TestWithParam<HwKind> {};
 
 namespace {
-/// Profiles \p Source on a fresh \p Kind machine and checks that every
-/// cost is attributed exactly. \returns the run and the settled ledger.
-std::pair<RunResult, CostLedger> expectConservation(const char *Source,
+/// Profiles \p P on a fresh \p Kind machine and checks that every cost is
+/// attributed exactly. \returns the run and the settled ledger.
+std::pair<RunResult, CostLedger> expectConservation(const Program &P,
                                                     HwKind Kind) {
-  Program P = inferred(Source);
   auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
   CostLedger Ledger;
   LeakAudit Audit(P.lattice());
@@ -102,7 +133,9 @@ std::pair<RunResult, CostLedger> expectConservation(const char *Source,
   Ledger.applyLeakage(Audit);
 
   // Cycles: attributed step + sleep + pad cycles cover the clock exactly.
-  EXPECT_EQ(Ledger.totalCycles(), R.T.FinalTime);
+  // Hardware: each structure's per-line tallies sum to the machine's own
+  // counters on all five fields.
+  expectLedgerCovers(Ledger, R.T.FinalTime, R.Hw);
   EXPECT_GT(Ledger.totalCycles(), 0u);
 
   // Padding: matches the trace's own padded-idle account.
@@ -113,14 +146,6 @@ std::pair<RunResult, CostLedger> expectConservation(const char *Source,
   EXPECT_EQ(Ledger.totalPadCycles(), PaddedIdle);
   EXPECT_EQ(Ledger.totalWindows(), R.T.Mitigations.size());
 
-  // Hardware: each structure's per-line tallies sum to the machine's own
-  // counters on all five fields.
-  const CacheLevelStats *Want[CostLedger::kStructures] = {
-      &R.Hw.L1D, &R.Hw.L2D, &R.Hw.L1I, &R.Hw.L2I, &R.Hw.DTlb, &R.Hw.ITlb};
-  for (unsigned I = 0; I != CostLedger::kStructures; ++I)
-    expectStructureMatches(Ledger.structureTotals(I), *Want[I],
-                           CostLedger::structureName(I));
-
   // Leakage: the replay reproduces the online account bit-for-bit.
   EXPECT_EQ(Ledger.totalLeakBits(), Audit.totalBitsBound());
   return {std::move(R), std::move(Ledger)};
@@ -128,17 +153,34 @@ std::pair<RunResult, CostLedger> expectConservation(const char *Source,
 } // namespace
 
 TEST_P(ProfilerConservation, EveryCostIsAttributedExactly) {
-  const auto [R, Ledger] = expectConservation(kWorkload, GetParam());
+  const auto [R, Ledger] = expectConservation(inferred(kWorkload), GetParam());
   EXPECT_GT(Ledger.totalLeakBits(), 0.0);
 }
 
 // kWorkload evicts nothing, so its eviction and writeback sums compare
 // zeros; this workload makes those two comparisons able to fail.
 TEST_P(ProfilerConservation, EvictionsAndWritebacksAreAttributedExactly) {
-  const auto [R, Ledger] = expectConservation(kEvictingWorkload, GetParam());
+  const auto [R, Ledger] =
+      expectConservation(inferred(kEvictingWorkload), GetParam());
   EXPECT_GT(R.Hw.L1D.Evictions, 0u);
   EXPECT_GT(R.Hw.L1D.Writebacks, 0u);
   EXPECT_GT(Ledger.structureTotals(CostLedger::L1D).Writebacks, 0u);
+}
+
+// Random programs mix every command, nested windows and array traffic at
+// random lines, so each access kind of the fold's rule lands on some line
+// other than its command's.
+TEST_P(ProfilerConservation, RandomProgramsAreAttributedExactly) {
+  for (const SecurityLattice *Lat :
+       std::initializer_list<const SecurityLattice *>{&lh(), &lmh()}) {
+    const std::vector<Program> Programs = randomPrograms(*Lat, 0xF01D, 10);
+    EXPECT_GE(Programs.size(), 5u);
+    for (size_t I = 0; I != Programs.size(); ++I) {
+      SCOPED_TRACE("program " + std::to_string(I) + " over " +
+                   std::to_string(Lat->size()) + " levels");
+      expectConservation(Programs[I], GetParam());
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, ProfilerConservation,
@@ -151,10 +193,10 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, ProfilerConservation,
 // Engine agreement and attribution placement
 //===----------------------------------------------------------------------===//
 
-TEST(Profiler, EnginesChargeIdenticalLedgers) {
-  // The big-step and small-step engines must not only agree on totals but
-  // attribute every cost to the same source line and mitigate site.
-  Program P = inferred(kWorkload);
+namespace {
+/// The big-step and small-step engines must not only agree on totals but
+/// attribute every cost to the same source line and mitigate site.
+void expectEnginesChargeIdenticalLedgers(const Program &P) {
   for (HwKind Kind : allHwKinds()) {
     auto Env1 = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
     auto Env2 = Env1->clone();
@@ -181,6 +223,125 @@ TEST(Profiler, EnginesChargeIdenticalLedgers) {
     Slow.applyLeakage(SlowAudit);
 
     EXPECT_EQ(Fast.toJson().dump(), Slow.toJson().dump()) << hwKindName(Kind);
+  }
+}
+} // namespace
+
+TEST(Profiler, EnginesChargeIdenticalLedgers) {
+  expectEnginesChargeIdenticalLedgers(inferred(kWorkload));
+}
+
+TEST(Profiler, EnginesChargeIdenticalLedgersOnRandomPrograms) {
+  const std::vector<Program> Programs = randomPrograms(lh(), 0xE9E, 10);
+  EXPECT_GE(Programs.size(), 5u);
+  for (size_t I = 0; I != Programs.size(); ++I) {
+    SCOPED_TRACE("program " + std::to_string(I));
+    expectEnginesChargeIdenticalLedgers(Programs[I]);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The fold: a run charges its steps and accesses when it stops, however it
+// stops
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Counts forever; every iteration is a guard and one assignment event.
+const char *kEndless = "var l : L;\n"
+                       "var a : L[8];\n"
+                       "while 1 do { a[l] := l; l := l + 1 }";
+} // namespace
+
+TEST(ProfilerFold, AStepLimitStopIsCharged) {
+  Program P = inferred(kEndless);
+  for (HwKind Kind : allHwKinds()) {
+    SCOPED_TRACE(hwKindName(Kind));
+    auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
+    CostLedger Ledger;
+    InterpreterOptions Opts;
+    Opts.Provenance = &Ledger;
+    Opts.StepLimit = 1001;
+    const RunResult R = runFull(P, *Env, Opts);
+    EXPECT_TRUE(R.T.HitStepLimit);
+    expectLedgerCovers(Ledger, R.T.FinalTime, R.Hw);
+    EXPECT_GT(Ledger.totalCycles(), 0u);
+  }
+}
+
+TEST(ProfilerFold, AnEventLimitStopIsCharged) {
+  Program P = inferred(kEndless);
+  auto Env = createMachineEnv(HwKind::Partitioned, P.lattice(),
+                              MachineEnvConfig());
+  CostLedger Ledger;
+  InterpreterOptions Opts;
+  Opts.Provenance = &Ledger;
+  const RunResult R = runFull(P, *Env, Opts);
+  EXPECT_TRUE(R.T.HitEventLimit);
+  EXPECT_FALSE(R.T.HitStepLimit);
+  expectLedgerCovers(Ledger, R.T.FinalTime, R.Hw);
+}
+
+// One ledger kept across restarted runs of one interpreter holds what the
+// same runs charge through fresh interpreters: each run's fold adds to the
+// last, and a restart starts from empty tallies.
+TEST(ProfilerFold, RestartedRunsAccumulate) {
+  Program P = inferred(kWorkload);
+  const CompiledProgram C(P);
+  for (HwKind Kind : allHwKinds()) {
+    SCOPED_TRACE(hwKindName(Kind));
+    auto ReEnv = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
+    auto FreshEnv = ReEnv->clone();
+    CostLedger ReLedger, FreshLedger;
+    InterpreterOptions ReOpts, FreshOpts;
+    ReOpts.Provenance = &ReLedger;
+    FreshOpts.Provenance = &FreshLedger;
+    FullInterpreter Re(C, *ReEnv, ReOpts);
+    uint64_t Cycles = 0;
+    for (int Run = 0; Run != 3; ++Run) {
+      if (Run != 0)
+        Re.restart();
+      Cycles += Re.complete().FinalTime;
+      FullInterpreter Fresh(C, *FreshEnv, FreshOpts);
+      Fresh.complete();
+    }
+    expectLedgerCovers(ReLedger, Cycles, ReEnv->stats());
+    EXPECT_EQ(ReLedger.toJson().dump(), FreshLedger.toJson().dump());
+  }
+}
+
+// A step engine dropped after k of its n steps charges those k steps: the
+// ledger's cycles are its clock, and its accesses the machine's.
+TEST(ProfilerFold, ADroppedStepEngineChargesItsSteps) {
+  Program P = inferred(kWorkload);
+  for (HwKind Kind : allHwKinds()) {
+    SCOPED_TRACE(hwKindName(Kind));
+    uint64_t Steps = 0;
+    {
+      auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
+      StepInterpreter Whole(P, *Env);
+      while (!Whole.done()) {
+        Whole.step();
+        ++Steps;
+      }
+    }
+    ASSERT_GT(Steps, 20u);
+    for (uint64_t K : {uint64_t(0), uint64_t(1), Steps / 3, Steps / 2,
+                       Steps - 1}) {
+      SCOPED_TRACE("after " + std::to_string(K) + " steps");
+      auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
+      CostLedger Ledger;
+      uint64_t Clock = 0;
+      {
+        InterpreterOptions Opts;
+        Opts.Provenance = &Ledger;
+        StepInterpreter Step(P, *Env, Opts);
+        for (uint64_t I = 0; I != K; ++I)
+          Step.step();
+        ASSERT_FALSE(Step.done());
+        Clock = Step.clock();
+      }
+      expectLedgerCovers(Ledger, Clock, Env->stats());
+    }
   }
 }
 
@@ -216,6 +377,31 @@ TEST(Profiler, SleepAndPadLandOnTheirOwnLines) {
 
   // Nothing ended up at the unknown line: the cursor never lapsed.
   EXPECT_FALSE(Ledger.lines().count(0));
+}
+
+// The fold's access rule: a fetch at the command's line except for sleep,
+// each load at its own line, and the store at the command's line.
+TEST(Profiler, AccessesLandOnTheirOwnLines) {
+  Program P = inferred("var h : L = 1;\n"
+                       "var l : L;\n"
+                       "l := 1 +\n"
+                       "  h;\n"
+                       "sleep(h)");
+  auto Env = createMachineEnv(HwKind::Partitioned, P.lattice(),
+                              MachineEnvConfig());
+  CostLedger Ledger;
+  InterpreterOptions Opts;
+  Opts.Provenance = &Ledger;
+  runFull(P, *Env, Opts);
+  const std::map<uint32_t, LineCost> &L = Ledger.lines();
+  ASSERT_TRUE(L.count(3) && L.count(4) && L.count(5));
+  EXPECT_EQ(L.at(3).Fetches, 1u);
+  EXPECT_EQ(L.at(3).DataAccesses, 1u); // The store to l.
+  EXPECT_EQ(L.at(4).Fetches, 0u);
+  EXPECT_EQ(L.at(4).DataAccesses, 1u); // The load of h.
+  EXPECT_EQ(L.at(5).Fetches, 0u);      // A sleep is not fetched.
+  EXPECT_EQ(L.at(5).DataAccesses, 1u); // Its load of h.
+  EXPECT_EQ(L.at(5).SleepCycles, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -321,29 +507,41 @@ TEST(Profiler, ExportMetricsEmitsTotalsTopLinesAndSites) {
 TEST(Profiler, ChargingACopyLeavesTheSource) {
   CostCursor Cur;
   Cur.Loc.Line = 3;
-  HwAccess Hit;
-  Hit.IsData = true;
+  HwAccess Miss;
+  Miss.IsData = true;
+  Miss.L1Miss = true;
   CostLedger Source;
   Source.chargeCycles(Cur, CycleKind::Step, 10);
-  Source.chargeAccess(Cur, Hit);
+  Source.chargeAccesses(Cur, /*IsData=*/true, 2);
+  Source.chargeMiss(Cur, Miss);
   const std::string Before = Source.toJson().dump();
+  // Two loads, one of which missed in the L1 only.
+  EXPECT_EQ(Source.lines().at(3).hw(CostLedger::L1D).Hits, 1u);
+  EXPECT_EQ(Source.lines().at(3).hw(CostLedger::L1D).Misses, 1u);
+  EXPECT_EQ(Source.lines().at(3).hw(CostLedger::DTlb).Hits, 2u);
 
-  // Each charge goes to the line the source charged last.
+  // Every entry point charges the copy's own line.
   CostLedger Copy = Source;
   Copy.chargeCycles(Cur, CycleKind::Step, 5);
-  Copy.chargeAccess(Cur, Hit);
+  Copy.chargeAccesses(Cur, /*IsData=*/true, 1);
+  Copy.chargeMiss(Cur, Miss);
   EXPECT_EQ(Source.toJson().dump(), Before);
   EXPECT_EQ(Copy.lines().at(3).StepCycles, 15u);
+  EXPECT_EQ(Copy.lines().at(3).hw(CostLedger::L1D).Misses, 2u);
 
   CostLedger Assigned;
   Assigned = Source;
   Assigned.chargeCycles(Cur, CycleKind::Sleep, 7);
+  Assigned.chargeAccesses(Cur, /*IsData=*/false, 4);
   EXPECT_EQ(Source.toJson().dump(), Before);
   EXPECT_EQ(Assigned.lines().at(3).SleepCycles, 7u);
+  EXPECT_EQ(Assigned.lines().at(3).hw(CostLedger::L1I).Hits, 4u);
 
   CostLedger Moved = std::move(Copy);
   Moved.chargeCycles(Cur, CycleKind::Step, 1);
+  Moved.chargeAccesses(Cur, /*IsData=*/true, 1);
   EXPECT_EQ(Source.toJson().dump(), Before);
   EXPECT_EQ(Moved.lines().at(3).StepCycles, 16u);
-  EXPECT_EQ(Moved.lines().at(3).Accesses, 2u);
+  EXPECT_EQ(Moved.lines().at(3).accesses(), 4u);
+  EXPECT_EQ(Moved.lines().at(3).hw(CostLedger::L1D).Hits, 2u);
 }

@@ -24,6 +24,11 @@
 #                         `--levels ''` names the empty level list.
 #   MODE=levels_empty_name  `--levels L,,H` names the empty level name.
 #   MODE=levels_duplicate   `--levels H,L,H` names the repeated level.
+#   MODE=vary_empty         `zamc leakage --vary e=` names the empty value
+#                           list (it used to report Q = 0 over no runs).
+#   MODE=vary_empty_value   `--vary e=1,` names the empty value.
+#   MODE=vary_duplicate     `--vary e=3,5 --vary e=7` names the variable
+#                           varied twice.
 #
 # An array named where a command-line value writes a scalar (it used to
 # write element 0 silently) is rejected like an undeclared variable, with
@@ -91,6 +96,19 @@ elseif(MODE STREQUAL "levels_duplicate")
   file(WRITE ${OUT}.zam "var h : H;\nvar l : L;\nl := h\n")
   set(COMMAND ${ZAMC} run ${OUT}.zam --levels H,L,H)
   set(EXPECT "error: --levels names 'H' twice")
+  set(EXIT 2)
+elseif(MODE MATCHES "^vary_(empty|empty_value|duplicate)$")
+  file(WRITE ${OUT}.zam "var e : H;\nvar l : L;\nl := e\n")
+  if(MODE STREQUAL "vary_empty")
+    set(COMMAND ${ZAMC} leakage ${OUT}.zam --vary e=)
+    set(EXPECT "error: --vary e names no value")
+  elseif(MODE STREQUAL "vary_empty_value")
+    set(COMMAND ${ZAMC} leakage ${OUT}.zam --vary e=1,)
+    set(EXPECT "error: --vary e has an empty value")
+  else()
+    set(COMMAND ${ZAMC} leakage ${OUT}.zam --vary e=3,5 --vary e=7)
+    set(EXPECT "error: --vary names 'e' twice")
+  endif()
   set(EXIT 2)
 elseif(MODE STREQUAL "array_set")
   set(COMMAND ${ZAMC} run ${PROGRAMS}/pin.zam --set secret=7)

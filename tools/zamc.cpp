@@ -330,8 +330,24 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
           return false;
         Opts.Overrides.emplace_back(Var, Value);
       } else {
+        const std::string List = Assign.substr(Eq + 1);
+        std::vector<std::string> Pieces = splitCommas(List);
+        if (!List.empty() && List.back() == ',')
+          Pieces.emplace_back(); // The empty value getline drops.
+        std::string Why;
+        if (List.empty())
+          Why = Var + " names no value";
+        else if (std::find(Pieces.begin(), Pieces.end(), "") != Pieces.end())
+          Why = Var + " has an empty value";
+        for (const auto &Earlier : Opts.Variations)
+          if (Earlier.first == Var)
+            Why = "names '" + Var + "' twice";
+        if (!Why.empty()) {
+          std::fprintf(stderr, "error: --vary %s\n", Why.c_str());
+          return false;
+        }
         std::vector<int64_t> Values;
-        for (const std::string &Piece : splitCommas(Assign.substr(Eq + 1)))
+        for (const std::string &Piece : Pieces)
           if (!parseInteger(Piece, Values.emplace_back()))
             return false;
         Opts.Variations.emplace_back(Var, std::move(Values));
