@@ -112,16 +112,20 @@ RsaSession::RsaSession(const SecurityLattice &Lat, const RsaKey &Key,
 }
 
 RsaDecryptResult RsaSession::decrypt(const std::vector<uint64_t> &CipherBlocks) {
-  FullInterpreter Interp(Compiled, Env, Opts);
-  setRsaMessage(Interp.memory(), CipherBlocks);
-  RunResult R = Interp.run();
+  if (Interp)
+    Interp->restart();
+  else
+    Interp.emplace(Compiled, Env, Opts);
+  setRsaMessage(Interp->memory(), CipherBlocks);
 
   RsaDecryptResult Out;
-  Out.Cycles = R.T.FinalTime;
-  const MemorySlot &Plain = R.FinalMemory.slot("plain");
-  for (size_t I = 0; I != CipherBlocks.size(); ++I)
-    Out.Plain.push_back(static_cast<uint64_t>(Plain.Data[I]));
-  Out.T = std::move(R.T);
+  // The trace is copied out: the interpreter keeps its vectors for the
+  // next decryption.
+  Out.T = Interp->complete();
+  Out.Cycles = Out.T.FinalTime;
+  const MemorySlot &Plain = Interp->memory().slot("plain");
+  Out.Plain.assign(Plain.Data.begin(),
+                   Plain.Data.begin() + CipherBlocks.size());
   return Out;
 }
 

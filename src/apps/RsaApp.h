@@ -55,6 +55,7 @@
 #include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
 
+#include <optional>
 #include <vector>
 
 namespace zam {
@@ -84,12 +85,18 @@ struct RsaDecryptResult {
 };
 
 /// A decryption session over one machine environment and persistent
-/// mitigation state. Its runs retain no assignment events.
+/// mitigation state. Its runs retain no assignment events. One interpreter
+/// serves every decryption, restarted in place for each, so a decryption
+/// builds no interpreter and the access sites' repeat-hit tickets stay
+/// warm from one decryption to the next. The session points into itself
+/// (the interpreter shares its Miss table) and cannot be moved.
 class RsaSession {
 public:
   RsaSession(const SecurityLattice &Lat, const RsaKey &Key,
              const RsaProgramConfig &Config, MachineEnv &Env,
              InterpreterOptions Opts = InterpreterOptions());
+  RsaSession(const RsaSession &) = delete;
+  RsaSession &operator=(const RsaSession &) = delete;
 
   RsaDecryptResult decrypt(const std::vector<uint64_t> &CipherBlocks);
 
@@ -101,6 +108,8 @@ private:
   MachineEnv &Env;
   InterpreterOptions Opts;
   MitigationState MitState;
+  /// The interpreter every decryption restarts; the first one builds it.
+  std::optional<FullInterpreter> Interp;
 };
 
 /// Samples per-block modexp body times over \p Samples random one-block

@@ -84,11 +84,21 @@ public:
   const CacheConfig &config() const { return Config; }
   uint64_t latency() const { return Latency; }
 
+  /// What a lookup found. Tests as a bool: true on a hit.
+  enum LookupResult : uint8_t {
+    kMiss = 0,
+    kHit = 1,        ///< A hit that left the set exactly as it was.
+    kHitChanged = 2, ///< A hit that promoted the line or set its dirty bit.
+  };
+
   /// Hit test that promotes the line to MRU on a hit; \p MarkDirty
-  /// additionally sets the line's dirty bit (stores). \returns true on hit.
+  /// additionally sets the line's dirty bit (stores). \returns kMiss, or
+  /// whether the hit changed the set: a hit at the MRU way whose dirty bit
+  /// needs no setting changes nothing (kHit), which is what lets the
+  /// machine environment hand out repeat-hit tickets (hw/MachineEnv.h).
   /// Defined inline below: this is the hottest call in the simulator, and
   /// the partition/no-fill walks that drive it live in another TU.
-  bool lookup(Addr A, bool MarkDirty = false);
+  LookupResult lookup(Addr A, bool MarkDirty = false);
 
   /// Hit test with no state change at all (used for no-fill accesses and
   /// for hits that may not disturb another partition's LRU state).
@@ -216,7 +226,7 @@ private:
   size_t Count = 0;
 };
 
-inline bool Cache::lookup(Addr A, bool MarkDirty) {
+inline Cache::LookupResult Cache::lookup(Addr A, bool MarkDirty) {
   const unsigned S = setOf(A);
   const uint64_t Tag = tagOf(A);
   Line *Set = setLines(S);
@@ -228,18 +238,20 @@ inline bool Cache::lookup(Addr A, bool MarkDirty) {
       // Already MRU: nothing moves (the hot path for looping programs).
       // The dirty bit is written only when it changes, so repeat loads
       // leave the line untouched.
-      if (MarkDirty && !(Set[0] & kDirty))
+      if (MarkDirty && !(Set[0] & kDirty)) {
         Set[0] |= kDirty;
-    } else {
-      // Promote to MRU: rotate the ways above the hit down one.
-      const Line L = Set[W] | (MarkDirty ? kDirty : 0);
-      for (uint32_t I = W; I != 0; --I)
-        Set[I] = Set[I - 1];
-      Set[0] = L;
+        return kHitChanged;
+      }
+      return kHit;
     }
-    return true;
+    // Promote to MRU: rotate the ways above the hit down one.
+    const Line L = Set[W] | (MarkDirty ? kDirty : 0);
+    for (uint32_t I = W; I != 0; --I)
+      Set[I] = Set[I - 1];
+    Set[0] = L;
+    return kHitChanged;
   }
-  return false;
+  return kMiss;
 }
 
 inline bool Cache::probe(Addr A) const {

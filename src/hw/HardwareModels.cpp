@@ -204,30 +204,34 @@ CacheConfig HardwareEnv::partitionConfig(const CacheConfig &Full) const {
 namespace {
 /// Walks route \p R's lookup entries over the partitions \p P: a lookup
 /// in each writable partition, a probe in each probe-only one, until one
-/// hits. Inlined into every walk of accessHierarchy: the route is resolved
-/// once per access and reused for the TLB, L1 and L2 walks.
+/// hits. \returns kMiss, or whether the hit changed the partition it hit
+/// in (a probe never does; the lookups that missed before it changed
+/// nothing). Inlined into every walk of accessHierarchy: the route is
+/// resolved once per access and reused for the TLB, L1 and L2 walks.
 ///
 /// Every route starts at partition 0, the ⊥ partition, so the first step
 /// addresses it directly, and \p FirstProbeOnly (from
 /// HwPlan::BottomProbeOnly) says whether it may only probe: the hit path
 /// of a one-partition plan waits on no load of the route.
-[[gnu::always_inline]] inline bool walkRoute(Cache *P, Addr A,
-                                             bool FirstProbeOnly,
-                                             const HwPlan::Route &R,
-                                             const uint8_t *Lookup,
-                                             bool MarkDirty) {
-  if (FirstProbeOnly ? P->probe(A) : P->lookup(A, MarkDirty))
-    return true;
+[[gnu::always_inline]] inline Cache::LookupResult
+walkRoute(Cache *P, Addr A, bool FirstProbeOnly, const HwPlan::Route &R,
+          const uint8_t *Lookup, bool MarkDirty) {
+  if (FirstProbeOnly) {
+    if (P->probe(A))
+      return Cache::kHit;
+  } else if (const Cache::LookupResult Hit = P->lookup(A, MarkDirty)) {
+    return Hit;
+  }
   const uint8_t *const End = Lookup + R.End;
   for (const uint8_t *E = Lookup + R.Begin + 1; E != End; ++E) {
     if (*E & HwPlan::kProbeOnly) {
       if (P[*E & ~HwPlan::kProbeOnly].probe(A))
-        return true;
-    } else if (P[*E].lookup(A, MarkDirty)) {
-      return true;
+        return Cache::kHit;
+    } else if (const Cache::LookupResult Hit = P[*E].lookup(A, MarkDirty)) {
+      return Hit;
     }
   }
-  return false;
+  return Cache::kMiss;
 }
 } // namespace
 
@@ -285,30 +289,50 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
     notifyAccess(Acc);
   };
   uint64_t Cycles = 0;
+  // Whether the access changed this side's state (see MachineEnv::
+  // repeatHit): a hit that moved a line or set a dirty bit, or an install
+  // (with its stale-copy removes) into a partition there is.
+  bool Changed = false;
+  const bool Installs = R.Target != HwPlan::kNoTarget;
 
-  if (walkRoute(Tlb, A, FirstProbeOnly, R, Lookup, false)) {
+  if (const Cache::LookupResult Hit =
+          walkRoute(Tlb, A, FirstProbeOnly, R, Lookup, false)) {
     ++TlbStats.Hits;
+    Changed = Hit == Cache::kHitChanged;
   } else {
     ++TlbStats.Misses;
     TlbMiss = true;
+    Changed = Installs;
     Cycles += Tlb[0].latency();
     Install(Tlb, TlbEvents, false);
   }
 
   Cycles += L1[0].latency();
-  if (walkRoute(L1, A, FirstProbeOnly, R, Lookup, IsStore)) {
+  if (const Cache::LookupResult Hit =
+          walkRoute(L1, A, FirstProbeOnly, R, Lookup, IsStore)) {
     ++L1Stats.Hits;
+    Changed |= Hit == Cache::kHitChanged;
+    if (Changed)
+      ++Epochs[IsData];
+    // A hit in both that changed nothing is the one access a ticket may
+    // repeat.
+    LastHit.A = A;
+    LastHit.Epoch = TlbMiss || Changed ? 0 : Epochs[IsData];
+    LastHit.Cycles = Cycles;
     if constexpr (Observed)
       if (TlbMiss)
         Report(/*L1Miss=*/false, /*L2Miss=*/false, Cycles);
     return Cycles;
   }
   ++L1Stats.Misses;
+  LastHit.Epoch = 0;
 
   Cycles += L2[0].latency();
   bool L2Miss = false;
-  if (walkRoute(L2, A, FirstProbeOnly, R, Lookup, false)) {
+  if (const Cache::LookupResult Hit =
+          walkRoute(L2, A, FirstProbeOnly, R, Lookup, false)) {
     ++L2Stats.Hits;
+    Changed |= Hit == Cache::kHitChanged;
   } else {
     ++L2Stats.Misses;
     L2Miss = true;
@@ -316,6 +340,8 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
     Install(L2, L2Events, false);
   }
   Install(L1, L1Events, IsStore);
+  if (Changed || Installs)
+    ++Epochs[IsData];
   if constexpr (Observed)
     Report(/*L1Miss=*/true, L2Miss, Cycles);
   return Cycles;
@@ -369,6 +395,8 @@ void HardwareEnv::copyInto(std::unique_ptr<MachineEnv> &Slot) const {
   To->Stats = Stats;
   To->Obs = nullptr;
   To->Caches.copyFrom(Caches);
+  // The slot's own epochs move on, past every ticket it granted.
+  To->advanceEpochs();
 }
 
 bool HardwareEnv::projectionEquals(const MachineEnv &Other, Label L) const {
@@ -389,11 +417,13 @@ bool HardwareEnv::projectionEquals(const MachineEnv &Other, Label L) const {
 void HardwareEnv::reset() {
   for (Cache &C : Caches)
     C.reset();
+  advanceEpochs();
 }
 
 void HardwareEnv::randomize(Rng &R) {
   for (Cache &C : Caches)
     C.randomize(R);
+  advanceEpochs();
 }
 
 void HardwareEnv::perturbAbove(Label L, Rng &R) {
@@ -403,6 +433,7 @@ void HardwareEnv::perturbAbove(Label L, Rng &R) {
     for (unsigned P = 0; P != Parts; ++P)
       if (!lattice().flowsTo(Plan->PartLevel[P], L))
         Caches[S * Parts + P].randomize(R);
+  advanceEpochs();
 }
 
 HwStats HardwareEnv::stats() const {

@@ -47,7 +47,10 @@ int64_t Rng::nextInRange(int64_t Lo, int64_t Hi) {
   uint64_t Span = static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo) + 1;
   if (Span == 0) // Full 64-bit range.
     return static_cast<int64_t>(next());
-  return Lo + static_cast<int64_t>(nextBelow(Span));
+  // Added as unsigned and converted once: Lo + an offset above INT64_MAX
+  // (a range wider than 2^63) would overflow in signed arithmetic, while
+  // the unsigned sum wraps onto the same two's-complement value.
+  return static_cast<int64_t>(static_cast<uint64_t>(Lo) + nextBelow(Span));
 }
 
 bool Rng::chance(unsigned Percent) {

@@ -2,10 +2,11 @@
 //
 // Part of the zam project test suite. Replaces the global operator new
 // with a counting one and pins how many heap allocations one run of the
-// two hottest many-run loops makes: a streamObservations sample of the
-// sweep probe (the `zamc attack` loop) and a LoginSession::attempt (the
-// Fig. 7 sessions). Allocation counts are deterministic, so this pins the
-// allocation-free restarted runs on hosts too noisy to time them.
+// hottest many-run loops makes: a streamObservations sample of the sweep
+// probe (the `zamc attack` loop), a LoginSession::attempt (the Fig. 7
+// sessions) and an RsaSession::decrypt (the Fig. 8 sessions). Allocation
+// counts are deterministic, so this pins the allocation-free restarted runs
+// on hosts too noisy to time them.
 //
 // Not built under ZAM_SANITIZE: the sanitizer runtimes own operator new.
 //
@@ -13,6 +14,7 @@
 
 #include "adv/Adversary.h"
 #include "apps/LoginApp.h"
+#include "apps/RsaApp.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
@@ -136,5 +138,32 @@ TEST(AllocBudget, LoginSessionAttempt) {
   // three digests in a heap vector. MD5 now pads in a fixed buffer, so an
   // attempt allocates nothing.
   EXPECT_EQ(PerAttempt, 0u);
+}
+
+TEST(AllocBudget, RsaSessionDecrypt) {
+  Rng R(2254078);
+  const RsaKey Key = generateRsaKey(R, 24);
+  RsaProgramConfig Config;
+  Config.Estimate = 4000;
+  Config.MaxBlocks = 4;
+  auto Env = createMachineEnv(HwKind::Partitioned, lh());
+  RsaSession S(lh(), Key, Config, *Env);
+  const std::vector<uint64_t> Cipher = {
+      rsaEncryptBlock(Key, R.nextBelow(Key.N)),
+      rsaEncryptBlock(Key, R.nextBelow(Key.N))};
+  S.decrypt(Cipher);
+  const uint64_t Total = allocationsOf([&] {
+    for (int I = 0; I != 20; ++I)
+      S.decrypt(Cipher);
+  });
+  ASSERT_EQ(Total % 20, 0u) << "allocations vary per decryption";
+  const uint64_t PerDecrypt = Total / 20;
+  std::printf("allocations per RsaSession::decrypt: %llu\n",
+              static_cast<unsigned long long>(PerDecrypt));
+  RecordProperty("allocations_per_decrypt", static_cast<int>(PerDecrypt));
+  // 22 while every decryption built an interpreter. Now it is restarted
+  // in place, and what is left is what the result carries: its copy of
+  // the trace's window list and Miss table, and its plaintext blocks.
+  EXPECT_LE(PerDecrypt, 3u);
 }
 } // namespace

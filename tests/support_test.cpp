@@ -8,7 +8,9 @@
 #include "lang/Ast.h"
 #include "gtest/gtest.h"
 
+#include <limits>
 #include <set>
+#include <utility>
 
 using namespace zam;
 
@@ -98,6 +100,37 @@ TEST(Rng, NextInRangeInclusive) {
     Seen.insert(V);
   }
   EXPECT_EQ(Seen.size(), 5u); // All five values appear.
+}
+
+TEST(Rng, NextInRangeAtFullAndNearFullWidth) {
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  // Ranges as wide as 2^64 - 1 and 2^64 - 2 values: offsets from Lo above
+  // INT64_MAX must wrap onto the right value, not overflow.
+  const std::pair<int64_t, int64_t> Ranges[] = {
+      {Min, Max}, {Min + 1, Max}, {Min, Max - 1}, {Min + 1, Max - 1},
+      {-Max, Max}, {Min, 0}, {-1, Max}};
+  for (const auto &[Lo, Hi] : Ranges) {
+    Rng R(17);
+    bool Negative = false, Positive = false;
+    for (int I = 0; I != 400; ++I) {
+      const int64_t V = R.nextInRange(Lo, Hi);
+      EXPECT_GE(V, Lo);
+      EXPECT_LE(V, Hi);
+      Negative |= V < 0;
+      Positive |= V > 0;
+    }
+    // A range with 2^62 or more values on each side of zero is drawn on
+    // both sides.
+    if (Lo <= -(int64_t(1) << 62) && Hi >= int64_t(1) << 62) {
+      EXPECT_TRUE(Negative && Positive) << Lo << ".." << Hi;
+    }
+  }
+  // A narrower range draws what it always did: Lo plus nextBelow(Span).
+  Rng A(23), B(23);
+  for (int I = 0; I != 100; ++I)
+    EXPECT_EQ(A.nextInRange(-1000, 1000),
+              -1000 + static_cast<int64_t>(B.nextBelow(2001)));
 }
 
 TEST(Rng, ChanceExtremes) {
