@@ -57,28 +57,91 @@ namespace zam {
 
 class MitigationPolicy;
 
+/// The binary operators, in BinOpKind order, with the micro-op mnemonic
+/// the register listing prints. Each one is two micro-op opcodes: a
+/// register form and an immediate form (IrUop).
+#define ZAM_IR_BINOPS(X)                                                      \
+  X(Add, "add") X(Sub, "sub") X(Mul, "mul") X(Div, "div") X(Mod, "mod")       \
+  X(Eq, "eq") X(Ne, "ne") X(Lt, "lt") X(Le, "le") X(Gt, "gt") X(Ge, "ge")     \
+  X(LogicalAnd, "land") X(LogicalOr, "lor") X(BitAnd, "and") X(BitOr, "or")   \
+  X(BitXor, "xor") X(Shl, "shl") X(Shr, "shr")
+/// The unary operators, in UnOpKind order: one micro-op opcode each.
+#define ZAM_IR_UNOPS(X) X(Neg, "neg") X(LogicalNot, "lnot") X(BitNot, "not")
+
 /// One register micro-op of an expression. Registers are assigned from the
 /// static depth of the evaluation-order value stack, so the operations run
 /// left to right exactly as the AST evaluates (an array read's index before
 /// the element access, a binary operator's left operand before its right),
-/// a binary operator's operands are always (Dst, Dst+1), and every op
-/// writes its result to Dst.
+/// a binary operator's left operand is always r[Dst], and every op writes
+/// its result to Dst.
+///
+/// Every operator has its own opcode, so an engine dispatches an operation
+/// through one switch and applies the operator as a constant. A binary
+/// operator comes in two forms: the register form takes its right operand
+/// from r[Dst+1]; the immediate form (`AddImm`, …) is lowering's fold of a
+/// literal right operand, which would otherwise be a Const micro-op just
+/// before it, so `e >> 1` is `load e; shr #1`. The fold changes neither
+/// the value nor the cost: Const is free and the operator costs the same
+/// ALU op either way. A literal left operand is not folded.
 struct IrUop {
   enum class K : uint8_t {
     Const, ///< r[Dst] = Imm (immediate operand: free).
     Var,   ///< Data access at Base; r[Dst] = scalar slot value.
     Elem,  ///< Wrap r[Dst] mod Mod, access Base + 8w, r[Dst] = element w.
-    Bin,   ///< r[Dst] = applyBinOp(Op2, r[Dst], r[Dst+1]).
-    Un,    ///< r[Dst] = applyUnOp(Op2, r[Dst]).
+#define ZAM_IR_X(Name, Mnemonic) Name,
+    /// Register form: r[Dst] = applyBinOp(op, r[Dst], r[Dst+1]).
+    ZAM_IR_BINOPS(ZAM_IR_X)
+#undef ZAM_IR_X
+#define ZAM_IR_X(Name, Mnemonic) Name##Imm,
+    /// Immediate form: r[Dst] = applyBinOp(op, r[Dst], Imm).
+    ZAM_IR_BINOPS(ZAM_IR_X)
+#undef ZAM_IR_X
+#define ZAM_IR_X(Name, Mnemonic) Name,
+    /// r[Dst] = applyUnOp(op, r[Dst]).
+    ZAM_IR_UNOPS(ZAM_IR_X)
+#undef ZAM_IR_X
   };
+  static constexpr unsigned kFirstBin = static_cast<unsigned>(K::Add);
+  static constexpr unsigned kFirstBinImm = static_cast<unsigned>(K::AddImm);
+  static constexpr unsigned kFirstUn = static_cast<unsigned>(K::Neg);
+  /// One past the last opcode.
+  static constexpr unsigned kNumKinds = static_cast<unsigned>(K::BitNot) + 1;
+
+  /// The opcode of binary operator \p Op in register or immediate form.
+  static constexpr K binKind(BinOpKind Op, bool Imm) {
+    return static_cast<K>((Imm ? kFirstBinImm : kFirstBin) +
+                          static_cast<unsigned>(Op));
+  }
+  /// The opcode of unary operator \p Op.
+  static constexpr K unKind(UnOpKind Op) {
+    return static_cast<K>(kFirstUn + static_cast<unsigned>(Op));
+  }
+  /// Whether \p Kind is a binary operator in register / immediate form,
+  /// or a unary operator.
+  static constexpr bool isBinReg(K Kind) {
+    return static_cast<unsigned>(Kind) - kFirstBin < kFirstBinImm - kFirstBin;
+  }
+  static constexpr bool isBinImm(K Kind) {
+    return static_cast<unsigned>(Kind) - kFirstBinImm < kFirstUn - kFirstBinImm;
+  }
+  static constexpr bool isUnary(K Kind) {
+    return static_cast<unsigned>(Kind) - kFirstUn < kNumKinds - kFirstUn;
+  }
+  /// The operator of a binary (either form) / unary opcode.
+  static constexpr BinOpKind binOpOf(K Kind) {
+    return static_cast<BinOpKind>(static_cast<unsigned>(Kind) -
+                                  (isBinImm(Kind) ? kFirstBinImm : kFirstBin));
+  }
+  static constexpr UnOpKind unOpOf(K Kind) {
+    return static_cast<UnOpKind>(static_cast<unsigned>(Kind) - kFirstUn);
+  }
 
   K Kind = K::Const;
-  uint8_t Op2 = 0;   ///< Raw BinOpKind (Bin) / UnOpKind (Un).
   uint16_t Dst = 0;  ///< Destination (and first-operand) register.
   uint32_t Slot = 0; ///< Var/Elem: memory slot index.
   Addr Base = 0;     ///< Var/Elem: precomputed operand base address.
   union {
-    int64_t Imm = 0; ///< Const: the literal value.
+    int64_t Imm = 0; ///< Const / immediate form: the literal value.
     uint64_t Mod;    ///< Elem: wrap modulus (array size).
   };
   /// The effective attribution location: the nearest enclosing AST node
@@ -88,6 +151,13 @@ struct IrUop {
   /// the cursor-narrowing discipline of Provenance.h.
   SourceLoc Loc;
 };
+
+// The opcode arithmetic above relies on the operator lists matching the
+// AST's enumerations.
+static_assert(IrUop::K::Shr == IrUop::binKind(BinOpKind::Shr, false) &&
+              IrUop::K::ShrImm == IrUop::binKind(BinOpKind::Shr, true) &&
+              IrUop::K::BitNot == IrUop::unKind(UnOpKind::BitNot) &&
+              IrUop::binOpOf(IrUop::K::ModImm) == BinOpKind::Mod);
 
 /// One instruction — one small-step transition. Control flow is explicit:
 /// every instruction names its successor(s) by index, so engines advance a
@@ -171,10 +241,14 @@ struct IrProgram {
   }
 };
 
-/// Checks the structural invariants of a lowered program: successors in
-/// range, micro-op spans inside the pool, registers inside the register
-/// file, and a second span only on array stores. Returns false and fills
-/// \p Err on the first violation.
+/// Checks everything the execution core trusts without checking it again
+/// at run time: successors in range, micro-op spans inside the pool, known
+/// micro-op opcodes, every register a micro-op reads or writes (a
+/// register-form binary operator's r[Dst+1] too) inside the register file,
+/// every slot index (of a load, an element read or a store) inside the
+/// slot table, the wrap modulus of an element read or an array store equal
+/// to its slot's size, and a second span only on array stores. Returns
+/// false and fills \p Err on the first violation.
 bool verifyIr(const IrProgram &IR, std::string &Err);
 
 } // namespace zam

@@ -28,40 +28,81 @@ std::string slotRef(const IrProgram &IR, uint32_t Slot) {
   return S;
 }
 
-/// One micro-op: its postfix mnemonic as the instruction line shows it
-/// ("elem %1:a[mod 4]"), or with \p Regs its full register-transfer form
-/// ("elem %1:a[r0 mod 4] @0x10000008 -> r0 line=3").
-std::string uopText(const IrProgram &IR, const IrUop &U, bool Regs) {
-  const bool IsLoad = U.Kind == IrUop::K::Var || U.Kind == IrUop::K::Elem;
-  std::string S;
-  switch (U.Kind) {
+const char *binMnemonic(BinOpKind Op) {
+  switch (Op) {
+#define ZAM_IR_X(Name, Mnemonic)                                              \
+  case BinOpKind::Name:                                                        \
+    return Mnemonic;
+    ZAM_IR_BINOPS(ZAM_IR_X)
+#undef ZAM_IR_X
+  }
+  return "?";
+}
+
+const char *unMnemonic(UnOpKind Op) {
+  switch (Op) {
+#define ZAM_IR_X(Name, Mnemonic)                                              \
+  case UnOpKind::Name:                                                         \
+    return Mnemonic;
+    ZAM_IR_UNOPS(ZAM_IR_X)
+#undef ZAM_IR_X
+  }
+  return "?";
+}
+
+/// One micro-op in the postfix the instruction line shows ("elem
+/// %1:a[mod 4]"). An immediate-form operator shows as the Const it folded
+/// and the operator ("const 1; bin '>>'"), so the line reads the same
+/// whether or not lowering folded the literal.
+std::string uopPostfix(const IrProgram &IR, const IrUop &U) {
+  const IrUop::K K = U.Kind;
+  if (IrUop::isBinReg(K))
+    return fmt("bin '%s'", binOpSpelling(IrUop::binOpOf(K)));
+  if (IrUop::isBinImm(K))
+    return fmt("const %" PRId64 "; bin '%s'", U.Imm,
+               binOpSpelling(IrUop::binOpOf(K)));
+  if (IrUop::isUnary(K))
+    return fmt("un '%s'", unOpSpelling(IrUop::unOpOf(K)));
+  switch (K) {
   case IrUop::K::Const:
-    S = fmt("const %" PRId64, U.Imm);
-    break;
+    return fmt("const %" PRId64, U.Imm);
+  case IrUop::K::Var:
+    return "load " + slotRef(IR, U.Slot);
+  case IrUop::K::Elem:
+    return "elem " + slotRef(IR, U.Slot) + fmt("[mod %" PRIu64 "]", U.Mod);
+  default:
+    return "?";
+  }
+}
+
+/// One micro-op in its full register-transfer form, one opcode per line
+/// ("elem %1:a[r0 mod 4] @0x10000008 -> r0 line=3", "shr r0 #1 -> r0").
+std::string uopRegs(const IrProgram &IR, const IrUop &U) {
+  const IrUop::K K = U.Kind;
+  if (IrUop::isBinReg(K))
+    return fmt("%s r%u r%u -> r%u", binMnemonic(IrUop::binOpOf(K)), U.Dst,
+               U.Dst + 1, U.Dst);
+  if (IrUop::isBinImm(K))
+    return fmt("%s r%u #%" PRId64 " -> r%u", binMnemonic(IrUop::binOpOf(K)),
+               U.Dst, U.Imm, U.Dst);
+  if (IrUop::isUnary(K))
+    return fmt("%s r%u -> r%u", unMnemonic(IrUop::unOpOf(K)), U.Dst, U.Dst);
+  std::string S;
+  switch (K) {
+  case IrUop::K::Const:
+    return fmt("const %" PRId64 " -> r%u", U.Imm, U.Dst);
   case IrUop::K::Var:
     S = "load " + slotRef(IR, U.Slot);
     break;
   case IrUop::K::Elem:
-    S = "elem " + slotRef(IR, U.Slot) + (Regs ? fmt("[r%u ", U.Dst) : "[") +
-        fmt("mod %" PRIu64 "]", U.Mod);
+    S = "elem " + slotRef(IR, U.Slot) +
+        fmt("[r%u mod %" PRIu64 "]", U.Dst, U.Mod);
     break;
-  case IrUop::K::Bin:
-    S = fmt("bin '%s'", binOpSpelling(static_cast<BinOpKind>(U.Op2)));
-    if (Regs)
-      S += fmt(" r%u r%u", U.Dst, U.Dst + 1);
-    break;
-  case IrUop::K::Un:
-    S = fmt("un '%s'", unOpSpelling(static_cast<UnOpKind>(U.Op2)));
-    if (Regs)
-      S += fmt(" r%u", U.Dst);
-    break;
+  default:
+    return fmt("? -> r%u", U.Dst);
   }
-  if (!Regs)
-    return S;
-  if (IsLoad)
-    S += fmt(" @0x%" PRIx64, static_cast<uint64_t>(U.Base));
-  S += fmt(" -> r%u", U.Dst);
-  if (IsLoad && U.Loc.isValid())
+  S += fmt(" @0x%" PRIx64 " -> r%u", static_cast<uint64_t>(U.Base), U.Dst);
+  if (U.Loc.isValid())
     S += fmt(" line=%u", U.Loc.Line);
   return S;
 }
@@ -72,7 +113,7 @@ std::string exprText(const IrProgram &IR, uint32_t U, uint32_t N) {
   for (uint32_t I = U; I != U + N; ++I) {
     if (!S.empty())
       S += "; ";
-    S += uopText(IR, IR.Uops[I], /*Regs=*/false);
+    S += uopPostfix(IR, IR.Uops[I]);
   }
   return S;
 }
@@ -175,8 +216,7 @@ std::string zam::printIr(const IrProgram &IR, const SecurityLattice &Lat) {
   }
   auto Span = [&](uint32_t First, uint32_t N) {
     for (uint32_t U = First; U != First + N; ++U)
-      Out += fmt("       u%-3u ", U) +
-             uopText(IR, IR.Uops[U], /*Regs=*/true) + "\n";
+      Out += fmt("       u%-3u ", U) + uopRegs(IR, IR.Uops[U]) + "\n";
   };
   for (uint32_t I = 0; I != IR.Instrs.size(); ++I) {
     Out += fmt("  %3u: ", I) + printIrInstr(IR, I, Lat) + "\n";

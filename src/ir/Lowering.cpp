@@ -113,17 +113,22 @@ private:
     case Expr::Kind::BinOp: {
       const auto &BO = cast<BinOpExpr>(E);
       lowerExprInto(BO.lhs(), L, BaseReg, Depth);
+      // A literal right operand folds into the operator's immediate form
+      // instead of taking a Const micro-op and a register of its own.
+      if (const auto *Lit = dyn_cast<IntLitExpr>(&BO.rhs())) {
+        U.Kind = IrUop::binKind(BO.op(), /*Imm=*/true);
+        U.Imm = Lit->value();
+        break;
+      }
       lowerExprInto(BO.rhs(), L, BaseReg, Depth);
-      U.Kind = IrUop::K::Bin;
-      U.Op2 = static_cast<uint8_t>(BO.op());
+      U.Kind = IrUop::binKind(BO.op(), /*Imm=*/false);
       --Depth; // Two operands in, one result out.
       break;
     }
     case Expr::Kind::UnOp: {
       const auto &UO = cast<UnOpExpr>(E);
       lowerExprInto(UO.sub(), L, BaseReg, Depth);
-      U.Kind = IrUop::K::Un;
-      U.Op2 = static_cast<uint8_t>(UO.op());
+      U.Kind = IrUop::unKind(UO.op());
       break;
     }
     }

@@ -27,8 +27,11 @@
 namespace zam {
 
 /// Applies a binary operator with the total semantics described above.
-/// Inline: this is the ALU of the execution core's micro-op loop.
-inline int64_t applyBinOp(BinOpKind Op, int64_t L, int64_t R) {
+/// Always inlined: the execution core's micro-op switch has one case per
+/// operator, each applying its operator as a constant, so the switch
+/// below folds to that operator's code there.
+[[gnu::always_inline]] inline int64_t applyBinOp(BinOpKind Op, int64_t L,
+                                                 int64_t R) {
   // Arithmetic is performed on the unsigned representations so that
   // overflow wraps (deterministic, no UB).
   uint64_t UL = static_cast<uint64_t>(L);
@@ -82,8 +85,8 @@ inline int64_t applyBinOp(BinOpKind Op, int64_t L, int64_t R) {
   return 0;
 }
 
-/// Applies a unary operator.
-inline int64_t applyUnOp(UnOpKind Op, int64_t V) {
+/// Applies a unary operator. Always inlined, as applyBinOp.
+[[gnu::always_inline]] inline int64_t applyUnOp(UnOpKind Op, int64_t V) {
   switch (Op) {
   case UnOpKind::Neg:
     return static_cast<int64_t>(-static_cast<uint64_t>(V));

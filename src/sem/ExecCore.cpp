@@ -117,10 +117,8 @@ void ExecCore::onAccess(const HwAccess &Access) {
   T.Misses.push_back(S);
 }
 
-void ExecCore::record(uint32_t Slot, Label VarLabel, bool IsArray,
+void ExecCore::retain(uint32_t Slot, Label VarLabel, bool IsArray,
                       uint64_t Index, int64_t Value) {
-  if (!RetainEvents)
-    return;
   // The retained trace is full: drop this event and end the run at the
   // next step check, which the lowered bound fails.
   if (T.Events.size() == kMaxRetainedEvents) {
@@ -138,41 +136,55 @@ void ExecCore::record(uint32_t Slot, Label VarLabel, bool IsArray,
   E.Time = G;
 }
 
-int64_t ExecCore::evalSpan(const IrInstr &I, uint32_t U, uint32_t N,
-                           uint64_t &Cycles) {
+inline int64_t ExecCore::evalSpan(const IrInstr &I, uint32_t U, uint32_t N,
+                                  uint64_t &Cycles) {
   int64_t *R = Regs;
   const IrUop *Op = Uops + U;
   const IrUop *const End = Op + N;
   uint16_t Result = 0;
   for (; Op != End; ++Op) {
+    int64_t &D = R[Op->Dst];
+    // One case per opcode. Each operator case applies its operator as a
+    // constant, so applyBinOp/applyUnOp fold to that operator's code.
     switch (Op->Kind) {
     case IrUop::K::Const: // Immediate operand: free.
-      R[Op->Dst] = Op->Imm;
+      D = Op->Imm;
       break;
     case IrUop::K::Var:
       if (TrackCursor)
         Cur.Loc = Op->Loc;
       Cycles += access<true>(UopTickets[Op - Uops], I, Op->Base);
-      R[Op->Dst] = SlotData[Op->Slot][0];
+      D = SlotData[Op->Slot][0];
       break;
     case IrUop::K::Elem: {
-      const uint64_t W = Memory::wrapRaw(R[Op->Dst], Op->Mod);
+      const uint64_t W = Memory::wrapRaw(D, Op->Mod);
       if (TrackCursor)
         Cur.Loc = Op->Loc;
       Cycles += access<true>(UopTickets[Op - Uops], I, Op->Base + W * 8);
       Cycles += AluCost; // Address computation.
-      R[Op->Dst] = SlotData[Op->Slot][W];
+      D = SlotData[Op->Slot][W];
       break;
     }
-    case IrUop::K::Bin:
-      R[Op->Dst] = applyBinOp(static_cast<BinOpKind>(Op->Op2), R[Op->Dst],
-                              R[Op->Dst + 1]);
-      Cycles += AluCost;
-      break;
-    case IrUop::K::Un:
-      R[Op->Dst] = applyUnOp(static_cast<UnOpKind>(Op->Op2), R[Op->Dst]);
-      Cycles += AluCost;
-      break;
+      // A folded literal costs what its Const (free) and the register
+      // form cost together: one ALU op.
+#define ZAM_IR_X(Name, Mnemonic)                                              \
+  case IrUop::K::Name:                                                         \
+    D = applyBinOp(BinOpKind::Name, D, R[Op->Dst + 1]);                        \
+    Cycles += AluCost;                                                         \
+    break;                                                                     \
+  case IrUop::K::Name##Imm:                                                    \
+    D = applyBinOp(BinOpKind::Name, D, Op->Imm);                               \
+    Cycles += AluCost;                                                         \
+    break;
+      ZAM_IR_BINOPS(ZAM_IR_X)
+#undef ZAM_IR_X
+#define ZAM_IR_X(Name, Mnemonic)                                              \
+  case IrUop::K::Name:                                                         \
+    D = applyUnOp(UnOpKind::Name, D);                                          \
+    Cycles += AluCost;                                                         \
+    break;
+      ZAM_IR_UNOPS(ZAM_IR_X)
+#undef ZAM_IR_X
     }
     Result = Op->Dst;
   }
@@ -224,7 +236,7 @@ void ExecCore::foldTallies() {
   }
 }
 
-void ExecCore::execSkip(const IrInstr &I) {
+inline void ExecCore::execSkip(const IrInstr &I) {
   head(I);
   const uint64_t Cycles = stepBase(I);
   chargeStep(Cycles);
@@ -232,7 +244,7 @@ void ExecCore::execSkip(const IrInstr &I) {
   PC = I.Next;
 }
 
-void ExecCore::execAssign(const IrInstr &I) {
+inline void ExecCore::execAssign(const IrInstr &I) {
   head(I);
   ++T.Ops.Assignments;
   uint64_t Cycles = stepBase(I);
@@ -247,7 +259,7 @@ void ExecCore::execAssign(const IrInstr &I) {
   PC = I.Next;
 }
 
-void ExecCore::execStore(const IrInstr &I) {
+inline void ExecCore::execStore(const IrInstr &I) {
   head(I);
   ++T.Ops.Assignments;
   uint64_t Cycles = stepBase(I);
@@ -265,7 +277,7 @@ void ExecCore::execStore(const IrInstr &I) {
   PC = I.Next;
 }
 
-void ExecCore::execBranch(const IrInstr &I) {
+inline void ExecCore::execBranch(const IrInstr &I) {
   head(I);
   ++T.Ops.Branches;
   uint64_t Cycles = stepBase(I) + Opts.Costs.Branch;
@@ -277,7 +289,7 @@ void ExecCore::execBranch(const IrInstr &I) {
   PC = Guard != 0 ? I.Target : I.Next;
 }
 
-void ExecCore::execSleep(const IrInstr &I) {
+inline void ExecCore::execSleep(const IrInstr &I) {
   head(I);
   // Sleep is a calibrated timer, not a fetched instruction: with a
   // literal argument it consumes exactly max(n, 0) cycles (Property 4).
@@ -292,7 +304,7 @@ void ExecCore::execSleep(const IrInstr &I) {
   PC = I.Next;
 }
 
-void ExecCore::execMitEnter(const IrInstr &I) {
+inline void ExecCore::execMitEnter(const IrInstr &I) {
   head(I);
   ++T.Ops.MitigateEntries;
   uint64_t Cycles = stepBase(I);
@@ -312,7 +324,7 @@ void ExecCore::execMitEnter(const IrInstr &I) {
   PC = I.Next;
 }
 
-void ExecCore::execMitEnd(const IrInstr &I) {
+inline void ExecCore::execMitEnd(const IrInstr &I) {
   head(I);
   // The paper's MitigateEnd continuation: no fetch, no base cost — only
   // the update rule and the padding to the final prediction.
@@ -351,7 +363,7 @@ void ExecCore::execMitEnd(const IrInstr &I) {
   PC = I.Next;
 }
 
-void ExecCore::execInstr(const IrInstr &I) {
+inline void ExecCore::execInstr(const IrInstr &I) {
   switch (I.K) {
   case IrInstr::Op::Skip:
     execSkip(I);

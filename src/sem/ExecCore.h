@@ -127,17 +127,20 @@ private:
   void onAccess(const HwAccess &Access) override;
 
   /// Per-opcode bodies. Each begins with the shared dispatch head
-  /// (cursor + probe) and fully executes one logical transition.
-  void execSkip(const IrInstr &I);
-  void execAssign(const IrInstr &I);
-  void execStore(const IrInstr &I);
-  void execBranch(const IrInstr &I);
-  void execSleep(const IrInstr &I);
-  void execMitEnter(const IrInstr &I);
-  void execMitEnd(const IrInstr &I);
+  /// (cursor + probe) and fully executes one logical transition. They,
+  /// evalSpan and execInstr are inlined into run() and step(), so a
+  /// transition makes no call unless it reaches the env, the sink, the
+  /// probe or a retained event.
+  [[gnu::always_inline]] void execSkip(const IrInstr &I);
+  [[gnu::always_inline]] void execAssign(const IrInstr &I);
+  [[gnu::always_inline]] void execStore(const IrInstr &I);
+  [[gnu::always_inline]] void execBranch(const IrInstr &I);
+  [[gnu::always_inline]] void execSleep(const IrInstr &I);
+  [[gnu::always_inline]] void execMitEnter(const IrInstr &I);
+  [[gnu::always_inline]] void execMitEnd(const IrInstr &I);
   /// One transition of the instruction at \p I (a switch over the bodies
   /// above). Never called on Halt.
-  void execInstr(const IrInstr &I);
+  [[gnu::always_inline]] void execInstr(const IrInstr &I);
 
   /// The per-run initialisation of construction and restart(): empties
   /// the trace's vectors (keeping their storage), zeroes the counters,
@@ -191,11 +194,18 @@ private:
     }
   }
   /// Executes the micro-op span [\p U, \p U + \p N) of \p I and returns
-  /// its value. Restores the cursor to the instruction's own location, so
-  /// costs charged after evaluation attribute to the command.
-  int64_t evalSpan(const IrInstr &I, uint32_t U, uint32_t N,
-                   uint64_t &Cycles);
+  /// its value: one switch over the flat opcodes (IrUop). Restores the
+  /// cursor to the instruction's own location, so costs charged after
+  /// evaluation attribute to the command.
+  [[gnu::always_inline]] int64_t evalSpan(const IrInstr &I, uint32_t U,
+                                          uint32_t N, uint64_t &Cycles);
+  /// Records an assignment event; a run that retains none makes no call.
   void record(uint32_t Slot, Label VarLabel, bool IsArray, uint64_t Index,
+              int64_t Value) {
+    if (RetainEvents)
+      retain(Slot, VarLabel, IsArray, Index, Value);
+  }
+  void retain(uint32_t Slot, Label VarLabel, bool IsArray, uint64_t Index,
               int64_t Value);
 
   /// What one instruction cost in this run, for the fold.

@@ -38,11 +38,16 @@ Program inferred(std::string Source) {
   return P;
 }
 
-void expectEnginesAgree(const Program &P, HwKind Kind) {
-  auto Env1 = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
+/// Adds the big-step run's L1D evictions to \p L1DEvictions if given.
+void expectEnginesAgree(const Program &P, HwKind Kind,
+                        CacheGeometry G = CacheGeometry::Table1,
+                        uint64_t *L1DEvictions = nullptr) {
+  auto Env1 = createMachineEnv(Kind, P.lattice(), configOf(G));
   auto Env2 = Env1->clone();
 
   RunResult Fast = runFull(P, *Env1);
+  if (L1DEvictions)
+    *L1DEvictions += Fast.Hw.L1D.Evictions;
 
   StepInterpreter Slow(P, *Env2);
   Trace SlowTrace = Slow.runToCompletion();
@@ -61,52 +66,57 @@ void expectEnginesAgree(const Program &P, HwKind Kind) {
 }
 } // namespace
 
-class EngineAgreement : public ::testing::TestWithParam<HwKind> {};
+/// Every design on Table 1's caches and on the two-set geometry.
+class EngineAgreement
+    : public ::testing::TestWithParam<std::tuple<HwKind, CacheGeometry>> {
+protected:
+  HwKind kind() const { return std::get<0>(GetParam()); }
+  CacheGeometry geometry() const { return std::get<1>(GetParam()); }
+  void expectAgree(const Program &P) {
+    expectEnginesAgree(P, kind(), geometry());
+  }
+};
 
 TEST_P(EngineAgreement, StraightLine) {
-  expectEnginesAgree(inferred("var x : L;\nvar y : L;\n"
-                              "x := 1; y := x + 2; x := y * y"),
-                     GetParam());
+  expectAgree(inferred("var x : L;\nvar y : L;\n"
+                       "x := 1; y := x + 2; x := y * y"));
 }
 
 TEST_P(EngineAgreement, BranchesAndLoops) {
-  expectEnginesAgree(inferred("var h : H = 3;\nvar l : L;\n"
-                              "l := 0;\n"
-                              "while l < 5 do { l := l + 1 };\n"
-                              "if h then { h := h * 2 } else { skip }"),
-                     GetParam());
+  expectAgree(inferred("var h : H = 3;\nvar l : L;\n"
+                       "l := 0;\n"
+                       "while l < 5 do { l := l + 1 };\n"
+                       "if h then { h := h * 2 } else { skip }"));
 }
 
 TEST_P(EngineAgreement, SleepAndArrays) {
-  expectEnginesAgree(inferred("var a : L[8];\nvar i : L;\n"
-                              "i := 0;\n"
-                              "while i < 8 do { a[i] := i; i := i + 1 };\n"
-                              "sleep(a[3])"),
-                     GetParam());
+  expectAgree(inferred("var a : L[8];\nvar i : L;\n"
+                       "i := 0;\n"
+                       "while i < 8 do { a[i] := i; i := i + 1 };\n"
+                       "sleep(a[3])"));
 }
 
 TEST_P(EngineAgreement, MitigatedHighLoop) {
-  expectEnginesAgree(inferred("var h : H = 5;\nvar l : L;\n"
-                              "mitigate (10, H) {\n"
-                              "  while h > 0 do { h := h - 1 }\n"
-                              "};\n"
-                              "l := 1"),
-                     GetParam());
+  expectAgree(inferred("var h : H = 5;\nvar l : L;\n"
+                       "mitigate (10, H) {\n"
+                       "  while h > 0 do { h := h - 1 }\n"
+                       "};\n"
+                       "l := 1"));
 }
 
 TEST_P(EngineAgreement, NestedMitigates) {
-  expectEnginesAgree(
+  expectAgree(
       inferred("var h : H = 2;\n"
                "mitigate (200, H) {\n"
                "  mitigate (5, H) { sleep(h) @[H,H] };\n"
                "  mitigate (5, H) { sleep(h + h) @[H,H] }\n"
-               "}"),
-      GetParam());
+               "}"));
 }
 
 TEST_P(EngineAgreement, RandomPrograms) {
-  Rng R(0xA11CE + static_cast<uint64_t>(GetParam()));
+  Rng R(0xA11CE + static_cast<uint64_t>(kind()));
   unsigned Found = 0;
+  uint64_t Evictions = 0;
   for (unsigned Trial = 0; Trial != 60 && Found < 12; ++Trial) {
     RandomProgramOptions O;
     O.MaxDepth = 3;
@@ -114,13 +124,15 @@ TEST_P(EngineAgreement, RandomPrograms) {
     if (!P)
       continue;
     ++Found;
-    expectEnginesAgree(*P, GetParam());
+    expectEnginesAgree(*P, kind(), geometry(), &Evictions);
   }
   EXPECT_GE(Found, 6u) << "random generator produced too few programs";
+  static EvictionTally Tally;
+  Tally.add(geometry(), Evictions);
 }
 
 TEST_P(EngineAgreement, RandomProgramsThreeLevel) {
-  Rng R(0xB0B + static_cast<uint64_t>(GetParam()));
+  Rng R(0xB0B + static_cast<uint64_t>(kind()));
   unsigned Found = 0;
   for (unsigned Trial = 0; Trial != 60 && Found < 8; ++Trial) {
     RandomProgramOptions O;
@@ -129,16 +141,13 @@ TEST_P(EngineAgreement, RandomProgramsThreeLevel) {
     if (!P)
       continue;
     ++Found;
-    expectEnginesAgree(*P, GetParam());
+    expectAgree(*P);
   }
   EXPECT_GE(Found, 4u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, EngineAgreement,
-                         ::testing::ValuesIn(allHwKinds()),
-                         [](const auto &Info) {
-                           return std::string(hwKindName(Info.param));
-                         });
+                         allDesignsAndGeometries(), designAndGeometryName);
 
 //===----------------------------------------------------------------------===//
 // Full-semantics timing behaviors

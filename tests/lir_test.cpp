@@ -1,7 +1,9 @@
 //===- lir_test.cpp - The lowered program's register micro-ops -----------===//
 //
 // The one program form: lowering invariants (verifyIr over random
-// well-typed programs and every example), stable printing, and the resume
+// well-typed programs and every example, and a break for each check it
+// makes), stable printing, the literal fold (every operator over edge
+// values, and whole programs, run exactly as unfolded), and the resume
 // obligation of the execution core — single steps followed by run()
 // observe exactly what one uninterrupted run does.
 //
@@ -11,7 +13,9 @@
 #include "hw/HardwareModels.h"
 #include "ir/IrPrinter.h"
 #include "ir/Lowering.h"
+#include "lang/ProgramBuilder.h"
 #include "obs/CostLedger.h"
+#include "sem/CoreInterpreter.h"
 #include "sem/ExecCore.h"
 #include "sem/FullInterpreter.h"
 #include "sem/StepInterpreter.h"
@@ -20,8 +24,10 @@
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace zam;
@@ -31,14 +37,16 @@ namespace {
 
 /// A loop with an array store and a secret-dependent sleep inside one
 /// mitigate window, with work on both sides of it: resume points cover
-/// every opcode, including the inside of an open window.
+/// every instruction opcode, including the inside of an open window, and
+/// micro-ops of each kind (register and immediate forms, an element
+/// read).
 Program loopProgram() {
   Program P = parseOrDie("var h : H;\nvar x : L;\nvar y : L;\n"
                          "var a : L[4];\n"
                          "x := 6;\n"
                          "mitigate (32, H) {\n"
                          "  while x > 0 do {\n"
-                         "    y := y + x; a[x] := y; x := x - 1\n"
+                         "    y := y + x; a[x] := y + a[x - 1]; x := x - 1\n"
                          "  };\n"
                          "  sleep(h + 20) @[H,H]\n"
                          "};\n"
@@ -46,6 +54,12 @@ Program loopProgram() {
                          lh());
   inferTimingLabels(P);
   return P;
+}
+
+/// The first micro-op in \p IR's pool whose opcode satisfies \p Is.
+IrUop &firstUop(IrProgram &IR, bool (*Is)(IrUop::K)) {
+  return *std::find_if(IR.Uops.begin(), IR.Uops.end(),
+                       [&](const IrUop &U) { return Is(U.Kind); });
 }
 
 /// Observables of one run, for byte comparison across resume points.
@@ -137,26 +151,298 @@ TEST(Lir, VerifierRejectsBrokenPrograms) {
   uint32_t Store = 0;
   while (Good.Instrs[Store].K != IrInstr::Op::ArrayAssign)
     ++Store;
-  const std::pair<const char *, void (*)(IrProgram &, uint32_t)> Breaks[] = {
-      {"successor", [](IrProgram &IR, uint32_t) {
+  struct Break {
+    const char *What;
+    const char *Expect; ///< Part of the message of the check it fails.
+    void (*Apply)(IrProgram &, uint32_t Store);
+  };
+  const Break Breaks[] = {
+      {"successor", "successor",
+       [](IrProgram &IR, uint32_t) {
          IR.Instrs[0].Next = static_cast<uint32_t>(IR.Instrs.size());
        }},
-      {"span", [](IrProgram &IR, uint32_t S) {
+      {"span", "span", [](IrProgram &IR, uint32_t S) {
          IR.Instrs[S].N1 = static_cast<uint32_t>(IR.Uops.size());
        }},
-      {"register", [](IrProgram &IR, uint32_t S) {
+      {"register", "register",
+       [](IrProgram &IR, uint32_t S) {
          IR.Uops[IR.Instrs[S].U1].Dst = static_cast<uint16_t>(IR.NumRegs);
        }},
-      {"second expression", [](IrProgram &IR, uint32_t S) {
+      {"second expression", "second expression",
+       [](IrProgram &IR, uint32_t S) {
          IR.Instrs[S - 1].U1 = IR.Instrs[S].U1;
          IR.Instrs[S - 1].N1 = 1;
        }},
+      {"opcode", "opcode",
+       [](IrProgram &IR, uint32_t S) {
+         IR.Uops[IR.Instrs[S].U0].Kind =
+             static_cast<IrUop::K>(IrUop::kNumKinds);
+       }},
+      // Dst itself is in range; the right operand r[Dst+1] is not.
+      {"second operand", "register",
+       [](IrProgram &IR, uint32_t) {
+         firstUop(IR, IrUop::isBinReg).Dst =
+             static_cast<uint16_t>(IR.NumRegs - 1);
+       }},
+      {"load slot", "micro-op slot",
+       [](IrProgram &IR, uint32_t) {
+         firstUop(IR, [](IrUop::K K) { return K == IrUop::K::Var; }).Slot =
+             static_cast<uint32_t>(IR.Slots.size());
+       }},
+      {"element slot", "micro-op slot",
+       [](IrProgram &IR, uint32_t) {
+         firstUop(IR, [](IrUop::K K) { return K == IrUop::K::Elem; }).Slot =
+             static_cast<uint32_t>(IR.Slots.size());
+       }},
+      {"assign slot", "store slot",
+       [](IrProgram &IR, uint32_t) {
+         for (IrInstr &I : IR.Instrs)
+           if (I.K == IrInstr::Op::Assign) {
+             I.Slot = static_cast<uint32_t>(IR.Slots.size());
+             return;
+           }
+       }},
+      {"store slot", "store slot",
+       [](IrProgram &IR, uint32_t S) {
+         IR.Instrs[S].Slot = static_cast<uint32_t>(IR.Slots.size());
+       }},
+      {"element modulus", "modulus",
+       [](IrProgram &IR, uint32_t) {
+         firstUop(IR, [](IrUop::K K) { return K == IrUop::K::Elem; }).Mod += 1;
+       }},
+      {"store element count", "element count",
+       [](IrProgram &IR, uint32_t S) {
+         IR.Instrs[S].ElemCount += 1;
+       }},
   };
-  for (const auto &[What, Break] : Breaks) {
+  for (const Break &B : Breaks) {
     IrProgram Bad = Good;
-    Break(Bad, Store);
-    EXPECT_FALSE(verifyIr(Bad, Err)) << What;
+    B.Apply(Bad, Store);
+    Err.clear();
+    EXPECT_FALSE(verifyIr(Bad, Err)) << B.What;
+    EXPECT_NE(Err.find(B.Expect), std::string::npos)
+        << B.What << " failed another check: " << Err;
   }
+}
+
+namespace {
+
+/// \p IR with every immediate-form operator expanded back into the Const
+/// micro-op lowering folded into it and the operator's register form.
+IrProgram unfoldLiterals(const IrProgram &IR) {
+  IrProgram Out = IR;
+  Out.Uops.clear();
+  auto Span = [&](uint32_t &U, uint32_t &N) {
+    const uint32_t First = static_cast<uint32_t>(Out.Uops.size());
+    for (uint32_t I = U; I != U + N; ++I) {
+      IrUop Op = IR.Uops[I];
+      if (IrUop::isBinImm(Op.Kind)) {
+        IrUop Lit = Op;
+        Lit.Kind = IrUop::K::Const;
+        Lit.Dst = static_cast<uint16_t>(Op.Dst + 1);
+        Out.Uops.push_back(Lit);
+        Op.Kind = IrUop::binKind(IrUop::binOpOf(Op.Kind), /*Imm=*/false);
+        Out.NumRegs = std::max<uint32_t>(Out.NumRegs, Op.Dst + 2u);
+      }
+      Out.Uops.push_back(Op);
+    }
+    U = First;
+    N = static_cast<uint32_t>(Out.Uops.size()) - First;
+  };
+  for (IrInstr &I : Out.Instrs) {
+    Span(I.U0, I.N0);
+    Span(I.U1, I.N1);
+  }
+  return Out;
+}
+
+size_t countImm(const IrProgram &IR) {
+  return std::count_if(IR.Uops.begin(), IR.Uops.end(), [](const IrUop &U) {
+    return IrUop::isBinImm(U.Kind);
+  });
+}
+
+/// Everything one run of the core shows.
+struct CoreRun {
+  Trace T;
+  Memory M;
+  std::string Ledger;
+  HwStats Hw;
+};
+
+/// Runs \p IR, lowered from \p P, through the execution core on a fresh
+/// \p Kind machine of geometry \p Config, with the ledger and miss
+/// sampling attached.
+CoreRun runIr(const IrProgram &IR, const Program &P, HwKind Kind,
+              const MachineEnvConfig &Config = MachineEnvConfig()) {
+  auto Env = createMachineEnv(Kind, P.lattice(), Config);
+  CostLedger Ledger;
+  InterpreterOptions Opts;
+  Opts.Provenance = &Ledger;
+  Opts.RecordMisses = true;
+  CoreRun R;
+  {
+    ExecCore Core(IR, P,
+                  Memory::fromProgram(P, CostModel().DataBase, IR.Names),
+                  *Env, std::move(Opts));
+    Env->setObserver(&Core);
+    Core.run();
+    Env->setObserver(nullptr);
+    R.T = Core.trace();
+    R.M = Core.memory();
+  }
+  R.Ledger = Ledger.toJson().dump();
+  R.Hw = Env->stats();
+  return R;
+}
+
+void expectSameRun(const CoreRun &A, const CoreRun &B) {
+  expectSameObservables({A.T, A.M, A.Ledger}, {B.T, B.M, B.Ledger},
+                        "unfolded");
+  EXPECT_TRUE(A.T.Misses == B.T.Misses);
+  EXPECT_TRUE(A.Hw == B.Hw);
+}
+
+/// x := A, y := B, and the body r := E for the \p Expr \p E makes.
+template <typename Fn> Program opProgram(int64_t A, int64_t B, Fn &&E) {
+  ProgramBuilder PB(lh());
+  PB.var("x", low(), A).var("y", low(), B).var("r", low());
+  PB.body(PB.assign("r", E(PB)));
+  Program P = PB.take();
+  inferTimingLabels(P);
+  return P;
+}
+
+std::vector<IrUop::K> kindsOf(const IrProgram &IR) {
+  std::vector<IrUop::K> Out;
+  for (const IrUop &U : IR.Uops)
+    Out.push_back(U.Kind);
+  return Out;
+}
+
+} // namespace
+
+// Every operator over an edge-value grid, with the left operand from a
+// variable and the right one from a variable (register form) and from a
+// literal (immediate form): the value is the operator's, on the full and
+// the core semantics, and the folded literal costs exactly what the Const
+// it replaced and the register form did. A literal on the left stays a
+// Const.
+TEST(Lir, EveryOperatorFoldsExactly) {
+  const int64_t Grid[] = {0,
+                          1,
+                          -1,
+                          63,
+                          64,
+                          65,
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(),
+                          -7}; // A negative divisor that is not -1.
+  using K = IrUop::K;
+  auto Value = [](const Program &P) {
+    auto Env = createMachineEnv(HwKind::Partitioned, P.lattice());
+    RunResult R = FullInterpreter(P, *Env).run();
+    EXPECT_EQ(runCore(P).FinalMemory.load("r"), R.FinalMemory.load("r"));
+    return std::make_pair(R.FinalMemory.load("r"), R.T.FinalTime);
+  };
+  unsigned Checked = 0;
+  for (unsigned O = 0; O <= static_cast<unsigned>(BinOpKind::Shr); ++O) {
+    const auto Op = static_cast<BinOpKind>(O);
+    const K Reg = IrUop::binKind(Op, false), Imm = IrUop::binKind(Op, true);
+    for (int64_t A : Grid)
+      for (int64_t B : Grid) {
+        SCOPED_TRACE(std::string(binOpSpelling(Op)) + " " +
+                     std::to_string(A) + " " + std::to_string(B));
+        const int64_t Want = applyBinOp(Op, A, B);
+
+        const Program PReg = opProgram(A, B, [&](ProgramBuilder &PB) {
+          return PB.bin(Op, PB.v("x"), PB.v("y"));
+        });
+        EXPECT_EQ(kindsOf(lowerProgram(PReg)),
+                  (std::vector<K>{K::Var, K::Var, Reg}));
+        EXPECT_EQ(Value(PReg).first, Want);
+
+        const Program PImm = opProgram(A, B, [&](ProgramBuilder &PB) {
+          return PB.bin(Op, PB.v("x"), PB.lit(B));
+        });
+        const IrProgram Folded = lowerProgram(PImm);
+        ASSERT_EQ(kindsOf(Folded), (std::vector<K>{K::Var, Imm}));
+        EXPECT_EQ(Folded.Uops[1].Imm, B);
+        const auto [V, Time] = Value(PImm);
+        EXPECT_EQ(V, Want);
+        const CoreRun Unfolded =
+            runIr(unfoldLiterals(Folded), PImm, HwKind::Partitioned);
+        EXPECT_EQ(Unfolded.M.load("r"), Want);
+        EXPECT_EQ(Unfolded.T.FinalTime, Time);
+
+        const Program PLeft = opProgram(A, B, [&](ProgramBuilder &PB) {
+          return PB.bin(Op, PB.lit(A), PB.v("y"));
+        });
+        EXPECT_EQ(kindsOf(lowerProgram(PLeft)),
+                  (std::vector<K>{K::Const, K::Var, Reg}));
+        EXPECT_EQ(Value(PLeft).first, Want);
+        ++Checked;
+      }
+  }
+  for (unsigned O = 0; O <= static_cast<unsigned>(UnOpKind::BitNot); ++O) {
+    const auto Op = static_cast<UnOpKind>(O);
+    for (int64_t A : Grid) {
+      SCOPED_TRACE(std::string(unOpSpelling(Op)) + " " + std::to_string(A));
+      const Program P = opProgram(A, 0, [&](ProgramBuilder &PB) {
+        return PB.un(Op, PB.v("x"));
+      });
+      EXPECT_EQ(kindsOf(lowerProgram(P)),
+                (std::vector<K>{K::Var, IrUop::unKind(Op)}));
+      EXPECT_EQ(Value(P).first, applyUnOp(Op, A));
+      ++Checked;
+    }
+  }
+  EXPECT_EQ(Checked, 18u * 81u + 3u * 9u);
+}
+
+// Whole programs: the folded IR runs exactly as its unfolded twin — same
+// clock, events, windows, memory, misses, hardware counters and ledger —
+// on every design, on Table 1's caches and on the two-set geometry.
+TEST(Lir, FoldedProgramsRunAsUnfolded) {
+  std::vector<Program> Programs;
+  Programs.push_back(loopProgram());
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(ZAM_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".zam")
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Source;
+    Source << In.rdbuf();
+    Programs.push_back(parseOrDie(Source.str()));
+    inferTimingLabels(Programs.back());
+  }
+  Rng R(0xF01D);
+  for (unsigned Trial = 0; Trial != 100 && Programs.size() < 30; ++Trial) {
+    RandomProgramOptions O;
+    O.MaxDepth = 3;
+    if (std::optional<Program> P = randomWellTypedProgram(lh(), R, O))
+      Programs.push_back(std::move(*P));
+  }
+  size_t Folds = 0;
+  for (size_t I = 0; I != Programs.size(); ++I) {
+    const Program &P = Programs[I];
+    const IrProgram Folded = lowerProgram(P);
+    const IrProgram Unfolded = unfoldLiterals(Folded);
+    std::string Err;
+    ASSERT_TRUE(verifyIr(Unfolded, Err)) << Err;
+    Folds += countImm(Folded);
+    EXPECT_EQ(countImm(Unfolded), 0u);
+    for (HwKind Kind : allHwKinds())
+      for (const MachineEnvConfig &Config :
+           {MachineEnvConfig(), twoSetTwoWayConfig()}) {
+        SCOPED_TRACE("program " + std::to_string(I) + " on " +
+                     hwKindName(Kind));
+        expectSameRun(runIr(Folded, P, Kind, Config),
+                      runIr(Unfolded, P, Kind, Config));
+      }
+  }
+  EXPECT_GE(Programs.size(), 20u);
+  EXPECT_GT(Folds, 20u) << "too few folded literals to compare";
 }
 
 TEST(Lir, StepThenRunResumesExactly) {

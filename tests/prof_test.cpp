@@ -116,14 +116,22 @@ std::vector<Program> randomPrograms(const SecurityLattice &Lat, uint64_t Seed,
 // Conservation: per-line totals sum exactly to the whole-run numbers
 //===----------------------------------------------------------------------===//
 
-class ProfilerConservation : public ::testing::TestWithParam<HwKind> {};
+/// Every design on Table 1's caches and on the two-set geometry.
+class ProfilerConservation
+    : public ::testing::TestWithParam<std::tuple<HwKind, CacheGeometry>> {
+protected:
+  HwKind kind() const { return std::get<0>(GetParam()); }
+  CacheGeometry geometry() const { return std::get<1>(GetParam()); }
+};
 
 namespace {
-/// Profiles \p P on a fresh \p Kind machine and checks that every cost is
-/// attributed exactly. \returns the run and the settled ledger.
+/// Profiles \p P on a fresh \p Kind machine of geometry \p G and checks
+/// that every cost is attributed exactly. \returns the run and the settled
+/// ledger.
 std::pair<RunResult, CostLedger> expectConservation(const Program &P,
-                                                    HwKind Kind) {
-  auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
+                                                    HwKind Kind,
+                                                    CacheGeometry G) {
+  auto Env = createMachineEnv(Kind, P.lattice(), configOf(G));
   CostLedger Ledger;
   LeakAudit Audit(P.lattice());
   InterpreterOptions Opts;
@@ -153,7 +161,8 @@ std::pair<RunResult, CostLedger> expectConservation(const Program &P,
 } // namespace
 
 TEST_P(ProfilerConservation, EveryCostIsAttributedExactly) {
-  const auto [R, Ledger] = expectConservation(inferred(kWorkload), GetParam());
+  const auto [R, Ledger] =
+      expectConservation(inferred(kWorkload), kind(), geometry());
   EXPECT_GT(Ledger.totalLeakBits(), 0.0);
 }
 
@@ -161,7 +170,7 @@ TEST_P(ProfilerConservation, EveryCostIsAttributedExactly) {
 // zeros; this workload makes those two comparisons able to fail.
 TEST_P(ProfilerConservation, EvictionsAndWritebacksAreAttributedExactly) {
   const auto [R, Ledger] =
-      expectConservation(inferred(kEvictingWorkload), GetParam());
+      expectConservation(inferred(kEvictingWorkload), kind(), geometry());
   EXPECT_GT(R.Hw.L1D.Evictions, 0u);
   EXPECT_GT(R.Hw.L1D.Writebacks, 0u);
   EXPECT_GT(Ledger.structureTotals(CostLedger::L1D).Writebacks, 0u);
@@ -171,6 +180,7 @@ TEST_P(ProfilerConservation, EvictionsAndWritebacksAreAttributedExactly) {
 // random lines, so each access kind of the fold's rule lands on some line
 // other than its command's.
 TEST_P(ProfilerConservation, RandomProgramsAreAttributedExactly) {
+  uint64_t Evictions = 0;
   for (const SecurityLattice *Lat :
        std::initializer_list<const SecurityLattice *>{&lh(), &lmh()}) {
     const std::vector<Program> Programs = randomPrograms(*Lat, 0xF01D, 10);
@@ -178,16 +188,17 @@ TEST_P(ProfilerConservation, RandomProgramsAreAttributedExactly) {
     for (size_t I = 0; I != Programs.size(); ++I) {
       SCOPED_TRACE("program " + std::to_string(I) + " over " +
                    std::to_string(Lat->size()) + " levels");
-      expectConservation(Programs[I], GetParam());
+      Evictions +=
+          expectConservation(Programs[I], kind(), geometry()).first.Hw.L1D
+              .Evictions;
     }
   }
+  static EvictionTally Tally;
+  Tally.add(geometry(), Evictions);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, ProfilerConservation,
-                         ::testing::ValuesIn(allHwKinds()),
-                         [](const auto &Info) {
-                           return std::string(hwKindName(Info.param));
-                         });
+                         allDesignsAndGeometries(), designAndGeometryName);
 
 //===----------------------------------------------------------------------===//
 // Engine agreement and attribution placement
@@ -196,9 +207,12 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, ProfilerConservation,
 namespace {
 /// The big-step and small-step engines must not only agree on totals but
 /// attribute every cost to the same source line and mitigate site.
-void expectEnginesChargeIdenticalLedgers(const Program &P) {
+/// \returns the L1D evictions of the big-step runs.
+uint64_t expectEnginesChargeIdenticalLedgers(
+    const Program &P, CacheGeometry G = CacheGeometry::Table1) {
+  uint64_t Evictions = 0;
   for (HwKind Kind : allHwKinds()) {
-    auto Env1 = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
+    auto Env1 = createMachineEnv(Kind, P.lattice(), configOf(G));
     auto Env2 = Env1->clone();
 
     CostLedger Fast;
@@ -208,7 +222,7 @@ void expectEnginesChargeIdenticalLedgers(const Program &P) {
     FastOpts.OnMitigateWindow = [&](const MitigateRecord &R) {
       FastAudit.onWindow(R);
     };
-    runFull(P, *Env1, FastOpts);
+    Evictions += runFull(P, *Env1, FastOpts).Hw.L1D.Evictions;
     Fast.applyLeakage(FastAudit);
 
     CostLedger Slow;
@@ -224,6 +238,7 @@ void expectEnginesChargeIdenticalLedgers(const Program &P) {
 
     EXPECT_EQ(Fast.toJson().dump(), Slow.toJson().dump()) << hwKindName(Kind);
   }
+  return Evictions;
 }
 } // namespace
 
@@ -234,9 +249,15 @@ TEST(Profiler, EnginesChargeIdenticalLedgers) {
 TEST(Profiler, EnginesChargeIdenticalLedgersOnRandomPrograms) {
   const std::vector<Program> Programs = randomPrograms(lh(), 0xE9E, 10);
   EXPECT_GE(Programs.size(), 5u);
-  for (size_t I = 0; I != Programs.size(); ++I) {
-    SCOPED_TRACE("program " + std::to_string(I));
-    expectEnginesChargeIdenticalLedgers(Programs[I]);
+  for (CacheGeometry G :
+       {CacheGeometry::Table1, CacheGeometry::TwoSetTwoWay}) {
+    uint64_t Evictions = 0;
+    for (size_t I = 0; I != Programs.size(); ++I) {
+      SCOPED_TRACE("program " + std::to_string(I) + " on " +
+                   geometryName(G));
+      Evictions += expectEnginesChargeIdenticalLedgers(Programs[I], G);
+    }
+    EvictionTally().add(G, Evictions, allHwKinds().size());
   }
 }
 

@@ -275,20 +275,6 @@ std::vector<Program> randomPrograms(const SecurityLattice &Lat, uint64_t Seed,
   return Out;
 }
 
-/// A machine so small that random programs conflict everywhere: two-way
-/// sets that promote, evict and write back on every design, and TLB
-/// "pages" of one L2 line, so the TLBs thrash as well.
-MachineEnvConfig tinyConfig() {
-  MachineEnvConfig C;
-  C.L1D = {2, 2, 32, 1};
-  C.L2D = {4, 2, 64, 6};
-  C.L1I = {2, 2, 32, 1};
-  C.L2I = {4, 2, 64, 6};
-  C.DTlb = {2, 2, 64, 30};
-  C.ITlb = {2, 2, 64, 30};
-  return C;
-}
-
 /// One side of the differential: the env the engines run on (the
 /// ticketed env itself, or a forwarding env over a clone) and a restore
 /// of the env that runs drive from (copyInto, in place).
@@ -416,7 +402,8 @@ HwStats expectTicketsChangeNothing(const Program &P, const Program &Other,
 class RepeatHitDifferential : public ::testing::TestWithParam<HwKind> {};
 
 TEST_P(RepeatHitDifferential, RandomProgramsRunAsWithoutTickets) {
-  for (const MachineEnvConfig &Config : {MachineEnvConfig(), tinyConfig()}) {
+  for (const MachineEnvConfig &Config :
+       {MachineEnvConfig(), twoSetTwoWayConfig()}) {
     uint64_t L1Hits = 0, L1Misses = 0, Writebacks = 0;
     for (const SecurityLattice *Lat :
          std::initializer_list<const SecurityLattice *>{&lh(), &lmh()}) {
