@@ -87,8 +87,8 @@ struct RsaDecryptResult {
 /// A decryption session over one machine environment and persistent
 /// mitigation state. Its runs retain no assignment events. One interpreter
 /// serves every decryption, restarted in place for each, so a decryption
-/// builds no interpreter and the access sites' repeat-hit tickets stay
-/// warm from one decryption to the next. The session points into itself
+/// builds no interpreter and the access sites' repeat tickets (all hit
+/// tickets on a warm env) stay warm from one decryption to the next. The session points into itself
 /// (the interpreter shares its Miss table) and cannot be moved.
 class RsaSession {
 public:

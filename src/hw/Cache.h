@@ -95,7 +95,9 @@ public:
   /// additionally sets the line's dirty bit (stores). \returns kMiss, or
   /// whether the hit changed the set: a hit at the MRU way whose dirty bit
   /// needs no setting changes nothing (kHit), which is what lets the
-  /// machine environment hand out repeat-hit tickets (hw/MachineEnv.h).
+  /// machine environment hand out hit tickets (RepeatTicket in
+  /// hw/MachineEnv.h); a probe never changes anything, so a no-fill probe
+  /// that misses earns a miss ticket.
   /// Defined inline below: this is the hottest call in the simulator, and
   /// the partition/no-fill walks that drive it live in another TU.
   LookupResult lookup(Addr A, bool MarkDirty = false);

@@ -290,8 +290,8 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
   };
   uint64_t Cycles = 0;
   // Whether the access changed this side's state (see MachineEnv::
-  // repeatHit): a hit that moved a line or set a dirty bit, or an install
-  // (with its stale-copy removes) into a partition there is.
+  // repeatAccess): a hit that moved a line or set a dirty bit, or an
+  // install (with its stale-copy removes) into a partition there is.
   bool Changed = false;
   const bool Installs = R.Target != HwPlan::kNoTarget;
 
@@ -306,6 +306,12 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
     Cycles += Tlb[0].latency();
     Install(Tlb, TlbEvents, false);
   }
+  // An access that changed nothing earns a ticket (see MachineEnv::
+  // repeatAccess). One that missed anywhere only does unobserved: the
+  // observer must see every miss. Only a no-fill probe (ew above ⊥, no
+  // partition to install into) misses without changing anything.
+  LastAccess.A = A;
+  uint64_t Outcome = TlbMiss ? RepeatTicket::kTlbMiss : 0;
 
   Cycles += L1[0].latency();
   if (const Cache::LookupResult Hit =
@@ -314,18 +320,17 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
     Changed |= Hit == Cache::kHitChanged;
     if (Changed)
       ++Epochs[IsData];
-    // A hit in both that changed nothing is the one access a ticket may
-    // repeat.
-    LastHit.A = A;
-    LastHit.Epoch = TlbMiss || Changed ? 0 : Epochs[IsData];
-    LastHit.Cycles = Cycles;
+    LastAccess.Epoch = Changed || (Observed && TlbMiss)
+                           ? 0
+                           : Epochs[IsData] | Outcome;
+    LastAccess.Cycles = Cycles;
     if constexpr (Observed)
       if (TlbMiss)
         Report(/*L1Miss=*/false, /*L2Miss=*/false, Cycles);
     return Cycles;
   }
   ++L1Stats.Misses;
-  LastHit.Epoch = 0;
+  Outcome |= RepeatTicket::kL1Miss;
 
   Cycles += L2[0].latency();
   bool L2Miss = false;
@@ -336,12 +341,16 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
   } else {
     ++L2Stats.Misses;
     L2Miss = true;
+    Outcome |= RepeatTicket::kL2Miss;
     Cycles += Config.MemLatency;
     Install(L2, L2Events, false);
   }
   Install(L1, L1Events, IsStore);
-  if (Changed || Installs)
+  Changed |= Installs;
+  if (Changed)
     ++Epochs[IsData];
+  LastAccess.Epoch = Changed || Observed ? 0 : Epochs[IsData] | Outcome;
+  LastAccess.Cycles = Cycles;
   if constexpr (Observed)
     Report(/*L1Miss=*/true, L2Miss, Cycles);
   return Cycles;

@@ -95,8 +95,8 @@ struct HwPlan {
 };
 
 /// The machine environment of all three designs (HwKind), driven by its
-/// HwPlan.
-class HardwareEnv final : public MachineEnv {
+/// HwPlan. Not final: repeat_hit_test derives an env that counts its walks.
+class HardwareEnv : public MachineEnv {
 public:
   /// Fatal error if \p Lat has more than kMaxLatticeLevels levels, or if
   /// checkCacheConfig (hw/Cache.h) rejects one of \p Config's structures.

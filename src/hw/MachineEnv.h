@@ -92,19 +92,32 @@ public:
   virtual void onAccess(const HwAccess &Access) = 0;
 };
 
-/// A repeat-hit ticket: what an access site learned the last time its
-/// access hit in the TLB and the L1 without changing any state. E is
-/// deterministic (Property 2), so while the access side's state stays
-/// unchanged — its epoch still equals Epoch — the same access from the
-/// same site (the same address, labels and store bit) hits again for the
-/// same Cycles and changes nothing again. MachineEnv::repeatHit honours a
-/// ticket; MachineEnv::takeTicket grants one. Epoch 0 is never current,
-/// so a default ticket matches nothing.
-struct HitTicket {
+/// A repeat ticket: what an access site learned the last time its access
+/// left its side's state unchanged — a hit in the TLB and the L1 that
+/// moved nothing, or a no-fill probe that missed and installed nothing. E
+/// is deterministic (Property 2), so while the access side's state stays
+/// unchanged — its epoch still equals the ticket's — the same access from
+/// the same site (the same address, labels and store bit) has the same
+/// outcome again, for the same Cycles, and changes nothing again.
+/// MachineEnv::repeatAccess honours a ticket; MachineEnv::takeTicket
+/// grants one. Epoch 0 is never current, so a default ticket matches
+/// nothing.
+struct RepeatTicket {
+  /// The outcome bits, above every epoch an env can reach. A hit ticket
+  /// has none set, so its Epoch compares equal to the side's epoch as it
+  /// is; a miss ticket has kTlbMiss or kL1Miss set (kL2Miss implies
+  /// kL1Miss).
+  static constexpr uint64_t kTlbMiss = uint64_t(1) << 63;
+  static constexpr uint64_t kL1Miss = uint64_t(1) << 62;
+  static constexpr uint64_t kL2Miss = uint64_t(1) << 61;
+  static constexpr uint64_t kMissed = kTlbMiss | kL1Miss | kL2Miss;
+
   Addr A = 0;
+  /// The side's epoch at the grant, or'ed with the outcome bits.
   uint64_t Epoch = 0;
   uint64_t Cycles = 0;
 };
+static_assert(sizeof(RepeatTicket) == 24, "the outcome packs into the epoch");
 
 /// Abstract machine environment.
 class MachineEnv {
@@ -195,11 +208,12 @@ public:
   /// One-line description for logs and bench output.
   std::string describe() const;
 
-  /// Repeat hits. An engine keeps one HitTicket per access site, and each
-  /// site always makes the same kind of access (data or fetch, store or
-  /// load) under the same labels [er, ew]. Before an access it calls
-  /// repeatHit; when that returns true the access is done — the TLB hit
-  /// and the L1 hit are counted in the stats, the latency is
+  /// Repeat tickets. An engine keeps one RepeatTicket per access site,
+  /// and each site always makes the same kind of access (data or fetch,
+  /// store or load) under the same labels [er, ew]. Before an access it
+  /// calls repeatAccess; when that returns true the access is done — its
+  /// TLB, L1 and (after an L1 miss) L2 outcomes are counted in the stats
+  /// exactly as the walk would count them, the latency is
   /// \p Ticket.Cycles, and dataAccess/fetch are not called. Otherwise the
   /// engine makes the access and then calls takeTicket for the site.
   ///
@@ -208,24 +222,30 @@ public:
   /// DTLB/L1D/L2D) on every change to that side's state — an install, a
   /// stale-copy remove, an LRU promotion, the first set of a dirty bit,
   /// and reset, randomize, perturbAbove and copyInto — and grants a ticket
-  /// only for an access that hit in the TLB and the L1 and changed
-  /// nothing. A skipped access reaches no HwObserver, and needs none: an
-  /// access that hits in both is never reported. Environments that keep
-  /// no epochs (those that do not set LastHit, such as wrappers that
-  /// forward to another env) never grant a ticket, so every access
-  /// reaches them.
-  bool repeatHit(const HitTicket &Ticket, Addr A, bool IsData) {
-    if (Ticket.Epoch != Epochs[IsData] || Ticket.A != A)
-      return false;
-    ++(IsData ? Stats.DTlb : Stats.ITlb).Hits;
-    ++(IsData ? Stats.L1D : Stats.L1I).Hits;
-    return true;
+  /// only for an access that changed nothing. A hit ticket (a TLB and L1
+  /// hit) is the common case and costs one compare; a miss ticket (a
+  /// no-fill probe that missed and so installed nothing) is checked only
+  /// when that compare fails. A repeated hit reaches no HwObserver, and
+  /// needs none: an access that hits in both is never reported. A miss
+  /// must reach the observer, so the observed walk grants no miss ticket
+  /// and repeatAccess refuses one while an observer is installed.
+  /// Environments that keep no epochs (those that do not set LastAccess,
+  /// such as wrappers that forward to another env) never grant a ticket,
+  /// so every access reaches them.
+  bool repeatAccess(const RepeatTicket &Ticket, Addr A, bool IsData) {
+    if (Ticket.Epoch == Epochs[IsData] && Ticket.A == A) {
+      ++(IsData ? Stats.DTlb : Stats.ITlb).Hits;
+      ++(IsData ? Stats.L1D : Stats.L1I).Hits;
+      return true;
+    }
+    return (Ticket.Epoch & RepeatTicket::kMissed) &&
+           repeatMiss(Ticket, A, IsData);
   }
 
   /// Grants \p Ticket for the access just made: valid when that access
-  /// hit in the TLB and the L1 and changed nothing, else one that matches
-  /// nothing.
-  void takeTicket(HitTicket &Ticket) const { Ticket = LastHit; }
+  /// changed nothing (and, if it missed, no observer saw it), else one
+  /// that matches nothing.
+  void takeTicket(RepeatTicket &Ticket) const { Ticket = LastAccess; }
 
 protected:
   MachineEnv(HwKind Kind, const SecurityLattice &Lat,
@@ -254,15 +274,38 @@ protected:
   MachineEnvConfig Config;
   HwStats Stats;
   HwObserver *Obs = nullptr;
-  /// Per-side state epochs, [0] instruction and [1] data (see repeatHit).
-  /// They start at 1, so a default ticket (epoch 0) never matches, and
-  /// only ever grow: tickets are only compared against the env that
-  /// granted them.
+  /// Per-side state epochs, [0] instruction and [1] data (see
+  /// repeatAccess). They start at 1, so a default ticket (epoch 0) never
+  /// matches, and only ever grow: tickets are only compared against the
+  /// env that granted them.
   uint64_t Epochs[2] = {1, 1};
-  /// The last access as a ticket when it hit in the TLB and the L1 and
-  /// changed nothing; epoch 0 otherwise. Only environments that keep
-  /// epochs set it.
-  HitTicket LastHit;
+  /// The last access as a ticket when it changed nothing; epoch 0
+  /// otherwise. Only environments that keep epochs set it.
+  RepeatTicket LastAccess;
+
+private:
+  /// repeatAccess for a miss ticket: counts the ticket's outcome when it
+  /// is current for \p A and no observer is installed. Out of line, so
+  /// that the hit check stays small at every access site it is inlined
+  /// into.
+  [[gnu::noinline]] bool repeatMiss(const RepeatTicket &Ticket, Addr A,
+                                    bool IsData) {
+    if ((Ticket.Epoch & ~RepeatTicket::kMissed) != Epochs[IsData] ||
+        Ticket.A != A || Obs)
+      return false;
+    const bool TlbMiss = Ticket.Epoch & RepeatTicket::kTlbMiss;
+    CacheLevelStats &Tlb = IsData ? Stats.DTlb : Stats.ITlb;
+    ++(TlbMiss ? Tlb.Misses : Tlb.Hits);
+    CacheLevelStats &L1 = IsData ? Stats.L1D : Stats.L1I;
+    if (!(Ticket.Epoch & RepeatTicket::kL1Miss)) {
+      ++L1.Hits;
+      return true;
+    }
+    ++L1.Misses;
+    CacheLevelStats &L2 = IsData ? Stats.L2D : Stats.L2I;
+    ++(Ticket.Epoch & RepeatTicket::kL2Miss ? L2.Misses : L2.Hits);
+    return true;
+  }
 };
 
 /// The largest lattice a machine environment accepts. The partition plan

@@ -35,7 +35,7 @@ ExecCore::ExecCore(const IrProgram &IR, const Program &P, Memory InitM,
                 sizeof(MitFrame) % sizeof(int64_t) == 0 &&
                 alignof(PcTally) <= alignof(int64_t) &&
                 sizeof(PcTally) % sizeof(int64_t) == 0 &&
-                alignof(HitTicket) <= alignof(int64_t));
+                alignof(RepeatTicket) <= alignof(int64_t));
   NumRegs = IR.NumRegs ? IR.NumRegs : 1;
   const size_t NumSlots = M.slotCount();
   MaxDepth = IR.MaxMitDepth;
@@ -43,7 +43,7 @@ ExecCore::ExecCore(const IrProgram &IR, const Program &P, Memory InitM,
   const size_t NumTickets = 2 * IR.Instrs.size() + IR.Uops.size();
   Scratch = std::make_unique_for_overwrite<std::byte[]>(
       (NumRegs + NumSlots) * sizeof(int64_t) + MaxDepth * sizeof(MitFrame) +
-      NumTallies * sizeof(PcTally) + NumTickets * sizeof(HitTicket));
+      NumTallies * sizeof(PcTally) + NumTickets * sizeof(RepeatTicket));
   Regs = reinterpret_cast<int64_t *>(Scratch.get());
   // Slot storage is never reallocated (restart copies values into it), so
   // these pointers hold for every run.
@@ -54,7 +54,7 @@ ExecCore::ExecCore(const IrProgram &IR, const Program &P, Memory InitM,
   PcTally *const TallyBlock = reinterpret_cast<PcTally *>(Frames + MaxDepth);
   if (NumTallies)
     Tallies = TallyBlock;
-  Tickets = reinterpret_cast<HitTicket *>(TallyBlock + NumTallies);
+  Tickets = reinterpret_cast<RepeatTicket *>(TallyBlock + NumTallies);
   std::uninitialized_default_construct_n(Tickets, NumTickets);
   UopTickets = Tickets + 2 * IR.Instrs.size();
   beginRun();

@@ -21,10 +21,11 @@
 ///     instruction's precomputed [er, ew] labels — the machine env is the
 ///     security boundary and lowering does not move it. Each access site
 ///     (an instruction's fetch and store, a Var/Elem micro-op's load) keeps
-///     a repeat-hit ticket: an access that repeats the site's last TLB+L1
-///     hit on an env whose state has not changed since is counted and
+///     a repeat ticket: an access that repeats the site's last access on
+///     an env whose state that access left unchanged, and has not changed
+///     since (a TLB+L1 hit, or a no-fill probe miss), is counted and
 ///     charged from the ticket without a call into the env (see
-///     MachineEnv::repeatHit); every other access calls the env;
+///     MachineEnv::repeatAccess); every other access calls the env;
 ///   - predictive mitigation windows (Fig. 6): a frame stack of open
 ///     mitigate sites, settled by MitEnd exactly like the paper's
 ///     MitigateEnd continuation;
@@ -166,12 +167,12 @@ private:
     return BaseStepCost + Fetch;
   }
   /// The access (a data access when \p IsData, else a fetch) of the site
-  /// whose ticket is \p Tk, at \p A under \p I's labels: a repeat hit
+  /// whose ticket is \p Tk, at \p A under \p I's labels: a repeat
   /// while the ticket holds, else the env's access and a fresh ticket.
   template <bool IsData>
-  uint64_t access(HitTicket &Tk, const IrInstr &I, Addr A,
+  uint64_t access(RepeatTicket &Tk, const IrInstr &I, Addr A,
                   bool IsStore = false) {
-    if (Env.repeatHit(Tk, A, IsData))
+    if (Env.repeatAccess(Tk, A, IsData))
       return Tk.Cycles;
     uint64_t Cycles;
     if constexpr (IsData)
@@ -275,15 +276,15 @@ private:
   uint32_t MaxDepth;
   /// One tally per instruction while a sink is attached, else null.
   PcTally *Tallies = nullptr;
-  /// The repeat-hit ticket of every access site that accessesOf names
-  /// (MachineEnv::repeatHit): instruction Pc's fetch at 2 * Pc and its
+  /// The repeat ticket of every access site that accessesOf names
+  /// (MachineEnv::repeatAccess): instruction Pc's fetch at 2 * Pc and its
   /// store at 2 * Pc + 1, then micro-op U's load at UopTickets[U] (only
   /// Var and Elem micro-ops use theirs). A site's labels and store bit
   /// are fixed, so its ticket stays exact for as long as the env's epoch
   /// says; tickets therefore survive restart() and stay warm across runs
   /// on an env whose state those runs did not change.
-  HitTicket *Tickets;
-  HitTicket *UopTickets;
+  RepeatTicket *Tickets;
+  RepeatTicket *UopTickets;
 };
 
 } // namespace zam

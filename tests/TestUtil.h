@@ -7,6 +7,7 @@
 #ifndef ZAM_TESTS_TESTUTIL_H
 #define ZAM_TESTS_TESTUTIL_H
 
+#include "analysis/RandomProgram.h"
 #include "hw/HardwareModels.h"
 #include "lang/Parser.h"
 #include "lattice/SecurityLattice.h"
@@ -96,33 +97,53 @@ inline std::string designAndGeometryName(
          geometryName(std::get<1>(Info.param));
 }
 
-/// The L1D evictions one random-program test makes, summed per geometry
-/// over every design. Once all designs have added theirs, prints each sum
-/// and requires the two-set one to be nonzero: random programs on Table 1's
-/// caches evict nothing, so without it no random program would reach the
-/// eviction and writeback paths. Keep one static tally per test; a run
-/// filtered to some of its designs checks nothing.
+/// The array size of random programs run on \p G: the generator's default
+/// on Table 1, and on the two-set geometry one line more than its L1D
+/// holds (20 words, 5 lines against 4), so that each array alone conflicts
+/// with itself and every design evicts — nofill too, whose high-context
+/// accesses install nothing.
+inline unsigned randomArraySize(CacheGeometry G) {
+  if (G == CacheGeometry::Table1)
+    return RandomProgramOptions().ArraySize;
+  const CacheConfig &L1D = configOf(G).L1D;
+  return (L1D.capacity() + 1) * L1D.BlockBytes / 8;
+}
+
+/// The L1D evictions one random-program test makes, per design and
+/// geometry. Once every design has added its count for a geometry, prints
+/// them and requires each two-set count to be nonzero: random programs on
+/// Table 1's caches evict nothing, so without it no random program would
+/// reach a design's eviction and writeback paths (nor, on nofill, the
+/// installs that make a probe miss's ticket stale). Keep one static tally
+/// per test; a run filtered to some of its designs checks nothing.
 class EvictionTally {
 public:
-  void add(CacheGeometry G, uint64_t L1DEvictions, unsigned Designs = 1) {
+  void add(HwKind Kind, CacheGeometry G, uint64_t L1DEvictions) {
     Part &P = Parts[static_cast<unsigned>(G)];
-    P.Evictions += L1DEvictions;
-    P.Designs += Designs;
-    if (P.Designs < allHwKinds().size())
-      return;
-    std::printf("[          ] L1D evictions on %s over every design: %llu\n",
-                geometryName(G),
-                static_cast<unsigned long long>(P.Evictions));
+    P.Evictions[static_cast<unsigned>(Kind)] += L1DEvictions;
+    P.Added[static_cast<unsigned>(Kind)] = true;
+    for (bool Added : P.Added)
+      if (!Added)
+        return;
+    std::printf("[          ] L1D evictions on %s:", geometryName(G));
+    for (HwKind K : allHwKinds())
+      std::printf(" %s %llu", hwKindName(K),
+                  static_cast<unsigned long long>(
+                      P.Evictions[static_cast<unsigned>(K)]));
+    std::printf("\n");
     if (G == CacheGeometry::TwoSetTwoWay) {
-      EXPECT_GT(P.Evictions, 0u);
+      for (HwKind K : allHwKinds()) {
+        EXPECT_GT(P.Evictions[static_cast<unsigned>(K)], 0u) << hwKindName(K);
+      }
     }
     P = Part();
   }
 
 private:
+  static constexpr unsigned kDesigns = 3;
   struct Part {
-    uint64_t Evictions = 0;
-    size_t Designs = 0;
+    uint64_t Evictions[kDesigns] = {};
+    bool Added[kDesigns] = {};
   };
   Part Parts[2];
 };

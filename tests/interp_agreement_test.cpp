@@ -120,6 +120,7 @@ TEST_P(EngineAgreement, RandomPrograms) {
   for (unsigned Trial = 0; Trial != 60 && Found < 12; ++Trial) {
     RandomProgramOptions O;
     O.MaxDepth = 3;
+    O.ArraySize = randomArraySize(geometry());
     std::optional<Program> P = randomWellTypedProgram(lh(), R, O);
     if (!P)
       continue;
@@ -128,7 +129,7 @@ TEST_P(EngineAgreement, RandomPrograms) {
   }
   EXPECT_GE(Found, 6u) << "random generator produced too few programs";
   static EvictionTally Tally;
-  Tally.add(geometry(), Evictions);
+  Tally.add(kind(), geometry(), Evictions);
 }
 
 TEST_P(EngineAgreement, RandomProgramsThreeLevel) {

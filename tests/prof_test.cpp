@@ -23,6 +23,8 @@
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
+#include <map>
+
 using namespace zam;
 using namespace zam::test;
 
@@ -98,12 +100,13 @@ void expectLedgerCovers(const CostLedger &Ledger, uint64_t Cycles,
 
 /// Well-typed random programs over \p Lat, at most \p Count of them.
 std::vector<Program> randomPrograms(const SecurityLattice &Lat, uint64_t Seed,
-                                    unsigned Count) {
+                                    unsigned Count, CacheGeometry G) {
   Rng R(Seed);
   std::vector<Program> Out;
   for (unsigned Trial = 0; Trial != 60 && Out.size() < Count; ++Trial) {
     RandomProgramOptions O;
     O.MaxDepth = 3;
+    O.ArraySize = randomArraySize(G);
     if (std::optional<Program> P = randomWellTypedProgram(Lat, R, O))
       Out.push_back(std::move(*P));
   }
@@ -183,7 +186,8 @@ TEST_P(ProfilerConservation, RandomProgramsAreAttributedExactly) {
   uint64_t Evictions = 0;
   for (const SecurityLattice *Lat :
        std::initializer_list<const SecurityLattice *>{&lh(), &lmh()}) {
-    const std::vector<Program> Programs = randomPrograms(*Lat, 0xF01D, 10);
+    const std::vector<Program> Programs =
+        randomPrograms(*Lat, 0xF01D, 10, geometry());
     EXPECT_GE(Programs.size(), 5u);
     for (size_t I = 0; I != Programs.size(); ++I) {
       SCOPED_TRACE("program " + std::to_string(I) + " over " +
@@ -194,7 +198,7 @@ TEST_P(ProfilerConservation, RandomProgramsAreAttributedExactly) {
     }
   }
   static EvictionTally Tally;
-  Tally.add(geometry(), Evictions);
+  Tally.add(kind(), geometry(), Evictions);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, ProfilerConservation,
@@ -206,11 +210,12 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, ProfilerConservation,
 
 namespace {
 /// The big-step and small-step engines must not only agree on totals but
-/// attribute every cost to the same source line and mitigate site.
-/// \returns the L1D evictions of the big-step runs.
-uint64_t expectEnginesChargeIdenticalLedgers(
-    const Program &P, CacheGeometry G = CacheGeometry::Table1) {
-  uint64_t Evictions = 0;
+/// attribute every cost to the same source line and mitigate site. Adds
+/// the L1D evictions of each design's big-step run to \p Evictions, by
+/// design.
+void expectEnginesChargeIdenticalLedgers(
+    const Program &P, CacheGeometry G = CacheGeometry::Table1,
+    std::map<HwKind, uint64_t> *Evictions = nullptr) {
   for (HwKind Kind : allHwKinds()) {
     auto Env1 = createMachineEnv(Kind, P.lattice(), configOf(G));
     auto Env2 = Env1->clone();
@@ -222,7 +227,10 @@ uint64_t expectEnginesChargeIdenticalLedgers(
     FastOpts.OnMitigateWindow = [&](const MitigateRecord &R) {
       FastAudit.onWindow(R);
     };
-    Evictions += runFull(P, *Env1, FastOpts).Hw.L1D.Evictions;
+    const uint64_t L1DEvictions =
+        runFull(P, *Env1, FastOpts).Hw.L1D.Evictions;
+    if (Evictions)
+      (*Evictions)[Kind] += L1DEvictions;
     Fast.applyLeakage(FastAudit);
 
     CostLedger Slow;
@@ -238,7 +246,6 @@ uint64_t expectEnginesChargeIdenticalLedgers(
 
     EXPECT_EQ(Fast.toJson().dump(), Slow.toJson().dump()) << hwKindName(Kind);
   }
-  return Evictions;
 }
 } // namespace
 
@@ -247,17 +254,19 @@ TEST(Profiler, EnginesChargeIdenticalLedgers) {
 }
 
 TEST(Profiler, EnginesChargeIdenticalLedgersOnRandomPrograms) {
-  const std::vector<Program> Programs = randomPrograms(lh(), 0xE9E, 10);
-  EXPECT_GE(Programs.size(), 5u);
   for (CacheGeometry G :
        {CacheGeometry::Table1, CacheGeometry::TwoSetTwoWay}) {
-    uint64_t Evictions = 0;
+    const std::vector<Program> Programs = randomPrograms(lh(), 0xE9E, 10, G);
+    EXPECT_GE(Programs.size(), 5u);
+    std::map<HwKind, uint64_t> Evictions;
     for (size_t I = 0; I != Programs.size(); ++I) {
       SCOPED_TRACE("program " + std::to_string(I) + " on " +
                    geometryName(G));
-      Evictions += expectEnginesChargeIdenticalLedgers(Programs[I], G);
+      expectEnginesChargeIdenticalLedgers(Programs[I], G, &Evictions);
     }
-    EvictionTally().add(G, Evictions, allHwKinds().size());
+    EvictionTally Tally;
+    for (HwKind Kind : allHwKinds())
+      Tally.add(Kind, G, Evictions[Kind]);
   }
 }
 

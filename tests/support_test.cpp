@@ -2,6 +2,7 @@
 
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
+#include "support/ParseInt.h"
 #include "support/Rng.h"
 #include "support/SourceLoc.h"
 
@@ -181,4 +182,45 @@ TEST(Casting, DynCast) {
   const VarExpr *V = dyn_cast<VarExpr>(Raw);
   ASSERT_NE(V, nullptr);
   EXPECT_EQ(V->name(), "x");
+}
+
+//===----------------------------------------------------------------------===//
+// Values and ranges
+//===----------------------------------------------------------------------===//
+
+TEST(ParseValueOrRange, AcceptsAValueOrAnOrderedRange) {
+  auto Parsed = [](std::string_view S) {
+    int64_t Lo = -1, Hi = -1;
+    const char *Why = parseValueOrRange(S, Lo, Hi);
+    EXPECT_EQ(Why, nullptr) << S << ": " << Why;
+    return std::make_pair(Lo, Hi);
+  };
+  EXPECT_EQ(Parsed("7"), std::make_pair(int64_t(7), int64_t(7)));
+  EXPECT_EQ(Parsed("-3..4"), std::make_pair(int64_t(-3), int64_t(4)));
+  EXPECT_EQ(Parsed("5..5"), std::make_pair(int64_t(5), int64_t(5)));
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(Parsed("-9223372036854775808..9223372036854775807"),
+            std::make_pair(Min, Max));
+}
+
+TEST(ParseValueOrRange, NamesWhatIsWrong) {
+  auto Why = [](std::string_view S) {
+    int64_t Lo = 1, Hi = 2;
+    const char *W = parseValueOrRange(S, Lo, Hi);
+    EXPECT_EQ(Lo, 1) << S;
+    EXPECT_EQ(Hi, 2) << S;
+    return std::string(W ? W : "");
+  };
+  EXPECT_EQ(Why(".."), "empty range: it names no bounds");
+  EXPECT_EQ(Why("9..3"), "range is reversed: lo..hi needs lo <= hi");
+  for (std::string_view Bad : {"0..x", "5..", "..5", "0...3", "1..2..3",
+                               "+1..2", " 1..2"})
+    EXPECT_EQ(Why(Bad), "range is not lo..hi with integer bounds") << Bad;
+  EXPECT_EQ(Why("0..9223372036854775808"),
+            "a bound overflows a 64-bit integer");
+  EXPECT_EQ(Why("-9223372036854775809..0"),
+            "a bound overflows a 64-bit integer");
+  EXPECT_EQ(Why(""), "value is not an integer");
+  EXPECT_EQ(Why("x"), "value is not an integer");
 }

@@ -29,6 +29,18 @@
 #   MODE=vary_empty_value   `--vary e=1,` names the empty value.
 #   MODE=vary_duplicate     `--vary e=3,5 --vary e=7` names the variable
 #                           varied twice.
+#   MODE=vary_range_empty       `--vary e=..` names the empty range,
+#   MODE=vary_range_reversed    `e=9..3` the reversed one,
+#   MODE=vary_range_malformed   `e=0..x` the malformed one,
+#   MODE=vary_range_overflow    `e=0..9223372036854775808` the bound that
+#                               overflows int64,
+#   MODE=vary_range_too_large   `e=0..65536` the range one value over
+#                               kMaxSecretVariations, and
+#   MODE=vary_range_full_width  `e=INT64_MIN..INT64_MAX` the range whose
+#                               2^64 values no count holds.
+#
+# and, exiting 0, MODE=vary_range: `zamc leakage modexp.zam --vary
+# d=0..15` prints exactly what `--vary d=0,1,...,15` does.
 #
 # An array named where a command-line value writes a scalar (it used to
 # write element 0 silently) is rejected like an undeclared variable, with
@@ -40,6 +52,33 @@
 #              [-DPROGRAMS=<examples/programs>] -P cli_check.cmake
 set(EXIT 1)
 set(ENDLESS "var l : L;\nwhile 1 do { l := l + 1 }\n")
+if(MODE STREQUAL "vary_range")
+  set(LIST 0)
+  foreach(I RANGE 1 15)
+    string(APPEND LIST ",${I}")
+  endforeach()
+  foreach(FORM IN ITEMS SPAN ENUM)
+    if(FORM STREQUAL "SPAN")
+      set(VALUES 0..15)
+    else()
+      set(VALUES ${LIST})
+    endif()
+    execute_process(COMMAND ${ZAMC} leakage ${PROGRAMS}/modexp.zam
+                            --threads 1 --vary d=${VALUES}
+                    RESULT_VARIABLE RC
+                    OUTPUT_VARIABLE OUT_${FORM}
+                    ERROR_VARIABLE STDERR)
+    if(NOT RC EQUAL 0)
+      message(FATAL_ERROR "--vary d=${VALUES} exited '${RC}'\n${STDERR}")
+    endif()
+  endforeach()
+  if(NOT OUT_SPAN STREQUAL OUT_ENUM)
+    message(FATAL_ERROR "d=0..15 printed\n${OUT_SPAN}\n"
+                        "but d=${LIST} printed\n${OUT_ENUM}")
+  endif()
+  message(STATUS "vary_range:\n${OUT_SPAN}")
+  return()
+endif()
 if(MODE STREQUAL "nesting")
   string(REPEAT "(" 200000 OPEN)
   string(REPEAT ")" 200000 CLOSE)
@@ -97,9 +136,28 @@ elseif(MODE STREQUAL "levels_duplicate")
   set(COMMAND ${ZAMC} run ${OUT}.zam --levels H,L,H)
   set(EXPECT "error: --levels names 'H' twice")
   set(EXIT 2)
-elseif(MODE MATCHES "^vary_(empty|empty_value|duplicate)$")
+elseif(MODE MATCHES "^vary_(empty|empty_value|duplicate|range_[a-z_]+)$")
   file(WRITE ${OUT}.zam "var e : H;\nvar l : L;\nl := e\n")
-  if(MODE STREQUAL "vary_empty")
+  if(MODE STREQUAL "vary_range_empty")
+    set(COMMAND ${ZAMC} leakage ${OUT}.zam --vary e=..)
+    set(EXPECT "error: --vary e '\\.\\.': empty range")
+  elseif(MODE STREQUAL "vary_range_reversed")
+    set(COMMAND ${ZAMC} leakage ${OUT}.zam --vary e=9..3)
+    set(EXPECT "error: --vary e '9\\.\\.3': range is reversed")
+  elseif(MODE STREQUAL "vary_range_malformed")
+    set(COMMAND ${ZAMC} leakage ${OUT}.zam --vary e=0..x)
+    set(EXPECT "error: --vary e '0\\.\\.x': range is not lo\\.\\.hi")
+  elseif(MODE STREQUAL "vary_range_overflow")
+    set(COMMAND ${ZAMC} leakage ${OUT}.zam --vary e=0..9223372036854775808)
+    set(EXPECT "a bound overflows a 64-bit integer")
+  elseif(MODE STREQUAL "vary_range_too_large")
+    set(COMMAND ${ZAMC} leakage ${OUT}.zam --vary e=0..65536)
+    set(EXPECT "error: --vary e names more than 65536 values \\(kMaxSecretVariations\\)")
+  elseif(MODE STREQUAL "vary_range_full_width")
+    set(COMMAND ${ZAMC} leakage ${OUT}.zam
+                --vary e=-9223372036854775808..9223372036854775807)
+    set(EXPECT "error: --vary e names more than 65536 values")
+  elseif(MODE STREQUAL "vary_empty")
     set(COMMAND ${ZAMC} leakage ${OUT}.zam --vary e=)
     set(EXPECT "error: --vary e names no value")
   elseif(MODE STREQUAL "vary_empty_value")

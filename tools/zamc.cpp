@@ -9,7 +9,7 @@
 //                                      core actually runs
 //   zamc run    <file.zam> [options]   execute on simulated hardware
 //   zamc trace  <file.zam> [options]   execute and print the event timeline
-//   zamc leakage <file.zam> --vary var=v1,v2,... [options]
+//   zamc leakage <file.zam> --vary var=V|LO..HI[,...] [options]
 //                                      measure Q/V over secret variations
 //   zamc audit  <file.zam> [options]   fuzz the selected hardware design
 //                                      against Properties 5-7 using the
@@ -121,6 +121,7 @@
 #include "lang/PrettyPrinter.h"
 #include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
+#include "sem/Limits.h"
 #include "sem/TraceDump.h"
 #include "types/LabelInference.h"
 #include "types/TypeChecker.h"
@@ -210,7 +211,7 @@ int usage(const std::string &BadArg = "") {
       "<check|print|ir|run|trace|profile|hot|leakage|audit|attack> "
       "<file.zam>\n"
       "  [--levels L,M,H] [--hw nopar|nofill|partitioned]\n"
-      "  [--set var=value]... [--vary var=v1,v2,...]\n"
+      "  [--set var=value]... [--vary var=V|LO..HI[,...]]\n"
       "  [--adversary LEVEL] [--no-equal-labels]\n"
       "  [--mitigation SPEC] [--mitigate-site ETA=SPEC]...\n"
       "  [--recommend] [--top N] [--folded FILE]\n"
@@ -342,14 +343,28 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         for (const auto &Earlier : Opts.Variations)
           if (Earlier.first == Var)
             Why = "names '" + Var + "' twice";
+        // Each piece is a value or a lo..hi range, as in --class; the
+        // count is checked before a range is expanded.
+        std::vector<int64_t> Values;
+        for (size_t I = 0; I != Pieces.size() && Why.empty(); ++I) {
+          int64_t Lo = 0, Hi = 0;
+          if (const char *Bad = parseValueOrRange(Pieces[I], Lo, Hi)) {
+            Why = Var + " '" + Pieces[I] + "': " + Bad;
+          } else if (static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo) >=
+                     kMaxSecretVariations - Values.size()) {
+            Why = Var + " names more than " +
+                  std::to_string(kMaxSecretVariations) +
+                  " values (kMaxSecretVariations)";
+          } else {
+            for (int64_t V = Lo; V != Hi; ++V)
+              Values.push_back(V);
+            Values.push_back(Hi);
+          }
+        }
         if (!Why.empty()) {
           std::fprintf(stderr, "error: --vary %s\n", Why.c_str());
           return false;
         }
-        std::vector<int64_t> Values;
-        for (const std::string &Piece : Pieces)
-          if (!parseInteger(Piece, Values.emplace_back()))
-            return false;
         Opts.Variations.emplace_back(Var, std::move(Values));
       }
     } else if (Arg == "--adversary") {
@@ -1466,21 +1481,14 @@ bool parseClassSpec(const std::string &Raw, const Program &P,
     std::string Var = Item.substr(0, Eq);
     if (!findScalarInput(P, Var, "--class " + Out.Name + ": ", ""))
       return false;
-    std::string Val = Item.substr(Eq + 1);
-    size_t Dots = Val.find("..");
-    if (Dots == std::string::npos) {
-      int64_t V;
-      if (!parseInteger(Val, V))
-        return Complain("value is not an integer");
-      Out.Fixed.emplace_back(Var, V);
-    } else {
-      SecretClassSpec::Range Rg;
-      Rg.Var = Var;
-      if (!parseInteger(Val.substr(0, Dots), Rg.Lo) ||
-          !parseInteger(Val.substr(Dots + 2), Rg.Hi) || Rg.Lo > Rg.Hi)
-        return Complain("range is not lo..hi with lo <= hi");
-      Out.Ranges.push_back(std::move(Rg));
-    }
+    const std::string Val = Item.substr(Eq + 1);
+    int64_t Lo = 0, Hi = 0;
+    if (const char *Why = parseValueOrRange(Val, Lo, Hi))
+      return Complain(Why);
+    if (Val.find("..") == std::string::npos)
+      Out.Fixed.emplace_back(Var, Lo);
+    else
+      Out.Ranges.push_back({Var, Lo, Hi});
   }
   if (Out.Fixed.empty() && Out.Ranges.empty())
     return Complain("class needs at least one assignment");
