@@ -16,7 +16,7 @@
 
 #include "apps/LoginApp.h"
 #include "exp/Harness.h"
-#include "exp/Scenario.h"
+#include "exp/Report.h"
 #include "hw/HardwareModels.h"
 #include "obs/CostLedger.h"
 #include "obs/LeakAudit.h"

@@ -15,7 +15,7 @@
 #include "apps/RsaApp.h"
 #include "crypto/ToyRsa.h"
 #include "exp/Harness.h"
-#include "exp/Scenario.h"
+#include "exp/Report.h"
 #include "hw/HardwareModels.h"
 #include "obs/CostLedger.h"
 #include "obs/LeakAudit.h"

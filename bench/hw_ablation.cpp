@@ -16,7 +16,7 @@
 #include "apps/RsaApp.h"
 #include "crypto/ToyRsa.h"
 #include "exp/Harness.h"
-#include "exp/Scenario.h"
+#include "exp/Report.h"
 #include "hw/HardwareModels.h"
 #include "obs/LeakAudit.h"
 #include "obs/Telemetry.h"

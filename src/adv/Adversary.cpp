@@ -7,9 +7,9 @@
 
 #include "adv/Adversary.h"
 
+#include "exp/RunSlice.h"
 #include "obs/LeakAudit.h"
 #include "sem/CompiledProgram.h"
-#include "support/Diagnostics.h"
 #include "support/StrAppend.h"
 
 #include <algorithm>
@@ -31,29 +31,12 @@ struct ResolvedClass {
 };
 
 /// A worker slice's scratch state, kept across the chunks of one call:
-/// its env, restored from the template before every sample; the
-/// interpreter bound to that env, restarted for every sample; and the
-/// audit, reset for every sample.
+/// its restored runs, and the audit, reset for every sample.
 struct SampleSlice {
-  std::unique_ptr<MachineEnv> Env;
-  std::unique_ptr<FullInterpreter> Interp;
+  RunSlice Run;
   std::optional<LeakAudit> Audit;
 };
 } // namespace
-
-/// The slot of the scalar input \p Var in \p M; aborts naming \p Var when
-/// it is undeclared or an array.
-static size_t scalarInputSlot(const Memory &M, const std::string &Var) {
-  const size_t Slot = M.slotIndexOf(Var);
-  if (Slot == Memory::npos)
-    reportFatalError(
-        ("streamObservations: no variable '" + Var + "'").c_str());
-  if (M.slotAt(Slot).IsArray)
-    reportFatalError(("streamObservations: '" + Var +
-                      "' is an array, not a scalar input")
-                         .c_str());
-  return Slot;
-}
 
 size_t zam::streamObservations(
     const Program &P, const MachineEnv &EnvTemplate,
@@ -69,43 +52,35 @@ size_t zam::streamObservations(
   // Compiled once and shared, read-only, by every sample on every thread.
   const CompiledProgram Compiled(P, IOpts);
   const Memory &Image = Compiled.initialMemory();
+  static constexpr const char *kWho = "streamObservations";
   std::vector<ResolvedClass> Resolved(K);
   for (size_t C = 0; C != K; ++C) {
     for (const auto &[Var, Value] : Classes[C].Fixed)
-      Resolved[C].Fixed.emplace_back(scalarInputSlot(Image, Var), Value);
+      Resolved[C].Fixed.emplace_back(inputSlot(Image, Var, kWho), Value);
     for (const SecretClassSpec::Range &Rg : Classes[C].Ranges)
-      Resolved[C].Ranges.push_back({scalarInputSlot(Image, Rg.Var), Rg.Lo,
+      Resolved[C].Ranges.push_back({inputSlot(Image, Rg.Var, kWho), Rg.Lo,
                                     Rg.Hi});
   }
   // A sample reads the final clock and the mitigate windows only.
   InterpreterOptions RunOpts = IOpts;
   RunOpts.RetainEvents = false;
-  // Sample I on slice S. Restarting S's interpreter and resetting its
-  // audit leaves nothing of the slice's earlier samples behind, so the
-  // observation is the same whatever sample the slice ran before.
+  // Sample I on slice S. Restoring S's run and resetting its audit leaves
+  // nothing of the slice's earlier samples behind, so the observation is
+  // the same whatever sample the slice ran before.
   auto RunSample = [&](size_t I, SampleSlice &S) {
     const SecretClassSpec &Spec = Classes[I % K];
     const ResolvedClass &RC = Resolved[I % K];
     Rng R(sampleSeed(Opts.Seed, I));
-    const MachineEnv *Before = S.Env.get();
-    EnvTemplate.copyInto(S.Env);
     // No hooks: the audit replays the finished trace, which onWindow
-    // matches bit-for-bit (LeakAudit's documented equivalence). The
-    // interpreter is bound to its env, so a new env object (the slice's
-    // first sample, or a template of another shape) needs a new one; the
-    // old one is replaced without touching the env copyInto freed.
-    if (!S.Interp || S.Env.get() != Before)
-      S.Interp = std::make_unique<FullInterpreter>(Compiled, *S.Env, RunOpts);
-    else
-      S.Interp->restart();
-    Memory &M = S.Interp->memory();
+    // matches bit-for-bit (LeakAudit's documented equivalence).
+    Memory &M = S.Run.start(Compiled, EnvTemplate, RunOpts);
     for (const auto &[Slot, Value] : RC.Fixed)
       M.slotAt(Slot).Data[0] = Value;
     for (const ResolvedClass::Range &Rg : RC.Ranges)
       M.slotAt(Rg.Slot).Data[0] = R.nextInRange(Rg.Lo, Rg.Hi);
     if (Spec.Prepare)
       Spec.Prepare(M, R);
-    const Trace &T = S.Interp->complete();
+    const Trace &T = S.Run.complete();
     if (S.Audit)
       S.Audit->reset();
     else
@@ -120,8 +95,8 @@ size_t zam::streamObservations(
     O.BoundBits = S.Audit->totalBitsBound();
     return O;
   };
-  // Kept across chunks: a slice builds its env and interpreter once per
-  // call.
+  // Kept across chunks: a slice builds its env, interpreter and audit once
+  // per call.
   std::vector<SampleSlice> Slices;
   for (size_t Base = 0; Base < Total; Base += kObservationChunk) {
     const size_t ChunkLen = std::min(kObservationChunk, Total - Base);

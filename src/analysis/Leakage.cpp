@@ -3,9 +3,11 @@
 #include "analysis/Leakage.h"
 
 #include "exp/ParallelRunner.h"
-#include "exp/Scenario.h"
+#include "exp/RunSlice.h"
+#include "sem/CompiledProgram.h"
 #include "support/Diagnostics.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -13,18 +15,6 @@
 #include <set>
 
 using namespace zam;
-
-void SecretAssignment::applyTo(Memory &M) const {
-  for (const auto &[Name, Value] : Scalars)
-    M.store(Name, Value);
-  for (const auto &[Name, Values] : Arrays) {
-    MemorySlot &S = M.slot(Name);
-    if (!S.IsArray)
-      reportFatalError("array override applied to a scalar");
-    for (size_t I = 0; I != Values.size() && I != S.Data.size(); ++I)
-      S.Data[I] = Values[I];
-  }
-}
 
 std::string zam::timingVectorKey(const Trace &T, const SecurityLattice &Lat,
                                  const LabelSet &UnobsUpward) {
@@ -74,48 +64,68 @@ LeakageResult zam::measureLeakage(const Program &P,
   const LabelSet UnobsUpward =
       unobservableUpwardClosure(Lat, Spec.SourceLevels, Spec.Adversary);
 
-  const Memory Base = Memory::fromProgram(P, Opts.Costs.DataBase);
-  const Scenario Scn(P, EnvTemplate, Opts);
+  // Compiled once and shared, read-only, by every run on every thread.
+  const CompiledProgram Compiled(P, Opts);
+  const Memory &Image = Compiled.initialMemory();
+  // The slots of every variation's overrides, scalars then arrays, in
+  // order: variation V's are Slots[Begin[V], Begin[V + 1]).
+  static constexpr const char *kWho = "measureLeakage";
+  std::vector<size_t> Slots;
+  std::vector<size_t> Begin{0};
+  for (const SecretAssignment &A : Spec.Variations) {
+    for (const auto &Override : A.Scalars)
+      Slots.push_back(inputSlot(Image, Override.first, kWho));
+    for (const auto &Override : A.Arrays)
+      Slots.push_back(inputSlot(Image, Override.first, kWho, /*IsArray=*/true));
+    Begin.push_back(Slots.size());
+  }
   const ParallelRunner Runner(Threads);
 
   // The enumeration over secret variations is the hottest loop of the
   // quantitative analysis: every run is deterministic and independent, so
-  // it fans out over the worker pool. Workers share only the immutable
-  // program, lattice, base memory and environment template.
-  std::vector<VariationRecord> Records =
-      Runner.map(Spec.Variations.size(), [&](size_t Index) {
-        const SecretAssignment &Variation = Spec.Variations[Index];
-        RunSpec RS;
-        RS.Prepare = [&](Memory &M) {
-          Variation.applyTo(M);
-          // Validate that the variation only touches LeA↑ variables;
-          // anything else would measure flows Definition 1 does not
-          // quantify over.
-          for (size_t I = 0; I != M.slotCount(); ++I) {
-            const MemorySlot &S = M.slotAt(I);
-            if (S.Data != Base.slotAt(I).Data &&
-                !UnobsUpward.contains(S.SecLabel))
-              reportFatalError(
-                  "secret variation modifies a variable outside LeA-upward");
-          }
-        };
-        RunResult R = Scn.run(RS);
+  // it fans out over the worker pool, one restored run per variation.
+  // Workers share only the immutable compiled program, lattice and
+  // environment template.
+  auto RunVariation = [&](size_t Index, RunSlice &S) {
+    const SecretAssignment &A = Spec.Variations[Index];
+    Memory &M = S.start(Compiled, EnvTemplate, Opts);
+    auto Slot = Slots.begin() + Begin[Index];
+    for (const auto &Override : A.Scalars)
+      M.slotAt(*Slot++).Data[0] = Override.second;
+    for (const auto &Override : A.Arrays) {
+      std::vector<int64_t> &Data = M.slotAt(*Slot++).Data;
+      const std::vector<int64_t> &Values = Override.second;
+      std::copy_n(Values.begin(), std::min(Values.size(), Data.size()),
+                  Data.begin());
+    }
+    // Validate that the variation only touches LeA↑ variables; anything
+    // else would measure flows Definition 1 does not quantify over.
+    for (size_t I = Begin[Index]; I != Begin[Index + 1]; ++I) {
+      const MemorySlot &MS = M.slotAt(Slots[I]);
+      if (!UnobsUpward.contains(MS.SecLabel) &&
+          MS.Data != Image.slotAt(Slots[I]).Data)
+        reportFatalError(
+            "secret variation modifies a variable outside LeA-upward");
+    }
+    const Trace &T = S.complete();
 
-        VariationRecord Rec;
-        Rec.HitStepLimit = R.T.HitStepLimit;
-        Rec.HitEventLimit = R.T.HitEventLimit;
-        if (R.T.hitLimit())
-          return Rec; // Incomplete: the caller reports the limit.
-        Rec.ObservationKey = R.T.observationKey(Spec.Adversary, Lat);
-        Rec.TimingKey = timingVectorKey(R.T, Lat, UnobsUpward);
-        Rec.Identity = mitigateIdentityProjection(R.T, UnobsUpward);
-        Rec.FinalTime = R.T.FinalTime;
-        for (const MitigateRecord &M : R.T.Mitigations)
-          if (!UnobsUpward.contains(M.PcLabel) &&
-              UnobsUpward.contains(M.Level))
-            ++Rec.Relevant;
-        return Rec;
-      });
+    VariationRecord Rec;
+    Rec.HitStepLimit = T.HitStepLimit;
+    Rec.HitEventLimit = T.HitEventLimit;
+    if (T.hitLimit())
+      return Rec; // Incomplete: the caller reports the limit.
+    Rec.ObservationKey = T.observationKey(Spec.Adversary, Lat);
+    Rec.TimingKey = timingVectorKey(T, Lat, UnobsUpward);
+    Rec.Identity = mitigateIdentityProjection(T, UnobsUpward);
+    Rec.FinalTime = T.FinalTime;
+    for (const MitigateRecord &MR : T.Mitigations)
+      if (!UnobsUpward.contains(MR.PcLabel) && UnobsUpward.contains(MR.Level))
+        ++Rec.Relevant;
+    return Rec;
+  };
+  std::vector<RunSlice> Slices;
+  std::vector<VariationRecord> Records =
+      Runner.mapWithState(Spec.Variations.size(), Slices, RunVariation);
 
   LeakageResult Result;
   std::map<std::string, unsigned> Observations;

@@ -39,12 +39,12 @@
 
 namespace zam {
 
-/// One secret variation: scalar overrides applied to the initial memory.
+/// One secret variation: scalar and array overrides of the initial
+/// memory. An array override writes its leading elements, as many as both
+/// it and the array have.
 struct SecretAssignment {
   std::vector<std::pair<std::string, int64_t>> Scalars;
   std::vector<std::pair<std::string, std::vector<int64_t>>> Arrays;
-
-  void applyTo(Memory &M) const;
 };
 
 /// Inputs to the leakage measurement.
@@ -82,11 +82,14 @@ struct LeakageResult {
   bool HitEventLimit = false;
 };
 
-/// Runs \p P once per variation (each run on a fresh clone of \p EnvTemplate
-/// with the same initial machine environment) and measures Q, V and the
-/// Sec. 7 bound. The program must be well-typed for the theorems to apply;
-/// this function measures regardless (benches use it to demonstrate leakage
-/// of *insecure* configurations too).
+/// Runs \p P once per variation, each run on a copy of \p EnvTemplate
+/// restored in place (exp/RunSlice.h: the same initial machine environment
+/// a fresh clone would give), and measures Q, V and the Sec. 7 bound.
+/// \p P is compiled once and each variation's variables are resolved once;
+/// a variable that is undeclared, or not of its override's kind (scalar or
+/// array), aborts naming it. The program must be well-typed for the
+/// theorems to apply; this function measures regardless (benches use it to
+/// demonstrate leakage of *insecure* configurations too).
 ///
 /// The variations are independent deterministic runs and fan out over a
 /// ParallelRunner with \p Threads workers (0 = auto via ZAM_THREADS /

@@ -21,6 +21,8 @@ struct Gen {
   /// fills them) and flows are steered toward well-typedness.
   bool Arbitrary;
   unsigned LoopDepth = 0;
+  /// The stream of leaf() array reads, derived from R without advancing it.
+  Rng Leaves{Rng(R).next()};
 
   const SecurityLattice &lat() const { return P.lattice(); }
 
@@ -63,17 +65,38 @@ struct Gen {
     return std::make_unique<IntLitExpr>(R.nextInRange(0, 16));
   }
 
+  /// A leaf reading only variables with labels ⊑ Bound: a scalar or a
+  /// literal, which in 15% of leaves becomes the index of an array read,
+  /// so that expressions of every depth reach array lines. The array reads
+  /// draw from their own stream (Leaves), so a seed's programs keep the
+  /// shape they had without them.
+  ExprPtr leaf(Label Bound) {
+    std::vector<std::string> Scalars = scalarsBelow(Bound);
+    ExprPtr Index;
+    if (!Scalars.empty() && R.chance(70))
+      Index = std::make_unique<VarExpr>(Scalars[R.nextBelow(Scalars.size())]);
+    else
+      Index = smallLit();
+    if (!Leaves.chance(15))
+      return Index;
+    // The index label must flow to the array's (index ⊑ ew, as below).
+    const auto *V = dyn_cast<VarExpr>(Index.get());
+    const Label IndexL = V ? P.findVar(V->name())->SecLabel : lat().bottom();
+    std::vector<std::string> Arrays;
+    for (const std::string &Name : arraysBelow(Bound))
+      if (Arbitrary || lat().flowsTo(IndexL, P.findVar(Name)->SecLabel))
+        Arrays.push_back(Name);
+    if (Arrays.empty())
+      return Index;
+    return std::make_unique<ArrayReadExpr>(
+        Arrays[Leaves.nextBelow(Arrays.size())], std::move(Index));
+  }
+
   /// A random expression reading only variables with labels ⊑ Bound (any
   /// label when Arbitrary).
   ExprPtr expr(Label Bound, unsigned Depth) {
-    std::vector<std::string> Scalars = scalarsBelow(Bound);
-    if (Depth == 0 || R.chance(35)) {
-      if (!Scalars.empty() && R.chance(70)) {
-        const std::string &Name = Scalars[R.nextBelow(Scalars.size())];
-        return std::make_unique<VarExpr>(Name);
-      }
-      return smallLit();
-    }
+    if (Depth == 0 || R.chance(35))
+      return leaf(Bound);
     if (R.chance(15)) {
       std::vector<std::string> Arrays = arraysBelow(Bound);
       if (!Arrays.empty()) {

@@ -8,7 +8,7 @@
 /// \file
 /// A fixed-size std::thread fan-out for independent deterministic runs.
 /// Every simulated execution in zam is deterministic (Property 2), so a
-/// batch of runs over distinct MachineEnv clones can be spread over worker
+/// batch of runs over distinct MachineEnv copies can be spread over worker
 /// threads freely: the runner only reorders *wall-clock* execution, while
 /// results are always collected in submission order. Harness output is
 /// therefore bit-identical for any thread count.
@@ -66,10 +66,10 @@ public:
   /// for the caller's next call. The slices — one with one thread, else up
   /// to four per thread for load balance — depend on the thread count, so
   /// F's result must not depend on what earlier indices left in S:
-  /// streamObservations keeps an env, the interpreter bound to it and a
-  /// LeakAudit in S, and before each sample restores the env from its
-  /// template (MachineEnv::copyInto), restarts the interpreter and resets
-  /// the audit.
+  /// measureLeakage and streamObservations keep a RunSlice in S
+  /// (exp/RunSlice.h), whose env each run restores from the template and
+  /// whose interpreter each run restarts, so every run starts as on a
+  /// fresh clone.
   template <typename State, typename Fn>
   auto mapWithState(size_t N, std::vector<State> &States, Fn &&F) const {
     std::vector<decltype(F(size_t(0), std::declval<State &>()))> Results(N);

@@ -286,3 +286,11 @@ bool Report::writeJsonFile(const std::string &Path) const {
   Ok &= std::fclose(F) == 0;
   return Ok;
 }
+
+void zam::runSeriesInto(Report &R, const std::vector<SeriesSpec> &Specs,
+                        const ParallelRunner &Runner) {
+  std::vector<std::vector<uint64_t>> Values =
+      Runner.map(Specs.size(), [&](size_t I) { return Specs[I].Run(); });
+  for (size_t I = 0; I != Specs.size(); ++I)
+    R.addSeries(Specs[I].Name, Values[I]);
+}

@@ -18,10 +18,12 @@
 #ifndef ZAM_EXP_REPORT_H
 #define ZAM_EXP_REPORT_H
 
+#include "exp/ParallelRunner.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -137,6 +139,21 @@ private:
   JsonValue Phases; ///< Null until setPhases.
   MetricsRegistry Metrics;
 };
+
+/// One independent measurement series of a session-style workload: a name
+/// plus a thunk producing the series values. The thunk must build its own
+/// session and machine environment (so concurrent thunks share nothing) and
+/// be deterministic.
+struct SeriesSpec {
+  std::string Name;
+  std::function<std::vector<uint64_t>()> Run;
+};
+
+/// Runs every series (concurrently when \p Runner has multiple threads) and
+/// adds them to \p R in declaration order, so the report is identical for
+/// any thread count.
+void runSeriesInto(Report &R, const std::vector<SeriesSpec> &Specs,
+                   const ParallelRunner &Runner);
 
 } // namespace zam
 

@@ -157,9 +157,9 @@ public:
   /// configuration in place, with no allocation, copying only what either
   /// side holds (a cold template restored into a cold slot copies no
   /// cache state at all); any other slot, or an empty one, gets a fresh
-  /// clone. adv's streamObservations, which runs many samples from one
-  /// template, keeps one slot per worker and calls this before each
-  /// sample.
+  /// clone. The batch loops that run many times from one template
+  /// (exp/RunSlice.h: the leakage enumeration, the adversary's samples)
+  /// keep one slot per worker slice and call this before each run.
   virtual void copyInto(std::unique_ptr<MachineEnv> &Slot) const {
     Slot = clone();
   }

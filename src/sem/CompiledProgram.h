@@ -11,8 +11,8 @@
 /// depends on the program and on two fields of InterpreterOptions, the
 /// *lowering inputs* — Costs and Mitigation — and on nothing a run
 /// changes. Workloads that run one program many times (a login session's
-/// attempts, RSA decryptions, adversary samples, scenario runs) therefore
-/// compile once; each run then copies only the memory image.
+/// attempts, RSA decryptions, adversary samples, leakage variations)
+/// therefore compile once; each run then copies only the memory image.
 ///
 /// A compiled form is immutable, so any number of engines on any number of
 /// threads may share one. An engine handed options whose lowering inputs

@@ -123,7 +123,7 @@ void ExecCore::retain(uint32_t Slot, Label VarLabel, bool IsArray,
   // next step check, which the lowered bound fails.
   if (T.Events.size() == kMaxRetainedEvents) {
     T.HitEventLimit = true;
-    StepLimit = T.Steps;
+    StepLimit = Bound = T.Steps;
     return;
   }
   // 32 plain bytes per event: the name stays in T.Names.
@@ -387,35 +387,34 @@ inline void ExecCore::execInstr(const IrInstr &I) {
     execMitEnd(I);
     return;
   case IrInstr::Op::Halt:
-    return; // Unreachable: step()/run() never execute Halt.
+    return; // Unreachable: advance() never executes Halt.
   }
   reportFatalError("unexpected instruction in IR execution");
 }
 
 void ExecCore::step() {
-  if (Halted)
-    return;
-  if (++T.Steps > StepLimit) {
-    T.HitStepLimit = !T.HitEventLimit;
-    Halted = true;
-    finalize();
-    return;
-  }
-  execInstr(Code[PC]);
-  if (Code[PC].K == IrInstr::Op::Halt) {
-    Halted = true;
-    finalize();
-  }
+  if (!Halted)
+    advance(T.Steps + 1);
 }
 
-// The transition discipline of step() — count and check the step limit,
-// execute one instruction, stop when the pc lands on Halt — in a loop that
-// tests Halted once on entry instead of once per transition.
 void ExecCore::run() {
-  if (Halted)
-    return;
+  if (!Halted)
+    advance(~uint64_t(0));
+}
+
+// Each iteration is one transition: count it and check the bound, execute
+// one instruction, stop when the pc lands on Halt. The bound is the step
+// limit or the pause point, whichever comes first, so the loop makes one
+// compare per transition for both; only past the bound does it tell a
+// pause (undo the count, stay resumable) from a stop.
+void ExecCore::advance(uint64_t Pause) {
+  Bound = std::min(StepLimit, Pause);
   for (;;) {
-    if (++T.Steps > StepLimit) {
+    if (++T.Steps > Bound) {
+      if (T.Steps > Pause) {
+        --T.Steps;
+        return;
+      }
       T.HitStepLimit = !T.HitEventLimit;
       break;
     }

@@ -36,10 +36,12 @@
 ///     them into the sink once per executed instruction when the run
 ///     stops; an access reaches the sink as it happens only if it missed.
 ///
-/// Each loop iteration of run() is one transition of the semantics, and
-/// step() performs exactly the same transition once, so the two interleave
-/// freely: a run resumed after any number of single steps observes exactly
-/// what an uninterrupted run does.
+/// run() and step() drive one loop, each iteration of which is one
+/// transition of the semantics: run() to the end, step() for one
+/// transition, after which the loop pauses. There is one copy of the
+/// transition code, and the two interleave freely: a run resumed after
+/// any number of single steps observes exactly what an uninterrupted run
+/// does.
 ///
 /// The program is immutable; the core holds all run state, so engines stay
 /// thin wrappers that only decide when to call step()/run() and when to
@@ -127,11 +129,17 @@ private:
   /// and samples it under RecordMisses.
   void onAccess(const HwAccess &Access) override;
 
+  /// The transition loop of run() and step(): executes transitions until
+  /// the run stops (the pc lands on Halt, or the count passes the step
+  /// limit) or the count would pass \p Pause, where it pauses with the
+  /// run resumable.
+  void advance(uint64_t Pause);
+
   /// Per-opcode bodies. Each begins with the shared dispatch head
   /// (cursor + probe) and fully executes one logical transition. They,
-  /// evalSpan and execInstr are inlined into run() and step(), so a
-  /// transition makes no call unless it reaches the env, the sink, the
-  /// probe or a retained event.
+  /// evalSpan and execInstr are inlined into advance(), so a transition
+  /// makes no call unless it reaches the env, the sink, the probe or a
+  /// retained event.
   [[gnu::always_inline]] void execSkip(const IrInstr &I);
   [[gnu::always_inline]] void execAssign(const IrInstr &I);
   [[gnu::always_inline]] void execStore(const IrInstr &I);
@@ -243,6 +251,9 @@ private:
   /// Opts.StepLimit, lowered to the current step when the retained events
   /// reach their limit so that the per-step check ends the run.
   uint64_t StepLimit;
+  /// advance()'s per-step bound: the smaller of StepLimit and the pause
+  /// point, lowered with StepLimit.
+  uint64_t Bound = 0;
   Memory M;
   /// The Miss table, unless Opts.SharedMitState supplies one.
   std::optional<MitigationState> OwnMitState;

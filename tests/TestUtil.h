@@ -12,10 +12,12 @@
 #include "lang/Parser.h"
 #include "lattice/SecurityLattice.h"
 #include "support/Diagnostics.h"
+#include "support/Rng.h"
 
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <tuple>
 
@@ -56,6 +58,18 @@ inline std::vector<HwKind> allHwKinds() {
 /// The two designs that claim to satisfy the security properties.
 inline std::vector<HwKind> secureHwKinds() {
   return {HwKind::NoFill, HwKind::Partitioned};
+}
+
+/// A non-cold \p Kind template over lh(): random resident lines, then
+/// stores at ⊤ over the first 4 KiB of the data segment, where programs
+/// keep their variables.
+inline std::unique_ptr<MachineEnv> warmTemplate(HwKind Kind, uint64_t Seed) {
+  auto Env = createMachineEnv(Kind, lh());
+  Rng R(Seed);
+  Env->randomize(R);
+  for (Addr A = 0x10000000; A != 0x10000000 + 4096; A += 32)
+    Env->dataAccess(A, /*IsStore=*/true, high(), high());
+  return Env;
 }
 
 /// A machine so small that random programs conflict everywhere: two-way

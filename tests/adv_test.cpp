@@ -11,7 +11,6 @@
 
 #include "adv/Adversary.h"
 #include "adv/LeakDetector.h"
-#include "exp/Scenario.h"
 #include "obs/LeakAudit.h"
 #include "obs/Telemetry.h"
 #include "obs/TraceSink.h"
@@ -252,17 +251,6 @@ cloneEverySample(const Program &P, const MachineEnv &Template,
   return Out;
 }
 
-/// A non-cold template: random resident lines, then the probe's own
-/// accesses at both levels.
-std::unique_ptr<MachineEnv> warmTemplate(HwKind Kind, uint64_t Seed) {
-  auto Env = createMachineEnv(Kind, lh());
-  Rng R(Seed);
-  Env->randomize(R);
-  for (Addr A = 0x10000000; A != 0x10000000 + 4096; A += 32)
-    Env->dataAccess(A, /*IsStore=*/true, high(), high());
-  return Env;
-}
-
 TEST(Collector, RestoredEnvsMatchACloneEverySample) {
   Program P = parsed(kSweepSource);
   AttackOptions Opts;
@@ -375,33 +363,6 @@ TEST(Collector, RejectsAnArrayInputNamingIt) {
   EXPECT_DEATH(collectObservations(P, *Env, Classes, Opts,
                                    InterpreterOptions(), ParallelRunner(1)),
                "no variable 'nope'");
-}
-
-TEST(Collector, ScenarioRunAllMatchesRunPerSpec) {
-  Program P = parsed(kSweepSource);
-  for (HwKind Kind : allHwKinds()) {
-    const Scenario S(P, *warmTemplate(Kind, 78));
-    std::vector<RunSpec> Specs(53);
-    for (size_t I = 0; I != Specs.size(); ++I)
-      Specs[I].Scalars = {{"h", static_cast<int64_t>(I * 13 % 701)}};
-    for (unsigned Threads : {1u, 2u, 8u}) {
-      const std::vector<RunResult> All =
-          S.runAll(Specs, ParallelRunner(Threads));
-      ASSERT_EQ(All.size(), Specs.size());
-      for (size_t I = 0; I != Specs.size(); ++I) {
-        SCOPED_TRACE(std::string(hwKindName(Kind)) + ", " +
-                     std::to_string(Threads) + " threads, spec " +
-                     std::to_string(I));
-        const RunResult One = S.run(Specs[I]);
-        ASSERT_EQ(All[I].T.FinalTime, One.T.FinalTime);
-        ASSERT_EQ(All[I].T.Events, One.T.Events);
-        ASSERT_EQ(All[I].T.Mitigations, One.T.Mitigations);
-        ASSERT_EQ(All[I].T.FinalMissTable, One.T.FinalMissTable);
-        ASSERT_EQ(All[I].Hw, One.Hw);
-        ASSERT_EQ(All[I].FinalMemory, One.FinalMemory);
-      }
-    }
-  }
 }
 
 TEST(Collector, SampleSeedMixesIndices) {

@@ -1,18 +1,19 @@
 //===- exp_test.cpp - The experiment harness (src/exp) ----------------------===//
 //
 // Covers the deterministic parallel runner (bit-identical results for any
-// thread count, including the leakage Q/V enumeration), JSON emission and
-// round-tripping, Report statistics, the Scenario/RunSpec layer, the
-// runFull Prepare overload, and the cheap-clone contract the runner relies
-// on (each worker operates on its own MachineEnv clone).
+// thread count: the leakage Q/V enumeration on restored slices, a login
+// batch's report JSON, per-run hardware counters), JSON emission and
+// round-tripping, Report statistics, the runFull Prepare overload, and the
+// clone and restore contract the runner relies on (each worker operates on
+// its own MachineEnv).
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Leakage.h"
+#include "apps/LoginApp.h"
 #include "exp/Harness.h"
 #include "exp/ParallelRunner.h"
 #include "exp/Report.h"
-#include "exp/Scenario.h"
 #include "obs/Json.h"
 #include "obs/Telemetry.h"
 #include "types/LabelInference.h"
@@ -49,6 +50,55 @@ LeakageSpec sweep(unsigned NumSecrets, int64_t MaxSecret) {
                    (static_cast<uint64_t>(MaxSecret) * I) / NumSecrets)}},
         {}});
   return Spec;
+}
+
+/// Runs \p P with h = Step * I for every I in [0, N), each on its own clone
+/// of \p Template, fanned out over \p Runner.
+std::vector<RunResult> runOnClones(const Program &P, const MachineEnv &Template,
+                                   size_t N, int64_t Step,
+                                   const ParallelRunner &Runner) {
+  return Runner.map(N, [&](size_t I) {
+    auto Env = Template.clone();
+    return runFull(P, *Env, [&](Memory &M) {
+      M.store("h", Step * static_cast<int64_t>(I));
+    });
+  });
+}
+
+/// A Fig. 7-style batch as report JSON: six independent login sessions (3
+/// secret tables x 2 modes) of 100 attempts each, one series per session.
+std::string loginBatchJson(unsigned Threads) {
+  const unsigned ValidCounts[3] = {10, 50, 100};
+  Rng TableRng(2254078);
+  LoginTable Tables[3];
+  for (unsigned I = 0; I != 3; ++I)
+    Tables[I] = makeLoginTable(100, ValidCounts[I], TableRng);
+  LoginProgramConfig Plain;
+  Plain.Mitigated = false;
+  LoginProgramConfig Padded;
+  Padded.Estimate1 = 3000;
+  Padded.Estimate2 = 3000;
+  auto Session = [&](const LoginTable &Table,
+                     const LoginProgramConfig &Config) {
+    auto Env = createMachineEnv(HwKind::Partitioned, lh());
+    LoginSession S(lh(), Table, Config, *Env);
+    std::vector<uint64_t> Times;
+    for (unsigned I = 0; I != 100; ++I)
+      Times.push_back(
+          S.attempt("user" + std::to_string(I), "pass" + std::to_string(I))
+              .Cycles);
+    return Times;
+  };
+  Report R("login_batch");
+  std::vector<SeriesSpec> Specs;
+  for (unsigned I = 0; I != 3; ++I)
+    Specs.push_back({"unmit/" + std::to_string(ValidCounts[I]),
+                     [&, I] { return Session(Tables[I], Plain); }});
+  for (unsigned I = 0; I != 3; ++I)
+    Specs.push_back({"mit/" + std::to_string(ValidCounts[I]),
+                     [&, I] { return Session(Tables[I], Padded); }});
+  runSeriesInto(R, Specs, ParallelRunner(Threads));
+  return R.toJson().dump();
 }
 
 } // namespace
@@ -126,17 +176,13 @@ TEST(Determinism, LeakageIdenticalAtAnyThreadCount) {
 TEST(Determinism, ReportJsonBitIdenticalAtAnyThreadCount) {
   Program P = mitigatedSleep();
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  const Scenario Scn(P, *Env);
 
   auto BuildReport = [&](unsigned Threads) {
     ParallelRunner Runner(Threads);
     LeakageResult L =
         measureLeakage(P, *Env, sweep(16, 50'000), InterpreterOptions(),
                        Threads);
-    std::vector<RunSpec> Specs(12);
-    for (size_t I = 0; I != Specs.size(); ++I)
-      Specs[I].Scalars = {{"h", static_cast<int64_t>(100 * I)}};
-    std::vector<RunResult> Runs = Scn.runAll(Specs, Runner);
+    std::vector<RunResult> Runs = runOnClones(P, *Env, 12, 100, Runner);
     std::vector<uint64_t> Times;
     for (const RunResult &R : Runs)
       Times.push_back(R.T.FinalTime);
@@ -166,26 +212,28 @@ TEST(Determinism, ReportJsonBitIdenticalAtAnyThreadCount) {
   EXPECT_EQ(BuildReport(8), At1);
 }
 
+TEST(Determinism, LoginBatchJsonIdenticalAtOneAndEightThreads) {
+  const std::string At1 = loginBatchJson(1);
+  // The batch holds both modes' series.
+  EXPECT_NE(At1.find("\"mit/100\""), std::string::npos);
+  EXPECT_NE(At1.find("\"unmit/10\""), std::string::npos);
+  EXPECT_EQ(loginBatchJson(8), At1);
+}
+
 TEST(Determinism, RunMetricsIdenticalAcrossCloneAndThreadCount) {
   // Per-run hardware counters come from each worker's own clone, so the
-  // same RunSpec must yield the same HwStats no matter how wide the pool
-  // is or which worker picked it up.
+  // same input must yield the same HwStats no matter how wide the pool is
+  // or which worker picked it up.
   Program P = mitigatedSleep();
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  const Scenario Scn(P, *Env);
-  std::vector<RunSpec> Specs(8);
-  for (size_t I = 0; I != Specs.size(); ++I)
-    Specs[I].Scalars = {{"h", static_cast<int64_t>(977 * I)}};
-
-  ParallelRunner Serial(1);
-  std::vector<RunResult> Base = Scn.runAll(Specs, Serial);
+  std::vector<RunResult> Base = runOnClones(P, *Env, 8, 977, ParallelRunner(1));
   for (unsigned Threads : {2u, 8u}) {
-    ParallelRunner Wide(Threads);
-    std::vector<RunResult> Runs = Scn.runAll(Specs, Wide);
+    std::vector<RunResult> Runs =
+        runOnClones(P, *Env, 8, 977, ParallelRunner(Threads));
     ASSERT_EQ(Runs.size(), Base.size());
     for (size_t I = 0; I != Runs.size(); ++I) {
-      EXPECT_EQ(Runs[I].Hw, Base[I].Hw) << "spec " << I;
-      EXPECT_EQ(Runs[I].T.Ops, Base[I].T.Ops) << "spec " << I;
+      EXPECT_EQ(Runs[I].Hw, Base[I].Hw) << "run " << I;
+      EXPECT_EQ(Runs[I].T.Ops, Base[I].T.Ops) << "run " << I;
       EXPECT_EQ(Runs[I].T.FinalMissTable, Base[I].T.FinalMissTable);
     }
   }
@@ -323,28 +371,10 @@ TEST(Report, VerdictsAndTable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Scenario / RunSpec / runFull(Prepare)
+// runFull(Prepare)
 //===----------------------------------------------------------------------===//
 
-TEST(Scenario, RunAppliesOverridesAndPrepare) {
-  Program P = parseOrDie("var h : H;\nvar l : L;\nsleep(h); l := 1", lh());
-  inferTimingLabels(P);
-  Scenario Scn(P, HwKind::Partitioned);
-
-  RunSpec Fast;
-  Fast.Scalars = {{"h", 1}};
-  RunSpec Slow;
-  Slow.Prepare = [](Memory &M) { M.store("h", 5000); };
-
-  RunResult RFast = Scn.run(Fast);
-  RunResult RSlow = Scn.run(Slow);
-  EXPECT_LT(RFast.T.FinalTime + 4000, RSlow.T.FinalTime);
-
-  // Scenario runs never mutate the template: re-running is reproducible.
-  EXPECT_EQ(Scn.run(Fast).T.FinalTime, RFast.T.FinalTime);
-}
-
-TEST(Scenario, RunFullPrepareOverloadMatchesManualPoke) {
+TEST(RunFull, PrepareOverloadMatchesManualPoke) {
   Program P = parseOrDie("var h : H;\nvar l : L;\nsleep(h); l := 1", lh());
   inferTimingLabels(P);
 
@@ -390,8 +420,8 @@ TEST(CloneAudit, RestoredEnvsShareNothingWithTheTemplate) {
     auto Template = createMachineEnv(Kind, lh());
     Template->randomize(R);
     const auto Before = Template->clone();
-    // A slot restored in place, as streamObservations reuses it: driving
-    // it after each restore must leave the template as it was.
+    // A slot restored in place, as a RunSlice reuses it: driving it after
+    // each restore must leave the template as it was.
     std::unique_ptr<MachineEnv> Slot = createMachineEnv(Kind, lh());
     const MachineEnv *Storage = Slot.get();
     for (int Round = 0; Round != 3; ++Round) {

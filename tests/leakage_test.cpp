@@ -13,8 +13,11 @@
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <set>
 
 using namespace zam;
 using namespace zam::test;
@@ -103,6 +106,122 @@ TEST(Leakage, LongVariableNamesKeepObservationsDistinct) {
   LeakageResult R = measureLeakage(P, *Env, highSecretSweep({1, 2}));
   EXPECT_EQ(R.DistinctObservations, 2u);
   EXPECT_DOUBLE_EQ(R.QBits, 1.0);
+}
+
+namespace {
+/// Definition 1 the long way: every variation runs on a fresh clone of
+/// \p Template through runFull, and the runs reduce as measureLeakage
+/// documents. measureLeakage restores one env per worker slice instead,
+/// and must measure exactly this.
+LeakageResult cloneEveryVariation(const Program &P,
+                                  const MachineEnv &Template,
+                                  const LeakageSpec &Spec) {
+  const SecurityLattice &Lat = P.lattice();
+  const LabelSet Up =
+      unobservableUpwardClosure(Lat, Spec.SourceLevels, Spec.Adversary);
+  LeakageResult R;
+  R.MitigatesLowDeterministic = true;
+  std::map<std::string, unsigned> Observations;
+  std::set<std::string> TimingVectors;
+  std::vector<unsigned> FirstIdentity;
+  for (const SecretAssignment &A : Spec.Variations) {
+    auto Env = Template.clone();
+    const RunResult RR = runFull(P, *Env, [&](Memory &M) {
+      for (const auto &[Var, Value] : A.Scalars)
+        M.store(Var, Value);
+    });
+    ++Observations[RR.T.observationKey(Spec.Adversary, Lat)];
+    TimingVectors.insert(timingVectorKey(RR.T, Lat, Up));
+    const std::vector<unsigned> Identity =
+        mitigateIdentityProjection(RR.T, Up);
+    if (&A == &Spec.Variations.front())
+      FirstIdentity = Identity;
+    else if (Identity != FirstIdentity)
+      R.MitigatesLowDeterministic = false;
+    R.MaxFinalTime = std::max(R.MaxFinalTime, RR.T.FinalTime);
+    uint64_t Relevant = 0;
+    for (const MitigateRecord &MR : RR.T.Mitigations)
+      Relevant += !Up.contains(MR.PcLabel) && Up.contains(MR.Level);
+    R.RelevantMitigates = std::max(R.RelevantMitigates, Relevant);
+  }
+  R.DistinctObservations = Observations.size();
+  R.QBits = std::log2(static_cast<double>(Observations.size()));
+  for (const auto &[Key, Count] : Observations) {
+    const double Prob = static_cast<double>(Count) /
+                        static_cast<double>(Spec.Variations.size());
+    R.ShannonBits -= Prob * std::log2(Prob);
+  }
+  R.MinEntropyBits = R.QBits;
+  R.DistinctTimingVectors = TimingVectors.size();
+  R.VBits = std::log2(static_cast<double>(TimingVectors.size()));
+  R.TheoremTwoHolds = R.DistinctObservations <= R.DistinctTimingVectors;
+  R.ClosedFormBoundBits =
+      InterpreterOptions().Mitigation.base().closedFormBoundBits(
+          Up.count(), R.RelevantMitigates, R.MaxFinalTime);
+  return R;
+}
+} // namespace
+
+// A slice's env is restored from the template before every variation, so
+// no run sees the lines an earlier run of its slice left behind. The probe
+// reads secret-indexed lines of an 8 KiB array, inside and after a
+// mitigate, on warm templates that hold its first 4 KiB (loaded at ⊥ as
+// well, since nofill installs nothing for warmTemplate's stores at ⊤).
+TEST(Leakage, RestoredSlicesMatchAFreshCloneEveryVariation) {
+  Program P = parseOrDie("var h : H;\nvar l : L;\nvar t : H;\n"
+                         "var a : H[1024];\n"
+                         "mitigate (32, H) { t := a[h * 40] + a[h * 56] };\n"
+                         "t := a[h * 24];\n"
+                         "l := 1");
+  inferTimingLabels(P);
+  LeakageSpec Spec = highSecretSweep({});
+  for (int64_t H = 0; H != 48; ++H)
+    Spec.Variations.push_back(SecretAssignment{{{"h", H}}, {}});
+  for (HwKind Kind : allHwKinds()) {
+    SCOPED_TRACE(hwKindName(Kind));
+    const auto Template = warmTemplate(Kind, 80);
+    for (Addr A = 0x10000000; A != 0x10000000 + 4096; A += 32)
+      Template->dataAccess(A, /*IsStore=*/false, low(), low());
+    const LeakageResult Expected = cloneEveryVariation(P, *Template, Spec);
+    // The probe is only worth its name if the variations do differ.
+    ASSERT_GE(Expected.DistinctObservations, 4u);
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::to_string(Threads) + " threads");
+      const LeakageResult Got =
+          measureLeakage(P, *Template, Spec, InterpreterOptions(), Threads);
+      EXPECT_EQ(Got.DistinctObservations, Expected.DistinctObservations);
+      EXPECT_EQ(Got.QBits, Expected.QBits);
+      EXPECT_EQ(Got.ShannonBits, Expected.ShannonBits);
+      EXPECT_EQ(Got.MinEntropyBits, Expected.MinEntropyBits);
+      EXPECT_EQ(Got.DistinctTimingVectors, Expected.DistinctTimingVectors);
+      EXPECT_EQ(Got.VBits, Expected.VBits);
+      EXPECT_EQ(Got.TheoremTwoHolds, Expected.TheoremTwoHolds);
+      EXPECT_EQ(Got.MitigatesLowDeterministic,
+                Expected.MitigatesLowDeterministic);
+      EXPECT_EQ(Got.MaxFinalTime, Expected.MaxFinalTime);
+      EXPECT_EQ(Got.RelevantMitigates, Expected.RelevantMitigates);
+      EXPECT_EQ(Got.ClosedFormBoundBits, Expected.ClosedFormBoundBits);
+    }
+  }
+}
+
+// A variation names its variables; one that names an array as a scalar,
+// a scalar as an array, or nothing at all aborts naming it instead of
+// writing past a check that release builds skip.
+TEST(Leakage, VariationOfTheWrongKindAbortsNamingTheVariable) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Program P = wellTyped("var a : H[4];\nvar h : H;\nvar l : L;\nl := 1");
+  auto Env = createMachineEnv(HwKind::Partitioned, lh(), MachineEnvConfig());
+  LeakageSpec Spec = highSecretSweep({});
+  Spec.Variations.push_back(SecretAssignment{{{"a", 1}}, {}});
+  EXPECT_DEATH(measureLeakage(P, *Env, Spec),
+               "measureLeakage: 'a' is an array, not a scalar input");
+  Spec.Variations.back() = SecretAssignment{{}, {{"h", {1}}}};
+  EXPECT_DEATH(measureLeakage(P, *Env, Spec),
+               "measureLeakage: 'h' is a scalar, not an array input");
+  Spec.Variations.back() = SecretAssignment{{{"nope", 1}}, {}};
+  EXPECT_DEATH(measureLeakage(P, *Env, Spec),
+               "measureLeakage: no variable 'nope'");
 }
 
 TEST(Leakage, NoSecretsNoObservations) {
