@@ -131,17 +131,17 @@ size_t zam::exportObservation(TraceSink &Sink, const Observation &O,
     appendInt(Windows, O.Windows[W]);
   }
   withEncoder(Sink, [&](auto &Enc) {
-    Enc.begin(TraceRecord::Kind::Instant, "sample#", TraceNameIndex(Index),
-              "adv", Index);
+    auto W = Enc.begin(TraceRecord::Kind::Instant, "sample#",
+                       TraceNameIndex(Index), Enc.category("adv"), Index);
     if (O.ClassIndex < ClassNames.size())
-      Enc.argText("class", ClassNames[O.ClassIndex]);
-    Enc.argInt("class_index", O.ClassIndex);
-    Enc.argInt("end_to_end", O.EndToEnd);
+      W.argText("class", ClassNames[O.ClassIndex]);
+    W.argInt("class_index", O.ClassIndex);
+    W.argInt("end_to_end", O.EndToEnd);
     // A one-element list like "256" reads as a number and leaves bare;
     // offline readers treat the arg as display-only either way.
-    Enc.argText("windows", Windows);
-    Enc.argDouble("bound_bits", O.BoundBits);
-    Enc.end();
+    W.argText("windows", Windows);
+    W.argDouble("bound_bits", O.BoundBits);
+    W.end();
   });
   return 1;
 }

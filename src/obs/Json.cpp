@@ -4,7 +4,9 @@
 
 #include "support/Diagnostics.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -92,24 +94,36 @@ static void escapeString(std::string &Out, const std::string &S) {
   Out += '"';
 }
 
+char *zam::writeJsonNumber(char *First, double V) {
+  char *const Last = First + kJsonNumberMaxChars;
+  // The shortest round-trip form's digit count is a lower bound on the
+  // least "%.*g" precision that round-trips: that precision's output is a
+  // string of that many digits which round-trips. std::to_chars with a
+  // precision is specified to match "%.*g".
+  const char *const Sci =
+      std::to_chars(First, Last, V, std::chars_format::scientific).ptr;
+  int Prec = 0;
+  for (const char *P = First; P != Sci && *P != 'e'; ++P)
+    Prec += *P >= '0' && *P <= '9';
+  for (Prec = std::max(Prec, 1); Prec < 17; ++Prec) {
+    char *const End =
+        std::to_chars(First, Last, V, std::chars_format::general, Prec).ptr;
+    double Back = 0;
+    const std::from_chars_result R = std::from_chars(First, End, Back);
+    if (R.ptr == End && R.ec == std::errc() && Back == V)
+      return End;
+  }
+  return std::to_chars(First, Last, V, std::chars_format::general, 17).ptr;
+}
+
 static void formatNumber(std::string &Out, double V, bool IsInt) {
-  char Buf[40];
-  if (IsInt && std::nearbyint(V) == V && std::fabs(V) < 9.2e18) {
-    std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(V));
-    Out += Buf;
-    return;
-  }
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  // Trim to the shortest representation that round-trips.
-  for (int Prec = 1; Prec < 17; ++Prec) {
-    char Short[40];
-    std::snprintf(Short, sizeof(Short), "%.*g", Prec, V);
-    if (std::strtod(Short, nullptr) == V) {
-      Out += Short;
-      return;
-    }
-  }
-  Out += Buf;
+  char Buf[kJsonNumberMaxChars];
+  char *End;
+  if (IsInt && std::nearbyint(V) == V && std::fabs(V) < 9.2e18)
+    End = std::to_chars(Buf, Buf + sizeof(Buf), static_cast<long long>(V)).ptr;
+  else
+    End = writeJsonNumber(Buf, V);
+  Out.append(Buf, End);
 }
 
 std::string zam::jsonNumberString(double V) {

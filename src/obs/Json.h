@@ -18,6 +18,7 @@
 #ifndef ZAM_OBS_JSON_H
 #define ZAM_OBS_JSON_H
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -105,6 +106,16 @@ private:
 /// hand-serialize doubles (trace args) use this so a parse-back yields the
 /// bit-identical value.
 std::string jsonNumberString(double V);
+
+/// The most characters writeJsonNumber writes.
+inline constexpr size_t kJsonNumberMaxChars = 32;
+
+/// Writes jsonNumberString(\p V) to [\p First, \p First +
+/// kJsonNumberMaxChars) and \returns its end: "%.*g" at the least
+/// precision that round-trips (17 when none below does), so a finite value
+/// reads as a JSON number and inf and nan as "inf", "-inf", "nan" and
+/// "-nan".
+char *writeJsonNumber(char *First, double V);
 
 } // namespace zam
 

@@ -259,6 +259,9 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
       return LevelNames[L.index()];
     };
     std::vector<std::string> AssignNames;
+    const auto Interp = Enc.category("interp"), Mit = Enc.category("mit"),
+               Leak = Enc.category("leak"), Obs = Enc.category("obs"),
+               Hw = Enc.category("hw"), Prof = Enc.category("prof");
     using Kind = TraceRecord::Kind;
     auto emit = [&](const RecordKey &K) {
       switch (K.From) {
@@ -271,98 +274,105 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
             AssignNames.resize(E.Slot + 1);
           AssignNames[E.Slot] = Enc.encodeText("assign " + Var);
         }
-        Enc.begin(Kind::Instant, AssignNames[E.Slot],
-                  E.IsArrayStore ? TraceNameIndex(E.ElemIndex, true)
-                                 : TraceNameIndex(),
-                  "interp", K.Ts);
-        Enc.argInt("value", E.Value);
-        Enc.argValue("label", levelName(E.VarLabel));
+        auto W = Enc.begin(Kind::Instant, AssignNames[E.Slot],
+                           E.IsArrayStore ? TraceNameIndex(E.ElemIndex, true)
+                                          : TraceNameIndex(),
+                           Interp, K.Ts);
+        W.argInt("value", E.Value);
+        W.argValue("label", levelName(E.VarLabel));
+        W.end();
         break;
       }
       case Stream::Mitigation: {
         const MitigateRecord &M = T.Mitigations[K.Index];
-        Enc.begin(Kind::Span, "mitigate#", TraceNameIndex(M.Eta), "mit", K.Ts,
-                  M.Duration);
-        Enc.argValue("level", levelName(M.Level));
-        Enc.argValue("pc", levelName(M.PcLabel));
-        Enc.argInt("estimate", M.Estimate);
-        Enc.argInt("predicted", M.Duration);
-        Enc.argInt("consumed", M.BodyTime);
-        Enc.argInt("padded",
-                   M.Duration > M.BodyTime ? M.Duration - M.BodyTime : 0);
-        Enc.argBool("mispredicted", M.Mispredicted);
+        auto W = Enc.begin(Kind::Span, "mitigate#", TraceNameIndex(M.Eta), Mit,
+                           K.Ts, M.Duration);
+        W.argValue("level", levelName(M.Level));
+        W.argValue("pc", levelName(M.PcLabel));
+        W.argInt("estimate", M.Estimate);
+        W.argInt("predicted", M.Duration);
+        W.argInt("consumed", M.BodyTime);
+        W.argInt("padded",
+                 M.Duration > M.BodyTime ? M.Duration - M.BodyTime : 0);
+        W.argBool("mispredicted", M.Mispredicted);
         if (M.Line != 0)
-          Enc.argInt("loc", M.Line);
+          W.argInt("loc", M.Line);
+        W.end();
         break;
       }
       case Stream::LeakWindow: {
-        const LeakWindow &W = Windows[K.Index];
-        Enc.begin(Kind::Span, "leak_budget#", TraceNameIndex(W.Eta), "leak",
-                  K.Ts, W.Duration);
-        Enc.argValue("level", levelName(W.Level));
-        Enc.argInt("estimate", W.Estimate);
-        Enc.argInt("misses_after", W.MissesAfter);
-        Enc.argInt("attainable", W.Attainable);
-        Enc.argDouble("window_bits", W.WindowBits);
-        Enc.argDouble("cum_level_bits", W.CumLevelBits);
-        Enc.argBool("mispredicted", W.Mispredicted);
+        const LeakWindow &Win = Windows[K.Index];
+        auto W = Enc.begin(Kind::Span, "leak_budget#", TraceNameIndex(Win.Eta),
+                           Leak, K.Ts, Win.Duration);
+        W.argValue("level", levelName(Win.Level));
+        W.argInt("estimate", Win.Estimate);
+        W.argInt("misses_after", Win.MissesAfter);
+        W.argInt("attainable", Win.Attainable);
+        W.argDouble("window_bits", Win.WindowBits);
+        W.argDouble("cum_level_bits", Win.CumLevelBits);
+        W.argBool("mispredicted", Win.Mispredicted);
         // Only sites diverging from the run default name their policy, so
         // default-policy traces keep the historical byte layout.
-        if (W.Policy && W.Policy != &RunDefault)
-          Enc.argText("policy", W.Policy->spec());
-        if (W.Line != 0)
-          Enc.argInt("loc", W.Line);
+        if (Win.Policy && Win.Policy != &RunDefault)
+          W.argText("policy", Win.Policy->spec());
+        if (Win.Line != 0)
+          W.argInt("loc", Win.Line);
+        W.end();
         break;
       }
       case Stream::Snapshot: {
         while (SnapEnd <= K.Index)
           SnapBits += Windows[SnapEnd++].WindowBits;
-        Enc.begin(Kind::Meta, "snapshot", {}, "obs", K.Ts);
-        Enc.argInt("windows", SnapEnd);
-        Enc.argDouble("total_bits_bound", SnapBits);
+        auto W = Enc.begin(Kind::Meta, "snapshot", {}, Obs, K.Ts);
+        W.argInt("windows", SnapEnd);
+        W.argDouble("total_bits_bound", SnapBits);
+        W.end();
         break;
       }
       case Stream::Miss: {
         const AccessSample &S = T.Misses[K.Index];
-        Enc.begin(Kind::Instant, S.IsData ? "dmiss" : "imiss", {}, "hw", K.Ts);
-        Enc.argHex("addr", S.A);
-        Enc.argInt("cycles", S.Cycles);
+        auto W = Enc.begin(Kind::Instant, S.IsData ? "dmiss" : "imiss", {}, Hw,
+                           K.Ts);
+        W.argHex("addr", S.A);
+        W.argInt("cycles", S.Cycles);
         if (S.TlbMiss)
-          Enc.argBool("tlb_miss", true);
+          W.argBool("tlb_miss", true);
         if (S.L1Miss)
-          Enc.argBool("l1_miss", true);
+          W.argBool("l1_miss", true);
         if (S.L2Miss)
-          Enc.argBool("memory", true);
+          W.argBool("memory", true);
         if (S.Line != 0)
-          Enc.argInt("loc", S.Line);
+          W.argInt("loc", S.Line);
+        W.end();
         break;
       }
       case Stream::LedgerLine: {
         const auto &[Line, C] = *LineAt++;
-        Enc.begin(Kind::Instant, "prof_line#", TraceNameIndex(Line), "prof",
-                  K.Ts);
-        Enc.argInt("cycles", C.totalCycles());
-        Enc.argInt("step_cycles", C.StepCycles);
-        Enc.argInt("sleep_cycles", C.SleepCycles);
-        Enc.argInt("pad_cycles", C.PadCycles);
-        Enc.argInt("accesses", C.accesses());
-        Enc.argInt("misses", C.misses());
-        Enc.argInt("windows", C.Windows);
-        Enc.argDouble("leak_bits", C.LeakBits);
+        auto W = Enc.begin(Kind::Instant, "prof_line#", TraceNameIndex(Line),
+                           Prof, K.Ts);
+        W.argInt("cycles", C.totalCycles());
+        W.argInt("step_cycles", C.StepCycles);
+        W.argInt("sleep_cycles", C.SleepCycles);
+        W.argInt("pad_cycles", C.PadCycles);
+        W.argInt("accesses", C.accesses());
+        W.argInt("misses", C.misses());
+        W.argInt("windows", C.Windows);
+        W.argDouble("leak_bits", C.LeakBits);
+        W.end();
         break;
       }
       case Stream::LedgerSite: {
         const auto &[Eta, S] = *SiteAt++;
-        Enc.begin(Kind::Instant, "prof_site#", TraceNameIndex(Eta), "prof",
-                  K.Ts);
-        Enc.argInt("loc", S.Line);
-        Enc.argInt("windows", S.Windows);
-        Enc.argInt("pad_cycles", S.PadCycles);
-        Enc.argDouble("leak_bits", S.LeakBits);
+        auto W = Enc.begin(Kind::Instant, "prof_site#", TraceNameIndex(Eta),
+                           Prof, K.Ts);
+        W.argInt("loc", S.Line);
+        W.argInt("windows", S.Windows);
+        W.argInt("pad_cycles", S.PadCycles);
+        W.argDouble("leak_bits", S.LeakBits);
+        W.end();
         break;
       }
       }
-      Enc.end();
     };
 
     // The merge: each pass finds the earliest head of the streams after

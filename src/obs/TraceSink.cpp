@@ -5,7 +5,6 @@
 #include "obs/Json.h"
 
 #include <algorithm>
-#include <cstdio>
 
 using namespace zam;
 
@@ -23,13 +22,15 @@ void TraceSink::header(
   (void)Meta; // Sinks without a preamble representation drop it.
 }
 
-void TraceBuffer::grow(size_t N) {
-  const size_t NewCapacity = std::max({2 * Capacity, Size + N, kMinCapacity});
+TraceBuffer::Room TraceBuffer::grow(char *At, size_t N) {
+  const size_t Used = At - Data.get();
+  const size_t NewCapacity = std::max({2 * Capacity, Used + N, kMinCapacity});
   std::unique_ptr<char[]> Grown(new char[NewCapacity]);
-  if (Size != 0)
-    std::memcpy(Grown.get(), Data.get(), Size);
+  if (Used != 0)
+    std::memcpy(Grown.get(), Data.get(), Used);
   Data = std::move(Grown);
   Capacity = NewCapacity;
+  return {Data.get() + Used, Data.get() + Capacity};
 }
 
 void TraceSink::flush() {
@@ -47,69 +48,50 @@ const std::string &TraceSink::finish() {
 
 namespace {
 
-/// Appends \p S to \p Out (a std::string or a TraceBuffer) escaped as the
-/// body of a JSON string. Each run of characters that needs no escaping is
-/// appended in one piece.
-template <typename Buffer>
-void appendEscaped(Buffer &Out, std::string_view S) {
-  const char *Run = S.data();
-  const char *End = Run + S.size();
-  for (const char *P = Run; P != End; ++P) {
-    const unsigned char C = static_cast<unsigned char>(*P);
-    if (C >= 0x20 && C != '"' && C != '\\')
-      continue;
-    Out.append(Run, P);
-    Run = P + 1;
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default: {
-      static constexpr char Hex[] = "0123456789abcdef";
-      const char Escape[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xF]};
-      Out.append(Escape, Escape + sizeof(Escape));
-    }
-    }
-  }
-  Out.append(Run, End);
-}
-
-template <typename Buffer>
-void appendQuoted(Buffer &Out, std::string_view S) {
-  Out += '"';
-  appendEscaped(Out, S);
-  Out += '"';
-}
-
-/// Appends \p S as an arg value: bare when it reads as a number literal.
-template <typename Buffer>
-void appendValue(Buffer &Out, std::string_view S) {
-  if (traceArgIsNumberLiteral(S))
-    Out += S;
-  else
-    appendQuoted(Out, S);
-}
-
 /// An ASCII digit test the compiler inlines (std::isdigit is a locale-aware
 /// libc call, and traceArgIsNumberLiteral runs it on every arg character).
 bool isDigit(char C) { return C >= '0' && C <= '9'; }
 
-void appendDouble(TraceBuffer &Out, double V) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  Out += Buf;
+} // namespace
+
+char *trace_detail::writeJsonEscaped(char *P, std::string_view S) {
+  for (const char C : S) {
+    const unsigned char U = static_cast<unsigned char>(C);
+    if (U >= 0x20 && C != '"' && C != '\\') {
+      *P++ = C;
+      continue;
+    }
+    *P++ = '\\';
+    switch (C) {
+    case '"':
+    case '\\':
+      *P++ = C;
+      break;
+    case '\n':
+      *P++ = 'n';
+      break;
+    case '\t':
+      *P++ = 't';
+      break;
+    default: {
+      static constexpr char Hex[] = "0123456789abcdef";
+      const char Escape[] = {'u', '0', '0', Hex[U >> 4], Hex[U & 0xF]};
+      std::memcpy(P, Escape, sizeof(Escape));
+      P += sizeof(Escape);
+    }
+    }
+  }
+  return P;
 }
 
-} // namespace
+char *trace_detail::writeJsonValue(char *P, std::string_view S) {
+  if (traceArgIsNumberLiteral(S))
+    return copy(P, S);
+  *P++ = '"';
+  P = writeJsonEscaped(P, S);
+  *P++ = '"';
+  return P;
+}
 
 /// Args values that read as JSON number literals — an optional sign,
 /// digits, then optional fraction and exponent parts — are emitted bare;
@@ -151,108 +133,82 @@ bool zam::traceArgIsNumberLiteral(std::string_view S) {
 }
 
 std::string JsonTraceSink::encodeText(std::string_view Raw) {
-  std::string S;
-  appendEscaped(S, Raw);
+  std::string S(6 * Raw.size(), '\0');
+  S.resize(trace_detail::writeJsonEscaped(S.data(), Raw) - S.data());
   return S;
 }
 
 std::string JsonTraceSink::encodeValue(std::string_view Raw) {
-  std::string S;
-  appendValue(S, Raw);
+  std::string S(6 * Raw.size() + 2, '\0');
+  S.resize(trace_detail::writeJsonValue(S.data(), Raw) - S.data());
   return S;
 }
 
-void JsonTraceSink::argDouble(std::string_view Key, double V) {
-  argText(Key, jsonNumberString(V));
+void TraceSink::record(const TraceRecord &R) {
+  withEncoder(*this, [&R](auto &Enc) {
+    const std::string Name = Enc.encodeText(R.Name);
+    const std::string Category = Enc.encodeText(R.Category);
+    auto W = Enc.begin(R.RecordKind, Name, {}, Enc.category(Category), R.Ts,
+                       R.Dur, R.Value);
+    if (R.RecordKind != TraceRecord::Kind::Counter || Enc.CounterTakesArgs)
+      for (const auto &[Key, Value] : R.Args)
+        W.arg(Key, Value);
+    W.end();
+  });
 }
 
-void JsonTraceSink::argText(std::string_view Key, std::string_view Raw) {
-  key(Key);
-  appendValue(Out, Raw);
-}
-
-void JsonTraceSink::recordArgs(const TraceRecord &R) {
-  for (const auto &[Key, Value] : R.Args) {
-    Out += Args++ ? "," : ",\"args\":{";
-    appendQuoted(Out, Key);
-    Out += ':';
-    appendValue(Out, Value);
-  }
-}
-
-void JsonTraceSink::appendObject(
+void JsonTraceSink::putObject(
+    TraceCursor &W,
     const std::vector<std::pair<std::string, std::string>> &Meta) {
-  Out += '{';
+  W.put("{");
   for (size_t I = 0; I != Meta.size(); ++I) {
     if (I != 0)
-      Out += ',';
-    appendQuoted(Out, Meta[I].first);
-    Out += ':';
-    appendValue(Out, Meta[I].second);
+      W.put(",");
+    W.putQuoted(Meta[I].first);
+    W.put(":");
+    W.putValue(Meta[I].second);
   }
-  Out += '}';
-}
-
-void JsonTraceSink::encodeNames(const TraceRecord &R) {
-  RecordName.clear();
-  appendEscaped(RecordName, R.Name);
-  RecordCategory.clear();
-  appendEscaped(RecordCategory, R.Category);
+  W.put("}");
 }
 
 void JsonlTraceSink::header(
     const std::vector<std::pair<std::string, std::string>> &Meta) {
-  Out += "{\"kind\":\"meta\",\"args\":";
-  appendObject(Meta);
-  Out += "}\n";
-}
-
-void JsonlTraceSink::record(const TraceRecord &R) {
-  encodeNames(R);
-  begin(R.RecordKind, RecordName, {}, RecordCategory, R.Ts, R.Dur);
-  if (R.RecordKind == TraceRecord::Kind::Counter)
-    counter(R.Value);
-  recordArgs(R);
-  end();
-}
-
-void JsonlTraceSink::counter(double V) {
-  Out += ",\"value\":";
-  appendDouble(Out, V);
+  TraceCursor W(*this);
+  W.put("{\"kind\":\"meta\",\"args\":");
+  putObject(W, Meta);
+  W.put("}\n");
+  W.commit();
 }
 
 void ChromeTraceSink::header(
     const std::vector<std::pair<std::string, std::string>> &Meta) {
   // A trace-event metadata record: ph "M" carries no timeline semantics,
   // so viewers show the provenance without perturbing the rows.
-  Out += First ? "[\n" : ",\n";
+  TraceCursor W(*this);
+  W.put(First ? "[\n" : ",\n");
   First = false;
-  Out += "{\"name\":\"zam_build\",\"cat\":\"meta\",\"ph\":\"M\",\"pid\":1,"
-         "\"tid\":0,\"ts\":0,\"args\":";
-  appendObject(Meta);
-  Out += '}';
+  W.put("{\"name\":\"zam_build\",\"cat\":\"meta\",\"ph\":\"M\",\"pid\":1,"
+        "\"tid\":0,\"ts\":0,\"args\":");
+  putObject(W, Meta);
+  W.put("}");
+  W.commit();
 }
 
-void ChromeTraceSink::record(const TraceRecord &R) {
-  encodeNames(R);
-  begin(R.RecordKind, RecordName, {}, RecordCategory, R.Ts, R.Dur);
-  if (R.RecordKind == TraceRecord::Kind::Counter)
-    counter(R.Value); // A counter event's args are its value alone.
-  else
-    recordArgs(R);
-  end();
-}
-
-void ChromeTraceSink::counter(double V) {
-  Out += ",\"args\":{\"value\":";
-  appendDouble(Out, V);
-  Out += '}';
+ChromeTraceSink::Category
+ChromeTraceSink::category(std::string_view Encoded) {
+  for (unsigned I = 0; I != Categories.size(); ++I)
+    if (Categories[I].Text == Encoded)
+      return {I};
+  Categories.push_back({std::string(Encoded)});
+  return {static_cast<unsigned>(Categories.size() - 1)};
 }
 
 void ChromeTraceSink::close() {
   if (!Closed) {
     Closed = true;
-    Out += First ? "[]\n" : "\n]\n";
+    TraceCursor W(*this);
+    W.put(First ? "[]\n" : "\n]\n");
+    W.commit();
   }
   TraceSink::close();
 }

@@ -23,12 +23,13 @@
 /// Each sink is its format's only serializer. Producers that know their
 /// fields' types (exportTrace, exportObservation) reach it through
 /// withEncoder() and write each record once, straight into the output:
-/// begin() with kind, name, category, ts and dur, then typed args, then
-/// end(). Strings that repeat across an export — level names, "assign x"
-/// record names — are encoded once per export (encodeText/encodeValue)
-/// and appended as they stand. TraceSink::record() takes a finished
-/// TraceRecord (readers' records, ad-hoc rows, tests) through the same
-/// calls.
+/// begin() with kind, name, category, ts and dur hands back the record's
+/// writer, a small value holding the output cursor, which takes the typed
+/// args and end(). Strings that repeat across an export — level names,
+/// "assign x" record names, categories — are encoded once per export
+/// (encodeText/encodeValue/category) and copied as they stand.
+/// TraceSink::record() takes a finished TraceRecord (readers' records,
+/// ad-hoc rows, tests) through the same writer.
 ///
 /// Sinks write into a buffer they own and hand it to a caller-supplied
 /// ByteSink in large chunks and at close(), so a trace is never held
@@ -43,9 +44,13 @@
 #ifndef ZAM_OBS_TRACESINK_H
 #define ZAM_OBS_TRACESINK_H
 
+#include "obs/Json.h"
 #include "obs/Ztb.h"
 
+#include <array>
+#include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <cstdint>
 #include <cstdio>
@@ -55,6 +60,10 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace zam {
 
@@ -136,46 +145,52 @@ enum class TraceFormat {
   Ztb,    ///< Compact binary (obs/Ztb.h) for million-window runs.
 };
 
-/// The encoders' output: a growable byte buffer whose appends inline to a
-/// bounds check and a copy (std::string's appends are out-of-line calls,
-/// which cost more than the encoding itself).
+/// An arg key: a literal of letters, digits and '_', at most kMaxLength
+/// bytes, checked at compile time. Its bytes are a constant in the writer
+/// calls, which inline: a key and its punctuation compile to a few stores
+/// of immediates.
+class TraceKey {
+public:
+  static constexpr size_t kMaxLength = 24;
+  /// The most bytes a key takes with its framing in any format (JSON's
+  /// `,"args":{"` and `":`).
+  static constexpr size_t kMaxFramed = kMaxLength + 12;
+
+  template <size_t N>
+  consteval TraceKey(const char (&Key)[N]) : Name(Key, N - 1) {
+    static_assert(N - 1 <= kMaxLength, "trace arg keys are short literals");
+    for (const char C : Name)
+      if (!((C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+            (C >= '0' && C <= '9') || C == '_'))
+        keyNeedsEscaping();
+  }
+
+  std::string_view Name;
+
+private:
+  /// Not constexpr: a call in a constant evaluation fails to compile.
+  static void keyNeedsEscaping() {}
+};
+
+/// The encoders' output: a growable byte buffer. A record writer fills its
+/// free space through a cursor it holds in locals (TraceCursor) and commits
+/// the bytes when the record ends; until then the buffer's size stays at
+/// the open record's first byte.
 class TraceBuffer {
 public:
-  TraceBuffer &operator+=(std::string_view S) {
-    append(S.data(), S.data() + S.size());
-    return *this;
-  }
-  TraceBuffer &operator+=(char C) {
-    *reserve(1) = C;
-    ++Size;
-    return *this;
-  }
-  void append(const char *Begin, const char *End) {
-    const size_t N = End - Begin;
-    if (N == 0)
-      return; // An empty view's data() may be null, which memcpy rejects.
-    std::memcpy(reserve(N), Begin, N);
-    Size += N;
-  }
-  /// Appends the decimal digits of \p V, with a '-' when negative.
-  template <typename Int> void appendInt(Int V) {
-    static_assert(std::is_integral_v<Int> && sizeof(Int) <= 8);
-    if constexpr (std::is_signed_v<Int>) {
-      if (V < 0) {
-        *this += '-';
-        appendDecimal(0 - static_cast<uint64_t>(V));
-        return;
-      }
-    }
-    appendDecimal(static_cast<uint64_t>(V));
-  }
-  /// Appends "0x" and the lower-case hex digits of \p V.
-  void appendHex(uint64_t V) {
-    char *At = reserve(2 + kMaxDigits);
-    At[0] = '0';
-    At[1] = 'x';
-    Size = std::to_chars(At + 2, At + 2 + kMaxDigits, V, 16).ptr - Data.get();
-  }
+  /// Free space: bytes [At, Limit) may be written.
+  struct Room {
+    char *At;
+    char *Limit;
+  };
+
+  Room room() { return {Data.get() + Size, Data.get() + Capacity}; }
+  /// Room for \p N bytes at the cursor \p At, keeping every byte before it
+  /// (the committed ones and the open record's). \returns the moved cursor
+  /// and its limit.
+  Room grow(char *At, size_t N);
+  /// Makes the bytes before \p At part of the buffer.
+  void commit(const char *At) { Size = At - Data.get(); }
 
   const char *data() const { return Data.get(); }
   size_t size() const { return Size; }
@@ -183,50 +198,8 @@ public:
   void clear() { Size = 0; }
 
 private:
-  /// Digits of the largest uint64_t, in any base from 10 up.
-  static constexpr size_t kMaxDigits = 20;
   /// The first allocation, so small records do not regrow it one by one.
   static constexpr size_t kMinCapacity = 4096;
-
-  /// Writes the digits two at a time from the back of a stack buffer,
-  /// then copies a fixed kMaxDigits bytes from the first digit: a copy
-  /// the compiler inlines, where a copy of the digit count is a call.
-  [[gnu::always_inline]] void appendDecimal(uint64_t V) {
-    static constexpr char Pairs[] = "00010203040506070809"
-                                    "10111213141516171819"
-                                    "20212223242526272829"
-                                    "30313233343536373839"
-                                    "40414243444546474849"
-                                    "50515253545556575859"
-                                    "60616263646566676869"
-                                    "70717273747576777879"
-                                    "80818283848586878889"
-                                    "90919293949596979899";
-    char Digits[2 * kMaxDigits] = {};
-    char *const End = Digits + kMaxDigits;
-    char *First = End;
-    while (V >= 100) {
-      First -= 2;
-      std::memcpy(First, Pairs + 2 * (V % 100), 2);
-      V /= 100;
-    }
-    if (V >= 10) {
-      First -= 2;
-      std::memcpy(First, Pairs + 2 * V, 2);
-    } else {
-      *--First = static_cast<char>('0' + V);
-    }
-    std::memcpy(reserve(kMaxDigits), First, kMaxDigits);
-    Size += End - First;
-  }
-
-  /// Room for \p N more bytes; \returns where they go.
-  char *reserve(size_t N) {
-    if (Capacity - Size < N)
-      grow(N);
-    return Data.get() + Size;
-  }
-  void grow(size_t N);
 
   std::unique_ptr<char[]> Data;
   size_t Size = 0;
@@ -255,8 +228,10 @@ public:
   virtual void header(
       const std::vector<std::pair<std::string, std::string>> &Meta);
 
-  /// Consumes one record. Records must arrive in nondecreasing Ts order.
-  virtual void record(const TraceRecord &R) = 0;
+  /// Consumes one finished record — readers' records, ad-hoc rows, tests —
+  /// through the format's record writer (the adapter over the typed
+  /// calls). Records must arrive in nondecreasing Ts order.
+  void record(const TraceRecord &R);
 
   /// Emits any format trailer and writes every buffered byte to the
   /// ByteSink (idempotent). The byte stream is complete — and FileByteSink
@@ -273,9 +248,13 @@ public:
   bool ok() const { return Sink->ok(); }
 
 protected:
-  /// Ends a record: hands the buffer to the ByteSink once it holds a
-  /// chunk's worth.
-  void endRecord() {
+  friend class TraceCursor;
+  friend class ZtbRecordWriter;
+
+  /// Commits a record's bytes, ending at \p At, and hands the buffer to
+  /// the ByteSink once it holds a chunk's worth.
+  void endRecord(const char *At) {
+    Out.commit(At);
     if (Out.size() >= kChunkBytes)
       flush();
   }
@@ -291,6 +270,118 @@ private:
   ByteSink *Sink;
 };
 
+namespace trace_detail {
+
+/// Writes \p S at \p P (which has room for it) and \returns its end.
+[[gnu::always_inline]] inline char *copy(char *P, std::string_view S) {
+  if (!S.empty()) // An empty view's data() may be null, which memcpy rejects.
+    std::memcpy(P, S.data(), S.size());
+  return P + S.size();
+}
+
+/// 10^0 through 10^19.
+inline constexpr auto kPow10 = [] {
+  std::array<uint64_t, 20> P{};
+  uint64_t V = 1;
+  for (uint64_t &X : P) {
+    X = V;
+    V *= 10;
+  }
+  return P;
+}();
+
+/// The number of decimal digits of \p V (1 for 0).
+[[gnu::always_inline]] inline unsigned decimalLength(uint64_t V) {
+  // 1233 / 4096 is just below log10(2): T is floor(log10(V)) or one less.
+  const unsigned T = (std::bit_width(V | 1) * 1233) >> 12;
+  return T + ((V | 1) >= kPow10[T]);
+}
+
+/// Writes the decimalLength(\p V) digits of \p V so that they end at
+/// \p End, two at a time from the back.
+[[gnu::always_inline]] inline void writeDigits(char *End, uint64_t V) {
+  static constexpr char Pairs[] = "00010203040506070809"
+                                  "10111213141516171819"
+                                  "20212223242526272829"
+                                  "30313233343536373839"
+                                  "40414243444546474849"
+                                  "50515253545556575859"
+                                  "60616263646566676869"
+                                  "70717273747576777879"
+                                  "80818283848586878889"
+                                  "90919293949596979899";
+  while (V >= 100) {
+    End -= 2;
+    std::memcpy(End, Pairs + 2 * (V % 100), 2);
+    V /= 100;
+  }
+  if (V >= 10)
+    std::memcpy(End - 2, Pairs + 2 * V, 2);
+  else
+    End[-1] = static_cast<char>('0' + V);
+}
+
+/// The most bytes writeInt writes: a sign and the 20 digits of a uint64_t.
+inline constexpr size_t kMaxIntChars = 21;
+
+/// The magnitude of \p V and whether it is negative.
+template <typename Int>
+[[gnu::always_inline]] inline std::pair<uint64_t, bool> magnitude(Int V) {
+  static_assert(std::is_integral_v<Int> && sizeof(Int) <= 8);
+  if constexpr (std::is_signed_v<Int>)
+    if (V < 0)
+      return {0 - static_cast<uint64_t>(V), true};
+  return {static_cast<uint64_t>(V), false};
+}
+
+/// Writes the decimal form of \p V at \p P, with a '-' when negative, and
+/// \returns its end.
+template <typename Int>
+[[gnu::always_inline]] inline char *writeInt(char *P, Int V) {
+  const auto [Mag, Negative] = magnitude(V);
+  if (Negative)
+    *P++ = '-';
+  P += decimalLength(Mag);
+  writeDigits(P, Mag);
+  return P;
+}
+
+/// The most bytes writeHex writes: "0x" and 16 hex digits.
+inline constexpr size_t kMaxHexChars = 18;
+
+/// Writes "0x" and the lower-case hex digits of \p V at \p P and \returns
+/// their end.
+[[gnu::always_inline]] inline char *writeHex(char *P, uint64_t V) {
+  *P++ = '0';
+  *P++ = 'x';
+  char *const End = P + (std::bit_width(V | 1) + 3) / 4;
+  for (char *D = End; D != P; V >>= 4)
+    *--D = "0123456789abcdef"[V & 0xF];
+  return End;
+}
+
+/// The most bytes a double takes in the encoders' two forms: the shortest
+/// round trip (writeJsonNumber) and "%.17g".
+inline constexpr size_t kMaxDoubleChars = kJsonNumberMaxChars;
+
+/// Writes \p V as "%.17g" does.
+inline char *writeDouble17(char *P, double V) {
+  return std::to_chars(P, P + kMaxDoubleChars, V, std::chars_format::general,
+                       17)
+      .ptr;
+}
+
+/// Writes \p S escaped as the body of a JSON string (at most 6 bytes per
+/// byte of \p S) and \returns its end.
+char *writeJsonEscaped(char *P, std::string_view S);
+
+/// Writes \p S as a JSON arg value — bare when it reads as a number
+/// literal, a quoted escaped string otherwise (at most 6 bytes per byte of
+/// \p S, plus 2) — and \returns its end.
+char *writeJsonValue(char *P, std::string_view S);
+
+} // namespace trace_detail
+
 /// The decimal index at the end of a record name ("7" in "mitigate#7", or
 /// "[7]" in "assign a[7]"), formatted on the stack for begin().
 class TraceNameIndex {
@@ -300,7 +391,7 @@ public:
     char *P = Buf;
     if (Bracketed)
       *P++ = '[';
-    P = std::to_chars(P, Buf + sizeof(Buf), V).ptr;
+    P = trace_detail::writeInt(P, V);
     if (Bracketed)
       *P++ = ']';
     Size = P - Buf;
@@ -312,24 +403,185 @@ private:
   size_t Size = 0;
 };
 
+/// A writer's cursor into its sink's buffer. A writer is a small value
+/// that lives in the producer's locals: it keeps the cursor and the
+/// buffer's limit there (the buffer's own size is not touched until the
+/// record ends), makes one capacity check per call for everything the call
+/// writes, and commits the record in end(). One writer is open on a sink
+/// at a time; nothing else may write to the sink until it ends.
+///
+/// Nothing on a writer's path takes its address — its cold paths take the
+/// cursor by value and return it — so the cursor stays in registers.
+class TraceCursor {
+public:
+  explicit TraceCursor(TraceSink &Sink) : Sink(&Sink) {
+    const TraceBuffer::Room R = Sink.Out.room();
+    At = R.At;
+    Limit = R.Limit;
+  }
+
+  /// Room for \p N bytes at the cursor; \returns the cursor. The caller
+  /// writes and then moves At past what it wrote.
+  [[gnu::always_inline]] char *room(size_t N) {
+    if (static_cast<size_t>(Limit - At) < N) [[unlikely]] {
+      const TraceBuffer::Room R = Sink->Out.grow(At, N);
+      At = R.At;
+      Limit = R.Limit;
+    }
+    guard(At, Limit, N);
+    return At;
+  }
+  [[gnu::always_inline]] void put(std::string_view S) {
+    At = trace_detail::copy(room(S.size()), S);
+  }
+  /// \p S as a quoted, escaped JSON string.
+  void putQuoted(std::string_view S) {
+    char *P = room(6 * S.size() + 2);
+    *P++ = '"';
+    P = trace_detail::writeJsonEscaped(P, S);
+    *P++ = '"';
+    At = P;
+  }
+  /// \p S as a JSON arg value (bare when it reads as a number literal).
+  void putValue(std::string_view S) {
+    At = trace_detail::writeJsonValue(room(6 * S.size() + 2), S);
+  }
+  /// Commits what the cursor wrote; the cursor is spent.
+  void commit() { Sink->endRecord(At); }
+
+protected:
+  friend class JsonlTraceSink;
+  friend class ChromeTraceSink;
+  friend class ZtbTraceSink;
+
+  /// In AddressSanitizer builds, leaves only the \p N bytes at \p At
+  /// writable in the free space [At, Limit): a writer that reserved too
+  /// little is reported at the write that passes its reservation, not only
+  /// when it passes the end of the allocation.
+  static void guard(char *At, char *Limit, size_t N) {
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(At, Limit - At);
+    ASAN_POISON_MEMORY_REGION(At + N, Limit - At - N);
+#else
+    (void)At, (void)Limit, (void)N;
+#endif
+  }
+
+  /// The sink's committed bytes end at the open record's first byte.
+  char *recordStart() const { return Sink->Out.room().At; }
+
+  TraceSink *Sink;
+  char *At;
+  char *Limit;
+};
+
 // The typed encoder calls, the same on all three sinks:
 //
-//   begin(Kind, Name, Suffix, Category, Ts, Dur = 0)
-//     Opens a record. Name and Category come as encodeText() returns them
-//     (a literal of letters, digits, '_', '#', ' ' passes as it stands);
-//     Suffix is appended to the name unescaped (a TraceNameIndex).
-//   counter(Value)       A Counter record's sample, before any arg.
+//   category(Encoded)
+//     A record category as begin() takes it, from an encodeText() result or
+//     a plain literal; call it once per export, not once per record.
+//   begin(Kind, Name, Suffix, Category, Ts, Dur = 0, Value = 0) -> writer
+//     Opens a record and returns its writer, by value. Name comes as
+//     encodeText() returns it (a literal of letters, digits, '_', '#', ' '
+//     passes as it stands); Suffix is appended to the name unescaped (a
+//     TraceNameIndex). Dur is a Span's length, Value a Counter's sample.
+//
+// and on the writer:
+//
 //   argInt / argHex / argBool / argDouble (Key, V)
 //     An integer (bare), "0x<hex>", "true"/"false", or a double in its
 //     shortest round-trip form (bare when finite).
 //   argValue(Key, Encoded)  A value as encodeValue() returned it.
 //   argText(Key, Raw)       argValue(Key, encodeValue(Raw)) without the
 //                           intermediate string.
-//   end()                Closes the record.
+//   arg(Key, Value)         A TraceRecord's arg (record() only): the key
+//                           escaped, the value as argText.
+//   end()                   Closes and commits the record.
 //
-// Keys are plain literals that need no escaping in any format.
+// Keys are TraceKeys: literals that need no escaping in any format. The
+// writer's calls inline into the producer, so a record is written through
+// one cursor held in registers, with one capacity check per call.
 
-/// What the two JSON formats share: string escaping and the args object.
+/// A JSON record's writer, for JSONL (\p Lines: each record ends its line)
+/// and Chrome.
+template <bool Lines> class JsonRecordWriter : public TraceCursor {
+public:
+  using TraceCursor::TraceCursor;
+
+  template <typename Int>
+  [[gnu::always_inline]] void argInt(TraceKey Key, Int V) {
+    At = trace_detail::writeInt(key(Key, trace_detail::kMaxIntChars), V);
+  }
+  [[gnu::always_inline]] void argHex(TraceKey Key, uint64_t V) {
+    char *P = key(Key, trace_detail::kMaxHexChars + 2);
+    *P++ = '"';
+    P = trace_detail::writeHex(P, V);
+    *P++ = '"';
+    At = P;
+  }
+  [[gnu::always_inline]] void argBool(TraceKey Key, bool V) {
+    char *P = key(Key, 8);
+    std::memcpy(P, V ? "\"true\"\0" : "\"false\"", 8);
+    At = P + (V ? 6 : 7);
+  }
+  [[gnu::always_inline]] void argDouble(TraceKey Key, double V) {
+    char *P = key(Key, trace_detail::kMaxDoubleChars + 2);
+    // Only inf and nan fail to read as a number literal.
+    const bool Quoted = !std::isfinite(V);
+    if (Quoted)
+      *P++ = '"';
+    P = writeJsonNumber(P, V);
+    if (Quoted)
+      *P++ = '"';
+    At = P;
+  }
+  [[gnu::always_inline]] void argValue(TraceKey Key,
+                                       std::string_view Encoded) {
+    At = trace_detail::copy(key(Key, Encoded.size()), Encoded);
+  }
+  void argText(TraceKey Key, std::string_view Raw) {
+    At = trace_detail::writeJsonValue(key(Key, 6 * Raw.size() + 2), Raw);
+  }
+  /// A TraceRecord's arg, whose key may need escaping.
+  void arg(std::string_view Key, std::string_view Value) {
+    char *P = room(10 + 6 * Key.size() + 2 + 6 * Value.size() + 2);
+    P = trace_detail::copy(P, Args++ ? "," : ",\"args\":{");
+    *P++ = '"';
+    P = trace_detail::writeJsonEscaped(P, Key);
+    *P++ = '"';
+    *P++ = ':';
+    At = trace_detail::writeJsonValue(P, Value);
+  }
+  [[gnu::always_inline]] void end() {
+    char *P = room(3);
+    if (Args != 0)
+      *P++ = '}';
+    *P++ = '}';
+    if constexpr (Lines)
+      *P++ = '\n';
+    At = P;
+    commit();
+  }
+
+private:
+  /// Writes \p Key framed — opening the args object on the record's first
+  /// arg — with room for \p ValueBytes after it; \returns where the value
+  /// goes.
+  [[gnu::always_inline]] char *key(TraceKey Key, size_t ValueBytes) {
+    char *P = room(TraceKey::kMaxFramed + ValueBytes);
+    P = trace_detail::copy(P, Args++ ? ",\"" : ",\"args\":{\"");
+    P = trace_detail::copy(P, Key.Name);
+    *P++ = '"';
+    *P++ = ':';
+    return P;
+  }
+
+  /// The args the record has written.
+  unsigned Args = 0;
+};
+
+/// What the two JSON formats share: string escaping and the header's
+/// object.
 class JsonTraceSink : public TraceSink {
 public:
   using TraceSink::TraceSink;
@@ -340,52 +592,16 @@ public:
   /// a quoted string otherwise.
   static std::string encodeValue(std::string_view Raw);
 
-  template <typename Int> void argInt(std::string_view Key, Int V) {
-    key(Key);
-    Out.appendInt(V);
-  }
-  void argHex(std::string_view Key, uint64_t V) {
-    key(Key);
-    Out += '"';
-    Out.appendHex(V);
-    Out += '"';
-  }
-  void argBool(std::string_view Key, bool V) {
-    key(Key);
-    Out += V ? "\"true\"" : "\"false\"";
-  }
-  void argDouble(std::string_view Key, double V);
-  void argValue(std::string_view Key, std::string_view Encoded) {
-    key(Key);
-    Out += Encoded;
-  }
-  void argText(std::string_view Key, std::string_view Raw);
-
 protected:
-  /// Opens arg \p Key: the args object on the record's first arg.
-  [[gnu::always_inline]] void key(std::string_view Key) {
-    Out += Args++ ? ",\"" : ",\"args\":{\"";
-    Out += Key;
-    Out += "\":";
-  }
-  /// Closes the args object, if the record opened one.
-  void closeArgs() {
-    if (Args != 0)
-      Out += '}';
-    Args = 0;
-  }
-  /// A TraceRecord's args, whose keys may need escaping.
-  void recordArgs(const TraceRecord &R);
-  /// \p Meta as a complete JSON object (the header's args).
-  void appendObject(
+  /// Writes \p Meta as a complete JSON object (the header's args).
+  static void putObject(
+      TraceCursor &W,
       const std::vector<std::pair<std::string, std::string>> &Meta);
-  /// \p R's name and category escaped for begin().
-  void encodeNames(const TraceRecord &R);
 
-  /// The args the open record has.
-  unsigned Args = 0;
-  /// encodeNames' output.
-  std::string RecordName, RecordCategory;
+  /// The most bytes a begin() writes besides the name, suffix and
+  /// category.
+  static constexpr size_t kMaxBeginFixed =
+      96 + 2 * trace_detail::kMaxIntChars + trace_detail::kMaxDoubleChars;
 };
 
 /// JSON-Lines backend: one object per record, keys in a fixed order
@@ -393,37 +609,45 @@ protected:
 class JsonlTraceSink final : public JsonTraceSink {
 public:
   using JsonTraceSink::JsonTraceSink;
+  using Writer = JsonRecordWriter<true>;
+  using Category = std::string_view;
+  static constexpr bool CounterTakesArgs = true;
 
   TraceFormat format() const override { return TraceFormat::Jsonl; }
   void header(
       const std::vector<std::pair<std::string, std::string>> &Meta) override;
-  void record(const TraceRecord &R) override;
 
-  [[gnu::always_inline]] void
-  begin(TraceRecord::Kind K, std::string_view Name, std::string_view Suffix,
-        std::string_view Category, uint64_t Ts, uint64_t Dur = 0) {
+  static Category category(std::string_view Encoded) { return Encoded; }
+
+  [[gnu::always_inline]] Writer begin(TraceRecord::Kind K,
+                                      std::string_view Name,
+                                      std::string_view Suffix,
+                                      Category Cat, uint64_t Ts,
+                                      uint64_t Dur = 0, double Value = 0) {
     // Mid-stream metadata rows (kind "meta") are told apart from the
     // nameless header line by their name.
     static constexpr std::string_view Open[] = {
         "{\"kind\":\"instant\",\"name\":\"", "{\"kind\":\"span\",\"name\":\"",
         "{\"kind\":\"counter\",\"name\":\"", "{\"kind\":\"meta\",\"name\":\""};
-    Out += Open[static_cast<unsigned>(K)];
-    Out += Name;
-    Out += Suffix;
-    Out += "\",\"cat\":\"";
-    Out += Category;
-    Out += "\",\"ts\":";
-    Out.appendInt(Ts);
+    Writer W(*this);
+    char *P = W.room(Name.size() + Suffix.size() + Cat.size() +
+                     kMaxBeginFixed);
+    P = trace_detail::copy(P, Open[static_cast<unsigned>(K)]);
+    P = trace_detail::copy(P, Name);
+    P = trace_detail::copy(P, Suffix);
+    P = trace_detail::copy(P, "\",\"cat\":\"");
+    P = trace_detail::copy(P, Cat);
+    P = trace_detail::copy(P, "\",\"ts\":");
+    P = trace_detail::writeInt(P, Ts);
     if (K == TraceRecord::Kind::Span) {
-      Out += ",\"dur\":";
-      Out.appendInt(Dur);
+      P = trace_detail::copy(P, ",\"dur\":");
+      P = trace_detail::writeInt(P, Dur);
+    } else if (K == TraceRecord::Kind::Counter) {
+      P = trace_detail::copy(P, ",\"value\":");
+      P = trace_detail::writeDouble17(P, Value);
     }
-  }
-  void counter(double V);
-  void end() {
-    closeArgs();
-    Out += "}\n";
-    endRecord();
+    W.At = P;
+    return W;
   }
 };
 
@@ -434,57 +658,176 @@ public:
 class ChromeTraceSink final : public JsonTraceSink {
 public:
   using JsonTraceSink::JsonTraceSink;
+  using Writer = JsonRecordWriter<false>;
+  static constexpr bool CounterTakesArgs = false;
+
+  /// A category registered with the sink: an index into its rows.
+  struct Category {
+    unsigned Row;
+  };
 
   TraceFormat format() const override { return TraceFormat::Chrome; }
   void header(
       const std::vector<std::pair<std::string, std::string>> &Meta) override;
-  void record(const TraceRecord &R) override;
   void close() override;
 
-  [[gnu::always_inline]] void
-  begin(TraceRecord::Kind K, std::string_view Name, std::string_view Suffix,
-        std::string_view Category, uint64_t Ts, uint64_t Dur = 0) {
+  /// The row of category \p Encoded, added on first use. Its tid is given
+  /// when its first timeline record begins.
+  Category category(std::string_view Encoded);
+
+  [[gnu::always_inline]] Writer begin(TraceRecord::Kind K,
+                                      std::string_view Name,
+                                      std::string_view Suffix,
+                                      Category Cat, uint64_t Ts,
+                                      uint64_t Dur = 0, double Value = 0) {
     static constexpr std::string_view Phase[] = {
         "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":",
         "\",\"ph\":\"X\",\"pid\":1,\"tid\":", "\",\"ph\":\"C\",\"pid\":1,\"tid\":",
         "\",\"ph\":\"M\",\"pid\":1,\"tid\":"};
-    Out += First ? "[\n{\"name\":\"" : ",\n{\"name\":\"";
-    First = false;
-    Out += Name;
-    Out += Suffix;
-    Out += "\",\"cat\":\"";
-    Out += Category;
-    Out += Phase[static_cast<unsigned>(K)];
+    CategoryRow &Row = Categories[Cat.Row];
     // Metadata rows carry no timeline semantics, so they stay off the
-    // category rows (tid 0, like the provenance header).
-    Out.appendInt(K == TraceRecord::Kind::Meta ? 0u : tidFor(Category));
-    Out += ",\"ts\":";
-    Out.appendInt(Ts);
-    if (K == TraceRecord::Kind::Span) {
-      Out += ",\"dur\":";
-      Out.appendInt(Dur);
+    // category rows (tid 0, like the provenance header); the others take
+    // tids in the order their categories first appear, from 1.
+    unsigned Tid = 0;
+    if (K != TraceRecord::Kind::Meta) {
+      if (Row.Tid == 0)
+        Row.Tid = ++Tids;
+      Tid = Row.Tid;
     }
-  }
-  void counter(double V);
-  void end() {
-    closeArgs();
-    Out += '}';
-    endRecord();
+    Writer W(*this);
+    char *P = W.room(Name.size() + Suffix.size() + Row.Text.size() +
+                     kMaxBeginFixed);
+    P = trace_detail::copy(P, First ? "[\n{\"name\":\"" : ",\n{\"name\":\"");
+    First = false;
+    P = trace_detail::copy(P, Name);
+    P = trace_detail::copy(P, Suffix);
+    P = trace_detail::copy(P, "\",\"cat\":\"");
+    P = trace_detail::copy(P, Row.Text);
+    P = trace_detail::copy(P, Phase[static_cast<unsigned>(K)]);
+    P = trace_detail::writeInt(P, Tid);
+    P = trace_detail::copy(P, ",\"ts\":");
+    P = trace_detail::writeInt(P, Ts);
+    if (K == TraceRecord::Kind::Span) {
+      P = trace_detail::copy(P, ",\"dur\":");
+      P = trace_detail::writeInt(P, Dur);
+    } else if (K == TraceRecord::Kind::Counter) {
+      // A counter event's args are its value alone.
+      P = trace_detail::copy(P, ",\"args\":{\"value\":");
+      P = trace_detail::writeDouble17(P, Value);
+      *P++ = '}';
+    }
+    W.At = P;
+    return W;
   }
 
 private:
-  /// Stable row id for an encoded category (registration order, from 1).
-  unsigned tidFor(std::string_view Category) {
-    for (unsigned I = 0; I != Categories.size(); ++I)
-      if (Categories[I] == Category)
-        return I + 1;
-    Categories.emplace_back(Category);
-    return Categories.size();
-  }
+  struct CategoryRow {
+    std::string Text;
+    /// 0 until a timeline record of the category begins.
+    unsigned Tid = 0;
+  };
 
-  std::vector<std::string> Categories;
+  std::vector<CategoryRow> Categories;
+  /// The tids given so far.
+  unsigned Tids = 0;
   bool First = true;
   bool Closed = false;
+};
+
+/// A ZTB record's writer. The payload's length prefix and its arg count
+/// come before bytes whose size is known only at end(): each gets one
+/// byte, which end() fills — moving the bytes after it up in the rare
+/// case (a payload of 128 bytes or more, 128 args or more) that its
+/// varint needs more.
+class ZtbRecordWriter : public TraceCursor {
+public:
+  using TraceCursor::TraceCursor;
+
+  template <typename Int>
+  [[gnu::always_inline]] void argInt(TraceKey Key, Int V) {
+    char *P = key(Key, 1 + trace_detail::kMaxIntChars);
+    const auto [Mag, Negative] = trace_detail::magnitude(V);
+    const unsigned Digits = trace_detail::decimalLength(Mag);
+    *P++ = static_cast<char>(Digits + Negative);
+    if (Negative)
+      *P++ = '-';
+    P += Digits;
+    trace_detail::writeDigits(P, Mag);
+    At = P;
+  }
+  [[gnu::always_inline]] void argHex(TraceKey Key, uint64_t V) {
+    char *P = key(Key, 1 + trace_detail::kMaxHexChars);
+    char *End = trace_detail::writeHex(P + 1, V);
+    *P = static_cast<char>(End - P - 1);
+    At = End;
+  }
+  [[gnu::always_inline]] void argBool(TraceKey Key, bool V) {
+    char *P = key(Key, 8);
+    std::memcpy(P, V ? "\x04true\0\0\0" : "\x05" "false\0\0", 8);
+    At = P + (V ? 5 : 6);
+  }
+  [[gnu::always_inline]] void argDouble(TraceKey Key, double V) {
+    char *P = key(Key, 1 + trace_detail::kMaxDoubleChars);
+    char *End = writeJsonNumber(P + 1, V);
+    *P = static_cast<char>(End - P - 1);
+    At = End;
+  }
+  [[gnu::always_inline]] void argValue(TraceKey Key,
+                                       std::string_view Encoded) {
+    char *P = key(Key, ztb::kMaxVarintBytes + Encoded.size());
+    At = trace_detail::copy(ztb::writeVarint(P, Encoded.size()), Encoded);
+  }
+  void argText(TraceKey Key, std::string_view Raw) { argValue(Key, Raw); }
+  /// A TraceRecord's arg.
+  void arg(std::string_view Key, std::string_view Value) {
+    char *P = room(2 * ztb::kMaxVarintBytes + Key.size() + Value.size());
+    ++Args;
+    P = trace_detail::copy(ztb::writeVarint(P, Key.size()), Key);
+    At = trace_detail::copy(ztb::writeVarint(P, Value.size()), Value);
+  }
+  [[gnu::always_inline]] void end() {
+    char *Start = recordStart();
+    if (Args < 0x80) {
+      Start[CountAt] = static_cast<char>(Args);
+    } else {
+      const TraceBuffer::Room R = widen(*Sink, {At, Limit}, CountAt, Args);
+      At = R.At;
+      Limit = R.Limit;
+      Start = recordStart();
+    }
+    const size_t Length = At - Start - 1;
+    if (Length < 0x80) {
+      *Start = static_cast<char>(Length);
+    } else {
+      const TraceBuffer::Room R = widen(*Sink, {At, Limit}, 0, Length);
+      At = R.At;
+      Limit = R.Limit;
+    }
+    commit();
+  }
+
+private:
+  friend class ZtbTraceSink;
+
+  /// Writes \p Key with room for \p ValueBytes after it; \returns where
+  /// the value goes.
+  [[gnu::always_inline]] char *key(TraceKey Key, size_t ValueBytes) {
+    char *P = room(TraceKey::kMaxFramed + ValueBytes);
+    ++Args;
+    *P++ = static_cast<char>(Key.Name.size());
+    return trace_detail::copy(P, Key.Name);
+  }
+
+  /// Writes \p V as a varint into the one byte at \p Slot (an offset from
+  /// the record's start), moving the record's bytes after it, up to the
+  /// cursor \p R.At, up to make room. \returns the moved cursor and its
+  /// limit.
+  static TraceBuffer::Room widen(TraceSink &Sink, TraceBuffer::Room R,
+                                 size_t Slot, uint64_t V);
+
+  /// The args written, and the offset of their count's byte in the record.
+  uint64_t Args = 0;
+  size_t CountAt = 0;
 };
 
 /// Binary backend: varint-encoded records behind a versioned provenance
@@ -493,11 +836,13 @@ private:
 class ZtbTraceSink final : public TraceSink {
 public:
   using TraceSink::TraceSink;
+  using Writer = ZtbRecordWriter;
+  using Category = std::string_view;
+  static constexpr bool CounterTakesArgs = true;
 
   TraceFormat format() const override { return TraceFormat::Ztb; }
   void header(
       const std::vector<std::pair<std::string, std::string>> &Meta) override;
-  void record(const TraceRecord &R) override;
 
   static std::string encodeText(std::string_view Raw) {
     return std::string(Raw);
@@ -505,65 +850,46 @@ public:
   static std::string encodeValue(std::string_view Raw) {
     return std::string(Raw);
   }
+  static Category category(std::string_view Encoded) { return Encoded; }
 
-  void begin(TraceRecord::Kind K, std::string_view Name,
-             std::string_view Suffix, std::string_view Category, uint64_t Ts,
-             uint64_t Dur = 0) {
-    ensurePreamble();
-    Payload.clear();
-    ArgBytes.clear();
-    Args = 0;
-    Payload += static_cast<char>(static_cast<unsigned>(K) + ztb::KindInstant);
-    ztb::appendVarint(Payload, Name.size() + Suffix.size());
-    Payload += Name;
-    Payload += Suffix;
-    ztb::appendString(Payload, Category);
-    ztb::appendVarint(Payload, Ts);
+  [[gnu::always_inline]] Writer begin(TraceRecord::Kind K,
+                                      std::string_view Name,
+                                      std::string_view Suffix,
+                                      Category Cat, uint64_t Ts,
+                                      uint64_t Dur = 0, double Value = 0) {
+    if (!WrotePreamble) [[unlikely]]
+      header({});
+    if (RecordCount != 0 && RecordCount % ztb::RecordsPerFrame == 0)
+      frameMarker();
+    ++RecordCount;
+    Writer W(*this);
+    // The payload-length byte, the kind, the name, the category, ts, then
+    // dur or value, and the arg-count byte.
+    char *const Start = W.room(Name.size() + Suffix.size() + Cat.size() +
+                               6 * ztb::kMaxVarintBytes + 16);
+    char *P = Start + 1;
+    *P++ = static_cast<char>(static_cast<unsigned>(K) + ztb::KindInstant);
+    P = ztb::writeVarint(P, Name.size() + Suffix.size());
+    P = trace_detail::copy(P, Name);
+    P = trace_detail::copy(P, Suffix);
+    P = trace_detail::copy(ztb::writeVarint(P, Cat.size()), Cat);
+    P = ztb::writeVarint(P, Ts);
     if (K == TraceRecord::Kind::Span)
-      ztb::appendVarint(Payload, Dur);
+      P = ztb::writeVarint(P, Dur);
+    else if (K == TraceRecord::Kind::Counter)
+      P = ztb::writeDouble(P, Value);
+    W.CountAt = P - Start;
+    W.At = P + 1;
+    return W;
   }
-  void counter(double V);
-  template <typename Int> void argInt(std::string_view Key, Int V) {
-    char Buf[24];
-    argValue(Key, {Buf, static_cast<size_t>(
-                            std::to_chars(Buf, Buf + sizeof(Buf), V).ptr -
-                            Buf)});
-  }
-  void argHex(std::string_view Key, uint64_t V) {
-    char Buf[24] = {'0', 'x'};
-    argValue(Key, {Buf, static_cast<size_t>(
-                            std::to_chars(Buf + 2, Buf + sizeof(Buf), V, 16)
-                                .ptr -
-                            Buf)});
-  }
-  void argBool(std::string_view Key, bool V) {
-    argValue(Key, V ? "true" : "false");
-  }
-  void argDouble(std::string_view Key, double V);
-  void argValue(std::string_view Key, std::string_view Encoded) {
-    ++Args;
-    ztb::appendString(ArgBytes, Key);
-    ztb::appendString(ArgBytes, Encoded);
-  }
-  void argText(std::string_view Key, std::string_view Raw) {
-    argValue(Key, Raw);
-  }
-  void end();
 
 private:
-  /// Writes the magic/version/empty-header preamble if header() never ran.
-  void ensurePreamble() {
-    if (!WrotePreamble)
-      header({});
-  }
+  /// Writes and commits the frame marker that precedes every
+  /// RecordsPerFrame-th record.
+  void frameMarker();
 
   bool WrotePreamble = false;
   uint64_t RecordCount = 0;
-  /// The open record's payload up to its arg count, and its encoded args:
-  /// the payload's length prefix needs both.
-  std::string Payload;
-  uint64_t Args = 0;
-  std::string ArgBytes;
 };
 
 /// Calls \p F with \p Sink as its concrete sink class, so a producer's

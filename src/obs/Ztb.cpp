@@ -1,9 +1,6 @@
 //===- Ztb.cpp ------------------------------------------------------------===//
 
-#include "obs/Json.h"
 #include "obs/TraceSink.h"
-
-#include <cstring>
 
 using namespace zam;
 
@@ -12,46 +9,39 @@ void ZtbTraceSink::header(
   if (WrotePreamble)
     return; // The preamble is the only place provenance can live.
   WrotePreamble = true;
-  Out.append(ztb::Magic, ztb::Magic + sizeof(ztb::Magic));
-  Out += static_cast<char>(ztb::Version);
-  ztb::appendVarint(Out, Meta.size());
+  TraceCursor W(*this);
+  W.put({ztb::Magic, sizeof(ztb::Magic)});
+  W.put({reinterpret_cast<const char *>(&ztb::Version), 1});
+  W.At = ztb::writeVarint(W.room(ztb::kMaxVarintBytes), Meta.size());
+  auto putString = [&W](std::string_view S) {
+    char *P = W.room(ztb::kMaxVarintBytes + S.size());
+    W.At = trace_detail::copy(ztb::writeVarint(P, S.size()), S);
+  };
   for (const auto &[Key, Value] : Meta) {
-    ztb::appendString(Out, Key);
-    ztb::appendString(Out, Value);
+    putString(Key);
+    putString(Value);
   }
+  W.commit();
 }
 
-void ZtbTraceSink::record(const TraceRecord &R) {
-  begin(R.RecordKind, R.Name, {}, R.Category, R.Ts, R.Dur);
-  if (R.RecordKind == TraceRecord::Kind::Counter)
-    counter(R.Value);
-  for (const auto &[Key, Value] : R.Args)
-    argValue(Key, Value);
-  end();
+void ZtbTraceSink::frameMarker() {
+  TraceCursor W(*this);
+  W.put({reinterpret_cast<const char *>(ztb::FrameMarker),
+         sizeof(ztb::FrameMarker)});
+  W.commit();
 }
 
-void ZtbTraceSink::counter(double V) {
-  uint64_t Bits = 0;
-  static_assert(sizeof(Bits) == sizeof(V));
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  for (int I = 0; I != 8; ++I)
-    Payload += static_cast<char>((Bits >> (8 * I)) & 0xFF);
-}
-
-void ZtbTraceSink::argDouble(std::string_view Key, double V) {
-  argValue(Key, jsonNumberString(V));
-}
-
-void ZtbTraceSink::end() {
-  if (RecordCount != 0 && RecordCount % ztb::RecordsPerFrame == 0) {
-    const char *Marker = reinterpret_cast<const char *>(ztb::FrameMarker);
-    Out.append(Marker, Marker + sizeof(ztb::FrameMarker));
-  }
-  ++RecordCount;
-  // The payload: kind through ts/dur/value, then the arg count and args.
-  ztb::appendVarint(Payload, Args);
-  ztb::appendVarint(Out, Payload.size() + ArgBytes.size());
-  Out += Payload;
-  Out += ArgBytes;
-  endRecord();
+TraceBuffer::Room ZtbRecordWriter::widen(TraceSink &Sink,
+                                         TraceBuffer::Room R, size_t Slot,
+                                         uint64_t V) {
+  char Varint[ztb::kMaxVarintBytes];
+  const size_t Len = ztb::writeVarint(Varint, V) - Varint;
+  if (static_cast<size_t>(R.Limit - R.At) < Len - 1)
+    R = Sink.Out.grow(R.At, Len - 1);
+  guard(R.At, R.Limit, Len - 1);
+  char *const Byte = Sink.Out.room().At + Slot;
+  std::memmove(Byte + Len, Byte + 1, R.At - (Byte + 1));
+  std::memcpy(Byte, Varint, Len);
+  R.At += Len - 1;
+  return R;
 }

@@ -34,9 +34,9 @@
 #ifndef ZAM_OBS_ZTB_H
 #define ZAM_OBS_ZTB_H
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
+#include <cstring>
 
 namespace zam {
 namespace ztb {
@@ -63,20 +63,28 @@ enum KindByte : uint8_t {
   KindMeta = 4,
 };
 
-/// Appends \p V as an unsigned LEB128 varint to \p Out (a std::string or
-/// the encoders' TraceBuffer).
-template <typename Buffer> void appendVarint(Buffer &Out, uint64_t V) {
+/// The most bytes a varint of a uint64_t takes.
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/// Writes \p V as an unsigned LEB128 varint at \p P and \returns its end.
+inline char *writeVarint(char *P, uint64_t V) {
   while (V >= 0x80) {
-    Out += static_cast<char>((V & 0x7F) | 0x80);
+    *P++ = static_cast<char>((V & 0x7F) | 0x80);
     V >>= 7;
   }
-  Out += static_cast<char>(V);
+  *P++ = static_cast<char>(V);
+  return P;
 }
 
-/// Appends \p S as varint length + raw bytes.
-template <typename Buffer> void appendString(Buffer &Out, std::string_view S) {
-  appendVarint(Out, S.size());
-  Out += S;
+/// Writes \p V as its 8 little-endian IEEE-754 bytes and \returns their
+/// end.
+inline char *writeDouble(char *P, double V) {
+  uint64_t Bits = 0;
+  static_assert(sizeof(Bits) == sizeof(V));
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  for (int I = 0; I != 8; ++I)
+    *P++ = static_cast<char>((Bits >> (8 * I)) & 0xFF);
+  return P;
 }
 
 } // namespace ztb

@@ -12,6 +12,7 @@
 
 #include "hw/HardwareModels.h"
 #include "lang/Parser.h"
+#include "obs/Json.h"
 #include "obs/LeakAudit.h"
 #include "obs/Metrics.h"
 #include "obs/Phase.h"
@@ -22,7 +23,14 @@
 #include "types/LabelInference.h"
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "gtest/gtest.h"
@@ -48,6 +56,81 @@ RunResult runMitigated(const TwoPointLattice &Lat, int64_t H,
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Shortest round-trip doubles
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The printf search jsonNumberString was first written as: the least
+/// "%.*g" precision below 17 whose strtod reading is \p V, else "%.17g".
+std::string printfShortest(double V) {
+  char Buf[40];
+  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+  for (int Prec = 1; Prec < 17; ++Prec) {
+    char Short[40];
+    std::snprintf(Short, sizeof(Short), "%.*g", Prec, V);
+    if (std::strtod(Short, nullptr) == V)
+      return Short;
+  }
+  return Buf;
+}
+
+} // namespace
+
+TEST(JsonNumber, MatchesThePrintfSearch) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> Values = {0.0,
+                                -0.0,
+                                Limits::denorm_min(),
+                                -Limits::denorm_min(),
+                                std::nextafter(DBL_MIN, 0.0),
+                                -std::nextafter(DBL_MIN, 0.0),
+                                DBL_MIN,
+                                -DBL_MIN,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                Limits::infinity(),
+                                -Limits::infinity(),
+                                Limits::quiet_NaN(),
+                                -Limits::quiet_NaN(),
+                                0.1,
+                                1e20,
+                                100.0,
+                                13.08,
+                                3.5849625007211565,
+                                9007199254740993.0,
+                                -9223372036854775808.0};
+  std::mt19937_64 Rng(0x9e3779b97f4a7c15ull);
+  // Every bit pattern class: random signs, exponents (subnormals, inf and
+  // nan included) and mantissas.
+  for (int I = 0; I != 100000; ++I) {
+    const uint64_t Bits = Rng();
+    double V;
+    std::memcpy(&V, &Bits, sizeof(V));
+    Values.push_back(V);
+  }
+  // Integers held as doubles, of every magnitude up to 2^63.
+  for (int I = 0; I != 10000; ++I)
+    Values.push_back(static_cast<double>(
+        static_cast<int64_t>(Rng()) >> (Rng() % 64)));
+  size_t Mismatches = 0;
+  for (double V : Values) {
+    const std::string Want = printfShortest(V);
+    const std::string Got = jsonNumberString(V);
+    if (Got != Want && ++Mismatches <= 5)
+      ADD_FAILURE() << "bits " << std::hex << std::bit_cast<uint64_t>(V)
+                    << ": " << Got << " vs " << Want;
+    char Buf[kJsonNumberMaxChars];
+    ASSERT_LE(Got.size(), sizeof(Buf));
+    EXPECT_EQ(std::string(Buf, writeJsonNumber(Buf, V)), Got);
+  }
+  EXPECT_EQ(Mismatches, 0u);
+  EXPECT_EQ(jsonNumberString(-0.0), "-0");
+  EXPECT_EQ(jsonNumberString(100.0), "1e+02");
+  EXPECT_EQ(jsonNumberString(-Limits::quiet_NaN()), "-nan");
+}
 
 //===----------------------------------------------------------------------===//
 // MetricsRegistry

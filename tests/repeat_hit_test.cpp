@@ -16,6 +16,7 @@
 #include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
 #include "sem/StepInterpreter.h"
+#include "types/LabelInference.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
@@ -491,6 +492,28 @@ std::vector<Program> randomPrograms(const SecurityLattice &Lat, uint64_t Seed,
   return Out;
 }
 
+/// A fixed program that reaches the differential's workload gates on its
+/// own, whatever the random programs draw: three passes of a
+/// read-modify-write loop over 48 words, three times the two-set L1D. On
+/// Table 1 every pass after the first hits; on the two-set machine every
+/// pass writes back each line it dirtied.
+Program storeSweep(const SecurityLattice &Lat) {
+  Program P = parseOrDie("var a : L[48];\n"
+                         "var i : L;\n"
+                         "var r : L;\n"
+                         "while (r < 3) do {\n"
+                         "  i := 0;\n"
+                         "  while (i < 48) do {\n"
+                         "    a[i] := a[i] + i;\n"
+                         "    i := i + 1\n"
+                         "  };\n"
+                         "  r := r + 1\n"
+                         "}",
+                         Lat);
+  inferTimingLabels(P);
+  return P;
+}
+
 /// One side of the differential: the env the engines run on (the
 /// ticketed env itself, or a forwarding env over a clone) and a restore
 /// of the env that runs drive from (copyInto, in place).
@@ -650,6 +673,7 @@ TEST_P(RepeatHitDifferential, RandomProgramsRunAsWithoutTickets) {
         for (Program &P : randomPrograms(*Lat, 0x71C4E7, 8,
                                          RandomProgramOptions().ArraySize))
           Programs.push_back(std::move(P));
+      Programs.push_back(storeSweep(*Lat));
       for (size_t I = 0; I != Programs.size(); ++I) {
         SCOPED_TRACE("program " + std::to_string(I) + " over " +
                      std::to_string(Lat->size()) + " levels on " +
@@ -676,8 +700,10 @@ TEST_P(RepeatHitDifferential, RandomProgramsRunAsWithoutTickets) {
     }
     // The runs were worth comparing: they hit (where tickets repeat) and
     // they missed (where epochs advance) many times; on the tiny machine
-    // dirty lines were evicted too. nofill repeated probe misses from
-    // their tickets, which no other design grants.
+    // dirty lines were evicted too. storeSweep alone reaches the hit and
+    // writeback counts, so they do not hang on the seed's draws. nofill
+    // repeated probe misses from their tickets, which no other design
+    // grants.
     std::printf("[          ] %s on %s: %llu misses repeated from tickets\n",
                 hwKindName(GetParam()), geometryName(G),
                 static_cast<unsigned long long>(RepeatedMisses));

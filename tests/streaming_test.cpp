@@ -233,12 +233,12 @@ TEST(StreamingSinks, TypedIntArgsPrintEveryDigitCount) {
   ZtbTraceSink Ztb;
   std::string Got;
   auto check = [&](const auto &V) {
-    Jsonl.begin(TraceRecord::Kind::Instant, "n", {}, "c", 0);
-    Jsonl.argInt("v", V);
-    Jsonl.end();
-    Ztb.begin(TraceRecord::Kind::Instant, "n", {}, "c", 0);
-    Ztb.argInt("v", V);
-    Ztb.end();
+    auto J = Jsonl.begin(TraceRecord::Kind::Instant, "n", {}, "c", 0);
+    J.argInt("v", V);
+    J.end();
+    auto Z = Ztb.begin(TraceRecord::Kind::Instant, "n", {}, "c", 0);
+    Z.argInt("v", V);
+    Z.end();
   };
   for (int64_t V : Signed)
     check(V);
@@ -312,6 +312,37 @@ TEST(Ztb, RoundTripsHeaderAndEveryRecordKind) {
   expectSameRecord(Got[2], Span);
   EXPECT_EQ(Got[3].Value, Counter.Value);
   expectSameRecord(Got[4], Snapshot);
+}
+
+/// A record's arg count and payload length take one byte each until the
+/// record ends; 200 args and a payload of several KiB need wider varints,
+/// which move the bytes after them. The records around it stay framed.
+TEST(Ztb, WideArgCountAndPayloadLengthRoundTrip) {
+  TraceRecord Wide;
+  Wide.RecordKind = TraceRecord::Kind::Span;
+  Wide.Name = std::string(5000, 'w');
+  Wide.Category = "c";
+  Wide.Ts = 7;
+  Wide.Dur = 3;
+  for (unsigned I = 0; I != 200; ++I)
+    Wide.Args.emplace_back("k" + std::to_string(I), std::to_string(I * I));
+  TraceRecord Small;
+  Small.Name = "s";
+  Small.Category = "c";
+  Small.Ts = 8;
+  Small.Args.emplace_back("v", "1");
+
+  auto Sink = makeTraceSink(TraceFormat::Ztb);
+  Sink->record(Small);
+  Sink->record(Wide);
+  Sink->record(Small);
+  ZtbTraceReader Reader(streamOver(Sink->finish()), /*TakeOwnership=*/true);
+  std::vector<TraceRecord> Got = drain(Reader);
+  EXPECT_TRUE(Reader.ok()) << Reader.error();
+  ASSERT_EQ(Got.size(), 3u);
+  expectSameRecord(Got[0], Small);
+  expectSameRecord(Got[1], Wide);
+  expectSameRecord(Got[2], Small);
 }
 
 TEST(Ztb, TruncatedFileYieldsPrefixAndReportsError) {

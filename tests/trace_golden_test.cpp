@@ -16,6 +16,10 @@
 // multi-element window lists and non-finite bounds, a Counter record's
 // %.17g value, and the attack command's snapshot meta row.
 //
+// A long export pins what the small goldens never reach: an export of more
+// than 1 MiB in each format, whose records include ones longer than the
+// encoders' first 4 KiB buffer, leaves in 64 KiB chunks.
+//
 // On a mismatch the actual bytes are written to <golden name>.actual in
 // the test's working directory, for diffing against tests/golden/.
 //
@@ -31,6 +35,8 @@
 #include "sem/FullInterpreter.h"
 #include "types/LabelInference.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -72,6 +78,16 @@ constexpr size_t kAdvZtbBytes = 573;
 constexpr uint64_t kAdvZtbFnv1a = 7600988232793590304ull;
 constexpr size_t kRecordsZtbBytes = 185;
 constexpr uint64_t kRecordsZtbFnv1a = 10106790972940678949ull;
+
+/// Size and FNV-1a checksum of the long export in JSONL, Chrome and ZTB.
+constexpr size_t kLongBytes[] = {1574745, 1595901, 1479052};
+constexpr uint64_t kLongFnv1a[] = {2395598286648910458ull,
+                                   6690755742892774517ull,
+                                   17280996878583182082ull};
+
+/// The long export's variable name: each of its assignments is a record
+/// longer than the encoders' first 4 KiB buffer.
+constexpr size_t kLongNameBytes = 4500;
 
 /// The run and the observers `zamc profile --trace-out` attaches.
 struct GoldenRun {
@@ -157,15 +173,29 @@ template <typename Fn> std::string capture(TraceFormat Format, Fn Produce) {
   return Bytes.str();
 }
 
-/// FNV-1a over \p Bytes.
-uint64_t fnv1a(const std::string &Bytes) {
-  uint64_t H = 0xcbf29ce484222325ull;
+/// FNV-1a over \p Bytes, continuing from \p H.
+uint64_t fnv1a(std::string_view Bytes, uint64_t H = 0xcbf29ce484222325ull) {
   for (unsigned char C : Bytes) {
     H ^= C;
     H *= 0x100000001b3ull;
   }
   return H;
 }
+
+/// Checksums the bytes a sink writes and keeps the size of its largest
+/// write.
+class ChunkSink final : public ByteSink {
+public:
+  void write(const char *Data, size_t Size) override {
+    Fnv = fnv1a({Data, Size}, Fnv);
+    Bytes += Size;
+    ++Writes;
+    MaxWrite = std::max(MaxWrite, Size);
+  }
+
+  uint64_t Fnv = 0xcbf29ce484222325ull;
+  size_t Bytes = 0, Writes = 0, MaxWrite = 0;
+};
 
 } // namespace
 
@@ -314,4 +344,73 @@ TEST(TraceGolden, RecordAdapter) {
   const std::string Ztb = capture(TraceFormat::Ztb, Produce);
   EXPECT_EQ(Ztb.size(), kRecordsZtbBytes);
   EXPECT_EQ(fnv1a(Ztb), kRecordsZtbFnv1a);
+}
+
+/// An export of more than 1 MiB in every format: 300 assignments to a
+/// variable whose name is longer than the encoders' first 4 KiB buffer, a
+/// mitigate per iteration under a per-site policy (a "policy" text arg on
+/// each leak_budget span), misses, snapshots and the ledger rows. It must
+/// leave in writes of at most 64 KiB plus one record, and keep its bytes.
+TEST(TraceGolden, LongExportLeavesInChunks) {
+  const std::string Name(kLongNameBytes, 'v');
+  Program P = test::parseOrDie("var " + Name + " : L;\n"
+                               "var i : L;\n"
+                               "var h : H;\n"
+                               "while (i < 300) do {\n"
+                               "  " + Name + " := " + Name + " + i;\n"
+                               "  mitigate (8, H) { sleep(h) @[H,H] };\n"
+                               "  i := i + 1\n"
+                               "}",
+                               lh());
+  inferTimingLabels(P);
+  PolicySelection Policies;
+  Policies.overrideSite(0, linearPolicy());
+  LeakAudit Audit(lh(), std::nullopt, Policies);
+  CostLedger Ledger;
+  InterpreterOptions Opts;
+  Opts.Mitigation = Policies;
+  Opts.Provenance = &Ledger;
+  Opts.RecordMisses = true;
+  Opts.OnMitigateWindow = [&Audit](const MitigateRecord &M) {
+    Audit.onWindow(M);
+  };
+  auto Env = createMachineEnv(HwKind::Partitioned, lh());
+  const RunResult R =
+      runFull(P, *Env, [](Memory &M) { M.store("h", 20); }, Opts);
+  Ledger.applyLeakage(Audit);
+  TraceExportOptions EOpts;
+  EOpts.Ledger = &Ledger;
+  EOpts.Mitigation = Policies;
+  EOpts.SnapshotEveryWindows = 1;
+
+  // Every record is shorter than this; the long ones are longer than
+  // 4 KiB.
+  const size_t kMaxRecord = kLongNameBytes + 512;
+  const TraceFormat Formats[] = {TraceFormat::Jsonl, TraceFormat::Chrome,
+                                 TraceFormat::Ztb};
+  for (size_t F = 0; F != 3; ++F) {
+    SCOPED_TRACE(traceFormatName(Formats[F]));
+    ChunkSink Bytes;
+    std::unique_ptr<TraceSink> Sink = makeTraceSink(Formats[F], Bytes);
+    exportTrace(*Sink, R.T, lh(), EOpts);
+    Sink->close();
+    EXPECT_TRUE(Sink->ok());
+    EXPECT_GT(Bytes.Bytes, size_t(1) << 20);
+    EXPECT_GE(Bytes.Writes, Bytes.Bytes / (64 * 1024));
+    EXPECT_LE(Bytes.MaxWrite, 64 * 1024 + kMaxRecord);
+    std::printf("[          ] %s: %zu bytes, FNV-1a %llu, %zu writes\n",
+                traceFormatName(Formats[F]), Bytes.Bytes,
+                static_cast<unsigned long long>(Bytes.Fnv), Bytes.Writes);
+    EXPECT_EQ(Bytes.Bytes, kLongBytes[F]);
+    EXPECT_EQ(Bytes.Fnv, kLongFnv1a[F]);
+  }
+  // The records the pins cover.
+  StringByteSink Text;
+  std::unique_ptr<TraceSink> Sink = makeTraceSink(TraceFormat::Jsonl, Text);
+  exportTrace(*Sink, R.T, lh(), EOpts);
+  Sink->close();
+  EXPECT_NE(Text.str().find("\"name\":\"assign " + Name + "\""),
+            std::string::npos);
+  EXPECT_NE(Text.str().find("\"policy\":\"linear\""), std::string::npos);
+  EXPECT_NE(Text.str().find("\"name\":\"dmiss\""), std::string::npos);
 }
