@@ -12,6 +12,15 @@
 using namespace zam;
 
 namespace {
+/// \p Prefix followed by \p I's digits ("v3"). Appended rather than
+/// written "v" + std::to_string(I), on which GCC 12 at -O3 warns
+/// (-Wrestrict, a false positive in std::string's operator+).
+std::string indexedName(const char *Prefix, unsigned I) {
+  std::string Name = Prefix;
+  Name += std::to_string(I);
+  return Name;
+}
+
 /// Internal generator state.
 struct Gen {
   const Program &P;
@@ -180,7 +189,7 @@ struct Gen {
   /// A bounded counting loop over a reserved counter variable:
   ///   cK := trips ; while cK > 0 do { body ; cK := cK - 1 }
   CmdPtr boundedLoop(unsigned Depth) {
-    std::string Counter = "c" + std::to_string(LoopDepth);
+    std::string Counter = indexedName("c", LoopDepth);
     if (!P.findVar(Counter))
       return ifCmd(Depth);
     ++LoopDepth;
@@ -244,14 +253,14 @@ void zam::addRandomDeclarations(Program &P, Rng &R,
   };
   for (unsigned I = 0; I != O.NumScalars; ++I) {
     VarDecl D;
-    D.Name = "v" + std::to_string(I);
+    D.Name = indexedName("v", I);
     D.SecLabel = RandomLabel();
     D.Init.push_back(R.nextInRange(0, 32));
     P.addVar(std::move(D));
   }
   for (unsigned I = 0; I != O.NumArrays; ++I) {
     VarDecl D;
-    D.Name = "a" + std::to_string(I);
+    D.Name = indexedName("a", I);
     D.SecLabel = RandomLabel();
     D.IsArray = true;
     D.Size = O.ArraySize;
@@ -265,7 +274,7 @@ void zam::addRandomDeclarations(Program &P, Rng &R,
   // will simply fail the filter and be regenerated.
   for (unsigned I = 0; I != 3; ++I) {
     VarDecl D;
-    D.Name = "c" + std::to_string(I);
+    D.Name = indexedName("c", I);
     D.SecLabel = Lat.bottom();
     D.Init.push_back(0);
     P.addVar(std::move(D));

@@ -169,17 +169,19 @@ bool Cache::operator==(const Cache &Other) const {
 //===----------------------------------------------------------------------===//
 
 template <typename ConfigFn>
-void CacheArena::place(size_t N, ConfigFn ConfigOf) {
+void CacheArena::place(size_t N, ConfigFn ConfigOf, size_t NumStamps) {
   size_t OccBytes = 0, LineBytes = 0;
   for (size_t I = 0; I != N; ++I) {
     OccBytes += occupancyBytes(ConfigOf(I));
     LineBytes += lineBytes(ConfigOf(I));
   }
   const size_t HeaderBytes = N * sizeof(Cache);
+  const size_t StampBytes = NumStamps * sizeof(uint64_t);
   // Aligned by hand: glibc serves aligned operator new through memalign,
   // whose split-off fragments made the heap creep when environments are
   // cloned and freed in a loop; a plain block of one fixed size is reused.
-  Mem = ::operator new(HeaderBytes + OccBytes + LineBytes + alignof(Cache));
+  Mem = ::operator new(HeaderBytes + OccBytes + LineBytes + StampBytes +
+                       alignof(Cache));
   const uintptr_t Raw = reinterpret_cast<uintptr_t>(Mem);
   Caches = reinterpret_cast<Cache *>((Raw + alignof(Cache) - 1) &
                                      ~uintptr_t(alignof(Cache) - 1));
@@ -188,6 +190,9 @@ void CacheArena::place(size_t N, ConfigFn ConfigOf) {
   char *Lines = Occ + OccBytes;
   // Every cache starts cold: the occupancy counts are contiguous.
   std::memset(Occ, 0, OccBytes);
+  Stamps = reinterpret_cast<uint64_t *>(Lines + LineBytes);
+  StampWords = NumStamps;
+  std::memset(Stamps, 0, StampBytes);
   for (size_t I = 0; I != N; ++I) {
     const CacheConfig &C = ConfigOf(I);
     new (&Caches[I]) Cache(C, reinterpret_cast<Cache::Line *>(Lines),
@@ -197,15 +202,19 @@ void CacheArena::place(size_t N, ConfigFn ConfigOf) {
   }
 }
 
-CacheArena::CacheArena(const std::vector<CacheConfig> &Configs) {
-  place(Configs.size(),
-        [&](size_t I) -> const CacheConfig & { return Configs[I]; });
+CacheArena::CacheArena(const std::vector<CacheConfig> &Configs,
+                       size_t StampWords) {
+  place(
+      Configs.size(),
+      [&](size_t I) -> const CacheConfig & { return Configs[I]; },
+      StampWords);
 }
 
 CacheArena::CacheArena(const CacheArena &Other) {
-  place(Other.Count, [&](size_t I) -> const CacheConfig & {
-    return Other.Caches[I].Config;
-  });
+  place(
+      Other.Count,
+      [&](size_t I) -> const CacheConfig & { return Other.Caches[I].Config; },
+      Other.StampWords);
   copyFrom(Other);
 }
 

@@ -193,12 +193,48 @@ HardwareEnv::HardwareEnv(HwKind Kind, const SecurityLattice &Lat,
       Lookup(Plan->Lookup.data()), Sweep(Plan->Sweep.data()),
       SweepOff(Plan->SweepOff.data()),
       BottomProbeOnly(Plan->BottomProbeOnly), Levels(Lat.size()),
-      Parts(Plan->parts()), Caches(partitionConfigs(*this, Config, Parts)) {}
+      Parts(Plan->parts()),
+      Caches(partitionConfigs(*this, Config, Parts), stampWords(Config)) {
+  bindStamps();
+}
+
+HardwareEnv::HardwareEnv(const HardwareEnv &Other)
+    : MachineEnv(Other), Plan(Other.Plan), Routes(Other.Routes),
+      Lookup(Other.Lookup), Sweep(Other.Sweep), SweepOff(Other.SweepOff),
+      BottomProbeOnly(Other.BottomProbeOnly), Levels(Other.Levels),
+      Parts(Other.Parts), Caches(Other.Caches) {
+  bindStamps();
+}
 
 CacheConfig HardwareEnv::partitionConfig(const CacheConfig &Full) const {
   CacheConfig Part = Full;
   Part.NumSets = std::max(1u, Full.NumSets / Parts);
   return Part;
+}
+
+namespace {
+/// The stamped structures, per side (instruction, data): TLB, then L1.
+constexpr HwStructure kStamped[2][2] = {{kITlb, kL1I}, {kDTlb, kL1D}};
+} // namespace
+
+size_t HardwareEnv::stampWords(const MachineEnvConfig &C) const {
+  const std::vector<CacheConfig> Full = structureConfigs(C);
+  size_t Words = 0;
+  for (const auto &Side : kStamped)
+    for (HwStructure S : Side)
+      Words += partitionConfig(Full[S]).NumSets;
+  return Words;
+}
+
+void HardwareEnv::bindStamps() {
+  uint64_t *Next = Caches.stamps();
+  for (unsigned Side = 0; Side != 2; ++Side)
+    for (unsigned L1 = 0; L1 != 2; ++L1) {
+      const Cache *C = parts(kStamped[Side][L1]);
+      StampedCache[Side][L1] = C;
+      SetStamps[Side][L1] = Next;
+      Next += C->config().NumSets;
+    }
 }
 
 namespace {
@@ -294,16 +330,30 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
   // install (with its stale-copy removes) into a partition there is.
   bool Changed = false;
   const bool Installs = R.Target != HwPlan::kNoTarget;
+  // A change to the TLB or L1 set of A stamps it with the epoch the side
+  // advances to when the access ends (see MachineEnv::SetStamps). Every
+  // change at A is to A's set, in whichever partitions, and partitions
+  // share the set geometry: partition 0's set index is every partition's.
+  // An L2 change moves only the epoch: no hit ticket reads the L2.
+  auto Stamp = [&](unsigned L1, const Cache &C) {
+    SetStamps[IsData][L1][C.setOf(A)] = Epochs[IsData] + 1;
+  };
 
   if (const Cache::LookupResult Hit =
           walkRoute(Tlb, A, FirstProbeOnly, R, Lookup, false)) {
     ++TlbStats.Hits;
-    Changed = Hit == Cache::kHitChanged;
+    if (Hit == Cache::kHitChanged) {
+      Changed = true;
+      Stamp(0, Tlb[0]);
+    }
   } else {
     ++TlbStats.Misses;
     TlbMiss = true;
-    Changed = Installs;
     Cycles += Tlb[0].latency();
+    if (Installs) {
+      Changed = true;
+      Stamp(0, Tlb[0]);
+    }
     Install(Tlb, TlbEvents, false);
   }
   // An access that changed nothing earns a ticket (see MachineEnv::
@@ -317,7 +367,10 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
   if (const Cache::LookupResult Hit =
           walkRoute(L1, A, FirstProbeOnly, R, Lookup, IsStore)) {
     ++L1Stats.Hits;
-    Changed |= Hit == Cache::kHitChanged;
+    if (Hit == Cache::kHitChanged) {
+      Changed = true;
+      Stamp(1, L1[0]);
+    }
     if (Changed)
       ++Epochs[IsData];
     LastAccess.Epoch = Changed || (Observed && TlbMiss)
@@ -345,8 +398,11 @@ HardwareEnv::accessHierarchy(bool IsData, Addr A, Label Read, Label Write,
     Cycles += Config.MemLatency;
     Install(L2, L2Events, false);
   }
+  if (Installs) {
+    Changed = true;
+    Stamp(1, L1[0]);
+  }
   Install(L1, L1Events, IsStore);
-  Changed |= Installs;
   if (Changed)
     ++Epochs[IsData];
   LastAccess.Epoch = Changed || Observed ? 0 : Epochs[IsData] | Outcome;

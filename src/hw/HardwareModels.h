@@ -102,6 +102,9 @@ public:
   /// checkCacheConfig (hw/Cache.h) rejects one of \p Config's structures.
   HardwareEnv(HwKind Kind, const SecurityLattice &Lat,
               const MachineEnvConfig &Config);
+  /// A copy of \p Other's state and counters (MachineEnv's copy: fresh
+  /// epochs, no observer) whose set stamps point into its own arena.
+  HardwareEnv(const HardwareEnv &Other);
 
   uint64_t dataAccess(Addr A, bool IsStore, Label Read, Label Write) override;
   uint64_t fetch(Addr A, Label Read, Label Write) override;
@@ -124,9 +127,20 @@ public:
   /// The plan this environment walks. Exposed for tests.
   const HwPlan &plan() const { return *Plan; }
 
+  /// Every partition's cache, structure S's at S * Parts. Exposed for
+  /// tests.
+  const CacheArena &caches() const { return Caches; }
+
 private:
   /// Structure \p S's partitions.
   Cache *parts(HwStructure S) { return Caches.data() + S * Parts; }
+
+  /// The stamp words the arena holds: one per set index of each side's
+  /// TLB and L1 (MachineEnv::SetStamps).
+  size_t stampWords(const MachineEnvConfig &Config) const;
+
+  /// Points MachineEnv::StampedCache and SetStamps at this env's arena.
+  void bindStamps();
 
   /// Installs the block at \p A into partition \p Target of \p P (none
   /// if it is kNoTarget), after removing any stale copy from Target's

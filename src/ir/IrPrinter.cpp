@@ -22,7 +22,10 @@ std::string fmt(const char *Format, ...) {
 }
 
 std::string slotRef(const IrProgram &IR, uint32_t Slot) {
-  std::string S = "%" + std::to_string(Slot);
+  // Appended: GCC 12 at -O3 warns (-Wrestrict, a false positive) on
+  // "%" + std::to_string(Slot).
+  std::string S = "%";
+  S += std::to_string(Slot);
   if (Slot < IR.Slots.size())
     S += ":" + IR.Names->Names[Slot];
   return S;

@@ -24,8 +24,16 @@ std::string zam::printExpr(const Expr &E) {
   }
   case Expr::Kind::BinOp: {
     const auto &BO = cast<BinOpExpr>(E);
-    return "(" + printExpr(BO.lhs()) + " " + binOpSpelling(BO.op()) + " " +
-           printExpr(BO.rhs()) + ")";
+    // Appended: GCC 12 at -O3 warns (-Wrestrict, a false positive) on
+    // "(" + printExpr(...).
+    std::string S = "(";
+    S += printExpr(BO.lhs());
+    S += " ";
+    S += binOpSpelling(BO.op());
+    S += " ";
+    S += printExpr(BO.rhs());
+    S += ")";
+    return S;
   }
   case Expr::Kind::UnOp: {
     const auto &UO = cast<UnOpExpr>(E);

@@ -21,11 +21,14 @@
 ///     instruction's precomputed [er, ew] labels — the machine env is the
 ///     security boundary and lowering does not move it. Each access site
 ///     (an instruction's fetch and store, a Var/Elem micro-op's load) keeps
-///     a repeat ticket: an access that repeats the site's last access on
-///     an env whose state that access left unchanged, and has not changed
-///     since (a TLB+L1 hit, or a no-fill probe miss), is counted and
-///     charged from the ticket without a call into the env (see
-///     MachineEnv::repeatAccess); every other access calls the env;
+///     a repeat ticket from its last access that left the env unchanged:
+///     a TLB+L1 hit, which repeats while the TLB and L1 sets it read are
+///     unchanged, also at another word of its line (an Elem load walking
+///     an array), or a no-fill probe miss, which repeats at its own
+///     address while its side is unchanged. Such an access is counted and
+///     charged from the ticket without a walk (see
+///     MachineEnv::repeatAccess), and the ticket is kept current; every
+///     other access calls the env;
 ///   - predictive mitigation windows (Fig. 6): a frame stack of open
 ///     mitigate sites, settled by MitEnd exactly like the paper's
 ///     MitigateEnd continuation;
@@ -176,7 +179,8 @@ private:
   }
   /// The access (a data access when \p IsData, else a fetch) of the site
   /// whose ticket is \p Tk, at \p A under \p I's labels: a repeat
-  /// while the ticket holds, else the env's access and a fresh ticket.
+  /// while the ticket holds (which may make it current for \p A), else
+  /// the env's access and a fresh ticket.
   template <bool IsData>
   uint64_t access(RepeatTicket &Tk, const IrInstr &I, Addr A,
                   bool IsStore = false) {
@@ -291,9 +295,9 @@ private:
   /// (MachineEnv::repeatAccess): instruction Pc's fetch at 2 * Pc and its
   /// store at 2 * Pc + 1, then micro-op U's load at UopTickets[U] (only
   /// Var and Elem micro-ops use theirs). A site's labels and store bit
-  /// are fixed, so its ticket stays exact for as long as the env's epoch
-  /// says; tickets therefore survive restart() and stay warm across runs
-  /// on an env whose state those runs did not change.
+  /// are fixed, so its ticket stays exact for as long as the env's epochs
+  /// and set stamps say; tickets therefore survive restart() and stay warm
+  /// across runs on an env whose state those runs did not change.
   RepeatTicket *Tickets;
   RepeatTicket *UopTickets;
 };

@@ -828,8 +828,13 @@ namespace {
 /// A total order of \p N levels.
 TotalOrderLattice totalOrder(unsigned N) {
   std::vector<std::string> Names;
-  for (unsigned I = 0; I != N; ++I)
-    Names.push_back("l" + std::to_string(I));
+  for (unsigned I = 0; I != N; ++I) {
+    // Appended: GCC 12 at -O3 warns (-Wrestrict, a false positive) on
+    // "l" + std::to_string(I).
+    std::string Name = "l";
+    Name += std::to_string(I);
+    Names.push_back(std::move(Name));
+  }
   return TotalOrderLattice(Names);
 }
 

@@ -1,12 +1,14 @@
 //===- repeat_hit_test.cpp - Repeat-hit tickets are exact -----------------===//
 //
 // Tests for the repeat tickets of hw/MachineEnv.h: which changes to a
-// HardwareEnv advance which side's epoch (and which accesses leave it
-// alone), which accesses earn a ticket (unchanged hits, and nofill's
-// probes that miss), and a differential check that runs random programs
-// on every design and engine twice — once with tickets, once behind a
-// forwarding env that grants none — and requires every observable,
-// counter, ledger and the final machine state to agree.
+// HardwareEnv stale which tickets (those of the sets they change, and all
+// of a side's on a whole-state change), which accesses earn a ticket
+// (unchanged hits, and nofill's probes that miss), an exhaustive check of
+// every ticket against a clone's walk over the states of a tiny machine,
+// and a differential check that runs random programs on every design and
+// engine twice — once with tickets, once behind a forwarding env that
+// grants none — and requires every observable, counter, ledger and the
+// final machine state to agree.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,10 @@
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
+#include <chrono>
+#include <functional>
+#include <set>
+#include <span>
 #include <utility>
 
 using namespace zam;
@@ -32,11 +38,16 @@ constexpr Addr DataA = 0x10000000;
 constexpr Addr SameL1Set = DataA + 4096;
 /// The DTLB set of DataA (16 sets of 4 KiB pages), in another L1D set.
 constexpr Addr SameTlbSet = DataA + 16 * 4096 + 32;
+/// Another line and page in both DataA's DTLB set and its L1D set.
+constexpr Addr SameSets = DataA + 16 * 4096;
 constexpr Addr CodeA = 0x400000;
+/// Another line and page in both CodeA's ITLB set (32 sets of 4 KiB) and
+/// its L1I set (512 sets of 32 B).
+constexpr Addr CodeSameSets = CodeA + 32 * 4096;
 
 /// Addresses in TLB and L1 sets that no test touches on any design (the
-/// partitioned one halves the sets), whose way-0 hits witness a side's
-/// epoch.
+/// partitioned one halves the sets, which keeps every set named above the
+/// same), whose way-0 hits witness a side.
 constexpr Addr DataWitness = DataA + 3 * 4096 + 64;
 constexpr Addr CodeWitness = CodeA + 3 * 4096 + 64;
 
@@ -44,15 +55,15 @@ std::unique_ptr<MachineEnv> env(HwKind Kind) {
   return createMachineEnv(Kind, lh(), MachineEnvConfig());
 }
 
-/// A ticket that holds until the data (\p IsData) or instruction side
-/// changes: the second of two accesses to that side's witness address is
+/// A ticket at \p A on the data (\p IsData) or instruction side that holds
+/// until A's TLB or L1 set changes: the second of two low accesses to A is
 /// a way-0 hit that changes nothing.
-RepeatTicket witness(MachineEnv &Env, bool IsData) {
+RepeatTicket witness(MachineEnv &Env, Addr A, bool IsData) {
   for (int I = 0; I != 2; ++I) {
     if (IsData)
-      Env.dataAccess(DataWitness, /*IsStore=*/false, low(), low());
+      Env.dataAccess(A, /*IsStore=*/false, low(), low());
     else
-      Env.fetch(CodeWitness, low(), low());
+      Env.fetch(A, low(), low());
   }
   RepeatTicket T;
   Env.takeTicket(T);
@@ -60,62 +71,78 @@ RepeatTicket witness(MachineEnv &Env, bool IsData) {
   return T;
 }
 
-/// Which sides' epochs \p Change advanced, {instruction, data}: which of
-/// two tickets taken just before it went stale.
+/// Which of two tickets taken just before \p Change, at each side's
+/// witness address, it made stale: {instruction, data}.
 using Sides = std::pair<bool, bool>;
 const Sides Neither{false, false}, Both{true, true};
 template <typename Fn> Sides advanced(MachineEnv &Env, Fn Change) {
-  const RepeatTicket Instr = witness(Env, false), Data = witness(Env, true);
+  RepeatTicket Instr = witness(Env, CodeWitness, false),
+               Data = witness(Env, DataWitness, true);
   Change();
   return {!Env.repeatAccess(Instr, CodeWitness, false),
           !Env.repeatAccess(Data, DataWitness, true)};
 }
 
-/// A load at \p A, and whether it advanced the data epoch. A data access
-/// never advances the instruction epoch.
-bool loadAdvances(MachineEnv &Env, Addr A, Label Read = low(),
-                  Label Write = low()) {
-  const Sides S = advanced(
-      Env, [&] { Env.dataAccess(A, /*IsStore=*/false, Read, Write); });
-  EXPECT_FALSE(S.first);
-  return S.second;
+/// Whether \p Change made stale a ticket at \p InSet, an address on the
+/// \p IsData side in a set that \p Change's access reaches, taken just
+/// before it. Tickets at both sides' witness addresses, in sets no access
+/// reaches, must survive: a change stales only the tickets of its sets.
+template <typename Fn>
+bool stales(MachineEnv &Env, Addr InSet, bool IsData, Fn Change) {
+  RepeatTicket Instr = witness(Env, CodeWitness, false),
+               Data = witness(Env, DataWitness, true),
+               Set = witness(Env, InSet, IsData);
+  Change();
+  const bool Stale = !Env.repeatAccess(Set, InSet, IsData);
+  EXPECT_TRUE(Env.repeatAccess(Instr, CodeWitness, false))
+      << "a change staled the instruction witness";
+  EXPECT_TRUE(Env.repeatAccess(Data, DataWitness, true))
+      << "a change staled the data witness";
+  return Stale;
 }
 
-bool storeAdvances(MachineEnv &Env, Addr A) {
-  const Sides S = advanced(
-      Env, [&] { Env.dataAccess(A, /*IsStore=*/true, low(), low()); });
-  EXPECT_FALSE(S.first);
-  return S.second;
+/// A load at \p A, and whether it staled \p InSet's ticket.
+bool loadStales(MachineEnv &Env, Addr A, Addr InSet, Label Read = low(),
+                Label Write = low()) {
+  return stales(Env, InSet, true, [&] {
+    Env.dataAccess(A, /*IsStore=*/false, Read, Write);
+  });
 }
 
-/// A fetch at \p A, and whether it advanced the instruction epoch. A
-/// fetch never advances the data epoch.
-bool fetchAdvances(MachineEnv &Env, Addr A) {
-  const Sides S = advanced(Env, [&] { Env.fetch(A, low(), low()); });
-  EXPECT_FALSE(S.second);
-  return S.first;
+bool storeStales(MachineEnv &Env, Addr A, Addr InSet) {
+  return stales(Env, InSet, true, [&] {
+    Env.dataAccess(A, /*IsStore=*/true, low(), low());
+  });
+}
+
+/// A fetch at \p A, and whether it staled \p InSet's ticket.
+bool fetchStales(MachineEnv &Env, Addr A, Addr InSet) {
+  return stales(Env, InSet, false, [&] { Env.fetch(A, low(), low()); });
 }
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Epochs: every change advances its side, nothing else does
+// Set stamps: every change stales the tickets of its sets, nothing else
+// does
 //===----------------------------------------------------------------------===//
 
 class RepeatHitEpochs : public ::testing::TestWithParam<HwKind> {};
 
 TEST_P(RepeatHitEpochs, AnInstallAdvancesOnlyItsSide) {
   auto Env = env(GetParam());
-  EXPECT_TRUE(loadAdvances(*Env, DataA));
-  EXPECT_TRUE(fetchAdvances(*Env, CodeA));
+  // The install makes the witness's line and page the second way of their
+  // sets.
+  EXPECT_TRUE(loadStales(*Env, DataA, SameSets));
+  EXPECT_TRUE(fetchStales(*Env, CodeA, CodeSameSets));
 }
 
 TEST_P(RepeatHitEpochs, AWayZeroHitDoesNotAdvance) {
   auto Env = env(GetParam());
   Env->dataAccess(DataA, false, low(), low());
-  EXPECT_FALSE(loadAdvances(*Env, DataA));
-  EXPECT_FALSE(loadAdvances(*Env, DataA));
-  EXPECT_TRUE(fetchAdvances(*Env, CodeA));
-  EXPECT_FALSE(fetchAdvances(*Env, CodeA));
+  EXPECT_FALSE(loadStales(*Env, DataA, DataA));
+  EXPECT_FALSE(loadStales(*Env, DataA, DataA));
+  EXPECT_TRUE(fetchStales(*Env, CodeA, CodeSameSets));
+  EXPECT_FALSE(fetchStales(*Env, CodeA, CodeA));
 }
 
 TEST_P(RepeatHitEpochs, AnL1PromotionAdvances) {
@@ -123,8 +150,8 @@ TEST_P(RepeatHitEpochs, AnL1PromotionAdvances) {
   Env->dataAccess(DataA, false, low(), low());
   Env->dataAccess(SameL1Set, false, low(), low());
   // DataA is the L1 set's second way now; its TLB entry is still MRU.
-  EXPECT_TRUE(loadAdvances(*Env, DataA));
-  EXPECT_FALSE(loadAdvances(*Env, DataA));
+  EXPECT_TRUE(loadStales(*Env, DataA, SameL1Set));
+  EXPECT_FALSE(loadStales(*Env, DataA, DataA));
 }
 
 TEST_P(RepeatHitEpochs, ATlbPromotionAdvances) {
@@ -132,22 +159,23 @@ TEST_P(RepeatHitEpochs, ATlbPromotionAdvances) {
   Env->dataAccess(DataA, false, low(), low());
   Env->dataAccess(SameTlbSet, false, low(), low());
   // DataA's page is the TLB set's second way now; its line is still MRU.
-  EXPECT_TRUE(loadAdvances(*Env, DataA));
-  EXPECT_FALSE(loadAdvances(*Env, DataA));
+  EXPECT_TRUE(loadStales(*Env, DataA, SameTlbSet));
+  EXPECT_FALSE(loadStales(*Env, DataA, DataA));
 }
 
 TEST_P(RepeatHitEpochs, OnlyTheFirstDirtyBitSetAdvances) {
   auto Env = env(GetParam());
-  Env->dataAccess(DataA, false, low(), low()); // Installed clean.
-  EXPECT_TRUE(storeAdvances(*Env, DataA));     // The dirty bit is set.
-  EXPECT_FALSE(storeAdvances(*Env, DataA));    // Already dirty.
-  EXPECT_FALSE(loadAdvances(*Env, DataA));
+  Env->dataAccess(DataA, false, low(), low());      // Installed clean.
+  EXPECT_TRUE(storeStales(*Env, DataA, DataA));     // The dirty bit is set.
+  EXPECT_FALSE(storeStales(*Env, DataA, DataA));    // Already dirty.
+  EXPECT_FALSE(loadStales(*Env, DataA, DataA));
 }
 
 TEST_P(RepeatHitEpochs, WholeStateChangesAdvanceBothSides) {
   auto Env = env(GetParam());
   Env->dataAccess(DataA, false, low(), low());
   Env->fetch(CodeA, low(), low());
+  // Every set changes: the witnesses' sets too.
   EXPECT_EQ(advanced(*Env, [&] { Env->reset(); }), Both);
   Rng R(3);
   EXPECT_EQ(advanced(*Env, [&] { Env->randomize(R); }), Both);
@@ -180,8 +208,18 @@ TEST_P(RepeatHitEpochs, TicketsAreGrantedOnlyForUnchangedHits) {
   EXPECT_EQ(Env->stats().DTlb.Hits, Before.DTlb.Hits + 1);
   EXPECT_EQ(Env->stats().L1D.Hits, Before.L1D.Hits + 1);
   EXPECT_EQ(Env->stats().L1D.Misses, Before.L1D.Misses);
-  // Another address does not match.
-  EXPECT_FALSE(Env->repeatAccess(T, DataA + 8, true));
+  // Another word of the line repeats too, counting exactly what a clone's
+  // walk counts, and the ticket becomes that word's.
+  auto Walker = Env->clone();
+  EXPECT_TRUE(Env->repeatAccess(T, DataA + 8, true));
+  EXPECT_EQ(Walker->dataAccess(DataA + 8, false, low(), low()), T.Cycles);
+  EXPECT_TRUE(Env->stats() == Walker->stats());
+  EXPECT_TRUE(Env->stateEquals(*Walker));
+  EXPECT_EQ(T.A, DataA + 8);
+  // The next line does not repeat: its L1 outcome is its own.
+  const HwStats Refused = Env->stats();
+  EXPECT_FALSE(Env->repeatAccess(T, DataA + 32, true));
+  EXPECT_TRUE(Env->stats() == Refused);
   // A store that sets the dirty bit changes the line: no ticket, and the
   // load's ticket goes stale.
   Env->dataAccess(DataA, true, low(), low());
@@ -202,14 +240,14 @@ TEST(RepeatHitEpochsByDesign, AProbeDoesNotAdvanceAndEarnsATicket) {
   // low partition.
   auto Env = env(HwKind::NoFill);
   Env->dataAccess(DataA, false, low(), low());
-  EXPECT_FALSE(loadAdvances(*Env, DataA, high(), high()));
+  EXPECT_FALSE(loadStales(*Env, DataA, DataA, high(), high()));
   RepeatTicket T;
   Env->takeTicket(T);
   EXPECT_EQ(T.Epoch & RepeatTicket::kMissed, 0u);
   EXPECT_TRUE(Env->repeatAccess(T, DataA, true));
   // A probe miss installs nothing and changes nothing, so it earns a miss
   // ticket too: SameL1Set's page, line and block are all cold.
-  EXPECT_FALSE(loadAdvances(*Env, SameL1Set, high(), high()));
+  EXPECT_FALSE(loadStales(*Env, SameL1Set, DataA, high(), high()));
   Env->takeTicket(T);
   EXPECT_EQ(T.Epoch & RepeatTicket::kMissed, RepeatTicket::kMissed);
   EXPECT_TRUE(Env->repeatAccess(T, SameL1Set, true));
@@ -217,12 +255,12 @@ TEST(RepeatHitEpochsByDesign, AProbeDoesNotAdvanceAndEarnsATicket) {
 
 TEST(RepeatHitEpochsByDesign, AStaleCopyMoveAdvances) {
   // partitioned: a low access finds DataA only in the high partition and
-  // moves it down.
+  // moves it down, into the low partition's sets where SameSets is MRU.
   auto Env = env(HwKind::Partitioned);
   Env->dataAccess(DataA, false, high(), high());
-  EXPECT_FALSE(loadAdvances(*Env, DataA, high(), high()));
-  EXPECT_TRUE(loadAdvances(*Env, DataA));
-  EXPECT_FALSE(loadAdvances(*Env, DataA));
+  EXPECT_FALSE(loadStales(*Env, DataA, SameSets, high(), high()));
+  EXPECT_TRUE(loadStales(*Env, DataA, SameSets));
+  EXPECT_FALSE(loadStales(*Env, DataA, DataA));
 }
 
 //===----------------------------------------------------------------------===//
@@ -403,6 +441,214 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, RepeatMissByDesign,
                          });
 
 //===----------------------------------------------------------------------===//
+// Small scope: every ticket on a tiny machine, against a clone's walk
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// The tiny machine: 4 sets × 2 ways in every structure (2 sets per level
+/// under partitioned), 16-byte lines of two words and 32-byte pages of two
+/// lines.
+MachineEnvConfig tinyConfig() {
+  MachineEnvConfig C;
+  C.L1D = {4, 2, 16, 1};
+  C.L2D = {4, 2, 32, 6};
+  C.L1I = {4, 2, 16, 1};
+  C.L2I = {4, 2, 32, 6};
+  C.DTlb = {4, 2, 32, 30};
+  C.ITlb = {4, 2, 32, 30};
+  return C;
+}
+
+/// Two words of one line, another line of its page, and lines in three
+/// other pages. On every design they cover two TLB sets and two L1 sets,
+/// and four of the lines share an L1 set of two ways.
+constexpr Addr TinyDataPool[] = {DataA,      DataA + 8,  DataA + 16,
+                                 DataA + 32, DataA + 64, DataA + 128};
+/// Two lines of one page and a line of the next.
+constexpr Addr TinyCodePool[] = {CodeA, CodeA + 16, CodeA + 32};
+
+/// One access of the small-scope alphabet: its kind, store bit and labels,
+/// and the address it makes when it grants a ticket or intervenes.
+struct TinyAccess {
+  Addr A;
+  bool IsData, IsStore;
+  Label Read, Write;
+};
+
+/// Every pool address under every label pair, loads and stores; fetches
+/// under [L, L] and [H, H].
+std::vector<TinyAccess> tinyAccesses() {
+  std::vector<TinyAccess> Out;
+  const std::pair<Label, Label> Pairs[] = {
+      {low(), low()}, {low(), high()}, {high(), low()}, {high(), high()}};
+  for (Addr A : TinyDataPool)
+    for (bool IsStore : {false, true})
+      for (const auto &[Read, Write] : Pairs)
+        Out.push_back({A, true, IsStore, Read, Write});
+  for (Addr A : TinyCodePool)
+    for (Label L : {low(), high()})
+      Out.push_back({A, false, false, L, L});
+  return Out;
+}
+
+/// \p X's access, made at \p A.
+uint64_t make(MachineEnv &Env, const TinyAccess &X, Addr A) {
+  return X.IsData ? Env.dataAccess(A, X.IsStore, X.Read, X.Write)
+                  : Env.fetch(A, X.Read, X.Write);
+}
+
+/// Every line of every partition in MRU order, dirty bits included: the
+/// whole state, where stateEquals leaves the dirty bits out.
+std::vector<uint64_t> fullState(const MachineEnv &Env) {
+  std::vector<uint64_t> Key;
+  for (const Cache &C : static_cast<const HardwareEnv &>(Env).caches())
+    for (unsigned S = 0; S != C.config().NumSets; ++S) {
+      Key.push_back(C.occupancy(S));
+      for (unsigned W = 0; W != C.occupancy(S); ++W)
+        Key.push_back(C.lineAt(S, W));
+    }
+  return Key;
+}
+
+/// The states reachable from a cold tiny \p Kind env in at most \p Depth
+/// accesses of the alphabet, each once.
+std::vector<std::unique_ptr<MachineEnv>> tinyStates(HwKind Kind,
+                                                    unsigned Depth) {
+  const std::vector<TinyAccess> Alphabet = tinyAccesses();
+  std::vector<std::unique_ptr<MachineEnv>> States;
+  std::set<std::vector<uint64_t>> Seen;
+  States.push_back(createMachineEnv(Kind, lh(), tinyConfig()));
+  Seen.insert(fullState(*States[0]));
+  size_t Begin = 0;
+  for (unsigned D = 0; D != Depth; ++D) {
+    const size_t End = States.size();
+    for (size_t I = Begin; I != End; ++I)
+      for (const TinyAccess &X : Alphabet) {
+        auto Next = States[I]->clone();
+        make(*Next, X, X.A);
+        if (Seen.insert(fullState(*Next)).second)
+          States.push_back(std::move(Next));
+      }
+    Begin = End;
+  }
+  return States;
+}
+} // namespace
+
+class RepeatTicketSmallScope : public ::testing::TestWithParam<HwKind> {};
+
+// Every state of the tiny machine reachable in kDepth accesses; in each,
+// every access that earns a ticket, then every intervening change (an
+// access of the alphabet or a whole-state change), then the ticket asked
+// to repeat at every pool address of its page. Whenever it answers, a
+// clone's walk of the same access must give the ticket's cycles, count
+// the same stats and leave the same state, dirty bits included.
+TEST_P(RepeatTicketSmallScope, EveryTicketRepeatsExactlyWhatItsWalkDoes) {
+  constexpr unsigned kDepth = 2;
+  const HwKind Kind = GetParam();
+  const auto Start = std::chrono::steady_clock::now();
+  const std::vector<std::unique_ptr<MachineEnv>> States =
+      tinyStates(Kind, kDepth);
+  const std::vector<TinyAccess> Alphabet = tinyAccesses();
+  const auto Cold = createMachineEnv(Kind, lh(), tinyConfig());
+  // A restore template that no state equals: every line of both sides
+  // resident somewhere.
+  auto Warm = createMachineEnv(Kind, lh(), tinyConfig());
+  for (const TinyAccess &X : Alphabet)
+    make(*Warm, X, X.A);
+
+  using Change = std::function<void(std::unique_ptr<MachineEnv> &)>;
+  std::vector<std::pair<std::string, Change>> Changes;
+  for (const TinyAccess &X : Alphabet)
+    Changes.push_back({"access", [&X](std::unique_ptr<MachineEnv> &E) {
+                         make(*E, X, X.A);
+                       }});
+  Changes.push_back(
+      {"reset", [](std::unique_ptr<MachineEnv> &E) { E->reset(); }});
+  Changes.push_back({"randomize", [](std::unique_ptr<MachineEnv> &E) {
+                       Rng R(7);
+                       E->randomize(R);
+                     }});
+  Changes.push_back({"perturbAbove", [](std::unique_ptr<MachineEnv> &E) {
+                       Rng R(9);
+                       E->perturbAbove(low(), R);
+                     }});
+  Changes.push_back({"restore cold", [&](std::unique_ptr<MachineEnv> &E) {
+                       Cold->copyInto(E);
+                     }});
+  Changes.push_back({"restore warm", [&](std::unique_ptr<MachineEnv> &E) {
+                       Warm->copyInto(E);
+                     }});
+
+  uint64_t Pairs = 0, Asked = 0, Answered = 0, Revalidated = 0;
+  for (size_t SI = 0; SI != States.size(); ++SI) {
+    const MachineEnv &State = *States[SI];
+    for (const TinyAccess &G : Alphabet) {
+      // Does G earn a ticket in this state?
+      {
+        auto Probe = State.clone();
+        make(*Probe, G, G.A);
+        RepeatTicket T;
+        Probe->takeTicket(T);
+        if (T.Epoch == 0)
+          continue;
+      }
+      const Addr Page = G.A >> 5;
+      for (const auto &[Name, Change] : Changes) {
+        ++Pairs;
+        for (Addr A : G.IsData ? std::span<const Addr>(TinyDataPool)
+                               : std::span<const Addr>(TinyCodePool)) {
+          if (A >> 5 != Page)
+            continue;
+          std::unique_ptr<MachineEnv> Env = State.clone();
+          make(*Env, G, G.A);
+          RepeatTicket T;
+          Env->takeTicket(T);
+          Change(Env);
+          const RepeatTicket Before = T;
+          auto Walker = Env->clone();
+          ++Asked;
+          if (!Env->repeatAccess(T, A, G.IsData))
+            continue;
+          ++Answered;
+          Revalidated += T.Epoch != Before.Epoch || T.A != Before.A;
+          SCOPED_TRACE("state " + std::to_string(SI) + ", ticket at " +
+                       std::to_string(G.A - (G.IsData ? DataA : CodeA)) +
+                       (G.IsStore ? " store" : "") + " [" +
+                       std::to_string(G.Read.index()) + "," +
+                       std::to_string(G.Write.index()) + "], " + Name +
+                       ", repeated at " +
+                       std::to_string(A - (G.IsData ? DataA : CodeA)));
+          EXPECT_EQ(make(*Walker, G, A), Before.Cycles);
+          EXPECT_TRUE(Env->stats() == Walker->stats());
+          EXPECT_TRUE(fullState(*Env) == fullState(*Walker));
+          if (HasFailure())
+            return;
+        }
+      }
+    }
+  }
+  const double Seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - Start)
+                             .count();
+  std::printf("[          ] %s, depth %u: %zu states, %llu ticket/change "
+              "pairs, %llu repeats asked, %llu answered (%llu "
+              "revalidated), %.2f s\n",
+              hwKindName(Kind), kDepth, States.size(),
+              static_cast<unsigned long long>(Pairs),
+              static_cast<unsigned long long>(Asked),
+              static_cast<unsigned long long>(Answered),
+              static_cast<unsigned long long>(Revalidated), Seconds);
+  EXPECT_GT(Revalidated, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, RepeatTicketSmallScope,
+                         ::testing::ValuesIn(allHwKinds()),
+                         [](const auto &Info) {
+                           return std::string(hwKindName(Info.param));
+                         });
+
+//===----------------------------------------------------------------------===//
 // Differential: tickets change nothing a run shows
 //===----------------------------------------------------------------------===//
 
@@ -514,6 +760,50 @@ Program storeSweep(const SecurityLattice &Lat) {
   return P;
 }
 
+/// A fixed program that makes nofill repeat probe misses whatever the
+/// random programs draw: a high loop, mitigated, reads a low scalar that
+/// no low-context access ever installs, so each read under the loop's
+/// high write label is a no-fill probe that misses the same way. nopar
+/// and partitioned install it on the first read and hit after that.
+Program highReadOfColdLow(const SecurityLattice &Lat) {
+  Program P = parseOrDie("var b : L;\n"
+                         "var acc : H;\n"
+                         "var k : H;\n"
+                         "mitigate (64, H) {\n"
+                         "  while (k < 24) do {\n"
+                         "    acc := acc + b;\n"
+                         "    k := k + 1\n"
+                         "  }\n"
+                         "}",
+                         Lat);
+  inferTimingLabels(P);
+  return P;
+}
+
+/// A fixed program that revalidates hit tickets on every design and
+/// geometry: its four words fill one 32-byte line, so after the first
+/// pass dirtied it, its loops change nothing on the data side, and the
+/// load of a[i] repeats at the line's other word from its ticket. It is
+/// the one such case on the two-set machine under partitioned, where each
+/// level has one set: any access to another line there changes the set
+/// of every ticket.
+Program oneLineLoop(const SecurityLattice &Lat) {
+  Program P = parseOrDie("var a : L[2];\n"
+                         "var i : L;\n"
+                         "var r : L;\n"
+                         "while (r < 8) do {\n"
+                         "  i := 0;\n"
+                         "  while (i < 2) do {\n"
+                         "    a[i] := a[i] + r;\n"
+                         "    i := i + 1\n"
+                         "  };\n"
+                         "  r := r + 1\n"
+                         "}",
+                         Lat);
+  inferTimingLabels(P);
+  return P;
+}
+
 /// One side of the differential: the env the engines run on (the
 /// ticketed env itself, or a forwarding env over a clone) and a restore
 /// of the env that runs drive from (copyInto, in place).
@@ -616,9 +906,11 @@ void drive(Engine E, const CompiledProgram &C, const CompiledProgram &Other,
 /// What the ticketed side of one differential ran.
 struct TicketedRun {
   HwStats Stats;
-  /// The TLB and L1 misses answered from miss tickets (none counted for
-  /// restored runs, whose env must be a HardwareEnv to restore in place).
+  /// The TLB and L1 misses answered from miss tickets (not counted for
+  /// restored runs, whose env must be a HardwareEnv to restore in place),
+  /// and the accesses answered from revalidated hit tickets.
   uint64_t RepeatedMisses = 0;
+  uint64_t Revalidated = 0;
 };
 
 TicketedRun expectTicketsChangeNothing(const Program &P, const Program &Other,
@@ -650,7 +942,10 @@ TicketedRun expectTicketsChangeNothing(const Program &P, const Program &Other,
   EXPECT_TRUE(Ticketed->stats() == Plain->stats());
   EXPECT_EQ(T.Ledger.toJson().dump(), F.Ledger.toJson().dump());
   EXPECT_TRUE(Ticketed->stateEquals(*Plain));
-  return {Ticketed->stats(), Counting ? Counting->repeatedMisses() : 0};
+  if (!Counting)
+    return {Ticketed->stats(), 0, Ticketed->revalidations()};
+  return {Ticketed->stats(), Counting->repeatedMisses(),
+          Ticketed->revalidations()};
 }
 } // namespace
 
@@ -660,7 +955,7 @@ TEST_P(RepeatHitDifferential, RandomProgramsRunAsWithoutTickets) {
   for (CacheGeometry G :
        {CacheGeometry::Table1, CacheGeometry::TwoSetTwoWay}) {
     uint64_t L1Hits = 0, L1Misses = 0, Writebacks = 0, Evictions = 0;
-    uint64_t RepeatedMisses = 0;
+    uint64_t RepeatedMisses = 0, Revalidated = 0;
     for (const SecurityLattice *Lat :
          std::initializer_list<const SecurityLattice *>{&lh(), &lmh()}) {
       // On the two-set geometry, programs with the default arrays too:
@@ -674,6 +969,8 @@ TEST_P(RepeatHitDifferential, RandomProgramsRunAsWithoutTickets) {
                                          RandomProgramOptions().ArraySize))
           Programs.push_back(std::move(P));
       Programs.push_back(storeSweep(*Lat));
+      Programs.push_back(highReadOfColdLow(*Lat));
+      Programs.push_back(oneLineLoop(*Lat));
       for (size_t I = 0; I != Programs.size(); ++I) {
         SCOPED_TRACE("program " + std::to_string(I) + " over " +
                      std::to_string(Lat->size()) + " levels on " +
@@ -695,18 +992,24 @@ TEST_P(RepeatHitDifferential, RandomProgramsRunAsWithoutTickets) {
               EXPECT_EQ(Run.RepeatedMisses, 0u);
             }
             RepeatedMisses += Run.RepeatedMisses;
+            Revalidated += Run.Revalidated;
           }
       }
     }
     // The runs were worth comparing: they hit (where tickets repeat) and
     // they missed (where epochs advance) many times; on the tiny machine
-    // dirty lines were evicted too. storeSweep alone reaches the hit and
-    // writeback counts, so they do not hang on the seed's draws. nofill
-    // repeated probe misses from their tickets, which no other design
-    // grants.
-    std::printf("[          ] %s on %s: %llu misses repeated from tickets\n",
+    // dirty lines were evicted too. Hit tickets were revalidated after a
+    // change elsewhere on their side, or at another word of their line.
+    // nofill repeated probe misses from their tickets, which no other
+    // design grants. storeSweep alone reaches the hit and writeback
+    // counts, oneLineLoop the revalidations and highReadOfColdLow the
+    // repeated misses, so none of them hangs on the seed's draws.
+    std::printf("[          ] %s on %s: %llu misses repeated from tickets, "
+                "%llu hits from revalidated tickets\n",
                 hwKindName(GetParam()), geometryName(G),
-                static_cast<unsigned long long>(RepeatedMisses));
+                static_cast<unsigned long long>(RepeatedMisses),
+                static_cast<unsigned long long>(Revalidated));
+    EXPECT_GT(Revalidated, 0u);
     EXPECT_GT(L1Hits, 1000u);
     EXPECT_GT(L1Misses, 100u);
     if (G == CacheGeometry::TwoSetTwoWay) {

@@ -15,6 +15,12 @@
 #                           site 2^32 - 1); this one exits 1, like every
 #                           malformed policy record
 #
+# A well-formed trace with extreme numbers reports them whole (exit 0):
+#
+#   MODE=long_line          `report --by-line` on ledger rows whose loc is
+#                           2^64 - 1 prints all 20 digits in the per-line
+#                           table (its 16-byte buffer cut them to 15)
+#
 # `zamc` writing a trace to a full device reports the short write (exit
 # 1): the sinks buffer their output, so the write that fails may be the
 # last flush, at close(), or fclose's:
@@ -82,13 +88,26 @@ elseif(MODE STREQUAL "short_write_attack")
               --trace-format jsonl)
   set(EXPECT "error: short write to '/dev/full'")
   set(EXIT 1)
+elseif(MODE STREQUAL "long_line")
+  # One mitigate window at line 2^64 - 1 and the ledger rows that account
+  # for it. A JSON number that large reads as a double, so the loc args
+  # are strings, which the reader hands on as they are.
+  set(LOC 18446744073709551615)
+  set(TRACE "{\"kind\":\"span\",\"name\":\"mitigate#0\",\"cat\":\"mit\",\"ts\":10,\"dur\":64,\"args\":{\"consumed\":40,\"padded\":24,\"mispredicted\":\"false\",\"loc\":\"${LOC}\"}}
+{\"kind\":\"instant\",\"name\":\"prof_line#${LOC}\",\"cat\":\"prof\",\"ts\":74,\"args\":{\"cycles\":74,\"step_cycles\":50,\"sleep_cycles\":0,\"pad_cycles\":24,\"accesses\":1,\"misses\":0,\"windows\":1,\"leak_bits\":0}}
+{\"kind\":\"instant\",\"name\":\"prof_site#0\",\"cat\":\"prof\",\"ts\":74,\"args\":{\"loc\":\"${LOC}\",\"windows\":1,\"pad_cycles\":24,\"leak_bits\":0}}
+")
+  set(REPORT_FLAGS --by-line)
+  set(EXPECT "\n  ${LOC} +74 +0 +24 +1 +0\n")
+  set(EXPECT_STDOUT ON)
+  set(EXIT 0)
 else()
   message(FATAL_ERROR "unknown MODE '${MODE}'")
 endif()
 
 if(DEFINED TRACE)
   file(WRITE ${OUT}.jsonl "${TRACE}")
-  set(COMMAND ${ZAMTRACE} report ${OUT}.jsonl)
+  set(COMMAND ${ZAMTRACE} report ${OUT}.jsonl ${REPORT_FLAGS})
 endif()
 execute_process(COMMAND ${COMMAND}
                 RESULT_VARIABLE RC
@@ -96,6 +115,14 @@ execute_process(COMMAND ${COMMAND}
                 ERROR_VARIABLE STDERR)
 if(NOT RC EQUAL EXIT)
   message(FATAL_ERROR "expected exit ${EXIT}, got '${RC}'\n${STDOUT}${STDERR}")
+endif()
+if(EXPECT_STDOUT)
+  if(NOT STDOUT MATCHES "${EXPECT}")
+    message(FATAL_ERROR "expected output matching '${EXPECT}', got:\n"
+                        "${STDOUT}")
+  endif()
+  message(STATUS "${MODE}: ${STDOUT}")
+  return()
 endif()
 if(NOT STDERR MATCHES "${EXPECT}")
   message(FATAL_ERROR "expected a diagnostic matching '${EXPECT}', got:\n"

@@ -833,7 +833,7 @@ void printByLine(const Analysis &A) {
   std::printf("  %4s %12s %8s %8s %8s %10s\n", "line", "cycles", "misses",
               "pad", "windows", "leak-bits");
   for (const auto &[Line, L] : A.Lines) {
-    char LineName[16];
+    char LineName[21]; // Any uint64_t: 20 digits and the NUL.
     if (Line == 0)
       std::snprintf(LineName, sizeof(LineName), "%s", "?");
     else
