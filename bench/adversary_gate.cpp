@@ -136,8 +136,8 @@ int main(int Argc, char **Argv) {
   if (!Harness.Ok)
     return 2;
   ParallelRunner Runner(Harness.Threads);
-  const uint64_t Seed = Harness.Seed ? Harness.Seed : kDefaultSeed;
-  const unsigned Samples = Harness.Samples ? Harness.Samples : kDefaultSamples;
+  const uint64_t Seed = Harness.seedOr(kDefaultSeed);
+  const unsigned Samples = Harness.Samples.value_or(kDefaultSamples);
 
   TwoPointLattice Lat;
   const HwKind Designs[3] = {HwKind::NoPartition, HwKind::NoFill,
@@ -279,34 +279,16 @@ int main(int Argc, char **Argv) {
 
   // Representative observation trace (partitioned/login/mit) for offline
   // inspection: zamtrace report reruns the detector over it.
-  if (!Harness.TraceOutPath.empty()) {
-    std::optional<TraceFormat> Format = resolveBenchTraceFormat(Harness);
-    if (!Format)
-      return 2;
-    std::FILE *F = std::fopen(Harness.TraceOutPath.c_str(), "wb");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                   Harness.TraceOutPath.c_str());
-      return 2;
-    }
-    FileByteSink Bytes(F);
-    std::unique_ptr<TraceSink> Sink = makeTraceSink(*Format, Bytes);
-    auto Args = provenanceArgs(resolveThreadCount(Harness.Threads));
-    Args.emplace_back("attack_samples", std::to_string(Samples));
-    Args.emplace_back("attack_seed", std::to_string(Seed));
-    Args.emplace_back("attack_classes", "present,absent");
-    Sink->header(Args);
-    size_t Count = exportObservations(*Sink, RepresentativeObs,
-                                      {"present", "absent"});
-    Sink->close();
-    if (!Sink->ok() || std::fclose(F) != 0) {
-      std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                   Harness.TraceOutPath.c_str());
-      return 2;
-    }
-    std::printf("wrote %zu observation records to %s\n", Count,
-                Harness.TraceOutPath.c_str());
-  }
+  if (!Harness.TraceOutPath.empty() &&
+      !writeTraceFile(Harness, PolicySelection(),
+                      {{"attack_samples", std::to_string(Samples)},
+                       {"attack_seed", std::to_string(Seed)},
+                       {"attack_classes", "present,absent"}},
+                      [&](TraceSink &Sink) {
+                        return exportObservations(Sink, RepresentativeObs,
+                                                  {"present", "absent"});
+                      }))
+    return 2;
 
   if (!emitReportJson(R, Harness))
     return 2;

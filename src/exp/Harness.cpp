@@ -4,74 +4,29 @@
 
 #include "exp/ParallelRunner.h"
 #include "obs/Telemetry.h"
-#include "support/ParseInt.h"
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace zam;
 
 HarnessOptions zam::parseHarnessArgs(int Argc, char **Argv) {
   HarnessOptions Opts;
   for (int I = 1; I < Argc; ++I) {
-    if (!std::strcmp(Argv[I], "--threads") && I + 1 < Argc) {
-      if (!parseInteger(Argv[++I], Opts.Threads) || Opts.Threads > 1024) {
-        Opts.Ok = false;
-        return Opts;
-      }
-    } else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc) {
-      Opts.JsonPath = Argv[++I];
-    } else if (!std::strcmp(Argv[I], "--trace-out") && I + 1 < Argc) {
-      Opts.TraceOutPath = Argv[++I];
-    } else if (!std::strcmp(Argv[I], "--seed") && I + 1 < Argc) {
-      if (!parseInteger(Argv[++I], Opts.Seed)) {
-        Opts.Ok = false;
-        return Opts;
-      }
-    } else if (!std::strcmp(Argv[I], "--samples") && I + 1 < Argc) {
-      if (!parseInteger(Argv[++I], Opts.Samples) || Opts.Samples < 1 ||
-          Opts.Samples > 10000000) {
-        Opts.Ok = false;
-        return Opts;
-      }
-    } else if (!std::strcmp(Argv[I], "--progress")) {
-      Opts.Progress = true;
-    } else if (!std::strcmp(Argv[I], "--trace-format") && I + 1 < Argc) {
-      Opts.TraceFormatName = Argv[++I];
-      if (!parseTraceFormat(Opts.TraceFormatName)) {
-        std::fprintf(stderr, "unknown trace format '%s'; expected "
-                             "jsonl, chrome or ztb\n",
-                     Opts.TraceFormatName.c_str());
-        Opts.Ok = false;
-        return Opts;
-      }
-    } else {
+    const char *Arg = Argv[I];
+    if (parseSharedFlag(Argc, Argv, I, Opts) != FlagParse::Parsed) {
       std::fprintf(stderr,
-                   "unknown argument '%s'; expected [--threads N] "
-                   "[--json FILE] [--trace-out FILE] "
+                   "unknown or malformed argument '%s'; expected "
+                   "[--threads N] [--json FILE] [--trace-out FILE] "
                    "[--trace-format jsonl|chrome|ztb] [--seed S] "
                    "[--samples N] [--progress]\n",
-                   Argv[I]);
+                   Arg);
       Opts.Ok = false;
       return Opts;
     }
   }
+  Opts.Ok = resolveTraceFormat(Opts);
   return Opts;
-}
-
-std::optional<TraceFormat>
-zam::resolveBenchTraceFormat(const HarnessOptions &Opts) {
-  if (!Opts.TraceFormatName.empty())
-    return parseTraceFormat(Opts.TraceFormatName);
-  std::optional<TraceFormat> F = inferTraceFormat(Opts.TraceOutPath);
-  if (!F)
-    std::fprintf(stderr,
-                 "error: cannot infer a trace format from '%s' (expected a "
-                 ".jsonl, .json or .ztb extension); pass --trace-format\n",
-                 Opts.TraceOutPath.c_str());
-  return F;
 }
 
 bool zam::emitReportJson(const Report &R, const HarnessOptions &Opts) {
@@ -79,53 +34,18 @@ bool zam::emitReportJson(const Report &R, const HarnessOptions &Opts) {
     return true;
   JsonValue Doc = R.toJson();
   Doc["meta"] = provenanceJson(resolveThreadCount(Opts.Threads));
-  std::FILE *F = std::fopen(Opts.JsonPath.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "error: cannot write JSON report to '%s'\n",
-                 Opts.JsonPath.c_str());
+  if (!writeFile(Opts.JsonPath, Doc.dump()))
     return false;
-  }
-  std::string Text = Doc.dump();
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fclose(F) == 0;
-  if (!Ok) {
-    std::fprintf(stderr, "error: cannot write JSON report to '%s'\n",
-                 Opts.JsonPath.c_str());
-    return false;
-  }
   std::printf("\nJSON report written to %s\n", Opts.JsonPath.c_str());
   return true;
 }
 
 bool zam::emitBenchTrace(const Trace &T, const SecurityLattice &Lat,
                          const HarnessOptions &Opts) {
-  if (Opts.TraceOutPath.empty())
-    return true;
-  std::optional<TraceFormat> Format = resolveBenchTraceFormat(Opts);
-  if (!Format)
-    return false;
-  // Stream straight to disk: the trace is never buffered whole.
-  std::FILE *F = std::fopen(Opts.TraceOutPath.c_str(), "wb");
-  if (!F) {
-    std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                 Opts.TraceOutPath.c_str());
-    return false;
-  }
-  FileByteSink Bytes(F);
-  std::unique_ptr<TraceSink> Sink = makeTraceSink(*Format, Bytes);
-  Sink->header(provenanceArgs(resolveThreadCount(Opts.Threads)));
-  size_t Count = exportTrace(*Sink, T, Lat);
-  Sink->close();
-  bool Ok = Sink->ok();
-  Ok &= std::fclose(F) == 0;
-  if (!Ok) {
-    std::fprintf(stderr, "error: cannot write trace to '%s'\n",
-                 Opts.TraceOutPath.c_str());
-    return false;
-  }
-  std::printf("wrote %zu trace records to %s\n", Count,
-              Opts.TraceOutPath.c_str());
-  return true;
+  return Opts.TraceOutPath.empty() ||
+         writeTraceFile(Opts, PolicySelection(), {}, [&](TraceSink &Sink) {
+           return exportTrace(Sink, T, Lat);
+         });
 }
 
 ProgressMeter::ProgressMeter(const char *What, uint64_t Total, bool Enabled)

@@ -6,27 +6,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The options every harness binary shares: `--threads N` (0 = auto via
-/// ZAM_THREADS / hardware_concurrency), `--json <file>` (write the Report
-/// as machine-readable JSON next to the human-readable tables) and
-/// `--trace-out <file>` / `--trace-format jsonl|chrome|ztb` (export the
-/// bench's representative run as a telemetry trace with a provenance
-/// header; without an explicit --trace-format the path's extension decides
-/// — .jsonl, .json or .ztb — and any other extension is an error).
-/// Benches that sample randomized inputs also honour `--seed S` (base Rng
-/// seed; 0 keeps the bench default) and `--samples N` (per-cell sample
-/// budget; 0 keeps the bench default) so that report content is a pure
-/// function of (program, seed, samples) and byte-identical at any
-/// `--threads` / ZAM_THREADS setting. `--progress` turns on a stderr-only
-/// progress meter (ProgressMeter below) that never touches stdout, JSON
-/// reports or trace bytes. Emitted reports carry a `meta` provenance block
-/// (obs/Telemetry.h provenanceJson).
+/// A harness bench takes exactly the flags that `zamc` shares with it
+/// (exp/CommandLine.h), parsed by the same code: `--threads N` (0 = auto
+/// via ZAM_THREADS / hardware_concurrency), `--json <file>` (the Report as
+/// machine-readable JSON next to the human-readable tables), `--trace-out
+/// <file>` / `--trace-format jsonl|chrome|ztb` (the bench's representative
+/// run as a telemetry trace; without --trace-format the extension decides,
+/// .jsonl, .json or .ztb, and any other is an error before the bench
+/// runs), `--seed S` (base Rng seed; absent or 0 keeps the bench default),
+/// `--samples N` (per-cell sample budget) and `--progress` (a stderr-only
+/// meter, ProgressMeter below, that never touches stdout, JSON reports or
+/// trace bytes). Report content is a pure function of (program, seed,
+/// samples) and byte-identical at any `--threads` / ZAM_THREADS setting.
+/// Emitted reports carry a `meta` provenance block (obs/Telemetry.h
+/// provenanceJson).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ZAM_EXP_HARNESS_H
 #define ZAM_EXP_HARNESS_H
 
+#include "exp/CommandLine.h"
 #include "exp/Report.h"
 #include "sem/Event.h"
 
@@ -34,49 +34,33 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <optional>
-#include <string>
 
 namespace zam {
 
 class SecurityLattice;
-enum class TraceFormat;
 
 /// Parsed harness options.
-struct HarnessOptions {
-  unsigned Threads = 0;        ///< 0: resolve from ZAM_THREADS / hardware.
-  std::string JsonPath;        ///< Empty: no JSON output.
-  std::string TraceOutPath;    ///< Empty: no trace export.
-  /// "jsonl", "chrome" or "ztb"; empty means infer from the --trace-out
-  /// extension (unknown extensions are an error at emission time).
-  std::string TraceFormatName;
-  uint64_t Seed = 0;           ///< --seed: base Rng seed (0 = bench default).
-  unsigned Samples = 0;        ///< --samples: sample budget (0 = default).
-  bool Progress = false;       ///< --progress: stderr-only meter.
-  bool Ok = true;              ///< False on malformed arguments.
+struct HarnessOptions : SharedFlags {
+  bool Ok = true; ///< False on malformed arguments.
+
+  /// The base seed: --seed, or \p Default when it is absent or 0.
+  uint64_t seedOr(uint64_t Default) const {
+    return Seed.value_or(0) ? *Seed : Default;
+  }
 };
 
-/// Parses `--threads N`, `--json FILE`, `--trace-out FILE`,
-/// `--trace-format jsonl|chrome|ztb`, `--seed S`, `--samples N` and
-/// `--progress` from a bench's argv; unknown arguments set Ok = false
-/// (benches exit 2 with a usage line).
+/// Parses a bench's argv, which holds shared flags only, and settles the
+/// trace format. Anything else sets Ok = false after a usage line
+/// (benches exit 2).
 HarnessOptions parseHarnessArgs(int Argc, char **Argv);
 
-/// Resolves the bench trace format: the explicit --trace-format when
-/// given, else the --trace-out extension (.jsonl/.json/.ztb). Prints a
-/// diagnostic and returns nullopt on an uninferable extension. Requires a
-/// nonempty TraceOutPath.
-std::optional<TraceFormat> resolveBenchTraceFormat(const HarnessOptions &Opts);
-
 /// Writes \p R to Opts.JsonPath when requested, with the provenance `meta`
-/// block appended, reporting failures on stderr. \returns false on write
-/// failure.
+/// block appended. \returns false after a write diagnostic.
 bool emitReportJson(const Report &R, const HarnessOptions &Opts);
 
 /// Exports \p T (a bench's representative telemetry run) to
-/// Opts.TraceOutPath, streamed straight to disk in the resolved format and
-/// prefixed with the provenance header. No-op when no trace path was
-/// requested. \returns false on failure.
+/// Opts.TraceOutPath when requested (writeTraceFile). \returns false
+/// after a write diagnostic.
 bool emitBenchTrace(const Trace &T, const SecurityLattice &Lat,
                     const HarnessOptions &Opts);
 

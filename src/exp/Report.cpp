@@ -276,17 +276,6 @@ JsonValue Report::toJson(bool IncludeWallClock) const {
   return Doc;
 }
 
-bool Report::writeJsonFile(const std::string &Path) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Text = toJson().dump();
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  bool Ok = Written == Text.size();
-  Ok &= std::fclose(F) == 0;
-  return Ok;
-}
-
 void zam::runSeriesInto(Report &R, const std::vector<SeriesSpec> &Specs,
                         const ParallelRunner &Runner) {
   std::vector<std::vector<uint64_t>> Values =

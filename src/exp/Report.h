@@ -59,8 +59,6 @@ class Report {
 public:
   explicit Report(std::string Title) : Title(std::move(Title)) {}
 
-  const std::string &title() const { return Title; }
-
   Series &addSeries(std::string Name, std::vector<double> Values);
   Series &addSeries(std::string Name, const std::vector<uint64_t> &Values);
 
@@ -123,9 +121,6 @@ public:
   /// derived from cycle-accurate run data, so the bytes cannot vary with
   /// timing noise.
   JsonValue deterministicJson() const { return toJson(false); }
-
-  /// Writes toJson().dump() to \p Path; false on I/O failure.
-  bool writeJsonFile(const std::string &Path) const;
 
 private:
   std::string Title;

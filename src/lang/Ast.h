@@ -315,11 +315,6 @@ public:
   Cmd &first() { return *First; }
   Cmd &second() { return *Second; }
 
-  /// Releases ownership of the components (used by the small-step engine to
-  /// restructure continuations without copying).
-  CmdPtr takeFirst() { return std::move(First); }
-  CmdPtr takeSecond() { return std::move(Second); }
-
   CmdPtr clone() const override;
 
   static bool classof(const Cmd *C) { return C->kind() == Kind::Seq; }
@@ -340,10 +335,6 @@ public:
   const Cmd &elseCmd() const { return *Else; }
   Cmd &thenCmd() { return *Then; }
   Cmd &elseCmd() { return *Else; }
-
-  /// Release a branch (small-step engine: the executing copy is disposable).
-  CmdPtr takeThen() { return std::move(Then); }
-  CmdPtr takeElse() { return std::move(Else); }
 
   CmdPtr clone() const override;
 
@@ -396,9 +387,6 @@ public:
 
   const Cmd &body() const { return *Body; }
   Cmd &body() { return *Body; }
-
-  /// Release the body (small-step engine: mitigate bodies execute once).
-  CmdPtr takeBody() { return std::move(Body); }
 
   CmdPtr clone() const override;
 

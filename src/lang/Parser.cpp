@@ -495,15 +495,6 @@ std::optional<Program> Parser::parseProgram() {
   return P;
 }
 
-CmdPtr Parser::parseCommandOnly() {
-  CmdPtr C = parseCmd();
-  if (C && !check(TokKind::Eof)) {
-    Diags.error(peek().Loc, "unexpected trailing input after command");
-    return nullptr;
-  }
-  return C;
-}
-
 ExprPtr Parser::parseExprOnly() {
   ExprPtr E = parseExpr();
   if (E && !check(TokKind::Eof)) {

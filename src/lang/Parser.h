@@ -55,9 +55,6 @@ public:
   /// Parses a full program (declarations + body) and numbers its nodes.
   std::optional<Program> parseProgram();
 
-  /// Parses a single command (no declarations); used by tests.
-  CmdPtr parseCommandOnly();
-
   /// Parses a single expression; used by tests.
   ExprPtr parseExprOnly();
 

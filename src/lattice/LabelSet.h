@@ -56,7 +56,6 @@ public:
 
   unsigned count() const;
   bool empty() const { return count() == 0; }
-  unsigned universeSize() const { return Bits.size(); }
 
   bool operator==(const LabelSet &Other) const = default;
 

@@ -64,11 +64,6 @@ public:
   /// Looks a level up by name; std::nullopt if no such level exists.
   virtual std::optional<Label> byName(const std::string &Name) const;
 
-  /// Strict ordering: ℓ1 ⊑ ℓ2 and ℓ1 ≠ ℓ2.
-  bool strictlyBelow(Label L1, Label L2) const {
-    return flowsTo(L1, L2) && L1 != L2;
-  }
-
   /// True iff the two labels are incomparable.
   bool incomparable(Label L1, Label L2) const {
     return !flowsTo(L1, L2) && !flowsTo(L2, L1);

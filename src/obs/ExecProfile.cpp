@@ -219,14 +219,6 @@ void ExecProfile::exportMetrics(MetricsRegistry &Reg) const {
                                  "exec.site.m" + std::to_string(S.Eta) + ".");
 }
 
-void ExecProfile::exportWallMetrics(MetricsRegistry &Reg) const {
-  Reg.setCounter("wall.exec.sample_epochs", Wall.Epochs);
-  Reg.setCounter("wall.exec.sampled_dispatches", Wall.SampledDispatches);
-  Reg.setGauge("wall.exec.elapsed_ms",
-               static_cast<double>(Wall.ElapsedNs) / 1e6);
-  Reg.setGauge("wall.exec.dispatch_per_us", Wall.dispatchesPerUs());
-}
-
 std::string ExecProfile::foldedStacks(const std::string &Root) const {
   // (line, opcode) -> dispatches; std::map gives the deterministic order.
   std::map<std::pair<uint32_t, unsigned>, uint64_t> Folded;

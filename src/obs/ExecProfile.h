@@ -25,9 +25,9 @@
 /// fixed (program, inputs, design, policy) tuple.
 ///
 /// Host wall-clock throughput rides on top via epoch sampling — one
-/// steady_clock read every kWallEpoch dispatches — and is exported under
-/// the separate wall.exec.* namespace, excluded from deterministic
-/// content exactly like the BENCH "wall" section.
+/// steady_clock read every kWallEpoch dispatches — and is kept apart
+/// from exec.* (wall()), out of deterministic content exactly like the
+/// BENCH "wall" section.
 ///
 /// The conservation self-check ties the books together:
 ///   Σ per-pc counts = dispatches = Σ per-opcode counts
@@ -155,11 +155,6 @@ public:
   /// order, every per-pc counter (with taken/not-taken for Branch pcs),
   /// and one settle-epoch histogram per static mitigate site.
   void exportMetrics(MetricsRegistry &Reg) const;
-
-  /// Exports wall.exec.* host-throughput numbers into \p Reg — callers
-  /// keep this registry out of deterministic content (the BENCH "wall"
-  /// precedent).
-  void exportWallMetrics(MetricsRegistry &Reg) const;
 
   /// Collapsed-stack export for flamegraph.pl / speedscope: one
   /// "Root;line L;op count" line per (source line, opcode) pair with a

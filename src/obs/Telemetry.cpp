@@ -441,15 +441,8 @@ zam::provenanceArgs(unsigned Threads, const PolicySelection &Mitigation) {
   if (Mitigation.isDefaultOnly())
     return Args; // Paper default: keep the historical byte layout.
   Args.emplace_back("mitigation", Mitigation.base().spec());
-  if (!Mitigation.PerSite.empty()) {
-    std::string Sites;
-    for (const auto &[Eta, P] : Mitigation.PerSite) {
-      if (!Sites.empty())
-        Sites += ",";
-      Sites += std::to_string(Eta) + "=" + P->spec();
-    }
-    Args.emplace_back("mitigation_sites", Sites);
-  }
+  if (!Mitigation.PerSite.empty())
+    Args.emplace_back("mitigation_sites", formatSiteOverrides(Mitigation));
   return Args;
 }
 

@@ -57,10 +57,6 @@ public:
   static Memory fromProgram(const Program &P, Addr DataBase = 0x10000000,
                             std::shared_ptr<const SlotNames> Names = nullptr);
 
-  bool hasVar(const std::string &Name) const {
-    return slotIndexOf(Name) != npos;
-  }
-
   const MemorySlot &slot(const std::string &Name) const;
   MemorySlot &slot(const std::string &Name);
 

@@ -47,7 +47,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -252,6 +254,24 @@ struct PolicySelection {
   /// default-run artifacts byte-identical to the pre-registry format.
   bool isDefaultOnly() const;
 };
+
+/// One per-site override in its text form `ETA=SPEC`: the item that
+/// `zamc --mitigate-site` takes and that the `mitigation_sites`
+/// provenance key lists, comma-separated.
+struct SiteOverride {
+  unsigned Eta = 0;
+  MitigationPolicyPtr Policy;
+};
+
+/// Parses one `ETA=SPEC` item. On failure returns nullopt and sets
+/// \p Error to the policy's diagnostic, or clears it when the item is not
+/// ETA=SPEC at all (no '=', or an η that is not an unsigned integer).
+std::optional<SiteOverride> parseSiteOverride(std::string_view Item,
+                                              std::string &Error);
+
+/// The per-site overrides of \p Sel as `ETA=SPEC[,ETA=SPEC...]` in η
+/// order; empty when there are none.
+std::string formatSiteOverrides(const PolicySelection &Sel);
 
 /// How mispredictions penalize future predictions (Sec. 7 cites [38]):
 /// PerLevel keeps one Miss counter per security level (the paper's local

@@ -452,6 +452,42 @@ TEST(Harness, ParsesThreadsAndJson) {
   EXPECT_FALSE(parseHarnessArgs(3, const_cast<char **>(Argv3)).Ok);
 }
 
+TEST(Harness, SharedFlagsKeepTheirBounds) {
+  auto Parse = [](std::vector<const char *> Args) {
+    Args.insert(Args.begin(), "bench");
+    return parseHarnessArgs(static_cast<int>(Args.size()),
+                            const_cast<char **>(Args.data()));
+  };
+  HarnessOptions None = Parse({});
+  EXPECT_TRUE(None.Ok);
+  EXPECT_FALSE(None.Seed);
+  EXPECT_FALSE(None.Samples);
+  EXPECT_FALSE(None.TraceFmt);
+  EXPECT_EQ(None.seedOr(7), 7u);
+  EXPECT_EQ(Parse({"--seed", "0"}).seedOr(7), 7u); // 0: the bench default.
+  EXPECT_EQ(Parse({"--seed", "9"}).seedOr(7), 9u);
+
+  HarnessOptions All =
+      Parse({"--threads", "1024", "--samples", "10000000", "--progress",
+             "--trace-out", "t.bin", "--trace-format", "ztb"});
+  EXPECT_TRUE(All.Ok);
+  EXPECT_EQ(All.Threads, 1024u);
+  EXPECT_EQ(All.Samples, 10000000u);
+  EXPECT_TRUE(All.Progress);
+  EXPECT_EQ(All.TraceFmt, TraceFormat::Ztb);
+  EXPECT_EQ(Parse({"--trace-out", "t.json"}).TraceFmt, TraceFormat::Chrome);
+
+  for (std::vector<const char *> Bad :
+       {std::vector<const char *>{"--threads", "1025"},
+        {"--samples", "0"},
+        {"--samples", "10000001"},
+        {"--seed", "-1"},
+        {"--trace-format", "xml"},
+        {"--trace-out", "t.bin"},
+        {"--json"}})
+    EXPECT_FALSE(Parse(Bad).Ok) << Bad[0];
+}
+
 // The meter rate-limits non-final repaints to ~10/s, so tests sleep past
 // the 100ms window before ticking to guarantee a paint reaches stderr.
 static void sleepPastRepaintWindow() {

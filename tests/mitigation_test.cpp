@@ -208,6 +208,51 @@ TEST(PolicySelection, PerSiteOverridesResolveByEta) {
   EXPECT_EQ(Sel.PerSite.size(), 1u);
 }
 
+TEST(SiteOverride, ParsesEtaEqualsSpec) {
+  std::string Err = "stale";
+  std::optional<SiteOverride> S = parseSiteOverride("0=linear", Err);
+  ASSERT_TRUE(S);
+  EXPECT_EQ(S->Eta, 0u);
+  EXPECT_EQ(S->Policy.get(), &linearPolicy());
+  EXPECT_TRUE(Err.empty());
+  S = parseSiteOverride("4294967295=bucketed:q=2", Err);
+  ASSERT_TRUE(S);
+  EXPECT_EQ(S->Eta, 4294967295u);
+  EXPECT_EQ(S->Policy->spec(), "bucketed:q=2");
+}
+
+TEST(SiteOverride, RejectsMalformedItems) {
+  // Not ETA=SPEC at all: no diagnostic of the policy's.
+  for (const char *Item : {"=linear", "-1=linear", "x=linear", "linear",
+                           "4294967296=linear", " 0=linear"}) {
+    std::string Err = "stale";
+    EXPECT_FALSE(parseSiteOverride(Item, Err)) << Item;
+    EXPECT_TRUE(Err.empty()) << Item;
+  }
+  // A well-formed η with a spec that is no policy: the policy's message.
+  std::string Err;
+  EXPECT_FALSE(parseSiteOverride("0=", Err));
+  EXPECT_NE(Err.find("unknown mitigation policy ''"), std::string::npos);
+  EXPECT_FALSE(parseSiteOverride("0=nosuch", Err));
+  EXPECT_NE(Err.find("unknown mitigation policy 'nosuch'"), std::string::npos);
+  EXPECT_FALSE(parseSiteOverride("1=seeded:est=0", Err));
+  EXPECT_NE(Err.find("seeded wants est="), std::string::npos);
+}
+
+TEST(SiteOverride, FormatIsWhatTheParserReads) {
+  PolicySelection Sel;
+  EXPECT_EQ(formatSiteOverrides(Sel), "");
+  std::vector<MitigationPolicyPtr> Owned;
+  std::string Err;
+  for (const char *Item : {"7=seeded:est=64", "0=linear"}) {
+    std::optional<SiteOverride> S = parseSiteOverride(Item, Err);
+    ASSERT_TRUE(S) << Item;
+    Sel.overrideSite(S->Eta, *S->Policy);
+    Owned.push_back(S->Policy);
+  }
+  EXPECT_EQ(formatSiteOverrides(Sel), "0=linear,7=seeded:est=64");
+}
+
 TEST(MitigationState, NoMispredictionLeavesMissUntouched) {
   MitigationState St(lh(), fastDoublingPolicy(), PenaltyPolicy::PerLevel);
   auto Out = St.settle(100, high(), 60);

@@ -21,12 +21,20 @@
 #                           2^64 - 1 prints all 20 digits in the per-line
 #                           table (its 16-byte buffer cut them to 15)
 #
-# `zamc` writing a trace to a full device reports the short write (exit
-# 1): the sinks buffer their output, so the write that fails may be the
-# last flush, at close(), or fclose's:
+# Every artifact written to a full device ends in the one short-write
+# diagnostic: the writes are buffered, so the one that fails may be the
+# last flush, at close(), or fclose's. `zamc` exits 1:
 #
-#   MODE=short_write_<jsonl|chrome|ztb>  `zamc profile scan.zam`
-#   MODE=short_write_attack              `zamc attack sweep.zam`
+#   MODE=short_write_<jsonl|chrome|ztb>  `zamc profile scan.zam --trace-out`
+#   MODE=short_write_attack              `zamc attack sweep.zam --trace-out`
+#   MODE=short_write_json                `zamc run sweep.zam --json`
+#   MODE=short_write_stats               `zamc run sweep.zam --stats=FILE`
+#   MODE=short_write_folded              `zamc hot sweep.zam --folded`
+#
+# and `zamtrace report` and a harness bench exit 2:
+#
+#   MODE=short_write_report_<json|csv>   `zamtrace report --json|--csv`
+#   MODE=short_write_bench_<json|trace>  `fig7_login_timing --json|--trace-out`
 #
 # `zamtrace diff BASE CAND` takes only a finite, non-negative budget (a
 # NaN one passed every comparison and turned the gate off; text read as 0,
@@ -38,7 +46,8 @@
 #
 # Usage: cmake -DZAMTRACE=<zamtrace> -DZAMC=<zamc> -DMODE=<mode>
 #              -DOUT=<scratch prefix> [-DPROGRAMS=<examples/programs>]
-#              [-DBASE=<trace> -DCAND=<trace>] -P trace_io_check.cmake
+#              [-DBASE=<trace> -DCAND=<trace>] [-DBENCH=<fig7_login_timing>]
+#              -P trace_io_check.cmake
 set(EXIT 2)
 set(ADV "{\"kind\":\"instant\",\"name\":\"sample#0\",\"cat\":\"adv\",\"ts\":0,")
 if(MODE STREQUAL "class_index_wrap")
@@ -88,6 +97,25 @@ elseif(MODE STREQUAL "short_write_attack")
               --trace-format jsonl)
   set(EXPECT "error: short write to '/dev/full'")
   set(EXIT 1)
+elseif(MODE MATCHES "^short_write_(json|stats|folded)$")
+  set(FLAGS_json run --json /dev/full)
+  set(FLAGS_stats run --stats=/dev/full)
+  set(FLAGS_folded hot --folded /dev/full)
+  list(GET FLAGS_${CMAKE_MATCH_1} 0 CMD)
+  list(SUBLIST FLAGS_${CMAKE_MATCH_1} 1 -1 FLAGS)
+  set(COMMAND ${ZAMC} ${CMD} ${PROGRAMS}/sweep.zam ${FLAGS})
+  set(EXPECT "error: short write to '/dev/full'")
+  set(EXIT 1)
+elseif(MODE MATCHES "^short_write_report_(json|csv)$")
+  set(TRACE "{\"kind\":\"span\",\"name\":\"mitigate#0\",\"cat\":\"mit\",\"ts\":0,\"dur\":5,\"args\":{\"consumed\":3}}\n")
+  set(REPORT_FLAGS --${CMAKE_MATCH_1} /dev/full)
+  set(EXPECT "error: short write to '/dev/full'")
+elseif(MODE STREQUAL "short_write_bench_json")
+  set(COMMAND ${BENCH} --json /dev/full)
+  set(EXPECT "error: short write to '/dev/full'")
+elseif(MODE STREQUAL "short_write_bench_trace")
+  set(COMMAND ${BENCH} --trace-out /dev/full --trace-format jsonl)
+  set(EXPECT "error: short write to '/dev/full'")
 elseif(MODE STREQUAL "long_line")
   # One mitigate window at line 2^64 - 1 and the ledger rows that account
   # for it. A JSON number that large reads as a double, so the loc args

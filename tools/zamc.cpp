@@ -102,6 +102,7 @@
 #include "analysis/Leakage.h"
 #include "analysis/PropertyCheckers.h"
 #include "analysis/RandomProgram.h"
+#include "exp/CommandLine.h"
 #include "exp/Harness.h"
 #include "exp/ParallelRunner.h"
 #include "ir/IrPrinter.h"
@@ -133,7 +134,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -155,7 +155,7 @@ using namespace zam;
 
 namespace {
 
-struct Options {
+struct Options : SharedFlags {
   std::string Command;
   std::string File;
   std::vector<std::string> Levels = {"L", "H"};
@@ -164,22 +164,13 @@ struct Options {
   std::string Adversary;
   std::vector<std::pair<std::string, int64_t>> Overrides;
   std::vector<std::pair<std::string, std::vector<int64_t>>> Variations;
-  unsigned Threads = 0; ///< 0: resolve from ZAM_THREADS / hardware.
-  std::string JsonPath;
   bool Stats = false;
-  std::string StatsPath;    ///< Empty: render --stats to stdout.
-  std::string TraceOutPath; ///< Empty: no trace export.
-  TraceFormat TraceFmt = TraceFormat::Jsonl;
-  bool TraceFmtSet = false; ///< --trace-format given (beats inference).
-  bool Progress = false;    ///< Stderr-only progress meter (attack).
+  std::string StatsPath;      ///< Empty: render --stats to stdout.
   uint64_t SnapshotEvery = 0; ///< Snapshot meta-row period; 0 = off.
   bool NoColor = false;  ///< Force plain output regardless of the tty.
   bool Recommend = false; ///< `profile`: emit per-site policy suggestions.
   unsigned TopK = 10;     ///< `hot`: ranking depth for pcs and digrams.
   std::string FoldedPath; ///< `hot`: collapsed-stack output (empty: none).
-  uint64_t Seed = 0;      ///< --seed: base Rng seed for sampled commands.
-  bool SeedSet = false;   ///< Whether --seed was given explicitly.
-  unsigned Samples = 256; ///< `attack`: total sampled executions.
   std::vector<std::string> ClassSpecs; ///< `attack`: raw --class specs.
   /// The run's mitigation-policy selection (--mitigation/--mitigate-site).
   /// Parsed policies are owned here; Mitigation borrows them, so this
@@ -243,22 +234,9 @@ std::optional<Label> adversaryLabel(const Options &Opts,
   return L;
 }
 
-/// Writes \p Doc to \p Path when requested; true on success (or no-op).
+/// Writes \p Doc to --json when requested; true on success (or no-op).
 bool writeJsonIfRequested(const Options &Opts, const JsonValue &Doc) {
-  if (Opts.JsonPath.empty())
-    return true;
-  std::FILE *F = std::fopen(Opts.JsonPath.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Opts.JsonPath.c_str());
-    return false;
-  }
-  std::string Text = Doc.dump();
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fclose(F) == 0;
-  if (!Ok)
-    std::fprintf(stderr, "error: short write to '%s'\n",
-                 Opts.JsonPath.c_str());
-  return Ok;
+  return Opts.JsonPath.empty() || writeFile(Opts.JsonPath, Doc.dump());
 }
 
 std::vector<std::string> splitCommas(const std::string &S) {
@@ -279,6 +257,12 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     std::string Arg = Argv[I];
     // Any early return below blames the argument under inspection.
     Opts.BadArg = Arg;
+    if (FlagParse F = parseSharedFlag(Argc, Argv, I, Opts);
+        F != FlagParse::NotShared) {
+      if (F == FlagParse::Malformed)
+        return false;
+      continue;
+    }
     auto Next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
@@ -374,19 +358,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Adversary = V;
     } else if (Arg == "--no-equal-labels") {
       Opts.EqualLabels = false;
-    } else if (Arg == "--threads") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      unsigned N = 0;
-      if (!parseInteger(V, N) || N > 1024)
-        return false;
-      Opts.Threads = N;
-    } else if (Arg == "--json") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.JsonPath = V;
     } else if (Arg == "--stats" || Arg.rfind("--stats=", 0) == 0) {
       Opts.Stats = true;
       if (Arg.size() > std::strlen("--stats")) {
@@ -394,11 +365,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         if (Opts.StatsPath.empty())
           return false;
       }
-    } else if (Arg == "--trace-out") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.TraceOutPath = V;
     } else if (Arg == "--no-color") {
       Opts.NoColor = true;
     } else if (Arg == "--recommend") {
@@ -434,51 +400,20 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       const char *V = Next();
       if (!V)
         return false;
-      std::string Assign = V;
-      size_t Eq = Assign.find('=');
-      if (Eq == std::string::npos || Eq == 0)
-        return false;
-      unsigned Eta = 0;
-      if (!parseInteger(std::string_view(Assign).substr(0, Eq), Eta))
-        return false;
       std::string Err;
-      MitigationPolicyPtr P = parseMitigationPolicy(Assign.substr(Eq + 1),
-                                                    &Err);
-      if (!P) {
-        std::fprintf(stderr, "error: %s\n", Err.c_str());
+      std::optional<SiteOverride> Site = parseSiteOverride(V, Err);
+      if (!Site) {
+        if (!Err.empty())
+          std::fprintf(stderr, "error: %s\n", Err.c_str());
         return false;
       }
-      Opts.Mitigation.overrideSite(Eta, *P);
-      Opts.OwnedPolicies.push_back(std::move(P));
-    } else if (Arg == "--seed") {
-      const char *V = Next();
-      if (!V || !parseInteger(V, Opts.Seed))
-        return false;
-      Opts.SeedSet = true;
-    } else if (Arg == "--samples") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      unsigned N = 0;
-      if (!parseInteger(V, N) || N == 0 || N > 10000000)
-        return false;
-      Opts.Samples = N;
+      Opts.Mitigation.overrideSite(Site->Eta, *Site->Policy);
+      Opts.OwnedPolicies.push_back(std::move(Site->Policy));
     } else if (Arg == "--class") {
       const char *V = Next();
       if (!V || !*V)
         return false;
       Opts.ClassSpecs.emplace_back(V);
-    } else if (Arg == "--trace-format") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      std::optional<TraceFormat> F = parseTraceFormat(V);
-      if (!F)
-        return false;
-      Opts.TraceFmt = *F;
-      Opts.TraceFmtSet = true;
-    } else if (Arg == "--progress") {
-      Opts.Progress = true;
     } else if (Arg == "--snapshot-every") {
       const char *V = Next();
       if (!V || !*V)
@@ -498,25 +433,6 @@ bool wantsTelemetry(const Options &Opts) {
   return Opts.Stats || !Opts.TraceOutPath.empty();
 }
 
-/// Resolves the export format for --trace-out: an explicit --trace-format
-/// wins; otherwise the path's extension decides (.jsonl → jsonl, .json →
-/// chrome, .ztb → binary). Any other extension is an error — a silent
-/// default would write bytes the reader then misclassifies.
-bool resolveTraceFormat(Options &Opts) {
-  if (Opts.TraceOutPath.empty() || Opts.TraceFmtSet)
-    return true;
-  std::optional<TraceFormat> F = inferTraceFormat(Opts.TraceOutPath);
-  if (!F) {
-    std::fprintf(stderr,
-                 "error: cannot infer a trace format from '%s' (expected a "
-                 ".jsonl, .json or .ztb extension); pass --trace-format\n",
-                 Opts.TraceOutPath.c_str());
-    return false;
-  }
-  Opts.TraceFmt = *F;
-  return true;
-}
-
 
 /// Emits what --stats asked for: rendered counter/phase tables on stdout,
 /// or a {"metrics": ..., "phases": ...} JSON file.
@@ -533,15 +449,7 @@ bool emitStatsIfRequested(const Options &Opts, const MetricsRegistry &Reg) {
       provenanceJson(resolveThreadCount(Opts.Threads), Opts.Mitigation);
   Doc["metrics"] = Reg.toJson();
   Doc["phases"] = Phases.toJson();
-  std::FILE *F = std::fopen(Opts.StatsPath.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Opts.StatsPath.c_str());
-    return false;
-  }
-  std::string Text = Doc.dump();
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fclose(F) == 0;
-  return Ok;
+  return writeFile(Opts.StatsPath, Doc.dump());
 }
 
 /// Exports \p T to --trace-out in the selected format, projected to
@@ -560,30 +468,11 @@ bool emitTraceIfRequested(const Options &Opts, const Trace &T,
   EOpts.Ledger = Ledger;
   EOpts.Mitigation = Opts.Mitigation;
   EOpts.SnapshotEveryWindows = Opts.SnapshotEvery;
-  // Stream to disk: records leave the process in 64 KiB chunks as they
-  // serialize, so exporting a million-window trace holds one chunk plus a
-  // few 16-byte keys per mitigate window in memory.
-  std::FILE *F = std::fopen(Opts.TraceOutPath.c_str(), "wb");
-  if (!F) {
-    std::fprintf(stderr, "error: cannot write '%s'\n",
-                 Opts.TraceOutPath.c_str());
-    return false;
-  }
-  FileByteSink Bytes(F);
-  std::unique_ptr<TraceSink> Sink = makeTraceSink(Opts.TraceFmt, Bytes);
-  Sink->header(
-      provenanceArgs(resolveThreadCount(Opts.Threads), Opts.Mitigation));
-  size_t Emitted = exportTrace(*Sink, T, Lat, EOpts);
-  Sink->close();
-  bool Ok = Sink->ok();
-  Ok &= std::fclose(F) == 0;
-  if (Ok)
-    std::fprintf(stderr, "wrote %zu trace records to %s\n", Emitted,
-                 Opts.TraceOutPath.c_str());
-  else
-    std::fprintf(stderr, "error: short write to '%s'\n",
-                 Opts.TraceOutPath.c_str());
-  return Ok;
+  // A million-window trace holds one 64 KiB chunk plus a few 16-byte keys
+  // per mitigate window in memory.
+  return writeTraceFile(Opts, Opts.Mitigation, {}, [&](TraceSink &Sink) {
+    return exportTrace(Sink, T, Lat, EOpts);
+  });
 }
 
 /// Reports a run that a safety net stopped before it finished, naming the
@@ -611,16 +500,6 @@ bool reportLimitStop(const Trace &T) {
 
 std::unique_ptr<SecurityLattice> makeLattice(const Options &Opts) {
   return std::make_unique<TotalOrderLattice>(Opts.Levels);
-}
-
-bool loadFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  Out = Buf.str();
-  return true;
 }
 
 int checkProgram(Program &P, const Options &Opts, bool Verbose) {
@@ -952,7 +831,7 @@ int cmdProfile(Program &P, const Options &Opts, const std::string &Source) {
   if (Opts.Recommend)
     emitRecommendations(R.T, Opts.Mitigation, Doc);
 
-  if (Opts.Stats || !Opts.TraceOutPath.empty()) {
+  if (wantsTelemetry(Opts)) {
     std::string ProfErr;
     if (!Prof.selfCheck(ProfErr)) {
       std::fprintf(stderr, "error: %s\n", ProfErr.c_str());
@@ -1131,20 +1010,8 @@ int cmdHot(Program &P, const Options &Opts) {
     size_t Slash = Root.find_last_of("/\\");
     if (Slash != std::string::npos)
       Root = Root.substr(Slash + 1);
-    std::FILE *F = std::fopen(Opts.FoldedPath.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
-                   Opts.FoldedPath.c_str());
+    if (!writeFile(Opts.FoldedPath, Prof.foldedStacks(Root)))
       return 1;
-    }
-    const std::string Text = Prof.foldedStacks(Root);
-    bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-    Ok &= std::fclose(F) == 0;
-    if (!Ok) {
-      std::fprintf(stderr, "error: short write to '%s'\n",
-                   Opts.FoldedPath.c_str());
-      return 1;
-    }
     std::fprintf(stderr, "wrote folded stacks to %s\n",
                  Opts.FoldedPath.c_str());
   }
@@ -1222,6 +1089,39 @@ int cmdHot(Program &P, const Options &Opts) {
   return writeJsonIfRequested(Opts, Doc) ? 0 : 1;
 }
 
+/// --stats and --trace-out of a command whose result is no single run
+/// (leakage, audit): the counters and timeline of one run of \p P on a
+/// fresh environment, its memory prepared by \p Prepare. \returns false
+/// after a diagnostic.
+bool emitRepresentativeRun(const Program &P, const Options &Opts,
+                           const std::function<void(Memory &)> &Prepare) {
+  if (!wantsTelemetry(Opts))
+    return true;
+  const SecurityLattice &Lat = P.lattice();
+  auto Env = createMachineEnv(Opts.Hw, Lat);
+  bool AdvErr = false;
+  LeakAudit Audit(Lat, adversaryLabel(Opts, Lat, AdvErr), Opts.Mitigation);
+  if (AdvErr)
+    return false;
+  InterpreterOptions IOpts;
+  IOpts.Mitigation = Opts.Mitigation;
+  IOpts.RecordMisses = !Opts.TraceOutPath.empty();
+  IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &R) {
+    Audit.onWindow(R);
+  };
+  RunResult Rep = [&] {
+    auto Scope = Phases.scope("run");
+    return runFull(P, *Env, Prepare, IOpts);
+  }();
+  if (reportLimitStop(Rep.T))
+    return false;
+  MetricsRegistry Reg;
+  collectRunMetrics(Reg, Rep.T, Rep.Hw, Lat);
+  Audit.exportMetrics(Reg);
+  return emitTraceIfRequested(Opts, Rep.T, Lat) &&
+         emitStatsIfRequested(Opts, Reg);
+}
+
 int cmdLeakage(Program &P, const Options &Opts) {
   const SecurityLattice &Lat = P.lattice();
   if (Opts.Variations.empty()) {
@@ -1277,38 +1177,12 @@ int cmdLeakage(Program &P, const Options &Opts) {
   if (reportLimitStop(R.HitEventLimit, R.HitStepLimit))
     return 1;
 
-  if (wantsTelemetry(Opts)) {
-    // Counters and timeline of one representative run: the first secret
-    // variation on a fresh environment.
-    auto StatsEnv = createMachineEnv(Opts.Hw, Lat);
-    bool AdvErr = false;
-    LeakAudit Audit(Lat, adversaryLabel(Opts, Lat, AdvErr),
-                    Opts.Mitigation);
-    InterpreterOptions IOpts;
-    IOpts.Mitigation = Opts.Mitigation;
-    IOpts.RecordMisses = !Opts.TraceOutPath.empty();
-    IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &MR) {
-      Audit.onWindow(MR);
-    };
-    RunResult Rep = [&] {
-      auto Scope = Phases.scope("run");
-      return runFull(
-          P, *StatsEnv,
-          [&](Memory &M) {
-            for (const auto &[Var, Value] : Spec.Variations.front().Scalars)
-              M.store(Var, Value);
-          },
-          IOpts);
-    }();
-    if (reportLimitStop(Rep.T))
-      return 1;
-    MetricsRegistry Reg;
-    collectRunMetrics(Reg, Rep.T, Rep.Hw, Lat);
-    Audit.exportMetrics(Reg);
-    if (!emitTraceIfRequested(Opts, Rep.T, Lat) ||
-        !emitStatsIfRequested(Opts, Reg))
-      return 1;
-  }
+  // The run of record is the first secret variation.
+  if (!emitRepresentativeRun(P, Opts, [&](Memory &M) {
+        for (const auto &[Var, Value] : Spec.Variations.front().Scalars)
+          M.store(Var, Value);
+      }))
+    return 1;
 
   std::printf("adversary at %s; %zu secret variations from levels %s\n",
               Lat.name(Adversary).c_str(), Spec.Variations.size(),
@@ -1350,32 +1224,10 @@ int cmdAudit(Program &P, const Options &Opts) {
   const SecurityLattice &Lat = P.lattice();
   auto Env = createMachineEnv(Opts.Hw, Lat);
 
-  if (wantsTelemetry(Opts)) {
-    // The audit itself runs random single commands, not the program; the
-    // telemetry of record is one plain run of the program body.
-    auto StatsEnv = createMachineEnv(Opts.Hw, Lat);
-    bool AdvErr = false;
-    LeakAudit Audit(Lat, adversaryLabel(Opts, Lat, AdvErr),
-                    Opts.Mitigation);
-    InterpreterOptions IOpts;
-    IOpts.Mitigation = Opts.Mitigation;
-    IOpts.RecordMisses = !Opts.TraceOutPath.empty();
-    IOpts.OnMitigateWindow = [&Audit](const MitigateRecord &MR) {
-      Audit.onWindow(MR);
-    };
-    RunResult Rep = [&] {
-      auto Scope = Phases.scope("run");
-      return runFull(P, *StatsEnv, IOpts);
-    }();
-    if (reportLimitStop(Rep.T))
-      return 1;
-    MetricsRegistry Reg;
-    collectRunMetrics(Reg, Rep.T, Rep.Hw, Lat);
-    Audit.exportMetrics(Reg);
-    if (!emitTraceIfRequested(Opts, Rep.T, Lat) ||
-        !emitStatsIfRequested(Opts, Reg))
-      return 1;
-  }
+  // The audit itself runs random single commands, not the program; the
+  // run of record is one plain run of the program body.
+  if (!emitRepresentativeRun(P, Opts, nullptr))
+    return 1;
 
   RandomProgramOptions O;
   O.MaxDepth = 2;
@@ -1393,7 +1245,8 @@ int cmdAudit(Program &P, const Options &Opts) {
   std::vector<TrialResult> Results = Runner.map(Trials, [&](size_t I) {
     // --seed folds in at zero cost: the default of 0 reproduces the
     // historical trial streams byte-for-byte.
-    Rng R(0xA0D17 ^ Opts.Seed ^ (0x9E3779B97F4A7C15ULL * (I + 1)));
+    Rng R(0xA0D17 ^ Opts.Seed.value_or(0) ^
+          (0x9E3779B97F4A7C15ULL * (I + 1)));
     TrialResult Out;
     CmdPtr C = randomCommand(P, R, O);
     Memory M = Memory::fromProgram(P, CostModel().DataBase);
@@ -1529,11 +1382,13 @@ int cmdAttack(Program &P, const Options &Opts) {
     Names.push_back(Spec.Name);
     Classes.push_back(std::move(Spec));
   }
-  if (Opts.Samples < 2 * Classes.size()) {
+  AttackOptions AOpts;
+  AOpts.Samples = Opts.Samples.value_or(AOpts.Samples);
+  if (AOpts.Samples < 2 * Classes.size()) {
     std::fprintf(stderr,
                  "error: --samples %u is too few for %zu classes "
                  "(need at least two per class)\n",
-                 Opts.Samples, Classes.size());
+                 AOpts.Samples, Classes.size());
     return 2;
   }
   bool AdvErr = false;
@@ -1542,10 +1397,7 @@ int cmdAttack(Program &P, const Options &Opts) {
     return 1;
 
   auto Env = createMachineEnv(Opts.Hw, Lat);
-  AttackOptions AOpts;
-  AOpts.Samples = Opts.Samples;
-  if (Opts.SeedSet)
-    AOpts.Seed = Opts.Seed;
+  AOpts.Seed = Opts.Seed.value_or(AOpts.Seed);
   AOpts.Adversary = Adv;
   InterpreterOptions IOpts;
   IOpts.Mitigation = Opts.Mitigation;
@@ -1560,37 +1412,11 @@ int cmdAttack(Program &P, const Options &Opts) {
   Compact.reserve(AOpts.Samples);
   LogLinearHistogram EndToEndDist, WindowDist;
 
-  std::FILE *TraceFile = nullptr;
-  std::unique_ptr<FileByteSink> TraceBytes;
-  std::unique_ptr<TraceSink> Sink;
-  size_t Emitted = 0;
-  if (!Opts.TraceOutPath.empty()) {
-    TraceFile = std::fopen(Opts.TraceOutPath.c_str(), "wb");
-    if (!TraceFile) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
-                   Opts.TraceOutPath.c_str());
-      return 1;
-    }
-    TraceBytes = std::make_unique<FileByteSink>(TraceFile);
-    Sink = makeTraceSink(Opts.TraceFmt, *TraceBytes);
-    auto Meta =
-        provenanceArgs(resolveThreadCount(Opts.Threads), Opts.Mitigation);
-    Meta.emplace_back("attack_samples", std::to_string(AOpts.Samples));
-    Meta.emplace_back("attack_seed", std::to_string(AOpts.Seed));
-    std::string Joined;
-    for (const std::string &N : Names) {
-      if (!Joined.empty())
-        Joined += ',';
-      Joined += N;
-    }
-    Meta.emplace_back("attack_classes", Joined);
-    if (Adv)
-      Meta.emplace_back("adversary", Lat.name(*Adv));
-    Sink->header(Meta);
-  }
-
   ProgressMeter Progress("attack", AOpts.Samples, Opts.Progress);
-  {
+  // Streams every observation; with a trace sink, exports each one too.
+  // \returns the trace records written.
+  auto Collect = [&](TraceSink *Sink) {
+    size_t Emitted = 0;
     auto Scope = Phases.scope("run");
     streamObservations(
         P, *Env, Classes, AOpts, IOpts, Runner,
@@ -1619,18 +1445,25 @@ int cmdAttack(Program &P, const Options &Opts) {
           }
           Progress.update(I + 1);
         });
-  }
-  if (Sink) {
-    Sink->close();
-    bool Ok = Sink->ok();
-    Ok &= std::fclose(TraceFile) == 0;
-    if (!Ok) {
-      std::fprintf(stderr, "error: short write to '%s'\n",
-                   Opts.TraceOutPath.c_str());
-      return 1;
+    return Emitted;
+  };
+  if (Opts.TraceOutPath.empty()) {
+    Collect(nullptr);
+  } else {
+    std::string Joined;
+    for (const std::string &N : Names) {
+      if (!Joined.empty())
+        Joined += ',';
+      Joined += N;
     }
-    std::fprintf(stderr, "wrote %zu trace records to %s\n", Emitted,
-                 Opts.TraceOutPath.c_str());
+    TraceHeader Meta = {{"attack_samples", std::to_string(AOpts.Samples)},
+                        {"attack_seed", std::to_string(AOpts.Seed)},
+                        {"attack_classes", Joined}};
+    if (Adv)
+      Meta.emplace_back("adversary", Lat.name(*Adv));
+    if (!writeTraceFile(Opts, Opts.Mitigation, Meta,
+                        [&](TraceSink &Sink) { return Collect(&Sink); }))
+      return 1;
   }
   DetectorResult D = detectLeak(Compact, Names);
 
@@ -1754,20 +1587,18 @@ int main(int Argc, char **Argv) {
   if (!resolveTraceFormat(Opts))
     return 2;
 
-  std::string Source;
-  {
+  const std::optional<std::string> Source = [&] {
     auto Scope = Phases.scope("load");
-    if (!loadFile(Opts.File, Source)) {
-      std::fprintf(stderr, "error: cannot read '%s'\n", Opts.File.c_str());
-      return 2;
-    }
-  }
+    return readFile(Opts.File);
+  }();
+  if (!Source)
+    return 2;
 
   std::unique_ptr<SecurityLattice> Lat = makeLattice(Opts);
   DiagnosticEngine Diags;
   std::optional<Program> P = [&] {
     auto Scope = Phases.scope("parse");
-    return parseProgram(Source, *Lat, Diags);
+    return parseProgram(*Source, *Lat, Diags);
   }();
   if (!P) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
@@ -1811,7 +1642,7 @@ int main(int Argc, char **Argv) {
     if (Opts.Command == "trace")
       return cmdRun(*P, Opts, /*Timeline=*/true);
     if (Opts.Command == "profile")
-      return cmdProfile(*P, Opts, Source);
+      return cmdProfile(*P, Opts, *Source);
     if (Opts.Command == "hot")
       return cmdHot(*P, Opts);
     if (Opts.Command == "leakage")

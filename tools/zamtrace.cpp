@@ -67,6 +67,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "adv/LeakDetector.h"
+#include "exp/CommandLine.h"
 #include "obs/Histogram.h"
 #include "obs/Json.h"
 #include "obs/LeakAudit.h"
@@ -85,7 +86,6 @@
 #include <map>
 #include <new>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -105,16 +105,6 @@ struct StatsDoc {
   JsonValue Meta;
   JsonValue Metrics;
 };
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Out = Buf.str();
-  return true;
-}
 
 uint64_t numField(const JsonValue &Obj, const char *Key) {
   const JsonValue *V = Obj.find(Key);
@@ -229,12 +219,10 @@ std::optional<InputKind> classifyInput(const std::string &Path) {
 
 /// Loads a stats/report document (a JSON object with a `metrics` member).
 std::optional<StatsDoc> loadStats(const std::string &Path) {
-  std::string Text;
-  if (!readFile(Path, Text)) {
-    std::fprintf(stderr, "error: cannot read '%s'\n", Path.c_str());
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text)
     return std::nullopt;
-  }
-  std::optional<JsonValue> Whole = JsonValue::parse(Text);
+  std::optional<JsonValue> Whole = JsonValue::parse(*Text);
   if (!Whole || Whole->kind() != JsonValue::Kind::Object ||
       !Whole->find("metrics")) {
     std::fprintf(stderr, "error: '%s' has no metrics object\n",
@@ -348,23 +336,20 @@ struct PolicyResolver {
           Sites.substr(Pos, Comma == std::string::npos ? std::string::npos
                                                        : Comma - Pos);
       Pos = Comma == std::string::npos ? Sites.size() : Comma + 1;
-      const size_t Eq = Item.find('=');
-      unsigned Eta = 0;
-      if (Eq == std::string::npos ||
-          !parseInteger(std::string_view(Item).substr(0, Eq), Eta)) {
-        std::fprintf(stderr,
-                     "error: trace meta 'mitigation_sites' entry '%s' is "
-                     "not ETA=SPEC\n",
-                     Item.c_str());
+      std::optional<SiteOverride> Site = parseSiteOverride(Item, Err);
+      if (!Site) {
+        if (Err.empty())
+          std::fprintf(stderr,
+                       "error: trace meta 'mitigation_sites' entry '%s' is "
+                       "not ETA=SPEC\n",
+                       Item.c_str());
+        else
+          std::fprintf(stderr, "error: trace meta 'mitigation_sites': %s\n",
+                       Err.c_str());
         return false;
       }
-      const MitigationPolicy *P = intern(Item.substr(Eq + 1), &Err);
-      if (!P) {
-        std::fprintf(stderr, "error: trace meta 'mitigation_sites': %s\n",
-                     Err.c_str());
-        return false;
-      }
-      Sel.overrideSite(Eta, *P);
+      Sel.overrideSite(Site->Eta, *Site->Policy);
+      Owned.push_back(std::move(Site->Policy));
     }
     return true;
   }
@@ -382,17 +367,8 @@ struct PolicyResolver {
   /// One-line description for reports and the diff gate.
   std::string description() const {
     std::string Out = Sel.base().spec();
-    if (!Sel.PerSite.empty()) {
-      Out += " [";
-      bool First = true;
-      for (const auto &[Eta, P] : Sel.PerSite) {
-        if (!First)
-          Out += ",";
-        First = false;
-        Out += std::to_string(Eta) + "=" + P->spec();
-      }
-      Out += "]";
-    }
+    if (!Sel.PerSite.empty())
+      Out += " [" + formatSiteOverrides(Sel) + "]";
     return Out;
   }
 };
@@ -721,12 +697,10 @@ bool checkProfAgainstRebuild(const Analysis &A) {
 /// Compares the embedded prof rows against a `zamc profile --json`
 /// document's "ledger" object. Exact equality on every shared field.
 bool checkLedgerDocument(const Analysis &A, const std::string &Path) {
-  std::string Text;
-  if (!readFile(Path, Text)) {
-    std::fprintf(stderr, "error: cannot read '%s'\n", Path.c_str());
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text)
     return false;
-  }
-  std::optional<JsonValue> Doc = JsonValue::parse(Text);
+  std::optional<JsonValue> Doc = JsonValue::parse(*Text);
   const JsonValue *Ledger =
       Doc && Doc->kind() == JsonValue::Kind::Object ? Doc->find("ledger")
                                                     : nullptr;
@@ -1142,18 +1116,10 @@ bool writeCsv(const Analysis &A, const std::string &Path) {
     for (const auto &[Dur, Count] : A.DurationHistogram)
       Text += std::to_string(Dur) + "," + std::to_string(Count) + "\n";
   }
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
+  if (!writeFile(Path, Text))
     return false;
-  }
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fclose(F) == 0;
-  if (Ok)
-    std::fprintf(stderr, "wrote timing-histogram CSV to %s\n", Path.c_str());
-  else
-    std::fprintf(stderr, "error: short write to '%s'\n", Path.c_str());
-  return Ok;
+  std::fprintf(stderr, "wrote timing-histogram CSV to %s\n", Path.c_str());
+  return true;
 }
 
 JsonValue analysisJson(const Analysis &A) {
@@ -1415,20 +1381,6 @@ int usage() {
   return 2;
 }
 
-bool writeJsonFile(const JsonValue &Doc, const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-    return false;
-  }
-  std::string Text = Doc.dump();
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  Ok &= std::fclose(F) == 0;
-  if (!Ok)
-    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
-  return Ok;
-}
-
 int cmdReport(int Argc, char **Argv) {
   std::string TracePath, StatsPath, JsonPath, LedgerPath, CsvPath;
   bool ByLine = false;
@@ -1511,7 +1463,7 @@ int cmdReport(int Argc, char **Argv) {
         Doc["meta"] = A.Meta;
       Doc["adv"] = advJson(A, D);
       Doc["crosscheck"] = JsonValue(CrossCheck);
-      if (!writeJsonFile(Doc, JsonPath))
+      if (!writeFile(JsonPath, Doc.dump()))
         return 2;
     }
     return 0;
@@ -1575,7 +1527,7 @@ int cmdReport(int Argc, char **Argv) {
   if (!JsonPath.empty()) {
     JsonValue Doc = analysisJson(A);
     Doc["crosscheck"] = JsonValue(CrossCheck);
-    if (!writeJsonFile(Doc, JsonPath))
+    if (!writeFile(JsonPath, Doc.dump()))
       return 2;
   }
   return 0;
@@ -1713,7 +1665,7 @@ int cmdDiff(int Argc, char **Argv) {
       Viol.push(JsonValue(V));
     Doc["violations"] = std::move(Viol);
     Doc["verdict"] = JsonValue(Violations.empty() ? "ok" : "regression");
-    if (!writeJsonFile(Doc, JsonPath))
+    if (!writeFile(JsonPath, Doc.dump()))
       return 2;
   }
 
