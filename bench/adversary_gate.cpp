@@ -132,7 +132,10 @@ int64_t maxRsaBodyTime(const SecurityLattice &Lat, const RsaKey &Key,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  HarnessOptions Harness = parseHarnessArgs(Argc, Argv);
+  HarnessOptions Harness = parseHarnessArgs(
+      Argc, Argv,
+      TakesThreads | TakesJson | TakesTrace | TakesSeed | TakesSamples |
+          TakesProgress);
   if (!Harness.Ok)
     return 2;
   ParallelRunner Runner(Harness.Threads);

@@ -64,7 +64,8 @@ std::vector<uint64_t> runSeries(const SecurityLattice &Lat, const RsaKey &Key,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  HarnessOptions Harness = parseHarnessArgs(Argc, Argv);
+  HarnessOptions Harness =
+      parseHarnessArgs(Argc, Argv, TakesThreads | TakesJson | TakesTrace);
   if (!Harness.Ok)
     return 2;
   ParallelRunner Runner(Harness.Threads);

@@ -58,7 +58,8 @@ std::vector<uint64_t> rsaTime(const SecurityLattice &Lat, const RsaKey &Key,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  HarnessOptions Harness = parseHarnessArgs(Argc, Argv);
+  HarnessOptions Harness =
+      parseHarnessArgs(Argc, Argv, TakesThreads | TakesJson);
   if (!Harness.Ok)
     return 2;
   ParallelRunner Runner(Harness.Threads);

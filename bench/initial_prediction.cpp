@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/LoginApp.h"
+#include "exp/Harness.h"
 #include "hw/HardwareModels.h"
 
 #include <cinttypes>
@@ -29,7 +30,9 @@ struct Row {
 };
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
+  if (!parseHarnessArgs(Argc, Argv, /*Takes=*/0).Ok)
+    return 2;
   TwoPointLattice Lat;
   Rng R(31415);
   LoginTable Table = makeLoginTable(TableSize, NumValid, R);

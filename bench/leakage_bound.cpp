@@ -63,7 +63,8 @@ LeakageResult measure(const Program &P, const SecurityLattice &Lat,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  HarnessOptions Harness = parseHarnessArgs(Argc, Argv);
+  HarnessOptions Harness =
+      parseHarnessArgs(Argc, Argv, TakesThreads | TakesJson);
   if (!Harness.Ok)
     return 2;
 

@@ -258,7 +258,8 @@ void addFrontierSeries(Report &R, const std::string &Prefix,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  HarnessOptions Harness = parseHarnessArgs(Argc, Argv);
+  HarnessOptions Harness =
+      parseHarnessArgs(Argc, Argv, TakesThreads | TakesJson | TakesProgress);
   if (!Harness.Ok)
     return 2;
   ParallelRunner Runner(Harness.Threads);

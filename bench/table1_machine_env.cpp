@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "exp/Harness.h"
 #include "hw/HardwareModels.h"
 
 #include <cinttypes>
@@ -32,7 +33,9 @@ std::pair<uint64_t, uint64_t> probeData(MachineEnv &Env, Addr A) {
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
+  if (!parseHarnessArgs(Argc, Argv, /*Takes=*/0).Ok)
+    return 2;
   MachineEnvConfig C;
   std::printf("=== Table 1: machine environment parameters ===\n");
   std::printf("(paper: name | # of sets | issue | block size | latency)\n\n");

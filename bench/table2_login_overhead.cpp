@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/LoginApp.h"
+#include "exp/Harness.h"
 #include "hw/HardwareModels.h"
 
 #include <cinttypes>
@@ -90,7 +91,9 @@ Averages measure(const SecurityLattice &Lat, const LoginTable &Table,
 
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
+  if (!parseHarnessArgs(Argc, Argv, /*Takes=*/0).Ok)
+    return 2;
   TwoPointLattice Lat;
   Rng R(424242);
   LoginTable Table = makeLoginTable(TableSize, NumValid, R);

@@ -2,6 +2,7 @@
 
 #include "analysis/RandomProgram.h"
 
+#include "lang/StaticLabels.h"
 #include "sem/Memory.h"
 #include "support/Casting.h"
 #include "types/LabelInference.h"
@@ -27,9 +28,14 @@ struct Gen {
   Rng &R;
   const RandomProgramOptions &O;
   /// When false, commands are emitted without timing labels (inference
-  /// fills them) and flows are steered toward well-typedness.
+  /// fills them, er = ew = pc) and every command is generated well-typed:
+  /// it is chosen and shaped under the pc and timing label (τ) that the
+  /// checker's rules give the point it is generated at.
   bool Arbitrary;
   unsigned LoopDepth = 0;
+  /// The pc and τ of the next command (well-typed mode only).
+  Label Pc = P.lattice().bottom();
+  Label Tau = P.lattice().bottom();
   /// The stream of leaf() array reads, derived from R without advancing it.
   Rng Leaves{Rng(R).next()};
 
@@ -74,11 +80,27 @@ struct Gen {
     return std::make_unique<IntLitExpr>(R.nextInRange(0, 16));
   }
 
+  /// Inside a loop, always when \p Force and else in three draws of four,
+  /// an index that scans: an enclosing loop's counter times a stride of 1
+  /// to 5 words, so that successive iterations walk an array across its
+  /// lines. Null otherwise. Counters are ⊥, so the index flows to any
+  /// array. Draws from Leaves only.
+  ExprPtr scanIndex(bool Force = false) {
+    if (LoopDepth == 0 || (!Force && !Leaves.chance(75)))
+      return nullptr;
+    return std::make_unique<BinOpExpr>(
+        BinOpKind::Mul,
+        std::make_unique<VarExpr>(
+            indexedName("c", static_cast<unsigned>(
+                                 Leaves.nextBelow(LoopDepth)))),
+        std::make_unique<IntLitExpr>(Leaves.nextInRange(1, 5)));
+  }
+
   /// A leaf reading only variables with labels ⊑ Bound: a scalar or a
-  /// literal, which in 15% of leaves becomes the index of an array read,
-  /// so that expressions of every depth reach array lines. The array reads
-  /// draw from their own stream (Leaves), so a seed's programs keep the
-  /// shape they had without them.
+  /// literal, which in 15% of leaves (40% inside a loop) becomes the index
+  /// of an array read, so that expressions of every depth reach array
+  /// lines; inside a loop that index may scan instead (scanIndex). The
+  /// array reads draw from their own stream (Leaves).
   ExprPtr leaf(Label Bound) {
     std::vector<std::string> Scalars = scalarsBelow(Bound);
     ExprPtr Index;
@@ -86,19 +108,21 @@ struct Gen {
       Index = std::make_unique<VarExpr>(Scalars[R.nextBelow(Scalars.size())]);
     else
       Index = smallLit();
-    if (!Leaves.chance(15))
+    if (!Leaves.chance(LoopDepth ? 40 : 15))
       return Index;
-    // The index label must flow to the array's (index ⊑ ew, as below).
-    const auto *V = dyn_cast<VarExpr>(Index.get());
+    ExprPtr Scan = scanIndex();
+    // A well-typed index must flow to the pc (index ⊑ ew, with ew = pc).
+    const auto *V = Scan ? nullptr : dyn_cast<VarExpr>(Index.get());
     const Label IndexL = V ? P.findVar(V->name())->SecLabel : lat().bottom();
     std::vector<std::string> Arrays;
     for (const std::string &Name : arraysBelow(Bound))
-      if (Arbitrary || lat().flowsTo(IndexL, P.findVar(Name)->SecLabel))
+      if (Arbitrary || lat().flowsTo(IndexL, Pc))
         Arrays.push_back(Name);
     if (Arrays.empty())
       return Index;
     return std::make_unique<ArrayReadExpr>(
-        Arrays[Leaves.nextBelow(Arrays.size())], std::move(Index));
+        Arrays[Leaves.nextBelow(Arrays.size())],
+        Scan ? std::move(Scan) : std::move(Index));
   }
 
   /// A random expression reading only variables with labels ⊑ Bound (any
@@ -110,10 +134,13 @@ struct Gen {
       std::vector<std::string> Arrays = arraysBelow(Bound);
       if (!Arrays.empty()) {
         const std::string &Name = Arrays[R.nextBelow(Arrays.size())];
-        // Keep the index label ⊑ the array label so the address-dependence
-        // constraint (index ⊑ ew) is satisfiable.
-        Label ArrL = P.findVar(Name)->SecLabel;
-        return std::make_unique<ArrayReadExpr>(Name, expr(ArrL, Depth - 1));
+        // Keep the index label ⊑ the array label, and when well-typed ⊑ the
+        // pc as well: the address-dependence constraint (index ⊑ ew).
+        Label IndexBound = P.findVar(Name)->SecLabel;
+        if (!Arbitrary)
+          IndexBound = lat().meet(IndexBound, Pc);
+        return std::make_unique<ArrayReadExpr>(Name,
+                                               expr(IndexBound, Depth - 1));
       }
     }
     if (R.chance(20))
@@ -134,67 +161,139 @@ struct Gen {
                                        std::make_unique<IntLitExpr>(15));
   }
 
+  /// Whether a well-typed assignment under the current pc and τ may
+  /// write a variable labelled \p L (T-ASGN: pc ⊔ τ ⊔ er ⊑ Γ(x)).
+  bool writable(Label L) const {
+    return Arbitrary || lat().flowsTo(lat().join(Pc, Tau), L);
+  }
+
   CmdPtr assign(unsigned Depth) {
     std::vector<std::string> Targets = scalarsBelow(lat().top());
+    std::erase_if(Targets, [&](const std::string &Name) {
+      return !writable(P.findVar(Name)->SecLabel);
+    });
     if (Targets.empty())
       return skip();
     const std::string &Name = Targets[R.nextBelow(Targets.size())];
     Label Bound = Arbitrary ? lat().top() : P.findVar(Name)->SecLabel;
     auto C = std::make_unique<AssignCmd>(Name, expr(Bound, Depth));
     setLabels(*C);
+    Tau = P.findVar(Name)->SecLabel;
     return C;
   }
 
-  CmdPtr arrayAssign(unsigned Depth) {
+  /// An array store; with \p Scan inside a loop, one whose index scans.
+  CmdPtr arrayAssign(unsigned Depth, bool Scan = false) {
     std::vector<std::string> Targets = arraysBelow(lat().top());
+    std::erase_if(Targets, [&](const std::string &Name) {
+      return !writable(P.findVar(Name)->SecLabel);
+    });
     if (Targets.empty())
       return assign(Depth);
     const std::string &Name = Targets[R.nextBelow(Targets.size())];
     Label Bound = Arbitrary ? lat().top() : P.findVar(Name)->SecLabel;
-    // Index from ⊥ so the store's address-dependence label stays low.
-    auto C = std::make_unique<ArrayAssignCmd>(
-        Name, expr(lat().bottom(), 1), expr(Bound, Depth));
+    // The value, then an index from ⊥ so the store's address-dependence
+    // label stays low; in a loop the store may scan (the drawn index is
+    // then dropped, so R's stream is the same either way).
+    ExprPtr Value = expr(Bound, Depth);
+    ExprPtr Index = expr(lat().bottom(), 1);
+    if (ExprPtr Scanned = scanIndex(Scan))
+      Index = std::move(Scanned);
+    auto C = std::make_unique<ArrayAssignCmd>(Name, std::move(Index),
+                                              std::move(Value));
     setLabels(*C);
+    Tau = P.findVar(Name)->SecLabel;
     return C;
   }
 
   CmdPtr skip() {
     auto C = std::make_unique<SkipCmd>();
     setLabels(*C);
+    Tau = lat().join(Tau, Pc);
     return C;
   }
 
   CmdPtr sleep() {
     auto C = std::make_unique<SleepCmd>(boundedExpr(lat().top()));
     setLabels(*C);
+    Tau = lat().join(lat().join(Tau, Pc), exprLabel(C->duration(), P));
     return C;
   }
 
-  CmdPtr mitigate(unsigned Depth) {
-    Label Level = Arbitrary ? randomLabel() : lat().top();
+  /// mitigate (n, ℓ) { \p Body }: the body starts at τ ⊔ pc, and the
+  /// command ends there too (T-MTG with a literal estimate), whatever the
+  /// body raised τ to. The well-typed level is ⊤, to which every body's
+  /// end label flows.
+  CmdPtr mitigateAround(CmdPtr Body, Label Level) {
     auto C = std::make_unique<MitigateCmd>(
         0, std::make_unique<IntLitExpr>(R.nextInRange(1, 64)), Level,
-        block(Depth - 1));
+        std::move(Body));
     setLabels(*C);
     return C;
   }
 
+  CmdPtr mitigate(unsigned Depth) {
+    const Label Level = Arbitrary ? randomLabel() : lat().top();
+    const Label Start = lat().join(Tau, Pc);
+    Tau = Start;
+    CmdPtr Body = block(Depth - 1);
+    Tau = Start;
+    return mitigateAround(std::move(Body), Level);
+  }
+
   CmdPtr ifCmd(unsigned Depth) {
-    auto C = std::make_unique<IfCmd>(expr(lat().top(), 1), block(Depth - 1),
-                                     block(Depth - 1));
+    if (Arbitrary) {
+      // The order in which arbitrary commands have always drawn their
+      // parts, so that a seed keeps its commands.
+      CmdPtr Else = block(Depth - 1);
+      CmdPtr Then = block(Depth - 1);
+      auto C = std::make_unique<IfCmd>(expr(lat().top(), 1), std::move(Then),
+                                       std::move(Else));
+      setLabels(*C);
+      return C;
+    }
+    ExprPtr Guard = expr(lat().top(), 1);
+    // T-IF: both branches run under pc ⊔ ℓe from τ ⊔ ℓe ⊔ er, and the if
+    // ends at the join of their end labels.
+    const Label Le = exprLabel(*Guard, P);
+    const Label OuterPc = Pc;
+    const Label Start = lat().join(Le, lat().join(Tau, Pc));
+    Pc = lat().join(Pc, Le);
+    Tau = Start;
+    CmdPtr Then = block(Depth - 1);
+    const Label ThenTau = Tau;
+    Tau = Start;
+    CmdPtr Else = block(Depth - 1);
+    Tau = lat().join(ThenTau, Tau);
+    Pc = OuterPc;
+    auto C = std::make_unique<IfCmd>(std::move(Guard), std::move(Then),
+                                     std::move(Else));
     setLabels(*C);
     return C;
   }
 
   /// A bounded counting loop over a reserved counter variable:
   ///   cK := trips ; while cK > 0 do { body ; cK := cK - 1 }
+  /// Counters are ⊥, so a well-typed loop needs pc = τ = ⊥ where it starts
+  /// and where its body ends; a body that raised τ runs mitigated, and
+  /// without mitigates it is dropped for a skip. A well-typed body begins
+  /// with a store that scans an array, at pc ⊥, where every design fills.
   CmdPtr boundedLoop(unsigned Depth) {
     std::string Counter = indexedName("c", LoopDepth);
-    if (!P.findVar(Counter))
+    if (!P.findVar(Counter) || !writable(lat().bottom()))
       return ifCmd(Depth);
     ++LoopDepth;
-    CmdPtr Body = block(Depth - 1);
+    CmdPtr Body;
+    if (!Arbitrary)
+      Body = arrayAssign(Depth - 1, /*Scan=*/true);
+    CmdPtr Rest = block(Depth - 1);
+    Body = Body ? std::make_unique<SeqCmd>(std::move(Body), std::move(Rest))
+                : std::move(Rest);
     --LoopDepth;
+    if (!writable(lat().bottom()))
+      Body = O.AllowMitigate ? mitigateAround(std::move(Body), lat().top())
+                             : skip();
+    Tau = lat().bottom();
 
     auto Init = std::make_unique<AssignCmd>(
         Counter,
@@ -226,7 +325,11 @@ struct Gen {
       return skip();
     if (Pick < 65 && O.AllowSleep)
       return sleep();
-    if (Pick < 80)
+    // A well-typed loop may start only at pc = τ = ⊥, which most points
+    // lack; where one may, loops take the top of the if range as well.
+    const bool LoopMayStart =
+        !Arbitrary && LoopDepth < 3 && writable(lat().bottom());
+    if (Pick < 80 && !(LoopMayStart && Pick >= 70))
       return ifCmd(Depth);
     if (Pick < 90 && LoopDepth < 3)
       return boundedLoop(Depth);
@@ -235,11 +338,24 @@ struct Gen {
     return ifCmd(Depth);
   }
 
+  /// One command of a block. A well-typed command that raised τ above
+  /// where it started is mitigated three times in four (when mitigates are
+  /// allowed), so that what follows may write low variables again.
+  CmdPtr blockCommand(unsigned Depth) {
+    const Label Start = lat().join(Tau, Pc);
+    CmdPtr C = command(Depth);
+    if (Arbitrary || !O.AllowMitigate || lat().flowsTo(Tau, Start) ||
+        !Leaves.chance(75))
+      return C;
+    Tau = Start;
+    return mitigateAround(std::move(C), lat().top());
+  }
+
   CmdPtr block(unsigned Depth) {
     unsigned Len = 1 + R.nextBelow(O.MaxSeqLength);
-    CmdPtr Out = command(Depth);
+    CmdPtr Out = blockCommand(Depth);
     for (unsigned I = 1; I < Len; ++I)
-      Out = std::make_unique<SeqCmd>(std::move(Out), command(Depth));
+      Out = std::make_unique<SeqCmd>(std::move(Out), blockCommand(Depth));
     return Out;
   }
 };
@@ -269,9 +385,8 @@ void zam::addRandomDeclarations(Program &P, Rng &R,
     P.addVar(std::move(D));
   }
   // Reserved loop counters c0..c2 (assigned only by generated loop
-  // scaffolding). Their label is ⊤-avoiding ⊥ keeps guards typeable in any
-  // context... use ⊥ so loops in low contexts stay low; high-context loops
-  // will simply fail the filter and be regenerated.
+  // scaffolding), at ⊥ so that loops and their scans stay low; the
+  // well-typed generator starts loops only where pc = τ = ⊥.
   for (unsigned I = 0; I != 3; ++I) {
     VarDecl D;
     D.Name = indexedName("c", I);

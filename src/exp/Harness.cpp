@@ -7,23 +7,51 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string>
+#include <string_view>
 
 using namespace zam;
 
-HarnessOptions zam::parseHarnessArgs(int Argc, char **Argv) {
+namespace {
+/// Each shared flag, the bit a bench honours it by, and its usage text.
+struct HarnessFlagInfo {
+  const char *Name;
+  HarnessFlag Bit;
+  const char *Usage;
+};
+constexpr HarnessFlagInfo kHarnessFlags[] = {
+    {"--threads", TakesThreads, "[--threads N]"},
+    {"--json", TakesJson, "[--json FILE]"},
+    {"--trace-out", TakesTrace, "[--trace-out FILE]"},
+    {"--trace-format", TakesTrace, "[--trace-format jsonl|chrome|ztb]"},
+    {"--seed", TakesSeed, "[--seed S]"},
+    {"--samples", TakesSamples, "[--samples N]"},
+    {"--progress", TakesProgress, "[--progress]"},
+};
+} // namespace
+
+HarnessOptions zam::parseHarnessArgs(int Argc, char **Argv, unsigned Takes) {
   HarnessOptions Opts;
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
-    if (parseSharedFlag(Argc, Argv, I, Opts) != FlagParse::Parsed) {
-      std::fprintf(stderr,
-                   "unknown or malformed argument '%s'; expected "
-                   "[--threads N] [--json FILE] [--trace-out FILE] "
-                   "[--trace-format jsonl|chrome|ztb] [--seed S] "
-                   "[--samples N] [--progress]\n",
-                   Arg);
-      Opts.Ok = false;
-      return Opts;
-    }
+    const HarnessFlagInfo *Flag = nullptr;
+    for (const HarnessFlagInfo &F : kHarnessFlags)
+      if (std::string_view(Arg) == F.Name)
+        Flag = &F;
+    if (Flag && !(Takes & Flag->Bit))
+      std::fprintf(stderr, "error: this bench does not take '%s'; ", Arg);
+    else if (parseSharedFlag(Argc, Argv, I, Opts) == FlagParse::Parsed)
+      continue;
+    else
+      std::fprintf(stderr, "unknown or malformed argument '%s'; ", Arg);
+    std::string Expected;
+    for (const HarnessFlagInfo &F : kHarnessFlags)
+      if (Takes & F.Bit)
+        Expected.append(Expected.empty() ? "" : " ").append(F.Usage);
+    std::fprintf(stderr, "expected %s\n",
+                 Expected.empty() ? "no arguments" : Expected.c_str());
+    Opts.Ok = false;
+    return Opts;
   }
   Opts.Ok = resolveTraceFormat(Opts);
   return Opts;

@@ -6,8 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A harness bench takes exactly the flags that `zamc` shares with it
-/// (exp/CommandLine.h), parsed by the same code: `--threads N` (0 = auto
+/// A harness bench takes the flags that `zamc` shares with it
+/// (exp/CommandLine.h) that it honours, parsed by the same code; any other
+/// argument, a shared flag the bench would ignore included, exits 2 with
+/// a message naming it. The shared flags are `--threads N` (0 = auto
 /// via ZAM_THREADS / hardware_concurrency), `--json <file>` (the Report as
 /// machine-readable JSON next to the human-readable tables), `--trace-out
 /// <file>` / `--trace-format jsonl|chrome|ztb` (the bench's representative
@@ -49,10 +51,21 @@ struct HarnessOptions : SharedFlags {
   }
 };
 
-/// Parses a bench's argv, which holds shared flags only, and settles the
-/// trace format. Anything else sets Ok = false after a usage line
-/// (benches exit 2).
-HarnessOptions parseHarnessArgs(int Argc, char **Argv);
+/// The shared flags a bench honours: a set of these bits.
+enum HarnessFlag : unsigned {
+  TakesThreads = 1u << 0,  ///< --threads
+  TakesJson = 1u << 1,     ///< --json
+  TakesTrace = 1u << 2,    ///< --trace-out and --trace-format
+  TakesSeed = 1u << 3,     ///< --seed
+  TakesSamples = 1u << 4,  ///< --samples
+  TakesProgress = 1u << 5, ///< --progress
+};
+
+/// Parses a bench's argv, which holds only shared flags in \p Takes (a set
+/// of HarnessFlag bits), and settles the trace format. Anything else, a
+/// shared flag outside \p Takes included, sets Ok = false after a message
+/// naming the argument and the flags the bench takes (benches exit 2).
+HarnessOptions parseHarnessArgs(int Argc, char **Argv, unsigned Takes);
 
 /// Writes \p R to Opts.JsonPath when requested, with the provenance `meta`
 /// block appended. \returns false after a write diagnostic.

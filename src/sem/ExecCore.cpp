@@ -19,7 +19,8 @@ ExecCore::ExecCore(const IrProgram &IR, const Program &P, Memory InitM,
       AluCost(Opts.Costs.AluOp), M(std::move(InitM)), Code(IR.Instrs.data()),
       Uops(IR.Uops.data()),
       TrackCursor(Opts.RecordMisses || Opts.Provenance != nullptr),
-      RetainEvents(Opts.RetainEvents) {
+      RetainEvents(Opts.RetainEvents),
+      Observed(TrackCursor || RetainEvents || Probe != nullptr) {
   MitState = Opts.SharedMitState
                  ? Opts.SharedMitState
                  : &OwnMitState.emplace(P.lattice(), Opts.Mitigation.base(),
@@ -136,6 +137,7 @@ void ExecCore::retain(uint32_t Slot, Label VarLabel, bool IsArray,
   E.Time = G;
 }
 
+template <bool Obs>
 inline int64_t ExecCore::evalSpan(const IrInstr &I, uint32_t U, uint32_t N,
                                   uint64_t &Cycles) {
   int64_t *R = Regs;
@@ -151,14 +153,14 @@ inline int64_t ExecCore::evalSpan(const IrInstr &I, uint32_t U, uint32_t N,
       D = Op->Imm;
       break;
     case IrUop::K::Var:
-      if (TrackCursor)
+      if (Obs && TrackCursor)
         Cur.Loc = Op->Loc;
       Cycles += access<true>(UopTickets[Op - Uops], I, Op->Base);
       D = SlotData[Op->Slot][0];
       break;
     case IrUop::K::Elem: {
       const uint64_t W = Memory::wrapRaw(D, Op->Mod);
-      if (TrackCursor)
+      if (Obs && TrackCursor)
         Cur.Loc = Op->Loc;
       Cycles += access<true>(UopTickets[Op - Uops], I, Op->Base + W * 8);
       Cycles += AluCost; // Address computation.
@@ -190,7 +192,7 @@ inline int64_t ExecCore::evalSpan(const IrInstr &I, uint32_t U, uint32_t N,
   }
   // Restore the cursor to the command before any post-evaluation costs
   // (store access, step charge).
-  if (TrackCursor)
+  if (Obs && TrackCursor)
     Cur.Loc = I.Loc;
   return R[Result];
 }
@@ -236,82 +238,82 @@ void ExecCore::foldTallies() {
   }
 }
 
-inline void ExecCore::execSkip(const IrInstr &I) {
-  head(I);
+template <bool Obs> inline void ExecCore::execSkip(const IrInstr &I) {
+  head<Obs>(I);
   const uint64_t Cycles = stepBase(I);
-  chargeStep(Cycles);
+  chargeStep<Obs>(Cycles);
   G += Cycles;
   PC = I.Next;
 }
 
-inline void ExecCore::execAssign(const IrInstr &I) {
-  head(I);
+template <bool Obs> inline void ExecCore::execAssign(const IrInstr &I) {
+  head<Obs>(I);
   ++T.Ops.Assignments;
   uint64_t Cycles = stepBase(I);
-  const int64_t V = evalSpan(I, I.U0, I.N0, Cycles);
+  const int64_t V = evalSpan<Obs>(I, I.U0, I.N0, Cycles);
   Cycles +=
       access<true>(Tickets[2 * PC + 1], I, I.SlotBase, /*IsStore=*/true);
-  chargeStep(Cycles);
+  chargeStep<Obs>(Cycles);
   G += Cycles;
   MemorySlot &S = M.slotAt(I.Slot);
   S.Data[0] = V;
-  record(I.Slot, S.SecLabel, false, 0, V);
+  record<Obs>(I.Slot, S.SecLabel, false, 0, V);
   PC = I.Next;
 }
 
-inline void ExecCore::execStore(const IrInstr &I) {
-  head(I);
+template <bool Obs> inline void ExecCore::execStore(const IrInstr &I) {
+  head<Obs>(I);
   ++T.Ops.Assignments;
   uint64_t Cycles = stepBase(I);
-  const int64_t Index = evalSpan(I, I.U0, I.N0, Cycles);
-  const int64_t V = evalSpan(I, I.U1, I.N1, Cycles);
+  const int64_t Index = evalSpan<Obs>(I, I.U0, I.N0, Cycles);
+  const int64_t V = evalSpan<Obs>(I, I.U1, I.N1, Cycles);
   Cycles += AluCost; // Address computation.
   const uint64_t W = Memory::wrapRaw(Index, I.ElemCount);
   Cycles += access<true>(Tickets[2 * PC + 1], I, I.SlotBase + W * 8,
                          /*IsStore=*/true);
-  chargeStep(Cycles);
+  chargeStep<Obs>(Cycles);
   G += Cycles;
   MemorySlot &S = M.slotAt(I.Slot);
   S.Data[W] = V;
-  record(I.Slot, S.SecLabel, true, W, V);
+  record<Obs>(I.Slot, S.SecLabel, true, W, V);
   PC = I.Next;
 }
 
-inline void ExecCore::execBranch(const IrInstr &I) {
-  head(I);
+template <bool Obs> inline void ExecCore::execBranch(const IrInstr &I) {
+  head<Obs>(I);
   ++T.Ops.Branches;
   uint64_t Cycles = stepBase(I) + Opts.Costs.Branch;
-  const int64_t Guard = evalSpan(I, I.U0, I.N0, Cycles);
-  chargeStep(Cycles);
+  const int64_t Guard = evalSpan<Obs>(I, I.U0, I.N0, Cycles);
+  chargeStep<Obs>(Cycles);
   G += Cycles;
-  if (Probe)
+  if (Obs && Probe)
     Probe->onBranch(PC, Guard != 0);
   PC = Guard != 0 ? I.Target : I.Next;
 }
 
-inline void ExecCore::execSleep(const IrInstr &I) {
-  head(I);
+template <bool Obs> inline void ExecCore::execSleep(const IrInstr &I) {
+  head<Obs>(I);
   // Sleep is a calibrated timer, not a fetched instruction: with a
   // literal argument it consumes exactly max(n, 0) cycles (Property 4).
   uint64_t Cycles = 0;
-  const int64_t N = evalSpan(I, I.U0, I.N0, Cycles);
-  chargeStep(Cycles);
+  const int64_t N = evalSpan<Obs>(I, I.U0, I.N0, Cycles);
+  chargeStep<Obs>(Cycles);
   G += Cycles;
   if (N > 0) {
-    charge(CycleKind::Sleep, static_cast<uint64_t>(N));
+    charge<Obs>(CycleKind::Sleep, static_cast<uint64_t>(N));
     G += static_cast<uint64_t>(N);
   }
   PC = I.Next;
 }
 
-inline void ExecCore::execMitEnter(const IrInstr &I) {
-  head(I);
+template <bool Obs> inline void ExecCore::execMitEnter(const IrInstr &I) {
+  head<Obs>(I);
   ++T.Ops.MitigateEntries;
   uint64_t Cycles = stepBase(I);
-  const int64_t N = evalSpan(I, I.U0, I.N0, Cycles);
+  const int64_t N = evalSpan<Obs>(I, I.U0, I.N0, Cycles);
   // The entry step belongs to the enclosing window; the site opens with
   // the body.
-  chargeStep(Cycles);
+  chargeStep<Obs>(Cycles);
   G += Cycles;
   // The IR's static nesting bound sized the stack; an IR that understates
   // it stops the run here instead of writing past the block.
@@ -324,17 +326,17 @@ inline void ExecCore::execMitEnter(const IrInstr &I) {
   PC = I.Next;
 }
 
-inline void ExecCore::execMitEnd(const IrInstr &I) {
-  head(I);
+template <bool Obs> inline void ExecCore::execMitEnd(const IrInstr &I) {
+  head<Obs>(I);
   // The paper's MitigateEnd continuation: no fetch, no base cost — only
   // the update rule and the padding to the final prediction.
   const MitFrame &F = Frames[Depth - 1];
   const uint64_t Elapsed = G - F.Start;
-  const unsigned MissesBefore = Probe ? MitState->misses(F.Level) : 0;
+  const unsigned MissesBefore = Obs && Probe ? MitState->misses(F.Level) : 0;
   MitigationState::Outcome Out =
       MitState->settle(F.Estimate, F.Level, Elapsed, *F.Policy);
   G = F.Start + Out.Duration;
-  if (Probe)
+  if (Obs && Probe)
     Probe->onSettle(F.Eta, MitState->misses(F.Level) - MissesBefore);
 
   MitigateRecord R;
@@ -355,36 +357,36 @@ inline void ExecCore::execMitEnd(const IrInstr &I) {
   // then the window closes and the site pops.
   Cur.Site = F.Eta;
   if (Out.Duration > Elapsed)
-    charge(CycleKind::Pad, Out.Duration - Elapsed);
-  if (Prov)
+    charge<Obs>(CycleKind::Pad, Out.Duration - Elapsed);
+  if (Obs && Prov)
     Prov->closeWindow(Cur, T.Mitigations.back());
   --Depth;
   Cur.Site = Depth == 0 ? CostCursor::kNoSite : Frames[Depth - 1].Eta;
   PC = I.Next;
 }
 
-inline void ExecCore::execInstr(const IrInstr &I) {
+template <bool Obs> inline void ExecCore::execInstr(const IrInstr &I) {
   switch (I.K) {
   case IrInstr::Op::Skip:
-    execSkip(I);
+    execSkip<Obs>(I);
     return;
   case IrInstr::Op::Assign:
-    execAssign(I);
+    execAssign<Obs>(I);
     return;
   case IrInstr::Op::ArrayAssign:
-    execStore(I);
+    execStore<Obs>(I);
     return;
   case IrInstr::Op::Branch:
-    execBranch(I);
+    execBranch<Obs>(I);
     return;
   case IrInstr::Op::Sleep:
-    execSleep(I);
+    execSleep<Obs>(I);
     return;
   case IrInstr::Op::MitEnter:
-    execMitEnter(I);
+    execMitEnter<Obs>(I);
     return;
   case IrInstr::Op::MitEnd:
-    execMitEnd(I);
+    execMitEnd<Obs>(I);
     return;
   case IrInstr::Op::Halt:
     return; // Unreachable: advance() never executes Halt.
@@ -394,12 +396,12 @@ inline void ExecCore::execInstr(const IrInstr &I) {
 
 void ExecCore::step() {
   if (!Halted)
-    advance(T.Steps + 1);
+    Observed ? advance<true>(T.Steps + 1) : advance<false>(T.Steps + 1);
 }
 
 void ExecCore::run() {
   if (!Halted)
-    advance(~uint64_t(0));
+    Observed ? advance<true>(~uint64_t(0)) : advance<false>(~uint64_t(0));
 }
 
 // Each iteration is one transition: count it and check the bound, execute
@@ -407,7 +409,7 @@ void ExecCore::run() {
 // limit or the pause point, whichever comes first, so the loop makes one
 // compare per transition for both; only past the bound does it tell a
 // pause (undo the count, stay resumable) from a stop.
-void ExecCore::advance(uint64_t Pause) {
+template <bool Obs> void ExecCore::advance(uint64_t Pause) {
   Bound = std::min(StepLimit, Pause);
   for (;;) {
     if (++T.Steps > Bound) {
@@ -418,7 +420,7 @@ void ExecCore::advance(uint64_t Pause) {
       T.HitStepLimit = !T.HitEventLimit;
       break;
     }
-    execInstr(Code[PC]);
+    execInstr<Obs>(Code[PC]);
     if (Code[PC].K == IrInstr::Op::Halt)
       break;
   }

@@ -41,10 +41,13 @@
 ///
 /// run() and step() drive one loop, each iteration of which is one
 /// transition of the semantics: run() to the end, step() for one
-/// transition, after which the loop pauses. There is one copy of the
-/// transition code, and the two interleave freely: a run resumed after
-/// any number of single steps observes exactly what an uninterrupted run
-/// does.
+/// transition, after which the loop pauses. There is one source copy of
+/// the transition code, instantiated twice: for a run with no observer
+/// (no probe, sink, miss sampling or retained events), where every
+/// observer test folds away, and for an observed run. Construction picks
+/// one for the run. run() and step() interleave freely: a run resumed
+/// after any number of single steps observes exactly what an
+/// uninterrupted run does.
 ///
 /// The program is immutable; the core holds all run state, so engines stay
 /// thin wrappers that only decide when to call step()/run() and when to
@@ -136,23 +139,29 @@ private:
   /// the run stops (the pc lands on Halt, or the count passes the step
   /// limit) or the count would pass \p Pause, where it pauses with the
   /// run resumable.
-  void advance(uint64_t Pause);
+  ///
+  /// The transition code below is written once and instantiated twice.
+  /// With \p Obs false every cursor, probe, tally, sink and retention
+  /// test folds to false; run() and step() take that instantiation unless
+  /// the run is Observed.
+  template <bool Obs> void advance(uint64_t Pause);
 
   /// Per-opcode bodies. Each begins with the shared dispatch head
   /// (cursor + probe) and fully executes one logical transition. They,
   /// evalSpan and execInstr are inlined into advance(), so a transition
   /// makes no call unless it reaches the env, the sink, the probe or a
   /// retained event.
-  [[gnu::always_inline]] void execSkip(const IrInstr &I);
-  [[gnu::always_inline]] void execAssign(const IrInstr &I);
-  [[gnu::always_inline]] void execStore(const IrInstr &I);
-  [[gnu::always_inline]] void execBranch(const IrInstr &I);
-  [[gnu::always_inline]] void execSleep(const IrInstr &I);
+  template <bool Obs> [[gnu::always_inline]] void execSkip(const IrInstr &I);
+  template <bool Obs> [[gnu::always_inline]] void execAssign(const IrInstr &I);
+  template <bool Obs> [[gnu::always_inline]] void execStore(const IrInstr &I);
+  template <bool Obs> [[gnu::always_inline]] void execBranch(const IrInstr &I);
+  template <bool Obs> [[gnu::always_inline]] void execSleep(const IrInstr &I);
+  template <bool Obs>
   [[gnu::always_inline]] void execMitEnter(const IrInstr &I);
-  [[gnu::always_inline]] void execMitEnd(const IrInstr &I);
+  template <bool Obs> [[gnu::always_inline]] void execMitEnd(const IrInstr &I);
   /// One transition of the instruction at \p I (a switch over the bodies
   /// above). Never called on Halt.
-  [[gnu::always_inline]] void execInstr(const IrInstr &I);
+  template <bool Obs> [[gnu::always_inline]] void execInstr(const IrInstr &I);
 
   /// The per-run initialisation of construction and restart(): empties
   /// the trace's vectors (keeping their storage), zeroes the counters,
@@ -165,12 +174,12 @@ private:
   /// Charges the tallies of every executed instruction to the sink: its
   /// step cycles, and its dispatches times each access accessesOf names.
   void foldTallies();
-  void head(const IrInstr &I) {
+  template <bool Obs> void head(const IrInstr &I) {
     // Attribution: every transition moves the cursor to its instruction's
     // source location before any of its costs (including the I-fetch).
-    if (TrackCursor)
+    if (Obs && TrackCursor)
       Cur.Loc = I.Loc;
-    if (Probe)
+    if (Obs && Probe)
       Probe->onDispatch(PC);
   }
   uint64_t stepBase(const IrInstr &I) {
@@ -194,13 +203,13 @@ private:
     Env.takeTicket(Tk);
     return Cycles;
   }
-  void charge(CycleKind K, uint64_t N) {
-    if (Prov)
+  template <bool Obs> void charge(CycleKind K, uint64_t N) {
+    if (Obs && Prov)
       Prov->chargeCycles(Cur, K, N);
   }
   /// The end of a step that cost \p Cycles: tallied for the fold.
-  void chargeStep(uint64_t Cycles) {
-    if (Tallies) {
+  template <bool Obs> void chargeStep(uint64_t Cycles) {
+    if (Obs && Tallies) {
       PcTally &T = Tallies[PC];
       ++T.Dispatches;
       T.StepCycles += Cycles;
@@ -210,12 +219,14 @@ private:
   /// its value: one switch over the flat opcodes (IrUop). Restores the
   /// cursor to the instruction's own location, so costs charged after
   /// evaluation attribute to the command.
+  template <bool Obs>
   [[gnu::always_inline]] int64_t evalSpan(const IrInstr &I, uint32_t U,
                                           uint32_t N, uint64_t &Cycles);
   /// Records an assignment event; a run that retains none makes no call.
+  template <bool Obs>
   void record(uint32_t Slot, Label VarLabel, bool IsArray, uint64_t Index,
               int64_t Value) {
-    if (RetainEvents)
+    if (Obs && RetainEvents)
       retain(Slot, VarLabel, IsArray, Index, Value);
   }
   void retain(uint32_t Slot, Label VarLabel, bool IsArray, uint64_t Index,
@@ -273,6 +284,9 @@ private:
   bool TrackCursor;
   /// Opts.RetainEvents: record() keeps nothing when it is off.
   bool RetainEvents;
+  /// Whether the run has an observer: a probe, a sink, miss sampling or
+  /// retained events. Fixed at construction; it picks advance<true>.
+  bool Observed;
   CostCursor Cur;
   /// One block holding Regs, SlotData, Frames, Tallies and Tickets, in
   /// that order.

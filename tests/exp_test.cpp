@@ -437,26 +437,71 @@ TEST(CloneAudit, RestoredEnvsShareNothingWithTheTemplate) {
   }
 }
 
+/// Every shared flag: what a bench that honours them all passes.
+constexpr unsigned kTakesAll = TakesThreads | TakesJson | TakesTrace |
+                               TakesSeed | TakesSamples | TakesProgress;
+
 TEST(Harness, ParsesThreadsAndJson) {
   const char *Argv1[] = {"bench", "--threads", "4", "--json", "out.json"};
   HarnessOptions O1 =
-      parseHarnessArgs(5, const_cast<char **>(Argv1));
+      parseHarnessArgs(5, const_cast<char **>(Argv1), kTakesAll);
   EXPECT_TRUE(O1.Ok);
   EXPECT_EQ(O1.Threads, 4u);
   EXPECT_EQ(O1.JsonPath, "out.json");
 
   const char *Argv2[] = {"bench", "--bogus"};
-  EXPECT_FALSE(parseHarnessArgs(2, const_cast<char **>(Argv2)).Ok);
+  EXPECT_FALSE(parseHarnessArgs(2, const_cast<char **>(Argv2), kTakesAll).Ok);
 
   const char *Argv3[] = {"bench", "--threads", "many"};
-  EXPECT_FALSE(parseHarnessArgs(3, const_cast<char **>(Argv3)).Ok);
+  EXPECT_FALSE(parseHarnessArgs(3, const_cast<char **>(Argv3), kTakesAll).Ok);
+}
+
+// A bench takes only the shared flags it honours; any other is refused by
+// name before the bench runs, with the flags it does take.
+TEST(Harness, RefusesFlagsTheBenchDoesNotTake) {
+  auto Parse = [](std::vector<const char *> Args, unsigned Takes) {
+    Args.insert(Args.begin(), "bench");
+    testing::internal::CaptureStderr();
+    HarnessOptions O = parseHarnessArgs(
+        static_cast<int>(Args.size()), const_cast<char **>(Args.data()),
+        Takes);
+    return std::make_pair(O.Ok, testing::internal::GetCapturedStderr());
+  };
+  const unsigned Fig9 = TakesThreads | TakesJson;
+  EXPECT_TRUE(Parse({"--threads", "2", "--json", "r.json"}, Fig9).first);
+  for (const char *Flag :
+       {"--trace-out", "--trace-format", "--seed", "--samples"}) {
+    const auto [Ok, Err] = Parse({Flag, "1"}, Fig9);
+    EXPECT_FALSE(Ok) << Flag;
+    EXPECT_NE(Err.find(std::string("does not take '") + Flag + "'"),
+              std::string::npos)
+        << Err;
+    EXPECT_NE(Err.find("expected [--threads N] [--json FILE]\n"),
+              std::string::npos)
+        << Err;
+  }
+  const auto [Ok, Err] = Parse({"--progress"}, Fig9);
+  EXPECT_FALSE(Ok);
+  EXPECT_NE(Err.find("does not take '--progress'"), std::string::npos);
+
+  // A bench that takes no flag refuses every argument.
+  for (std::vector<const char *> Args :
+       {std::vector<const char *>{"--json", "/dev/full"},
+        {"--threads", "1"},
+        {"--bogus"}}) {
+    const auto [NoneOk, NoneErr] = Parse(Args, 0);
+    EXPECT_FALSE(NoneOk) << Args[0];
+    EXPECT_NE(NoneErr.find("expected no arguments"), std::string::npos)
+        << NoneErr;
+  }
+  EXPECT_TRUE(Parse({}, 0).first);
 }
 
 TEST(Harness, SharedFlagsKeepTheirBounds) {
   auto Parse = [](std::vector<const char *> Args) {
     Args.insert(Args.begin(), "bench");
     return parseHarnessArgs(static_cast<int>(Args.size()),
-                            const_cast<char **>(Args.data()));
+                            const_cast<char **>(Args.data()), kTakesAll);
   };
   HarnessOptions None = Parse({});
   EXPECT_TRUE(None.Ok);
