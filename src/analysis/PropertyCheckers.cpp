@@ -4,7 +4,8 @@
 
 #include "sem/CoreInterpreter.h"
 #include "lang/StaticLabels.h"
-#include "sem/StepInterpreter.h"
+#include "sem/CompiledProgram.h"
+#include "sem/FullInterpreter.h"
 #include "support/Casting.h"
 
 #include <cinttypes>
@@ -85,9 +86,11 @@ PropertyReport zam::checkSequentialComposition(const Program &P, const Cmd &C1,
                                                InterpreterOptions Opts) {
   // Combined run: (c1; c2).
   std::unique_ptr<MachineEnv> EnvSeq = EnvTemplate.clone();
-  auto Seq = std::make_unique<SeqCmd>(C1.clone(), C2.clone());
-  StepInterpreter Combined(P, std::move(Seq), InitialMemory, *EnvSeq, Opts);
-  Combined.runToCompletion();
+  const CompiledProgram SeqForm(
+      P, std::make_unique<SeqCmd>(C1.clone(), C2.clone()), Opts);
+  FullInterpreter Combined(SeqForm, *EnvSeq, Opts);
+  Combined.memory().restoreValues(InitialMemory);
+  Combined.complete();
 
   // Split run: c1 to stop, then c2 from the resulting configuration. The
   // mitigation Miss table is part of the carried configuration, so the two
@@ -97,10 +100,14 @@ PropertyReport zam::checkSequentialComposition(const Program &P, const Cmd &C1,
                              Opts.Penalty);
   InterpreterOptions SplitOpts = Opts;
   SplitOpts.SharedMitState = &SplitState;
-  StepInterpreter First(P, C1.clone(), InitialMemory, *EnvSplit, SplitOpts);
-  First.runToCompletion();
-  StepInterpreter Second(P, C2.clone(), First.memory(), *EnvSplit, SplitOpts);
-  Second.runToCompletion();
+  const CompiledProgram FirstForm(P, C1.clone(), Opts);
+  const CompiledProgram SecondForm(P, C2.clone(), Opts);
+  FullInterpreter First(FirstForm, *EnvSplit, SplitOpts);
+  First.memory().restoreValues(InitialMemory);
+  First.complete();
+  FullInterpreter Second(SecondForm, *EnvSplit, SplitOpts);
+  Second.memory().restoreValues(First.memory());
+  Second.complete();
 
   uint64_t SplitTime = First.clock() + Second.clock();
   if (Combined.clock() != SplitTime)
@@ -122,10 +129,9 @@ PropertyReport zam::checkSleepDuration(const Program &P, int64_t N, Label Read,
   auto Sleep = std::make_unique<SleepCmd>(std::make_unique<IntLitExpr>(N));
   Sleep->labels().Read = Read;
   Sleep->labels().Write = Write;
-  StepInterpreter Interp(P, std::move(Sleep),
-                         Memory::fromProgram(P, Opts.Costs.DataBase), *Env,
-                         Opts);
-  Interp.runToCompletion();
+  const CompiledProgram Form(P, std::move(Sleep), Opts);
+  FullInterpreter Interp(Form, *Env, Opts);
+  Interp.complete();
   uint64_t Expected = N > 0 ? static_cast<uint64_t>(N) : 0;
   if (Interp.clock() != Expected)
     return PropertyReport::fail(fmt("sleep(%" PRId64 ") took %" PRIu64
@@ -134,12 +140,15 @@ PropertyReport zam::checkSleepDuration(const Program &P, int64_t N, Label Read,
   return PropertyReport::ok();
 }
 
-/// Performs exactly one transition of \p C and returns the interpreter.
-static StepInterpreter oneStep(const Program &P, const Cmd &C, Memory M,
-                               MachineEnv &Env, InterpreterOptions Opts) {
-  StepInterpreter Interp(P, C.clone(), std::move(M), Env, Opts);
+/// Performs exactly one transition of \p C from \p M on \p Env and
+/// returns the clock after it.
+static uint64_t oneStep(const Program &P, const Cmd &C, const Memory &M,
+                        MachineEnv &Env, const InterpreterOptions &Opts) {
+  const CompiledProgram Form(P, C.clone(), Opts);
+  FullInterpreter Interp(Form, Env, Opts);
+  Interp.memory().restoreValues(M);
   Interp.step();
-  return Interp;
+  return Interp.clock();
 }
 
 const Cmd &zam::activeCommand(const Cmd &C) {
@@ -197,14 +206,14 @@ PropertyReport zam::checkReadLabel(const Program &P, const Cmd &C,
 
   std::unique_ptr<MachineEnv> Env1 = E1.clone();
   std::unique_ptr<MachineEnv> Env2 = E2.clone();
-  StepInterpreter S1 = oneStep(P, C, M1, *Env1, Opts);
-  StepInterpreter S2 = oneStep(P, C, M2, *Env2, Opts);
+  const uint64_t T1 = oneStep(P, C, M1, *Env1, Opts);
+  const uint64_t T2 = oneStep(P, C, M2, *Env2, Opts);
 
-  if (S1.clock() != S2.clock())
+  if (T1 != T2)
     return PropertyReport::fail(
         fmt("single-step times differ: %" PRIu64 " vs %" PRIu64
             " (read label %s)",
-            S1.clock(), S2.clock(), Lat.name(Er).c_str()));
+            T1, T2, Lat.name(Er).c_str()));
   return PropertyReport::ok();
 }
 
@@ -258,11 +267,11 @@ PropertyReport zam::checkNoninterference(const Program &P, const Memory &M1,
   std::unique_ptr<MachineEnv> Env2 = E2.clone();
 
   FullInterpreter I1(P, *Env1, Opts);
-  I1.memory() = M1;
+  I1.memory().restoreValues(M1);
   RunResult R1 = I1.run();
 
   FullInterpreter I2(P, *Env2, Opts);
-  I2.memory() = M2;
+  I2.memory().restoreValues(M2);
   RunResult R2 = I2.run();
 
   if (R1.T.HitStepLimit || R2.T.HitStepLimit)

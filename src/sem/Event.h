@@ -85,8 +85,8 @@ struct OpCounters {
 };
 
 /// One hardware access that missed somewhere in the hierarchy, recorded by
-/// the big-step engine when InterpreterOptions::RecordMisses is set. Time
-/// is the global clock at the start of the surrounding evaluation step (the
+/// the engine when InterpreterOptions::RecordMisses is set. Time is the
+/// global clock at the start of the surrounding evaluation step (the
 /// per-access offset within a step is not modeled at the language level).
 struct AccessSample {
   Addr A = 0;
@@ -117,8 +117,7 @@ struct Trace {
   std::vector<MitigateRecord> Mitigations;
   OpCounters Ops;
   /// Miss timeline, in nondecreasing Time order; populated only under
-  /// InterpreterOptions::RecordMisses (big-step engine only — never part of
-  /// trace agreement or observation keys).
+  /// InterpreterOptions::RecordMisses (never part of observation keys).
   std::vector<AccessSample> Misses;
   /// Miss[ℓ] for every lattice level at completion (index = label index).
   /// With the Global penalty policy every entry is the shared counter.

@@ -1,4 +1,4 @@
-//===- ExecCore.h - The shared execution core -------------------*- C++ -*-===//
+//===- ExecCore.h - The execution core --------------------------*- C++ -*-===//
 //
 // Part of the zam project: a reproduction of "Language-Based Control and
 // Mitigation of Timing Channels" (Zhang, Askarov, Myers; PLDI 2012).
@@ -6,12 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One execution core for the full semantics (Fig. 2 + Fig. 6), shared by
-/// both engines: FullInterpreter is a run-to-completion driver over it and
-/// StepInterpreter a resumable program-counter cursor. The core executes
-/// the lowered program (ir/Ir.h) — one instruction per transition, its
-/// expression work as register micro-ops — and owns everything a
-/// transition involves:
+/// The execution core of the full semantics (Fig. 2 + Fig. 6), held inline
+/// by its one engine, FullInterpreter, which runs it to completion or one
+/// transition at a time. The core executes the lowered program (ir/Ir.h) —
+/// one instruction per transition, its expression work as register
+/// micro-ops — and owns everything a transition involves:
 ///
 ///   - expression evaluation as register-transfer micro-ops (no run-time
 ///     value stack: operand registers and addresses are precomputed);
@@ -49,13 +48,13 @@
 /// after any number of single steps observes exactly what an
 /// uninterrupted run does.
 ///
-/// The program is immutable; the core holds all run state, so engines stay
-/// thin wrappers that only decide when to call step()/run() and when to
-/// install the hardware observer. All of that state is set by one per-run
-/// initialisation, which construction and restart() share: a restarted
-/// core is indistinguishable from a freshly constructed one, but reuses
-/// the memory, the scratch block, the trace's vectors and its own Miss
-/// table instead of allocating them again.
+/// The program is immutable; the core holds all run state, so the engine
+/// stays a thin wrapper that only decides when to call step()/run() and
+/// when to install the hardware observer. All of that state is set by one
+/// per-run initialisation, which construction and restart() share: a
+/// restarted core is indistinguishable from a freshly constructed one, but
+/// reuses the memory, the scratch block, the trace's vectors and its own
+/// Miss table instead of allocating them again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,12 +89,12 @@ public:
   /// Opts.SharedMitState is unset.
   ExecCore(const IrProgram &IR, const Program &P, Memory InitM,
            MachineEnv &Env, InterpreterOptions &&Opts);
-  /// Pinned: the engines register the core as Env's observer, and it
+  /// Pinned: the engine registers the core as Env's observer, and it
   /// points into itself (MitState).
   ExecCore(const ExecCore &) = delete;
   ExecCore &operator=(const ExecCore &) = delete;
-  /// A run destroyed before it stopped (a StepInterpreter dropped after k
-  /// of n steps) folds what it ran into the sink, as a stopped run does.
+  /// A run destroyed before it stopped (an engine dropped after k of n
+  /// steps) folds what it ran into the sink, as a stopped run does.
   ~ExecCore() override;
 
   /// Whether the configuration has reached ⟨stop, m, E, G⟩ (or a run
@@ -105,8 +104,8 @@ public:
   /// Performs exactly one transition (one instruction). No-op when done.
   void step();
 
-  /// Runs to completion (the big-step driver's tight loop). May follow any
-  /// number of step() calls.
+  /// Runs to completion (the engine's tight loop). May follow any number
+  /// of step() calls.
   void run();
 
   /// Starts another run on the same env and options, from \p Image: the
@@ -130,9 +129,9 @@ public:
   }
 
 private:
-  /// HwObserver hook (installed by the owning engine), called for each
-  /// access that missed in the TLB or L1: charges it to the provenance sink
-  /// and samples it under RecordMisses.
+  /// HwObserver hook (installed by the engine around each call), called
+  /// for each access that missed in the TLB or L1: charges it to the
+  /// provenance sink and samples it under RecordMisses.
   void onAccess(const HwAccess &Access) override;
 
   /// The transition loop of run() and step(): executes transitions until
@@ -296,7 +295,9 @@ private:
   /// Per-slot element-0 pointers: the load fast path indexes straight into
   /// slot storage without touching Memory's bookkeeping. Stores still go
   /// through Memory::slotAt (they need the slot's label for the event
-  /// record anyway).
+  /// record anyway). They hold because M's values are only ever rewritten
+  /// in place (Memory::restoreValues, stores, pokes), never by assigning a
+  /// whole Memory, which may reallocate the slots.
   const int64_t **SlotData;
   /// The open mitigate windows, innermost last: Depth of them, at most
   /// MaxDepth (the IR's static nesting bound, which sized the block).

@@ -1,4 +1,4 @@
-//===- FullInterpreter.cpp - Run-to-completion IR driver ------------------===//
+//===- FullInterpreter.cpp - The full-semantics engine --------------------===//
 
 #include "sem/FullInterpreter.h"
 
@@ -39,19 +39,7 @@ const Trace &FullInterpreter::complete() {
                                 "restart() first");
   Completed = true;
 
-  // The core doubles as the hardware observer, but installing it sends
-  // every access through the env's observed walk — only pay when someone
-  // listens.
-  const InterpreterOptions &Opts = Core.options();
-  const bool Observe = Opts.RecordMisses || Opts.Provenance != nullptr;
-  HwObserver *Prior = nullptr;
-  if (Observe) {
-    Prior = Env.observer();
-    Env.setObserver(&Core);
-  }
-  Core.run();
-  if (Observe)
-    Env.setObserver(Prior);
+  observing([this] { Core.run(); });
   return Core.trace();
 }
 

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The options of one full-semantics run, shared by both engines
-/// (sem/FullInterpreter.h, sem/StepInterpreter.h) and held, once per run,
-/// by the execution core (sem/ExecCore.h).
+/// The options of one full-semantics run of the engine
+/// (sem/FullInterpreter.h), held, once per run, by the execution core
+/// (sem/ExecCore.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,7 @@
 
 namespace zam {
 
-/// Knobs shared by both full-semantics engines. Costs and Mitigation are
+/// Knobs of one full-semantics run. Costs and Mitigation are
 /// the *lowering inputs*: they shape the compiled form
 /// (sem/CompiledProgram.h), so every run of one compiled form must pass the
 /// same ones. All other fields may change from run to run.
@@ -56,22 +56,22 @@ struct InterpreterOptions {
   /// not grow with the run. Trace::requireEvents diagnoses a read of a
   /// trace that kept none.
   bool RetainEvents = true;
-  /// Record a per-access miss timeline into Trace::Misses (big-step engine
-  /// only; costs an observer callback per hardware access, so it is off by
-  /// default and enabled by the trace exporters).
+  /// Record a per-access miss timeline into Trace::Misses, whether the run
+  /// is stepped or completed (costs an observer callback per access that
+  /// misses, so it is off by default and enabled by the trace exporters).
   bool RecordMisses = false;
-  /// Invoked by both engines right after a mitigate window settles and its
+  /// Invoked by the engine right after a mitigate window settles and its
   /// record is appended to the trace. This is how the online leakage
   /// accountant (obs/LeakAudit.h) observes windows without sem depending on
   /// obs. Must be deterministic; called on the interpreter's thread.
   std::function<void(const MitigateRecord &)> OnMitigateWindow;
-  /// When set, both engines charge every cost event (step cycles, hardware
+  /// When set, the engine charges every cost event (step cycles, hardware
   /// accesses, sleep and mitigation padding) to this sink tagged with the
   /// current attribution cursor — the source profiler's data feed
-  /// (obs/CostLedger.h implements it). Installs the hardware observer for
-  /// the run like RecordMisses does. Not owned.
+  /// (obs/CostLedger.h implements it). Installs the hardware observer like
+  /// RecordMisses does. Not owned.
   CostSink *Provenance = nullptr;
-  /// When set, both engines report every instruction dispatch, branch
+  /// When set, the engine reports every instruction dispatch, branch
   /// direction, and mitigate-window settle to this probe — the engine
   /// self-profiler's data feed (obs/ExecProfile.h implements it). Purely
   /// observational: attaching a probe never changes costs, the trace, or

@@ -13,8 +13,8 @@
 /// only the interface lives here — the same layering as
 /// InterpreterOptions::OnMitigateWindow).
 ///
-/// Cursor discipline (both engines follow it identically, so their ledgers
-/// agree bit for bit):
+/// Cursor discipline (stepped and completed runs follow it identically, so
+/// their ledgers agree bit for bit):
 ///   - Seq is transparent (it lowers away entirely); every other command
 ///     sets Cur.Loc to its own location when its step begins.
 ///   - Expression evaluation narrows Cur.Loc to the innermost valid

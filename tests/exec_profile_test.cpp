@@ -15,7 +15,6 @@
 #include "obs/ExecProfile.h"
 #include "obs/Metrics.h"
 #include "sem/FullInterpreter.h"
-#include "sem/StepInterpreter.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
@@ -123,9 +122,11 @@ TEST(ExecProfile, FullAndStepEnginesExportIdenticallyOnEveryDesign) {
     auto Env = createMachineEnv(Kind, P.lattice());
     InterpreterOptions Opts;
     Opts.Probe = &StepProf;
-    StepInterpreter Step(P, *Env, Opts);
+    FullInterpreter Step(P, *Env, Opts);
     Step.memory().store("h", static_cast<int64_t>(7));
-    Trace T = Step.runToCompletion();
+    while (!Step.done())
+      Step.step();
+    const Trace &T = Step.trace();
     ASSERT_FALSE(T.HitStepLimit);
 
     std::string Err;

@@ -1,7 +1,7 @@
 //===- interp_agreement_test.cpp - Big-step vs small-step engines ----------===//
 //
-// The fast big-step FullInterpreter and the literal small-step
-// StepInterpreter implement the same full semantics; these tests check
+// A run completed in the engine's tight loop and one driven a transition
+// at a time by step() implement the same full semantics; these tests check
 // cycle-level agreement on hand-written and random programs across all
 // three hardware designs, plus the basic timing behaviors of the full
 // semantics themselves and the equality of a restarted FullInterpreter's
@@ -17,7 +17,6 @@
 #include "obs/Telemetry.h"
 #include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
-#include "sem/StepInterpreter.h"
 #include "sem/TraceDump.h"
 #include "types/LabelInference.h"
 
@@ -38,7 +37,7 @@ Program inferred(std::string Source) {
   return P;
 }
 
-/// Adds the big-step run's L1D evictions to \p L1DEvictions if given.
+/// Adds the completed run's L1D evictions to \p L1DEvictions if given.
 void expectEnginesAgree(const Program &P, HwKind Kind,
                         CacheGeometry G = CacheGeometry::Table1,
                         uint64_t *L1DEvictions = nullptr) {
@@ -49,8 +48,10 @@ void expectEnginesAgree(const Program &P, HwKind Kind,
   if (L1DEvictions)
     *L1DEvictions += Fast.Hw.L1D.Evictions;
 
-  StepInterpreter Slow(P, *Env2);
-  Trace SlowTrace = Slow.runToCompletion();
+  FullInterpreter Slow(P, *Env2);
+  while (!Slow.done())
+    Slow.step();
+  const Trace &SlowTrace = Slow.trace();
 
   EXPECT_EQ(Fast.T.FinalTime, SlowTrace.FinalTime) << hwKindName(Kind);
   EXPECT_EQ(Fast.T.Steps, SlowTrace.Steps);

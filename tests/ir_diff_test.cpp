@@ -1,12 +1,13 @@
 //===- ir_diff_test.cpp - Differential fuzzing over the timing-IR ----------===//
 //
 // Random well-typed programs pushed through all three semantics layers:
-// the timing-free core evaluator (the Fig. 2 reference), the big-step IR
-// driver, and the resumable small-step cursor — over all three hardware
-// designs, cycling the mitigation policy per program so every registered
-// schedule is exercised. Adequacy says core and full agree on memory and
-// the event sequence; engine unification says the two IR engines agree on
-// everything, including the attribution ledger bit for bit; and the
+// the timing-free core evaluator (the Fig. 2 reference), the IR engine run
+// to completion, and the IR engine stepped one transition at a time — over
+// all three hardware designs, cycling the mitigation policy per program so
+// every registered schedule is exercised. Adequacy says core and full
+// agree on memory and the event sequence; engine unification says the
+// completed and stepped runs agree on everything, including the
+// attribution ledger bit for bit; and the
 // online leakage accountant (fed window-by-window during the run) must
 // match an offline accountant replaying the finished trace bit for bit
 // under whichever policy scheduled the run. Compiled-form sharing says a
@@ -27,7 +28,6 @@
 #include "sem/CoreInterpreter.h"
 #include "sem/FullInterpreter.h"
 #include "sem/Mitigation.h"
-#include "sem/StepInterpreter.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
@@ -83,8 +83,10 @@ void expectThreeWayAgreement(const Program &P, HwKind Kind,
   RunResult Full = runFull(P, *FullEnv, FullOpts);
   ASSERT_FALSE(Full.T.HitStepLimit);
 
-  StepInterpreter Step(P, *StepEnv, StepOpts);
-  Trace StepTrace = Step.runToCompletion();
+  FullInterpreter Step(P, *StepEnv, StepOpts);
+  while (!Step.done())
+    Step.step();
+  const Trace &StepTrace = Step.trace();
 
   // Adequacy (Property 1): the full semantics computes the same memory and
   // the same assignment events as the timing-free core. Core event times
@@ -119,7 +121,7 @@ void expectThreeWayAgreement(const Program &P, HwKind Kind,
   EXPECT_EQ(FullLedger.totalCycles(), Full.T.FinalTime)
       << "ledger must attribute every cycle";
 
-  // Execution-observatory unification: both engines dispatch the same IR
+  // Execution-observatory unification: both runs dispatch the same IR
   // through the same core, so the exec.* profiles — pc counts, opcode and
   // digram tables, branch directions, settle histograms — are identical
   // byte for byte, and each satisfies the conservation equations.
@@ -289,8 +291,8 @@ TEST(CompiledProgram, MismatchedLoweringInputsAbort) {
                "FullInterpreter: the options' Costs differs");
   InterpreterOptions Linear;
   Linear.Mitigation.Default = &linearPolicy();
-  EXPECT_DEATH(StepInterpreter(C, *Env, Linear),
-               "StepInterpreter: the options' Mitigation differs");
+  EXPECT_DEATH(FullInterpreter(C, *Env, Linear),
+               "FullInterpreter: the options' Mitigation differs");
 
   // Everything else may change per run.
   InterpreterOptions PerRun;

@@ -18,7 +18,6 @@
 #include "sem/CoreInterpreter.h"
 #include "sem/ExecCore.h"
 #include "sem/FullInterpreter.h"
-#include "sem/StepInterpreter.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
@@ -458,14 +457,13 @@ TEST(Lir, StepThenRunResumesExactly) {
       CostLedger Ledger;
       InterpreterOptions Opts;
       Opts.Provenance = &Ledger;
-      StepInterpreter Step(P, *Env, Opts);
+      FullInterpreter Step(P, *Env, Opts);
       for (uint64_t I = 0; I != K; ++I)
         Step.step();
-      Trace T = Step.runToCompletion();
+      const Trace &T = Step.complete();
       const std::string What = "resume after " + std::to_string(K);
-      expectSameObservables(
-          Base, {std::move(T), Step.memory(), Ledger.toJson().dump()},
-          What.c_str());
+      expectSameObservables(Base, {T, Step.memory(), Ledger.toJson().dump()},
+                            What.c_str());
     }
   }
 }

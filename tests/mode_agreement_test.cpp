@@ -8,7 +8,7 @@
 // hardware counters and hardware state whichever instantiation ran it.
 // These tests run random programs unobserved and under each observer
 // alone, and the limit stops and the step-then-run interleaving in both
-// modes.
+// modes. A stepped run samples the same misses as a completed one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 #include "obs/CostLedger.h"
 #include "sem/FullInterpreter.h"
 #include "sem/Limits.h"
-#include "sem/StepInterpreter.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
@@ -90,6 +89,9 @@ struct Outcome {
   Memory FinalMemory;
   HwStats Hw;
   std::unique_ptr<MachineEnv> Env;
+  /// The miss samples; only a run under Observer::Misses takes any, so
+  /// expectSameOutcome leaves them out.
+  std::vector<AccessSample> Misses;
 };
 
 Outcome outcomeOf(const Trace &T, const Memory &M,
@@ -104,6 +106,7 @@ Outcome outcomeOf(const Trace &T, const Memory &M,
   Out.FinalMemory = M;
   Out.Hw = Env->stats();
   Out.Env = std::move(Env);
+  Out.Misses = T.Misses;
   return Out;
 }
 
@@ -122,7 +125,7 @@ void expectSameOutcome(const Outcome &Want, const Outcome &Got) {
 /// How a run is driven.
 enum class Drive {
   Full,        ///< FullInterpreter to the end.
-  StepThenRun, ///< StepInterpreter: Steps single step() calls, then run().
+  StepThenRun, ///< Steps single step() calls, then complete().
 };
 
 /// Runs \p P on a clone of \p Template under observer \p O.
@@ -136,10 +139,10 @@ Outcome runUnder(const Program &P, const MachineEnv &Template, Observer O,
     RunResult R = runFull(P, *Env, std::move(Opts));
     return outcomeOf(R.T, R.FinalMemory, std::move(Env));
   }
-  StepInterpreter S(P, *Env, std::move(Opts));
+  FullInterpreter S(P, *Env, std::move(Opts));
   for (unsigned I = 0; I != Steps && !S.done(); ++I)
     S.step();
-  const Trace T = S.runToCompletion();
+  const Trace &T = S.complete();
   return outcomeOf(T, S.memory(), std::move(Env));
 }
 
@@ -244,6 +247,35 @@ TEST_P(ModeAgreement, StepThenRunAndStepLimitAgree) {
                                       Drive::StepThenRun, 3));
     }
   }
+}
+
+// Under RecordMisses, a run resumed after k single steps, and a stepped run
+// cut by the step limit, sample exactly the misses of the completed run:
+// the engine installs the core as the env's observer around step() as it
+// does around complete().
+TEST_P(ModeAgreement, SteppedRunsSampleTheSameMisses) {
+  size_t Samples = 0;
+  for (const auto &[Lat, P] : programs()) {
+    auto Template = templateFor(*Lat);
+    const Outcome Whole = runUnder(P, *Template, Observer::Misses);
+    ASSERT_FALSE(Whole.HitStepLimit);
+    Samples += Whole.Misses.size();
+    for (unsigned K : {0u, 1u, 7u}) {
+      SCOPED_TRACE("step-then-run after " + std::to_string(K));
+      EXPECT_EQ(runUnder(P, *Template, Observer::Misses, kDefaultStepLimit,
+                         Drive::StepThenRun, K)
+                    .Misses,
+                Whole.Misses);
+    }
+    const uint64_t Limit = Whole.Steps / 2;
+    const Outcome Cut = runUnder(P, *Template, Observer::Misses, Limit);
+    Samples += Cut.Misses.size();
+    EXPECT_EQ(runUnder(P, *Template, Observer::Misses, Limit,
+                       Drive::StepThenRun, 3)
+                  .Misses,
+              Cut.Misses);
+  }
+  EXPECT_GT(Samples, 0u) << "no run sampled a miss";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, ModeAgreement, allDesignsAndGeometries(),

@@ -131,7 +131,7 @@ TEST(Noninterference, MitigateFreeProgramsHaveSecretIndependentTiming) {
     FullInterpreter I1(*P, *E1);
     FullInterpreter I2(*P, *E2);
     randomizeMemoryValues(I1.memory(), R);
-    I2.memory() = I1.memory();
+    I2.memory().restoreValues(I1.memory());
     // Vary only high variables.
     for (size_t I = 0; I != I1.memory().slotCount(); ++I)
       if (I1.memory().slotAt(I).SecLabel == high())

@@ -17,7 +17,6 @@
 #include "obs/LeakAudit.h"
 #include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
-#include "sem/StepInterpreter.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
@@ -209,10 +208,10 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, ProfilerConservation,
 //===----------------------------------------------------------------------===//
 
 namespace {
-/// The big-step and small-step engines must not only agree on totals but
-/// attribute every cost to the same source line and mitigate site. Adds
-/// the L1D evictions of each design's big-step run to \p Evictions, by
-/// design.
+/// A completed run and a run stepped one transition at a time must not
+/// only agree on totals but attribute every cost to the same source line
+/// and mitigate site. Adds the L1D evictions of each design's completed
+/// run to \p Evictions, by design.
 void expectEnginesChargeIdenticalLedgers(
     const Program &P, CacheGeometry G = CacheGeometry::Table1,
     std::map<HwKind, uint64_t> *Evictions = nullptr) {
@@ -240,8 +239,9 @@ void expectEnginesChargeIdenticalLedgers(
     SlowOpts.OnMitigateWindow = [&](const MitigateRecord &R) {
       SlowAudit.onWindow(R);
     };
-    StepInterpreter Step(P, *Env2, SlowOpts);
-    Step.runToCompletion();
+    FullInterpreter Step(P, *Env2, SlowOpts);
+    while (!Step.done())
+      Step.step();
     Slow.applyLeakage(SlowAudit);
 
     EXPECT_EQ(Fast.toJson().dump(), Slow.toJson().dump()) << hwKindName(Kind);
@@ -339,7 +339,7 @@ TEST(ProfilerFold, RestartedRunsAccumulate) {
   }
 }
 
-// A step engine dropped after k of its n steps charges those k steps: the
+// An engine dropped after k of its n steps charges those k steps: the
 // ledger's cycles are its clock, and its accesses the machine's.
 TEST(ProfilerFold, ADroppedStepEngineChargesItsSteps) {
   Program P = inferred(kWorkload);
@@ -348,7 +348,7 @@ TEST(ProfilerFold, ADroppedStepEngineChargesItsSteps) {
     uint64_t Steps = 0;
     {
       auto Env = createMachineEnv(Kind, P.lattice(), MachineEnvConfig());
-      StepInterpreter Whole(P, *Env);
+      FullInterpreter Whole(P, *Env);
       while (!Whole.done()) {
         Whole.step();
         ++Steps;
@@ -364,7 +364,7 @@ TEST(ProfilerFold, ADroppedStepEngineChargesItsSteps) {
       {
         InterpreterOptions Opts;
         Opts.Provenance = &Ledger;
-        StepInterpreter Step(P, *Env, Opts);
+        FullInterpreter Step(P, *Env, Opts);
         for (uint64_t I = 0; I != K; ++I)
           Step.step();
         ASSERT_FALSE(Step.done());

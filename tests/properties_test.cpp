@@ -12,7 +12,8 @@
 #include "analysis/RandomProgram.h"
 #include "hw/HardwareModels.h"
 #include "lang/ProgramBuilder.h"
-#include "sem/StepInterpreter.h"
+#include "sem/CompiledProgram.h"
+#include "sem/FullInterpreter.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
@@ -259,7 +260,9 @@ TEST(CommodityHardware, ViolatesProperty6) {
   CmdPtr C = B.assign("v1", B.v("v0"), low(), low());
   auto Run = [&](MachineEnv &Env) {
     auto EnvC = Env.clone();
-    StepInterpreter S(Decls, C->clone(), M, *EnvC);
+    const CompiledProgram Form(Decls, C->clone(), InterpreterOptions());
+    FullInterpreter S(Form, *EnvC);
+    S.memory().restoreValues(M);
     S.step();
     return S.clock();
   };

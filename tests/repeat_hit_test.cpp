@@ -17,7 +17,6 @@
 #include "obs/CostLedger.h"
 #include "sem/CompiledProgram.h"
 #include "sem/FullInterpreter.h"
-#include "sem/StepInterpreter.h"
 #include "types/LabelInference.h"
 
 #include "TestUtil.h"
@@ -860,7 +859,7 @@ void drive(Engine E, const CompiledProgram &C, const CompiledProgram &Other,
     return;
   }
   case Engine::Step: {
-    StepInterpreter Step(C, S.Run, Opts);
+    FullInterpreter Step(C, S.Run, Opts);
     while (!Step.done())
       Step.step();
     Keep(Step.trace(), Step.memory());
@@ -889,9 +888,13 @@ void drive(Engine E, const CompiledProgram &C, const CompiledProgram &Other,
   }
   case Engine::Interleaved: {
     // Two cores share the env step by step: each one's changes must stale
-    // the other's tickets. Only the first carries the observers.
-    StepInterpreter A(C, S.Run, Opts);
-    StepInterpreter B(Other, S.Run);
+    // the other's tickets. Only the first carries the ledger. Each engine
+    // observes only its own steps, so with observers the second samples
+    // its misses too: every access of an observed drive is observed.
+    InterpreterOptions OtherOpts;
+    OtherOpts.RecordMisses = WithObservers;
+    FullInterpreter A(C, S.Run, Opts);
+    FullInterpreter B(Other, S.Run, OtherOpts);
     while (!A.done() || !B.done()) {
       A.step();
       B.step();

@@ -1,13 +1,14 @@
 //===- step_interp_test.cpp - The resumable small-step machine --------------===//
 //
-// White-box tests of the StepInterpreter's transition structure: these
-// check that the program-counter cursor over the lowered IR visits exactly
-// the transitions the paper's rules prescribe (Fig. 2 plus the predictive
-// rules of Fig. 6), one source command per step.
+// White-box tests of the engine's transition structure: these check that
+// step() over the lowered IR visits exactly the transitions the paper's
+// rules prescribe (Fig. 2 plus the predictive rules of Fig. 6), one source
+// command per step.
 //
 //===----------------------------------------------------------------------===//
 
-#include "sem/StepInterpreter.h"
+#include "sem/CompiledProgram.h"
+#include "sem/FullInterpreter.h"
 
 #include "hw/HardwareModels.h"
 #include "lang/ProgramBuilder.h"
@@ -31,7 +32,7 @@ Program inferred(const std::string &Source) {
 TEST(StepInterpreter, SkipStepsToStop) {
   Program P = inferred("skip");
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  StepInterpreter S(P, *Env);
+  FullInterpreter S(P, *Env);
   EXPECT_FALSE(S.done());
   S.step();
   EXPECT_TRUE(S.done());
@@ -41,7 +42,7 @@ TEST(StepInterpreter, SkipStepsToStop) {
 TEST(StepInterpreter, SeqStepsFirstComponent) {
   Program P = inferred("var x : L;\nx := 1; x := 2");
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  StepInterpreter S(P, *Env);
+  FullInterpreter S(P, *Env);
   S.step();
   // After c1 stops, the configuration's command is exactly c2.
   ASSERT_FALSE(S.done());
@@ -57,7 +58,7 @@ TEST(StepInterpreter, IfStepsToTakenBranch) {
   Program P = inferred("var x : L = 1;\nvar y : L;\n"
                        "if x then { y := 10 } else { y := 20 }");
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  StepInterpreter S(P, *Env);
+  FullInterpreter S(P, *Env);
   S.step(); // Evaluate the guard.
   ASSERT_FALSE(S.done());
   const auto *A = dyn_cast<AssignCmd>(S.current());
@@ -72,7 +73,7 @@ TEST(StepInterpreter, WhileGuardStepsIntoBodyAndBack) {
   // guard for the next iteration (the c ; while e do c unrolling).
   Program P = inferred("var i : L = 2;\nwhile i > 0 do { i := i - 1 }");
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  StepInterpreter S(P, *Env);
+  FullInterpreter S(P, *Env);
   const auto *W = dyn_cast<WhileCmd>(S.current());
   ASSERT_NE(W, nullptr);
   S.step(); // Guard evaluation (true).
@@ -91,7 +92,7 @@ TEST(StepInterpreter, WhileGuardStepsIntoBodyAndBack) {
 TEST(StepInterpreter, WhileFalseGuardStops) {
   Program P = inferred("var i : L = 0;\nwhile i > 0 do { i := i - 1 }");
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  StepInterpreter S(P, *Env);
+  FullInterpreter S(P, *Env);
   S.step();
   EXPECT_TRUE(S.done());
 }
@@ -102,7 +103,7 @@ TEST(StepInterpreter, MitigateEntersBodyThenSettles) {
   // Body = sleep(3) plus the cold read of h (~137 cycles): 400 covers it.
   Program P = inferred("var h : H = 3;\nmitigate (400, H) { sleep(h) @[H,H] }");
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  StepInterpreter S(P, *Env);
+  FullInterpreter S(P, *Env);
   const auto *Mit = dyn_cast<MitigateCmd>(S.current());
   ASSERT_NE(Mit, nullptr);
   S.step(); // The mitigate entry step.
@@ -129,8 +130,8 @@ TEST(StepInterpreter, MitigateSettleIsOneStep) {
   // the paper's explicit MitigateEnd command.
   Program P = inferred("mitigate (10, H) { skip }");
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  StepInterpreter S(P, *Env);
-  Trace T = S.runToCompletion();
+  FullInterpreter S(P, *Env);
+  const Trace &T = S.complete();
   EXPECT_EQ(T.Steps, 3u); // Enter, body, settle.
 }
 
@@ -141,16 +142,18 @@ TEST(StepInterpreter, SingleCommandConstructor) {
   CmdPtr C = B.assign("b", B.mul(B.v("a"), B.v("a")), low(), low());
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
   Memory M = Memory::fromProgram(Decls, CostModel().DataBase);
-  StepInterpreter S(Decls, std::move(C), M, *Env);
-  S.runToCompletion();
+  const CompiledProgram Form(Decls, std::move(C), InterpreterOptions());
+  FullInterpreter S(Form, *Env);
+  S.memory().restoreValues(M);
+  S.complete();
   EXPECT_EQ(S.memory().load("b"), 25);
 }
 
 TEST(StepInterpreter, StepCountMatchesPrimitiveTransitions) {
   Program P = inferred("var x : L;\nx := 1; x := 2; skip");
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  StepInterpreter S(P, *Env);
-  Trace T = S.runToCompletion();
+  FullInterpreter S(P, *Env);
+  const Trace &T = S.complete();
   EXPECT_EQ(T.Steps, 3u); // Seq nodes do not consume steps.
 }
 
@@ -159,8 +162,8 @@ TEST(StepInterpreter, StepLimitStopsDivergence) {
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
   InterpreterOptions Opts;
   Opts.StepLimit = 100;
-  StepInterpreter S(P, *Env, Opts);
-  Trace T = S.runToCompletion();
+  FullInterpreter S(P, *Env, Opts);
+  const Trace &T = S.complete();
   EXPECT_TRUE(T.HitStepLimit);
   EXPECT_TRUE(S.done());
 }
@@ -168,7 +171,7 @@ TEST(StepInterpreter, StepLimitStopsDivergence) {
 TEST(StepInterpreter, EventsTimedAtStepCompletion) {
   Program P = inferred("var x : L;\nx := 7");
   auto Env = createMachineEnv(HwKind::Partitioned, lh());
-  StepInterpreter S(P, *Env);
+  FullInterpreter S(P, *Env);
   S.step();
   ASSERT_EQ(S.trace().Events.size(), 1u);
   EXPECT_EQ(S.trace().Events[0].Time, S.clock());
@@ -180,11 +183,11 @@ TEST(StepInterpreter, SharedMitigationState) {
   MitigationState Shared(lh(), fastDoublingPolicy(), PenaltyPolicy::PerLevel);
   InterpreterOptions Opts;
   Opts.SharedMitState = &Shared;
-  StepInterpreter S1(P, *Env, Opts);
-  S1.runToCompletion();
+  FullInterpreter S1(P, *Env, Opts);
+  S1.complete();
   EXPECT_GT(Shared.misses(high()), 0u);
   unsigned After = Shared.misses(high());
-  StepInterpreter S2(P, *Env, Opts);
-  S2.runToCompletion();
+  FullInterpreter S2(P, *Env, Opts);
+  S2.complete();
   EXPECT_EQ(Shared.misses(high()), After); // Schedule already covers it.
 }
