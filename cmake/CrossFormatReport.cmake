@@ -2,11 +2,18 @@
 # ZTB, chosen by the --trace-out extension), reads each back with
 # `zamtrace report --json`, and requires the three reports to be
 # byte-identical: every format must carry the same records, so a writer
-# that breaks one format fails here. Files go to OUT.<ext> and
+# that breaks one format fails here. With -DADVERSARY=<level> the traces
+# are the `--adversary` projection, whose events the exporter filters
+# inside its runs of events. Files go to OUT.<ext> and
 # OUT.<ext>.report.json.
+set(PROFILE_FLAGS "")
+if(ADVERSARY)
+  set(PROFILE_FLAGS --adversary ${ADVERSARY})
+endif()
 foreach(EXT jsonl json ztb)
   execute_process(
-    COMMAND ${ZAMC} profile ${PROGRAM} --no-color --trace-out ${OUT}.${EXT}
+    COMMAND ${ZAMC} profile ${PROGRAM} --no-color ${PROFILE_FLAGS}
+            --trace-out ${OUT}.${EXT}
     OUTPUT_QUIET
     ERROR_VARIABLE PROFILE_STDERR
     RESULT_VARIABLE PROFILE_RC)

@@ -121,18 +121,19 @@ std::vector<Observation> zam::collectObservations(
   return Obs;
 }
 
-size_t zam::exportObservation(TraceSink &Sink, const Observation &O,
-                              size_t Index,
-                              const std::vector<std::string> &ClassNames) {
-  std::string Windows;
+size_t ObservationExporter::write(const Observation &O, size_t Index) {
+  Windows.clear();
   for (size_t W = 0; W < O.Windows.size(); ++W) {
     if (W)
       Windows += ',';
     appendInt(Windows, O.Windows[W]);
   }
   withEncoder(Sink, [&](auto &Enc) {
-    auto W = Enc.begin(TraceRecord::Kind::Instant, "sample#",
-                       TraceNameIndex(Index), Enc.category("adv"), Index);
+    if (Head.empty())
+      Head = Enc.head(TraceRecord::Kind::Instant, "sample#",
+                      Enc.category("adv"));
+    auto W = Enc.writer();
+    Enc.begin(W, Head, TraceNameIndex(Index), Index);
     if (O.ClassIndex < ClassNames.size())
       W.argText("class", ClassNames[O.ClassIndex]);
     W.argInt("class_index", O.ClassIndex);
@@ -142,6 +143,7 @@ size_t zam::exportObservation(TraceSink &Sink, const Observation &O,
     W.argText("windows", Windows);
     W.argDouble("bound_bits", O.BoundBits);
     W.end();
+    W.commit();
   });
   return 1;
 }
@@ -149,7 +151,8 @@ size_t zam::exportObservation(TraceSink &Sink, const Observation &O,
 size_t zam::exportObservations(TraceSink &Sink,
                                const std::vector<Observation> &Obs,
                                const std::vector<std::string> &ClassNames) {
+  ObservationExporter Exporter(Sink, ClassNames);
   for (size_t I = 0; I < Obs.size(); ++I)
-    exportObservation(Sink, Obs[I], I, ClassNames);
+    Exporter.write(Obs[I], I);
   return Obs.size();
 }

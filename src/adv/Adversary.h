@@ -118,16 +118,32 @@ collectObservations(const Program &P, const MachineEnv &EnvTemplate,
                     const AttackOptions &Opts, const InterpreterOptions &IOpts,
                     const ParallelRunner &Runner);
 
-/// Serializes one observation through \p Sink as a cat "adv" instant
-/// record, Ts = \p Index (trace time axes must be nondecreasing; the real
-/// timing rides in the args). Args: class, class_index, end_to_end,
-/// windows ("a,b,c"), bound_bits (shortest round-trip decimal, so offline
-/// recomputation is bit-for-bit). Returns the record count (1).
-size_t exportObservation(TraceSink &Sink, const Observation &O, size_t Index,
-                         const std::vector<std::string> &ClassNames);
+/// Serializes observations through one sink, each as a cat "adv" instant
+/// record "sample#<Index>", Ts = Index (trace time axes must be
+/// nondecreasing; the real timing rides in the args). Args: class,
+/// class_index, end_to_end, windows ("a,b,c"), bound_bits (shortest
+/// round-trip decimal, so offline recomputation is bit-for-bit). The
+/// record head is built at the first observation, once per export.
+class ObservationExporter {
+public:
+  /// \p Sink and \p ClassNames must outlive the exporter.
+  ObservationExporter(TraceSink &Sink,
+                      const std::vector<std::string> &ClassNames)
+      : Sink(Sink), ClassNames(ClassNames) {}
 
-/// Serializes \p Obs through \p Sink via exportObservation, one record per
-/// sample in bag order. Returns the record count.
+  /// Writes \p O as sample \p Index. \returns the record count (1).
+  size_t write(const Observation &O, size_t Index);
+
+private:
+  TraceSink &Sink;
+  const std::vector<std::string> &ClassNames;
+  TraceHead Head;
+  /// The windows arg, reused across records.
+  std::string Windows;
+};
+
+/// Serializes \p Obs through \p Sink with one ObservationExporter, one
+/// record per sample in bag order. Returns the record count.
 size_t exportObservations(TraceSink &Sink, const std::vector<Observation> &Obs,
                           const std::vector<std::string> &ClassNames);
 

@@ -15,10 +15,10 @@
 /// instruction sequences, per-Branch taken/not-taken counts, and per-mitigate-site settle-epoch histograms.
 ///
 /// Everything above is pure control-flow data, so it is bit-identical
-/// across the Full and Step engines, any thread partitioning of a run set
-/// (profiles merge like metrics registries), and every hardware design —
-/// the engines execute the same IR through the same core, and dispatch
-/// order does not depend on cache state. The one deliberate exception:
+/// whether a run is driven by run() or step by step, across any thread
+/// partitioning of a run set (profiles merge like metrics registries), and
+/// on every hardware design — both drive the same IR through the same
+/// core, and dispatch order does not depend on cache state. The one deliberate exception:
 /// settle-epoch histograms count scheduler misprediction epochs, which
 /// depend on elapsed body cycles and therefore on the hardware design.
 /// They stay inside exec.* because they are still deterministic for a

@@ -51,7 +51,7 @@ bool JsonValue::operator==(const JsonValue &Other) const {
   case Kind::Bool:
     return BoolV == Other.BoolV;
   case Kind::Number:
-    return NumV == Other.NumV;
+    return IsInt && Other.IsInt ? IntV == Other.IntV : NumV == Other.NumV;
   case Kind::String:
     return StrV == Other.StrV;
   case Kind::Array:
@@ -116,20 +116,9 @@ char *zam::writeJsonNumber(char *First, double V) {
   return std::to_chars(First, Last, V, std::chars_format::general, 17).ptr;
 }
 
-static void formatNumber(std::string &Out, double V, bool IsInt) {
-  char Buf[kJsonNumberMaxChars];
-  char *End;
-  if (IsInt && std::nearbyint(V) == V && std::fabs(V) < 9.2e18)
-    End = std::to_chars(Buf, Buf + sizeof(Buf), static_cast<long long>(V)).ptr;
-  else
-    End = writeJsonNumber(Buf, V);
-  Out.append(Buf, End);
-}
-
 std::string zam::jsonNumberString(double V) {
-  std::string Out;
-  formatNumber(Out, V, /*IsInt=*/false);
-  return Out;
+  char Buf[kJsonNumberMaxChars];
+  return std::string(Buf, writeJsonNumber(Buf, V));
 }
 
 void JsonValue::dumpTo(std::string &Out, unsigned Depth) const {
@@ -143,7 +132,7 @@ void JsonValue::dumpTo(std::string &Out, unsigned Depth) const {
     Out += BoolV ? "true" : "false";
     break;
   case Kind::Number:
-    formatNumber(Out, NumV, IsInt);
+    Out += IsInt ? std::to_string(IntV) : jsonNumberString(NumV);
     break;
   case Kind::String:
     escapeString(Out, StrV);
@@ -369,18 +358,17 @@ private:
         return std::nullopt;
       }
     }
-    // Number.
+    // Number: an integer literal within int64 exactly, anything else as
+    // the double strtod reads.
     char *End = nullptr;
     double V = std::strtod(S, &End);
     if (End == S)
       return std::nullopt;
-    bool IsInt = true;
-    for (const char *P = S; P != End; ++P)
-      if (*P == '.' || *P == 'e' || *P == 'E')
-        IsInt = false;
+    int64_t I = 0;
+    const std::from_chars_result Int = std::from_chars(S, End, I);
     S = End;
-    if (IsInt && std::fabs(V) < 9.2e18)
-      return JsonValue(static_cast<int64_t>(V));
+    if (Int.ec == std::errc() && Int.ptr == End)
+      return JsonValue(I);
     return JsonValue(V);
   }
 

@@ -28,8 +28,9 @@
 namespace zam {
 
 /// A JSON document node: null, bool, number, string, array or object.
-/// Numbers remember whether they were integral so cycle counts print
-/// without a spurious fraction.
+/// Integers within int64 keep their exact value beside the double, so
+/// cycle counts print without a spurious fraction and large ones (past
+/// 2^53) read back exactly.
 class JsonValue {
 public:
   enum class Kind { Null, Bool, Number, String, Array, Object };
@@ -38,9 +39,11 @@ public:
   JsonValue(bool B) : K(Kind::Bool), BoolV(B) {}
   JsonValue(double D) : K(Kind::Number), NumV(D) {}
   JsonValue(int64_t I)
-      : K(Kind::Number), NumV(static_cast<double>(I)), IsInt(true) {}
+      : K(Kind::Number), NumV(static_cast<double>(I)), IntV(I), IsInt(true) {}
   JsonValue(uint64_t U)
-      : K(Kind::Number), NumV(static_cast<double>(U)), IsInt(true) {}
+      : K(Kind::Number), NumV(static_cast<double>(U)),
+        IntV(static_cast<int64_t>(U)),
+        IsInt(U <= static_cast<uint64_t>(INT64_MAX)) {}
   JsonValue(int I) : JsonValue(static_cast<int64_t>(I)) {}
   JsonValue(unsigned U) : JsonValue(static_cast<uint64_t>(U)) {}
   JsonValue(std::string S) : K(Kind::String), StrV(std::move(S)) {}
@@ -62,6 +65,10 @@ public:
 
   bool asBool() const { return BoolV; }
   double asNumber() const { return NumV; }
+  /// Whether the number is an integer within int64, held exactly by
+  /// asInt().
+  bool isInt() const { return K == Kind::Number && IsInt; }
+  int64_t asInt() const { return IntV; }
   const std::string &asString() const { return StrV; }
 
   /// Array access. push() asserts the value is (or becomes) an array.
@@ -95,6 +102,7 @@ private:
   Kind K;
   bool BoolV = false;
   double NumV = 0;
+  int64_t IntV = 0;
   bool IsInt = false;
   std::string StrV;
   std::vector<JsonValue> Items;

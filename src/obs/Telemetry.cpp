@@ -130,11 +130,11 @@ std::unique_ptr<TraceSink> zam::makeTraceSink(TraceFormat Format,
 
 namespace {
 
-/// The record streams of an export, in the order records with equal
-/// timestamps leave in. Leak windows and snapshots interleave: each
-/// snapshot is keyed right after the window it closes.
+/// The record streams of an export after the events, which lead them, in
+/// the order records with equal timestamps leave in. Leak windows and
+/// snapshots interleave: each snapshot is keyed right after the window it
+/// closes.
 enum class Stream : uint8_t {
-  Event,
   Mitigation,
   LeakWindow,
   Snapshot,
@@ -145,8 +145,8 @@ enum class Stream : uint8_t {
 
 /// One record to emit: its timestamp and where its source data lives.
 /// Index is the position in the stream's source sequence (an index into
-/// Trace::Events, Trace::Mitigations, LeakAudit::windows() or
-/// Trace::Misses; unused for the ledger maps, which are walked in order).
+/// Trace::Mitigations, LeakAudit::windows() or Trace::Misses; unused for
+/// the ledger maps, which are walked in order).
 struct RecordKey {
   uint64_t Ts;
   uint32_t Index;
@@ -185,12 +185,6 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
   //  - the ledger rows, all stamped at the run's final time.
   // The merge relies on the first, so it is checked in every build: a
   // violation would emit records out of order.
-  //
-  // The Sec. 6.1 projection: an adversary at ℓA sees (x, v, t) iff
-  // Γ(x) ⊑ ℓA.
-  auto visible = [&](const AssignEvent &E) {
-    return !Opts.Adversary || Lat.flowsTo(E.VarLabel, *Opts.Adversary);
-  };
   const std::span<const AssignEvent> Events =
       Opts.IncludeEvents ? std::span(T.Events) : std::span<const AssignEvent>();
   const std::span<const AccessSample> Misses =
@@ -200,8 +194,15 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
       !std::is_sorted(Misses.begin(), Misses.end(), ByTime))
     reportFatalError("exportTrace: the trace's events or misses are out of "
                      "time order");
-  // A 32-bit index suffices: 2^32 retained events alone would take
-  // hundreds of GiB.
+  // The Sec. 6.1 projection, per level: an adversary at ℓA sees (x, v, t)
+  // iff Γ(x) ⊑ ℓA.
+  std::vector<uint8_t> Visible(Lat.size(), 1);
+  if (Opts.Adversary)
+    for (unsigned I = 0; I != Lat.size(); ++I)
+      Visible[I] = Lat.flowsTo(Label::fromIndex(I), *Opts.Adversary);
+  // A 32-bit index suffices: the misses are bounded by kMaxRetainedEvents
+  // (sem/Limits.h), and 2^32 mitigate records alone would take hundreds of
+  // GiB.
   std::vector<RecordKey> Keys;
   auto key = [&Keys](uint64_t Ts, size_t Index, Stream From) {
     Keys.push_back({Ts, static_cast<uint32_t>(Index), From});
@@ -249,44 +250,45 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
   const MitigationPolicy &RunDefault = Opts.Mitigation.base();
   return withEncoder(Sink, [&](auto &Enc) {
     // Strings encoded once per export, not once per record: every level's
-    // name as an arg value, and each slot's "assign <name>" as a record
-    // name (at the slot's first event).
-    std::vector<std::string> LevelNames;
+    // name as an arg value, and the head of each kind of record — one per
+    // slot's "assign <name>" — at its first record, so Chrome gives the
+    // categories their tids in the order they first appear.
+    std::vector<TraceText> LevelNames;
     LevelNames.reserve(Lat.size());
     for (unsigned I = 0; I != Lat.size(); ++I)
-      LevelNames.push_back(Enc.encodeValue(Lat.name(Label::fromIndex(I))));
-    auto levelName = [&LevelNames](Label L) -> std::string_view {
+      LevelNames.emplace_back(Enc.encodeValue(Lat.name(Label::fromIndex(I))));
+    auto levelName = [&LevelNames](Label L) -> const TraceText & {
       return LevelNames[L.index()];
     };
-    std::vector<std::string> AssignNames;
     const auto Interp = Enc.category("interp"), Mit = Enc.category("mit"),
                Leak = Enc.category("leak"), Obs = Enc.category("obs"),
                Hw = Enc.category("hw"), Prof = Enc.category("prof");
     using Kind = TraceRecord::Kind;
+    std::vector<TraceHead> AssignHeads;
+    TraceHead MitHead, LeakHead, SnapHead, LineHead, SiteHead, MissHeads[2];
+    auto head = [&Enc](TraceHead &H, Kind K, std::string_view Name,
+                       auto Cat) -> const TraceHead & {
+      if (H.empty())
+        H = Enc.head(K, Name, Cat);
+      return H;
+    };
+    auto addAssignHead = [&](const AssignEvent &E) {
+      if (E.Slot >= AssignHeads.size())
+        AssignHeads.resize(E.Slot + 1);
+      // T.varName checks the slot in sanitizer builds.
+      AssignHeads[E.Slot] = Enc.head(
+          Kind::Instant, Enc.encodeText("assign " + T.varName(E)), Interp);
+    };
+
+    // The mitigate, leak, snapshot and ledger records, each through its
+    // own writer.
     auto emit = [&](const RecordKey &K) {
+      auto W = Enc.writer();
       switch (K.From) {
-      case Stream::Event: {
-        const AssignEvent &E = T.Events[K.Index];
-        // T.varName checks the slot in sanitizer builds.
-        if (E.Slot >= AssignNames.size() || AssignNames[E.Slot].empty()) {
-          const std::string &Var = T.varName(E);
-          if (E.Slot >= AssignNames.size())
-            AssignNames.resize(E.Slot + 1);
-          AssignNames[E.Slot] = Enc.encodeText("assign " + Var);
-        }
-        auto W = Enc.begin(Kind::Instant, AssignNames[E.Slot],
-                           E.IsArrayStore ? TraceNameIndex(E.ElemIndex, true)
-                                          : TraceNameIndex(),
-                           Interp, K.Ts);
-        W.argInt("value", E.Value);
-        W.argValue("label", levelName(E.VarLabel));
-        W.end();
-        break;
-      }
       case Stream::Mitigation: {
         const MitigateRecord &M = T.Mitigations[K.Index];
-        auto W = Enc.begin(Kind::Span, "mitigate#", TraceNameIndex(M.Eta), Mit,
-                           K.Ts, M.Duration);
+        Enc.begin(W, head(MitHead, Kind::Span, "mitigate#", Mit),
+                  TraceNameIndex(M.Eta), K.Ts, M.Duration);
         W.argValue("level", levelName(M.Level));
         W.argValue("pc", levelName(M.PcLabel));
         W.argInt("estimate", M.Estimate);
@@ -297,13 +299,12 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
         W.argBool("mispredicted", M.Mispredicted);
         if (M.Line != 0)
           W.argInt("loc", M.Line);
-        W.end();
         break;
       }
       case Stream::LeakWindow: {
         const LeakWindow &Win = Windows[K.Index];
-        auto W = Enc.begin(Kind::Span, "leak_budget#", TraceNameIndex(Win.Eta),
-                           Leak, K.Ts, Win.Duration);
+        Enc.begin(W, head(LeakHead, Kind::Span, "leak_budget#", Leak),
+                  TraceNameIndex(Win.Eta), K.Ts, Win.Duration);
         W.argValue("level", levelName(Win.Level));
         W.argInt("estimate", Win.Estimate);
         W.argInt("misses_after", Win.MissesAfter);
@@ -317,39 +318,20 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
           W.argText("policy", Win.Policy->spec());
         if (Win.Line != 0)
           W.argInt("loc", Win.Line);
-        W.end();
         break;
       }
       case Stream::Snapshot: {
         while (SnapEnd <= K.Index)
           SnapBits += Windows[SnapEnd++].WindowBits;
-        auto W = Enc.begin(Kind::Meta, "snapshot", {}, Obs, K.Ts);
+        Enc.begin(W, head(SnapHead, Kind::Meta, "snapshot", Obs), {}, K.Ts);
         W.argInt("windows", SnapEnd);
         W.argDouble("total_bits_bound", SnapBits);
-        W.end();
-        break;
-      }
-      case Stream::Miss: {
-        const AccessSample &S = T.Misses[K.Index];
-        auto W = Enc.begin(Kind::Instant, S.IsData ? "dmiss" : "imiss", {}, Hw,
-                           K.Ts);
-        W.argHex("addr", S.A);
-        W.argInt("cycles", S.Cycles);
-        if (S.TlbMiss)
-          W.argBool("tlb_miss", true);
-        if (S.L1Miss)
-          W.argBool("l1_miss", true);
-        if (S.L2Miss)
-          W.argBool("memory", true);
-        if (S.Line != 0)
-          W.argInt("loc", S.Line);
-        W.end();
         break;
       }
       case Stream::LedgerLine: {
         const auto &[Line, C] = *LineAt++;
-        auto W = Enc.begin(Kind::Instant, "prof_line#", TraceNameIndex(Line),
-                           Prof, K.Ts);
+        Enc.begin(W, head(LineHead, Kind::Instant, "prof_line#", Prof),
+                  TraceNameIndex(Line), K.Ts);
         W.argInt("cycles", C.totalCycles());
         W.argInt("step_cycles", C.StepCycles);
         W.argInt("sleep_cycles", C.SleepCycles);
@@ -358,26 +340,31 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
         W.argInt("misses", C.misses());
         W.argInt("windows", C.Windows);
         W.argDouble("leak_bits", C.LeakBits);
-        W.end();
         break;
       }
       case Stream::LedgerSite: {
         const auto &[Eta, S] = *SiteAt++;
-        auto W = Enc.begin(Kind::Instant, "prof_site#", TraceNameIndex(Eta),
-                           Prof, K.Ts);
+        Enc.begin(W, head(SiteHead, Kind::Instant, "prof_site#", Prof),
+                  TraceNameIndex(Eta), K.Ts);
         W.argInt("loc", S.Line);
         W.argInt("windows", S.Windows);
         W.argInt("pad_cycles", S.PadCycles);
         W.argDouble("leak_bits", S.LeakBits);
-        W.end();
         break;
       }
+      case Stream::Miss:
+        break; // Written in the merge's runs.
       }
+      W.end();
+      W.commit();
     };
 
     // The merge: each pass finds the earliest head of the streams after
     // the events (the earlier stream on a tie), emits every visible event
     // at or before it — the events stream wins ties — and then that head.
+    // The events and misses, nearly every record, are written in runs
+    // through one open writer, which commits at each 64 KiB chunk and
+    // before any other record.
     enum Source { FromKeys, FromMisses, FromRows, NumSources };
     size_t At[NumSources] = {};
     const size_t End[NumSources] = {Keys.size(), Misses.size(), LedgerRows};
@@ -395,6 +382,7 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
                 I < LedgerLines ? Stream::LedgerLine : Stream::LedgerSite};
       }
     };
+    auto W = Enc.writer();
     for (;;) {
       RecordKey Head{};
       unsigned From = NumSources;
@@ -411,17 +399,49 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
              (From == NumSources || Events[NextEvent].Time <= Head.Ts);
            ++NextEvent) {
         const AssignEvent &E = Events[NextEvent];
-        if (!visible(E))
+        if (!Visible[E.VarLabel.index()])
           continue;
-        emit({E.Time, static_cast<uint32_t>(NextEvent), Stream::Event});
+        if (E.Slot >= AssignHeads.size() || AssignHeads[E.Slot].empty())
+            [[unlikely]]
+          addAssignHead(E);
+        Enc.begin(W, AssignHeads[E.Slot],
+                  E.IsArrayStore ? TraceNameIndex(E.ElemIndex, true)
+                                 : TraceNameIndex(),
+                  E.Time);
+        W.argInt("value", E.Value);
+        W.argValue("label", levelName(E.VarLabel));
+        W.end();
         ++Emitted;
       }
       if (From == NumSources)
-        return Emitted;
+        break;
       ++At[From];
-      emit(Head);
       ++Emitted;
+      if (Head.From != Stream::Miss) {
+        W.commit();
+        emit(Head);
+        W = Enc.writer();
+        continue;
+      }
+      const AccessSample &S = Misses[Head.Index];
+      Enc.begin(W,
+                head(MissHeads[S.IsData], Kind::Instant,
+                     S.IsData ? "dmiss" : "imiss", Hw),
+                {}, Head.Ts);
+      W.argHex("addr", S.A);
+      W.argInt("cycles", S.Cycles);
+      if (S.TlbMiss)
+        W.argBool("tlb_miss", true);
+      if (S.L1Miss)
+        W.argBool("l1_miss", true);
+      if (S.L2Miss)
+        W.argBool("memory", true);
+      if (S.Line != 0)
+        W.argInt("loc", S.Line);
+      W.end();
     }
+    W.commit();
+    return Emitted;
   });
 }
 

@@ -31,10 +31,11 @@ bool readLine(std::FILE *F, std::string &Out) {
 }
 
 /// Flattens a JSON args object back to the producer's key/value strings:
-/// integer-valued numbers in the producers' decimal form (std::to_string
-/// — "1024", never the "%g" scientific "1.024e+03", so strtoull consumers
-/// round-trip), other numbers through jsonNumberString (bit-identical
-/// strtod round-trip), strings verbatim, bools as their literals.
+/// integers in the producers' decimal form (std::to_string — "1024", never
+/// the "%g" scientific "1.024e+03", so strtoull consumers round-trip, and
+/// every int64 exactly), other numbers through jsonNumberString
+/// (bit-identical strtod round-trip), strings verbatim, bools as their
+/// literals.
 void argsFromJson(const JsonValue *Args,
                   std::vector<std::pair<std::string, std::string>> &Out) {
   Out.clear();
@@ -44,7 +45,9 @@ void argsFromJson(const JsonValue *Args,
     switch (Val.kind()) {
     case JsonValue::Kind::Number: {
       const double V = Val.asNumber();
-      if (std::nearbyint(V) == V && std::fabs(V) < 9.2e18)
+      if (Val.isInt())
+        Out.emplace_back(Key, std::to_string(Val.asInt()));
+      else if (std::nearbyint(V) == V && std::fabs(V) < 9.2e18)
         Out.emplace_back(Key,
                          std::to_string(static_cast<long long>(V)));
       else
@@ -65,9 +68,10 @@ void argsFromJson(const JsonValue *Args,
 
 uint64_t numOr0(const JsonValue &Obj, const char *Key) {
   const JsonValue *V = Obj.find(Key);
-  return V && V->kind() == JsonValue::Kind::Number
-             ? static_cast<uint64_t>(V->asNumber())
-             : 0;
+  if (!V || V->kind() != JsonValue::Kind::Number)
+    return 0;
+  return V->isInt() ? static_cast<uint64_t>(V->asInt())
+                    : static_cast<uint64_t>(V->asNumber());
 }
 
 std::string strOrEmpty(const JsonValue &Obj, const char *Key) {

@@ -30,7 +30,7 @@ TraceBuffer::Room TraceBuffer::grow(char *At, size_t N) {
     std::memcpy(Grown.get(), Data.get(), Used);
   Data = std::move(Grown);
   Capacity = NewCapacity;
-  return {Data.get() + Used, Data.get() + Capacity};
+  return {Data.get(), Data.get() + Used, Data.get() + Capacity};
 }
 
 void TraceSink::flush() {
@@ -146,14 +146,16 @@ std::string JsonTraceSink::encodeValue(std::string_view Raw) {
 
 void TraceSink::record(const TraceRecord &R) {
   withEncoder(*this, [&R](auto &Enc) {
-    const std::string Name = Enc.encodeText(R.Name);
-    const std::string Category = Enc.encodeText(R.Category);
-    auto W = Enc.begin(R.RecordKind, Name, {}, Enc.category(Category), R.Ts,
-                       R.Dur, R.Value);
+    const TraceHead Head =
+        Enc.head(R.RecordKind, Enc.encodeText(R.Name),
+                 Enc.category(Enc.encodeText(R.Category)));
+    auto W = Enc.writer();
+    Enc.begin(W, Head, {}, R.Ts, R.Dur, R.Value);
     if (R.RecordKind != TraceRecord::Kind::Counter || Enc.CounterTakesArgs)
       for (const auto &[Key, Value] : R.Args)
         W.arg(Key, Value);
     W.end();
+    W.commit();
   });
 }
 
@@ -169,6 +171,22 @@ void JsonTraceSink::putObject(
     W.putValue(Meta[I].second);
   }
   W.put("}");
+}
+
+TraceHead JsonlTraceSink::head(TraceRecord::Kind K, std::string_view Name,
+                               Category Cat) {
+  // Mid-stream metadata rows (kind "meta") are told apart from the
+  // nameless header line by their name.
+  static constexpr std::string_view Open[] = {
+      "{\"kind\":\"instant\",\"name\":\"", "{\"kind\":\"span\",\"name\":\"",
+      "{\"kind\":\"counter\",\"name\":\"", "{\"kind\":\"meta\",\"name\":\""};
+  std::string Text(Open[static_cast<unsigned>(K)]);
+  Text += Name;
+  const size_t Split = Text.size();
+  Text += "\",\"cat\":\"";
+  Text += Cat;
+  Text += "\",\"ts\":";
+  return {K, TraceText(Text), Split};
 }
 
 void JsonlTraceSink::header(
@@ -201,6 +219,34 @@ ChromeTraceSink::category(std::string_view Encoded) {
       return {I};
   Categories.push_back({std::string(Encoded)});
   return {static_cast<unsigned>(Categories.size() - 1)};
+}
+
+TraceHead ChromeTraceSink::head(TraceRecord::Kind K, std::string_view Name,
+                                Category Cat) {
+  static constexpr std::string_view Phase[] = {
+      "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":",
+      "\",\"ph\":\"X\",\"pid\":1,\"tid\":",
+      "\",\"ph\":\"C\",\"pid\":1,\"tid\":",
+      "\",\"ph\":\"M\",\"pid\":1,\"tid\":"};
+  CategoryRow &Row = Categories[Cat.Row];
+  // Metadata rows carry no timeline semantics, so they stay off the
+  // category rows (tid 0, like the provenance header); the others take
+  // tids in the order their categories first appear, from 1.
+  unsigned Tid = 0;
+  if (K != TraceRecord::Kind::Meta) {
+    if (Row.Tid == 0)
+      Row.Tid = ++Tids;
+    Tid = Row.Tid;
+  }
+  std::string Text = ",\n{\"name\":\"";
+  Text += Name;
+  const size_t Split = Text.size();
+  Text += "\",\"cat\":\"";
+  Text += Row.Text;
+  Text += Phase[static_cast<unsigned>(K)];
+  Text += std::to_string(Tid);
+  Text += ",\"ts\":";
+  return {K, TraceText(Text), Split};
 }
 
 void ChromeTraceSink::close() {

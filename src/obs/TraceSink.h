@@ -21,15 +21,17 @@
 ///     for million-window runs.
 ///
 /// Each sink is its format's only serializer. Producers that know their
-/// fields' types (exportTrace, exportObservation) reach it through
-/// withEncoder() and write each record once, straight into the output:
-/// begin() with kind, name, category, ts and dur hands back the record's
-/// writer, a small value holding the output cursor, which takes the typed
-/// args and end(). Strings that repeat across an export — level names,
-/// "assign x" record names, categories — are encoded once per export
-/// (encodeText/encodeValue/category) and copied as they stand.
-/// TraceSink::record() takes a finished TraceRecord (readers' records,
-/// ad-hoc rows, tests) through the same writer.
+/// fields' types (exportTrace, ObservationExporter) reach it through
+/// withEncoder() and write each record once, straight into the output,
+/// through a writer: a small value holding the output cursor, opened once
+/// for a run of records. begin() starts a record on it from a prepared
+/// head — the record's kind, name and category in the format's bytes,
+/// built once per export (head()) — with the name's index suffix, ts and
+/// dur; the writer then takes the typed args and end(). Strings that
+/// repeat across an export — level names, record heads — are encoded once
+/// and copied as they stand. TraceSink::record() takes a finished
+/// TraceRecord (readers' records, ad-hoc rows, tests) through the same
+/// calls.
 ///
 /// Sinks write into a buffer they own and hand it to a caller-supplied
 /// ByteSink in large chunks and at close(), so a trace is never held
@@ -174,20 +176,24 @@ private:
 
 /// The encoders' output: a growable byte buffer. A record writer fills its
 /// free space through a cursor it holds in locals (TraceCursor) and commits
-/// the bytes when the record ends; until then the buffer's size stays at
-/// the open record's first byte.
+/// the bytes when its run of records ends or fills a chunk; until then the
+/// buffer's size stays at the run's first byte.
 class TraceBuffer {
 public:
-  /// Free space: bytes [At, Limit) may be written.
+  /// Free space: bytes [At, Limit) of the buffer that starts at Data may
+  /// be written.
   struct Room {
+    char *Data;
     char *At;
     char *Limit;
   };
 
-  Room room() { return {Data.get() + Size, Data.get() + Capacity}; }
+  Room room() {
+    return {Data.get(), Data.get() + Size, Data.get() + Capacity};
+  }
   /// Room for \p N bytes at the cursor \p At, keeping every byte before it
-  /// (the committed ones and the open record's). \returns the moved cursor
-  /// and its limit.
+  /// (the committed ones and the open run's). \returns the moved buffer,
+  /// cursor and limit.
   Room grow(char *At, size_t N);
   /// Makes the bytes before \p At part of the buffer.
   void commit(const char *At) { Size = At - Data.get(); }
@@ -251,9 +257,13 @@ protected:
   friend class TraceCursor;
   friend class ZtbRecordWriter;
 
-  /// Commits a record's bytes, ending at \p At, and hands the buffer to
-  /// the ByteSink once it holds a chunk's worth.
-  void endRecord(const char *At) {
+  /// A buffer that holds this many bytes when a record ends goes to the
+  /// ByteSink.
+  static constexpr size_t kChunkBytes = 64 * 1024;
+
+  /// Commits the bytes before \p At and hands the buffer to the ByteSink
+  /// once it holds a chunk's worth.
+  void commit(const char *At) {
     Out.commit(At);
     if (Out.size() >= kChunkBytes)
       flush();
@@ -264,8 +274,6 @@ protected:
   TraceBuffer Out;
 
 private:
-  static constexpr size_t kChunkBytes = 64 * 1024;
-
   std::unique_ptr<StringByteSink> Owned;
   ByteSink *Sink;
 };
@@ -383,32 +391,107 @@ char *writeJsonValue(char *P, std::string_view S);
 } // namespace trace_detail
 
 /// The decimal index at the end of a record name ("7" in "mitigate#7", or
-/// "[7]" in "assign a[7]"), formatted on the stack for begin().
+/// "[7]" in "assign a[7]"), which begin() writes between the two parts of
+/// the record's head.
 class TraceNameIndex {
 public:
+  /// The most bytes an index takes.
+  static constexpr size_t kMaxSize = trace_detail::kMaxIntChars + 2;
+
+  /// No index.
   TraceNameIndex() = default;
-  explicit TraceNameIndex(uint64_t V, bool Bracketed = false) {
-    char *P = Buf;
-    if (Bracketed)
+  explicit TraceNameIndex(uint64_t V, bool Bracketed = false)
+      : V(V), Form(Bracketed ? Style::Bracketed : Style::Plain) {}
+
+  bool empty() const { return Form == Style::None; }
+  /// Its length in bytes.
+  [[gnu::always_inline]] size_t size() const {
+    if (Form == Style::None)
+      return 0;
+    return trace_detail::decimalLength(V) + (Form == Style::Bracketed ? 2 : 0);
+  }
+  /// Writes it at \p P and \returns its end.
+  [[gnu::always_inline]] char *write(char *P) const {
+    if (Form == Style::Bracketed)
       *P++ = '[';
     P = trace_detail::writeInt(P, V);
-    if (Bracketed)
+    if (Form == Style::Bracketed)
       *P++ = ']';
-    Size = P - Buf;
+    return P;
   }
-  operator std::string_view() const { return {Buf, Size}; }
 
 private:
-  char Buf[24] = {};
+  uint64_t V = 0;
+  enum class Style : uint8_t { None, Plain, Bracketed } Form = Style::None;
+};
+
+/// Bytes encoded once and copied as they stand many times: record heads
+/// and level names. They are kept with a block of zeros after them, so a
+/// copy of any part moves whole 16-byte blocks — a few vector moves, no
+/// call — and writes up to kSlack bytes past its end, which the
+/// destination must have room for.
+class TraceText {
+public:
+  static constexpr size_t kBlock = 16;
+  static constexpr size_t kSlack = kBlock - 1;
+
+  TraceText() = default;
+  explicit TraceText(std::string_view S) : Size(S.size()) {
+    Bytes.reserve(Size + kBlock);
+    Bytes.assign(S);
+    Bytes.resize(Size + kBlock, '\0');
+  }
+
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+
+  /// Writes bytes [\p From, \p To) at \p P and \returns their end.
+  [[gnu::always_inline]] char *write(char *P, size_t From, size_t To) const {
+    // A local: the stores through P could alias Bytes' own pointer.
+    const char *const Src = Bytes.data();
+    for (size_t I = From; I < To; I += kBlock)
+      std::memcpy(P + (I - From), Src + I, kBlock);
+    return P + (To - From);
+  }
+  [[gnu::always_inline]] char *write(char *P) const {
+    return write(P, 0, Size);
+  }
+
+private:
+  std::string Bytes;
   size_t Size = 0;
 };
 
+/// A record's prepared head: the bytes a sink's begin() writes before the
+/// timestamp — the record's kind, name and category in the sink's format —
+/// built once by its head() and copied as they stand. A record name's
+/// index (TraceNameIndex) goes at Split, where the name ends.
+struct TraceHead {
+  TraceRecord::Kind Kind = TraceRecord::Kind::Instant;
+  TraceText Text;
+  size_t Split = 0;
+
+  /// Not built yet: every built head has bytes.
+  bool empty() const { return Text.empty(); }
+  /// Writes the head at \p P, which has room for it, \p Index and
+  /// TraceText::kSlack more bytes, with \p Index at \p Split. \returns its
+  /// end.
+  [[gnu::always_inline]] char *write(char *P, TraceNameIndex Index) const {
+    if (Index.empty())
+      return Text.write(P);
+    P = Text.write(P, 0, Split);
+    return Text.write(Index.write(P), Split, Text.size());
+  }
+};
+
 /// A writer's cursor into its sink's buffer. A writer is a small value
-/// that lives in the producer's locals: it keeps the cursor and the
-/// buffer's limit there (the buffer's own size is not touched until the
-/// record ends), makes one capacity check per call for everything the call
-/// writes, and commits the record in end(). One writer is open on a sink
-/// at a time; nothing else may write to the sink until it ends.
+/// that lives in the producer's locals: it keeps the cursor, the buffer's
+/// start and its limit there (the buffer's own size is not touched until
+/// the writer commits), makes one capacity check per call for everything
+/// the call writes, and commits its records in commit() — or, in a long
+/// run of records, at the end of the one that fills a chunk. One writer is
+/// open on a sink at a time; nothing else may write to the sink until it
+/// commits.
 ///
 /// Nothing on a writer's path takes its address — its cold paths take the
 /// cursor by value and return it — so the cursor stays in registers.
@@ -416,6 +499,7 @@ class TraceCursor {
 public:
   explicit TraceCursor(TraceSink &Sink) : Sink(&Sink) {
     const TraceBuffer::Room R = Sink.Out.room();
+    Data = R.Data;
     At = R.At;
     Limit = R.Limit;
   }
@@ -425,6 +509,7 @@ public:
   [[gnu::always_inline]] char *room(size_t N) {
     if (static_cast<size_t>(Limit - At) < N) [[unlikely]] {
       const TraceBuffer::Room R = Sink->Out.grow(At, N);
+      Data = R.Data;
       At = R.At;
       Limit = R.Limit;
     }
@@ -447,7 +532,7 @@ public:
     At = trace_detail::writeJsonValue(room(6 * S.size() + 2), S);
   }
   /// Commits what the cursor wrote; the cursor is spent.
-  void commit() { Sink->endRecord(At); }
+  void commit() { Sink->commit(At); }
 
 protected:
   friend class JsonlTraceSink;
@@ -467,10 +552,18 @@ protected:
 #endif
   }
 
-  /// The sink's committed bytes end at the open record's first byte.
-  char *recordStart() const { return Sink->Out.room().At; }
+  /// Ends a record. Once the buffer holds a chunk's worth, commits it —
+  /// which hands it to the ByteSink — and goes on at its start.
+  [[gnu::always_inline]] void endRecord() {
+    if (static_cast<size_t>(At - Data) >= TraceSink::kChunkBytes)
+        [[unlikely]] {
+      Sink->commit(At);
+      At = Data;
+    }
+  }
 
   TraceSink *Sink;
+  char *Data;
   char *At;
   char *Limit;
 };
@@ -478,13 +571,19 @@ protected:
 // The typed encoder calls, the same on all three sinks:
 //
 //   category(Encoded)
-//     A record category as begin() takes it, from an encodeText() result or
+//     A record category as head() takes it, from an encodeText() result or
 //     a plain literal; call it once per export, not once per record.
-//   begin(Kind, Name, Suffix, Category, Ts, Dur = 0, Value = 0) -> writer
-//     Opens a record and returns its writer, by value. Name comes as
-//     encodeText() returns it (a literal of letters, digits, '_', '#', ' '
-//     passes as it stands); Suffix is appended to the name unescaped (a
-//     TraceNameIndex). Dur is a Span's length, Value a Counter's sample.
+//   head(Kind, Name, Category) -> TraceHead
+//     The prepared head of the records of one kind, name and category.
+//     Name comes as encodeText() returns it (a literal of letters, digits,
+//     '_', '#', ' ' passes as it stands). Build it once per export, at its
+//     first record: a Chrome head gives its category's tid.
+//   writer() -> writer
+//     Opens the sink's writer, by value, for a run of records.
+//   begin(Writer, Head, Index, Ts, Dur = 0, Value = 0)
+//     Starts a record on the writer: the head, with Index (a
+//     TraceNameIndex, possibly empty) at the end of its name, and Ts. Dur
+//     is a Span's length, Value a Counter's sample.
 //
 // and on the writer:
 //
@@ -496,11 +595,12 @@ protected:
 //                           intermediate string.
 //   arg(Key, Value)         A TraceRecord's arg (record() only): the key
 //                           escaped, the value as argText.
-//   end()                   Closes and commits the record.
+//   end()                   Closes the record.
+//   commit()                Commits the writer's records; it is spent.
 //
 // Keys are TraceKeys: literals that need no escaping in any format. The
-// writer's calls inline into the producer, so a record is written through
-// one cursor held in registers, with one capacity check per call.
+// writer's calls inline into the producer, so a run of records is written
+// through one cursor held in registers, with one capacity check per call.
 
 /// A JSON record's writer, for JSONL (\p Lines: each record ends its line)
 /// and Chrome.
@@ -536,8 +636,8 @@ public:
     At = P;
   }
   [[gnu::always_inline]] void argValue(TraceKey Key,
-                                       std::string_view Encoded) {
-    At = trace_detail::copy(key(Key, Encoded.size()), Encoded);
+                                       const TraceText &Encoded) {
+    At = Encoded.write(key(Key, Encoded.size() + TraceText::kSlack));
   }
   void argText(TraceKey Key, std::string_view Raw) {
     At = trace_detail::writeJsonValue(key(Key, 6 * Raw.size() + 2), Raw);
@@ -560,10 +660,13 @@ public:
     if constexpr (Lines)
       *P++ = '\n';
     At = P;
-    commit();
+    endRecord();
   }
 
 private:
+  friend class JsonlTraceSink;
+  friend class ChromeTraceSink;
+
   /// Writes \p Key framed — opening the args object on the record's first
   /// arg — with room for \p ValueBytes after it; \returns where the value
   /// goes.
@@ -576,12 +679,12 @@ private:
     return P;
   }
 
-  /// The args the record has written.
+  /// The args the open record has written.
   unsigned Args = 0;
 };
 
-/// What the two JSON formats share: string escaping and the header's
-/// object.
+/// What the two JSON formats share: string escaping, the header's object
+/// and the start of a record.
 class JsonTraceSink : public TraceSink {
 public:
   using TraceSink::TraceSink;
@@ -598,10 +701,24 @@ protected:
       TraceCursor &W,
       const std::vector<std::pair<std::string, std::string>> &Meta);
 
-  /// The most bytes a begin() writes besides the name, suffix and
-  /// category.
+  /// Starts a record at \p P, which has room for it: \p H with \p Index at
+  /// the end of its name, \p Ts, and a Span's \p Dur. \returns its end.
+  [[gnu::always_inline]] static char *putHead(char *P, const TraceHead &H,
+                                              TraceNameIndex Index,
+                                              uint64_t Ts, uint64_t Dur) {
+    P = trace_detail::writeInt(H.write(P, Index), Ts);
+    if (H.Kind == TraceRecord::Kind::Span) {
+      P = trace_detail::copy(P, ",\"dur\":");
+      P = trace_detail::writeInt(P, Dur);
+    }
+    return P;
+  }
+
+  /// The most bytes a begin() writes besides the head, with the head's
+  /// slack.
   static constexpr size_t kMaxBeginFixed =
-      96 + 2 * trace_detail::kMaxIntChars + trace_detail::kMaxDoubleChars;
+      96 + TraceNameIndex::kMaxSize + TraceText::kSlack +
+      2 * trace_detail::kMaxIntChars + trace_detail::kMaxDoubleChars;
 };
 
 /// JSON-Lines backend: one object per record, keys in a fixed order
@@ -618,36 +735,22 @@ public:
       const std::vector<std::pair<std::string, std::string>> &Meta) override;
 
   static Category category(std::string_view Encoded) { return Encoded; }
+  /// `{"kind":"<kind>","name":"<Name>` and `","cat":"<Cat>","ts":`.
+  static TraceHead head(TraceRecord::Kind K, std::string_view Name,
+                        Category Cat);
+  Writer writer() { return Writer(*this); }
 
-  [[gnu::always_inline]] Writer begin(TraceRecord::Kind K,
-                                      std::string_view Name,
-                                      std::string_view Suffix,
-                                      Category Cat, uint64_t Ts,
-                                      uint64_t Dur = 0, double Value = 0) {
-    // Mid-stream metadata rows (kind "meta") are told apart from the
-    // nameless header line by their name.
-    static constexpr std::string_view Open[] = {
-        "{\"kind\":\"instant\",\"name\":\"", "{\"kind\":\"span\",\"name\":\"",
-        "{\"kind\":\"counter\",\"name\":\"", "{\"kind\":\"meta\",\"name\":\""};
-    Writer W(*this);
-    char *P = W.room(Name.size() + Suffix.size() + Cat.size() +
-                     kMaxBeginFixed);
-    P = trace_detail::copy(P, Open[static_cast<unsigned>(K)]);
-    P = trace_detail::copy(P, Name);
-    P = trace_detail::copy(P, Suffix);
-    P = trace_detail::copy(P, "\",\"cat\":\"");
-    P = trace_detail::copy(P, Cat);
-    P = trace_detail::copy(P, "\",\"ts\":");
-    P = trace_detail::writeInt(P, Ts);
-    if (K == TraceRecord::Kind::Span) {
-      P = trace_detail::copy(P, ",\"dur\":");
-      P = trace_detail::writeInt(P, Dur);
-    } else if (K == TraceRecord::Kind::Counter) {
+  [[gnu::always_inline]] void begin(Writer &W, const TraceHead &H,
+                                    TraceNameIndex Index, uint64_t Ts,
+                                    uint64_t Dur = 0, double Value = 0) {
+    char *P = W.room(H.Text.size() + kMaxBeginFixed);
+    P = putHead(P, H, Index, Ts, Dur);
+    if (H.Kind == TraceRecord::Kind::Counter) {
       P = trace_detail::copy(P, ",\"value\":");
       P = trace_detail::writeDouble17(P, Value);
     }
     W.At = P;
-    return W;
+    W.Args = 0;
   }
 };
 
@@ -672,58 +775,36 @@ public:
   void close() override;
 
   /// The row of category \p Encoded, added on first use. Its tid is given
-  /// when its first timeline record begins.
+  /// by its first timeline record's head.
   Category category(std::string_view Encoded);
+  /// `,\n{"name":"<Name>` and `","cat":"<Cat>","ph":...,"tid":<tid>,"ts":`
+  /// (begin() turns the first record's comma into the array's '[').
+  TraceHead head(TraceRecord::Kind K, std::string_view Name, Category Cat);
+  Writer writer() { return Writer(*this); }
 
-  [[gnu::always_inline]] Writer begin(TraceRecord::Kind K,
-                                      std::string_view Name,
-                                      std::string_view Suffix,
-                                      Category Cat, uint64_t Ts,
-                                      uint64_t Dur = 0, double Value = 0) {
-    static constexpr std::string_view Phase[] = {
-        "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":",
-        "\",\"ph\":\"X\",\"pid\":1,\"tid\":", "\",\"ph\":\"C\",\"pid\":1,\"tid\":",
-        "\",\"ph\":\"M\",\"pid\":1,\"tid\":"};
-    CategoryRow &Row = Categories[Cat.Row];
-    // Metadata rows carry no timeline semantics, so they stay off the
-    // category rows (tid 0, like the provenance header); the others take
-    // tids in the order their categories first appear, from 1.
-    unsigned Tid = 0;
-    if (K != TraceRecord::Kind::Meta) {
-      if (Row.Tid == 0)
-        Row.Tid = ++Tids;
-      Tid = Row.Tid;
+  [[gnu::always_inline]] void begin(Writer &W, const TraceHead &H,
+                                    TraceNameIndex Index, uint64_t Ts,
+                                    uint64_t Dur = 0, double Value = 0) {
+    char *const Start = W.room(H.Text.size() + kMaxBeginFixed);
+    char *P = putHead(Start, H, Index, Ts, Dur);
+    if (First) [[unlikely]] {
+      *Start = '[';
+      First = false;
     }
-    Writer W(*this);
-    char *P = W.room(Name.size() + Suffix.size() + Row.Text.size() +
-                     kMaxBeginFixed);
-    P = trace_detail::copy(P, First ? "[\n{\"name\":\"" : ",\n{\"name\":\"");
-    First = false;
-    P = trace_detail::copy(P, Name);
-    P = trace_detail::copy(P, Suffix);
-    P = trace_detail::copy(P, "\",\"cat\":\"");
-    P = trace_detail::copy(P, Row.Text);
-    P = trace_detail::copy(P, Phase[static_cast<unsigned>(K)]);
-    P = trace_detail::writeInt(P, Tid);
-    P = trace_detail::copy(P, ",\"ts\":");
-    P = trace_detail::writeInt(P, Ts);
-    if (K == TraceRecord::Kind::Span) {
-      P = trace_detail::copy(P, ",\"dur\":");
-      P = trace_detail::writeInt(P, Dur);
-    } else if (K == TraceRecord::Kind::Counter) {
+    if (H.Kind == TraceRecord::Kind::Counter) {
       // A counter event's args are its value alone.
       P = trace_detail::copy(P, ",\"args\":{\"value\":");
       P = trace_detail::writeDouble17(P, Value);
       *P++ = '}';
     }
     W.At = P;
-    return W;
+    W.Args = 0;
   }
 
 private:
   struct CategoryRow {
     std::string Text;
-    /// 0 until a timeline record of the category begins.
+    /// 0 until a timeline record of the category gets its head.
     unsigned Tid = 0;
   };
 
@@ -773,11 +854,15 @@ public:
     At = End;
   }
   [[gnu::always_inline]] void argValue(TraceKey Key,
-                                       std::string_view Encoded) {
-    char *P = key(Key, ztb::kMaxVarintBytes + Encoded.size());
-    At = trace_detail::copy(ztb::writeVarint(P, Encoded.size()), Encoded);
+                                       const TraceText &Encoded) {
+    char *P = key(Key, ztb::kMaxVarintBytes + Encoded.size() +
+                           TraceText::kSlack);
+    At = Encoded.write(ztb::writeVarint(P, Encoded.size()));
   }
-  void argText(TraceKey Key, std::string_view Raw) { argValue(Key, Raw); }
+  void argText(TraceKey Key, std::string_view Raw) {
+    char *P = key(Key, ztb::kMaxVarintBytes + Raw.size());
+    At = trace_detail::copy(ztb::writeVarint(P, Raw.size()), Raw);
+  }
   /// A TraceRecord's arg.
   void arg(std::string_view Key, std::string_view Value) {
     char *P = room(2 * ztb::kMaxVarintBytes + Key.size() + Value.size());
@@ -786,24 +871,26 @@ public:
     At = trace_detail::copy(ztb::writeVarint(P, Value.size()), Value);
   }
   [[gnu::always_inline]] void end() {
-    char *Start = recordStart();
     if (Args < 0x80) {
-      Start[CountAt] = static_cast<char>(Args);
+      Data[Start + CountAt] = static_cast<char>(Args);
     } else {
-      const TraceBuffer::Room R = widen(*Sink, {At, Limit}, CountAt, Args);
+      const TraceBuffer::Room R =
+          widen(*Sink, {Data, At, Limit}, Start + CountAt, Args);
+      Data = R.Data;
       At = R.At;
       Limit = R.Limit;
-      Start = recordStart();
     }
-    const size_t Length = At - Start - 1;
+    const size_t Length = At - (Data + Start) - 1;
     if (Length < 0x80) {
-      *Start = static_cast<char>(Length);
+      Data[Start] = static_cast<char>(Length);
     } else {
-      const TraceBuffer::Room R = widen(*Sink, {At, Limit}, 0, Length);
+      const TraceBuffer::Room R = widen(*Sink, {Data, At, Limit}, Start,
+                                        Length);
+      Data = R.Data;
       At = R.At;
       Limit = R.Limit;
     }
-    commit();
+    endRecord();
   }
 
 private:
@@ -819,13 +906,15 @@ private:
   }
 
   /// Writes \p V as a varint into the one byte at \p Slot (an offset from
-  /// the record's start), moving the record's bytes after it, up to the
-  /// cursor \p R.At, up to make room. \returns the moved cursor and its
+  /// the buffer's start), moving the bytes after it, up to the cursor
+  /// \p R.At, up to make room. \returns the moved buffer, cursor and
   /// limit.
   static TraceBuffer::Room widen(TraceSink &Sink, TraceBuffer::Room R,
                                  size_t Slot, uint64_t V);
 
-  /// The args written, and the offset of their count's byte in the record.
+  /// The open record's offset from the buffer's start, the args it has
+  /// written, and the offset of their count's byte in the record.
+  size_t Start = 0;
   uint64_t Args = 0;
   size_t CountAt = 0;
 };
@@ -851,43 +940,45 @@ public:
     return std::string(Raw);
   }
   static Category category(std::string_view Encoded) { return Encoded; }
-
-  [[gnu::always_inline]] Writer begin(TraceRecord::Kind K,
-                                      std::string_view Name,
-                                      std::string_view Suffix,
-                                      Category Cat, uint64_t Ts,
-                                      uint64_t Dur = 0, double Value = 0) {
+  /// The name's bytes and the category's string; begin() writes the kind
+  /// and the name's length (with its index) before them.
+  static TraceHead head(TraceRecord::Kind K, std::string_view Name,
+                        Category Cat);
+  /// Writes the preamble first if no header() did.
+  Writer writer() {
     if (!WrotePreamble) [[unlikely]]
       header({});
+    return Writer(*this);
+  }
+
+  [[gnu::always_inline]] void begin(Writer &W, const TraceHead &H,
+                                    TraceNameIndex Index, uint64_t Ts,
+                                    uint64_t Dur = 0, double Value = 0) {
     if (RecordCount != 0 && RecordCount % ztb::RecordsPerFrame == 0)
-      frameMarker();
+        [[unlikely]]
+      W.put({reinterpret_cast<const char *>(ztb::FrameMarker),
+             sizeof(ztb::FrameMarker)});
     ++RecordCount;
-    Writer W(*this);
     // The payload-length byte, the kind, the name, the category, ts, then
     // dur or value, and the arg-count byte.
-    char *const Start = W.room(Name.size() + Suffix.size() + Cat.size() +
-                               6 * ztb::kMaxVarintBytes + 16);
+    char *const Start =
+        W.room(H.Text.size() + TraceNameIndex::kMaxSize + TraceText::kSlack +
+               4 * ztb::kMaxVarintBytes + 16);
     char *P = Start + 1;
-    *P++ = static_cast<char>(static_cast<unsigned>(K) + ztb::KindInstant);
-    P = ztb::writeVarint(P, Name.size() + Suffix.size());
-    P = trace_detail::copy(P, Name);
-    P = trace_detail::copy(P, Suffix);
-    P = trace_detail::copy(ztb::writeVarint(P, Cat.size()), Cat);
-    P = ztb::writeVarint(P, Ts);
-    if (K == TraceRecord::Kind::Span)
+    *P++ = static_cast<char>(static_cast<unsigned>(H.Kind) + ztb::KindInstant);
+    P = ztb::writeVarint(P, H.Split + Index.size());
+    P = ztb::writeVarint(H.write(P, Index), Ts);
+    if (H.Kind == TraceRecord::Kind::Span)
       P = ztb::writeVarint(P, Dur);
-    else if (K == TraceRecord::Kind::Counter)
+    else if (H.Kind == TraceRecord::Kind::Counter)
       P = ztb::writeDouble(P, Value);
+    W.Start = Start - W.Data;
     W.CountAt = P - Start;
     W.At = P + 1;
-    return W;
+    W.Args = 0;
   }
 
 private:
-  /// Writes and commits the frame marker that precedes every
-  /// RecordsPerFrame-th record.
-  void frameMarker();
-
   bool WrotePreamble = false;
   uint64_t RecordCount = 0;
 };

@@ -24,11 +24,13 @@ void ZtbTraceSink::header(
   W.commit();
 }
 
-void ZtbTraceSink::frameMarker() {
-  TraceCursor W(*this);
-  W.put({reinterpret_cast<const char *>(ztb::FrameMarker),
-         sizeof(ztb::FrameMarker)});
-  W.commit();
+TraceHead ZtbTraceSink::head(TraceRecord::Kind K, std::string_view Name,
+                             Category Cat) {
+  std::string Text(Name.size() + ztb::kMaxVarintBytes + Cat.size(), '\0');
+  char *P = trace_detail::copy(Text.data(), Name);
+  P = trace_detail::copy(ztb::writeVarint(P, Cat.size()), Cat);
+  Text.resize(P - Text.data());
+  return {K, TraceText(Text), Name.size()};
 }
 
 TraceBuffer::Room ZtbRecordWriter::widen(TraceSink &Sink,
@@ -39,7 +41,7 @@ TraceBuffer::Room ZtbRecordWriter::widen(TraceSink &Sink,
   if (static_cast<size_t>(R.Limit - R.At) < Len - 1)
     R = Sink.Out.grow(R.At, Len - 1);
   guard(R.At, R.Limit, Len - 1);
-  char *const Byte = Sink.Out.room().At + Slot;
+  char *const Byte = R.Data + Slot;
   std::memmove(Byte + Len, Byte + 1, R.At - (Byte + 1));
   std::memcpy(Byte, Varint, Len);
   R.At += Len - 1;

@@ -127,8 +127,8 @@ struct Trace {
   bool HitStepLimit = false;
   /// The run kept its events in Events.
   bool EventsRetained = true;
-  /// The run stopped because Events reached kMaxRetainedEvents
-  /// (sem/Limits.h); Events holds the first kMaxRetainedEvents of them.
+  /// The run stopped because Events or Misses reached kMaxRetainedEvents
+  /// (sem/Limits.h); the full one holds the first kMaxRetainedEvents.
   bool HitEventLimit = false;
 
   /// Whether a safety net stopped the run before it finished.

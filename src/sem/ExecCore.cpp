@@ -105,6 +105,12 @@ void ExecCore::onAccess(const HwAccess &Access) {
     Prov->chargeMiss(Cur, Access);
   if (!Opts.RecordMisses)
     return;
+  // The sampled misses are full: drop this one and end the run at the next
+  // step check, as retain() does for the events.
+  if (T.Misses.size() == kMaxRetainedEvents) {
+    stopAtEventLimit();
+    return;
+  }
   AccessSample S;
   S.A = Access.A;
   S.Time = G; // Clock at the start of the enclosing step.
@@ -118,13 +124,18 @@ void ExecCore::onAccess(const HwAccess &Access) {
   T.Misses.push_back(S);
 }
 
+void ExecCore::stopAtEventLimit() {
+  T.HitEventLimit = true;
+  // The next step check fails the lowered bound.
+  StepLimit = Bound = T.Steps;
+}
+
 void ExecCore::retain(uint32_t Slot, Label VarLabel, bool IsArray,
                       uint64_t Index, int64_t Value) {
   // The retained trace is full: drop this event and end the run at the
-  // next step check, which the lowered bound fails.
+  // next step check.
   if (T.Events.size() == kMaxRetainedEvents) {
-    T.HitEventLimit = true;
-    StepLimit = Bound = T.Steps;
+    stopAtEventLimit();
     return;
   }
   // 32 plain bytes per event: the name stays in T.Names.

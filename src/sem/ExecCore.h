@@ -230,6 +230,9 @@ private:
   }
   void retain(uint32_t Slot, Label VarLabel, bool IsArray, uint64_t Index,
               int64_t Value);
+  /// Flags the run as stopped at kMaxRetainedEvents (the events or the
+  /// sampled misses are full) and ends it at the next step check.
+  void stopAtEventLimit();
 
   /// What one instruction cost in this run, for the fold.
   struct PcTally {
@@ -263,7 +266,8 @@ private:
   uint64_t BaseStepCost;
   uint64_t AluCost;
   /// Opts.StepLimit, lowered to the current step when the retained events
-  /// reach their limit so that the per-step check ends the run.
+  /// or sampled misses reach their limit so that the per-step check ends
+  /// the run.
   uint64_t StepLimit;
   /// advance()'s per-step bound: the smaller of StepLimit and the pause
   /// point, lowered with StepLimit.

@@ -46,6 +46,13 @@ inline constexpr uint64_t kDefaultStepLimit = 500'000'000;
 /// Trace::HitEventLimit set, instead of growing the vector until the
 /// allocator fails; a run that retains no events never reaches it and is
 /// bounded by the step limit alone.
+///
+/// The same bound holds the cache misses a sampling run
+/// (InterpreterOptions::RecordMisses, set by every `--trace-out`) keeps in
+/// Trace::Misses: 2^22 samples of 40 bytes, 160 MiB, with the same stop and
+/// flag. A run that misses on most accesses samples several misses per
+/// event, so it reaches this bound first. The exporter's 32-bit miss
+/// indices rely on it.
 inline constexpr uint64_t kMaxRetainedEvents = uint64_t(1) << 22;
 
 /// Bound on the secret variations one Definition 1 enumeration runs

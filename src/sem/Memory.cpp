@@ -54,31 +54,32 @@ void Memory::store(const std::string &Name, int64_t Value) {
   S.Data[0] = Value;
 }
 
-uint64_t Memory::wrapIndex(const std::string &Name, int64_t RawIndex) const {
-  const MemorySlot &S = slot(Name);
+/// The wrapped index of element \p RawIndex of array slot \p S.
+static uint64_t wrapElem(const MemorySlot &S, int64_t RawIndex) {
   assert(S.IsArray && "indexing a scalar");
-  int64_t N = static_cast<int64_t>(S.Data.size());
-  int64_t I = RawIndex % N;
-  if (I < 0)
-    I += N;
-  return static_cast<uint64_t>(I);
+  return Memory::wrapRaw(RawIndex, S.Data.size());
+}
+
+uint64_t Memory::wrapIndex(const std::string &Name, int64_t RawIndex) const {
+  return wrapElem(slot(Name), RawIndex);
 }
 
 int64_t Memory::loadElem(const std::string &Name, int64_t RawIndex) const {
   const MemorySlot &S = slot(Name);
-  return S.Data[wrapIndex(Name, RawIndex)];
+  return S.Data[wrapElem(S, RawIndex)];
 }
 
 void Memory::storeElem(const std::string &Name, int64_t RawIndex,
                        int64_t Value) {
   MemorySlot &S = slot(Name);
-  S.Data[wrapIndex(Name, RawIndex)] = Value;
+  S.Data[wrapElem(S, RawIndex)] = Value;
 }
 
 Addr Memory::addrOf(const std::string &Name) const { return slot(Name).Base; }
 
 Addr Memory::addrOfElem(const std::string &Name, int64_t RawIndex) const {
-  return slot(Name).Base + wrapIndex(Name, RawIndex) * 8;
+  const MemorySlot &S = slot(Name);
+  return S.Base + wrapElem(S, RawIndex) * 8;
 }
 
 Label Memory::labelOf(const std::string &Name) const {

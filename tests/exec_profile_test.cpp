@@ -1,12 +1,12 @@
 //===- exec_profile_test.cpp - The execution observatory (obs/ExecProfile) --===//
 //
 // Covers the deterministic ExecCore self-profiler: conservation equations
-// on real runs, bit-identical exec.* exports across the Full and Step
-// engines and every hardware design, thread-partitioned merge equivalence,
-// the lowering invariants the per-pc table depends on (dense pc slots,
-// trailing never-dispatched Halt), the fixed export shape for degenerate
-// zero-mitigate-site programs, and the digram-ranking / collapsed-stack
-// exports.
+// on real runs, bit-identical exec.* exports whether a run is driven by
+// run() or step by step and on every hardware design, thread-partitioned
+// merge equivalence, the lowering invariants the per-pc table depends on
+// (dense pc slots, trailing never-dispatched Halt), the fixed export shape
+// for degenerate zero-mitigate-site programs, and the digram-ranking /
+// collapsed-stack exports.
 //
 //===----------------------------------------------------------------------===//
 

@@ -132,6 +132,28 @@ TEST(JsonNumber, MatchesThePrintfSearch) {
   EXPECT_EQ(jsonNumberString(-Limits::quiet_NaN()), "-nan");
 }
 
+/// Integers past 2^53, which a double cannot hold, parse and print back
+/// exactly; a trace arg such as an overflowed assignment value reads back
+/// from JSON as it was written.
+TEST(JsonNumber, LargeIntegersRoundTripExactly) {
+  for (const char *Text : {"9007199254740993", "-3102548264357927936",
+                           "9223372036854775807", "-9223372036854775808"}) {
+    const std::optional<JsonValue> V = JsonValue::parse(Text);
+    ASSERT_TRUE(V.has_value()) << Text;
+    ASSERT_TRUE(V->isInt()) << Text;
+    EXPECT_EQ(std::to_string(V->asInt()), Text);
+    EXPECT_EQ(V->dump(), std::string(Text) + "\n");
+  }
+  // Past int64 the literal is a double, as strtod reads it.
+  const std::optional<JsonValue> Big = JsonValue::parse("9223372036854775808");
+  ASSERT_TRUE(Big.has_value());
+  EXPECT_FALSE(Big->isInt());
+  EXPECT_EQ(Big->asNumber(), 9223372036854775808.0);
+  EXPECT_EQ(JsonValue(INT64_MAX).dump(), "9223372036854775807\n");
+  EXPECT_NE(JsonValue(int64_t(9007199254740993)),
+            JsonValue(int64_t(9007199254740992)));
+}
+
 //===----------------------------------------------------------------------===//
 // MetricsRegistry
 //===----------------------------------------------------------------------===//

@@ -7,13 +7,17 @@
 // binary format (header provenance, every record kind, frame-marker
 // resynchronization after truncation and mid-stream corruption), the
 // format-inference helpers, the deterministic log-linear histogram
-// sketches, and the online-vs-replay bit-identity of the leakage
-// accountant over an on-disk trace.
+// sketches, the online-vs-replay bit-identity of the leakage accountant
+// over an on-disk trace, and the exporter's event runs — written through
+// one open writer across 64 KiB flushes and ZTB frame markers — read back
+// alike in every format.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "analysis/RandomProgram.h"
+#include "obs/CostLedger.h"
 #include "obs/Histogram.h"
 #include "obs/Json.h"
 #include "obs/LeakAudit.h"
@@ -50,6 +54,21 @@ std::FILE *streamOver(const std::string &Bytes) {
   EXPECT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
   std::rewind(F);
   return F;
+}
+
+/// A reader of format \p F over \p Bytes.
+std::unique_ptr<TraceReader> readerOver(TraceFormat F,
+                                        const std::string &Bytes) {
+  std::FILE *Stream = streamOver(Bytes);
+  switch (F) {
+  case TraceFormat::Jsonl:
+    return std::make_unique<JsonlTraceReader>(Stream, true);
+  case TraceFormat::Chrome:
+    return std::make_unique<ChromeTraceReader>(Stream, true);
+  case TraceFormat::Ztb:
+    break;
+  }
+  return std::make_unique<ZtbTraceReader>(Stream, true);
 }
 
 /// Drains \p Reader into a vector.
@@ -231,14 +250,20 @@ TEST(StreamingSinks, TypedIntArgsPrintEveryDigitCount) {
 
   JsonlTraceSink Jsonl;
   ZtbTraceSink Ztb;
+  const TraceHead JsonlHead = Jsonl.head(TraceRecord::Kind::Instant, "n", "c");
+  const TraceHead ZtbHead = Ztb.head(TraceRecord::Kind::Instant, "n", "c");
   std::string Got;
   auto check = [&](const auto &V) {
-    auto J = Jsonl.begin(TraceRecord::Kind::Instant, "n", {}, "c", 0);
+    auto J = Jsonl.writer();
+    Jsonl.begin(J, JsonlHead, {}, 0);
     J.argInt("v", V);
     J.end();
-    auto Z = Ztb.begin(TraceRecord::Kind::Instant, "n", {}, "c", 0);
+    J.commit();
+    auto Z = Ztb.writer();
+    Ztb.begin(Z, ZtbHead, {}, 0);
     Z.argInt("v", V);
     Z.end();
+    Z.commit();
   };
   for (int64_t V : Signed)
     check(V);
@@ -613,19 +638,7 @@ TEST(LeakAuditReplay, ZtbReplayMatchesOnlineAccountBitForBit) {
     exportTrace(*Sink, RR.T, Lat);
     const std::string Bytes = Sink->finish();
 
-    std::FILE *Stream = streamOver(Bytes);
-    std::unique_ptr<TraceReader> Reader;
-    switch (F) {
-    case TraceFormat::Jsonl:
-      Reader = std::make_unique<JsonlTraceReader>(Stream, true);
-      break;
-    case TraceFormat::Chrome:
-      Reader = std::make_unique<ChromeTraceReader>(Stream, true);
-      break;
-    case TraceFormat::Ztb:
-      Reader = std::make_unique<ZtbTraceReader>(Stream, true);
-      break;
-    }
+    std::unique_ptr<TraceReader> Reader = readerOver(F, Bytes);
 
     LeakAudit Replayed(Lat);
     Replayed.setRetainWindows(false); // The million-window configuration.
@@ -681,4 +694,149 @@ TEST(Snapshots, DisabledByDefaultAndEmittedEveryNthWindow) {
   EXPECT_TRUE(Reader.ok()) << Reader.error();
   EXPECT_EQ(Snapshots, 2u); // One per counted window at N=1.
   EXPECT_EQ(LastWindows, 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// Event runs: the exporter writes each run of events through one writer.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Keeps the bytes and counts the writes.
+class CountingByteSink final : public ByteSink {
+public:
+  void write(const char *Data, size_t Size) override {
+    Bytes.append(Data, Size);
+    ++Writes;
+  }
+
+  std::string Bytes;
+  size_t Writes = 0;
+};
+
+} // namespace
+
+/// One run of 6,000 visible events — an array store and a low assignment
+/// per iteration, with a high one that the adversary projection drops
+/// between them — and no other record: in every format it leaves in
+/// several 64 KiB chunks, passes ZTB's frame marker before its 4,097th
+/// record, reads back as the events it was written from, and has the bytes
+/// that writing each record on its own gives.
+TEST(EventRuns, OneRunCrossesChunksAndAFrameMarker) {
+  Program P = test::parseOrDie("var a : L[8];\n"
+                               "var i : L;\n"
+                               "var h : H;\n"
+                               "while (i < 3000) do {\n"
+                               "  a[i] := i * 3;\n"
+                               "  h := h + i;\n"
+                               "  i := i + 1\n"
+                               "}",
+                               lh());
+  inferTimingLabels(P);
+  auto Env = createMachineEnv(HwKind::Partitioned, lh());
+  const RunResult R = runFull(P, *Env);
+  ASSERT_EQ(R.T.Events.size(), 9000u);
+  ASSERT_TRUE(R.T.Misses.empty());
+  ASSERT_TRUE(R.T.Mitigations.empty());
+
+  TraceExportOptions Opts;
+  Opts.Adversary = test::low();
+  std::vector<TraceRecord> Want;
+  for (const AssignEvent &E : R.T.Events) {
+    if (E.VarLabel != test::low())
+      continue;
+    TraceRecord &W = Want.emplace_back();
+    W.Name = "assign " + R.T.varName(E);
+    if (E.IsArrayStore)
+      W.Name += "[" + std::to_string(E.ElemIndex) + "]";
+    W.Category = "interp";
+    W.Ts = E.Time;
+    W.Args = {{"value", std::to_string(E.Value)}, {"label", "L"}};
+  }
+  ASSERT_EQ(Want.size(), 6000u);
+  ASSERT_GT(Want.size(), ztb::RecordsPerFrame);
+
+  for (TraceFormat F :
+       {TraceFormat::Jsonl, TraceFormat::Chrome, TraceFormat::Ztb}) {
+    SCOPED_TRACE(traceFormatName(F));
+    CountingByteSink Out;
+    std::unique_ptr<TraceSink> Sink = makeTraceSink(F, Out);
+    EXPECT_EQ(exportTrace(*Sink, R.T, lh(), Opts), Want.size());
+    Sink->close();
+    EXPECT_GE(Out.Writes, Out.Bytes.size() / (64 * 1024));
+    EXPECT_GE(Out.Writes, 3u);
+    if (F == TraceFormat::Ztb) {
+      const std::string Marker(
+          reinterpret_cast<const char *>(ztb::FrameMarker),
+          sizeof(ztb::FrameMarker));
+      EXPECT_NE(Out.Bytes.find(Marker), std::string::npos);
+    }
+
+    std::unique_ptr<TraceReader> Reader = readerOver(F, Out.Bytes);
+    const std::vector<TraceRecord> Got = drain(*Reader);
+    EXPECT_TRUE(Reader->ok()) << Reader->error();
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I != Got.size(); ++I)
+      expectSameRecord(Got[I], Want[I]);
+
+    std::unique_ptr<TraceSink> OneByOne = makeTraceSink(F);
+    for (const TraceRecord &Rec : Got)
+      OneByOne->record(Rec);
+    EXPECT_TRUE(OneByOne->finish() == Out.Bytes);
+  }
+}
+
+/// Random programs on every design, exported with and without an
+/// adversary projection and an embedded ledger: the three formats read
+/// back to the same record sequence, as long as the exporter counted.
+TEST(EventRuns, RandomProgramsReadBackAlikeInEveryFormat) {
+  Rng Gen(0x5EC0DE);
+  unsigned Programs = 0;
+  for (HwKind Kind : test::allHwKinds()) {
+    for (unsigned Trial = 0; Trial != 6; ++Trial) {
+      std::optional<Program> P = randomWellTypedProgram(lh(), Gen);
+      if (!P)
+        continue;
+      ++Programs;
+      CostLedger Ledger;
+      InterpreterOptions IOpts;
+      IOpts.Provenance = &Ledger;
+      IOpts.RecordMisses = true;
+      auto Env = createMachineEnv(Kind, lh());
+      const RunResult R = runFull(
+          *P, *Env, [&Gen](Memory &M) { randomizeMemoryValues(M, Gen); },
+          IOpts);
+      for (const bool WithAdversary : {false, true}) {
+        for (const bool WithLedger : {false, true}) {
+          SCOPED_TRACE(std::string(hwKindName(Kind)) + " trial " +
+                       std::to_string(Trial) +
+                       (WithAdversary ? " adversary L" : "") +
+                       (WithLedger ? " ledger" : ""));
+          TraceExportOptions Opts;
+          if (WithAdversary)
+            Opts.Adversary = test::low();
+          if (WithLedger)
+            Opts.Ledger = &Ledger;
+          std::vector<TraceRecord> First;
+          for (TraceFormat F :
+               {TraceFormat::Jsonl, TraceFormat::Chrome, TraceFormat::Ztb}) {
+            std::unique_ptr<TraceSink> Sink = makeTraceSink(F);
+            const size_t Emitted = exportTrace(*Sink, R.T, lh(), Opts);
+            std::unique_ptr<TraceReader> Reader =
+                readerOver(F, Sink->finish());
+            const std::vector<TraceRecord> Got = drain(*Reader);
+            EXPECT_TRUE(Reader->ok()) << Reader->error();
+            ASSERT_EQ(Got.size(), Emitted) << traceFormatName(F);
+            if (F == TraceFormat::Jsonl) {
+              First = Got;
+              continue;
+            }
+            for (size_t I = 0; I != Got.size(); ++I)
+              expectSameRecord(Got[I], First[I]);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(Programs, 12u) << "random generator produced too few programs";
 }

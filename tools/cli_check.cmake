@@ -8,6 +8,11 @@
 #                     (kMaxRetainedEvents) of the retained run trace.
 #   MODE=steps        `zamc run` on the same loop retains no events and
 #                     names the step limit instead of printing "terminated".
+#   MODE=misses       `zamc run --trace-out` on a loop whose every array
+#                     read misses the L1D, eight per assignment, under a
+#                     384 MiB address-space cap, names the event limit of
+#                     the sampled misses (kMaxRetainedEvents), which it
+#                     reaches long before the events'.
 #   MODE=guard_while  `zamc check` on a `while` guard that reads an
 #   MODE=guard_if     undeclared variable (or an `if` guard) reports the
 #                     checker's located "use of undeclared variable".
@@ -90,6 +95,20 @@ elseif(MODE STREQUAL "events")
   set(COMMAND sh -c "ulimit -v 262144 && exec \"$0\" trace \"$1\""
               ${ZAMC} ${OUT}.zam)
   set(EXPECT "event limit reached: the run retained 4194304 assignment")
+elseif(MODE STREQUAL "misses")
+  # Eight reads 64 KiB apart in a 512 KiB array, stepping one 64-byte line
+  # per iteration: no read finds its line in the 16 KiB L1D.
+  set(READS "")
+  foreach(K RANGE 0 7)
+    math(EXPR OFF "${K} * 8192")
+    string(APPEND READS " + a[i + ${OFF}]")
+  endforeach()
+  file(WRITE ${OUT}.zam "var a : L[65536];\nvar i : L;\n"
+       "while 1 do { i := (i + 8${READS}) % 8192 }\n")
+  set(COMMAND sh -c
+      "ulimit -v 393216 && exec \"$0\" run \"$1\" --trace-out \"$2\""
+      ${ZAMC} ${OUT}.zam ${OUT}.jsonl)
+  set(EXPECT "event limit reached: the run retained 4194304 sampled cache misses")
 elseif(MODE STREQUAL "steps")
   file(WRITE ${OUT}.zam "${ENDLESS}")
   set(COMMAND ${ZAMC} run ${OUT}.zam)

@@ -478,14 +478,14 @@ bool emitTraceIfRequested(const Options &Opts, const Trace &T,
 /// Reports a run that a safety net stopped before it finished, naming the
 /// limit (sem/Limits.h). \returns true when one did; the command then
 /// exits 1 without reporting the unfinished run as a result.
-bool reportLimitStop(bool HitEventLimit, bool HitStepLimit) {
+bool reportLimitStop(bool HitEventLimit, bool HitStepLimit,
+                     const char *Retained = "assignment events") {
   if (HitEventLimit)
     std::fprintf(stderr,
                  "error: event limit reached: the run retained %" PRIu64
-                 " assignment events (kMaxRetainedEvents) and was stopped; "
-                 "the program may not terminate, or runs too long to trace "
-                 "in memory\n",
-                 kMaxRetainedEvents);
+                 " %s (kMaxRetainedEvents) and was stopped; the program may "
+                 "not terminate, or runs too long to trace in memory\n",
+                 kMaxRetainedEvents, Retained);
   else if (HitStepLimit)
     std::fprintf(stderr,
                  "error: step limit reached: the run took %" PRIu64
@@ -495,7 +495,10 @@ bool reportLimitStop(bool HitEventLimit, bool HitStepLimit) {
 }
 
 bool reportLimitStop(const Trace &T) {
-  return reportLimitStop(T.HitEventLimit, T.HitStepLimit);
+  return reportLimitStop(T.HitEventLimit, T.HitStepLimit,
+                         T.Misses.size() == kMaxRetainedEvents
+                             ? "sampled cache misses"
+                             : "assignment events");
 }
 
 std::unique_ptr<SecurityLattice> makeLattice(const Options &Opts) {
@@ -1417,6 +1420,9 @@ int cmdAttack(Program &P, const Options &Opts) {
   // \returns the trace records written.
   auto Collect = [&](TraceSink *Sink) {
     size_t Emitted = 0;
+    std::optional<ObservationExporter> Exporter;
+    if (Sink)
+      Exporter.emplace(*Sink, Names);
     auto Scope = Phases.scope("run");
     streamObservations(
         P, *Env, Classes, AOpts, IOpts, Runner,
@@ -1426,7 +1432,7 @@ int cmdAttack(Program &P, const Options &Opts) {
           for (uint64_t W : O.Windows)
             WindowDist.add(W);
           if (Sink) {
-            Emitted += exportObservation(*Sink, O, I, Names);
+            Emitted += Exporter->write(O, I);
             if (Opts.SnapshotEvery != 0 &&
                 (I + 1) % Opts.SnapshotEvery == 0) {
               // A deterministic running-state row: Ts rides the sample
