@@ -148,6 +148,21 @@ size_t ObservationExporter::write(const Observation &O, size_t Index) {
   return 1;
 }
 
+size_t ObservationExporter::snapshot(size_t Index, uint64_t EndToEndP50) {
+  withEncoder(Sink, [&](auto &Enc) {
+    if (SnapshotHead.empty())
+      SnapshotHead = Enc.head(TraceRecord::Kind::Meta, "snapshot",
+                              Enc.category("obs"));
+    auto W = Enc.writer();
+    Enc.begin(W, SnapshotHead, {}, Index);
+    W.argInt("samples", Index + 1);
+    W.argInt("end_to_end_p50", EndToEndP50);
+    W.end();
+    W.commit();
+  });
+  return 1;
+}
+
 size_t zam::exportObservations(TraceSink &Sink,
                                const std::vector<Observation> &Obs,
                                const std::vector<std::string> &ClassNames) {

@@ -134,10 +134,15 @@ public:
   /// Writes \p O as sample \p Index. \returns the record count (1).
   size_t write(const Observation &O, size_t Index);
 
+  /// Writes the collector's running state after sample \p Index: a meta
+  /// row "snapshot" (cat "obs") at Ts = Index with the samples so far and
+  /// their running end-to-end median. \returns the record count (1).
+  size_t snapshot(size_t Index, uint64_t EndToEndP50);
+
 private:
   TraceSink &Sink;
   const std::vector<std::string> &ClassNames;
-  TraceHead Head;
+  TraceHead Head, SnapshotHead;
   /// The windows arg, reused across records.
   std::string Windows;
 };

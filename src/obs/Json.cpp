@@ -5,10 +5,9 @@
 #include "support/Diagnostics.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 using namespace zam;
@@ -62,36 +61,43 @@ bool JsonValue::operator==(const JsonValue &Other) const {
   return false;
 }
 
-static void escapeString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
+char *zam::writeJsonEscaped(char *P, std::string_view S) {
+  for (const char C : S) {
+    const unsigned char U = static_cast<unsigned char>(C);
+    if (U >= 0x20 && C != '"' && C != '\\') {
+      *P++ = C;
+      continue;
+    }
+    *P++ = '\\';
     switch (C) {
     case '"':
-      Out += "\\\"";
-      break;
     case '\\':
-      Out += "\\\\";
+      *P++ = C;
       break;
     case '\n':
-      Out += "\\n";
+      *P++ = 'n';
       break;
     case '\t':
-      Out += "\\t";
+      *P++ = 't';
       break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    default: {
+      static constexpr char Hex[] = "0123456789abcdef";
+      const char Escape[] = {'u', '0', '0', Hex[U >> 4], Hex[U & 0xF]};
+      std::memcpy(P, Escape, sizeof(Escape));
+      P += sizeof(Escape);
+    }
     }
   }
-  Out += '"';
+  return P;
+}
+
+static void escapeString(std::string &Out, const std::string &S) {
+  const size_t At = Out.size();
+  Out.resize(At + 6 * S.size() + 2);
+  Out[At] = '"';
+  char *End = writeJsonEscaped(Out.data() + At + 1, S);
+  *End++ = '"';
+  Out.resize(End - Out.data());
 }
 
 char *zam::writeJsonNumber(char *First, double V) {
@@ -197,186 +203,172 @@ std::string JsonValue::dump() const {
 
 namespace {
 
-/// Recursive-descent parser over the grammar dump() emits (which is all of
-/// JSON except exotic escapes).
-class Parser {
-public:
-  explicit Parser(const std::string &Text) : S(Text.c_str()) {}
+bool isJsonSpace(char C) {
+  return C == ' ' || C == '\n' || C == '\t' || C == '\r';
+}
 
-  std::optional<JsonValue> parse() {
-    std::optional<JsonValue> V = value();
-    skipWs();
-    if (!V || *S != '\0')
-      return std::nullopt;
-    return V;
-  }
-
-private:
-  void skipWs() {
-    while (*S == ' ' || *S == '\n' || *S == '\t' || *S == '\r')
-      ++S;
-  }
-
-  bool literal(const char *Word) {
-    size_t Len = std::strlen(Word);
-    if (std::strncmp(S, Word, Len) != 0)
-      return false;
-    S += Len;
-    return true;
-  }
-
-  std::optional<std::string> string() {
-    if (*S != '"')
-      return std::nullopt;
-    ++S;
-    std::string Out;
-    while (*S && *S != '"') {
-      if (*S == '\\') {
-        ++S;
-        switch (*S) {
-        case '"':
-          Out += '"';
-          break;
-        case '\\':
-          Out += '\\';
-          break;
-        case '/':
-          Out += '/';
-          break;
-        case 'n':
-          Out += '\n';
-          break;
-        case 't':
-          Out += '\t';
-          break;
-        case 'r':
-          Out += '\r';
-          break;
-        case 'b':
-          Out += '\b';
-          break;
-        case 'f':
-          Out += '\f';
-          break;
-        case 'u': {
-          unsigned Code = 0;
-          for (int I = 0; I != 4; ++I) {
-            ++S;
-            if (!std::isxdigit(static_cast<unsigned char>(*S)))
-              return std::nullopt;
-            Code = Code * 16 + (std::isdigit(static_cast<unsigned char>(*S))
-                                    ? *S - '0'
-                                    : (std::tolower(*S) - 'a' + 10));
-          }
-          // Only the BMP-in-ASCII escapes we emit.
-          Out += static_cast<char>(Code);
-          break;
-        }
-        default:
-          return std::nullopt;
-        }
-        ++S;
-      } else {
-        Out += *S++;
-      }
+/// Appends the unescaped body of the string from \p P, just past its
+/// opening quote, to \p Out; \returns the position past its closing quote.
+const char *readJsonString(const char *P, const char *End, std::string &Out) {
+  while (P != End && *P != '"') {
+    if (*P != '\\') {
+      Out += *P++;
+      continue;
     }
-    if (*S != '"')
-      return std::nullopt;
-    ++S;
-    return Out;
+    if (++P == End)
+      return nullptr;
+    switch (*P) {
+    case '"':
+    case '\\':
+    case '/':
+      Out += *P;
+      break;
+    case 'n':
+      Out += '\n';
+      break;
+    case 't':
+      Out += '\t';
+      break;
+    case 'r':
+      Out += '\r';
+      break;
+    case 'b':
+      Out += '\b';
+      break;
+    case 'f':
+      Out += '\f';
+      break;
+    case 'u': {
+      if (End - P < 5)
+        return nullptr;
+      unsigned Code = 0;
+      const auto [Ptr, Ec] = std::from_chars(P + 1, P + 5, Code, 16);
+      if (Ec != std::errc() || Ptr != P + 5)
+        return nullptr;
+      // Only the BMP-in-ASCII escapes we emit.
+      Out += static_cast<char>(Code);
+      P += 4;
+      break;
+    }
+    default:
+      return nullptr;
+    }
+    ++P;
   }
+  return P == End ? nullptr : P + 1;
+}
 
-  std::optional<JsonValue> value() {
-    skipWs();
-    if (literal("null"))
-      return JsonValue();
-    if (literal("true"))
-      return JsonValue(true);
-    if (literal("false"))
-      return JsonValue(false);
-    if (*S == '"') {
-      std::optional<std::string> Str = string();
-      if (!Str)
-        return std::nullopt;
-      return JsonValue(std::move(*Str));
-    }
-    if (*S == '[') {
-      ++S;
-      JsonValue Arr = JsonValue::array();
-      skipWs();
-      if (*S == ']') {
-        ++S;
-        return Arr;
-      }
-      while (true) {
-        std::optional<JsonValue> Elem = value();
-        if (!Elem)
-          return std::nullopt;
-        Arr.push(std::move(*Elem));
-        skipWs();
-        if (*S == ',') {
-          ++S;
-          continue;
-        }
-        if (*S == ']') {
-          ++S;
-          return Arr;
-        }
-        return std::nullopt;
-      }
-    }
-    if (*S == '{') {
-      ++S;
-      JsonValue Obj = JsonValue::object();
-      skipWs();
-      if (*S == '}') {
-        ++S;
-        return Obj;
-      }
-      while (true) {
-        skipWs();
-        std::optional<std::string> Key = string();
-        if (!Key)
-          return std::nullopt;
-        skipWs();
-        if (*S != ':')
-          return std::nullopt;
-        ++S;
-        std::optional<JsonValue> Member = value();
-        if (!Member)
-          return std::nullopt;
-        Obj[*Key] = std::move(*Member);
-        skipWs();
-        if (*S == ',') {
-          ++S;
-          continue;
-        }
-        if (*S == '}') {
-          ++S;
-          return Obj;
-        }
-        return std::nullopt;
-      }
-    }
-    // Number: an integer literal within int64 exactly, anything else as
-    // the double strtod reads.
-    char *End = nullptr;
-    double V = std::strtod(S, &End);
-    if (End == S)
-      return std::nullopt;
-    int64_t I = 0;
-    const std::from_chars_result Int = std::from_chars(S, End, I);
-    S = End;
-    if (Int.ec == std::errc() && Int.ptr == End)
-      return JsonValue(I);
-    return JsonValue(V);
+/// Parses the value at \p P into \p Out: the grammar dump() emits, which
+/// is all of JSON except exotic escapes, plus the "inf" and "nan" that
+/// dump() writes for such doubles, \p Depth arrays and objects deep.
+/// \returns its end, or nullptr.
+const char *parseValue(const char *P, const char *E, JsonValue &Out,
+                       unsigned Depth = 0) {
+  P = skipJsonSpace(P, E);
+  if (Depth > JsonValue::kMaxDepth)
+    return nullptr;
+  if (P != E && *P == '"') {
+    std::string S;
+    P = scanJsonString(P, E, S);
+    Out = JsonValue(std::move(S));
+    return P;
   }
-
-  const char *S;
-};
+  if (P != E && *P == '{') {
+    std::string KeyBuf;
+    Out = JsonValue::object();
+    return scanJsonObject(P, E, KeyBuf, [&](std::string_view Key,
+                                            const char *At) {
+      return parseValue(At, E, Out[std::string(Key)], Depth + 1);
+    });
+  }
+  if (P != E && *P == '[') {
+    Out = JsonValue::array();
+    P = skipJsonSpace(P + 1, E);
+    if (P != E && *P == ']')
+      return P + 1;
+    for (;;) {
+      JsonValue Elem;
+      if (!(P = parseValue(P, E, Elem, Depth + 1)))
+        return nullptr;
+      Out.push(std::move(Elem));
+      P = skipJsonSpace(P, E);
+      if (P == E || (*P != ',' && *P != ']'))
+        return nullptr;
+      if (*P++ == ']')
+        return P;
+    }
+  }
+  const char *End = scanJsonBare(P, E);
+  if (!End)
+    return nullptr;
+  const std::string_view T(P, End - P);
+  // An integer within int64 exactly, any other number as the double
+  // strtod reads (the input is a std::string, so it ends in a NUL).
+  int64_t I = 0;
+  const std::from_chars_result Int = std::from_chars(P, End, I);
+  char *DoubleEnd = nullptr;
+  const double D = std::strtod(P, &DoubleEnd);
+  if (T == "null")
+    Out = JsonValue();
+  else if (T == "true" || T == "false")
+    Out = JsonValue(T == "true");
+  else if (Int.ec == std::errc() && Int.ptr == End)
+    Out = JsonValue(I);
+  else if (DoubleEnd == End)
+    Out = JsonValue(D);
+  else
+    return nullptr;
+  return End;
+}
 
 } // namespace
 
+const char *zam::skipJsonSpace(const char *P, const char *E) {
+  while (P != E && isJsonSpace(*P))
+    ++P;
+  return P;
+}
+
+const char *zam::scanJsonString(const char *P, const char *E,
+                                std::string_view &Out,
+                                std::string &Unescaped) {
+  if (P == E || *P != '"')
+    return nullptr;
+  const char *Q = ++P;
+  while (Q != E && *Q != '"' && *Q != '\\')
+    ++Q;
+  if (Q != E && *Q == '"') {
+    Out = {P, static_cast<size_t>(Q - P)};
+    return Q + 1;
+  }
+  Unescaped.clear();
+  const char *End = readJsonString(P, E, Unescaped);
+  Out = Unescaped;
+  return End;
+}
+
+const char *zam::scanJsonString(const char *P, const char *E,
+                                std::string &Out) {
+  std::string_view View;
+  P = scanJsonString(P, E, View, Out);
+  if (P && View.data() != Out.data())
+    Out.assign(View);
+  return P;
+}
+
+const char *zam::scanJsonBare(const char *P, const char *E) {
+  const char *End = P;
+  while (End != E && !isJsonSpace(*End) && *End != ',' && *End != '}' &&
+         *End != ']')
+    ++End;
+  return End == P ? nullptr : End;
+}
+
 std::optional<JsonValue> JsonValue::parse(const std::string &Text) {
-  return Parser(Text).parse();
+  JsonValue V;
+  const char *E = Text.data() + Text.size();
+  const char *End = parseValue(Text.data(), E, V);
+  if (!End || skipJsonSpace(End, E) != E)
+    return std::nullopt;
+  return V;
 }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -93,7 +94,12 @@ public:
   /// top level. Key and element order is preserved.
   std::string dump() const;
 
-  /// Parses a JSON document; std::nullopt on malformed input.
+  /// The deepest nesting parse() accepts (dump() documents nest a few
+  /// levels): a deeper one would exhaust the stack.
+  static constexpr unsigned kMaxDepth = 256;
+
+  /// Parses a JSON document; std::nullopt on malformed input or one
+  /// nested deeper than kMaxDepth.
   static std::optional<JsonValue> parse(const std::string &Text);
 
 private:
@@ -108,6 +114,57 @@ private:
   std::vector<JsonValue> Items;
   std::vector<std::pair<std::string, JsonValue>> Members;
 };
+
+/// Writes \p S escaped as the body of a JSON string (at most 6 bytes per
+/// byte of \p S) and \returns its end: `\"`, `\\`, `\n` and `\t` get
+/// short escapes, every other byte below 0x20 a `\u00xx`, and every other
+/// byte passes as it stands.
+char *writeJsonEscaped(char *P, std::string_view S);
+
+// The JSON lexer that JsonValue::parse and the text trace readers
+// (obs/TraceReader.h) share. Each call reads the token at \p P, before
+// \p E, and \returns its end, or nullptr when it is malformed.
+
+/// Skips whitespace.
+const char *skipJsonSpace(const char *P, const char *E);
+
+/// Reads a string: \p Out views it in the input, or in \p Unescaped when
+/// it holds an escape.
+const char *scanJsonString(const char *P, const char *E, std::string_view &Out,
+                           std::string &Unescaped);
+/// Reads a string into \p Out.
+const char *scanJsonString(const char *P, const char *E, std::string &Out);
+
+/// Reads a bare scalar's characters — a number, true, false or null, which
+/// the caller checks — up to the next delimiter.
+const char *scanJsonBare(const char *P, const char *E);
+
+/// Reads an object, calling \p Member(Key, At) at each member's value,
+/// which \returns the value's end or nullptr. \p KeyBuf holds a key that
+/// needs unescaping.
+template <typename Fn>
+const char *scanJsonObject(const char *P, const char *E, std::string &KeyBuf,
+                           Fn Member) {
+  if (P == E || *P != '{')
+    return nullptr;
+  P = skipJsonSpace(P + 1, E);
+  if (P != E && *P == '}')
+    return P + 1;
+  for (;;) {
+    std::string_view Key;
+    P = scanJsonString(P, E, Key, KeyBuf);
+    if (!P || (P = skipJsonSpace(P, E)) == E || *P != ':')
+      return nullptr;
+    P = Member(Key, skipJsonSpace(P + 1, E));
+    if (!P || (P = skipJsonSpace(P, E)) == E)
+      return nullptr;
+    if (*P == '}')
+      return P + 1;
+    if (*P != ',')
+      return nullptr;
+    P = skipJsonSpace(P + 1, E);
+  }
+}
 
 /// The shortest decimal representation of \p V that parses back to exactly
 /// the same double — the formatting JsonValue::dump uses. Producers that

@@ -3,10 +3,9 @@
 #include "obs/LeakAudit.h"
 
 #include "obs/TraceReader.h"
-#include "support/ParseInt.h"
 
 #include <cmath>
-#include <cstdlib>
+#include <utility>
 
 using namespace zam;
 
@@ -94,41 +93,30 @@ bool LeakAudit::replay(TraceReader &Reader, std::string &Err) {
   MitigationState State(Lat, Policies.base(), PenaltyPolicy::PerLevel);
   TraceRecord R;
   while (Reader.next(R)) {
-    if (R.RecordKind != TraceRecord::Kind::Span || R.Category != "mit")
+    if (R.Type != TraceRecordType::Mitigate)
       continue;
     MitigateRecord M;
-    // Numeric fields are checked integers: a malformed one fails the
+    // Numeric fields must hold their type: a malformed one fails the
     // replay rather than reading as 0.
     auto Malformed = [&](const char *Key) {
       Err = "mitigate span '" + R.Name + "' has a malformed '" + Key +
             "' value";
       return false;
     };
-    const size_t Hash = R.Name.rfind('#');
-    if (Hash != std::string::npos &&
-        !parseInteger(std::string_view(R.Name).substr(Hash + 1), M.Eta))
+    if (!R.Index || !std::in_range<unsigned>(*R.Index))
       return Malformed("eta");
-    std::string LevelName, PcName;
-    for (const auto &[Key, Value] : R.Args) {
-      if (Key == "level") {
-        LevelName = Value;
-      } else if (Key == "pc") {
-        PcName = Value;
-      } else if (Key == "estimate") {
-        if (!parseInteger(Value, M.Estimate))
-          return Malformed("estimate");
-      } else if (Key == "consumed") {
-        if (!parseInteger(Value, M.BodyTime))
-          return Malformed("consumed");
-      } else if (Key == "mispredicted") {
-        M.Mispredicted = Value == "true";
-      } else if (Key == "loc") {
-        if (!parseInteger(Value, M.Line))
-          return Malformed("loc");
-      }
-    }
-    const std::optional<Label> Level = Lat.byName(LevelName);
-    const std::optional<Label> Pc = Lat.byName(PcName);
+    M.Eta = static_cast<unsigned>(*R.Index);
+    if (!R.read("estimate", M.Estimate))
+      return Malformed("estimate");
+    if (!R.read("consumed", M.BodyTime))
+      return Malformed("consumed");
+    if (!R.read("loc", M.Line))
+      return Malformed("loc");
+    M.Mispredicted = R.get<bool>("mispredicted").value_or(false);
+    const std::optional<Label> Level =
+        Lat.byName(std::string(R.get<std::string_view>("level").value_or("")));
+    const std::optional<Label> Pc =
+        Lat.byName(std::string(R.get<std::string_view>("pc").value_or("")));
     if (!Level || !Pc) {
       Err = "mitigate span '" + R.Name + "' names an unknown level";
       return false;

@@ -446,18 +446,14 @@ size_t zam::exportTrace(TraceSink &Sink, const Trace &T,
 }
 
 std::vector<std::pair<std::string, std::string>>
-zam::provenanceArgs(unsigned Threads) {
-  return {{"tool", "zam"},
-          {"version", buildVersion()},
-          {"git", buildGitHash()},
-          {"compiler", buildCompiler()},
-          {"build_type", buildType()},
-          {"threads", std::to_string(Threads)}};
-}
-
-std::vector<std::pair<std::string, std::string>>
 zam::provenanceArgs(unsigned Threads, const PolicySelection &Mitigation) {
-  auto Args = provenanceArgs(Threads);
+  std::vector<std::pair<std::string, std::string>> Args = {
+      {"tool", "zam"},
+      {"version", buildVersion()},
+      {"git", buildGitHash()},
+      {"compiler", buildCompiler()},
+      {"build_type", buildType()},
+      {"threads", std::to_string(Threads)}};
   if (Mitigation.isDefaultOnly())
     return Args; // Paper default: keep the historical byte layout.
   Args.emplace_back("mitigation", Mitigation.base().spec());
@@ -466,22 +462,12 @@ zam::provenanceArgs(unsigned Threads, const PolicySelection &Mitigation) {
   return Args;
 }
 
-JsonValue zam::provenanceJson(unsigned Threads) {
-  JsonValue Meta = JsonValue::object();
-  Meta["tool"] = "zam";
-  Meta["version"] = buildVersion();
-  Meta["git"] = buildGitHash();
-  Meta["compiler"] = buildCompiler();
-  Meta["build_type"] = buildType();
-  Meta["threads"] = Threads;
-  return Meta;
-}
-
 JsonValue zam::provenanceJson(unsigned Threads,
                               const PolicySelection &Mitigation) {
-  JsonValue Meta = provenanceJson(Threads);
-  for (const auto &[Key, Value] : provenanceArgs(Threads, Mitigation))
-    if (Key == "mitigation" || Key == "mitigation_sites")
-      Meta[Key] = Value;
-  return Meta;
+  TraceRecord Header;
+  Header.RecordKind = TraceRecord::Kind::Meta;
+  for (auto &[Key, Value] : provenanceArgs(Threads, Mitigation))
+    Header.Args.push_back(TraceArg::text(std::move(Key), std::move(Value)));
+  applyTraceSchema(Header);
+  return Header.argsJson();
 }

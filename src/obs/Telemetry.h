@@ -136,27 +136,22 @@ size_t exportTrace(TraceSink &Sink, const Trace &T, const SecurityLattice &Lat,
 
 /// Build provenance as trace-header key/value pairs: tool version, git
 /// hash, compiler, build type and \p Threads (the configured worker count;
-/// 0 = auto). Pass to TraceSink::header before exporting.
-std::vector<std::pair<std::string, std::string>> provenanceArgs(
-    unsigned Threads);
+/// 0 = auto), plus the mitigation-policy record: when \p Mitigation is
+/// anything but default fast-doubling, "mitigation" (the default policy's
+/// canonical spec) and, with per-site overrides, "mitigation_sites"
+/// ("eta=spec,..."). The paper-default configuration adds no keys, so
+/// default-run artifacts stay byte-identical to the pre-policy format;
+/// offline readers treat the absent key as fast-doubling. Pass to
+/// TraceSink::header before exporting.
+std::vector<std::pair<std::string, std::string>>
+provenanceArgs(unsigned Threads,
+               const PolicySelection &Mitigation = PolicySelection());
 
-/// provenanceArgs plus the mitigation-policy record: when \p Mitigation is
-/// anything but default fast-doubling, appends "mitigation" (the default
-/// policy's canonical spec) and, with per-site overrides,
-/// "mitigation_sites" ("eta=spec,..."). The paper-default configuration
-/// adds no keys, so default-run artifacts stay byte-identical to the
-/// pre-policy format; offline readers treat the absent key as
-/// fast-doubling.
-std::vector<std::pair<std::string, std::string>> provenanceArgs(
-    unsigned Threads, const PolicySelection &Mitigation);
-
-/// The same provenance as a JSON object — the `meta` block of `--stats`
-/// and bench report documents.
-JsonValue provenanceJson(unsigned Threads);
-
-/// provenanceJson with the conditional mitigation-policy record (see the
-/// provenanceArgs overload).
-JsonValue provenanceJson(unsigned Threads, const PolicySelection &Mitigation);
+/// The same provenance as a JSON object, each value typed as the trace
+/// header's schema entry declares it (obs/TraceSchema.h) — the `meta`
+/// block of `--stats` and bench report documents.
+JsonValue provenanceJson(unsigned Threads,
+                         const PolicySelection &Mitigation = PolicySelection());
 
 } // namespace zam
 

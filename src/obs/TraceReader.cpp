@@ -4,240 +4,225 @@
 
 #include "obs/Json.h"
 #include "obs/Ztb.h"
+#include "support/ParseInt.h"
 
-#include <cmath>
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 
 using namespace zam;
 
-TraceReader::~TraceReader() = default;
+TraceReader::~TraceReader() {
+  if (Owns && F)
+    std::fclose(F);
+}
 
-namespace {
-
-/// Reads one '\n'-terminated line (terminator stripped); false at EOF.
-bool readLine(std::FILE *F, std::string &Out) {
-  Out.clear();
-  char Buf[4096];
-  bool Any = false;
-  while (std::fgets(Buf, sizeof(Buf), F)) {
-    Any = true;
-    Out += Buf;
-    if (!Out.empty() && Out.back() == '\n') {
-      Out.pop_back();
-      return true;
+bool TraceReader::refill(size_t N) {
+  std::memmove(Buf.data(), Buf.data() + Pos, End - Pos);
+  End -= Pos;
+  Pos = 0;
+  if (N > Buf.size()) {
+    // reserve() first: resize() alone may allocate twice the size.
+    const size_t Size =
+        std::max(N, std::min<size_t>(2 * Buf.size(), kMaxRecordBytes + 2));
+    Buf.reserve(Size);
+    Buf.resize(Size);
+  }
+  while (End < N) {
+    const size_t Got = std::fread(Buf.data() + End, 1, Buf.size() - End, F);
+    if (Got == 0) {
+      if (std::ferror(F))
+        fail("read error");
+      return false;
     }
+    End += Got;
   }
-  return Any;
-}
-
-/// Flattens a JSON args object back to the producer's key/value strings:
-/// integers in the producers' decimal form (std::to_string — "1024", never
-/// the "%g" scientific "1.024e+03", so strtoull consumers round-trip, and
-/// every int64 exactly), other numbers through jsonNumberString
-/// (bit-identical strtod round-trip), strings verbatim, bools as their
-/// literals.
-void argsFromJson(const JsonValue *Args,
-                  std::vector<std::pair<std::string, std::string>> &Out) {
-  Out.clear();
-  if (!Args || Args->kind() != JsonValue::Kind::Object)
-    return;
-  for (const auto &[Key, Val] : Args->members()) {
-    switch (Val.kind()) {
-    case JsonValue::Kind::Number: {
-      const double V = Val.asNumber();
-      if (Val.isInt())
-        Out.emplace_back(Key, std::to_string(Val.asInt()));
-      else if (std::nearbyint(V) == V && std::fabs(V) < 9.2e18)
-        Out.emplace_back(Key,
-                         std::to_string(static_cast<long long>(V)));
-      else
-        Out.emplace_back(Key, jsonNumberString(V));
-      break;
-    }
-    case JsonValue::Kind::String:
-      Out.emplace_back(Key, Val.asString());
-      break;
-    case JsonValue::Kind::Bool:
-      Out.emplace_back(Key, Val.asBool() ? "true" : "false");
-      break;
-    default:
-      break; // Producers never emit nested args.
-    }
-  }
-}
-
-uint64_t numOr0(const JsonValue &Obj, const char *Key) {
-  const JsonValue *V = Obj.find(Key);
-  if (!V || V->kind() != JsonValue::Kind::Number)
-    return 0;
-  return V->isInt() ? static_cast<uint64_t>(V->asInt())
-                    : static_cast<uint64_t>(V->asNumber());
-}
-
-std::string strOrEmpty(const JsonValue &Obj, const char *Key) {
-  const JsonValue *V = Obj.find(Key);
-  return V && V->kind() == JsonValue::Kind::String ? V->asString()
-                                                   : std::string();
-}
-
-/// Decodes one JSONL record object; false when the shape is wrong.
-bool decodeJsonlObject(const JsonValue &Obj, TraceRecord &R) {
-  const std::string Kind = strOrEmpty(Obj, "kind");
-  R = TraceRecord();
-  if (Kind == "meta") {
-    R.RecordKind = TraceRecord::Kind::Meta;
-    // The nameless header line carries only args; snapshot rows are full
-    // records.
-    R.Name = strOrEmpty(Obj, "name");
-    R.Category = strOrEmpty(Obj, "cat");
-    R.Ts = numOr0(Obj, "ts");
-    argsFromJson(Obj.find("args"), R.Args);
-    return true;
-  }
-  if (Kind == "instant")
-    R.RecordKind = TraceRecord::Kind::Instant;
-  else if (Kind == "span")
-    R.RecordKind = TraceRecord::Kind::Span;
-  else if (Kind == "counter")
-    R.RecordKind = TraceRecord::Kind::Counter;
-  else
-    return false;
-  R.Name = strOrEmpty(Obj, "name");
-  R.Category = strOrEmpty(Obj, "cat");
-  R.Ts = numOr0(Obj, "ts");
-  if (R.RecordKind == TraceRecord::Kind::Span)
-    R.Dur = numOr0(Obj, "dur");
-  if (R.RecordKind == TraceRecord::Kind::Counter) {
-    const JsonValue *V = Obj.find("value");
-    R.Value = V && V->kind() == JsonValue::Kind::Number ? V->asNumber() : 0;
-  }
-  argsFromJson(Obj.find("args"), R.Args);
   return true;
 }
 
-/// Decodes one Chrome trace-event object; false when the shape is wrong.
-bool decodeChromeObject(const JsonValue &Obj, TraceRecord &R) {
-  const std::string Ph = strOrEmpty(Obj, "ph");
-  R = TraceRecord();
-  R.Name = strOrEmpty(Obj, "name");
-  R.Category = strOrEmpty(Obj, "cat");
-  R.Ts = numOr0(Obj, "ts");
-  if (Ph == "M") {
-    R.RecordKind = TraceRecord::Kind::Meta;
-    // The provenance header is the conventional "zam_build" metadata
-    // event; readers surface it as the nameless header record.
-    if (R.Name == "zam_build") {
-      R.Name.clear();
-      R.Category.clear();
-      R.Ts = 0;
-    }
-    argsFromJson(Obj.find("args"), R.Args);
-    return true;
+namespace {
+
+/// \p R's next arg, an empty Text one, in the storage an earlier record
+/// left there.
+TraceArg &nextArg(TraceRecord &R, size_t &N) {
+  if (N == R.Args.size())
+    R.Args.emplace_back();
+  TraceArg &A = R.Args[N++];
+  A.Type = TraceArgType::Text;
+  A.Bits = 0;
+  A.List.clear();
+  return A;
+}
+
+/// \p Text cut to 80 bytes for a diagnostic.
+std::string excerpt(std::string_view Text) {
+  return Text.size() > 80 ? std::string(Text.substr(0, 80)) + "..."
+                          : std::string(Text);
+}
+
+/// Reads the JSON scalar at \p P into \p Out: a string's text, or the
+/// characters of a literal or a number, which the typed decode reads in
+/// full. \returns its end, or nullptr.
+const char *scanScalar(const char *P, const char *E, std::string &Out) {
+  if (P != E && *P == '"')
+    return scanJsonString(P, E, Out);
+  const char *End = scanJsonBare(P, E);
+  const std::string_view T(P, End ? End - P : 0);
+  if (!End || (T != "true" && T != "false" && T != "null" &&
+               T.find_first_not_of("+-.0123456789eE") != T.npos))
+    return nullptr;
+  Out.assign(T);
+  return End;
+}
+
+/// Parses the field \p Text as a \p T.
+template <typename T> bool parseField(std::string_view Text, T &Out) {
+  if constexpr (std::is_same_v<T, double>) {
+    const auto [Ptr, Ec] =
+        std::from_chars(Text.data(), Text.data() + Text.size(), Out);
+    return !Text.empty() && Ec == std::errc() &&
+           Ptr == Text.data() + Text.size();
+  } else {
+    return parseInteger(Text, Out);
   }
-  if (Ph == "X") {
-    R.RecordKind = TraceRecord::Kind::Span;
-    R.Dur = numOr0(Obj, "dur");
-    argsFromJson(Obj.find("args"), R.Args);
-    return true;
-  }
-  if (Ph == "C") {
-    R.RecordKind = TraceRecord::Kind::Counter;
-    const JsonValue *Args = Obj.find("args");
-    const JsonValue *V = Args ? Args->find("value") : nullptr;
-    R.Value = V && V->kind() == JsonValue::Kind::Number ? V->asNumber() : 0;
-    return true;
-  }
-  if (Ph == "i") {
-    R.RecordKind = TraceRecord::Kind::Instant;
-    argsFromJson(Obj.find("args"), R.Args);
-    return true;
-  }
-  return false;
 }
 
 } // namespace
 
-//===----------------------------------------------------------------------===//
-// JSONL
-//===----------------------------------------------------------------------===//
-
-JsonlTraceReader::JsonlTraceReader(std::FILE *F, bool TakeOwnership)
-    : F(F), Owns(TakeOwnership) {}
-
-JsonlTraceReader::~JsonlTraceReader() {
-  if (Owns && F)
-    std::fclose(F);
-}
-
-bool JsonlTraceReader::next(TraceRecord &R) {
-  if (!ok())
-    return false;
-  while (readLine(F, Line)) {
-    if (Line.empty())
-      continue;
-    std::optional<JsonValue> Obj = JsonValue::parse(Line);
-    if (!Obj || Obj->kind() != JsonValue::Kind::Object ||
-        !decodeJsonlObject(*Obj, R)) {
-      fail("malformed JSONL record: " +
-           (Line.size() > 80 ? Line.substr(0, 80) + "..." : Line));
-      return false;
+bool TextTraceReader::scan(std::string_view Text, TraceRecord &R, Line &L) {
+  const char *E = Text.data() + Text.size();
+  L.HasTag = false;
+  L.Ts = L.Dur = L.Value = {};
+  R.Name.clear();
+  R.Category.clear();
+  size_t N = 0;
+  auto Arg = [&](std::string_view Key, const char *P) {
+    TraceArg &A = nextArg(R, N);
+    A.Key.assign(Key);
+    return scanScalar(P, E, A.Text);
+  };
+  auto Member = [&](std::string_view Key, const char *P) -> const char * {
+    if (Key == "args")
+      return scanJsonObject(P, E, L.Key, Arg);
+    if (Key == "name")
+      return scanJsonString(P, E, R.Name);
+    if (Key == "cat")
+      return scanJsonString(P, E, R.Category);
+    if (Key == "kind" || Key == "ph") {
+      L.HasTag = true;
+      return scanJsonString(P, E, L.Tag);
     }
-    return true;
+    const char *End = scanScalar(P, E, L.Skipped);
+    const std::string_view Raw(P, End ? End - P : 0);
+    if (Key == "ts")
+      L.Ts = Raw;
+    else if (Key == "dur")
+      L.Dur = Raw;
+    else if (Key == "value")
+      L.Value = Raw;
+    return End;
+  };
+  const char *P =
+      scanJsonObject(skipJsonSpace(Text.data(), E), E, L.Key, Member);
+  R.Args.resize(N);
+  return P && skipJsonSpace(P, E) == E;
+}
+
+bool TextTraceReader::decode(std::string_view Text, TraceRecord &R) {
+  if (!scan(Text, R, Scan) || !Scan.HasTag)
+    return false;
+  using Kind = TraceRecord::Kind;
+  static constexpr std::string_view JsonlKinds[] = {"instant", "span",
+                                                    "counter", "meta"};
+  static constexpr std::string_view ChromePhases[] = {"i", "X", "C", "M"};
+  const std::string_view *Tags = Chrome ? ChromePhases : JsonlKinds;
+  const auto *Tag = std::find(Tags, Tags + 4, Scan.Tag);
+  if (Tag == Tags + 4)
+    return false;
+  R.RecordKind = static_cast<Kind>(Tag - Tags);
+  // A counter's value is a top-level field in JSONL and its only arg in
+  // Chrome.
+  std::string ChromeValue;
+  if (Chrome && R.RecordKind == Kind::Counter) {
+    if (const TraceArg *V = R.arg("value"))
+      ChromeValue = V->Text;
+    Scan.Value = ChromeValue;
+    R.Args.clear();
   }
-  return false;
+  // The provenance header is the conventional "zam_build" metadata event
+  // in Chrome; readers surface it as the nameless header record.
+  if (Chrome && R.RecordKind == Kind::Meta && R.Name == "zam_build") {
+    R.Name.clear();
+    R.Category.clear();
+    Scan.Ts = {};
+  }
+  R.Ts = R.Dur = 0;
+  R.Value = 0;
+  auto Field = [&](const char *Key, std::string_view Raw, auto &Out) {
+    if (Raw.empty() || parseField(Raw, Out))
+      return true;
+    return fail("record '" + R.Name + "' (cat '" + R.Category +
+                "'): field '" + Key + "' is '" + excerpt(Raw) + "', not " +
+                (std::is_same_v<std::remove_reference_t<decltype(Out)>, double>
+                     ? "a number"
+                     : "an integer in range"));
+  };
+  if (!Field("ts", Scan.Ts, R.Ts) ||
+      (R.RecordKind == Kind::Span && !Field("dur", Scan.Dur, R.Dur)) ||
+      (R.RecordKind == Kind::Counter && !Field("value", Scan.Value, R.Value)))
+    return false;
+  applyTraceSchema(R);
+  return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Chrome trace-event array
-//===----------------------------------------------------------------------===//
-
-ChromeTraceReader::ChromeTraceReader(std::FILE *F, bool TakeOwnership)
-    : F(F), Owns(TakeOwnership) {}
-
-ChromeTraceReader::~ChromeTraceReader() {
-  if (Owns && F)
-    std::fclose(F);
+bool TextTraceReader::readLine(std::string_view &Out) {
+  for (size_t Scanned = 0;;) {
+    if (const auto *Nl = static_cast<const char *>(std::memchr(
+            Buf.data() + Pos + Scanned, '\n', End - Pos - Scanned))) {
+      Out = {Buf.data() + Pos, static_cast<size_t>(Nl - Buf.data()) - Pos};
+      Pos = Nl - Buf.data() + 1;
+      return true;
+    }
+    Scanned = End - Pos;
+    if (Scanned > kMaxRecordBytes)
+      return fail("a line of more than " + std::to_string(kMaxRecordBytes) +
+                  " bytes: no record is that long");
+    if (!fill(Scanned + 1)) {
+      Out = {Buf.data() + Pos, End - Pos};
+      Pos = End;
+      return !Out.empty();
+    }
+  }
 }
 
-bool ChromeTraceReader::next(TraceRecord &R) {
+bool TextTraceReader::next(TraceRecord &R) {
   if (Done || !ok())
     return false;
-  if (!SawOpen) {
-    if (!readLine(F, Line)) {
-      fail("empty Chrome trace");
-      return false;
-    }
-    if (Line == "[]") {
-      Done = true;
-      return false;
-    }
-    if (Line != "[") {
-      fail("expected '[' opening the Chrome trace array");
-      return false;
-    }
+  std::string_view Text;
+  if (Chrome && !SawOpen) {
+    if (!readLine(Text))
+      return fail("empty Chrome trace");
+    Done = Text == "[]";
+    if (!Done && Text != "[")
+      return fail("expected '[' opening the Chrome trace array");
     SawOpen = true;
   }
-  while (readLine(F, Line)) {
-    if (Line == "]") {
+  while (!Done && readLine(Text)) {
+    if (Chrome && Text == "]") {
       Done = true;
-      return false;
+      break;
     }
-    std::string Text = Line;
-    if (!Text.empty() && Text.back() == ',')
-      Text.pop_back();
+    if (Chrome && Text.ends_with(','))
+      Text.remove_suffix(1);
     if (Text.empty())
       continue;
-    std::optional<JsonValue> Obj = JsonValue::parse(Text);
-    if (!Obj || Obj->kind() != JsonValue::Kind::Object ||
-        !decodeChromeObject(*Obj, R)) {
-      fail("malformed Chrome trace event: " +
-           (Text.size() > 80 ? Text.substr(0, 80) + "..." : Text));
-      return false;
-    }
-    return true;
+    if (decode(Text, R))
+      return true;
+    return fail((Chrome ? "malformed Chrome trace event: "
+                        : "malformed JSONL record: ") +
+                excerpt(Text));
   }
-  fail("unterminated Chrome trace array");
-  return false;
+  return Chrome && !Done ? fail("unterminated Chrome trace array") : false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -246,7 +231,6 @@ bool ChromeTraceReader::next(TraceRecord &R) {
 
 namespace {
 
-constexpr uint64_t kMaxRecordBytes = uint64_t(1) << 24;
 constexpr uint64_t kMaxHeaderPairs = 4096;
 constexpr uint64_t kMaxHeaderStringBytes = uint64_t(1) << 16;
 constexpr uint64_t kMaxArgs = 4096;
@@ -273,29 +257,16 @@ bool pString(const char *&P, const char *E, std::string &S) {
   return true;
 }
 
-/// Decodes one record payload; false on any malformed field.
-bool decodeZtbPayload(const std::string &Payload, TraceRecord &R) {
-  const char *P = Payload.data();
-  const char *E = P + Payload.size();
+/// Decodes the record payload [\p P, \p E); false on any malformed field.
+bool decodeZtbPayload(const char *P, const char *E, TraceRecord &R) {
   if (P == E)
     return false;
-  R = TraceRecord();
-  switch (static_cast<unsigned char>(*P++)) {
-  case ztb::KindInstant:
-    R.RecordKind = TraceRecord::Kind::Instant;
-    break;
-  case ztb::KindSpan:
-    R.RecordKind = TraceRecord::Kind::Span;
-    break;
-  case ztb::KindCounter:
-    R.RecordKind = TraceRecord::Kind::Counter;
-    break;
-  case ztb::KindMeta:
-    R.RecordKind = TraceRecord::Kind::Meta;
-    break;
-  default:
+  const unsigned Kind = static_cast<unsigned char>(*P++) - ztb::KindInstant;
+  if (Kind > ztb::KindMeta - ztb::KindInstant)
     return false;
-  }
+  R.RecordKind = static_cast<TraceRecord::Kind>(Kind);
+  R.Dur = 0;
+  R.Value = 0;
   if (!pString(P, E, R.Name) || !pString(P, E, R.Category) ||
       !pVarint(P, E, R.Ts))
     return false;
@@ -313,55 +284,27 @@ bool decodeZtbPayload(const std::string &Payload, TraceRecord &R) {
   uint64_t ArgCount = 0;
   if (!pVarint(P, E, ArgCount) || ArgCount > kMaxArgs)
     return false;
-  R.Args.reserve(static_cast<size_t>(ArgCount));
+  size_t N = 0;
   for (uint64_t I = 0; I != ArgCount; ++I) {
-    std::string Key, Value;
-    if (!pString(P, E, Key) || !pString(P, E, Value))
+    TraceArg &A = nextArg(R, N);
+    if (!pString(P, E, A.Key) || !pString(P, E, A.Text))
       return false;
-    R.Args.emplace_back(std::move(Key), std::move(Value));
   }
-  return P == E;
+  R.Args.resize(N);
+  if (P != E)
+    return false;
+  applyTraceSchema(R);
+  return true;
 }
 
 } // namespace
 
-ZtbTraceReader::ZtbTraceReader(std::FILE *F, bool TakeOwnership)
-    : F(F), Owns(TakeOwnership), Buf(1 << 16) {}
-
-ZtbTraceReader::~ZtbTraceReader() {
-  if (Owns && F)
-    std::fclose(F);
-}
-
-bool ZtbTraceReader::refill() {
-  Pos = 0;
-  End = std::fread(Buf.data(), 1, Buf.size(), F);
-  return End != 0;
-}
-
-int ZtbTraceReader::getByte() {
-  if (Pos == End && !refill())
-    return -1;
-  return static_cast<unsigned char>(Buf[Pos++]);
-}
-
-int ZtbTraceReader::peekByte() {
-  if (Pos == End && !refill())
-    return -1;
-  return static_cast<unsigned char>(Buf[Pos]);
-}
-
 bool ZtbTraceReader::readVarint(uint64_t &V) {
-  V = 0;
-  for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-    const int B = getByte();
-    if (B < 0)
-      return false;
-    V |= uint64_t(B & 0x7F) << Shift;
-    if (!(B & 0x80))
-      return true;
-  }
-  return false;
+  fill(ztb::kMaxVarintBytes); // Fewer at the end of the stream.
+  const char *P = Buf.data() + Pos;
+  const bool Ok = pVarint(P, Buf.data() + End, V);
+  Pos = P - Buf.data();
+  return Ok;
 }
 
 bool ZtbTraceReader::readHeaderVarint(uint64_t &V) {
@@ -370,83 +313,51 @@ bool ZtbTraceReader::readHeaderVarint(uint64_t &V) {
   // readVarint fails either at EOF mid-varint (a truncated stream) or on
   // a 10-byte runaway (corrupt framing); tell the two apart so truncation
   // never masquerades as corruption.
-  fail(peekByte() < 0 ? "truncated ZTB header (unterminated varint)"
-                      : "malformed ZTB header varint");
-  return false;
+  return fail(peekByte() < 0 ? "truncated ZTB header (unterminated varint)"
+                             : "malformed ZTB header varint");
+}
+
+bool ZtbTraceReader::readHeaderString(std::string &S) {
+  uint64_t Len = 0;
+  if (!readHeaderVarint(Len))
+    return false;
+  // Cap strings well below the record limit so a corrupt length can't
+  // preallocate megabytes before the EOF check fires.
+  if (Len > kMaxHeaderStringBytes)
+    return fail("malformed ZTB header (implausible string length)");
+  if (!fill(Len))
+    return fail("truncated ZTB header");
+  S.assign(Buf.data() + Pos, Len);
+  Pos += Len;
+  return true;
 }
 
 bool ZtbTraceReader::readPreamble() {
   SawPreamble = true;
-  char Magic[4];
-  for (char &C : Magic) {
-    const int B = getByte();
-    if (B < 0) {
-      fail("truncated ZTB preamble");
-      return false;
-    }
-    C = static_cast<char>(B);
-  }
-  if (std::memcmp(Magic, ztb::Magic, sizeof(Magic)) != 0) {
-    fail("not a ZTB stream (bad magic)");
-    return false;
-  }
+  if (!fill(sizeof(ztb::Magic)))
+    return fail("truncated ZTB preamble");
+  if (std::memcmp(Buf.data() + Pos, ztb::Magic, sizeof(ztb::Magic)) != 0)
+    return fail("not a ZTB stream (bad magic)");
+  Pos += sizeof(ztb::Magic);
   const int Ver = getByte();
-  if (Ver < 0) {
-    // EOF right after the magic: a truncation, not a version mismatch.
-    fail("truncated ZTB preamble (missing version byte)");
-    return false;
-  }
-  if (Ver > ztb::Version) {
-    fail("unsupported ZTB version " + std::to_string(Ver));
-    return false;
-  }
+  if (Ver < 0) // EOF right after the magic: no version mismatch.
+    return fail("truncated ZTB preamble (missing version byte)");
+  if (Ver > ztb::Version)
+    return fail("unsupported ZTB version " + std::to_string(Ver));
   uint64_t Pairs = 0;
   if (!readHeaderVarint(Pairs))
     return false;
-  if (Pairs > kMaxHeaderPairs) {
-    fail("malformed ZTB header (implausible pair count)");
-    return false;
-  }
-  Header = TraceRecord();
+  if (Pairs > kMaxHeaderPairs)
+    return fail("malformed ZTB header (implausible pair count)");
   Header.RecordKind = TraceRecord::Kind::Meta;
+  size_t N = 0;
   for (uint64_t I = 0; I != Pairs; ++I) {
-    uint64_t KeyLen = 0, ValLen = 0;
-    std::string Key, Value;
-    if (!readHeaderVarint(KeyLen))
+    TraceArg &A = nextArg(Header, N);
+    if (!readHeaderString(A.Key) || !readHeaderString(A.Text))
       return false;
-    // Cap strings well below the record limit so a corrupt length can't
-    // preallocate megabytes before the EOF check fires.
-    if (KeyLen > kMaxHeaderStringBytes) {
-      fail("malformed ZTB header (implausible string length)");
-      return false;
-    }
-    Key.resize(static_cast<size_t>(KeyLen));
-    for (char &C : Key) {
-      const int B = getByte();
-      if (B < 0) {
-        fail("truncated ZTB header");
-        return false;
-      }
-      C = static_cast<char>(B);
-    }
-    if (!readHeaderVarint(ValLen))
-      return false;
-    if (ValLen > kMaxHeaderStringBytes) {
-      fail("malformed ZTB header (implausible string length)");
-      return false;
-    }
-    Value.resize(static_cast<size_t>(ValLen));
-    for (char &C : Value) {
-      const int B = getByte();
-      if (B < 0) {
-        fail("truncated ZTB header");
-        return false;
-      }
-      C = static_cast<char>(B);
-    }
-    Header.Args.emplace_back(std::move(Key), std::move(Value));
   }
-  HeaderPending = !Header.Args.empty();
+  applyTraceSchema(Header);
+  HeaderPending = N != 0;
   return true;
 }
 
@@ -489,10 +400,8 @@ bool ZtbTraceReader::next(TraceRecord &R) {
       bool Good = true;
       for (size_t I = 0; I != sizeof(ztb::FrameMarker); ++I) {
         const int C = getByte();
-        if (C < 0) {
-          fail("truncated frame marker");
-          return false;
-        }
+        if (C < 0)
+          return fail("truncated frame marker");
         if (static_cast<unsigned char>(C) != ztb::FrameMarker[I]) {
           Good = false;
           break;
@@ -506,30 +415,18 @@ bool ZtbTraceReader::next(TraceRecord &R) {
       continue;
     }
     uint64_t Len = 0;
-    if (!readVarint(Len)) {
-      fail("truncated record length");
-      return false;
-    }
+    if (!readVarint(Len))
+      return fail("truncated record length");
     if (Len == 0 || Len > kMaxRecordBytes) {
       fail("implausible record length; resynchronizing");
       if (!resync())
         return false;
       continue;
     }
-    Payload.resize(static_cast<size_t>(Len));
-    size_t Got = 0;
-    while (Got != Len) {
-      if (Pos == End && !refill()) {
-        fail("truncated record");
-        return false;
-      }
-      const size_t N =
-          std::min(static_cast<size_t>(Len) - Got, End - Pos);
-      std::memcpy(&Payload[Got], Buf.data() + Pos, N);
-      Pos += N;
-      Got += N;
-    }
-    if (decodeZtbPayload(Payload, R))
+    if (!fill(Len))
+      return fail("truncated record");
+    Pos += Len;
+    if (decodeZtbPayload(Buf.data() + Pos - Len, Buf.data() + Pos, R))
       return true;
     fail("malformed record payload; resynchronizing");
     if (!resync())
@@ -541,6 +438,31 @@ bool ZtbTraceReader::next(TraceRecord &R) {
 // Format sniffing
 //===----------------------------------------------------------------------===//
 
+std::optional<TraceFormat> zam::sniffTraceFormat(std::FILE *F) {
+  std::string Head(1 << 16, '\0');
+  Head.resize(std::fread(Head.data(), 1, Head.size(), F));
+  std::rewind(F);
+  if (std::string_view(Head).starts_with(
+          std::string_view(ztb::Magic, sizeof(ztb::Magic))))
+    return TraceFormat::Ztb;
+  const size_t First = Head.find_first_not_of(" \t\r\n");
+  if (First == std::string::npos)
+    return std::nullopt;
+  if (Head[First] == '[')
+    return TraceFormat::Chrome;
+  const size_t Newline = Head.find('\n', First);
+  // A first line longer than the window is no stats document's "{".
+  if (Newline == std::string::npos && Head.size() == (1 << 16))
+    return TraceFormat::Jsonl;
+  TraceRecord R;
+  TextTraceReader::Line L;
+  if (TextTraceReader::scan(
+          std::string_view(Head).substr(First, Newline - First), R, L) &&
+      L.HasTag)
+    return TraceFormat::Jsonl;
+  return std::nullopt;
+}
+
 std::unique_ptr<TraceReader> zam::openTraceReader(const std::string &Path,
                                                   std::string &Err) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
@@ -548,19 +470,13 @@ std::unique_ptr<TraceReader> zam::openTraceReader(const std::string &Path,
     Err = "cannot open '" + Path + "'";
     return nullptr;
   }
-  char Magic[4] = {0, 0, 0, 0};
-  const size_t N = std::fread(Magic, 1, sizeof(Magic), F);
-  std::rewind(F);
-  if (N == sizeof(Magic) &&
-      std::memcmp(Magic, ztb::Magic, sizeof(Magic)) == 0)
+  switch (sniffTraceFormat(F).value_or(TraceFormat::Jsonl)) {
+  case TraceFormat::Ztb:
     return std::make_unique<ZtbTraceReader>(F, /*TakeOwnership=*/true);
-  // Text: the first non-whitespace byte decides array vs. lines.
-  int C;
-  while ((C = std::fgetc(F)) != EOF &&
-         (C == ' ' || C == '\t' || C == '\r' || C == '\n'))
-    ;
-  std::rewind(F);
-  if (C == '[')
+  case TraceFormat::Chrome:
     return std::make_unique<ChromeTraceReader>(F, /*TakeOwnership=*/true);
+  case TraceFormat::Jsonl:
+    break;
+  }
   return std::make_unique<JsonlTraceReader>(F, /*TakeOwnership=*/true);
 }

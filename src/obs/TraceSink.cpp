@@ -54,36 +54,6 @@ bool isDigit(char C) { return C >= '0' && C <= '9'; }
 
 } // namespace
 
-char *trace_detail::writeJsonEscaped(char *P, std::string_view S) {
-  for (const char C : S) {
-    const unsigned char U = static_cast<unsigned char>(C);
-    if (U >= 0x20 && C != '"' && C != '\\') {
-      *P++ = C;
-      continue;
-    }
-    *P++ = '\\';
-    switch (C) {
-    case '"':
-    case '\\':
-      *P++ = C;
-      break;
-    case '\n':
-      *P++ = 'n';
-      break;
-    case '\t':
-      *P++ = 't';
-      break;
-    default: {
-      static constexpr char Hex[] = "0123456789abcdef";
-      const char Escape[] = {'u', '0', '0', Hex[U >> 4], Hex[U & 0xF]};
-      std::memcpy(P, Escape, sizeof(Escape));
-      P += sizeof(Escape);
-    }
-    }
-  }
-  return P;
-}
-
 char *trace_detail::writeJsonValue(char *P, std::string_view S) {
   if (traceArgIsNumberLiteral(S))
     return copy(P, S);
@@ -134,7 +104,7 @@ bool zam::traceArgIsNumberLiteral(std::string_view S) {
 
 std::string JsonTraceSink::encodeText(std::string_view Raw) {
   std::string S(6 * Raw.size(), '\0');
-  S.resize(trace_detail::writeJsonEscaped(S.data(), Raw) - S.data());
+  S.resize(writeJsonEscaped(S.data(), Raw) - S.data());
   return S;
 }
 
@@ -152,8 +122,8 @@ void TraceSink::record(const TraceRecord &R) {
     auto W = Enc.writer();
     Enc.begin(W, Head, {}, R.Ts, R.Dur, R.Value);
     if (R.RecordKind != TraceRecord::Kind::Counter || Enc.CounterTakesArgs)
-      for (const auto &[Key, Value] : R.Args)
-        W.arg(Key, Value);
+      for (const TraceArg &A : R.Args)
+        W.arg(A.Key, A.str());
     W.end();
     W.commit();
   });

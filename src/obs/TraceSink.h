@@ -30,8 +30,8 @@
 /// dur; the writer then takes the typed args and end(). Strings that
 /// repeat across an export — level names, record heads — are encoded once
 /// and copied as they stand. TraceSink::record() takes a finished
-/// TraceRecord (readers' records, ad-hoc rows, tests) through the same
-/// calls.
+/// TraceRecord (obs/TraceSchema.h: a reader's record, a test's) through the
+/// same calls.
 ///
 /// Sinks write into a buffer they own and hand it to a caller-supplied
 /// ByteSink in large chunks and at close(), so a trace is never held
@@ -47,6 +47,7 @@
 #define ZAM_OBS_TRACESINK_H
 
 #include "obs/Json.h"
+#include "obs/TraceSchema.h"
 #include "obs/Ztb.h"
 
 #include <array>
@@ -69,32 +70,9 @@
 
 namespace zam {
 
-/// One structured trace record on the simulated cycle clock.
-struct TraceRecord {
-  enum class Kind {
-    Instant, ///< A point event (assignment, cache miss).
-    Span,    ///< An interval [Ts, Ts + Dur] (mitigate window, step).
-    Counter, ///< A sampled counter value at Ts.
-    Meta,    ///< A mid-stream metadata row (periodic metrics snapshot).
-  };
-
-  Kind RecordKind = Kind::Instant;
-  std::string Name;     ///< Event name, e.g. "mitigate#0" or "assign l".
-  std::string Category; ///< Stream, e.g. "interp", "mit", "hw".
-  uint64_t Ts = 0;      ///< Start time in cycles.
-  uint64_t Dur = 0;     ///< Span length in cycles (Span only).
-  double Value = 0;     ///< Counter sample (Counter only).
-  /// Extra key/value detail; strings that parse as their own JSON scalars
-  /// are the producer's responsibility to pre-quote — sinks emit values
-  /// that read as JSON number literals (integer or decimal/exponent form)
-  /// bare and quote everything else.
-  std::vector<std::pair<std::string, std::string>> Args;
-};
-
 /// Whether a record arg value reads as a bare JSON number literal (an
 /// optional sign, digits, optional fraction/exponent). Text sinks emit
-/// such values unquoted; readers use the same predicate to round-trip
-/// args without a type side-channel.
+/// such values unquoted and quote every other one.
 bool traceArgIsNumberLiteral(std::string_view S);
 
 /// Abstract destination for serialized trace bytes. Implementations must
@@ -234,9 +212,9 @@ public:
   virtual void header(
       const std::vector<std::pair<std::string, std::string>> &Meta);
 
-  /// Consumes one finished record — readers' records, ad-hoc rows, tests —
-  /// through the format's record writer (the adapter over the typed
-  /// calls). Records must arrive in nondecreasing Ts order.
+  /// Consumes one finished record — a reader's record, a test's — through
+  /// the format's record writer, each arg as its text (TraceArg::str()).
+  /// Records must arrive in nondecreasing Ts order.
   void record(const TraceRecord &R);
 
   /// Emits any format trailer and writes every buffered byte to the
@@ -379,10 +357,6 @@ inline char *writeDouble17(char *P, double V) {
       .ptr;
 }
 
-/// Writes \p S escaped as the body of a JSON string (at most 6 bytes per
-/// byte of \p S) and \returns its end.
-char *writeJsonEscaped(char *P, std::string_view S);
-
 /// Writes \p S as a JSON arg value — bare when it reads as a number
 /// literal, a quoted escaped string otherwise (at most 6 bytes per byte of
 /// \p S, plus 2) — and \returns its end.
@@ -523,7 +497,7 @@ public:
   void putQuoted(std::string_view S) {
     char *P = room(6 * S.size() + 2);
     *P++ = '"';
-    P = trace_detail::writeJsonEscaped(P, S);
+    P = writeJsonEscaped(P, S);
     *P++ = '"';
     At = P;
   }
@@ -647,7 +621,7 @@ public:
     char *P = room(10 + 6 * Key.size() + 2 + 6 * Value.size() + 2);
     P = trace_detail::copy(P, Args++ ? "," : ",\"args\":{");
     *P++ = '"';
-    P = trace_detail::writeJsonEscaped(P, Key);
+    P = writeJsonEscaped(P, Key);
     *P++ = '"';
     *P++ = ':';
     At = trace_detail::writeJsonValue(P, Value);

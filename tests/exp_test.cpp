@@ -319,6 +319,14 @@ TEST(Json, RejectsMalformed) {
   EXPECT_FALSE(JsonValue::parse("{\"a\": }").has_value());
   EXPECT_FALSE(JsonValue::parse("42 trailing").has_value());
   EXPECT_TRUE(JsonValue::parse("42").has_value());
+  // Nesting past kMaxDepth is refused, not recursed into until the stack
+  // runs out (200,000 levels crashed the parser).
+  auto nested = [](size_t Depth) {
+    return std::string(Depth, '[') + std::string(Depth, ']');
+  };
+  EXPECT_TRUE(JsonValue::parse(nested(JsonValue::kMaxDepth)).has_value());
+  EXPECT_FALSE(JsonValue::parse(nested(JsonValue::kMaxDepth + 2)).has_value());
+  EXPECT_FALSE(JsonValue::parse(nested(200000)).has_value());
 }
 
 //===----------------------------------------------------------------------===//

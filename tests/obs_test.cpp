@@ -265,8 +265,8 @@ TEST(JsonlTraceSink, OneValidJsonObjectPerLine) {
   Span.Category = "mit";
   Span.Ts = 2;
   Span.Dur = 100;
-  Span.Args.emplace_back("level", "H");
-  Span.Args.emplace_back("consumed", "42");
+  Span.Args.push_back(TraceArg::text("level", "H"));
+  Span.Args.push_back(TraceArg::u64("consumed", 42));
   Sink.record(Span);
   std::string Out = Sink.finish();
 
@@ -620,12 +620,12 @@ TEST(ChromeTraceSink, HeaderEmitsMetadataEvent) {
 TEST(JsonlTraceSink, NumberLiteralArgsEmitBare) {
   JsonlTraceSink Sink;
   TraceRecord R = instant("n", 1);
-  R.Args.emplace_back("int", "42");
-  R.Args.emplace_back("neg", "-7");
-  R.Args.emplace_back("dec", "3.5849625007211561");
-  R.Args.emplace_back("exp", "1e+20");
-  R.Args.emplace_back("notnum", "nan");
-  R.Args.emplace_back("trail", "1.");
+  R.Args.push_back(TraceArg::text("int", "42"));
+  R.Args.push_back(TraceArg::text("neg", "-7"));
+  R.Args.push_back(TraceArg::text("dec", "3.5849625007211561"));
+  R.Args.push_back(TraceArg::text("exp", "1e+20"));
+  R.Args.push_back(TraceArg::text("notnum", "nan"));
+  R.Args.push_back(TraceArg::text("trail", "1."));
   Sink.record(R);
   std::string Out = Sink.finish();
   auto Doc = JsonValue::parse(Out.substr(0, Out.find('\n')));

@@ -89,10 +89,10 @@ TraceRecord nastyRecord() {
            "ctrl";
   R.Category = "caf\xc3\xa9"; // café
   R.Ts = 7;
-  R.Args.emplace_back("key \"k\"", "va\\l\x02ue");
-  R.Args.emplace_back("num", "42");
-  R.Args.emplace_back("neg", "-1.5");
-  R.Args.emplace_back("utf8", "\xe2\x96\x88 block");
+  R.Args.push_back(TraceArg::text("key \"k\"", "va\\l\x02ue"));
+  R.Args.push_back(TraceArg::text("num", "42"));
+  R.Args.push_back(TraceArg::text("neg", "-1.5"));
+  R.Args.push_back(TraceArg::text("utf8", "\xe2\x96\x88 block"));
   return R;
 }
 
@@ -134,7 +134,7 @@ TEST(StreamingSinks, ExternalByteSinkMatchesBufferedBytes) {
     Span.Category = "mit";
     Span.Ts = 10;
     Span.Dur = 1024;
-    Span.Args.emplace_back("padded", "187");
+    Span.Args.push_back(TraceArg::u64("padded", 187));
 
     std::unique_ptr<TraceSink> Buffered = makeTraceSink(F);
     Buffered->header(Meta);
@@ -212,7 +212,7 @@ TEST(StreamingSinks, EscapingBytesAreExact) {
     TraceRecord R;
     R.Name = Raw;
     R.Category = "c";
-    R.Args.emplace_back("k", Raw);
+    R.Args.push_back(TraceArg::text("k", Raw));
 
     JsonlTraceSink Jsonl;
     Jsonl.record(R);
@@ -281,7 +281,7 @@ TEST(StreamingSinks, TypedIntArgsPrintEveryDigitCount) {
   Got.clear();
   for (const TraceRecord &R : drain(Reader))
     if (!R.Args.empty())
-      Got += R.Args[0].second + ",";
+      Got += R.Args[0].str() + ",";
   EXPECT_TRUE(Reader.ok()) << Reader.error();
   EXPECT_EQ(Got, Want);
 }
@@ -300,7 +300,7 @@ TEST(Ztb, RoundTripsHeaderAndEveryRecordKind) {
   Span.Category = "mit";
   Span.Ts = 1ull << 40; // Multi-byte varints.
   Span.Dur = 300;
-  Span.Args.emplace_back("mispredicted", "true");
+  Span.Args.push_back(TraceArg::boolean("mispredicted", true));
 
   TraceRecord Counter;
   Counter.RecordKind = TraceRecord::Kind::Counter;
@@ -314,7 +314,7 @@ TEST(Ztb, RoundTripsHeaderAndEveryRecordKind) {
   Snapshot.Name = "snapshot";
   Snapshot.Category = "obs";
   Snapshot.Ts = 99;
-  Snapshot.Args.emplace_back("windows", "12");
+  Snapshot.Args.push_back(TraceArg::u64("windows", 12));
 
   Sink->record(nastyRecord());
   Sink->record(Span);
@@ -331,8 +331,8 @@ TEST(Ztb, RoundTripsHeaderAndEveryRecordKind) {
             static_cast<int>(TraceRecord::Kind::Meta));
   EXPECT_TRUE(Got[0].Name.empty());
   ASSERT_EQ(Got[0].Args.size(), 2u);
-  EXPECT_EQ(Got[0].Args[0].first, "tool");
-  EXPECT_EQ(Got[0].Args[1].second, "abc123");
+  EXPECT_EQ(Got[0].Args[0].Key, "tool");
+  EXPECT_EQ(Got[0].Args[1].Text, "abc123");
   expectSameRecord(Got[1], nastyRecord());
   expectSameRecord(Got[2], Span);
   EXPECT_EQ(Got[3].Value, Counter.Value);
@@ -350,12 +350,13 @@ TEST(Ztb, WideArgCountAndPayloadLengthRoundTrip) {
   Wide.Ts = 7;
   Wide.Dur = 3;
   for (unsigned I = 0; I != 200; ++I)
-    Wide.Args.emplace_back("k" + std::to_string(I), std::to_string(I * I));
+    Wide.Args.push_back(
+        TraceArg::text("k" + std::to_string(I), std::to_string(I * I)));
   TraceRecord Small;
   Small.Name = "s";
   Small.Category = "c";
   Small.Ts = 8;
-  Small.Args.emplace_back("v", "1");
+  Small.Args.push_back(TraceArg::text("v", "1"));
 
   auto Sink = makeTraceSink(TraceFormat::Ztb);
   Sink->record(Small);
@@ -687,9 +688,7 @@ TEST(Snapshots, DisabledByDefaultAndEmittedEveryNthWindow) {
   while (Reader.next(R))
     if (R.RecordKind == TraceRecord::Kind::Meta && R.Name == "snapshot") {
       ++Snapshots;
-      for (const auto &[K, V] : R.Args)
-        if (K == "windows")
-          LastWindows = std::strtoull(V.c_str(), nullptr, 10);
+      LastWindows = R.get<uint64_t>("windows").value_or(LastWindows);
     }
   EXPECT_TRUE(Reader.ok()) << Reader.error();
   EXPECT_EQ(Snapshots, 2u); // One per counted window at N=1.
@@ -751,7 +750,7 @@ TEST(EventRuns, OneRunCrossesChunksAndAFrameMarker) {
       W.Name += "[" + std::to_string(E.ElemIndex) + "]";
     W.Category = "interp";
     W.Ts = E.Time;
-    W.Args = {{"value", std::to_string(E.Value)}, {"label", "L"}};
+    W.Args = {TraceArg::i64("value", E.Value), TraceArg::text("label", "L")};
   }
   ASSERT_EQ(Want.size(), 6000u);
   ASSERT_GT(Want.size(), ztb::RecordsPerFrame);

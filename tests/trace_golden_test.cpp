@@ -31,6 +31,8 @@
 #include "obs/CostLedger.h"
 #include "obs/LeakAudit.h"
 #include "obs/Telemetry.h"
+#include "obs/TraceReader.h"
+#include "obs/TraceSchema.h"
 #include "obs/TraceSink.h"
 #include "sem/FullInterpreter.h"
 #include "types/LabelInference.h"
@@ -38,7 +40,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "gtest/gtest.h"
@@ -303,8 +307,8 @@ TEST(TraceGolden, AdvSampleStream) {
 }
 
 /// Records that arrive as TraceRecords: Counter values in %.17g (Chrome
-/// carries only the value), the attack command's snapshot meta row, and
-/// text args that read as numbers or booleans.
+/// carries only the value), a snapshot meta row, and text args that read
+/// as numbers or booleans.
 TEST(TraceGolden, RecordAdapter) {
   auto Produce = [](TraceSink &Sink) {
     Sink.header({{"tool", "zam"}, {"threads", "4"}});
@@ -317,15 +321,15 @@ TEST(TraceGolden, RecordAdapter) {
     Sink.record(Counter);
     Counter.Ts = 4;
     Counter.Value = -1e300;
-    Counter.Args.emplace_back("note", "dropped by chrome");
+    Counter.Args.push_back(TraceArg::text("note", "dropped by chrome"));
     Sink.record(Counter);
     TraceRecord Snapshot;
     Snapshot.RecordKind = TraceRecord::Kind::Meta;
     Snapshot.Name = "snapshot";
     Snapshot.Category = "obs";
     Snapshot.Ts = 15;
-    Snapshot.Args.emplace_back("samples", "16");
-    Snapshot.Args.emplace_back("end_to_end_p50", "4711");
+    Snapshot.Args.push_back(TraceArg::u64("samples", 16));
+    Snapshot.Args.push_back(TraceArg::u64("end_to_end_p50", 4711));
     Sink.record(Snapshot);
     TraceRecord Span;
     Span.RecordKind = TraceRecord::Kind::Span;
@@ -333,8 +337,8 @@ TEST(TraceGolden, RecordAdapter) {
     Span.Category = "c\"at";
     Span.Ts = 20;
     Span.Dur = 5;
-    Span.Args = {{"true", "true"}, {"n", "-0.5e-3"}, {"x", "1."},
-                 {"k\\", "0x1f"}};
+    Span.Args = {TraceArg::text("true", "true"), TraceArg::text("n", "-0.5e-3"),
+                 TraceArg::text("x", "1."), TraceArg::text("k\\", "0x1f")};
     Sink.record(Span);
   };
   const std::string Jsonl = capture(TraceFormat::Jsonl, Produce);
@@ -413,4 +417,153 @@ TEST(TraceGolden, LongExportLeavesInChunks) {
             std::string::npos);
   EXPECT_NE(Text.str().find("\"policy\":\"linear\""), std::string::npos);
   EXPECT_NE(Text.str().find("\"name\":\"dmiss\""), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// The writers against the schema (obs/TraceSchema.h)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The records of \p Bytes, written to \p Path and read back in the format
+/// the reader sniffs.
+std::vector<TraceRecord> readBack(const std::string &Bytes,
+                                  const std::string &Path) {
+  std::ofstream(Path, std::ios::binary) << Bytes;
+  std::string Err;
+  std::unique_ptr<TraceReader> Reader = openTraceReader(Path, Err);
+  EXPECT_NE(Reader, nullptr) << Err;
+  std::vector<TraceRecord> Out;
+  TraceRecord R;
+  while (Reader && Reader->next(R))
+    Out.push_back(R);
+  EXPECT_TRUE(Reader && Reader->ok()) << (Reader ? Reader->error() : Err);
+  return Out;
+}
+
+} // namespace
+
+/// Every record every producer writes — the export of the golden run, in
+/// full and projected, the attack sample stream and the attack's snapshot
+/// rows, each behind its provenance header — matches a schema entry in
+/// every format, with each arg declared by it, of its declared type and in
+/// its declared order, and every entry is written by some producer. Written
+/// back from its typed args through TraceSink::record(), each stream
+/// reproduces its bytes: each writer call quotes its value as its type's
+/// text does.
+TEST(TraceSchema, WritersConformToTheTable) {
+  const GoldenRun &G = goldenRun();
+  const std::vector<std::string> Names = {"low", "high"};
+  std::vector<Observation> Obs(3);
+  Obs[0] = {0, 1200, {256}, 1.5};
+  Obs[1] = {1, 4800, {256, 512}, 2};
+  Obs[2] = {0, 900, {}, std::numeric_limits<double>::infinity()};
+  const std::vector<std::function<void(TraceSink &)>> Producers = {
+      [&](TraceSink &Sink) {
+        Sink.header(provenanceArgs(4, G.Policies));
+        exportTrace(Sink, G.R.T, lh(), G.options(false));
+      },
+      [&](TraceSink &Sink) {
+        Sink.header(provenanceArgs(1));
+        exportTrace(Sink, G.R.T, lh(), G.options(true));
+      },
+      [&](TraceSink &Sink) {
+        auto Header = provenanceArgs(2);
+        Header.insert(Header.end(), {{"attack_samples", "3"},
+                                     {"attack_seed", "42"},
+                                     {"attack_classes", "low,high"},
+                                     {"adversary", "L"}});
+        Sink.header(Header);
+        ObservationExporter Exporter(Sink, Names);
+        for (size_t I = 0; I != Obs.size(); ++I) {
+          Exporter.write(Obs[I], I);
+          Exporter.snapshot(I, Obs[I].EndToEnd);
+        }
+      }};
+  std::set<TraceRecordType> Seen;
+  for (TraceFormat F :
+       {TraceFormat::Jsonl, TraceFormat::Chrome, TraceFormat::Ztb}) {
+    for (size_t P = 0; P != Producers.size(); ++P) {
+      SCOPED_TRACE(std::string(traceFormatName(F)) + " producer " +
+                   std::to_string(P));
+      const std::string Bytes = capture(F, Producers[P]);
+      const std::vector<TraceRecord> Got =
+          readBack(Bytes, testing::TempDir() + "/conform.trace");
+      ASSERT_FALSE(Got.empty());
+      ASSERT_EQ(Got[0].Type, TraceRecordType::Header);
+      for (const TraceRecord &R : Got) {
+        ASSERT_NE(R.Type, TraceRecordType::Unknown) << R.Name;
+        Seen.insert(R.Type);
+        const TraceRecordSpec &Spec =
+            traceSchema()[static_cast<size_t>(R.Type)];
+        EXPECT_EQ(R.Index.has_value(), Spec.Form == TraceNameForm::Index ||
+                                           R.Name.ends_with("]"))
+            << R.Name;
+        size_t Declared = 0;
+        for (const TraceArg &A : R.Args) {
+          while (Declared != Spec.Args.size() &&
+                 Spec.Args[Declared].Key != A.Key)
+            ++Declared;
+          ASSERT_NE(Declared, Spec.Args.size())
+              << R.Name << " arg " << A.Key << " undeclared or out of order";
+          EXPECT_EQ(A.Type, Spec.Args[Declared].Type)
+              << R.Name << " arg " << A.Key << " = " << A.str();
+        }
+      }
+      // The same records, written back.
+      std::vector<std::pair<std::string, std::string>> Header;
+      for (const TraceArg &A : Got[0].Args)
+        Header.emplace_back(A.Key, A.str());
+      EXPECT_TRUE(capture(F, [&](TraceSink &Sink) {
+                    Sink.header(Header);
+                    for (size_t I = 1; I != Got.size(); ++I)
+                      Sink.record(Got[I]);
+                  }) == Bytes);
+    }
+  }
+  EXPECT_EQ(Seen.size(), traceSchema().size());
+}
+
+/// docs/OBSERVABILITY.md's record table lists exactly the schema's
+/// entries: one row per entry, in its order, giving its kind, name,
+/// category and args with their types.
+TEST(TraceSchema, DocsTableListsTheSchema) {
+  static constexpr const char *KindNames[] = {"instant", "span", "counter",
+                                              "meta"};
+  // In TraceArgType order.
+  static constexpr const char *TypeNames[] = {"u64", "i64",  "f64",     "bool",
+                                              "hex", "text", "u64 list"};
+  std::vector<std::string> Want;
+  for (const TraceRecordSpec &S : traceSchema()) {
+    std::string Name = S.Name.empty() ? "(header)" : std::string(S.Name);
+    if (S.Form == TraceNameForm::Index)
+      Name += "N";
+    else if (S.Form == TraceNameForm::Variable)
+      Name += "VAR, " + std::string(S.Name) + "VAR[N]";
+    std::string Args;
+    for (const TraceArgSpec &A : S.Args)
+      Args += (Args.empty() ? "" : ", ") + std::string(A.Key) + " " +
+              TypeNames[static_cast<int>(A.Type)];
+    Want.push_back("| " + std::string(KindNames[static_cast<int>(S.Kind)]) +
+                   " | `" + Name + "` | " +
+                   (S.Category.empty() ? "—" : "`" + std::string(S.Category) +
+                                                   "`") +
+                   " | " + Args + " |");
+  }
+  std::ifstream Doc(std::string(ZAM_DOCS_DIR) + "/OBSERVABILITY.md");
+  ASSERT_TRUE(Doc) << "cannot read docs/OBSERVABILITY.md";
+  std::vector<std::string> Got;
+  bool InTable = false;
+  for (std::string Line; std::getline(Doc, Line);) {
+    if (Line == "<!-- record-schema-table -->") {
+      InTable = true;
+      continue;
+    }
+    if (InTable && Line.empty() && !Got.empty())
+      break;
+    if (InTable && Line.starts_with("| ") && !Line.starts_with("| Kind") &&
+        !Line.starts_with("| ---"))
+      Got.push_back(Line);
+  }
+  EXPECT_EQ(Got, Want);
 }

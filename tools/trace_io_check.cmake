@@ -14,6 +14,18 @@
 #   MODE=negative_site      meta mitigation_sites "-1=linear" (read as
 #                           site 2^32 - 1); this one exits 1, like every
 #                           malformed policy record
+#   MODE=negative_dur       a span's dur -5 (wrapped to 2^64 - 5)
+#   MODE=huge_ts            a span's ts 1e300 (an out-of-range cast)
+#   MODE=ledger_field       a --check-ledger row's cycles -5 (the same cast)
+#   MODE=long_text_line     a 17 MiB JSONL line: past the 16 MiB record
+#                           limit, read under a 48 MiB address-space cap
+#                           (it was read whole, however long)
+#
+# `zamtrace diff` on a stats document nested 200,000 arrays deep refuses it
+# as having no metrics object (exit 2); the parser recursed until the
+# stack ran out:
+#
+#   MODE=deep_stats
 #
 # A well-formed trace with extreme numbers reports them whole (exit 0):
 #
@@ -69,6 +81,30 @@ elseif(MODE STREQUAL "negative_site")
   set(TRACE "{\"kind\":\"meta\",\"args\":{\"mitigation_sites\":\"-1=linear\"}}\n{\"kind\":\"span\",\"name\":\"mitigate#0\",\"cat\":\"mit\",\"ts\":0,\"dur\":5}\n")
   set(EXPECT "trace meta 'mitigation_sites' entry '-1=linear' is not ETA=SPEC")
   set(EXIT 1)
+elseif(MODE STREQUAL "negative_dur")
+  set(TRACE "{\"kind\":\"span\",\"name\":\"mitigate#0\",\"cat\":\"mit\",\"ts\":0,\"dur\":-5,\"args\":{\"consumed\":3,\"padded\":2}}\n")
+  set(EXPECT "record 'mitigate#0' \\(cat 'mit'\\): field 'dur' is '-5', not an integer in range")
+elseif(MODE STREQUAL "huge_ts")
+  set(TRACE "{\"kind\":\"span\",\"name\":\"mitigate#0\",\"cat\":\"mit\",\"ts\":1e300,\"dur\":5,\"args\":{\"consumed\":3,\"padded\":2}}\n")
+  set(EXPECT "record 'mitigate#0' \\(cat 'mit'\\): field 'ts' is '1e300', not an integer in range")
+elseif(MODE STREQUAL "ledger_field")
+  set(TRACE "{\"kind\":\"instant\",\"name\":\"prof_line#3\",\"cat\":\"prof\",\"ts\":0,\"args\":{\"cycles\":5}}\n")
+  file(WRITE ${OUT}.ledger.json
+       "{\"ledger\": {\"lines\": [{\"line\": 3, \"cycles\": -5}], \"sites\": []}}\n")
+  set(REPORT_FLAGS --check-ledger ${OUT}.ledger.json)
+  set(EXPECT "ledger lines\\[0\\]: field 'cycles' is -5, not an integer in range")
+elseif(MODE STREQUAL "long_text_line")
+  string(REPEAT "x" 17825792 NAME)
+  file(WRITE ${OUT}.jsonl "{\"kind\":\"instant\",\"name\":\"${NAME}\"}\n")
+  set(COMMAND sh -c "ulimit -v 49152 && exec \"$0\" report \"$1\""
+              ${ZAMTRACE} ${OUT}.jsonl)
+  set(EXPECT "a line of more than 16777216 bytes: no record is that long")
+elseif(MODE STREQUAL "deep_stats")
+  string(REPEAT "[" 200000 OPEN)
+  string(REPEAT "]" 200000 CLOSE)
+  file(WRITE ${OUT}.json "{\n\"metrics\": ${OPEN}${CLOSE}}\n")
+  set(COMMAND ${ZAMTRACE} diff ${OUT}.json ${OUT}.json)
+  set(EXPECT "error: '${OUT}.json' has no metrics object")
 elseif(MODE MATCHES "^budget_(bits|pct)_(nan|inf|huge|word|negative|empty)$")
   set(FLAG --budget-${CMAKE_MATCH_1})
   set(VALUE ${CMAKE_MATCH_2})

@@ -1433,21 +1433,12 @@ int cmdAttack(Program &P, const Options &Opts) {
             WindowDist.add(W);
           if (Sink) {
             Emitted += Exporter->write(O, I);
+            // A deterministic running-state row: Ts rides the sample
+            // axis like the observation records around it.
             if (Opts.SnapshotEvery != 0 &&
-                (I + 1) % Opts.SnapshotEvery == 0) {
-              // A deterministic running-state row: Ts rides the sample
-              // axis like the observation records around it.
-              TraceRecord R;
-              R.RecordKind = TraceRecord::Kind::Meta;
-              R.Name = "snapshot";
-              R.Category = "obs";
-              R.Ts = I;
-              R.Args.emplace_back("samples", std::to_string(I + 1));
-              R.Args.emplace_back("end_to_end_p50",
-                                  std::to_string(EndToEndDist.quantile(0.5)));
-              Sink->record(R);
-              ++Emitted;
-            }
+                (I + 1) % Opts.SnapshotEvery == 0)
+              Emitted +=
+                  Exporter->snapshot(I, EndToEndDist.quantile(0.5));
           }
           Progress.update(I + 1);
         });

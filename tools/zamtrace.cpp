@@ -75,14 +75,13 @@
 #include "obs/TraceReader.h"
 #include "sem/Mitigation.h"
 #include "support/BuildInfo.h"
-#include "support/ParseInt.h"
 
 #include <cinttypes>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <new>
 #include <optional>
@@ -106,11 +105,60 @@ struct StatsDoc {
   JsonValue Metrics;
 };
 
-uint64_t numField(const JsonValue &Obj, const char *Key) {
+/// Prints "error: " and the printf-formatted message to stderr. \returns
+/// false.
+[[gnu::format(printf, 1, 2)]] bool error(const char *Fmt, ...) {
+  std::va_list Args;
+  va_start(Args, Fmt);
+  std::fputs("error: ", stderr);
+  std::vfprintf(stderr, Fmt, Args);
+  va_end(Args);
+  return false;
+}
+
+/// An input that is not what a producer writes: a trace that does not
+/// decode, or a record or ledger field that does not hold its type or
+/// passes a stated limit. Analysis stops at the first one; main() reports
+/// it as an input error (exit 2).
+struct BadInput : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+[[noreturn]] void malformed(const TraceRecord &R, const std::string &What) {
+  throw BadInput("record '" + R.Name + "' (cat '" + R.Category + "'): " +
+                 What);
+}
+
+/// Integer arg \p Key of \p R: 0 when absent; present, it must hold an
+/// \p Int.
+template <typename Int = uint64_t>
+Int intArg(const TraceRecord &R, const char *Key) {
+  Int Out = 0;
+  if (!R.read(Key, Out))
+    malformed(R, std::string("arg '") + Key + "' is '" + R.arg(Key)->str() +
+                     "', not an integer in range");
+  return Out;
+}
+
+/// Field \p Key of row \p Row of a ledger document: 0 when absent; present,
+/// it must be an integer a uint64_t holds.
+uint64_t numField(const JsonValue &Obj, const char *Key, const char *Row,
+                  size_t I) {
   const JsonValue *V = Obj.find(Key);
-  return V && V->kind() == JsonValue::Kind::Number
-             ? static_cast<uint64_t>(V->asNumber())
-             : 0;
+  if (!V)
+    return 0;
+  const double D = V->asNumber();
+  if (V->isInt() && V->asInt() >= 0)
+    return static_cast<uint64_t>(V->asInt());
+  if (V->kind() == JsonValue::Kind::Number && D >= 0 && D < 0x1p64 &&
+      D == std::floor(D))
+    return static_cast<uint64_t>(D);
+  throw BadInput("ledger " + std::string(Row) + "[" + std::to_string(I) +
+                 "]: field '" + Key + "' is " +
+                 (V->kind() == JsonValue::Kind::Number
+                      ? jsonNumberString(D)
+                      : std::string("not a number")) +
+                 ", not an integer in range");
 }
 
 std::string strField(const JsonValue &Obj, const char *Key) {
@@ -119,102 +167,19 @@ std::string strField(const JsonValue &Obj, const char *Key) {
                                                    : std::string();
 }
 
-/// Record-arg access over the reader's normalized key/value strings.
-const std::string *findArg(const TraceRecord &R, const char *Key) {
-  for (const auto &[K, V] : R.Args)
-    if (K == Key)
-      return &V;
-  return nullptr;
-}
-
-std::string argStr(const TraceRecord &R, const char *Key) {
-  const std::string *V = findArg(R, Key);
-  return V ? *V : std::string();
-}
-
-/// A record that is not what its producer writes: a numeric arg or name
-/// index that does not parse, or a value past a stated limit. Analysis
-/// stops at the first one; main() reports it as an input error (exit 2).
-struct MalformedRecord : std::runtime_error {
-  MalformedRecord(const TraceRecord &R, const std::string &What)
-      : std::runtime_error("record '" + R.Name + "' (cat '" + R.Category +
-                           "'): " + What) {}
-};
-
-/// Checked integer arg: absent reads as 0; present, it must parse as a
-/// \p Int in full.
-template <typename Int = uint64_t>
-Int argNum(const TraceRecord &R, const char *Key) {
-  const std::string *V = findArg(R, Key);
-  Int Out = 0;
-  if (V && !parseInteger(*V, Out))
-    throw MalformedRecord(R, std::string("arg '") + Key + "' is '" + *V +
-                                 "', not an integer in range");
-  return Out;
-}
-
-/// Exact double round-trip: the producer serialized through
-/// jsonNumberString (shortest form), so strtod recovers the identical
-/// bits. \returns false when the arg is absent or not a number literal.
-bool argDouble(const TraceRecord &R, const char *Key, double &Out) {
-  const std::string *V = findArg(R, Key);
-  if (!V || !traceArgIsNumberLiteral(*V))
-    return false;
-  Out = std::strtod(V->c_str(), nullptr);
-  return true;
-}
-
-/// Rebuilds the JSON view of a meta record's args, mirroring the sinks'
-/// quoting rule (number literals bare, everything else a string) so the
-/// reconstructed provenance block serializes byte-identically to the one
-/// a whole-file JSON parse used to yield.
-JsonValue metaFromArgs(const TraceRecord &R) {
-  JsonValue Obj = JsonValue::object();
-  for (const auto &[Key, Value] : R.Args)
-    Obj[Key] = traceArgIsNumberLiteral(Value)
-                   ? JsonValue(std::strtod(Value.c_str(), nullptr))
-                   : JsonValue(Value);
-  return Obj;
-}
-
 enum class InputKind { Trace, Stats };
 
-/// Peeks at \p Path without loading it: the ZTB magic or a leading '['
-/// marks a trace, a first line that parses as a JSON record object (with
-/// a "kind" or "ph" member) marks a JSONL trace, and anything else is
-/// treated as a stats/report document.
+/// A trace (obs/TraceReader.h's sniffTraceFormat says which format) or,
+/// for anything else, a stats/report document.
 std::optional<InputKind> classifyInput(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F) {
     std::fprintf(stderr, "error: cannot read '%s'\n", Path.c_str());
     return std::nullopt;
   }
-  char Magic[4];
-  In.read(Magic, sizeof(Magic));
-  if (In.gcount() == sizeof(Magic) && std::memcmp(Magic, "ZTB1", 4) == 0)
-    return InputKind::Trace;
-  In.clear();
-  In.seekg(0);
-  int C;
-  while ((C = In.get()) != std::ifstream::traits_type::eof() &&
-         (C == ' ' || C == '\t' || C == '\r' || C == '\n'))
-    ;
-  if (C == std::ifstream::traits_type::eof()) {
-    std::fprintf(stderr, "error: '%s' is empty\n", Path.c_str());
-    return std::nullopt;
-  }
-  if (C == '[')
-    return InputKind::Trace;
-  std::string Line(1, static_cast<char>(C));
-  while ((C = In.get()) != std::ifstream::traits_type::eof() && C != '\n')
-    Line += static_cast<char>(C);
-  while (!Line.empty() && Line.back() == '\r')
-    Line.pop_back();
-  std::optional<JsonValue> Obj = JsonValue::parse(Line);
-  if (Obj && Obj->kind() == JsonValue::Kind::Object &&
-      (Obj->find("kind") || Obj->find("ph")))
-    return InputKind::Trace;
-  return InputKind::Stats;
+  const bool Trace = sniffTraceFormat(F).has_value();
+  std::fclose(F);
+  return Trace ? InputKind::Trace : InputKind::Stats;
 }
 
 /// Loads a stats/report document (a JSON object with a `metrics` member).
@@ -296,23 +261,21 @@ struct SiteRebuild {
 /// resolve to the paper's fast-doubling, so pre-policy traces and
 /// default-run traces price identically.
 struct PolicyResolver {
-  std::vector<MitigationPolicyPtr> Owned;
-  std::map<std::string, const MitigationPolicy *> BySpec;
+  std::map<std::string, MitigationPolicyPtr, std::less<>> BySpec;
+  std::vector<MitigationPolicyPtr> SiteOverrides;
   PolicySelection Sel;
 
   /// Parses \p Spec once and caches it, so repeated per-span "policy"
   /// args don't re-parse.
-  const MitigationPolicy *intern(const std::string &Spec, std::string *Err) {
+  const MitigationPolicy *intern(std::string_view Spec, std::string *Err) {
     auto It = BySpec.find(Spec);
-    if (It != BySpec.end())
-      return It->second;
-    MitigationPolicyPtr P = parseMitigationPolicy(Spec, Err);
-    if (!P)
-      return nullptr;
-    const MitigationPolicy *Raw = P.get();
-    Owned.push_back(std::move(P));
-    BySpec.emplace(Spec, Raw);
-    return Raw;
+    if (It == BySpec.end()) {
+      MitigationPolicyPtr P = parseMitigationPolicy(std::string(Spec), Err);
+      if (!P)
+        return nullptr;
+      It = BySpec.emplace(Spec, std::move(P)).first;
+    }
+    return It->second.get();
   }
 
   /// Loads the run-wide selection from a trace/stats meta block.
@@ -321,35 +284,24 @@ struct PolicyResolver {
     const std::string Def = strField(Meta, "mitigation");
     if (!Def.empty()) {
       const MitigationPolicy *P = intern(Def, &Err);
-      if (!P) {
-        std::fprintf(stderr, "error: trace meta 'mitigation': %s\n",
-                     Err.c_str());
-        return false;
-      }
+      if (!P)
+        return error("trace meta 'mitigation': %s\n", Err.c_str());
       Sel.Default = P;
     }
     const std::string Sites = strField(Meta, "mitigation_sites");
-    size_t Pos = 0;
-    while (Pos < Sites.size()) {
-      const size_t Comma = Sites.find(',', Pos);
-      const std::string Item =
-          Sites.substr(Pos, Comma == std::string::npos ? std::string::npos
-                                                       : Comma - Pos);
-      Pos = Comma == std::string::npos ? Sites.size() : Comma + 1;
+    for (size_t Pos = 0; Pos < Sites.size();) {
+      const size_t Comma = std::min(Sites.find(',', Pos), Sites.size());
+      const std::string Item = Sites.substr(Pos, Comma - Pos);
+      Pos = Comma + 1;
       std::optional<SiteOverride> Site = parseSiteOverride(Item, Err);
-      if (!Site) {
-        if (Err.empty())
-          std::fprintf(stderr,
-                       "error: trace meta 'mitigation_sites' entry '%s' is "
-                       "not ETA=SPEC\n",
-                       Item.c_str());
-        else
-          std::fprintf(stderr, "error: trace meta 'mitigation_sites': %s\n",
-                       Err.c_str());
-        return false;
-      }
+      if (!Site && Err.empty())
+        return error("trace meta 'mitigation_sites' entry '%s' is not "
+                     "ETA=SPEC\n",
+                     Item.c_str());
+      if (!Site)
+        return error("trace meta 'mitigation_sites': %s\n", Err.c_str());
       Sel.overrideSite(Site->Eta, *Site->Policy);
-      Owned.push_back(std::move(Site->Policy));
+      SiteOverrides.push_back(std::move(Site->Policy));
     }
     return true;
   }
@@ -357,8 +309,8 @@ struct PolicyResolver {
   /// The policy pricing one leak span: its own "policy" arg wins, then
   /// the meta selection (per-site override, then run default, then
   /// fast-doubling).
-  const MitigationPolicy *resolve(const std::string &SpanPolicy,
-                                  uint64_t Eta, std::string *Err) {
+  const MitigationPolicy *resolve(std::string_view SpanPolicy, uint64_t Eta,
+                                  std::string *Err) {
     if (!SpanPolicy.empty())
       return intern(SpanPolicy, Err);
     return &Sel.forSite(static_cast<unsigned>(Eta));
@@ -410,23 +362,19 @@ struct Analysis {
   std::vector<double> SnapshotValues;
 };
 
-/// The η suffix of "mitigate#3" / "leak_budget#3" / "prof_site#3" (the
-/// line of "prof_line#3"); 0 for a name without one.
-uint64_t etaOfName(const TraceRecord &R) {
-  const size_t Hash = R.Name.rfind('#');
-  uint64_t Eta = 0;
-  if (Hash != std::string::npos &&
-      !parseInteger(std::string_view(R.Name).substr(Hash + 1), Eta))
-    throw MalformedRecord(R, "the index after '#' is not an integer in "
-                             "range");
-  return Eta;
+/// The index of "mitigate#3" / "leak_budget#3" / "prof_site#3" (the line
+/// of "prof_line#3").
+uint64_t indexOf(const TraceRecord &R) {
+  if (!R.Index)
+    malformed(R, "the index after '#' is not an integer in range");
+  return *R.Index;
 }
 
 /// Attack traces name their classes by index; a larger index is not one
 /// `zamc attack` writes, and would size the class table to it.
 constexpr uint32_t kMaxClassIndex = 65535;
 
-LevelRecompute &levelAccount(Analysis &A, const std::string &Name) {
+LevelRecompute &levelAccount(Analysis &A, std::string_view Name) {
   for (auto &[N, Acc] : A.Levels)
     if (N == Name)
       return Acc;
@@ -440,125 +388,110 @@ LevelRecompute &levelAccount(Analysis &A, const std::string &Name) {
 /// in the span args; adv instants feed the compact detector rows and the
 /// dist.* sketches. Only aggregates are retained, so the pass runs in
 /// memory proportional to the analysis, not the trace. \returns false
-/// (after a diagnostic) on any drift or decode error.
+/// (after a diagnostic) on any drift; throws BadInput on a trace that does
+/// not decode.
 bool analyzeTrace(TraceReader &Reader, Analysis &A) {
   TraceRecord R;
+  auto flag = [&R](const char *Key) {
+    return R.get<bool>(Key).value_or(false);
+  };
   while (Reader.next(R)) {
-    if (R.RecordKind == TraceRecord::Kind::Meta) {
-      if (R.Name.empty()) {
-        // The provenance header. Load the mitigation-policy selection
-        // now, before any leak span needs pricing.
-        A.Meta = metaFromArgs(R);
-        if (!A.Policies.loadMeta(A.Meta))
-          return false;
-      } else if (R.Name == "snapshot") {
-        // A periodic metrics snapshot. The first row picks the series the
-        // sparkline plots: the attack collector's running median, else
-        // the leak accountant's running bound, else any numeric arg.
-        if (A.SnapshotKey.empty()) {
-          for (const char *K : {"end_to_end_p50", "total_bits_bound"})
-            if (findArg(R, K)) {
-              A.SnapshotKey = K;
-              break;
-            }
-          if (A.SnapshotKey.empty())
-            for (const auto &[K, V] : R.Args)
-              if (traceArgIsNumberLiteral(V)) {
-                A.SnapshotKey = K;
-                break;
-              }
-        }
-        double V = 0;
-        if (!A.SnapshotKey.empty() &&
-            argDouble(R, A.SnapshotKey.c_str(), V))
-          A.SnapshotValues.push_back(V);
-      }
-      continue;
-    }
-    if (R.RecordKind == TraceRecord::Kind::Instant) {
-      if (R.Category == "hw") {
-        // One sampled access; each structure it missed in contributes one
-        // per-structure miss, the same tally the online ledger keeps.
-        A.SawHwInstants = true;
-        uint64_t N = 0;
-        if (argStr(R, "tlb_miss") == "true")
-          ++N;
-        if (argStr(R, "l1_miss") == "true")
-          ++N;
-        if (argStr(R, "memory") == "true")
-          ++N;
-        A.Lines[argNum(R, "loc")].Misses += N;
-      } else if (R.Category == "adv") {
-        // One attack sample. bound_bits round-trips through the shortest
-        // decimal form, so the offline detector sees the exact double the
-        // collector recorded.
-        CompactObservation O;
-        O.ClassIndex = argNum<uint32_t>(R, "class_index");
-        if (O.ClassIndex > kMaxClassIndex)
-          throw MalformedRecord(
-              R, "arg 'class_index' is " + std::to_string(O.ClassIndex) +
-                     ", above the limit of " +
-                     std::to_string(kMaxClassIndex));
-        O.EndToEnd = argNum(R, "end_to_end");
-        double Bits = 0;
-        if (argDouble(R, "bound_bits", Bits))
-          O.BoundBits = Bits;
-        if (A.AdvClassNames.size() <= O.ClassIndex)
-          A.AdvClassNames.resize(O.ClassIndex + 1);
-        const std::string Cls = argStr(R, "class");
-        if (!Cls.empty())
-          A.AdvClassNames[O.ClassIndex] = Cls;
-        A.EndToEndDist.add(O.EndToEnd);
-        if (const std::string *W = findArg(R, "windows")) {
-          // "d1,d2,...": each duration an unsigned integer; "" for none.
-          std::string_view Rest = *W;
-          while (!W->empty()) {
-            const size_t Comma = Rest.find(',');
-            uint64_t D = 0;
-            if (!parseInteger(Rest.substr(0, Comma), D))
-              throw MalformedRecord(R, "arg 'windows' is '" + *W +
-                                           "', not a list of integers");
-            A.WindowDist.add(D);
-            if (Comma == std::string_view::npos)
-              break;
-            Rest.remove_prefix(Comma + 1);
+    switch (R.Type) {
+    case TraceRecordType::Header:
+      // Load the mitigation-policy selection now, before any leak span
+      // needs pricing.
+      A.Meta = R.argsJson();
+      if (!A.Policies.loadMeta(A.Meta))
+        return false;
+      break;
+    case TraceRecordType::Snapshot:
+    case TraceRecordType::AttackSnapshot: {
+      // A periodic metrics snapshot. The first row picks the series the
+      // sparkline plots: the attack collector's running median, else the
+      // leak accountant's running bound, else any numeric arg.
+      if (A.SnapshotKey.empty()) {
+        for (const char *K : {"end_to_end_p50", "total_bits_bound"})
+          if (R.arg(K)) {
+            A.SnapshotKey = K;
+            break;
           }
-        }
-        A.AdvObs.push_back(O);
-      } else if (R.Category == "prof") {
-        A.HasProf = true;
-        if (R.Name.rfind("prof_line#", 0) == 0) {
-          LineRebuild &L = A.Lines[etaOfName(R)];
-          L.HasEmbedded = true;
-          L.EmbCycles = argNum(R, "cycles");
-          L.EmbStepCycles = argNum(R, "step_cycles");
-          L.EmbSleepCycles = argNum(R, "sleep_cycles");
-          L.EmbPadCycles = argNum(R, "pad_cycles");
-          L.EmbAccesses = argNum(R, "accesses");
-          L.EmbMisses = argNum(R, "misses");
-          L.EmbWindows = argNum(R, "windows");
-          argDouble(R, "leak_bits", L.EmbLeakBits);
-        } else if (R.Name.rfind("prof_site#", 0) == 0) {
-          SiteRebuild &S = A.Sites[etaOfName(R)];
-          S.HasEmbedded = true;
-          S.EmbLine = argNum(R, "loc");
-          S.EmbWindows = argNum(R, "windows");
-          S.EmbPadCycles = argNum(R, "pad_cycles");
-          argDouble(R, "leak_bits", S.EmbLeakBits);
-        }
+        for (const TraceArg &Arg : R.Args)
+          if (A.SnapshotKey.empty() && Arg.as<double>())
+            A.SnapshotKey = Arg.Key;
       }
-      continue;
+      if (const std::optional<double> V = R.get<double>(A.SnapshotKey))
+        A.SnapshotValues.push_back(*V);
+      break;
     }
-    if (R.RecordKind != TraceRecord::Kind::Span)
-      continue;
-    if (R.Category == "mit") {
+    case TraceRecordType::DMiss:
+    case TraceRecordType::IMiss:
+      // One sampled access; each structure it missed in contributes one
+      // per-structure miss, the same tally the online ledger keeps.
+      A.SawHwInstants = true;
+      A.Lines[intArg(R, "loc")].Misses +=
+          flag("tlb_miss") + flag("l1_miss") + flag("memory");
+      break;
+    case TraceRecordType::Sample: {
+      // One attack sample. bound_bits comes back as the exact double the
+      // collector recorded.
+      CompactObservation O;
+      const uint64_t Class = intArg(R, "class_index");
+      if (Class > kMaxClassIndex)
+        malformed(R, "arg 'class_index' is " + std::to_string(Class) +
+                         ", above the limit of " +
+                         std::to_string(kMaxClassIndex));
+      O.ClassIndex = static_cast<uint32_t>(Class);
+      O.EndToEnd = intArg(R, "end_to_end");
+      O.BoundBits = R.get<double>("bound_bits").value_or(O.BoundBits);
+      if (A.AdvClassNames.size() <= O.ClassIndex)
+        A.AdvClassNames.resize(O.ClassIndex + 1);
+      const std::string_view Cls =
+          R.get<std::string_view>("class").value_or("");
+      if (!Cls.empty())
+        A.AdvClassNames[O.ClassIndex] = Cls;
+      A.EndToEndDist.add(O.EndToEnd);
+      if (const TraceArg *W = R.arg("windows")) {
+        if (W->Type != TraceArgType::U64List)
+          malformed(R, "arg 'windows' is '" + W->str() +
+                           "', not a list of integers");
+        for (const uint64_t D : W->List)
+          A.WindowDist.add(D);
+      }
+      A.AdvObs.push_back(O);
+      break;
+    }
+    case TraceRecordType::ProfLine: {
+      A.HasProf = true;
+      LineRebuild &L = A.Lines[indexOf(R)];
+      L.HasEmbedded = true;
+      L.EmbCycles = intArg(R, "cycles");
+      L.EmbStepCycles = intArg(R, "step_cycles");
+      L.EmbSleepCycles = intArg(R, "sleep_cycles");
+      L.EmbPadCycles = intArg(R, "pad_cycles");
+      L.EmbAccesses = intArg(R, "accesses");
+      L.EmbMisses = intArg(R, "misses");
+      L.EmbWindows = intArg(R, "windows");
+      L.EmbLeakBits = R.get<double>("leak_bits").value_or(L.EmbLeakBits);
+      break;
+    }
+    case TraceRecordType::ProfSite: {
+      A.HasProf = true;
+      SiteRebuild &S = A.Sites[indexOf(R)];
+      S.HasEmbedded = true;
+      S.EmbLine = intArg(R, "loc");
+      S.EmbWindows = intArg(R, "windows");
+      S.EmbPadCycles = intArg(R, "pad_cycles");
+      S.EmbLeakBits = R.get<double>("leak_bits").value_or(S.EmbLeakBits);
+      break;
+    }
+    case TraceRecordType::Mitigate: {
       WindowCost W;
       W.Name = R.Name;
       W.Ts = R.Ts;
       W.Dur = R.Dur;
-      W.Consumed = argNum(R, "consumed");
-      W.Padded = argNum(R, "padded");
-      W.Mispredicted = argStr(R, "mispredicted") == "true";
+      W.Consumed = intArg(R, "consumed");
+      W.Padded = intArg(R, "padded");
+      W.Mispredicted = flag("mispredicted");
       A.TotalCycles += W.Dur;
       A.ConsumedCycles += W.Consumed;
       A.PaddedCycles += W.Padded;
@@ -567,76 +500,65 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
         A.MispredictedCycles += W.Dur;
       }
       ++A.DurationHistogram[W.Dur];
-      const uint64_t Loc = argNum(R, "loc");
+      const uint64_t Loc = intArg(R, "loc");
       LineRebuild &L = A.Lines[Loc];
       ++L.Windows;
       L.PadCycles += W.Padded;
-      SiteRebuild &S = A.Sites[etaOfName(R)];
+      SiteRebuild &S = A.Sites[indexOf(R)];
       S.Line = Loc;
       ++S.Windows;
       S.PadCycles += W.Padded;
       A.Windows.push_back(std::move(W));
-    } else if (R.Category == "leak") {
-      const std::string Level = argStr(R, "level");
-      const int64_t Estimate = argNum<int64_t>(R, "estimate");
-      const uint64_t Attainable = argNum(R, "attainable");
-      double WindowBits = 0, CumBits = 0;
-      const bool HasBits = argDouble(R, "window_bits", WindowBits);
-      const bool HasCum = argDouble(R, "cum_level_bits", CumBits);
-      if (Level.empty() || !HasBits || !HasCum) {
-        std::fprintf(stderr, "error: leak span '%s' is missing args\n",
-                     R.Name.c_str());
-        return false;
-      }
+      break;
+    }
+    case TraceRecordType::LeakBudget: {
+      const std::string_view Level =
+          R.get<std::string_view>("level").value_or("");
+      const int64_t Estimate = intArg<int64_t>(R, "estimate");
+      const uint64_t Attainable = intArg(R, "attainable");
+      const std::optional<double> WindowBits = R.get<double>("window_bits");
+      const std::optional<double> CumBits = R.get<double>("cum_level_bits");
+      if (Level.empty() || !WindowBits || !CumBits)
+        return error("leak span '%s' is missing args\n", R.Name.c_str());
       const uint64_t Completed = R.Ts + R.Dur;
       std::string PErr;
       const MitigationPolicy *Pol = A.Policies.resolve(
-          argStr(R, "policy"), etaOfName(R), &PErr);
-      if (!Pol) {
-        std::fprintf(stderr, "error: leak span '%s' policy arg: %s\n",
-                     R.Name.c_str(), PErr.c_str());
-        return false;
-      }
+          R.get<std::string_view>("policy").value_or(""), indexOf(R), &PErr);
+      if (!Pol)
+        return error("leak span '%s' policy arg: %s\n", R.Name.c_str(),
+                     PErr.c_str());
       const uint64_t WantAttainable =
           Pol->attainableValues(Estimate, Completed);
       const double WantBits = Pol->windowBoundBits(Estimate, Completed);
-      if (Attainable != WantAttainable || WindowBits != WantBits) {
-        std::fprintf(stderr,
-                     "error: leak span '%s' drifted from the bound core: "
-                     "attainable %llu (recomputed %llu), window_bits %s "
-                     "(recomputed %s)\n",
-                     R.Name.c_str(),
-                     static_cast<unsigned long long>(Attainable),
-                     static_cast<unsigned long long>(WantAttainable),
-                     jsonNumberString(WindowBits).c_str(),
+      if (Attainable != WantAttainable || *WindowBits != WantBits)
+        return error("leak span '%s' drifted from the bound core: "
+                     "attainable %" PRIu64 " (recomputed %" PRIu64
+                     "), window_bits %s (recomputed %s)\n",
+                     R.Name.c_str(), Attainable, WantAttainable,
+                     jsonNumberString(*WindowBits).c_str(),
                      jsonNumberString(WantBits).c_str());
-        return false;
-      }
       LevelRecompute &Acc = levelAccount(A, Level);
       ++Acc.Windows;
-      Acc.Misses = argNum<unsigned>(R, "misses_after");
+      Acc.Misses = intArg<unsigned>(R, "misses_after");
       Acc.BitsBound += WantBits;
-      if (CumBits != Acc.BitsBound) {
-        std::fprintf(stderr,
-                     "error: leak span '%s' cumulative bound drifted: "
+      if (*CumBits != Acc.BitsBound)
+        return error("leak span '%s' cumulative bound drifted: "
                      "cum_level_bits %s, recomputed %s\n",
-                     R.Name.c_str(),
-                     jsonNumberString(CumBits).c_str(),
+                     R.Name.c_str(), jsonNumberString(*CumBits).c_str(),
                      jsonNumberString(Acc.BitsBound).c_str());
-        return false;
-      }
       // Per-line / per-site replay for --by-line: trace order is the
       // accountant's arrival order, so these double sums are bit-exact.
-      A.Lines[argNum(R, "loc")].LeakBits += WantBits;
-      A.Sites[etaOfName(R)].LeakBits += WantBits;
+      A.Lines[intArg(R, "loc")].LeakBits += WantBits;
+      A.Sites[indexOf(R)].LeakBits += WantBits;
       ++A.LeakWindows;
+      break;
+    }
+    default:
+      break;
     }
   }
-  if (!Reader.ok()) {
-    std::fprintf(stderr, "error: trace decode: %s\n",
-                 Reader.error().c_str());
-    return false;
-  }
+  if (!Reader.ok())
+    throw BadInput("trace decode: " + Reader.error());
   return true;
 }
 
@@ -644,19 +566,16 @@ bool analyzeTrace(TraceReader &Reader, Analysis &A) {
 /// embedded prof rows: windows, padding and leak bits always; sampled
 /// misses when the trace carries hw instants. Any drift is a hard error.
 bool checkProfAgainstRebuild(const Analysis &A) {
-  if (!A.HasProf) {
-    std::fprintf(stderr, "error: trace has no prof_line#/prof_site# rows "
-                         "(produce one with `zamc profile --trace-out`)\n");
-    return false;
-  }
+  if (!A.HasProf)
+    return error("trace has no prof_line#/prof_site# rows (produce one "
+                 "with `zamc profile --trace-out`)\n");
   bool Ok = true;
   auto Fail = [&Ok](const char *Scope, uint64_t Id, const char *What,
                     const std::string &Rebuilt, const std::string &Embedded) {
     std::fprintf(stderr,
-                 "error: by-line drift at %s %llu: %s rebuilt %s, "
+                 "error: by-line drift at %s %" PRIu64 ": %s rebuilt %s, "
                  "embedded %s\n",
-                 Scope, static_cast<unsigned long long>(Id), What,
-                 Rebuilt.c_str(), Embedded.c_str());
+                 Scope, Id, What, Rebuilt.c_str(), Embedded.c_str());
     Ok = false;
   };
   auto U = [](uint64_t V) { return std::to_string(V); };
@@ -704,21 +623,18 @@ bool checkLedgerDocument(const Analysis &A, const std::string &Path) {
   const JsonValue *Ledger =
       Doc && Doc->kind() == JsonValue::Kind::Object ? Doc->find("ledger")
                                                     : nullptr;
-  if (!Ledger) {
-    std::fprintf(stderr, "error: '%s' has no ledger object (write one with "
-                         "`zamc profile --json`)\n",
+  if (!Ledger)
+    return error("'%s' has no ledger object (write one with `zamc profile "
+                 "--json`)\n",
                  Path.c_str());
-    return false;
-  }
   bool Ok = true;
   auto Fail = [&Ok, &Path](const char *Scope, uint64_t Id, const char *What,
                            const std::string &Trace,
                            const std::string &File) {
     std::fprintf(stderr,
-                 "error: ledger mismatch at %s %llu: %s is %s in the trace, "
-                 "%s in %s\n",
-                 Scope, static_cast<unsigned long long>(Id), What,
-                 Trace.c_str(), File.c_str(), Path.c_str());
+                 "error: ledger mismatch at %s %" PRIu64
+                 ": %s is %s in the trace, %s in %s\n",
+                 Scope, Id, What, Trace.c_str(), File.c_str(), Path.c_str());
     Ok = false;
   };
   auto U = [](uint64_t V) { return std::to_string(V); };
@@ -730,31 +646,20 @@ bool checkLedgerDocument(const Analysis &A, const std::string &Path) {
     FileLines = LineArr->size();
     for (size_t I = 0; I != LineArr->size(); ++I) {
       const JsonValue &O = LineArr->at(I);
-      const uint64_t Line = numField(O, "line");
+      auto Num = [&](const char *Key) { return numField(O, Key, "lines", I); };
+      const uint64_t Line = Num("line");
       auto It = A.Lines.find(Line);
       if (It == A.Lines.end() || !It->second.HasEmbedded) {
         Fail("line", Line, "row", "missing", "present");
         continue;
       }
       const LineRebuild &L = It->second;
-      if (L.EmbCycles != numField(O, "cycles"))
-        Fail("line", Line, "cycles", U(L.EmbCycles),
-             U(numField(O, "cycles")));
-      if (L.EmbStepCycles != numField(O, "step_cycles"))
-        Fail("line", Line, "step_cycles", U(L.EmbStepCycles),
-             U(numField(O, "step_cycles")));
-      if (L.EmbSleepCycles != numField(O, "sleep_cycles"))
-        Fail("line", Line, "sleep_cycles", U(L.EmbSleepCycles),
-             U(numField(O, "sleep_cycles")));
-      if (L.EmbPadCycles != numField(O, "pad_cycles"))
-        Fail("line", Line, "pad_cycles", U(L.EmbPadCycles),
-             U(numField(O, "pad_cycles")));
-      if (L.EmbAccesses != numField(O, "accesses"))
-        Fail("line", Line, "accesses", U(L.EmbAccesses),
-             U(numField(O, "accesses")));
-      if (L.EmbWindows != numField(O, "windows"))
-        Fail("line", Line, "windows", U(L.EmbWindows),
-             U(numField(O, "windows")));
+      for (const auto &[Key, Emb] :
+           {std::pair{"cycles", L.EmbCycles}, {"step_cycles", L.EmbStepCycles},
+            {"sleep_cycles", L.EmbSleepCycles}, {"pad_cycles", L.EmbPadCycles},
+            {"accesses", L.EmbAccesses}, {"windows", L.EmbWindows}})
+        if (Emb != Num(Key))
+          Fail("line", Line, Key, U(Emb), U(Num(Key)));
       const JsonValue *Bits = O.find("leak_bits");
       if (!Bits || L.EmbLeakBits != Bits->asNumber())
         Fail("line", Line, "leak_bits", jsonNumberString(L.EmbLeakBits),
@@ -765,21 +670,19 @@ bool checkLedgerDocument(const Analysis &A, const std::string &Path) {
     FileSites = SiteArr->size();
     for (size_t I = 0; I != SiteArr->size(); ++I) {
       const JsonValue &O = SiteArr->at(I);
-      const uint64_t Eta = numField(O, "eta");
+      auto Num = [&](const char *Key) { return numField(O, Key, "sites", I); };
+      const uint64_t Eta = Num("eta");
       auto It = A.Sites.find(Eta);
       if (It == A.Sites.end() || !It->second.HasEmbedded) {
         Fail("site", Eta, "row", "missing", "present");
         continue;
       }
       const SiteRebuild &S = It->second;
-      if (S.EmbLine != numField(O, "line"))
-        Fail("site", Eta, "line", U(S.EmbLine), U(numField(O, "line")));
-      if (S.EmbWindows != numField(O, "windows"))
-        Fail("site", Eta, "windows", U(S.EmbWindows),
-             U(numField(O, "windows")));
-      if (S.EmbPadCycles != numField(O, "pad_cycles"))
-        Fail("site", Eta, "pad_cycles", U(S.EmbPadCycles),
-             U(numField(O, "pad_cycles")));
+      for (const auto &[Key, Emb] :
+           {std::pair{"line", S.EmbLine}, {"windows", S.EmbWindows},
+            {"pad_cycles", S.EmbPadCycles}})
+        if (Emb != Num(Key))
+          Fail("site", Eta, Key, U(Emb), U(Num(Key)));
       const JsonValue *Bits = O.find("leak_bits");
       if (!Bits || S.EmbLeakBits != Bits->asNumber())
         Fail("site", Eta, "leak_bits", jsonNumberString(S.EmbLeakBits),
@@ -807,28 +710,18 @@ void printByLine(const Analysis &A) {
   std::printf("  %4s %12s %8s %8s %8s %10s\n", "line", "cycles", "misses",
               "pad", "windows", "leak-bits");
   for (const auto &[Line, L] : A.Lines) {
-    char LineName[21]; // Any uint64_t: 20 digits and the NUL.
-    if (Line == 0)
-      std::snprintf(LineName, sizeof(LineName), "%s", "?");
-    else
-      std::snprintf(LineName, sizeof(LineName), "%llu",
-                    static_cast<unsigned long long>(Line));
-    std::printf("  %4s %12llu %8llu %8llu %8llu %10s\n", LineName,
-                static_cast<unsigned long long>(L.EmbCycles),
-                static_cast<unsigned long long>(L.EmbMisses),
-                static_cast<unsigned long long>(L.PadCycles),
-                static_cast<unsigned long long>(L.Windows),
+    std::printf("  %4s %12" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
+                " %10s\n",
+                Line == 0 ? "?" : std::to_string(Line).c_str(), L.EmbCycles,
+                L.EmbMisses, L.PadCycles, L.Windows,
                 jsonNumberString(L.LeakBits).c_str());
   }
   if (!A.Sites.empty()) {
     std::printf("  mitigate sites:\n");
     for (const auto &[Eta, S] : A.Sites)
-      std::printf("    m%-3llu line %-4llu %8llu windows %10llu pad-cycles "
-                  "%10s leak-bits\n",
-                  static_cast<unsigned long long>(Eta),
-                  static_cast<unsigned long long>(S.Line),
-                  static_cast<unsigned long long>(S.Windows),
-                  static_cast<unsigned long long>(S.PadCycles),
+      std::printf("    m%-3" PRIu64 " line %-4" PRIu64 " %8" PRIu64
+                  " windows %10" PRIu64 " pad-cycles %10s leak-bits\n",
+                  Eta, S.Line, S.Windows, S.PadCycles,
                   jsonNumberString(S.LeakBits).c_str());
   }
 }
@@ -849,55 +742,36 @@ bool crossCheck(const Analysis &A, const JsonValue &Metrics) {
   bool SawAny = false;
   double TotalBits = 0;
   bool Ok = true;
-  auto Fail = [&Ok](const std::string &Key, double Stats, double Recomputed) {
-    std::fprintf(stderr,
-                 "error: cross-check failed on %s: stats %s, offline %s\n",
-                 Key.c_str(), jsonNumberString(Stats).c_str(),
-                 jsonNumberString(Recomputed).c_str());
-    Ok = false;
-  };
   for (const auto &[Key, Val] : Metrics.members()) {
     if (Key.rfind("leak.", 0) != 0 ||
         Val.kind() != JsonValue::Kind::Number)
       continue;
     SawAny = true;
-    const double V = Val.asNumber();
-    if (Key == "leak.windows") {
-      if (V != static_cast<double>(A.LeakWindows))
-        Fail(Key, V, static_cast<double>(A.LeakWindows));
-      continue;
-    }
-    if (Key == "leak.total_bits_bound") {
-      if (V != TotalBits)
-        Fail(Key, V, TotalBits);
-      continue;
-    }
-    size_t Dot = Key.rfind('.');
-    const std::string Level = Key.substr(5, Dot - 5);
+    const size_t Dot = Key.rfind('.');
+    const LevelRecompute *Acc = findLevel(A, Key.substr(5, Dot - 5));
     const std::string Field = Key.substr(Dot + 1);
-    const LevelRecompute *Acc = findLevel(A, Level);
-    if (Field == "windows") {
-      const double Want = Acc ? static_cast<double>(Acc->Windows) : 0.0;
-      if (V != Want)
-        Fail(Key, V, Want);
-    } else if (Field == "bits_bound") {
-      // Levels absent from the trace contribute exactly 0.0, so summing
-      // in stats-key order reproduces the online lattice-order total.
-      const double Want = Acc ? Acc->BitsBound : 0.0;
-      TotalBits += Want;
-      if (V != Want)
-        Fail(Key, V, Want);
-    } else if (Field == "mispredict_penalty_bits") {
-      const double Want = Acc ? mispredictPenaltyBits(Acc->Misses) : 0.0;
-      if (V != Want)
-        Fail(Key, V, Want);
-    }
+    // Levels absent from the trace contribute exactly 0, so summing
+    // bits_bound in stats-key order reproduces the online lattice-order
+    // total.
+    std::optional<double> Want;
+    if (Key == "leak.windows")
+      Want = static_cast<double>(A.LeakWindows);
+    else if (Key == "leak.total_bits_bound")
+      Want = TotalBits;
+    else if (Field == "windows")
+      Want = Acc ? static_cast<double>(Acc->Windows) : 0.0;
+    else if (Field == "bits_bound") {
+      Want = Acc ? Acc->BitsBound : 0.0;
+      TotalBits += *Want;
+    } else if (Field == "mispredict_penalty_bits")
+      Want = Acc ? mispredictPenaltyBits(Acc->Misses) : 0.0;
+    if (Want && Val.asNumber() != *Want)
+      Ok = error("cross-check failed on %s: stats %s, offline %s\n",
+                 Key.c_str(), jsonNumberString(Val.asNumber()).c_str(),
+                 jsonNumberString(*Want).c_str());
   }
-  if (!SawAny) {
-    std::fprintf(stderr,
-                 "error: stats document has no leak.* metrics to check\n");
-    return false;
-  }
+  if (!SawAny)
+    return error("stats document has no leak.* metrics to check\n");
   return Ok;
 }
 
@@ -911,25 +785,25 @@ DetectorResult recomputeDetector(Analysis &A) {
   return detectLeak(A.AdvObs, A.AdvClassNames);
 }
 
-/// Cross-checks the offline detector rerun against the online `adv.*`
-/// metrics. Both sides run the same code over the same round-tripped
-/// inputs, so equality is exact — any difference is a real divergence.
-bool advCrossCheck(const DetectorResult &D, const JsonValue &Metrics) {
-  MetricsRegistry Reg;
-  exportDetectorMetrics(Reg, D);
-  bool SawAny = false;
+/// Cross-checks every figure of \p Reg, recomputed offline, against the
+/// same key of the stats document's \p Metrics. Both sides run the same
+/// code over the same inputs, so equality is exact — any difference is a
+/// real divergence. A key the document lacks fails when \p Required (the
+/// adv.* figures), and is skipped otherwise (dist.* figures, which
+/// pre-sketch documents lack).
+bool registryCrossCheck(const MetricsRegistry &Reg, const JsonValue &Metrics,
+                        bool Required) {
   bool Ok = true;
   for (const MetricsRegistry::Entry &E : Reg.entries()) {
     const JsonValue *V = Metrics.find(E.Name);
     if (!V || V->kind() != JsonValue::Kind::Number) {
-      std::fprintf(stderr, "error: stats document is missing %s\n",
-                   E.Name.c_str());
-      Ok = false;
+      if (Required)
+        std::fprintf(stderr, "error: stats document is missing %s\n",
+                     E.Name.c_str());
+      Ok &= !Required;
       continue;
     }
-    SawAny = true;
-    const double Want =
-        E.IsGauge ? E.Gauge : static_cast<double>(E.Counter);
+    const double Want = E.IsGauge ? E.Gauge : static_cast<double>(E.Counter);
     if (V->asNumber() != Want) {
       std::fprintf(stderr,
                    "error: cross-check failed on %s: stats %s, offline %s\n",
@@ -938,25 +812,16 @@ bool advCrossCheck(const DetectorResult &D, const JsonValue &Metrics) {
       Ok = false;
     }
   }
-  if (!SawAny) {
-    std::fprintf(stderr,
-                 "error: stats document has no adv.* metrics to check\n");
-    return false;
-  }
   return Ok;
 }
 
 /// Prints one rebuilt dist.* sketch as a quantile summary line.
 void printDistLine(const char *Name, const LogLinearHistogram &H) {
-  std::printf("  dist %-16s n=%-8llu min=%llu p50=%llu p90=%llu "
-              "p99=%llu p999=%llu max=%llu\n",
-              Name, static_cast<unsigned long long>(H.total()),
-              static_cast<unsigned long long>(H.min()),
-              static_cast<unsigned long long>(H.quantile(0.5)),
-              static_cast<unsigned long long>(H.quantile(0.9)),
-              static_cast<unsigned long long>(H.quantile(0.99)),
-              static_cast<unsigned long long>(H.quantile(0.999)),
-              static_cast<unsigned long long>(H.max()));
+  std::printf("  dist %-16s n=%-8" PRIu64 " min=%" PRIu64 " p50=%" PRIu64
+              " p90=%" PRIu64 " p99=%" PRIu64 " p999=%" PRIu64
+              " max=%" PRIu64 "\n",
+              Name, H.total(), H.min(), H.quantile(0.5), H.quantile(0.9),
+              H.quantile(0.99), H.quantile(0.999), H.max());
 }
 
 /// Renders the snapshot series as a textual sparkline (at most 64
@@ -994,35 +859,16 @@ void printSnapshots(const Analysis &A) {
               jsonNumberString(Max).c_str(), Spark.c_str());
 }
 
-/// Gated dist.* cross-check: every sketch figure recomputed offline that
-/// the stats document also exports must match exactly; keys the document
-/// lacks are skipped, so pre-sketch documents still verify.
-bool distCrossCheck(const MetricsRegistry &Reg, const JsonValue &Metrics) {
-  bool Ok = true;
-  for (const MetricsRegistry::Entry &E : Reg.entries()) {
-    const JsonValue *V = Metrics.find(E.Name);
-    if (!V || V->kind() != JsonValue::Kind::Number)
-      continue;
-    const double Want =
-        E.IsGauge ? E.Gauge : static_cast<double>(E.Counter);
-    if (V->asNumber() != Want) {
-      std::fprintf(stderr,
-                   "error: cross-check failed on %s: stats %s, offline "
-                   "%s\n",
-                   E.Name.c_str(), jsonNumberString(V->asNumber()).c_str(),
-                   jsonNumberString(Want).c_str());
-      Ok = false;
-    }
-  }
-  return Ok;
-}
-
-void printAdvReport(const Analysis &A, const DetectorResult &D) {
+void printProducer(const Analysis &A) {
   if (!A.Meta.isNull())
     std::printf("trace producer: %s %s (git %s)\n",
                 strField(A.Meta, "tool").c_str(),
                 strField(A.Meta, "version").c_str(),
                 strField(A.Meta, "git").c_str());
+}
+
+void printAdvReport(const Analysis &A, const DetectorResult &D) {
+  printProducer(A);
   std::printf("\nattack observations: %" PRIu64 " samples over %zu classes"
               "\n",
               D.Samples, D.Classes.size());
@@ -1041,10 +887,8 @@ void printAdvReport(const Analysis &A, const DetectorResult &D) {
   for (const CompactObservation &O : A.AdvObs)
     ++Hist[{O.ClassIndex, O.EndToEnd}];
   for (const auto &[Key, Count] : Hist)
-    std::printf("  %-12s %12llu %8llu\n",
-                A.AdvClassNames[Key.first].c_str(),
-                static_cast<unsigned long long>(Key.second),
-                static_cast<unsigned long long>(Count));
+    std::printf("  %-12s %12" PRIu64 " %8" PRIu64 "\n",
+                A.AdvClassNames[Key.first].c_str(), Key.second, Count);
   std::printf("\noffline detector rerun:\n");
   std::printf("  Welch t=%.6g (df=%.6g)  Cohen's d=%.6g  log10(p)=%.6g\n",
               D.TStat, D.Df, D.CohensD, D.PValueLog10);
@@ -1056,10 +900,10 @@ void printAdvReport(const Analysis &A, const DetectorResult &D) {
                                                 : "no leak detected");
 }
 
-JsonValue advJson(const Analysis &A, const DetectorResult &D) {
+JsonValue advJson(const DetectorResult &D) {
   JsonValue Doc = JsonValue::object();
   Doc["samples"] = JsonValue(D.Samples);
-  JsonValue ClassArr = JsonValue::array();
+  JsonValue &ClassArr = Doc["classes"] = JsonValue::array();
   for (const ClassSummary &S : D.Classes) {
     JsonValue Row = JsonValue::object();
     Row["name"] = JsonValue(S.Name);
@@ -1070,7 +914,6 @@ JsonValue advJson(const Analysis &A, const DetectorResult &D) {
     Row["max"] = JsonValue(S.Max);
     ClassArr.push(std::move(Row));
   }
-  Doc["classes"] = std::move(ClassArr);
   Doc["t_stat"] = JsonValue(D.TStat);
   Doc["df"] = JsonValue(D.Df);
   Doc["cohens_d"] = JsonValue(D.CohensD);
@@ -1126,50 +969,45 @@ JsonValue analysisJson(const Analysis &A) {
   JsonValue Doc = JsonValue::object();
   if (!A.Meta.isNull())
     Doc["meta"] = A.Meta;
-  JsonValue Hist = JsonValue::array();
+  JsonValue &Hist = Doc["histogram"] = JsonValue::array();
   for (const auto &[Dur, Count] : A.DurationHistogram) {
     JsonValue Bin = JsonValue::object();
-    Bin["duration"] = JsonValue(Dur);
-    Bin["windows"] = JsonValue(Count);
+    Bin["duration"] = Dur;
+    Bin["windows"] = Count;
     Hist.push(std::move(Bin));
   }
-  Doc["histogram"] = std::move(Hist);
-  JsonValue Wins = JsonValue::array();
+  JsonValue &Wins = Doc["windows"] = JsonValue::array();
   for (const WindowCost &W : A.Windows) {
     JsonValue Obj = JsonValue::object();
-    Obj["name"] = JsonValue(W.Name);
-    Obj["ts"] = JsonValue(W.Ts);
-    Obj["duration"] = JsonValue(W.Dur);
-    Obj["consumed"] = JsonValue(W.Consumed);
-    Obj["padded"] = JsonValue(W.Padded);
-    Obj["mispredicted"] = JsonValue(W.Mispredicted);
+    Obj["name"] = W.Name;
+    Obj["ts"] = W.Ts;
+    Obj["duration"] = W.Dur;
+    Obj["consumed"] = W.Consumed;
+    Obj["padded"] = W.Padded;
+    Obj["mispredicted"] = W.Mispredicted;
     Wins.push(std::move(Obj));
   }
-  Doc["windows"] = std::move(Wins);
-  JsonValue Over = JsonValue::object();
-  Over["windows"] = JsonValue(static_cast<uint64_t>(A.Windows.size()));
-  Over["window_cycles"] = JsonValue(A.TotalCycles);
-  Over["consumed_cycles"] = JsonValue(A.ConsumedCycles);
-  Over["padded_cycles"] = JsonValue(A.PaddedCycles);
-  Over["mispredicted_windows"] = JsonValue(A.MispredictedWindows);
-  Over["mispredicted_cycles"] = JsonValue(A.MispredictedCycles);
-  Doc["overhead"] = std::move(Over);
-  JsonValue Leak = JsonValue::object();
-  JsonValue Levels = JsonValue::object();
+  JsonValue &Over = Doc["overhead"];
+  Over["windows"] = static_cast<uint64_t>(A.Windows.size());
+  Over["window_cycles"] = A.TotalCycles;
+  Over["consumed_cycles"] = A.ConsumedCycles;
+  Over["padded_cycles"] = A.PaddedCycles;
+  Over["mispredicted_windows"] = A.MispredictedWindows;
+  Over["mispredicted_cycles"] = A.MispredictedCycles;
+  // A reference into Doc lasts until Doc gains a member: "leak" is last.
+  JsonValue &Leak = Doc["leak"];
   double Total = 0;
   for (const auto &[Name, Acc] : A.Levels) {
-    JsonValue Obj = JsonValue::object();
-    Obj["windows"] = JsonValue(Acc.Windows);
-    Obj["bits_bound"] = JsonValue(Acc.BitsBound);
-    Obj["mispredict_penalty_bits"] =
-        JsonValue(mispredictPenaltyBits(Acc.Misses));
-    Levels[Name] = std::move(Obj);
+    JsonValue &Level = Leak["levels"][Name];
+    Level["windows"] = Acc.Windows;
+    Level["bits_bound"] = Acc.BitsBound;
+    Level["mispredict_penalty_bits"] = mispredictPenaltyBits(Acc.Misses);
     Total += Acc.BitsBound;
   }
-  Leak["levels"] = std::move(Levels);
-  Leak["windows"] = JsonValue(A.LeakWindows);
-  Leak["total_bits_bound"] = JsonValue(Total);
-  Doc["leak"] = std::move(Leak);
+  if (A.Levels.empty())
+    Leak["levels"] = JsonValue::object();
+  Leak["windows"] = A.LeakWindows;
+  Leak["total_bits_bound"] = Total;
   return Doc;
 }
 
@@ -1227,49 +1065,39 @@ void printExecSection(const JsonValue &Metrics) {
 }
 
 void printReport(const Analysis &A) {
-  if (!A.Meta.isNull())
-    std::printf("trace producer: %s %s (git %s)\n",
-                strField(A.Meta, "tool").c_str(),
-                strField(A.Meta, "version").c_str(),
-                strField(A.Meta, "git").c_str());
+  printProducer(A);
   std::printf("\nadversary-observed timing histogram (%zu windows):\n",
               A.Windows.size());
   std::printf("  %12s  %8s\n", "duration", "windows");
   for (const auto &[Dur, Count] : A.DurationHistogram)
-    std::printf("  %12llu  %8llu\n", static_cast<unsigned long long>(Dur),
-                static_cast<unsigned long long>(Count));
+    std::printf("  %12" PRIu64 "  %8" PRIu64 "\n", Dur, Count);
 
   std::printf("\nmitigation overhead attribution:\n");
   std::printf("  %-14s %10s %10s %10s  %s\n", "window", "duration",
               "consumed", "padded", "mispredicted");
   for (const WindowCost &W : A.Windows)
-    std::printf("  %-14s %10llu %10llu %10llu  %s\n", W.Name.c_str(),
-                static_cast<unsigned long long>(W.Dur),
-                static_cast<unsigned long long>(W.Consumed),
-                static_cast<unsigned long long>(W.Padded),
+    std::printf("  %-14s %10" PRIu64 " %10" PRIu64 " %10" PRIu64 "  %s\n",
+                W.Name.c_str(), W.Dur, W.Consumed, W.Padded,
                 W.Mispredicted ? "yes" : "no");
-  std::printf("  aggregate: %llu cycles in windows, %llu consumed, "
-              "%llu padded, %llu mispredicted windows (%llu cycles)\n",
-              static_cast<unsigned long long>(A.TotalCycles),
-              static_cast<unsigned long long>(A.ConsumedCycles),
-              static_cast<unsigned long long>(A.PaddedCycles),
-              static_cast<unsigned long long>(A.MispredictedWindows),
-              static_cast<unsigned long long>(A.MispredictedCycles));
+  std::printf("  aggregate: %" PRIu64 " cycles in windows, %" PRIu64
+              " consumed, %" PRIu64 " padded, %" PRIu64
+              " mispredicted windows (%" PRIu64 " cycles)\n",
+              A.TotalCycles, A.ConsumedCycles, A.PaddedCycles,
+              A.MispredictedWindows, A.MispredictedCycles);
 
   std::printf("\noffline leakage bound (Sec. 6, %s):\n",
               A.Policies.description().c_str());
   double Total = 0;
   for (const auto &[Name, Acc] : A.Levels) {
-    std::printf("  level %-6s windows=%llu bits_bound=%s "
+    std::printf("  level %-6s windows=%" PRIu64 " bits_bound=%s "
                 "mispredict_penalty_bits=%s\n",
-                Name.c_str(), static_cast<unsigned long long>(Acc.Windows),
+                Name.c_str(), Acc.Windows,
                 jsonNumberString(Acc.BitsBound).c_str(),
                 jsonNumberString(mispredictPenaltyBits(Acc.Misses)).c_str());
     Total += Acc.BitsBound;
   }
-  std::printf("  total: %llu counted windows, %s bits\n",
-              static_cast<unsigned long long>(A.LeakWindows),
-              jsonNumberString(Total).c_str());
+  std::printf("  total: %" PRIu64 " counted windows, %s bits\n",
+              A.LeakWindows, jsonNumberString(Total).c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1280,8 +1108,8 @@ void printReport(const Analysis &A) {
 /// their `metrics` object verbatim; traces are analyzed and contribute the
 /// recomputed leak.* and mit.* figures, so `diff base.trace new.trace`
 /// works without a stats side-channel.
-std::optional<std::vector<std::pair<std::string, double>>>
-loadComparable(const std::string &Path, std::string &PolicyDesc) {
+std::optional<JsonValue> loadComparable(const std::string &Path,
+                                        std::string &PolicyDesc) {
   std::optional<InputKind> Kind = classifyInput(Path);
   if (!Kind)
     return std::nullopt;
@@ -1296,16 +1124,12 @@ loadComparable(const std::string &Path, std::string &PolicyDesc) {
     if (!Sites.empty())
       PolicyDesc += " [" + Sites + "]";
   };
-  std::vector<std::pair<std::string, double>> Out;
   if (*Kind == InputKind::Stats) {
     std::optional<StatsDoc> Doc = loadStats(Path);
     if (!Doc)
       return std::nullopt;
     DescFromMeta(Doc->Meta);
-    for (const auto &[Key, Val] : Doc->Metrics.members())
-      if (Val.kind() == JsonValue::Kind::Number)
-        Out.emplace_back(Key, Val.asNumber());
-    return Out;
+    return Doc->Metrics;
   }
   std::string Err;
   std::unique_ptr<TraceReader> Reader = openTraceReader(Path, Err);
@@ -1317,34 +1141,29 @@ loadComparable(const std::string &Path, std::string &PolicyDesc) {
   if (!analyzeTrace(*Reader, A))
     return std::nullopt;
   DescFromMeta(A.Meta);
+  JsonValue Out = JsonValue::object();
   double Total = 0;
   for (const auto &[Name, Acc] : A.Levels) {
-    Out.emplace_back("leak." + Name + ".windows",
-                     static_cast<double>(Acc.Windows));
-    Out.emplace_back("leak." + Name + ".bits_bound", Acc.BitsBound);
-    Out.emplace_back("leak." + Name + ".mispredict_penalty_bits",
-                     mispredictPenaltyBits(Acc.Misses));
+    Out["leak." + Name + ".windows"] = Acc.Windows;
+    Out["leak." + Name + ".bits_bound"] = Acc.BitsBound;
+    Out["leak." + Name + ".mispredict_penalty_bits"] =
+        mispredictPenaltyBits(Acc.Misses);
     Total += Acc.BitsBound;
   }
-  Out.emplace_back("leak.windows", static_cast<double>(A.LeakWindows));
-  Out.emplace_back("leak.total_bits_bound", Total);
-  Out.emplace_back("mit.predictions", static_cast<double>(A.Windows.size()));
-  Out.emplace_back("mit.mispredictions",
-                   static_cast<double>(A.MispredictedWindows));
-  Out.emplace_back("mit.padded_idle_cycles",
-                   static_cast<double>(A.PaddedCycles));
+  Out["leak.windows"] = A.LeakWindows;
+  Out["leak.total_bits_bound"] = Total;
+  Out["mit.predictions"] = static_cast<uint64_t>(A.Windows.size());
+  Out["mit.mispredictions"] = A.MispredictedWindows;
+  Out["mit.padded_idle_cycles"] = A.PaddedCycles;
   return Out;
 }
 
-double lookup(const std::vector<std::pair<std::string, double>> &M,
-              const std::string &Key, bool &Found) {
-  for (const auto &[K, V] : M)
-    if (K == Key) {
-      Found = true;
-      return V;
-    }
-  Found = false;
-  return 0;
+/// Metric \p Key of a comparable's metrics, if it is a number.
+std::optional<double> metric(const JsonValue &Metrics, const char *Key) {
+  const JsonValue *V = Metrics.find(Key);
+  if (!V || V->kind() != JsonValue::Kind::Number)
+    return std::nullopt;
+  return V->asNumber();
 }
 
 //===----------------------------------------------------------------------===//
@@ -1425,7 +1244,10 @@ int cmdReport(int Argc, char **Argv) {
 
   // Attack observation traces take the detector path: rerun the statistics
   // offline and (with --stats) demand bit-for-bit agreement with the
-  // online adv.* metrics. There are no mit/leak spans to report on.
+  // online adv.* and dist.* metrics. There are no mit/leak spans to report
+  // on.
+  JsonValue Doc = JsonValue::object();
+  std::string CrossCheck = "not requested";
   if (!A.AdvObs.empty()) {
     if (A.AdvClassNames.size() < 2) {
       std::fprintf(stderr,
@@ -1435,18 +1257,16 @@ int cmdReport(int Argc, char **Argv) {
     DetectorResult D = recomputeDetector(A);
     printAdvReport(A, D);
     printSnapshots(A);
-    std::string CrossCheck = "not requested";
     if (!StatsPath.empty()) {
       std::optional<StatsDoc> Stats = loadStats(StatsPath);
       if (!Stats)
         return 2;
-      // The sketches replay alongside the detector: any dist.* figure the
-      // stats document exports must match the offline rebuild exactly.
-      MetricsRegistry DistReg;
+      MetricsRegistry AdvReg, DistReg;
+      exportDetectorMetrics(AdvReg, D);
       A.EndToEndDist.exportMetrics(DistReg, "end_to_end");
       A.WindowDist.exportMetrics(DistReg, "window_duration");
-      if (!advCrossCheck(D, Stats->Metrics) ||
-          !distCrossCheck(DistReg, Stats->Metrics)) {
+      if (!registryCrossCheck(AdvReg, Stats->Metrics, /*Required=*/true) ||
+          !registryCrossCheck(DistReg, Stats->Metrics, /*Required=*/false)) {
         std::printf("\ncross-check FAILED: offline detector disagrees with "
                     "online adv.* metrics\n");
         return 1;
@@ -1455,81 +1275,65 @@ int cmdReport(int Argc, char **Argv) {
       std::printf("\ncross-check OK: offline detector matches online adv.* "
                   "metrics bit-for-bit\n");
     }
-    if (!CsvPath.empty() && !writeCsv(A, CsvPath))
-      return 2;
-    if (!JsonPath.empty()) {
-      JsonValue Doc = JsonValue::object();
-      if (!A.Meta.isNull())
-        Doc["meta"] = A.Meta;
-      Doc["adv"] = advJson(A, D);
-      Doc["crosscheck"] = JsonValue(CrossCheck);
-      if (!writeFile(JsonPath, Doc.dump()))
-        return 2;
-    }
-    return 0;
-  }
-
-  printReport(A);
-  printSnapshots(A);
-
-  if (ByLine || !LedgerPath.empty()) {
-    if (!checkProfAgainstRebuild(A)) {
-      std::printf("\nby-line check FAILED: offline rebuild disagrees with "
-                  "the embedded source profile\n");
-      return 1;
-    }
-    if (ByLine)
-      printByLine(A);
-    if (!LedgerPath.empty()) {
-      if (!checkLedgerDocument(A, LedgerPath)) {
-        std::printf("\nledger check FAILED: embedded source profile "
-                    "disagrees with '%s'\n",
-                    LedgerPath.c_str());
+    if (!A.Meta.isNull())
+      Doc["meta"] = A.Meta;
+    Doc["adv"] = advJson(D);
+  } else {
+    printReport(A);
+    printSnapshots(A);
+    if (ByLine || !LedgerPath.empty()) {
+      if (!checkProfAgainstRebuild(A)) {
+        std::printf("\nby-line check FAILED: offline rebuild disagrees with "
+                    "the embedded source profile\n");
         return 1;
       }
-      std::printf("\nledger check OK: trace profile matches '%s' "
-                  "bit-for-bit\n",
-                  LedgerPath.c_str());
+      if (ByLine)
+        printByLine(A);
+      if (!LedgerPath.empty()) {
+        if (!checkLedgerDocument(A, LedgerPath)) {
+          std::printf("\nledger check FAILED: embedded source profile "
+                      "disagrees with '%s'\n",
+                      LedgerPath.c_str());
+          return 1;
+        }
+        std::printf("\nledger check OK: trace profile matches '%s' "
+                    "bit-for-bit\n",
+                    LedgerPath.c_str());
+      }
     }
+    if (!StatsPath.empty()) {
+      std::optional<StatsDoc> Stats = loadStats(StatsPath);
+      if (!Stats)
+        return 2;
+      // Per-line cost sketch: rebuilt from the embedded prof rows (the
+      // per-line cycle ground truth), checked against any dist.line_cost
+      // figures the stats document exports.
+      MetricsRegistry DistReg;
+      if (A.HasProf) {
+        LogLinearHistogram LineDist;
+        for (const auto &[Line, L] : A.Lines)
+          if (L.HasEmbedded)
+            LineDist.add(L.EmbCycles);
+        LineDist.exportMetrics(DistReg, "line_cost");
+      }
+      if (!crossCheck(A, Stats->Metrics) ||
+          !registryCrossCheck(DistReg, Stats->Metrics, /*Required=*/false)) {
+        std::printf("\ncross-check FAILED: offline bound disagrees with "
+                    "online leak.* metrics\n");
+        return 1;
+      }
+      CrossCheck = "ok";
+      std::printf("\ncross-check OK: offline bound matches online leak.* "
+                  "metrics bit-for-bit\n");
+      printExecSection(Stats->Metrics);
+    }
+    Doc = analysisJson(A);
   }
-
-  std::string CrossCheck = "not requested";
-  if (!StatsPath.empty()) {
-    std::optional<StatsDoc> Stats = loadStats(StatsPath);
-    if (!Stats)
-      return 2;
-    // Per-line cost sketch: rebuilt from the embedded prof rows (the
-    // per-line cycle ground truth), checked against any dist.line_cost
-    // figures the stats document exports.
-    MetricsRegistry DistReg;
-    if (A.HasProf) {
-      LogLinearHistogram LineDist;
-      for (const auto &[Line, L] : A.Lines)
-        if (L.HasEmbedded)
-          LineDist.add(L.EmbCycles);
-      LineDist.exportMetrics(DistReg, "line_cost");
-    }
-    if (!crossCheck(A, Stats->Metrics) ||
-        !distCrossCheck(DistReg, Stats->Metrics)) {
-      std::printf("\ncross-check FAILED: offline bound disagrees with "
-                  "online leak.* metrics\n");
-      return 1;
-    }
-    CrossCheck = "ok";
-    std::printf("\ncross-check OK: offline bound matches online leak.* "
-                "metrics bit-for-bit\n");
-    printExecSection(Stats->Metrics);
-  }
-
   if (!CsvPath.empty() && !writeCsv(A, CsvPath))
     return 2;
-
-  if (!JsonPath.empty()) {
-    JsonValue Doc = analysisJson(A);
-    Doc["crosscheck"] = JsonValue(CrossCheck);
-    if (!writeFile(JsonPath, Doc.dump()))
-      return 2;
-  }
+  Doc["crosscheck"] = JsonValue(CrossCheck);
+  if (!JsonPath.empty() && !writeFile(JsonPath, Doc.dump()))
+    return 2;
   return 0;
 }
 
@@ -1539,12 +1343,9 @@ int cmdReport(int Argc, char **Argv) {
 bool parseBudget(const char *Flag, const char *Text, double &Out) {
   char *End = nullptr;
   const double V = std::strtod(Text, &End);
-  if (End == Text || *End != '\0' || !std::isfinite(V) || V < 0) {
-    std::fprintf(stderr,
-                 "error: %s wants a finite, non-negative number, got '%s'\n",
-                 Flag, Text);
-    return false;
-  }
+  if (End == Text || *End != '\0' || !std::isfinite(V) || V < 0)
+    return error("%s wants a finite, non-negative number, got '%s'\n", Flag,
+                 Text);
   Out = V;
   return true;
 }
@@ -1602,26 +1403,24 @@ int cmdDiff(int Argc, char **Argv) {
 
   // Leakage budget: the total bound may grow by at most BudgetBits bits.
   {
-    bool FB = false, FC = false;
-    double B = lookup(*Base, "leak.total_bits_bound", FB);
-    double C = lookup(*Cand, "leak.total_bits_bound", FC);
-    if (!FB || !FC) {
+    const std::optional<double> B = metric(*Base, "leak.total_bits_bound");
+    const std::optional<double> C = metric(*Cand, "leak.total_bits_bound");
+    if (!B || !C) {
       std::fprintf(stderr,
                    "error: %s lacks leak.total_bits_bound; cannot diff\n",
-                   (!FB ? BasePath : CandPath).c_str());
+                   (!B ? BasePath : CandPath).c_str());
       return 2;
     }
-    double Delta = C - B;
+    const double Delta = *C - *B;
     std::printf("leak.total_bits_bound: base %s, candidate %s, delta %s "
                 "(budget %s bits)\n",
-                jsonNumberString(B).c_str(), jsonNumberString(C).c_str(),
+                jsonNumberString(*B).c_str(), jsonNumberString(*C).c_str(),
                 jsonNumberString(Delta).c_str(),
                 jsonNumberString(BudgetBits).c_str());
-    JsonValue Obj = JsonValue::object();
-    Obj["base"] = JsonValue(B);
-    Obj["candidate"] = JsonValue(C);
-    Obj["delta"] = JsonValue(Delta);
-    Deltas["leak.total_bits_bound"] = std::move(Obj);
+    JsonValue &Obj = Deltas["leak.total_bits_bound"];
+    Obj["base"] = *B;
+    Obj["candidate"] = *C;
+    Obj["delta"] = Delta;
     if (Delta > BudgetBits)
       Violations.push_back("leak.total_bits_bound grew by " +
                            jsonNumberString(Delta) + " bits (budget " +
@@ -1631,21 +1430,19 @@ int cmdDiff(int Argc, char **Argv) {
   // Overhead budget: relative growth of padding and mispredictions.
   if (BudgetPct) {
     for (const char *Key : {"mit.padded_idle_cycles", "mit.mispredictions"}) {
-      bool FB = false, FC = false;
-      double B = lookup(*Base, Key, FB);
-      double C = lookup(*Cand, Key, FC);
-      if (!FB || !FC)
+      const std::optional<double> B = metric(*Base, Key);
+      const std::optional<double> C = metric(*Cand, Key);
+      if (!B || !C)
         continue;
-      double Pct = B > 0 ? (C - B) / B * 100.0
-                         : (C > 0 ? 100.0 : 0.0);
+      const double Pct =
+          *B > 0 ? (*C - *B) / *B * 100.0 : (*C > 0 ? 100.0 : 0.0);
       std::printf("%s: base %s, candidate %s, %+.2f%% (budget %.2f%%)\n",
-                  Key, jsonNumberString(B).c_str(),
-                  jsonNumberString(C).c_str(), Pct, *BudgetPct);
-      JsonValue Obj = JsonValue::object();
-      Obj["base"] = JsonValue(B);
-      Obj["candidate"] = JsonValue(C);
-      Obj["pct"] = JsonValue(Pct);
-      Deltas[Key] = std::move(Obj);
+                  Key, jsonNumberString(*B).c_str(),
+                  jsonNumberString(*C).c_str(), Pct, *BudgetPct);
+      JsonValue &Obj = Deltas[Key];
+      Obj["base"] = *B;
+      Obj["candidate"] = *C;
+      Obj["pct"] = Pct;
       if (Pct > *BudgetPct) {
         char Buf[160];
         std::snprintf(Buf, sizeof(Buf), "%s grew by %.2f%% (budget %.2f%%)",
@@ -1678,6 +1475,13 @@ int cmdDiff(int Argc, char **Argv) {
   return 0;
 }
 
+int inputTooLarge() {
+  std::fprintf(stderr, "error: input exceeds in-memory mode; re-export the "
+                       "run to the streaming binary trace format "
+                       "(--trace-out out.ztb) and retry\n");
+  return 1;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -1692,21 +1496,13 @@ int main(int Argc, char **Argv) {
       return cmdReport(Argc, Argv);
     if (!std::strcmp(Argv[1], "diff"))
       return cmdDiff(Argc, Argv);
-  } catch (const MalformedRecord &E) {
+  } catch (const BadInput &E) {
     std::fprintf(stderr, "error: %s\n", E.what());
     return 2;
   } catch (const std::bad_alloc &) {
-    std::fprintf(stderr,
-                 "error: input exceeds in-memory mode; re-export the run "
-                 "to the streaming binary trace format (--trace-out "
-                 "out.ztb) and retry\n");
-    return 1;
+    return inputTooLarge();
   } catch (const std::length_error &) {
-    std::fprintf(stderr,
-                 "error: input exceeds in-memory mode; re-export the run "
-                 "to the streaming binary trace format (--trace-out "
-                 "out.ztb) and retry\n");
-    return 1;
+    return inputTooLarge();
   }
   std::fprintf(stderr, "unknown command '%s'\n", Argv[1]);
   return usage();
